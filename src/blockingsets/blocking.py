@@ -404,7 +404,7 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
     lines = traces_of(pts, 1)
     covered = pts.mask().copy()
     idx = np.nonzero(lines.sizes >= 2)[0]
-    add, mul, _, _ = space._tables()
+    add, mul, _, _ = space.field.tables()
     line_space_params = ProjectiveSpace(1, space.field).coords_array()
     step = max(1, 2_000_000 // (line_space_params.shape[0] * (space.n + 1)))
     for lo in range(0, idx.size, step):

@@ -15,6 +15,7 @@ happens to satisfy the same norm-compatibility.
 from __future__ import annotations
 
 import functools
+import threading
 from importlib import resources
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
 
 SIZE_LIMIT = 2 ** 20        # largest supported field order
 _TABLE_LIMIT = 1024         # build q x q lookup tables up to this order
+_BUILD_LOCK = threading.RLock()   # each lazy table is built once, whole
 
 
 def _is_prime(n: int) -> bool:
@@ -266,8 +268,8 @@ class FieldSpec:
         self.modulus = modulus
         # x^(t+i) mod f for i in 0..t-2, as coefficient tuples
         self._xpow_red = self._reduction_rows()
-        self._mul_cache = {}
         self._tables = None
+        self._lut = None
         self._embeddings = {}
 
     def _reduction_rows(self):
@@ -303,24 +305,87 @@ class FieldSpec:
         return code
 
     # --- scalar arithmetic on codes ---
+    #
+    # Fields with lookup tables (q <= 1024) answer from nested lists of
+    # Python ints made once from tables(); larger fields compute on base-p
+    # digits through the _*_poly helpers, which also build the tables.
 
     def add(self, a: int, b: int) -> int:
+        lut = self._lut or self._scalar_tables()
+        return lut[0][a][b] if lut else self._add_poly(a, b)
+
+    def neg(self, a: int) -> int:
+        lut = self._lut or self._scalar_tables()
+        return lut[2][a] if lut else self._neg_poly(a)
+
+    def sub(self, a: int, b: int) -> int:
+        lut = self._lut or self._scalar_tables()
+        if lut:
+            return lut[0][a][lut[2][b]]
+        return self._add_poly(a, self._neg_poly(b))
+
+    def mul(self, a: int, b: int) -> int:
+        lut = self._lut or self._scalar_tables()
+        return lut[1][a][b] if lut else self._mul_poly(a, b)
+
+    def pow(self, a: int, n: int) -> int:
+        if n < 0:
+            a, n = self.inv(a), -n
+        r = 1
+        while n:
+            if n & 1:
+                r = self.mul(r, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return r
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroInverseError("0 has no multiplicative inverse")
+        lut = self._lut or self._scalar_tables()
+        return lut[3][a] if lut else self._pow_poly(a, self.q - 2)
+
+    def frobenius(self, a: int, e: int = 1) -> int:
+        return self.pow(a, self.p ** e)
+
+    def primitive_element(self) -> int:
+        """Code of a generator of GF(q)*: x itself for the Conway moduli."""
+        order = self.q - 1
+        factors = _prime_factors(order)
+        for g in (self.x.code, *range(1, self.q)):
+            if g and all(self.pow(g, order // r) != 1 for r in factors):
+                return g
+        raise BlockingSetsError(f"no primitive element in {self!r}")
+
+    def _scalar_tables(self):
+        """tables() as lists of Python ints for the scalar ops; None above
+        the table cap."""
+        if self._lut is None and self.has_tables:
+            with _BUILD_LOCK:
+                if self._lut is None:
+                    add, mul, neg, inv = self.tables()
+                    codes = list(range(self.q))   # one int object per code
+                    self._lut = (
+                        [[codes[c] for c in row.tolist()] for row in add],
+                        [[codes[c] for c in row.tolist()] for row in mul],
+                        neg.tolist(), inv.tolist())
+        return self._lut
+
+    def _add_poly(self, a: int, b: int) -> int:
         p = self.p
         if self.t == 1:
             return (a + b) % p
         ca, cb = self.decode(a), self.decode(b)
         return self.encode((x + y) % p for x, y in zip(ca, cb))
 
-    def neg(self, a: int) -> int:
+    def _neg_poly(self, a: int) -> int:
         p = self.p
         if self.t == 1:
             return (-a) % p
         return self.encode((-x) % p for x in self.decode(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
+    def _mul_poly(self, a: int, b: int) -> int:
         p, t = self.p, self.t
         if t == 1:
             return (a * b) % p
@@ -340,25 +405,15 @@ class FieldSpec:
                     out[j] = (out[j] + c * red[j]) % p
         return self.encode(out)
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv(a), -n
+    def _pow_poly(self, a: int, n: int) -> int:
         r = 1
         while n:
             if n & 1:
-                r = self.mul(r, a)
+                r = self._mul_poly(r, a)
             n >>= 1
             if n:
-                a = self.mul(a, a)
+                a = self._mul_poly(a, a)
         return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverseError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
-    def frobenius(self, a: int, e: int = 1) -> int:
-        return self.pow(a, self.p ** e)
 
     # --- elements ---
 
@@ -450,51 +505,46 @@ class FieldSpec:
 
     def tables(self):
         """(ADD, MUL, NEG, INV) numpy arrays; built once, q <= 1024 only."""
-        if self._tables is not None:
-            return self._tables
-        if not self.has_tables:
-            raise RangeError(f"no lookup tables for q={self.q} > {_TABLE_LIMIT}")
-        q = self.q
-        if self.t == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = (idx[:, None] + idx[None, :]) % q
-            mul = (idx[:, None] * idx[None, :]) % q
-        else:
-            # digitwise add via base-p decomposition
-            p, t = self.p, self.t
-            digs = np.zeros((q, t), dtype=np.int64)
-            tmp = np.arange(q, dtype=np.int64)
-            for i in range(t):
-                digs[:, i] = tmp % p
-                tmp //= p
-            s = (digs[:, None, :] + digs[None, :, :]) % p
-            add = np.zeros((q, q), dtype=np.int64)
-            for i in range(t - 1, -1, -1):
-                add = add * p + s[:, :, i]
-            # multiplication through discrete logs when x is primitive,
-            # scalar products otherwise
-            exp = [1]
-            xc = self.x.code
-            for _ in range(q - 2):
-                exp.append(self.mul(exp[-1], xc))
-            if len(set(exp)) == q - 1:
-                exp = np.array(exp, dtype=np.int64)
-                log = np.zeros(q, dtype=np.int64)
-                log[exp] = np.arange(q - 1)
-                mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-                mul[0, :] = 0
-                mul[:, 0] = 0
-            else:
-                mul = np.zeros((q, q), dtype=np.int64)
-                for a in range(1, q):
-                    mul[a, :] = [self.mul(a, b) for b in range(q)]
-        neg = np.array([self.neg(a) for a in range(q)], dtype=np.int64)
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = self.inv(a)
-        self._tables = (np.ascontiguousarray(add, dtype=np.int64),
-                        np.ascontiguousarray(mul, dtype=np.int64), neg, inv)
+        if self._tables is None:
+            if not self.has_tables:
+                raise RangeError(
+                    f"no lookup tables for q={self.q} > {_TABLE_LIMIT}")
+            with _BUILD_LOCK:
+                if self._tables is None:
+                    self._tables = self._build_tables()
         return self._tables
+
+    def _build_tables(self):
+        q, p, t = self.q, self.p, self.t
+        idx = np.arange(q, dtype=np.int64)
+        # digitwise addition and negation, top base-p digit first
+        add = np.zeros((q, q), dtype=np.int64)
+        neg = np.zeros(q, dtype=np.int64)
+        for i in range(t - 1, -1, -1):
+            d = (idx // p ** i) % p
+            add = add * p + (d[:, None] + d[None, :]) % p
+            neg = neg * p + (-d) % p
+        # multiplication and inverses through discrete logs when x is
+        # primitive, polynomial products otherwise
+        xc = self.x.code
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self._mul_poly(exp[-1], xc))
+        if len(set(exp)) == q - 1:
+            exp = np.array(exp, dtype=np.int64)
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+            mul[0, :] = 0
+            mul[:, 0] = 0
+            inv = exp[-log % (q - 1)]
+        else:
+            mul = np.array([[self._mul_poly(a, b) for b in range(q)]
+                            for a in range(q)], dtype=np.int64)
+            inv = np.array([self._pow_poly(a, q - 2) for a in range(q)],
+                           dtype=np.int64)
+        inv[0] = 0
+        return add, mul, neg, inv
 
     # --- identity ---
 

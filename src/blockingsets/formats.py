@@ -157,6 +157,8 @@ def witness_from_dict(data: dict):
     big = space_for(sp["p"], sp["t"], sp["n"])
     ctx = spread_context(big)
     rows = tuple(tuple(int(c) for c in row) for row in data["rows"])
+    if any(not 0 <= c < ctx.small.q for row in rows for c in row):
+        raise ParseError(f"witness basis code outside 0..{ctx.small.q - 1}")
     if len(rows) != data.get("rank", len(rows)):
         raise ParseError("witness rank disagrees with its basis rows")
     try:

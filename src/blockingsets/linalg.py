@@ -3,7 +3,8 @@
 Matrices are sequences of rows; a row is a sequence of integer element codes.
 Everything here is scalar pure Python: matrices in this package stay tiny
 (at most a few dozen rows), the bulk work happens in the batched numpy scans
-of the projspace module.
+of the projspace module.  Each scalar field operation is a lookup in the
+field's tables, which every field of a projective space has (q <= 1024).
 """
 
 from __future__ import annotations
@@ -71,17 +72,3 @@ def left_kernel(mat, field):
     out = [row[m:] for row in rows if not any(row[:m])]
     return rref(out, field)[0]
 
-
-def matmul(a, b, field):
-    """Plain exact matrix product, small operands only."""
-    rows = []
-    for ra in a:
-        row = []
-        for j in range(len(b[0])):
-            acc = 0
-            for s, x in enumerate(ra):
-                if x and b[s][j]:
-                    acc = field.add(acc, field.mul(x, b[s][j]))
-            row.append(acc)
-        rows.append(row)
-    return rows

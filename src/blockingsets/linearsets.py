@@ -14,12 +14,12 @@ subline machinery only needs p0 = p^e with e | t and stays general.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._cache import locked_cache
 from .blocking import exponent, is_minimal, is_small, traces_of
 from .errors import (
     BadParamsError,
@@ -244,7 +244,7 @@ def _triple_closure_ranks(param_space: ProjectiveSpace, ra, rb, rc,
     return tuple(sorted(out))
 
 
-@functools.lru_cache(maxsize=8)
+@locked_cache(maxsize=8)
 def subline_patterns(field: FieldSpec, p0: int):
     """All GF(p0)-sublines of the parameter line PG(1, q), once per field.
 

@@ -8,10 +8,10 @@ are ordered as ascending base-q numerals.  Rank 0 is (0, ..., 0, 1) and the
 last rank is (1, q-1, ..., q-1).
 
 Subspaces are kept as reduced row echelon bases, which makes the basis a
-canonical key for the subspace.  The heavy counting work (traces of a point
-set against all lines or all hyperplanes) runs on numpy lookup tables from
-the field layer; spaces too large for tables stay usable through the scalar
-paths but refuse the batched scans.
+canonical key for the subspace.  Every space needs the field's lookup
+tables (q <= 1024): the heavy counting work (traces of a point set against
+all lines or all hyperplanes) runs on them as numpy arrays, and the scalar
+field operations behind RREF, normalization and charts read them too.
 """
 
 from __future__ import annotations
@@ -80,6 +80,10 @@ class ProjectiveSpace:
         key = (n, field)
         inst = cls._registry.get(key)
         if inst is None:
+            if not field.has_tables:
+                raise TooLargeError(
+                    f"projective spaces need field tables, q={field.q} "
+                    "is too large")
             inst = super().__new__(cls)
             cls._registry[key] = inst
         return inst
@@ -112,6 +116,8 @@ class ProjectiveSpace:
         if len(v) != self.n + 1:
             raise DimensionMismatchError(
                 f"expected {self.n + 1} coordinates, got {len(v)}")
+        if min(v) < 0 or max(v) >= self.q:
+            raise RangeError(f"element code outside 0..{self.q - 1} in {v}")
         lead = next((i for i, c in enumerate(v) if c), None)
         if lead is None:
             raise EmptyInputError("the zero vector is not a projective point")
@@ -148,15 +154,9 @@ class ProjectiveSpace:
 
     # -- batched point coding -----------------------------------------------
 
-    def _tables(self):
-        if not self.field.has_tables:
-            raise TooLargeError(
-                f"batched scans need field tables, q={self.q} is too large")
-        return self.field.tables()
-
     def normalize_rows(self, arr: np.ndarray) -> np.ndarray:
         """Normalize each row of an (m, n+1) array of element codes."""
-        _, mul, _, inv = self._tables()
+        _, mul, _, inv = self.field.tables()
         arr = np.asarray(arr, dtype=np.int64)
         lead = (arr != 0).argmax(axis=-1)
         lv = np.take_along_axis(arr, lead[..., None], axis=-1)
@@ -281,9 +281,7 @@ class ProjectiveSpace:
     def _incidence_ok(self, dim: int) -> bool:
         ns = self.num_subspaces(dim)
         per = gaussian_binomial(dim + 1, 1, self.q)
-        return (ns <= _INCIDENCE_SUBSPACE_CAP
-                and ns * per <= _INCIDENCE_CAP
-                and self.field.has_tables)
+        return ns <= _INCIDENCE_SUBSPACE_CAP and ns * per <= _INCIDENCE_CAP
 
     def incidence(self, dim: int) -> np.ndarray:
         """Point ranks of every dim-subspace, row i in enumeration order."""
@@ -296,7 +294,7 @@ class ProjectiveSpace:
         bases = [sub.rows for sub in self._subspaces_all(dim)]
         self._bases[dim] = bases
         r = dim + 1
-        add, mul, _, _ = self._tables()
+        add, mul, _, _ = self.field.tables()
         params = ProjectiveSpace(dim, self.field).coords_array() \
             if dim >= 1 else np.ones((1, 1), dtype=np.int64)
         npar = params.shape[0]
@@ -449,27 +447,14 @@ class Subspace:
         space = self.space
         if self.dim == 0:
             ranks = np.asarray([space.rank_of(self.rows[0])], dtype=np.int64)
-        elif space.field.has_tables:
-            add, mul, _, _ = space._tables()
+        else:
+            add, mul, _, _ = space.field.tables()
             params = ProjectiveSpace(self.dim, space.field).coords_array()
             basis = np.asarray(self.rows, dtype=np.int64)
             acc = np.zeros((params.shape[0], space.n + 1), dtype=np.int64)
             for j in range(len(self.rows)):
                 acc = add[acc, mul[params[:, j, None], basis[None, j, :]]]
             ranks = np.sort(space.ranks_from_rows(acc, normalized=False))
-        else:
-            field = space.field
-            seen = set()
-            params = ProjectiveSpace(self.dim, field)
-            for prank in range(params.num_points):
-                coeff = params.coords_of(prank)
-                vec = [0] * (space.n + 1)
-                for c, row in zip(coeff, self.rows):
-                    if c:
-                        for j, x in enumerate(row):
-                            vec[j] = field.add(vec[j], field.mul(c, x))
-                seen.add(space.rank_of(vec))
-            ranks = np.asarray(sorted(seen), dtype=np.int64)
         self._ranks = ranks
         return ranks
 
@@ -578,8 +563,7 @@ class PointSet:
 
     def coords(self) -> np.ndarray:
         if self._coords is None:
-            if self.space.field.has_tables and self.space.num_points * \
-                    (self.space.n + 1) <= _COORDS_CAP:
+            if self.space.num_points * (self.space.n + 1) <= _COORDS_CAP:
                 self._coords = self.space.coords_array()[self.ranks]
             else:
                 self._coords = np.asarray(
@@ -641,30 +625,21 @@ class SubspaceChart:
             raise BadParamsError(
                 f"{pts.ranks.size - inside.size} points lie outside "
                 "the chart subspace")
-        if self.ambient.field.has_tables:
-            coords = self.ambient.coords_array()[inside]
-            coeff = coords[:, list(self.subspace.pivots)]
-            return PointSet(self.small, self.small.ranks_from_rows(coeff))
-        return PointSet(self.small,
-                        [self.small.rank_of(self.to_small(int(r)))
-                         for r in inside])
+        coords = self.ambient.coords_array()[inside]
+        coeff = coords[:, list(self.subspace.pivots)]
+        return PointSet(self.small, self.small.ranks_from_rows(coeff))
 
     def lift(self, pts: PointSet) -> PointSet:
         if pts.space is not self.small:
             raise DimensionMismatchError("points not in the chart space")
-        if self.ambient.field.has_tables:
-            small_coords = self.small.coords_array()[pts.ranks]
-            add, mul, _, _ = self.ambient._tables()
-            basis = np.asarray(self.subspace.rows, dtype=np.int64)
-            acc = np.zeros((small_coords.shape[0], self.ambient.n + 1),
-                           dtype=np.int64)
-            for j in range(basis.shape[0]):
-                acc = add[acc, mul[small_coords[:, j, None],
-                                   basis[None, j, :]]]
-            return PointSet(self.ambient, self.ambient.ranks_from_rows(acc))
-        return PointSet.from_coords(
-            self.ambient,
-            [self.to_ambient(self.small.coords_of(int(r))) for r in pts])
+        small_coords = self.small.coords_array()[pts.ranks]
+        add, mul, _, _ = self.ambient.field.tables()
+        basis = np.asarray(self.subspace.rows, dtype=np.int64)
+        acc = np.zeros((small_coords.shape[0], self.ambient.n + 1),
+                       dtype=np.int64)
+        for j in range(basis.shape[0]):
+            acc = add[acc, mul[small_coords[:, j, None], basis[None, j, :]]]
+        return PointSet(self.ambient, self.ambient.ranks_from_rows(acc))
 
 
 def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
@@ -693,26 +668,15 @@ def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
     uc = 0
     for a, b in zip(u, c):
         uc = field.add(uc, field.mul(a, b))
-    if space.field.has_tables and len(pts):
-        add, mul, neg, _ = space._tables()
-        coords = pts.coords()
-        uv = np.asarray(u, dtype=np.int64)
-        ur = np.zeros(coords.shape[0], dtype=np.int64)
-        for j in range(space.n + 1):
-            ur = add[ur, mul[coords[:, j], uv[j]]]
-        cv = np.asarray(c, dtype=np.int64)
-        img = add[mul[coords, uc], mul[neg[ur][:, None], cv[None, :]]]
-        return PointSet(space, space.ranks_from_rows(img))
-    out = []
-    for r in pts:
-        v = space.coords_of(r)
-        ur = 0
-        for a, b in zip(u, v):
-            ur = field.add(ur, field.mul(a, b))
-        img = tuple(field.sub(field.mul(uc, x), field.mul(ur, y))
-                    for x, y in zip(v, c))
-        out.append(img)
-    return PointSet.from_coords(space, out)
+    add, mul, neg, _ = field.tables()
+    coords = pts.coords()
+    uv = np.asarray(u, dtype=np.int64)
+    ur = np.zeros(coords.shape[0], dtype=np.int64)
+    for j in range(space.n + 1):
+        ur = add[ur, mul[coords[:, j], uv[j]]]
+    cv = np.asarray(c, dtype=np.int64)
+    img = add[mul[coords, uc], mul[neg[ur][:, None], cv[None, :]]]
+    return PointSet(space, space.ranks_from_rows(img))
 
 
 class TraceSummary:
@@ -785,7 +749,7 @@ class TraceSummary:
 def _scan_lines(space, pts: PointSet) -> TraceSummary:
     """Traces of all lines meeting the set, by enumerating per point the
     lines through it (each meeting line is hit once per contained point)."""
-    add, mul, neg, _ = space._tables()
+    add, mul, neg, _ = space.field.tables()
     n, q = space.n, space.q
     m = len(pts)
     coords = pts.coords()
@@ -838,7 +802,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     """Traces of all hyperplanes meeting the set, via the covectors through
     each point (a hyperplane through s points contributes s incidences)."""
-    add, mul, neg, _ = space._tables()
+    add, mul, neg, _ = space.field.tables()
     n = space.n
     m = len(pts)
     coords = pts.coords()

@@ -15,10 +15,9 @@ the reconstruction inner loop.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
+from ._cache import locked_cache
 from .errors import (
     BadParamsError,
     DimensionMismatchError,
@@ -100,37 +99,28 @@ class SpreadContext:
     # -- cache ----------------------------------------------------------------
 
     def _build_cache(self):
+        # The element of a big point v holds the small points of lambda*v,
+        # lambda in GF(q)*, and lambda matters only modulo GF(p0)*.  For a
+        # generator g of GF(q)* that subgroup is <g^per>, so g^0 .. g^(per-1)
+        # are coset representatives and reach each point of the element once.
         big, small = self.big, self.small
         nbig = big.num_points
         per = self.points_per_element
-        if big.field.has_tables and small.field.has_tables:
-            _, mul, _, _ = big.field.tables()
-            coords = big.coords_array()
-            q = big.q
-            ranks = np.empty((q - 1, nbig), dtype=np.int64)
-            for idx, lam in enumerate(range(1, q)):
-                scaled = mul[coords, lam] if lam != 1 else coords
-                ranks[idx] = small.ranks_from_rows(self._blow_up_rows(scaled))
-            ranks.sort(axis=0)
-            # each small point appears once per nonzero subfield scalar
-            dedup = ranks[:: self.p0 - 1, :]
-            if dedup.shape[0] != per or (self.p0 > 2 and not np.array_equal(
-                    ranks[1:: self.p0 - 1, :], dedup)):
-                raise SpecMismatchError("spread cache multiplicities broken")
-            self.big_to_small = np.ascontiguousarray(dedup.T).astype(np.int32)
-        else:
-            field = big.field
-            rows = np.empty((nbig, per), dtype=np.int32)
-            for r in range(nbig):
-                v = big.coords_of(r)
-                seen = set()
-                for lam in range(1, big.q):
-                    w = tuple(field.mul(lam, c) for c in v)
-                    seen.add(small.rank_of(self.blow_up_vector(w)))
-                if len(seen) != per:
-                    raise SpecMismatchError("spread cache multiplicities broken")
-                rows[r] = sorted(seen)
-            self.big_to_small = rows
+        _, mul, _, _ = big.field.tables()
+        g = big.field.primitive_element()
+        scaled = big.coords_array()
+        ranks = np.empty((per, nbig), dtype=np.int64)
+        for i in range(per):
+            ranks[i] = small.ranks_from_rows(self._blow_up_rows(scaled))
+            scaled = mul[scaled, g]
+        # g^per lies in GF(p0)*: it must fix every small point
+        if not np.array_equal(
+                small.ranks_from_rows(self._blow_up_rows(scaled)), ranks[0]):
+            raise SpecMismatchError("spread cache: g^per moves a point")
+        ranks.sort(axis=0)
+        if not (ranks[1:] != ranks[:-1]).all():
+            raise SpecMismatchError("spread cache: an element repeats a point")
+        self.big_to_small = np.ascontiguousarray(ranks.T).astype(np.int32)
         flat = self.big_to_small.reshape(-1)
         if flat.size != small.num_points:
             raise SpecMismatchError("spread does not cover the small side")
@@ -238,7 +228,7 @@ class SpreadContext:
         return found
 
 
-@functools.lru_cache(maxsize=8)
+@locked_cache(maxsize=8)
 def spread_context(big: ProjectiveSpace) -> SpreadContext:
     """Shared per-space context; the cache is built once per big space."""
     return SpreadContext(big)

@@ -43,6 +43,24 @@ def test_element_ranks_match_spread_element(ctx9):
         assert sorted(sub.point_ranks()) == sorted(ctx9.element_ranks(rank))
 
 
+def test_spread_with_non_primitive_modulus():
+    field = make_field(3, 2, modulus=(1, 0, 1))     # x^2 + 1: x has order 4
+    assert field.primitive_element() != field.x.code
+    ctx = spread_context(ProjectiveSpace(2, field))
+    for rank in range(ctx.big.num_points):
+        sub = ctx.spread_element(ctx.big.coords_of(rank))
+        assert np.array_equal(sub.point_ranks(), ctx.element_ranks(rank))
+
+
+def test_element_ranks_match_spread_element_pg3_49():
+    ctx = spread_context(ProjectiveSpace(3, make_field(7, 2)))
+    rng = np.random.default_rng(11)
+    for rank in rng.choice(ctx.big.num_points, size=50, replace=False):
+        sub = ctx.spread_element(ctx.big.coords_of(int(rank)))
+        assert sub.dim == 1
+        assert np.array_equal(sub.point_ranks(), ctx.element_ranks(rank))
+
+
 def test_blow_up_vector_digits(ctx9):
     # code 5 over GF(9) has base-3 digits (2, 1)
     assert ctx9.blow_up_vector((5, 0, 1)) == (2, 1, 0, 0, 1, 0)

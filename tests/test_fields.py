@@ -6,8 +6,10 @@ compatibility by norm chains, candidates in the alternating-sign
 lexicographic order), so a wrong table entry cannot survive CI.
 """
 
+import concurrent.futures
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -265,3 +267,87 @@ def test_spec_equality_and_hash():
     a, b = make_field(3, 2), make_field(3, 2)
     assert a == b and hash(a) == hash(b)
     assert make_field(2, 2) != make_field(3, 2)
+
+
+# -- table-backed scalar ops against the polynomial reference ------------------
+
+def assert_binary_ops_match(f, a, b):
+    got = (f.add(a, b), f.sub(a, b), f.mul(a, b))
+    want = (f._add_poly(a, b), f._add_poly(a, f._neg_poly(b)),
+            f._mul_poly(a, b))
+    assert got == want, (f, a, b)
+    assert all(type(v) is int for v in got), (f, a, b)
+
+
+def assert_unary_ops_match(f, a, n):
+    got = (f.neg(a), f.pow(a, n), f.frobenius(a))
+    assert got == (f._neg_poly(a), f._pow_poly(a, n),
+                   f._pow_poly(a, f.p)), (f, a, n)
+    assert all(type(v) is int for v in got), (f, a, n)
+    if a:
+        inv = f.inv(a)
+        assert type(inv) is int and f._mul_poly(a, inv) == 1, (f, a)
+
+
+@pytest.mark.parametrize("p,t", sorted(k for k in shipped_entries()
+                                       if k[0] ** k[1] <= 81))
+def test_scalar_tables_match_polynomials_exhaustive(p, t):
+    f = make_field(p, t)
+    for a in range(f.q):
+        for b in range(f.q):
+            assert_binary_ops_match(f, a, b)
+        for n in (0, 1, 2, f.q - 2, f.q + 3):
+            assert_unary_ops_match(f, a, n)
+        if a:
+            assert f.inv(a) == f._pow_poly(a, f.q - 2)
+            assert f.pow(a, -3) == f._pow_poly(f.inv(a), 3)
+
+
+@pytest.mark.parametrize("p,t", [(2, 10), (3, 6), (31, 2)])
+def test_scalar_tables_match_polynomials_sampled(p, t):
+    f = make_field(p, t)
+    assert f.has_tables
+    rng = random.Random(41)
+    for _ in range(2000):
+        a, b, n = (rng.randrange(f.q) for _ in range(3))
+        assert_binary_ops_match(f, a, b)
+        assert_unary_ops_match(f, a, n)
+
+
+def test_scalar_tables_non_primitive_modulus():
+    f = make_field(3, 2, modulus=(1, 0, 1))     # x^2 + 1: x has order 4
+    x = f.x.code
+    assert len({f._pow_poly(x, k) for k in range(8)}) == 4
+    for a in range(9):
+        for b in range(9):
+            assert_binary_ops_match(f, a, b)
+        assert_unary_ops_match(f, a, a + 5)
+        if a:
+            assert f.inv(a) == f._pow_poly(a, 7)
+    for tbl in f.tables()[:2]:
+        assert tbl.shape == (9, 9) and tbl.dtype == np.int64
+
+
+def test_scalar_ops_above_table_cap():
+    f = make_field(2, 11)
+    rng = random.Random(3)
+    for _ in range(50):
+        a = rng.randrange(1, f.q)
+        assert f.mul(a, f.inv(a)) == 1
+        assert f.add(a, f.neg(a)) == 0
+
+
+def test_lazy_tables_built_once_under_threads():
+    f = FieldSpec(3, 5)     # a fresh spec: no tables built yet
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(lambda: (f.mul(5, 7), f.tables(),
+                                            f._scalar_tables()))
+                       for _ in range(8)]
+            results = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(r[0] == f._mul_poly(5, 7) for r in results)
+    assert all(r[1] is f._tables and r[2] is f._lut for r in results)

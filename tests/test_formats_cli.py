@@ -131,6 +131,11 @@ def test_witness_dict_roundtrip(baer, cone_9):
     dep["rank"] = 2
     with pytest.raises(ParseError):
         formats.witness_from_dict(dep)
+    for code in (3, -1):                  # codes of GF(3) are 0..2
+        bad = formats.witness_to_dict(baer)
+        bad["rows"][0][-1] = code
+        with pytest.raises(ParseError):
+            formats.witness_from_dict(bad)
 
 
 # -- CLI -----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import shutil
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,21 @@ def test_scorecard_byte_stable_across_threads(fast_instances):
         cards.append(json.dumps(harness.scorecard(results, skipped),
                                 sort_keys=True, indent=2))
     assert cards[0] == cards[1]
+
+
+def test_run_suite_builds_subline_patterns_once(fast_instances):
+    from blockingsets.linearsets import subline_patterns
+    keys = {(i.points.space.field, i.p0) for i in fast_instances}
+    subline_patterns.cache_clear()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        harness.run_suite(fast_instances, threads=4)
+    finally:
+        sys.setswitchinterval(old)
+    info = subline_patterns.cache_info()
+    assert info.currsize == len(keys)
+    assert info.misses == len(keys)
 
 
 def test_run_suite_check_filter(fast_instances):

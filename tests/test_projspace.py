@@ -8,7 +8,7 @@ import pytest
 from blockingsets.errors import (BadParamsError, CentreInHyperplaneError,
                                  CentreInSetError, DimensionMismatchError,
                                  EmptyInputError, NotHyperplaneError,
-                                 RangeError)
+                                 RangeError, TooLargeError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjPoint, ProjectiveSpace,
                                     Subspace, gaussian_binomial, meet,
@@ -305,3 +305,17 @@ def test_subspace_space_mismatch():
     a, b = pg(2, 3), pg(3, 3)
     with pytest.raises(DimensionMismatchError):
         span(a, Subspace(b, [(1, 0, 0, 0)]))
+
+
+def test_space_needs_field_tables():
+    with pytest.raises(TooLargeError):
+        ProjectiveSpace(2, make_field(2, 11))
+    with pytest.raises(TooLargeError):     # nothing half-built was kept
+        ProjectiveSpace(2, make_field(2, 11))
+
+
+def test_normalize_rejects_codes_outside_field():
+    space = pg(2, 3, 2)
+    for bad in ((0, 1, 9), (0, -1, 2)):
+        with pytest.raises(RangeError):
+            space.normalize(bad)
