@@ -21,7 +21,8 @@ import os
 
 import numpy as np
 
-from .errors import EmptyInputError, IoError, ParseError, RangeError
+from .errors import (BlockingSetsError, EmptyInputError, IoError,
+                     ParseError, RangeError)
 from .fields import make_field
 from .projspace import PointSet, ProjectiveSpace, Subspace
 from .spreads import spread_context
@@ -151,15 +152,43 @@ def witness_to_dict(witness) -> dict:
     }
 
 
+def required(data, key: str, kind: type, where: str):
+    """data[key], which must exist and be of the given JSON kind (an int
+    is never a bool here); a ParseError otherwise."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{where}: expected a JSON object")
+    if key not in data:
+        raise ParseError(f"{where}: missing '{key}'")
+    val = data[key]
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise ParseError(f"{where}: '{key}' must be {kind.__name__}, "
+                         f"got {type(val).__name__}")
+    return val
+
+
 def witness_from_dict(data: dict):
     from .linearsets import build_linear_set
-    sp = data["space"]
-    big = space_for(sp["p"], sp["t"], sp["n"])
-    ctx = spread_context(big)
-    rows = tuple(tuple(int(c) for c in row) for row in data["rows"])
+    sp = required(data, "space", dict, "witness")
+    p, t, n = (required(sp, key, int, "witness space") for key in "ptn")
+    raw = required(data, "rows", list, "witness")
+    try:
+        ctx = spread_context(space_for(p, t, n))
+    except BlockingSetsError as exc:
+        raise ParseError(f"bad witness space p={p} t={t} n={n}: "
+                         f"{exc}") from exc
+    width = ctx.small.n + 1
+    if not raw or any(not isinstance(row, list) or len(row) != width
+                      for row in raw):
+        raise ParseError(f"witness basis must be rows of {width} codes")
+    if any(not isinstance(c, int) or isinstance(c, bool)
+           for row in raw for c in row):
+        raise ParseError("witness basis codes must be integers")
+    rows = tuple(tuple(row) for row in raw)
     if any(not 0 <= c < ctx.small.q for row in rows for c in row):
         raise ParseError(f"witness basis code outside 0..{ctx.small.q - 1}")
-    if len(rows) != data.get("rank", len(rows)):
+    rank = required(data, "rank", int, "witness") if "rank" in data \
+        else len(rows)
+    if len(rows) != rank:
         raise ParseError("witness rank disagrees with its basis rows")
     try:
         pi = Subspace(ctx.small, rows)

@@ -123,22 +123,33 @@ def _jsonable(obj):
 
 
 def load_instance(path: str) -> Instance:
+    """Point set plus sidecar; every fault in the sidecar (a missing key, a
+    wrong type, a bad or foreign witness) is a ParseError."""
     pts, meta = formats.read_pointset(path, with_meta=True)
     if meta is None:
         raise ParseError(f"{path}: no metadata sidecar")
+    side = formats.meta_path(path)
+    k = formats.required(meta, "k", int, side)
+    p0 = formats.required(meta, "p0", int, side)
+
+    def optional(key, kind, default):
+        return formats.required(meta, key, kind, side) if key in meta \
+            else default
+    name = optional("name", str, os.path.splitext(os.path.basename(path))[0])
+    claims = optional("claims", dict, {})
+    slow = optional("slow", bool, False)
     witness = None
-    if meta.get("witness"):
-        witness = formats.witness_from_dict(meta["witness"])
-    return Instance(
-        name=meta.get("name", os.path.splitext(os.path.basename(path))[0]),
-        points=pts,
-        k=int(meta["k"]),
-        p0=int(meta["p0"]),
-        claims=dict(meta.get("claims", {})),
-        witness=witness,
-        slow=bool(meta.get("slow", False)),
-        meta=meta,
-    )
+    if meta.get("witness") is not None:
+        try:
+            witness = formats.witness_from_dict(meta["witness"])
+        except ParseError as exc:
+            raise ParseError(f"{side}: {exc}") from exc
+        if witness.points.space is not pts.space:
+            raise ParseError(f"{side}: witness lies in "
+                             f"{witness.points.space!r}, the points in "
+                             f"{pts.space!r}")
+    return Instance(name=name, points=pts, k=k, p0=p0, claims=dict(claims),
+                    witness=witness, slow=slow, meta=meta)
 
 
 def load_catalogue(directory: str) -> list:
@@ -261,54 +272,49 @@ class InstanceAnalysis:
 
     @property
     def large_space_profile(self) -> dict:
-        """Per-line counts of large (n-k+1)-spaces, computed by scanning
-        the large spaces themselves and keying their internal tangent and
+        """How many large (n-k+1)-spaces contain each tangent and each
+        (p0+1)-secant line, summarized as the number of such lines inside
+        some large space and the largest count; computed by scanning the
+        large spaces themselves and keying their internal tangent and
         (p0+1)-secant lines (n = 3, k = 2 shape only: the lines are the
         (n-k)-spaces and the hyperplanes are the (n-k+1)-spaces)."""
         return self._get("large_profile", self._scan_large_spaces)
 
     def _scan_large_spaces(self) -> dict:
         pts, space, p0 = self.pts, self.space, self.p0
-        lower, upper = gap_thresholds(p0, self.h, 1)
+        _, upper = gap_thresholds(p0, self.h, 1)
         planes = self.hyperplanes()
         for size in np.unique(planes.sizes):
             classify_trace(int(size), p0, self.h, 1)   # loud on gap traces
         large_idx = np.nonzero(
             planes.sizes * upper.denominator > upper.numerator)[0]
-        secant_mult = {}
-        tangent_mult = {}
+        # ambient line keys of the internal tangents and (p0+1)-secants,
+        # one chunk per large space; a line lies in as many large spaces
+        # as its key occurs
+        tangent_keys, secant_keys = [], []
         compositions = []
         for idx in large_idx:
             plane = planes.subspace_at(int(idx))
             inner = pts.intersection(PointSet(space, plane.point_ranks()))
             small_pts, chart = inner.restrict_to(plane)
             inside = subspace_traces(small_pts, 1)
-            n_tan = n_sec = n_full = 0
-            for j in range(inside.sizes.size):
-                size = int(inside.sizes[j])
-                if size == 1:
-                    target = tangent_mult
-                    n_tan += 1
-                elif size == p0 + 1:
-                    target = secant_mult
-                    n_sec += 1
-                else:
-                    if size == chart.small.q + 1:
-                        n_full += 1
-                    continue
-                line = inside.subspace_at(j)
-                amb = Subspace(
-                    space, [chart.to_ambient(r) for r in line.rows])
-                key = amb.rows
-                target[key] = target.get(key, 0) + 1
-            compositions.append((n_tan, n_sec, n_full))
+            tan = inside.sizes == 1
+            sec = (inside.sizes == p0 + 1) & ~tan
+            full = (inside.sizes == chart.small.q + 1) & ~tan & ~sec
+            compositions.append(
+                (int(tan.sum()), int(sec.sum()), int(full.sum())))
+            for sel, out in ((tan, tangent_keys), (sec, secant_keys)):
+                rows = chart.small.unpack_rows2_bulk(inside.keys[sel])
+                out.append(space.line_keys(chart.lift_rows(rows)))
+        secant_lines, max_secant = _key_multiplicities(secant_keys)
+        tangent_lines, max_tangent = _key_multiplicities(tangent_keys)
         lines = self.lines()
         return {
             "large_spaces": int(large_idx.size),
-            "secant_mult": secant_mult,
-            "tangent_mult": tangent_mult,
-            "max_through_secant": max(secant_mult.values(), default=0),
-            "max_through_tangent": max(tangent_mult.values(), default=0),
+            "secants_inside_large": secant_lines,
+            "tangents_inside_large": tangent_lines,
+            "max_through_secant": max_secant,
+            "max_through_tangent": max_tangent,
             "total_secants": int(np.count_nonzero(lines.sizes == p0 + 1)),
             "total_tangents": int(np.count_nonzero(lines.sizes == 1)),
             "compositions": sorted(set(compositions)),
@@ -360,6 +366,15 @@ class InstanceAnalysis:
                 if len(found) * bound.denominator >= bound.numerator:
                     return entry
         return best
+
+
+def _key_multiplicities(chunks) -> tuple:
+    """(distinct keys, largest multiplicity) over chunks of packed keys."""
+    keys = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+    if not keys.shape[0]:
+        return 0, 0
+    _, counts = np.unique(keys, axis=0, return_counts=True)
+    return int(counts.size), int(counts.max())
 
 
 def _hyp(pairs) -> tuple:
@@ -603,7 +618,7 @@ def _check_large_through_secant(a: InstanceAnalysis) -> LemmaCheck:
          "printed_satisfied": observed <= printed,
          "large_spaces": profile["large_spaces"],
          "secant_spaces": profile["total_secants"],
-         "secants_inside_large": len(profile["secant_mult"]),
+         "secants_inside_large": profile["secants_inside_large"],
          "per_large_compositions_tan_sec_full": profile["compositions"]})
 
 
@@ -638,7 +653,7 @@ def _check_large_through_tangent(a: InstanceAnalysis) -> LemmaCheck:
          "printed_satisfied": observed <= printed,
          "large_spaces": profile["large_spaces"],
          "tangent_spaces": profile["total_tangents"],
-         "tangents_inside_large": len(profile["tangent_mult"])})
+         "tangents_inside_large": profile["tangents_inside_large"]})
 
 
 def _check_large_through_codim2(a: InstanceAnalysis) -> LemmaCheck:

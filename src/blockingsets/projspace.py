@@ -38,6 +38,13 @@ _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark an array read-only, so a cached result cannot be changed by a
+    caller; returns the array."""
+    arr.flags.writeable = False
+    return arr
+
+
 def gaussian_binomial(m: int, r: int, q: int) -> int:
     """Number of r-dim subspaces of an m-dim vector space over GF(q)."""
     if m < 0 or q < 2:
@@ -191,7 +198,7 @@ class ProjectiveSpace:
                 for j in range(lead + 1, n + 1):
                     block[:, j] = (ar // q ** (n - j)) % q
                 blocks.append(block)
-            self._coords = np.concatenate(blocks, axis=0)
+            self._coords = _frozen(np.concatenate(blocks, axis=0))
         return self._coords
 
     # -- subspace enumeration -----------------------------------------------
@@ -308,7 +315,7 @@ class ProjectiveSpace:
                 term = mul[params[None, :, j, None], stack[lo:hi, None, j, :]]
                 acc = add[acc, term]
             out[lo:hi] = self.ranks_from_rows(acc, normalized=False)
-        self._incidence[dim] = out
+        self._incidence[dim] = _frozen(out)
         return out
 
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
@@ -340,6 +347,31 @@ class ProjectiveSpace:
         out[..., 0] = digits[..., :half] @ p1
         out[..., 1] = digits[..., half:] @ p2
         return out
+
+    def line_keys(self, stack: np.ndarray) -> np.ndarray:
+        """Packed keys of the lines spanned by the row pairs of an
+        (N, 2, n+1) stack: each pair is brought to the canonical 2-row RREF
+        that `Subspace` would hold, then packed as by `pack_rows2`."""
+        add, mul, neg, inv = self.field.tables()
+        stack = np.asarray(stack, dtype=np.int64)
+        a, b = stack[:, 0], stack[:, 1]
+        la = (a != 0).argmax(axis=1)
+        lb = (b != 0).argmax(axis=1)
+        # the row leading further left (the first one on ties) pivots first
+        swap = (lb < la)[:, None]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        at = np.arange(stack.shape[0])
+        c1 = np.minimum(la, lb)
+        piv = a[at, c1]
+        first = mul[a, inv[piv][:, None]]
+        second = add[b, neg[mul[b[at, c1][:, None], first]]]
+        c2 = (second != 0).argmax(axis=1)
+        piv2 = second[at, c2]
+        if not (piv.all() and piv2.all()):
+            raise BadParamsError("row pairs that do not span a line")
+        second = mul[second, inv[piv2][:, None]]
+        first = add[first, neg[mul[first[at, c2][:, None], second]]]
+        return self.pack_rows2(first, second)
 
     def unpack_rows2(self, key) -> tuple:
         width, words = self._pack_width()
@@ -525,7 +557,7 @@ class PointSet:
             ranks, np.ndarray) else ranks, dtype=np.int64))
         if arr.size and (arr[0] < 0 or arr[-1] >= space.num_points):
             raise RangeError("point rank out of range")
-        self.ranks = arr
+        self.ranks = _frozen(arr)
         self._mask = None
         self._coords = None
 
@@ -558,7 +590,7 @@ class PointSet:
         if self._mask is None:
             m = np.zeros(self.space.num_points, dtype=bool)
             m[self.ranks] = True
-            self._mask = m
+            self._mask = _frozen(m)
         return self._mask
 
     def coords(self) -> np.ndarray:
@@ -569,6 +601,7 @@ class PointSet:
                 self._coords = np.asarray(
                     [self.space.coords_of(int(r)) for r in self.ranks],
                     dtype=np.int64)
+            _frozen(self._coords)
         return self._coords
 
     def union(self, other: "PointSet") -> "PointSet":
@@ -629,16 +662,23 @@ class SubspaceChart:
         coeff = coords[:, list(self.subspace.pivots)]
         return PointSet(self.small, self.small.ranks_from_rows(coeff))
 
+    def lift_rows(self, coeff: np.ndarray) -> np.ndarray:
+        """Ambient vectors of an array of small-space coordinate rows (last
+        axis dim+1, any leading shape): the same linear map as
+        `to_ambient`, applied with the field tables."""
+        add, mul, _, _ = self.ambient.field.tables()
+        coeff = np.asarray(coeff, dtype=np.int64)
+        basis = np.asarray(self.subspace.rows, dtype=np.int64)
+        acc = np.zeros(coeff.shape[:-1] + (self.ambient.n + 1,),
+                       dtype=np.int64)
+        for j in range(basis.shape[0]):
+            acc = add[acc, mul[coeff[..., j, None], basis[j]]]
+        return acc
+
     def lift(self, pts: PointSet) -> PointSet:
         if pts.space is not self.small:
             raise DimensionMismatchError("points not in the chart space")
-        small_coords = self.small.coords_array()[pts.ranks]
-        add, mul, _, _ = self.ambient.field.tables()
-        basis = np.asarray(self.subspace.rows, dtype=np.int64)
-        acc = np.zeros((small_coords.shape[0], self.ambient.n + 1),
-                       dtype=np.int64)
-        for j in range(basis.shape[0]):
-            acc = add[acc, mul[small_coords[:, j, None], basis[None, j, :]]]
+        acc = self.lift_rows(self.small.coords_array()[pts.ranks])
         return PointSet(self.ambient, self.ambient.ranks_from_rows(acc))
 
 
@@ -689,7 +729,12 @@ class TraceSummary:
     - "full":   key = index into the space's enumeration order,
     - "packed": key = base-q packed canonical 2-row basis (lines),
     - "dual":   key = point rank of the covector in the dual space
-                (hyperplanes).
+                (hyperplanes); the ranks are dense, so they are counted
+                with a bincount over all dual points.
+
+    Keys ascend in every mode.  ``inc_sub`` (int32) indexes keys and sizes,
+    ``inc_pt`` (int32) indexes the set's points in rank order.  All arrays
+    are read-only: summaries are cached per point set and shared.
     """
 
     def __init__(self, space, dim, point_ranks, mode, keys, sizes,
@@ -699,10 +744,10 @@ class TraceSummary:
         self.point_ranks = point_ranks
         self.total = space.num_subspaces(dim)
         self.mode = mode
-        self.keys = keys
-        self.sizes = sizes
-        self.inc_sub = inc_sub
-        self.inc_pt = inc_pt
+        self.keys = _frozen(keys)
+        self.sizes = _frozen(sizes)
+        self.inc_sub = _frozen(inc_sub)
+        self.inc_pt = _frozen(inc_pt)
 
     @property
     def x0(self) -> int:
@@ -796,7 +841,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
         keys, inv, cnt = np.unique(all_keys, return_inverse=True,
                                    return_counts=True)
     return TraceSummary(space, 1, pts.ranks, "packed", keys,
-                        cnt.astype(np.int64), inv.astype(np.int64), all_pts)
+                        cnt.astype(np.int64), inv.astype(np.int32), all_pts)
 
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
@@ -836,10 +881,13 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
         pt_chunks.append(np.repeat(np.arange(lo, hi, dtype=np.int32), npar))
     all_ranks = np.concatenate(rank_chunks)
     all_pts = np.concatenate(pt_chunks)
-    keys, inv, cnt = np.unique(all_ranks, return_inverse=True,
-                               return_counts=True)
+    # dual ranks are dense indices, so count them instead of sorting them
+    counts = np.bincount(all_ranks, minlength=dual.num_points)
+    keys = np.flatnonzero(counts)
+    slot = np.zeros(dual.num_points, dtype=np.int32)
+    slot[keys] = np.arange(keys.size, dtype=np.int32)
     return TraceSummary(space, n - 1, pts.ranks, "dual", keys,
-                        cnt.astype(np.int64), inv.astype(np.int64), all_pts)
+                        counts[keys], slot[all_ranks], all_pts)
 
 
 def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
@@ -851,7 +899,7 @@ def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
     sub_pos, col = np.nonzero(hits[keys])
     pt_pos = np.searchsorted(pts.ranks, inc[keys[sub_pos], col])
     return TraceSummary(space, dim, pts.ranks, "full", keys, sizes,
-                        sub_pos.astype(np.int64), pt_pos.astype(np.int32))
+                        sub_pos.astype(np.int32), pt_pos.astype(np.int32))
 
 
 def subspace_traces(pts: PointSet, dim: int, prefer_full=False) -> TraceSummary:
@@ -870,7 +918,7 @@ def subspace_traces(pts: PointSet, dim: int, prefer_full=False) -> TraceSummary:
         return TraceSummary(
             space, dim, pts.ranks, "full", np.asarray([0], dtype=np.int64),
             np.asarray([len(pts)], dtype=np.int64),
-            np.zeros(len(pts), dtype=np.int64),
+            np.zeros(len(pts), dtype=np.int32),
             np.arange(len(pts), dtype=np.int32))
     if space._incidence_ok(dim) and (prefer_full or
                                      (dim != 1 and dim != space.n - 1)):

@@ -129,6 +129,9 @@ class SpreadContext:
         if (s2b < 0).any():
             raise SpecMismatchError("spread does not partition the small side")
         self.small_to_big = s2b
+        # shared per space through spread_context: keep them read-only
+        self.big_to_small.flags.writeable = False
+        self.small_to_big.flags.writeable = False
 
     # -- spread queries --------------------------------------------------------
 

@@ -20,6 +20,13 @@ def test_context_cached():
     assert spread_context(big) is spread_context(big)
 
 
+def test_spread_cache_is_read_only(ctx9):
+    for arr in (ctx9.big_to_small, ctx9.small_to_big,
+                ctx9.element_ranks(0)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
 def test_small_space_shape(ctx9):
     assert ctx9.p0 == 3 and ctx9.h == 2
     assert ctx9.small.n == 5 and ctx9.small.q == 3

@@ -1,11 +1,12 @@
 """Point-set file format, witness serialization, and the CLI surface."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from blockingsets import formats
+from blockingsets import catalogue, formats, harness
 from blockingsets.blocking import traces_of
 from blockingsets.cli import main, version_string
 from blockingsets.errors import IoError, ParseError
@@ -263,6 +264,68 @@ def test_cli_harness_shipped(capsys, tmp_path):
     assert card["schema"] == "blockingsets-scorecard/1"
     assert card["summary"]["violated"] == 0
     assert {r["instance"] for r in card["checks"]} == {"baer_pg2_9"}
+
+
+def _drop(*path):
+    def edit(meta):
+        for key in path[:-1]:
+            meta = meta[key]
+        del meta[path[-1]]
+    return edit
+
+
+def _put(value, *path):
+    def edit(meta):
+        for key in path[:-1]:
+            meta = meta[key]
+        meta[path[-1]] = value
+    return edit
+
+
+_MALFORMED = {
+    "no-k": _drop("k"),
+    "no-p0": _drop("p0"),
+    "no-witness-space": _drop("witness", "space"),
+    "no-witness-rows": _drop("witness", "rows"),
+    "no-witness-t": _drop("witness", "space", "t"),
+    "k-string": _put("2", "k"),
+    "k-bool": _put(True, "k"),
+    "p0-float": _put(3.0, "p0"),
+    "slow-string": _put("yes", "slow"),
+    "name-int": _put(7, "name"),
+    "claims-list": _put([], "claims"),
+    "witness-list": _put([1, 2], "witness"),
+    "witness-p-string": _put("3", "witness", "space", "p"),
+    "witness-p-not-prime": _put(4, "witness", "space", "p"),
+    "witness-space-partial": _put({"p": 3, "t": 2}, "witness", "space"),
+    "rows-int": _put(3, "witness", "rows"),
+    "rows-ragged": _put([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0]],
+                        "witness", "rows"),
+    "rows-scalar-row": _put([[1, 0, 0, 0, 0, 0], 5], "witness", "rows"),
+    "rows-empty": _put([], "witness", "rows"),
+    "rows-string-code": _put([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                              [0, 0, 0, 0, 1, "0"]], "witness", "rows"),
+    "rows-too-wide": _put([[1, 0, 0, 0, 0, 0, 0, 0]] * 3, "witness", "rows"),
+    "rank-string": _put("3", "witness", "rank"),
+    "witness-other-space": _put({"p": 3, "t": 2, "n": 3},
+                                "witness", "space"),
+}
+
+
+@pytest.mark.parametrize("edit", list(_MALFORMED.values()),
+                         ids=list(_MALFORMED))
+def test_cli_harness_malformed_sidecar_exits_3(tmp_path, capsys, edit):
+    src = catalogue.shipped_dir() + "/baer_pg2_9"
+    shutil.copy(src + ".pts", tmp_path / "baer_pg2_9.pts")
+    meta = json.load(open(src + ".meta.json"))
+    edit(meta)
+    with open(tmp_path / "baer_pg2_9.meta.json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(ParseError):
+        harness.load_instance(str(tmp_path / "baer_pg2_9.pts"))
+    code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path),
+                           "--threads", "1")
+    assert code == 3 and "ParseError" in err, err
 
 
 def test_cli_harness_rejects_unknown_names(capsys):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from blockingsets import catalogue, harness
-from blockingsets.blocking import traces_of
+from blockingsets.blocking import gap_thresholds, traces_of
 from blockingsets.errors import IoError, NotFoundError, ParseError
-from blockingsets.projspace import PointSet
+from blockingsets.fields import make_field
+from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
+                                    subspace_traces)
 
 F = Fraction
 
@@ -281,3 +283,67 @@ def test_counting_identities_deterministic():
     a = harness.counting_identities(3, 1, 3, dims=(1, 2), trials=8, seed=5)
     b = harness.counting_identities(3, 1, 3, dims=(1, 2), trials=8, seed=5)
     assert a == b
+
+
+def _per_line_profile(a):
+    """Large-space profile built one line at a time: every internal tangent
+    and (p0+1)-secant is lifted through the chart and reduced by
+    `Subspace`, and its RREF rows key a multiplicity dict."""
+    space, p0 = a.space, a.p0
+    _, upper = gap_thresholds(p0, a.h, 1)
+    planes = a.hyperplanes()
+    large = np.nonzero(planes.sizes * upper.denominator > upper.numerator)[0]
+    secant_mult, tangent_mult, compositions = {}, {}, set()
+    for idx in large:
+        plane = planes.subspace_at(int(idx))
+        small_pts, chart = a.pts.intersection(
+            plane.point_set()).restrict_to(plane)
+        inside = subspace_traces(small_pts, 1)
+        comp = [0, 0, 0]
+        for j, size in enumerate(inside.sizes.tolist()):
+            if size == 1:
+                target, slot = tangent_mult, 0
+            elif size == p0 + 1:
+                target, slot = secant_mult, 1
+            else:
+                comp[2] += size == space.q + 1
+                continue
+            comp[slot] += 1
+            rows = [chart.to_ambient(r) for r in inside.subspace_at(j).rows]
+            key = Subspace(space, rows).rows
+            target[key] = target.get(key, 0) + 1
+        compositions.add(tuple(comp))
+    lines = a.lines()
+    return {
+        "large_spaces": int(large.size),
+        "secants_inside_large": len(secant_mult),
+        "tangents_inside_large": len(tangent_mult),
+        "max_through_secant": max(secant_mult.values(), default=0),
+        "max_through_tangent": max(tangent_mult.values(), default=0),
+        "total_secants": int(np.count_nonzero(lines.sizes == p0 + 1)),
+        "total_tangents": int(np.count_nonzero(lines.sizes == 1)),
+        "compositions": sorted(compositions),
+    }
+
+
+def test_large_space_profile_matches_per_line_scan(fast_instances):
+    cone = next(i for i in fast_instances if i.name == "cone_pg3_9")
+    # p0 = 2 over GF(4) leaves no trace gap, so on random sets many large
+    # planes share their tangents and 3-secants: the keys of one line met
+    # from several planes must agree (both cones only reach multiplicity 1)
+    space = ProjectiveSpace(3, make_field(2, 2))
+    rng = np.random.default_rng(7)
+    random_sets = [
+        harness.Instance(f"random_pg3_4_{size}", PointSet(
+            space, rng.choice(space.num_points, size=size, replace=False)),
+            2, 2, {}, None, False, {})
+        for size in (20, 35, 50)]
+    shared = 0
+    for inst in [cone] + random_sets:
+        a = harness.InstanceAnalysis(inst)
+        profile = a.large_space_profile
+        assert profile == _per_line_profile(a), inst.name
+        assert profile["large_spaces"] > 0
+        shared += profile["max_through_secant"] > 1
+        shared += profile["max_through_tangent"] > 1
+    assert shared >= 2

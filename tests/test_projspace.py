@@ -277,6 +277,19 @@ def test_trace_modes_agree():
     b = sorted([0] * planes_full.x0 + [int(s) for s in planes_full.sizes])
     assert a == b
 
+    def plane_sets(summary):
+        assert np.all(np.diff(summary.keys) > 0)
+        out = {}
+        for idx in range(summary.sizes.size):
+            plane = summary.subspace_at(idx)
+            on = np.sort(pts.ranks[summary.inc_pt[summary.inc_sub == idx]])
+            assert on.size == summary.sizes[idx]
+            assert np.array_equal(
+                on, np.intersect1d(plane.point_ranks(), pts.ranks))
+            out[plane.rows] = tuple(on.tolist())
+        return out
+    assert plane_sets(planes_dual) == plane_sets(planes_full)
+
 
 def test_packed_line_keys_roundtrip():
     space = pg(3, 3, 2)
@@ -290,6 +303,59 @@ def test_packed_line_keys_roundtrip():
         assert np.array_equal(bulk[pos], np.asarray(single))
         sub = lines.subspace_at(pos)
         assert Subspace(space, bulk[pos]) == sub
+
+
+@pytest.mark.parametrize("n,p,t", [(3, 3, 2), (3, 7, 2), (2, 3, 3)])
+def test_line_keys_are_canonical(n, p, t):
+    space = pg(n, p, t)
+    q = space.q
+    add, mul, _, _ = space.field.tables()
+    rng = np.random.default_rng(q)
+    stacks, want = [], []
+    while len(want) < 300:
+        rows = rng.integers(0, q, size=(2, n + 1))
+        if rng.random() < 0.3:
+            rows[:, :rng.integers(1, n + 1)] = 0    # later leading columns
+        try:
+            line = Subspace(space, rows.tolist())
+        except EmptyInputError:
+            continue
+        if line.dim != 1:
+            continue
+        key = space.pack_rows2(np.asarray(line.rows[0]),
+                               np.asarray(line.rows[1]))
+        a, b = rows
+        alpha, beta = (int(x) for x in rng.integers(1, q, size=2))
+        gamma = int(rng.integers(0, q))
+        for variant in (rows, rows[::-1], np.asarray(line.rows),
+                        [mul[alpha, a], mul[beta, b]],
+                        [a, add[b, mul[gamma, a]]],
+                        [add[mul[alpha, a], mul[gamma, b]], b]):
+            stacks.append(np.asarray(variant))
+            want.append(key)
+    assert np.array_equal(space.line_keys(np.stack(stacks)),
+                          np.asarray(want))
+    with pytest.raises(BadParamsError):
+        space.line_keys(np.stack([stacks[0], [stacks[0][0]] * 2]))
+    with pytest.raises(BadParamsError):
+        space.line_keys(np.zeros((1, 2, n + 1), dtype=np.int64))
+
+
+def test_cached_arrays_are_read_only():
+    space = pg(3, 3)
+    pts = PointSet(space, [0, 5, 17, 30, 31])
+    arrays = [pts.ranks, pts.mask(), pts.coords(), space.coords_array(),
+              space.incidence(1)]
+    for dim, full, mode in ((1, False, "packed"), (2, False, "dual"),
+                            (2, True, "full"), (3, False, "full")):
+        summary = subspace_traces(pts, dim, prefer_full=full)
+        assert summary.mode == mode
+        assert summary.inc_sub.dtype == summary.inc_pt.dtype == np.int32
+        arrays += [summary.keys, summary.sizes, summary.inc_sub,
+                   summary.inc_pt]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_projpoint_wrapper():
