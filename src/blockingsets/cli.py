@@ -133,10 +133,11 @@ def cmd_check(args) -> int:
 
 # -- reconstruct ---------------------------------------------------------------
 
-def cmd_reconstruct(args) -> int:
-    pts = formats.read_pointset(args.file)
-    res = reconstruct(pts, args.k, args.p0, point_policy=args.point_policy)
-    _emit({
+def _reconstruction_record(res) -> dict:
+    # skipped secant lines are emitted as basis rows, like W
+    diagnostics = dict(res.diagnostics, skipped=[
+        _subspace_rows(s) for s in res.diagnostics["skipped"]])
+    return {
         "status": res.status,
         "base_point": res.P,
         "small_point": res.x,
@@ -145,9 +146,19 @@ def cmd_reconstruct(args) -> int:
         "dim_W": res.dim_W,
         "W_rows": _subspace_rows(res.W),
         "image_equal": res.image_equal,
-        "diagnostics": res.diagnostics,
-    })
-    return EXIT_OK if res.success else EXIT_MATH
+        "diagnostics": diagnostics,
+    }
+
+
+def cmd_reconstruct(args) -> int:
+    """One JSON object for --point-policy first, a list of them (one per
+    base point) for all; exit 0 only when every reconstruction is ok."""
+    pts = formats.read_pointset(args.file)
+    res = reconstruct(pts, args.k, args.p0, point_policy=args.point_policy)
+    results = res if args.point_policy == "all" else [res]
+    records = [_reconstruction_record(r) for r in results]
+    _emit(records if args.point_policy == "all" else records[0])
+    return EXIT_OK if all(r.success for r in results) else EXIT_MATH
 
 
 # -- islinear ------------------------------------------------------------------

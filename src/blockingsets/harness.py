@@ -341,10 +341,10 @@ class InstanceAnalysis:
         for pos in np.nonzero(per_point > 0)[0]:
             pos = int(pos)
             through = np.sort(lines.indices_through_point(pos))
-            secants = [lines.subspace_at(int(i)) for i in through
-                       if lines.sizes[i] == p0 + 1]
-            tangents = (int(i) for i in through if lines.sizes[i] == 1)
-            for tangent_idx in tangents:
+            sizes = lines.sizes[through]
+            secants = [lines.subspace_at(int(i))
+                       for i in through[sizes == p0 + 1]]
+            for tangent_idx in through[sizes == 1].tolist():
                 tangent = lines.subspace_at(tangent_idx)
                 found = set()
                 for sec in secants:
@@ -755,8 +755,8 @@ def _check_span_image_subset(a: InstanceAnalysis) -> LemmaCheck:
     lines = a.lines()
     pos = int(np.searchsorted(a.pts.ranks, p_rank))
     through = np.sort(lines.indices_through_point(pos))
-    secants = [lines.subspace_at(int(i)) for i in through
-               if lines.sizes[i] == a.p0 + 1]
+    secant_idx = through[lines.sizes[through] == a.p0 + 1].tolist()
+    secants = [lines.subspace_at(i) for i in secant_idx]
     planes_used = []
     subspaces = []
     for d in config["small_space_duals"]:
@@ -768,13 +768,12 @@ def _check_span_image_subset(a: InstanceAnalysis) -> LemmaCheck:
         # canonical basis rows are normalized points, so a line lies in
         # the plane exactly when both its basis ranks do
         plane_set = set(int(r) for r in plane.point_ranks())
-        inside = [sec for sec in secants
+        inside = [i for i, sec in zip(secant_idx, secants)
                   if all(a.space.rank_of(r) in plane_set
                          for r in sec.rows)]
         transversals = []
-        for sec in inside:
-            trace = a.pts.intersection(
-                PointSet(a.space, sec.point_ranks()))
+        for i in inside:
+            trace = PointSet(a.space, a.pts.ranks[lines.points_of(i)])
             try:
                 transversals.append(ctx.transversal_line(trace, x))
             except (NotASublineError, XNotOnElementError):

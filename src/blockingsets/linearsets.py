@@ -306,26 +306,14 @@ def enumerate_sublines(line: Subspace, p0: int):
         yield PointSet(space, ambient[list(row)])
 
 
-def _grouped_trace_ranks(summary, sel: np.ndarray):
-    """Point ranks of each selected subspace's trace, concatenated in sel
-    order; group i is out[offsets[i]:offsets[i+1]].  sel must be sorted."""
-    keep = np.zeros(summary.sizes.size, dtype=bool)
-    keep[sel] = True
-    entry = keep[summary.inc_sub]
-    sub = summary.inc_sub[entry]
-    ranks = summary.point_ranks[summary.inc_pt[entry]]
-    grouped = ranks[np.argsort(sub, kind="stable")]
-    offsets = np.concatenate([[0], np.cumsum(summary.sizes[sel])])
-    return grouped, offsets
-
-
 def _bulk_param_positions(space, summary, sel: np.ndarray):
     """Chart positions of every trace point of the selected lines, computed
     in one vectorized pass (packed-mode summaries only).
 
     Returns (positions, line_of_entry, offsets): group i covers
     positions[offsets[i]:offsets[i+1]] and belongs to line sel[i]."""
-    grouped, offsets = _grouped_trace_ranks(summary, sel)
+    points, offsets = summary.grouped_points(sel)
+    grouped = summary.point_ranks[points]
     bases = space.unpack_rows2_bulk(np.asarray(summary.keys)[sel])
     # canonical bases: row pivots give the chart columns, j0 < j1
     j0 = np.argmax(bases[:, 0, :] != 0, axis=1)
@@ -394,10 +382,9 @@ def subline_meet_check(witness: LinearSetWitness,
                                     tuples, int(bi), int(sizes[li, bi]),
                                     violations)
     else:
-        grouped, offsets = _grouped_trace_ranks(lines, sel)
-        for pos, idx in enumerate(sel):
+        for idx in sel:
             line = lines.subspace_at(int(idx))
-            trace = grouped[offsets[pos]:offsets[pos + 1]]
+            trace = pts.ranks[lines.points_of(idx)]
             mask = np.zeros(space.q + 1, dtype=bool)
             mask[line_param_positions(line, trace)] = True
             sizes = mat @ mask
@@ -444,12 +431,12 @@ def secant_linearity_check(pts: PointSet, k: int,
     if lines.mode == "packed" and sel.size:
         positions, _, offsets = _bulk_param_positions(space, lines, sel)
     else:
-        grouped, offsets = _grouped_trace_ranks(lines, sel)
-        positions = np.empty(grouped.size, dtype=np.int64)
+        points, offsets = lines.grouped_points(sel)
+        positions = np.empty(points.size, dtype=np.int64)
         for pos, idx in enumerate(sel):
             lo, hi = offsets[pos], offsets[pos + 1]
             positions[lo:hi] = line_param_positions(
-                lines.subspace_at(int(idx)), grouped[lo:hi])
+                lines.subspace_at(int(idx)), pts.ranks[points[lo:hi]])
     for pos in range(sel.size):
         key = frozenset(
             int(r) for r in positions[offsets[pos]:offsets[pos + 1]])

@@ -17,6 +17,7 @@ field operations behind RREF, normalization and charts read them too.
 from __future__ import annotations
 
 import itertools
+import threading
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .errors import (
 _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
+# lazy trace orderings and per-point counts are built once, whole
+_TRACE_LOCK = threading.RLock()
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -181,6 +184,21 @@ class ProjectiveSpace:
         full = arr @ powers
         return offs[lead] + full - powers[lead]
 
+    def coords_of_ranks(self, ranks) -> np.ndarray:
+        """Normalized coordinates of an array of point ranks, shape
+        ranks.shape + (n+1,): `coords_of` in bulk."""
+        ranks = np.asarray(ranks, dtype=np.int64)
+        offs = np.asarray(self._offsets, dtype=np.int64)
+        if ranks.size and (ranks.min() < 0 or ranks.max() >= self.num_points):
+            raise RangeError(f"point rank out of range for {self!r}")
+        # the offsets descend, so the lead is the number of them above rank
+        lead = (ranks[..., None] < offs).sum(axis=-1)
+        tail = ranks - offs[lead]
+        # tail < q^(n-lead): its digits vanish at and before the lead
+        powers = np.asarray(self._powers, dtype=np.int64)
+        digits = (tail[..., None] // powers) % self.q
+        return np.where(np.arange(self.n + 1) == lead[..., None], 1, digits)
+
     def coords_array(self) -> np.ndarray:
         """All normalized points in rank order, shape (num_points, n+1)."""
         if self._coords is None:
@@ -291,7 +309,12 @@ class ProjectiveSpace:
         return ns <= _INCIDENCE_SUBSPACE_CAP and ns * per <= _INCIDENCE_CAP
 
     def incidence(self, dim: int) -> np.ndarray:
-        """Point ranks of every dim-subspace, row i in enumeration order."""
+        """Point ranks of every dim-subspace, row i in enumeration order.
+
+        Each row ascends: the parameters come in rank order, and the lift
+        through an RREF basis keeps it (two parameter vectors first differ
+        at some index j, and their lifts first differ at pivot column j,
+        by the same codes)."""
         got = self._incidence.get(dim)
         if got is not None:
             return got
@@ -719,12 +742,30 @@ def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
     return PointSet(space, space.ranks_from_rows(img))
 
 
+def _offsets(counts) -> np.ndarray:
+    """CSR offsets of groups of the given sizes: group i of the flat array
+    is flat[out[i]:out[i+1]]."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _transpose(flat, offsets, size) -> tuple:
+    """The other grouping of a CSR incidence array: for each of the `size`
+    members, the owners whose groups list it, ascending."""
+    order = np.argsort(flat, kind="stable")
+    owners = np.repeat(np.arange(offsets.size - 1, dtype=np.int32),
+                       np.diff(offsets))
+    return (_frozen(owners[order]),
+            _frozen(_offsets(np.bincount(flat, minlength=size))))
+
+
 class TraceSummary:
     """Intersection counts of one point set against all dim-subspaces.
 
-    Only subspaces that meet the set are held explicitly (keys, sizes and
-    the incidence pairs subspace-index/point-index); everything else is
-    the x_0 count.  Three storage modes share the interface:
+    Only subspaces that meet the set are held explicitly: slot i has a key
+    and a size, everything else is the x_0 count.  Three storage modes
+    share the interface:
 
     - "full":   key = index into the space's enumeration order,
     - "packed": key = base-q packed canonical 2-row basis (lines),
@@ -732,13 +773,29 @@ class TraceSummary:
                 (hyperplanes); the ranks are dense, so they are counted
                 with a bincount over all dual points.
 
-    Keys ascend in every mode.  ``inc_sub`` (int32) indexes keys and sizes,
-    ``inc_pt`` (int32) indexes the set's points in rank order.  All arrays
-    are read-only: summaries are cached per point set and shared.
+    Keys ascend in every mode.  The incidences between slots and points
+    (a point is its position in the set's rank order) are kept in CSR
+    form, "compressed sparse row": one flat int32 array grouped by owner
+    plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  There
+    are two groupings:
+
+    - by subspace (`by_subspace`, `points_of`): the point positions of each
+      slot, ascending; the offsets are the running sums of the sizes.
+    - by point (`by_point`, `indices_through_point`): the slots through
+      each point, in the order the scan generated them (for the full
+      table and for dim = n, ascending).
+
+    A builder passes each grouping its scan yields for free: both for the
+    line scan and for dim = n, the by-point one for the hyperplane scan,
+    the by-subspace one for the full table.  A missing grouping is built
+    on first use under a lock, by a stable sort of the other, so at most
+    two incidence-length arrays are ever held.  All arrays are read-only:
+    summaries are cached per point set and shared.
     """
 
-    def __init__(self, space, dim, point_ranks, mode, keys, sizes,
-                 inc_sub, inc_pt):
+    def __init__(self, space, dim, point_ranks, mode, keys, sizes, *,
+                 subspace_points=None, point_subspaces=None,
+                 point_offsets=None):
         self.space = space
         self.dim = dim
         self.point_ranks = point_ranks
@@ -746,8 +803,12 @@ class TraceSummary:
         self.mode = mode
         self.keys = _frozen(keys)
         self.sizes = _frozen(sizes)
-        self.inc_sub = _frozen(inc_sub)
-        self.inc_pt = _frozen(inc_pt)
+        self._subspace_points = None if subspace_points is None \
+            else _frozen(subspace_points)
+        self._by_subspace = None
+        self._by_point = None if point_subspaces is None \
+            else (_frozen(point_subspaces), _frozen(point_offsets))
+        self._counts = {}
 
     @property
     def x0(self) -> int:
@@ -763,15 +824,67 @@ class TraceSummary:
             out[int(v)] = int(c)
         return out
 
+    def by_subspace(self) -> tuple:
+        """(points, offsets): the point positions of slot i are
+        points[offsets[i]:offsets[i+1]], ascending."""
+        if self._by_subspace is None:
+            with _TRACE_LOCK:
+                if self._by_subspace is None:
+                    if self._subspace_points is None:
+                        self._by_subspace = _transpose(
+                            *self._by_point, self.sizes.size)
+                    else:
+                        self._by_subspace = (self._subspace_points,
+                                             _frozen(_offsets(self.sizes)))
+        return self._by_subspace
+
+    def by_point(self) -> tuple:
+        """(slots, offsets): the slots through the point at position p are
+        slots[offsets[p]:offsets[p+1]], in scan order."""
+        if self._by_point is None:
+            with _TRACE_LOCK:
+                if self._by_point is None:
+                    self._by_point = _transpose(*self.by_subspace(),
+                                                self.point_ranks.size)
+        return self._by_point
+
+    def points_of(self, idx: int) -> np.ndarray:
+        """Positions of the set's points on slot idx, ascending."""
+        points, offsets = self.by_subspace()
+        return points[offsets[idx]:offsets[idx + 1]]
+
+    def grouped_points(self, sel: np.ndarray) -> tuple:
+        """Point positions of each slot in sel, concatenated in sel order,
+        and offsets: group i is out[offsets[i]:offsets[i+1]]."""
+        points, starts = self.by_subspace()
+        sel = np.asarray(sel, dtype=np.int64)
+        counts = self.sizes[sel]
+        offsets = _offsets(counts)
+        at = np.repeat(starts[sel] - offsets[:-1], counts) \
+            + np.arange(offsets[-1])
+        return points[at], offsets
+
+    def indices_through_point(self, pt_pos: int) -> np.ndarray:
+        slots, offsets = self.by_point()
+        return slots[offsets[pt_pos]:offsets[pt_pos + 1]]
+
     def per_point_counts(self, min_size=2, exact=None) -> np.ndarray:
         """For each point of the set (in rank order): how many dim-subspaces
-        through it have trace >= min_size (or == exact)."""
-        if exact is not None:
-            sel = self.sizes[self.inc_sub] == exact
-        else:
-            sel = self.sizes[self.inc_sub] >= min_size
-        return np.bincount(self.inc_pt[sel],
-                           minlength=self.point_ranks.size).astype(np.int64)
+        through it have trace >= min_size (or == exact).  Cached per
+        arguments; the result is read-only."""
+        got = self._counts.get((min_size, exact))
+        if got is None:
+            with _TRACE_LOCK:
+                got = self._counts.get((min_size, exact))
+                if got is None:
+                    keep = self.sizes == exact if exact is not None \
+                        else self.sizes >= min_size
+                    slots, offsets = self.by_point()
+                    # every point lies on a slot, so no group is empty
+                    got = _frozen(np.add.reduceat(
+                        keep[slots], offsets[:-1], dtype=np.int64))
+                    self._counts[(min_size, exact)] = got
+        return got
 
     def subspace_at(self, idx: int) -> Subspace:
         if self.mode == "full":
@@ -786,9 +899,6 @@ class TraceSummary:
     def subspaces_with_size(self, size: int):
         for idx in np.nonzero(self.sizes == size)[0]:
             yield int(idx), self.subspace_at(int(idx))
-
-    def indices_through_point(self, pt_pos: int) -> np.ndarray:
-        return self.inc_sub[self.inc_pt == pt_pos]
 
 
 def _scan_lines(space, pts: PointSet) -> TraceSummary:
@@ -805,7 +915,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     colidx = np.asarray([[c for c in range(n + 1) if c != l]
                          for l in range(n + 1)], dtype=np.int64)
     width, words = space._pack_width()
-    key_chunks, pt_chunks = [], []
+    key_chunks = []
     step = max(1, 6_000_000 // (npar * (n + 1)))
     for lo in range(0, m, step):
         hi = min(lo + step, m)
@@ -828,20 +938,36 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
         keys = space.pack_rows2(first, second)
         key_chunks.append(keys.reshape(blk * npar, -1)
                           if words == 2 else keys.reshape(-1))
-        pt_chunks.append(np.repeat(np.arange(lo, hi, dtype=np.int32), npar))
+    # incidence j belongs to point j // npar, so the incidences come
+    # grouped by point; np.unique written out groups them by line
     all_keys = np.concatenate(key_chunks)
-    all_pts = np.concatenate(pt_chunks)
-    if words == 2:
-        view = np.ascontiguousarray(all_keys).view(
-            [("a", np.int64), ("b", np.int64)]).reshape(-1)
-        uniq, inv, cnt = np.unique(view, return_inverse=True,
-                                   return_counts=True)
-        keys = np.stack([uniq["a"], uniq["b"]], axis=1)
-    else:
-        keys, inv, cnt = np.unique(all_keys, return_inverse=True,
-                                   return_counts=True)
-    return TraceSummary(space, 1, pts.ranks, "packed", keys,
-                        cnt.astype(np.int64), inv.astype(np.int32), all_pts)
+    del key_chunks
+    n_inc = m * npar
+    perm = np.lexsort(all_keys.T[::-1]) if words == 2 \
+        else np.argsort(all_keys)
+    ordered = all_keys[perm]
+    del all_keys
+    head = np.empty(n_inc, dtype=bool)     # first incidence of each line
+    head[0] = True
+    head[1:] = (ordered[1:] != ordered[:-1]).reshape(n_inc - 1, -1) \
+        .any(axis=1)
+    keys = ordered[head]
+    del ordered
+    slot = np.cumsum(head, dtype=np.int64) - 1
+    # the sort leaves ties in any order: restore incidence order within
+    # each line, which puts its points in ascending order
+    perm += slot * n_inc
+    perm.sort()
+    perm %= n_inc
+    inc_sub = np.empty(n_inc, dtype=np.int32)
+    inc_sub[perm] = slot
+    del slot
+    sizes = np.diff(np.append(np.flatnonzero(head), n_inc))
+    return TraceSummary(
+        space, 1, pts.ranks, "packed", keys, sizes,
+        subspace_points=(perm // npar).astype(np.int32),
+        point_subspaces=inc_sub,
+        point_offsets=np.arange(m + 1, dtype=np.int64) * npar)
 
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
@@ -857,7 +983,7 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     npar = params.shape[0]
     colidx = np.asarray([[c for c in range(n + 1) if c != l]
                          for l in range(n + 1)], dtype=np.int64)
-    rank_chunks, pt_chunks = [], []
+    rank_chunks = []
     step = max(1, 5_000_000 // (npar * (n + 1)))
     for lo in range(0, m, step):
         hi = min(lo + step, m)
@@ -878,16 +1004,16 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
                                bases[:, None, j, :]]]
         ranks = dual.ranks_from_rows(acc)
         rank_chunks.append(ranks.reshape(-1))
-        pt_chunks.append(np.repeat(np.arange(lo, hi, dtype=np.int32), npar))
     all_ranks = np.concatenate(rank_chunks)
-    all_pts = np.concatenate(pt_chunks)
     # dual ranks are dense indices, so count them instead of sorting them
     counts = np.bincount(all_ranks, minlength=dual.num_points)
     keys = np.flatnonzero(counts)
     slot = np.zeros(dual.num_points, dtype=np.int32)
     slot[keys] = np.arange(keys.size, dtype=np.int32)
-    return TraceSummary(space, n - 1, pts.ranks, "dual", keys,
-                        counts[keys], slot[all_ranks], all_pts)
+    return TraceSummary(
+        space, n - 1, pts.ranks, "dual", keys, counts[keys],
+        point_subspaces=slot[all_ranks],
+        point_offsets=np.arange(m + 1, dtype=np.int64) * npar)
 
 
 def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
@@ -896,10 +1022,12 @@ def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
     sizes_all = hits.sum(axis=1)
     keys = np.nonzero(sizes_all)[0].astype(np.int64)
     sizes = sizes_all[keys].astype(np.int64)
-    sub_pos, col = np.nonzero(hits[keys])
-    pt_pos = np.searchsorted(pts.ranks, inc[keys[sub_pos], col])
-    return TraceSummary(space, dim, pts.ranks, "full", keys, sizes,
-                        sub_pos.astype(np.int32), pt_pos.astype(np.int32))
+    # rows ascend (see incidence), so row-major order lists each slot's
+    # points ascending
+    on = inc[keys][hits[keys]]
+    return TraceSummary(
+        space, dim, pts.ranks, "full", keys, sizes,
+        subspace_points=np.searchsorted(pts.ranks, on).astype(np.int32))
 
 
 def subspace_traces(pts: PointSet, dim: int, prefer_full=False) -> TraceSummary:
@@ -915,11 +1043,13 @@ def subspace_traces(pts: PointSet, dim: int, prefer_full=False) -> TraceSummary:
     if len(pts) == 0:
         raise EmptyInputError("trace scan of an empty point set")
     if dim == space.n:
+        m = len(pts)
         return TraceSummary(
             space, dim, pts.ranks, "full", np.asarray([0], dtype=np.int64),
-            np.asarray([len(pts)], dtype=np.int64),
-            np.zeros(len(pts), dtype=np.int32),
-            np.arange(len(pts), dtype=np.int32))
+            np.asarray([m], dtype=np.int64),
+            subspace_points=np.arange(m, dtype=np.int32),
+            point_subspaces=np.zeros(m, dtype=np.int32),
+            point_offsets=np.arange(m + 1, dtype=np.int64))
     if space._incidence_ok(dim) and (prefer_full or
                                      (dim != 1 and dim != space.n - 1)):
         return _scan_full(space, pts, dim)

@@ -59,6 +59,13 @@ def _status(dim_w: int, target: int, image: np.ndarray,
     return "ok"
 
 
+def _secants_through(lines, pos: int, p0: int) -> np.ndarray:
+    """Slots of the (p0+1)-secant lines through the point at position pos,
+    in scan order."""
+    through = lines.indices_through_point(pos)
+    return through[lines.sizes[through] == p0 + 1]
+
+
 def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
                       p_rank: int, line_summary,
                       secant_indices) -> ReconstructionResult:
@@ -68,9 +75,7 @@ def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
     used, transversals, skipped = [], [], []
     for idx in secant_indices:
         idx = int(idx)
-        trace = PointSet(
-            space,
-            pts.ranks[line_summary.inc_pt[line_summary.inc_sub == idx]])
+        trace = PointSet(space, pts.ranks[line_summary.points_of(idx)])
         try:
             ell = ctx.transversal_line(trace, x)
         except NotASublineError:
@@ -126,10 +131,8 @@ def reconstruct(pts: PointSet, k: int, p0: int,
             f"the set has no ({p0 + 1})-secant line")
 
     def run(pos: int) -> ReconstructionResult:
-        sec = [i for i in lines.indices_through_point(int(pos))
-               if lines.sizes[int(i)] == p0 + 1]
-        return _reconstruct_from(ctx, pts, k, p0,
-                                 int(pts.ranks[int(pos)]), lines, sec)
+        return _reconstruct_from(ctx, pts, k, p0, int(pts.ranks[pos]), lines,
+                                 _secants_through(lines, pos, p0))
 
     if point_policy == "first":
         return run(int(admissible[0]))
@@ -158,12 +161,8 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
     xrank = int(x) if isinstance(x, (int, np.integer)) \
         else ctx.small.rank_of(ctx.small.normalize(x))
     transversals = []
-    for idx in lines.indices_through_point(pos):
-        idx = int(idx)
-        if lines.sizes[idx] != p0 + 1:
-            continue
-        trace = PointSet(
-            space, pts.ranks[lines.inc_pt[lines.inc_sub == idx]])
+    for idx in _secants_through(lines, pos, p0):
+        trace = PointSet(space, pts.ranks[lines.points_of(idx)])
         try:
             transversals.append(ctx.transversal_line(trace, xrank))
         except NotASublineError:

@@ -31,7 +31,6 @@ from .projspace import (
     ProjectiveSpace,
     Subspace,
     _coerce_coords,
-    span,
 )
 
 _SMALL_SIDE_CAP = 4_000_000
@@ -194,10 +193,13 @@ class SpreadContext:
         (p+1)-point big-side subline.
 
         x must lie on the spread element of one of the subline points.  The
-        search runs over the points of one companion element; a subline has
-        exactly one transversal through each point of its elements, so zero
-        matches means the input was not a subline and two would be an
-        internal inconsistency.
+        candidates are the lines xy for the points y of one companion
+        element, all tested in one pass: their points x + lambda*y (lambda
+        in GF(p0)) and y are mapped to the big side, and a candidate matches
+        when its sorted images are the subline.  A subline has exactly one
+        transversal through each point of its elements, so zero matches
+        means the input was not a subline and two would be an internal
+        inconsistency.
         """
         if subline_points.space is not self.big:
             raise DimensionMismatchError("subline not on the big side")
@@ -213,22 +215,25 @@ class SpreadContext:
             raise XNotOnElementError(
                 "x does not lie on a spread element of the subline")
         companion = next(int(r) for r in subline_points.ranks if r != home)
-        target = subline_points.ranks
-        found = None
-        for y in self.element_ranks(companion):
-            line = span(self.small, xrank, int(y))
-            if line.dim != 1:
-                continue
-            image = self.linear_set_of_ranks(line.point_ranks())
-            if image.size == target.size and np.array_equal(image, target):
-                if found is not None and found != line:
-                    raise SpecMismatchError(
-                        "two transversal lines through one point")
-                found = line
-        if found is None:
+        add, mul, _, _ = self.small_field.tables()
+        xv = np.asarray(self.small.coords_of(xrank), dtype=np.int64)
+        ys = self.small.coords_of_ranks(self.element_ranks(companion))
+        lam = np.arange(self.p0, dtype=np.int64)
+        # row i: the points x + lambda*y_i, then y_i itself
+        on_line = np.concatenate(
+            [add[xv, mul[lam[None, :, None], ys[:, None, :]]],
+             ys[:, None, :]], axis=1)
+        images = self.small_to_big[self.small.ranks_from_rows(on_line)]
+        images.sort(axis=1)
+        matches = np.flatnonzero(
+            (images == subline_points.ranks).all(axis=1))
+        if matches.size == 0:
             raise NotASublineError(
                 "the given points are not the image of a line")
-        return found
+        if matches.size > 1:
+            # distinct points of the companion element give distinct lines
+            raise SpecMismatchError("two transversal lines through one point")
+        return Subspace(self.small, (xv.tolist(), ys[matches[0]].tolist()))
 
 
 @locked_cache(maxsize=8)

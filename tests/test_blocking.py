@@ -335,6 +335,21 @@ def test_secant_analysis_baer(baer):
     assert report.p0 == 3
 
 
+def test_secant_report_counts_are_cached_read_only(baer):
+    report = secant_analysis(baer.points, 1, 3)
+    for counts in (report.per_point_subline_secants,
+                   report.per_point_secants):
+        with pytest.raises(ValueError):
+            counts[0] = 0
+    lines = traces_of(baer.points, 1)
+    assert report.per_point_subline_secants is \
+        lines.per_point_counts(exact=4)
+    assert lines.per_point_counts(min_size=2) is \
+        lines.per_point_counts(min_size=2)
+    assert lines.per_point_counts(min_size=1) is not \
+        lines.per_point_counts(min_size=2)
+
+
 def test_min_subline_secants_empty():
     space = ProjectiveSpace(2, make_field(3, 1))
     report = secant_analysis(PointSet(space, [0]), 1, 3)

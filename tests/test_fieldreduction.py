@@ -107,8 +107,7 @@ def test_transversal_line_rebuilds_subline(ctx9, baer):
     pts = baer.points
     lines = traces_of(pts, 1)
     idx = int(np.nonzero(lines.sizes == 4)[0][0])
-    trace = PointSet(ctx9.big,
-                     pts.ranks[lines.inc_pt[lines.inc_sub == idx]])
+    trace = PointSet(ctx9.big, pts.ranks[lines.points_of(idx)])
     first = int(trace.ranks[0])
     for x in ctx9.element_ranks(first):
         ell = ctx9.transversal_line(trace, int(x))

@@ -1,6 +1,7 @@
 """Point-set file format, witness serialization, and the CLI surface."""
 
 import json
+import os
 import shutil
 
 import numpy as np
@@ -227,6 +228,38 @@ def test_cli_reconstruct_failure_exit(tmp_path, capsys):
     code, _, err = run_cli(capsys, "reconstruct", path, "--p0", "3")
     assert code == 1
     assert err.startswith("error: NoSublineSecantError:")
+
+
+def test_cli_reconstruct_all_points(capsys, baer):
+    path = os.path.join(catalogue.shipped_dir(), "baer_pg2_9.pts")
+    data = cli_json(capsys, "reconstruct", path, "--p0", "3",
+                    "--point-policy", "all")
+    assert isinstance(data, list) and len(data) == 13
+    assert [r["base_point"] for r in data] == baer.points.ranks.tolist()
+    assert all(r["status"] == "ok" and r["dim_W"] == 2 and
+               r["secants_used"] == 4 for r in data)
+    assert data[0] == cli_json(capsys, "reconstruct", path, "--p0", "3")
+
+
+def test_cli_reconstruct_reports_non_subline_secant(tmp_path, capsys):
+    # the line x0 = 0 plus three points of the line x1 = 0, which meets the
+    # set in 4 points that form no GF(3)-subline
+    rows = [(0, 0, 1)] + [(0, 1, c) for c in range(9)] \
+        + [(1, 0, 0), (1, 0, 1), (1, 0, 3)]
+    path = tmp_path / "nonsub.pts"
+    path.write_text("pointset 1 3 2 2\n"
+                    + "".join("%d %d %d\n" % row for row in rows))
+    data = cli_json(capsys, "reconstruct", str(path), "--p0", "3", expect=1)
+    assert data["status"] == "no secant trace is a subline"
+    assert data["W_rows"] is None
+    assert data["diagnostics"]["skipped_non_sublines"] == 1
+    assert data["diagnostics"]["skipped"] == [[[1, 0, 0], [0, 0, 1]]]
+    # every point of that secant is a base point, and none succeeds
+    listed = cli_json(capsys, "reconstruct", str(path), "--p0", "3",
+                      "--point-policy", "all", expect=1)
+    assert len(listed) == 4
+    assert all(r["status"] == "no secant trace is a subline"
+               for r in listed)
 
 
 def test_cli_islinear(capsys, baer_file, tmp_path, baer):

@@ -282,7 +282,7 @@ def test_trace_modes_agree():
         out = {}
         for idx in range(summary.sizes.size):
             plane = summary.subspace_at(idx)
-            on = np.sort(pts.ranks[summary.inc_pt[summary.inc_sub == idx]])
+            on = pts.ranks[summary.points_of(idx)]
             assert on.size == summary.sizes[idx]
             assert np.array_equal(
                 on, np.intersect1d(plane.point_ranks(), pts.ranks))
@@ -350,9 +350,10 @@ def test_cached_arrays_are_read_only():
                             (2, True, "full"), (3, False, "full")):
         summary = subspace_traces(pts, dim, prefer_full=full)
         assert summary.mode == mode
-        assert summary.inc_sub.dtype == summary.inc_pt.dtype == np.int32
-        arrays += [summary.keys, summary.sizes, summary.inc_sub,
-                   summary.inc_pt]
+        groupings = summary.by_subspace() + summary.by_point()
+        assert groupings[0].dtype == groupings[2].dtype == np.int32
+        arrays += [summary.keys, summary.sizes, *groupings,
+                   summary.per_point_counts(min_size=1)]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -385,3 +386,16 @@ def test_normalize_rejects_codes_outside_field():
     for bad in ((0, 1, 9), (0, -1, 2)):
         with pytest.raises(RangeError):
             space.normalize(bad)
+
+
+def test_coords_of_ranks_matches_coords_of():
+    for space in (pg(2, 2, 2), pg(3, 3), pg(4, 2), pg(2, 7, 2)):
+        ranks = np.arange(space.num_points)
+        assert np.array_equal(space.coords_of_ranks(ranks),
+                              space.coords_array())
+        grid = space.coords_of_ranks(ranks[::-3].reshape(-1, 1))
+        assert grid.shape == (ranks[::-3].size, 1, space.n + 1)
+        assert grid[:, 0].tolist() == [
+            list(space.coords_of(int(r))) for r in ranks[::-3]]
+    with pytest.raises(RangeError):
+        pg(2, 3).coords_of_ranks([13])

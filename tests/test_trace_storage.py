@@ -1,0 +1,190 @@
+"""Trace summaries in CSR form against brute force, and the one-pass
+transversal-line search against a per-candidate reference loop."""
+
+import numpy as np
+import pytest
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockingsets import catalogue
+from blockingsets.blocking import traces_of
+from blockingsets.errors import (BadParamsError, NotASublineError,
+                                 SpecMismatchError, XNotOnElementError)
+from blockingsets.fields import make_field
+from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
+                                    span, subspace_traces)
+from blockingsets.spreads import spread_context
+
+SPACES = [(2, 2, 2), (3, 3, 1), (2, 3, 2), (3, 2, 2)]   # (n, p, t)
+
+
+def _space(n, p, t):
+    return ProjectiveSpace(n, make_field(p, t))
+
+
+def _summaries(pts):
+    """A summary in every storage mode the set's space offers: the scans,
+    the full table and dim = n."""
+    space = pts.space
+    out = [subspace_traces(pts, space.n)]
+    for dim in range(1, space.n):
+        out.append(subspace_traces(pts, dim))
+        if space._incidence_ok(dim):
+            out.append(subspace_traces(pts, dim, prefer_full=True))
+    return out
+
+
+def _scan_order(summary, pos):
+    """Slots through the point at position pos in the order the line and
+    hyperplane scans generate them: one per point w of PG(n-1, q), taken
+    in rank order, placed in the columns other than the point's lead."""
+    space, field = summary.space, summary.space.field
+    n = space.n
+    p = space.coords_of(int(summary.point_ranks[pos]))
+    lead = next(i for i, c in enumerate(p) if c)
+    cols = [c for c in range(n + 1) if c != lead]
+    out = []
+    for lam in ProjectiveSpace(n - 1, field).coords_array().tolist():
+        if summary.mode == "packed":
+            w = [0] * (n + 1)
+            for c, v in zip(cols, lam):
+                w[c] = v
+            line = Subspace(space, (p, w))
+            key = space.pack_rows2(np.asarray(line.rows[0]),
+                                   np.asarray(line.rows[1]))
+        else:
+            # the covector sum of lam_j (e_c - p_c e_lead) over c in cols
+            u = [0] * (n + 1)
+            for c, v in zip(cols, lam):
+                u[c] = field.add(u[c], v)
+                u[lead] = field.add(u[lead], field.neg(field.mul(v, p[c])))
+            key = space.rank_of(u)
+        slot = int(np.searchsorted(summary.keys, key))
+        assert summary.keys[slot] == key
+        out.append(slot)
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_trace_summaries_match_brute_force(data):
+    n, p, t = data.draw(st.sampled_from(SPACES))
+    space = _space(n, p, t)
+    size = data.draw(st.integers(1, min(60, space.num_points)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = PointSet(space, rng.choice(space.num_points, size, replace=False))
+    m = len(pts)
+    for summary in _summaries(pts):
+        nslots = summary.sizes.size
+        brute = []
+        for idx in range(nslots):
+            got = summary.points_of(idx)
+            want = np.intersect1d(summary.subspace_at(idx).point_ranks(),
+                                  pts.ranks)
+            assert np.array_equal(pts.ranks[got], want)
+            assert got.size == summary.sizes[idx]
+            brute.append(np.searchsorted(pts.ranks, want))
+        # every slot through a point, in the order its grouping promises
+        for pos in range(m):
+            through = summary.indices_through_point(pos).tolist()
+            if summary.mode in ("packed", "dual"):
+                assert through == _scan_order(summary, pos)
+            else:
+                assert through == [i for i in range(nslots)
+                                   if pos in brute[i]]
+        # the per-point counts against a bincount of the brute incidences
+        owners = np.repeat(np.arange(nslots), summary.sizes)
+        flat = np.concatenate(brute)
+        for size_arg in ({"min_size": 1}, {"min_size": 2},
+                         {"exact": int(summary.sizes.max())}):
+            keep = summary.sizes >= size_arg["min_size"] \
+                if "min_size" in size_arg else \
+                summary.sizes == size_arg["exact"]
+            want = np.bincount(flat[keep[owners]], minlength=m)
+            assert np.array_equal(summary.per_point_counts(**size_arg), want)
+        sel = np.flatnonzero(np.arange(nslots) % 3 == 1)
+        got, offsets = summary.grouped_points(sel)
+        assert np.array_equal(offsets, np.concatenate(
+            [[0], np.cumsum(summary.sizes[sel])]))
+        assert np.array_equal(got, np.concatenate(
+            [summary.points_of(i) for i in sel] + [np.zeros(0, np.int32)]))
+
+
+def _reference_transversal(ctx, trace, x):
+    """The search as one candidate line per point y of a companion
+    element: the lines whose images are exactly the trace."""
+    home = ctx.big_point_of(x)
+    companion = next(int(r) for r in trace.ranks if r != home)
+    found = []
+    for y in ctx.element_ranks(companion):
+        line = span(ctx.small, x, int(y))
+        if np.array_equal(ctx.linear_set_of_ranks(line.point_ranks()),
+                          trace.ranks):
+            found.append(line)
+    return found
+
+
+@pytest.mark.parametrize("name", ["baer_pg2_9", "cone_pg3_9",
+                                  "rank4_pg2_27"])
+def test_transversal_line_matches_reference(name):
+    inst = catalogue.load_shipped([name])[0]
+    pts, p0 = inst.points, inst.p0
+    ctx = spread_context(pts.space)
+    lines = traces_of(pts, 1)
+    secants = np.flatnonzero(lines.sizes == p0 + 1)
+    assert secants.size
+    for i, idx in enumerate(secants):
+        trace = PointSet(pts.space, pts.ranks[lines.points_of(idx)])
+        home = int(trace.ranks[i % (p0 + 1)])
+        for x in ctx.element_ranks(home).tolist():
+            want = _reference_transversal(ctx, trace, x)
+            assert len(want) == 1
+            assert ctx.transversal_line(trace, x) == want[0]
+
+
+def test_transversal_line_errors():
+    space = ProjectiveSpace(2, make_field(3, 2))
+    ctx = spread_context(space)
+    # the line x1 = 0 meets this 4-set outside any GF(3)-subline
+    broken = PointSet(space, [space.rank_of(v) for v in
+                              ((0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 0, 3))])
+    for home in broken.ranks.tolist():
+        for x in ctx.element_ranks(home).tolist():
+            assert _reference_transversal(ctx, broken, x) == []
+            with pytest.raises(NotASublineError):
+                ctx.transversal_line(broken, x)
+    outside = space.rank_of((0, 1, 0))
+    with pytest.raises(XNotOnElementError):
+        ctx.transversal_line(broken, int(ctx.element_ranks(outside)[0]))
+    with pytest.raises(BadParamsError):
+        ctx.transversal_line(PointSet(space, broken.ranks[:3]),
+                             int(ctx.element_ranks(broken.ranks[0])[0]))
+
+
+def test_transversal_line_refuses_two_matches(baer):
+    ctx = baer.ctx
+    lines = traces_of(baer.points, 1)
+    idx = int(np.flatnonzero(lines.sizes == 4)[0])
+    trace = PointSet(ctx.big, baer.points.ranks[lines.points_of(idx)])
+    x = int(ctx.element_ranks(trace.ranks[0])[0])
+    line = ctx.transversal_line(trace, x)
+    # the transversal meets the companion element (that of the second
+    # trace point) in y; the line through x and another point of it fails
+    element = ctx.element_ranks(trace.ranks[1])
+    y = int(np.intersect1d(line.point_ranks(), element)[0])
+    other = next(int(r) for r in element if r != y)
+    # a corrupted spread that maps the line x other like the line x y
+    lam = np.arange(3)[:, None]
+
+    def line_ranks(end):
+        xv = np.asarray(ctx.small.coords_of(x))
+        ev = np.asarray(ctx.small.coords_of(end))
+        return ctx.small.ranks_from_rows(
+            np.vstack([(xv + lam * ev) % 3, ev]))
+    bad = copy.copy(ctx)
+    bad.small_to_big = ctx.small_to_big.copy()
+    bad.small_to_big[line_ranks(other)] = ctx.small_to_big[line_ranks(y)]
+    with pytest.raises(SpecMismatchError):
+        bad.transversal_line(trace, x)
