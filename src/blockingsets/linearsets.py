@@ -319,14 +319,30 @@ def _bulk_param_positions(space, summary, sel: np.ndarray):
     j0 = np.argmax(bases[:, 0, :] != 0, axis=1)
     j1 = np.argmax(bases[:, 1, :] != 0, axis=1)
     rep = np.repeat(np.arange(sel.size), np.diff(offsets))
-    coords = space.coords_array()[grouped]
-    idx = np.arange(grouped.size)
-    param = np.stack([coords[idx, j0[rep]], coords[idx, j1[rep]]], axis=-1)
+    coords = space.coords_array()
+    param = np.stack([coords[grouped, j0[rep]], coords[grouped, j1[rep]]],
+                     axis=-1)
     # coords at the pivot columns of a normalized point are themselves a
     # normalized PG(1, q) vector, so no renormalization pass is needed
     positions = ProjectiveSpace(1, space.field).ranks_from_rows(
         param, normalized=True)
     return positions, rep, offsets
+
+
+def _bitmasks(marks: np.ndarray) -> np.ndarray:
+    """The rows of a bool matrix as uint64 bitmasks, one word per 64
+    columns."""
+    words = -(-marks.shape[1] // 64)
+    padded = np.zeros((marks.shape[0], 64 * words), dtype=bool)
+    padded[:, :marks.shape[1]] = marks
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _meet_sizes(line_bits: np.ndarray, bank_bits: np.ndarray) -> np.ndarray:
+    """(lines, patterns) popcounts of line & pattern, summed over the
+    words: the meet sizes, exact integers."""
+    return np.bitwise_count(
+        line_bits[:, None, :] & bank_bits[None, :, :]).sum(axis=2)
 
 
 class SublineMeetReport(NamedTuple):
@@ -364,36 +380,44 @@ def subline_meet_check(witness: LinearSetWitness,
     violations = []
     allowed_lut = np.zeros(space.q + 2, dtype=bool)
     allowed_lut[list(allowed)] = True
-    if lines.mode == "packed" and sel.size:
-        positions, rep, _ = _bulk_param_positions(space, lines, sel)
-        masks = np.zeros((sel.size, space.q + 1), dtype=np.float32)
-        masks[rep, positions] = 1.0
-        bank_t = mat.astype(np.float32).T
-        chunk = max(1, (1 << 24) // max(1, len(tuples)))
-        for lo in range(0, sel.size, chunk):
-            sizes = (masks[lo:lo + chunk] @ bank_t).astype(np.int64)
-            checked += sizes.size
-            ok = allowed_lut[sizes]
-            if not ok.all():
-                for li, bi in np.argwhere(~ok):
-                    if len(violations) >= 10:
-                        break
-                    _meet_violation(space, lines.subspace_at(int(sel[lo + li])),
-                                    tuples, int(bi), int(sizes[li, bi]),
-                                    violations)
-    else:
-        for idx in sel:
-            line = lines.subspace_at(int(idx))
-            trace = pts.ranks[lines.points_of(idx)]
-            mask = np.zeros(space.q + 1, dtype=bool)
-            mask[line_param_positions(line, trace)] = True
-            sizes = mat @ mask
-            checked += sizes.size
-            for b in np.nonzero(~allowed_lut[sizes])[0]:
+    if sel.size:
+        if lines.mode == "packed":
+            positions, rep, _ = _bulk_param_positions(space, lines, sel)
+        else:
+            # a set of PG(1, q): its one line is the whole space
+            positions = np.concatenate([
+                line_param_positions(lines.subspace_at(int(idx)),
+                                     pts.ranks[lines.points_of(idx)])
+                for idx in sel])
+            rep = np.repeat(np.arange(sel.size), lines.sizes[sel])
+        marks = np.zeros((sel.size, space.q + 1), dtype=bool)
+        marks[rep, positions] = True
+        line_bits = _bitmasks(marks)
+        bank_bits = _bitmasks(mat)
+        # lines with the same chart positions meet the sublines alike, so
+        # each distinct mask is counted once
+        order = np.lexsort(line_bits.T)
+        ranked = line_bits[order]
+        fresh = np.ones(sel.size, dtype=bool)
+        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        distinct = ranked[fresh]
+        which = np.empty(sel.size, dtype=np.int64)
+        which[order] = np.cumsum(fresh) - 1
+        bad = np.empty(distinct.shape[0], dtype=bool)
+        chunk = max(1, (1 << 21) // bank_bits.size)
+        for lo in range(0, distinct.shape[0], chunk):
+            sizes = _meet_sizes(distinct[lo:lo + chunk], bank_bits)
+            bad[lo:lo + chunk] = ~allowed_lut[sizes].all(axis=1)
+        checked += sel.size * len(tuples)
+        for li in np.flatnonzero(bad[which]):
+            if len(violations) >= 10:
+                break
+            sizes = _meet_sizes(line_bits[li:li + 1], bank_bits)[0]
+            for bi in np.flatnonzero(~allowed_lut[sizes]):
                 if len(violations) >= 10:
                     break
-                _meet_violation(space, line, tuples, int(b),
-                                int(sizes[int(b)]), violations)
+                _meet_violation(space, lines.subspace_at(int(sel[li])),
+                                tuples, int(bi), int(sizes[bi]), violations)
     return SublineMeetReport(not violations, nlines, checked,
                              allowed, violations)
 

@@ -280,12 +280,7 @@ class ProjectiveSpace:
                                pivots, canonical=True)
 
     def line_through(self, a, b) -> "Subspace":
-        pa = _coerce_coords(self, a)
-        pb = _coerce_coords(self, b)
-        sub = Subspace(self, (pa, pb))
-        if sub.dim != 1:
-            raise BadParamsError("the two points coincide")
-        return sub
+        return _line_of(self, _coerce_coords(self, a), _coerce_coords(self, b))
 
     def hyperplane(self, covector) -> "Subspace":
         u = self.normalize(covector)
@@ -449,6 +444,27 @@ def _coerce_coords(space, item) -> tuple:
     if isinstance(item, (int, np.integer)):
         return space.coords_of(int(item))
     return space.normalize(item)
+
+
+def _line_of(space, pa: tuple, pb: tuple) -> "Subspace":
+    """The line through two normalized points (tuples of codes), reduced
+    straight to the canonical 2-row basis that `Subspace` would hold."""
+    field = space.field
+    # a normalized point's first 1 is its lead
+    la, lb = pa.index(1), pb.index(1)
+    if lb < la:
+        pa, pb, la = pb, pa, lb
+    if pb[la]:
+        pb = [field.sub(y, x) for x, y in zip(pa, pb)]
+    lb = next((i for i, c in enumerate(pb) if c), None)
+    if lb is None:
+        raise BadParamsError("the two points coincide")
+    if pb[lb] != 1:
+        scale = field.inv(pb[lb])
+        pb = [field.mul(scale, y) for y in pb]
+    if pa[lb]:
+        pa = [field.sub(x, field.mul(pa[lb], y)) for x, y in zip(pa, pb)]
+    return Subspace(space, (pa, pb), (la, lb), canonical=True)
 
 
 def _coerce_subspace(space, item) -> "Subspace":
@@ -782,8 +798,8 @@ class TraceSummary:
     - by subspace (`by_subspace`, `points_of`): the point positions of each
       slot, ascending; the offsets are the running sums of the sizes.
     - by point (`by_point`, `indices_through_point`): the slots through
-      each point, in the order the scan generated them (for the full
-      table and for dim = n, ascending).
+      each point, ascending, except for the line scan, which lists them
+      in its scan order (one line per point of PG(n-1, q), in rank order).
 
     A builder passes each grouping its scan yields for free: both for the
     line scan and for dim = n, the by-point one for the hyperplane scan,
@@ -840,7 +856,7 @@ class TraceSummary:
 
     def by_point(self) -> tuple:
         """(slots, offsets): the slots through the point at position p are
-        slots[offsets[p]:offsets[p+1]], in scan order."""
+        slots[offsets[p]:offsets[p+1]], ascending (lines: in scan order)."""
         if self._by_point is None:
             with _TRACE_LOCK:
                 if self._by_point is None:
@@ -903,45 +919,65 @@ class TraceSummary:
 
 def _scan_lines(space, pts: PointSet) -> TraceSummary:
     """Traces of all lines meeting the set, by enumerating per point the
-    lines through it (each meeting line is hit once per contained point)."""
+    lines through it (each meeting line is hit once per contained point).
+
+    The lines through P are P w for the points w of PG(n-1, q) placed in
+    the columns other than P's lead l, taken in rank order.  That order
+    lists each lead of w as a C-order grid of its free digits, and over
+    such a block the packed key of the canonical basis is a sum of one
+    term per digit: with lw the lead of w, the basis is (w, P) when
+    lw < l, and (P - P_lw w, w) when lw > l, whose first row holds
+    P_c - P_lw w_c in each column c > lw.  So each block's keys are
+    built by broadcast adds of per-point q-vectors."""
     add, mul, neg, _ = space.field.tables()
     n, q = space.n, space.q
     m = len(pts)
     coords = pts.coords()
     lead = (coords != 0).argmax(axis=1)
-    params = ProjectiveSpace(n - 1, space.field).coords_array() \
-        if n >= 2 else np.ones((1, 1), dtype=np.int64)
-    npar = params.shape[0]
-    colidx = np.asarray([[c for c in range(n + 1) if c != l]
-                         for l in range(n + 1)], dtype=np.int64)
-    width, words = space._pack_width()
-    key_chunks = []
-    step = max(1, 6_000_000 // (npar * (n + 1)))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        blk = hi - lo
-        p_blk = coords[lo:hi]
-        l_blk = lead[lo:hi]
-        # transversal vectors w: parameters scattered into non-lead columns
-        w = np.zeros((blk, npar, n + 1), dtype=np.int64)
-        cols = colidx[l_blk]
-        np.put_along_axis(
-            w, cols[:, None, :].repeat(npar, axis=1), params[None, :, :],
-            axis=2)
-        lw = (w != 0).argmax(axis=2)
-        u = np.broadcast_to(p_blk[:, None, :], w.shape)
-        u_at_lw = np.take_along_axis(u, lw[:, :, None], axis=2)[:, :, 0]
-        a = add[u, mul[neg[u_at_lw][:, :, None], w]]
-        first_is_w = lw < l_blk[:, None]
-        first = np.where(first_is_w[:, :, None], w, a)
-        second = np.where(first_is_w[:, :, None], a, w)
-        keys = space.pack_rows2(first, second)
-        key_chunks.append(keys.reshape(blk * npar, -1)
-                          if words == 2 else keys.reshape(-1))
+    npar = (q ** n - 1) // (q - 1)
+    # weight[r, c]: the packed key of digit 1 at row r, column c
+    unit = np.eye(2 * (n + 1), dtype=np.int64)
+    weight = space.pack_rows2(unit[:, :n + 1], unit[:, n + 1:]) \
+        .reshape(2, n + 1, -1)
+    words = weight.shape[2]
+    digits = np.arange(q, dtype=np.int64)[:, None]
+    keys = np.empty((m, npar, words), dtype=np.int64)
+    for l in range(n + 1):
+        # the ranks ascend, so the points of one lead are contiguous
+        rows = np.flatnonzero(lead == l)
+        if not rows.size:
+            continue
+        grp = slice(rows[0], rows[-1] + 1)
+        p = coords[grp]
+        start = 0
+        for j in range(n - 1, -1, -1):
+            size = q ** (n - 1 - j)
+            out = keys[grp, start:start + size]
+            start += size
+            if j < l:
+                # rows (w, P): the free digits of w sit in the first row
+                grid = weight[0, j][None, :]
+                for c in range(j + 1, n + 1):
+                    if c != l:
+                        grid = (grid[:, None, :]
+                                + digits * weight[0, c]).reshape(-1, words)
+                np.add((p @ weight[1])[:, None, :], grid, out=out)
+            else:
+                # rows (P - P_lw w, w) with lw = j + 1
+                lw = j + 1
+                acc = (p[:, :lw] @ weight[0, :lw] + weight[1, lw])[:, None, :]
+                scale = mul[neg[p[:, lw]][:, None], digits[:, 0]]
+                for c in range(lw + 1, n + 1):
+                    term = add[p[:, c, None], scale][:, :, None] * weight[0, c] \
+                        + digits * weight[1, c]
+                    acc = (acc[:, :, None, :] + term[:, None, :, :]) \
+                        .reshape(p.shape[0], -1, words)
+                out[...] = acc
     # incidence j belongs to point j // npar, so the incidences come
     # grouped by point; np.unique written out groups them by line
-    all_keys = np.concatenate(key_chunks)
-    del key_chunks
+    all_keys = keys.reshape(m * npar, -1) if words == 2 \
+        else keys.reshape(m * npar)
+    del keys
     n_inc = m * npar
     perm = np.lexsort(all_keys.T[::-1]) if words == 2 \
         else np.argsort(all_keys)
@@ -972,47 +1008,64 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     """Traces of all hyperplanes meeting the set, via the covectors through
-    each point (a hyperplane through s points contributes s incidences)."""
-    add, mul, neg, _ = space.field.tables()
-    n = space.n
+    each point (a hyperplane through s points contributes s incidences).
+
+    With z the last nonzero column of P, the covectors u with u . P = 0
+    have the RREF basis e_j - (P_j / P_z) e_z, j != z, and the combinations
+    a B for the points a of PG(n-1, q) are already normalized: u equals a
+    in the columns other than z, and u_z = -sum over j < z of a_j P_j / P_z.
+    So a dual rank is the rank of a placed around column z, a constant per
+    (z, a), plus u_z q^(n-z).  Over a lead block of a, u_z depends only on
+    the free digits before column z, so it is one outer add over them."""
+    add, mul, neg, inv = space.field.tables()
+    n, q = space.n, space.q
     m = len(pts)
     coords = pts.coords()
-    lead = (coords != 0).argmax(axis=1)
+    last = n - (coords[:, ::-1] != 0).argmax(axis=1)
     dual = ProjectiveSpace(n, space.field)
     params = ProjectiveSpace(n - 1, space.field).coords_array()
     npar = params.shape[0]
-    colidx = np.asarray([[c for c in range(n + 1) if c != l]
-                         for l in range(n + 1)], dtype=np.int64)
-    rank_chunks = []
-    step = max(1, 5_000_000 // (npar * (n + 1)))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        blk = hi - lo
-        p_blk = coords[lo:hi]
-        l_blk = lead[lo:hi]
-        cols = colidx[l_blk]
-        # kernel basis rows of {u : u . P = 0}: e_c - P_c e_lead per c != lead
-        bases = np.zeros((blk, n, n + 1), dtype=np.int64)
-        np.put_along_axis(bases, cols[:, :, None], 1, axis=2)
-        pc = np.take_along_axis(p_blk[:, None, :].repeat(n, axis=1),
-                                cols[:, :, None], axis=2)[:, :, 0]
-        np.put_along_axis(bases, np.broadcast_to(
-            l_blk[:, None, None], (blk, n, 1)), neg[pc][:, :, None], axis=2)
-        acc = np.zeros((blk, npar, n + 1), dtype=np.int64)
-        for j in range(n):
-            acc = add[acc, mul[params[None, :, j, None],
-                               bases[:, None, j, :]]]
-        ranks = dual.ranks_from_rows(acc)
-        rank_chunks.append(ranks.reshape(-1))
-    all_ranks = np.concatenate(rank_chunks)
-    # dual ranks are dense indices, so count them instead of sorting them
-    counts = np.bincount(all_ranks, minlength=dual.num_points)
+    digits = np.arange(q, dtype=np.int64)
+    ranks = np.empty((m, npar), dtype=np.int64)
+    for z in range(n + 1):
+        rows = np.flatnonzero(last == z)
+        if not rows.size:
+            continue
+        placed = np.insert(params, z, 0, axis=1)
+        base = dual.ranks_from_rows(placed, normalized=True)
+        p = coords[rows]
+        # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
+        coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
+        start = 0
+        for i0 in range(n - 1, -1, -1):
+            size = q ** (n - 1 - i0)
+            block = slice(start, start + size)
+            start += size
+            if i0 >= z:
+                ranks[rows, block] = base[block]
+                continue
+            # u_z over the digits i0 < i < z of a (a_i0 = 1); the later
+            # digits repeat each value q^(n-z) times
+            uz = coef[:, i0, None]
+            for i in range(i0 + 1, z):
+                uz = add[uz[:, :, None],
+                         mul[digits, coef[:, i, None]][:, None, :]] \
+                    .reshape(rows.size, -1)
+            ranks[rows, block] = (base[block].reshape(-1, q ** (n - z))
+                                  + uz[:, :, None] * q ** (n - z)) \
+                .reshape(rows.size, size)
+    # each point's ranks ascend: the rank orders covectors by their columns
+    # lexicographically, u_z is a function of the columns before z, and
+    # PG(n-1, q) lists a in the lexicographic order of the other columns.
+    # Dual ranks are dense indices, so count them instead of sorting them
+    flat = ranks.reshape(-1)
+    counts = np.bincount(flat, minlength=dual.num_points)
     keys = np.flatnonzero(counts)
     slot = np.zeros(dual.num_points, dtype=np.int32)
     slot[keys] = np.arange(keys.size, dtype=np.int32)
     return TraceSummary(
         space, n - 1, pts.ranks, "dual", keys, counts[keys],
-        point_subspaces=slot[all_ranks],
+        point_subspaces=slot[flat],
         point_offsets=np.arange(m + 1, dtype=np.int64) * npar)
 
 

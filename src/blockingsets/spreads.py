@@ -31,6 +31,7 @@ from .projspace import (
     ProjectiveSpace,
     Subspace,
     _coerce_coords,
+    _line_of,
 )
 
 _SMALL_SIDE_CAP = 4_000_000
@@ -233,7 +234,8 @@ class SpreadContext:
         if matches.size > 1:
             # distinct points of the companion element give distinct lines
             raise SpecMismatchError("two transversal lines through one point")
-        return Subspace(self.small, (xv.tolist(), ys[matches[0]].tolist()))
+        return _line_of(self.small, tuple(xv.tolist()),
+                        tuple(ys[matches[0]].tolist()))
 
 
 @locked_cache(maxsize=8)

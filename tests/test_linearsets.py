@@ -5,6 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from blockingsets import linearsets
 from blockingsets.blocking import is_k_blocking, is_redei, traces_of
 from blockingsets.errors import (BadParamsError, RangeError, TooLargeError)
 from blockingsets.fields import make_field
@@ -201,6 +202,38 @@ def test_subline_meet_check_flags_mutation(subgeom_49):
         assert size not in report.allowed_sizes
         assert int(mask[subline.ranks].sum()) == size
     assert any(bad_line == line for bad_line, _, _ in report.violations)
+
+
+def test_subline_meet_check_on_a_line():
+    # in PG(1, q) the trace summary holds the space itself as its one line
+    wit = build_family_witness("subgeometry", q=9, p0=3, n=1)
+    report = subline_meet_check(wit)
+    assert report.ok and report.secant_lines == 1
+    assert report.sublines_checked == 30
+    assert report.allowed_sizes == (0, 1, 2, 4)
+    # three points of the subline plus a fourth outside it
+    space = wit.points.space
+    outside = next(r for r in range(space.num_points)
+                   if r not in wit.points)
+    fake = LinearSetWitness(wit.ctx, wit.pi, PointSet(
+        space, wit.points.ranks[:3].tolist() + [outside]), wit.rank)
+    report = subline_meet_check(fake)
+    assert not report.ok and report.violations
+    mask = fake.points.mask()
+    for _, subline, size in report.violations:
+        assert size == 3 == int(mask[subline.ranks].sum())
+
+
+def test_meet_sizes_are_exact_popcounts():
+    rng = np.random.default_rng(3)
+    for width in (1, 50, 64, 65, 130):
+        lines = rng.random((40, width)) < 0.3
+        bank = rng.random((25, width)) < 0.5
+        bits = linearsets._bitmasks(lines)
+        assert bits.shape == (40, -(-width // 64))
+        got = linearsets._meet_sizes(bits, linearsets._bitmasks(bank))
+        want = lines.astype(np.int64) @ bank.T.astype(np.int64)
+        assert np.array_equal(got, want)
 
 
 # -- secant linearity --------------------------------------------------------------

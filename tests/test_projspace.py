@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockingsets.errors import (BadParamsError, CentreInHyperplaneError,
                                  CentreInSetError, DimensionMismatchError,
@@ -386,6 +388,55 @@ def test_normalize_rejects_codes_outside_field():
     for bad in ((0, 1, 9), (0, -1, 2)):
         with pytest.raises(RangeError):
             space.normalize(bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_rank_coords_round_trip(data):
+    """rank_of/coords_of, coords_of_ranks and ranks_from_rows agree, also on
+    rows scaled by a nonzero field element."""
+    space = pg(*data.draw(st.sampled_from(
+        [(2, 2, 3), (3, 3, 2), (4, 3, 1), (3, 7, 2)])))
+    field = space.field
+    top = space.num_points - 1
+    ranks = data.draw(st.lists(st.integers(0, top), min_size=1,
+                               max_size=20)) + [0, top]
+    scales = data.draw(st.lists(st.integers(1, space.q - 1),
+                                min_size=len(ranks), max_size=len(ranks)))
+    bulk = space.coords_of_ranks(ranks)
+    for r, row, s in zip(ranks, bulk.tolist(), scales):
+        assert tuple(row) == space.coords_of(r)
+        assert space.rank_of(row) == r
+        scaled = [field.mul(s, c) for c in row]
+        assert space.normalize(scaled) == tuple(row)
+        assert space.rank_of(scaled) == r
+    assert space.ranks_from_rows(bulk, normalized=True).tolist() == ranks
+    _, mul, _, _ = field.tables()
+    scaled = mul[bulk, np.asarray(scales)[:, None]]
+    assert np.array_equal(space.normalize_rows(scaled), bulk)
+    assert space.ranks_from_rows(scaled).tolist() == ranks
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_line_through_matches_rref(data):
+    space = pg(*data.draw(st.sampled_from(
+        [(2, 2, 3), (3, 3, 2), (4, 3, 1), (5, 3, 1), (3, 2, 2)])))
+    field = space.field
+    ra = data.draw(st.integers(0, space.num_points - 1))
+    rb = data.draw(st.one_of(st.just(ra),
+                             st.integers(0, space.num_points - 1)))
+    scale = data.draw(st.integers(1, space.q - 1))
+    a = space.coords_of(ra)
+    b = tuple(field.mul(scale, c) for c in space.coords_of(rb))
+    if ra == rb:
+        with pytest.raises(BadParamsError):
+            space.line_through(a, b)
+        return
+    line = space.line_through(a, b)
+    want = Subspace(space, (a, b))
+    assert line.rows == want.rows and line.pivots == want.pivots
+    assert line == space.line_through(rb, ra)
 
 
 def test_coords_of_ranks_matches_coords_of():

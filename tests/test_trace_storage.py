@@ -1,5 +1,7 @@
-"""Trace summaries in CSR form against brute force, and the one-pass
-transversal-line search against a per-candidate reference loop."""
+"""Trace summaries in CSR form against brute force, the closed-form line
+and hyperplane scan kernels against the covector-building kernels they
+replaced, and the one-pass transversal-line search against a
+per-candidate reference loop."""
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import copy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockingsets import catalogue
+from blockingsets import catalogue, projspace
 from blockingsets.blocking import traces_of
 from blockingsets.errors import (BadParamsError, NotASublineError,
                                  SpecMismatchError, XNotOnElementError)
@@ -17,7 +19,9 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     span, subspace_traces)
 from blockingsets.spreads import spread_context
 
-SPACES = [(2, 2, 2), (3, 3, 1), (2, 3, 2), (3, 2, 2)]   # (n, p, t)
+# (n, p, t); PG(4,2) reaches every (point lead, direction lead) pair of
+# the line kernel with up to three free digits, PG(2,8) is GF(2^3)
+SPACES = [(2, 2, 2), (3, 3, 1), (2, 3, 2), (3, 2, 2), (4, 2, 1), (2, 2, 3)]
 
 
 def _space(n, p, t):
@@ -37,30 +41,34 @@ def _summaries(pts):
 
 
 def _scan_order(summary, pos):
-    """Slots through the point at position pos in the order the line and
-    hyperplane scans generate them: one per point w of PG(n-1, q), taken
-    in rank order, placed in the columns other than the point's lead."""
+    """Slots through the point at position pos in the order the scans list
+    them.  Lines: one per point w of PG(n-1, q), taken in rank order,
+    placed in the columns other than the point's lead.  Hyperplanes: the
+    covectors u with u . p = 0, ascending."""
     space, field = summary.space, summary.space.field
     n = space.n
     p = space.coords_of(int(summary.point_ranks[pos]))
-    lead = next(i for i, c in enumerate(p) if c)
-    cols = [c for c in range(n + 1) if c != lead]
-    out = []
-    for lam in ProjectiveSpace(n - 1, field).coords_array().tolist():
-        if summary.mode == "packed":
+    if summary.mode == "packed":
+        lead = next(i for i, c in enumerate(p) if c)
+        cols = [c for c in range(n + 1) if c != lead]
+        keys = []
+        for lam in ProjectiveSpace(n - 1, field).coords_array().tolist():
             w = [0] * (n + 1)
             for c, v in zip(cols, lam):
                 w[c] = v
             line = Subspace(space, (p, w))
-            key = space.pack_rows2(np.asarray(line.rows[0]),
-                                   np.asarray(line.rows[1]))
-        else:
-            # the covector sum of lam_j (e_c - p_c e_lead) over c in cols
-            u = [0] * (n + 1)
-            for c, v in zip(cols, lam):
-                u[c] = field.add(u[c], v)
-                u[lead] = field.add(u[lead], field.neg(field.mul(v, p[c])))
-            key = space.rank_of(u)
+            keys.append(space.pack_rows2(np.asarray(line.rows[0]),
+                                         np.asarray(line.rows[1])))
+    else:
+        keys = []
+        for rank, u in enumerate(space.coords_array().tolist()):
+            dot = 0
+            for a, b in zip(u, p):
+                dot = field.add(dot, field.mul(a, b))
+            if dot == 0:
+                keys.append(rank)
+    out = []
+    for key in keys:
         slot = int(np.searchsorted(summary.keys, key))
         assert summary.keys[slot] == key
         out.append(slot)
@@ -110,6 +118,92 @@ def test_trace_summaries_match_brute_force(data):
             [[0], np.cumsum(summary.sizes[sel])]))
         assert np.array_equal(got, np.concatenate(
             [summary.points_of(i) for i in sel] + [np.zeros(0, np.int32)]))
+
+
+def _reference_line_keys(space, pts):
+    """The packed key of every (point, line) incidence in scan order, as
+    the line scan built them before its closed form: each direction w
+    scattered into the non-lead columns, the canonical rows picked by
+    np.where, then packed."""
+    add, mul, neg, _ = space.field.tables()
+    n = space.n
+    coords = pts.coords()
+    lead = (coords != 0).argmax(axis=1)
+    params = ProjectiveSpace(n - 1, space.field).coords_array()
+    m, npar = coords.shape[0], params.shape[0]
+    cols = np.asarray([[c for c in range(n + 1) if c != l]
+                       for l in range(n + 1)])[lead]
+    w = np.zeros((m, npar, n + 1), dtype=np.int64)
+    np.put_along_axis(w, cols[:, None, :].repeat(npar, axis=1),
+                      params[None, :, :], axis=2)
+    lw = (w != 0).argmax(axis=2)
+    u = np.broadcast_to(coords[:, None, :], w.shape)
+    u_at_lw = np.take_along_axis(u, lw[:, :, None], axis=2)[:, :, 0]
+    a = add[u, mul[neg[u_at_lw][:, :, None], w]]
+    first_is_w = (lw < lead[:, None])[:, :, None]
+    keys = space.pack_rows2(np.where(first_is_w, w, a),
+                            np.where(first_is_w, a, w))
+    return keys.reshape((m * npar,) + keys.shape[2:])
+
+
+def _reference_covector_ranks(space, pts):
+    """(m, theta(n-1)) dual ranks of the hyperplanes through each point, as
+    the hyperplane scan built them before its closed form: the covectors
+    sum lam_j (e_c - P_c e_lead) over c != lead, then normalized."""
+    add, mul, neg, _ = space.field.tables()
+    n = space.n
+    coords = pts.coords()
+    lead = (coords != 0).argmax(axis=1)
+    params = ProjectiveSpace(n - 1, space.field).coords_array()
+    m, npar = coords.shape[0], params.shape[0]
+    cols = np.asarray([[c for c in range(n + 1) if c != l]
+                       for l in range(n + 1)])[lead]
+    bases = np.zeros((m, n, n + 1), dtype=np.int64)
+    np.put_along_axis(bases, cols[:, :, None], 1, axis=2)
+    pc = np.take_along_axis(coords[:, None, :].repeat(n, axis=1),
+                            cols[:, :, None], axis=2)[:, :, 0]
+    np.put_along_axis(bases, np.broadcast_to(lead[:, None, None], (m, n, 1)),
+                      neg[pc][:, :, None], axis=2)
+    acc = np.zeros((m, npar, n + 1), dtype=np.int64)
+    for j in range(n):
+        acc = add[acc, mul[params[None, :, j, None], bases[:, None, j, :]]]
+    return ProjectiveSpace(n, space.field).ranks_from_rows(acc)
+
+
+def _kernel_cases():
+    for inst in catalogue.load_shipped(["cone_pg3_9", "baer_pg2_9"]):
+        yield inst.points
+    rng = np.random.default_rng(2024)
+    for n, p, t in SPACES + [(3, 7, 1), (4, 3, 1), (2, 7, 2)]:
+        space = _space(n, p, t)
+        for size in (1, 7, min(150, space.num_points)):
+            yield PointSet(space, rng.choice(space.num_points, size,
+                                             replace=False))
+    # line keys of PG(3,256) take two words
+    space = _space(3, 2, 8)
+    assert space._pack_width()[1] == 2
+    yield PointSet(space, [0, 1, 257, space.num_points - 1,
+                           int(rng.integers(space.num_points))])
+
+
+def test_scan_kernels_match_reference_kernels():
+    for pts in _kernel_cases():
+        space = pts.space
+        m = len(pts)
+        lines = projspace._scan_lines(space, pts)
+        slots, offsets = lines.by_point()
+        npar = slots.size // m
+        assert np.array_equal(offsets, np.arange(m + 1) * npar)
+        # bit-identical keys for every incidence, in the same order
+        assert np.array_equal(lines.keys[slots],
+                              _reference_line_keys(space, pts))
+        planes = projspace._scan_hyperplanes(space, pts)
+        slots, offsets = planes.by_point()
+        assert np.array_equal(offsets, np.arange(m + 1) * npar)
+        # the same dual ranks through each point, listed ascending
+        got = planes.keys[slots].reshape(m, npar)
+        want = _reference_covector_ranks(space, pts)
+        assert np.array_equal(got, np.sort(want, axis=1))
 
 
 def _reference_transversal(ctx, trace, x):
