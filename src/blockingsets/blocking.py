@@ -120,7 +120,7 @@ def exponent(pts: PointSet, k: int) -> int:
     field = pts.space.field
     summary = traces_of(pts, pts.space.n - k)
     e = min(_p0_valuation(int(s) - 1, field.p)
-            for s in np.unique(summary.sizes))
+            for s in summary.size_counts()[0])
     return min(e, field.t * k)
 
 
@@ -160,8 +160,7 @@ def is_minimal(pts: PointSet, k: int, method: str = "direct"):
         raise NotApplicableError(
             f"criterion needs |B| <= 2 q^k, got {len(pts)}")
     summary = traces_of(pts, space.n - k)
-    sizes = np.unique(summary.sizes)
-    if any((int(s) - 1) % space.field.p for s in sizes):
+    if any((int(s) - 1) % space.field.p for s in summary.size_counts()[0]):
         raise NotApplicableError(
             "criterion needs all (n-k)-traces 1 mod p")
     return True, None
@@ -251,7 +250,7 @@ def one_mod_p0_applicable(pts: PointSet, k: int, p0: int) -> bool:
     summary = traces_of(pts, pts.space.n - k)
     if summary.x0:
         return False
-    return not any((int(s) - 1) % p0 for s in np.unique(summary.sizes))
+    return not any((int(s) - 1) % p0 for s in summary.size_counts()[0])
 
 
 def classify_trace(trace: int, p0: int, h: int, s: int) -> GapClassification:
@@ -383,8 +382,7 @@ def secant_analysis(pts: PointSet, k: int, p0: int) -> SecantReport:
     _check_k(pts, k)
     space = pts.space
     lines = traces_of(pts, 1)
-    spec_counts = {int(s): int(c) for s, c in
-                   zip(*np.unique(lines.sizes, return_counts=True))
+    spec_counts = {int(s): int(c) for s, c in zip(*lines.size_counts())
                    if int(s) >= 2}
     return SecantReport(
         point_ranks=pts.ranks,
@@ -408,16 +406,9 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
     line_space_params = ProjectiveSpace(1, space.field).coords_array()
     step = max(1, 2_000_000 // (line_space_params.shape[0] * (space.n + 1)))
     for lo in range(0, idx.size, step):
-        chunk = idx[lo:lo + step]
-        bases = np.empty((chunk.size, 2, space.n + 1), dtype=np.int64)
-        for pos, key_idx in enumerate(chunk):
-            first, second = space.unpack_rows2(lines.keys[int(key_idx)]) \
-                if lines.mode == "packed" else _full_line_rows(
-                    space, lines, int(key_idx))
-            bases[pos, 0] = first
-            bases[pos, 1] = second
+        bases = lines.bases(idx[lo:lo + step])
         acc = np.zeros(
-            (chunk.size, line_space_params.shape[0], space.n + 1),
+            (bases.shape[0], line_space_params.shape[0], space.n + 1),
             dtype=np.int64)
         for j in range(2):
             acc = add[acc, mul[line_space_params[None, :, j, None],
@@ -429,11 +420,6 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
 def nonsecant_point_count(pts: PointSet) -> int:
     """Points neither in the set nor on any of its secant lines."""
     return int(nonsecant_mask(pts).sum())
-
-
-def _full_line_rows(space, summary, idx):
-    sub = summary.subspace_at(idx)
-    return sub.rows[0], sub.rows[1]
 
 
 class BlockingReport(NamedTuple):

@@ -284,7 +284,7 @@ class InstanceAnalysis:
         pts, space, p0 = self.pts, self.space, self.p0
         _, upper = gap_thresholds(p0, self.h, 1)
         planes = self.hyperplanes()
-        for size in np.unique(planes.sizes):
+        for size in planes.size_counts()[0]:
             classify_trace(int(size), p0, self.h, 1)   # loud on gap traces
         large_idx = np.nonzero(
             planes.sizes * upper.denominator > upper.numerator)[0]
@@ -304,7 +304,7 @@ class InstanceAnalysis:
             compositions.append(
                 (int(tan.sum()), int(sec.sum()), int(full.sum())))
             for sel, out in ((tan, tangent_keys), (sec, secant_keys)):
-                rows = chart.small.unpack_rows2_bulk(inside.keys[sel])
+                rows = inside.bases(np.flatnonzero(sel))
                 out.append(space.line_keys(chart.lift_rows(rows)))
         secant_lines, max_secant = _key_multiplicities(secant_keys)
         tangent_lines, max_tangent = _key_multiplicities(tangent_keys)
@@ -440,7 +440,7 @@ def _check_trace_gap(a: InstanceAnalysis) -> LemmaCheck:
         summary = traces_of(a.pts, dim)
         lower, upper = gap_thresholds(a.p0, a.h, s)
         sizes = [0] if summary.x0 else []
-        sizes += [int(v) for v in np.unique(summary.sizes)]
+        sizes += [int(v) for v in summary.size_counts()[0]]
         for v in sizes:
             try:
                 classify_trace(v, a.p0, a.h, s)
@@ -484,7 +484,7 @@ def _check_small_trace_cap(a: InstanceAnalysis) -> LemmaCheck:
         summary = traces_of(a.pts, dim)
         lower, _ = gap_thresholds(a.p0, a.h, s)
         cap = Fraction(a.p0 ** (a.h * s + 1) - 1, a.p0 - 1)
-        small_traces = [int(v) for v in np.unique(summary.sizes)
+        small_traces = [int(v) for v in summary.size_counts()[0]
                         if int(v) * lower.denominator < lower.numerator]
         over = [v for v in small_traces if v > cap]
         if over:
@@ -678,22 +678,22 @@ def _check_large_through_codim2(a: InstanceAnalysis) -> LemmaCheck:
     lower, _ = gap_thresholds(a.p0, a.h, a.n - 2 - (a.n - a.k))
     lines = a.lines()
     sel = np.nonzero(lines.sizes == a.p0 + 1)[0]
-    candidates = [int(i) for i in sel
-                  if int(lines.sizes[i]) * lower.denominator
-                  < lower.numerator]
+    # every line in sel has trace p0+1: all of them are small, or none
+    candidates = sel if (a.p0 + 1) * lower.denominator < lower.numerator \
+        else sel[:0]
     observed = 0
     per_candidate = []
     upper_hyper = gap_thresholds(a.p0, a.h, a.k - 1)[1]
     for idx in candidates:
-        line = lines.subspace_at(idx)
+        line = lines.subspace_at(int(idx))
         duals = a.hyperplanes_through_line(line)
         sizes = a.dual_sizes[duals]
         big = int(np.count_nonzero(
             sizes * upper_hyper.denominator > upper_hyper.numerator))
         per_candidate.append(big)
         observed = max(observed, big)
-    notes["candidates"] = len(candidates)
-    notes["vacuous"] = not candidates
+    notes["candidates"] = int(candidates.size)
+    notes["vacuous"] = not candidates.size
     verdict = HOLDS if observed <= bound else VIOLATED
     return LemmaCheck(a.inst.name, "large_through_codim2", True, hyp,
                       bound, observed, verdict, notes)

@@ -306,15 +306,16 @@ def enumerate_sublines(line: Subspace, p0: int):
         yield PointSet(space, ambient[list(row)])
 
 
-def _bulk_param_positions(space, summary, sel: np.ndarray):
-    """Chart positions of every trace point of the selected lines, computed
-    in one vectorized pass (packed-mode summaries only).
+def _bulk_param_positions(summary, sel: np.ndarray):
+    """Chart positions of every trace point of the selected lines of a line
+    summary, computed in one vectorized pass.
 
     Returns (positions, line_of_entry, offsets): group i covers
     positions[offsets[i]:offsets[i+1]] and belongs to line sel[i]."""
+    space = summary.space
     points, offsets = summary.grouped_points(sel)
     grouped = summary.point_ranks[points]
-    bases = space.unpack_rows2_bulk(np.asarray(summary.keys)[sel])
+    bases = summary.bases(sel)
     # canonical bases: row pivots give the chart columns, j0 < j1
     j0 = np.argmax(bases[:, 0, :] != 0, axis=1)
     j1 = np.argmax(bases[:, 1, :] != 0, axis=1)
@@ -381,15 +382,7 @@ def subline_meet_check(witness: LinearSetWitness,
     allowed_lut = np.zeros(space.q + 2, dtype=bool)
     allowed_lut[list(allowed)] = True
     if sel.size:
-        if lines.mode == "packed":
-            positions, rep, _ = _bulk_param_positions(space, lines, sel)
-        else:
-            # a set of PG(1, q): its one line is the whole space
-            positions = np.concatenate([
-                line_param_positions(lines.subspace_at(int(idx)),
-                                     pts.ranks[lines.points_of(idx)])
-                for idx in sel])
-            rep = np.repeat(np.arange(sel.size), lines.sizes[sel])
+        positions, rep, _ = _bulk_param_positions(lines, sel)
         marks = np.zeros((sel.size, space.q + 1), dtype=bool)
         marks[rep, positions] = True
         line_bits = _bitmasks(marks)
@@ -435,32 +428,26 @@ def secant_linearity_check(pts: PointSet, k: int,
 
     The supporting theorem assumes a small minimal blocking set whose
     exponent matches p0 >= 7; outside that range the check still runs and
-    the flag records it as exploratory.
+    the flag records it as exploratory.  PG(1, q) has no k-blocking sets
+    (1 <= k <= n-1), so there every set is outside that range.
     """
     space = pts.space
-    within = p0 >= 7
-    try:
-        e = exponent(pts, k)
-        within = within and is_small(pts, k) \
-            and is_minimal(pts, k, "direct")[0] \
-            and p0 == space.field.p ** e
-    except NotBlockingError:
-        within = False
+    within = False
+    if space.n > 1:
+        try:
+            e = exponent(pts, k)
+            within = p0 >= 7 and is_small(pts, k) \
+                and is_minimal(pts, k, "direct")[0] \
+                and p0 == space.field.p ** e
+        except NotBlockingError:
+            pass
     _, tuples = subline_patterns(space.field, p0)
     bank = {frozenset(row) for row in tuples}
     lines = traces_of(pts, 1)
     failures = []
     sel = np.nonzero(lines.sizes == p0 + 1)[0]
     count = int(sel.size)
-    if lines.mode == "packed" and sel.size:
-        positions, _, offsets = _bulk_param_positions(space, lines, sel)
-    else:
-        points, offsets = lines.grouped_points(sel)
-        positions = np.empty(points.size, dtype=np.int64)
-        for pos, idx in enumerate(sel):
-            lo, hi = offsets[pos], offsets[pos + 1]
-            positions[lo:hi] = line_param_positions(
-                lines.subspace_at(int(idx)), pts.ranks[points[lo:hi]])
+    positions, _, offsets = _bulk_param_positions(lines, sel)
     for pos in range(sel.size):
         key = frozenset(
             int(r) for r in positions[offsets[pos]:offsets[pos + 1]])

@@ -316,18 +316,18 @@ class ProjectiveSpace:
         if not self._incidence_ok(dim):
             raise TooLargeError(
                 f"incidence table for dim {dim} of {self!r} is too large")
-        bases = [sub.rows for sub in self._subspaces_all(dim)]
-        self._bases[dim] = bases
+        stack = _frozen(np.asarray(
+            [sub.rows for sub in self._subspaces_all(dim)], dtype=np.int64))
+        self._bases[dim] = stack
         r = dim + 1
         add, mul, _, _ = self.field.tables()
         params = ProjectiveSpace(dim, self.field).coords_array() \
             if dim >= 1 else np.ones((1, 1), dtype=np.int64)
         npar = params.shape[0]
-        stack = np.asarray(bases, dtype=np.int64)
-        out = np.empty((len(bases), npar), dtype=np.int32)
+        out = np.empty((len(stack), npar), dtype=np.int32)
         step = max(1, _INCIDENCE_CAP // (npar * (self.n + 1) * 4))
-        for lo in range(0, len(bases), step):
-            hi = min(lo + step, len(bases))
+        for lo in range(0, len(stack), step):
+            hi = min(lo + step, len(stack))
             acc = np.zeros((hi - lo, npar, self.n + 1), dtype=np.int64)
             for j in range(r):
                 term = mul[params[None, :, j, None], stack[lo:hi, None, j, :]]
@@ -339,8 +339,7 @@ class ProjectiveSpace:
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
         if dim not in self._bases:
             self.incidence(dim)
-        rows = self._bases[dim][idx]
-        return Subspace(self, rows)
+        return Subspace(self, self._bases[dim][idx].tolist())
 
     # -- packed keys for line scans ------------------------------------------
 
@@ -390,27 +389,6 @@ class ProjectiveSpace:
         second = mul[second, inv[piv2][:, None]]
         first = add[first, neg[mul[first[at, c2][:, None], second]]]
         return self.pack_rows2(first, second)
-
-    def unpack_rows2(self, key) -> tuple:
-        width, words = self._pack_width()
-        vals = []
-        if words == 1:
-            rem = int(key)
-            for _ in range(width):
-                rem, d = divmod(rem, self.q)
-                vals.append(d)
-        else:
-            half = width // 2
-            rem = int(key[0])
-            for _ in range(half):
-                rem, d = divmod(rem, self.q)
-                vals.append(d)
-            rem = int(key[1])
-            for _ in range(width - half):
-                rem, d = divmod(rem, self.q)
-                vals.append(d)
-        m = self.n + 1
-        return tuple(vals[:m]), tuple(vals[m:])
 
     def unpack_rows2_bulk(self, keys: np.ndarray) -> np.ndarray:
         """Unpack an array of packed line keys into (N, 2, n+1) basis rows."""
@@ -714,12 +692,6 @@ class SubspaceChart:
             acc = add[acc, mul[coeff[..., j, None], basis[j]]]
         return acc
 
-    def lift(self, pts: PointSet) -> PointSet:
-        if pts.space is not self.small:
-            raise DimensionMismatchError("points not in the chart space")
-        acc = self.lift_rows(self.small.coords_array()[pts.ranks])
-        return PointSet(self.ambient, self.ambient.ranks_from_rows(acc))
-
 
 def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
     """Project a point set from a centre point onto a hyperplane.
@@ -783,13 +755,16 @@ class TraceSummary:
     and a size, everything else is the x_0 count.  Three storage modes
     share the interface:
 
-    - "full":   key = index into the space's enumeration order,
+    - "full":   key = index into the space's enumeration order (and the
+                single key 0 of the whole space when dim = n),
     - "packed": key = base-q packed canonical 2-row basis (lines),
     - "dual":   key = point rank of the covector in the dual space
                 (hyperplanes); the ranks are dense, so they are counted
                 with a bincount over all dual points.
 
-    Keys ascend in every mode.  The incidences between slots and points
+    Keys ascend in every mode.  Only this class reads them: `bases` turns
+    any selection of slots into canonical RREF basis rows, whatever the
+    mode.  The incidences between slots and points
     (a point is its position in the set's rank order) are kept in CSR
     form, "compressed sparse row": one flat int32 array grouped by owner
     plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  There
@@ -825,18 +800,29 @@ class TraceSummary:
         self._by_point = None if point_subspaces is None \
             else (_frozen(point_subspaces), _frozen(point_offsets))
         self._counts = {}
+        self._size_counts = None
 
     @property
     def x0(self) -> int:
         return self.total - int(self.sizes.size)
+
+    def size_counts(self) -> tuple:
+        """(sizes, counts): the distinct trace sizes of the slots,
+        ascending, and how many slots have each.  Computed once; the
+        arrays are read-only."""
+        if self._size_counts is None:
+            with _TRACE_LOCK:
+                if self._size_counts is None:
+                    vals, cnts = np.unique(self.sizes, return_counts=True)
+                    self._size_counts = (_frozen(vals), _frozen(cnts))
+        return self._size_counts
 
     def spectrum(self) -> dict:
         """Counts {trace size: number of dim-subspaces}, including 0."""
         out = {}
         if self.x0:
             out[0] = self.x0
-        vals, cnts = np.unique(self.sizes, return_counts=True)
-        for v, c in zip(vals, cnts):
+        for v, c in zip(*self.size_counts()):
             out[int(v)] = int(c)
         return out
 
@@ -902,15 +888,34 @@ class TraceSummary:
                     self._counts[(min_size, exact)] = got
         return got
 
-    def subspace_at(self, idx: int) -> Subspace:
-        if self.mode == "full":
-            return self.space.subspace_by_index(self.dim, int(self.keys[idx]))
+    def bases(self, sel) -> np.ndarray:
+        """Canonical RREF bases of the slots in sel (an index array), shape
+        (len(sel), dim+1, n+1), the rows `Subspace` would hold."""
+        space, n = self.space, self.space.n
+        sel = np.asarray(sel, dtype=np.int64).reshape(-1)
+        if self.dim == n:
+            return np.repeat(np.eye(n + 1, dtype=np.int64)[None], sel.size,
+                             axis=0)
         if self.mode == "packed":
-            first, second = self.space.unpack_rows2(self.keys[idx])
-            return Subspace(self.space, (first, second))
-        dual = ProjectiveSpace(self.space.n, self.space.field)
-        cov = dual.coords_of(int(self.keys[idx]))
-        return self.space.hyperplane(cov)
+            return space.unpack_rows2_bulk(self.keys[sel])
+        if self.mode == "full":
+            return space._bases[self.dim][self.keys[sel]]
+        # u . x = 0 has the basis e_j - (u_j / u_z) e_z, j != z, with z the
+        # last nonzero column of u: row j pivots at j, and no row at z
+        _, mul, neg, inv = space.field.tables()
+        u = space.coords_of_ranks(self.keys[sel])
+        z = n - (u[:, ::-1] != 0).argmax(axis=1)
+        at = np.arange(sel.size)
+        rows = np.repeat(np.eye(n + 1, dtype=np.int64)[None], sel.size,
+                         axis=0)
+        rows[at[:, None], np.arange(n + 1), z[:, None]] = \
+            neg[mul[u, inv[u[at, z]][:, None]]]
+        return rows[np.arange(n + 1) != z[:, None]].reshape(sel.size, n, n + 1)
+
+    def subspace_at(self, idx: int) -> Subspace:
+        rows = self.bases([idx])[0]
+        return Subspace(self.space, rows.tolist(),
+                        (rows != 0).argmax(axis=1).tolist(), canonical=True)
 
     def subspaces_with_size(self, size: int):
         for idx in np.nonzero(self.sizes == size)[0]:
@@ -1083,12 +1088,12 @@ def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
         subspace_points=np.searchsorted(pts.ranks, on).astype(np.int32))
 
 
-def subspace_traces(pts: PointSet, dim: int, prefer_full=False) -> TraceSummary:
+def subspace_traces(pts: PointSet, dim: int) -> TraceSummary:
     """Trace summary of the set against every dim-subspace of its space.
 
-    Uses the cached full incidence table when the space is small (or when
-    asked to), otherwise the per-point scans for lines and hyperplanes.
-    Middle dimensions of large spaces are out of scope.
+    Lines and hyperplanes come from the per-point scans, the middle
+    dimensions from the cached full incidence table, which only small
+    spaces have: middle dimensions of large spaces are out of scope.
     """
     space = pts.space
     if not 1 <= dim <= space.n:
@@ -1103,9 +1108,6 @@ def subspace_traces(pts: PointSet, dim: int, prefer_full=False) -> TraceSummary:
             subspace_points=np.arange(m, dtype=np.int32),
             point_subspaces=np.zeros(m, dtype=np.int32),
             point_offsets=np.arange(m + 1, dtype=np.int64))
-    if space._incidence_ok(dim) and (prefer_full or
-                                     (dim != 1 and dim != space.n - 1)):
-        return _scan_full(space, pts, dim)
     if dim == 1:
         return _scan_lines(space, pts)
     if dim == space.n - 1:

@@ -71,20 +71,6 @@ class SpreadContext:
                 out.append(d)
         return tuple(out)
 
-    def blow_down_vector(self, small_coords) -> tuple:
-        p0, h = self.p0, self.h
-        small_coords = tuple(int(c) for c in small_coords)
-        if len(small_coords) != self.small.n + 1:
-            raise DimensionMismatchError(
-                f"expected {self.small.n + 1} coordinates")
-        out = []
-        for j in range(self.big.n + 1):
-            code = 0
-            for i in reversed(range(h)):
-                code = code * p0 + small_coords[j * h + i]
-            out.append(code)
-        return tuple(out)
-
     def _blow_up_rows(self, arr: np.ndarray) -> np.ndarray:
         p0, h = self.p0, self.h
         m = arr.shape[0]

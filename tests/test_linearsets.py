@@ -267,6 +267,27 @@ def test_secant_linearity_outside_hypotheses():
     assert not report.within_hypotheses   # not even a blocking set
 
 
+def test_secant_linearity_on_a_line():
+    # in PG(1, q) the trace summary holds the space itself as its one line,
+    # and no k makes a set k-blocking
+    pts = build_family("subgeometry", q=9, p0=3, n=1)
+    space = pts.space
+    whole = Subspace(space, [(1, 0), (0, 1)])
+    report = secant_linearity_check(pts, 1, 3)
+    assert report.ok and report.secants == 1 and report.failures == []
+    assert not report.within_hypotheses
+    # three points of the subline plus a fourth outside it
+    outside = next(r for r in range(space.num_points) if r not in pts)
+    fake = PointSet(space, pts.ranks[:3].tolist() + [outside])
+    report = secant_linearity_check(fake, 1, 3)
+    assert not report.ok and report.secants == 1
+    assert report.failures == [whole]
+    # a 4-set of PG(1, 9) is a GF(3)-subline exactly when some pattern is it
+    _, tuples = subline_patterns(space.field, 3)
+    assert tuple(pts.ranks.tolist()) in tuples
+    assert tuple(fake.ranks.tolist()) not in tuples
+
+
 # -- linearity decision -------------------------------------------------------------
 
 

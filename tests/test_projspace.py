@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockingsets import projspace
 from blockingsets.errors import (BadParamsError, CentreInHyperplaneError,
                                  CentreInSetError, DimensionMismatchError,
                                  EmptyInputError, NotHyperplaneError,
@@ -273,7 +274,7 @@ def test_trace_modes_agree():
     pts = PointSet(space, rng.choice(space.num_points, size=11,
                                      replace=False))
     planes_dual = subspace_traces(pts, 2)
-    planes_full = subspace_traces(pts, 2, prefer_full=True)
+    planes_full = projspace._scan_full(space, pts, 2)
     assert planes_dual.mode == "dual" and planes_full.mode == "full"
     a = sorted([0] * planes_dual.x0 + [int(s) for s in planes_dual.sizes])
     b = sorted([0] * planes_full.x0 + [int(s) for s in planes_full.sizes])
@@ -298,11 +299,12 @@ def test_packed_line_keys_roundtrip():
     pts = PointSet(space, np.arange(25, dtype=np.int64) * 7)
     lines = subspace_traces(pts, 1)
     assert lines.mode == "packed"
-    keys = np.asarray(lines.keys)
-    bulk = space.unpack_rows2_bulk(keys[:40])
-    for pos in range(min(40, keys.shape[0])):
-        single = space.unpack_rows2(lines.keys[pos])
-        assert np.array_equal(bulk[pos], np.asarray(single))
+    sel = np.arange(min(40, lines.sizes.size))
+    bulk = space.unpack_rows2_bulk(lines.keys[sel])
+    assert np.array_equal(lines.bases(sel), bulk)
+    for pos in sel.tolist():
+        assert np.array_equal(space.pack_rows2(bulk[pos, 0], bulk[pos, 1]),
+                              lines.keys[pos])
         sub = lines.subspace_at(pos)
         assert Subspace(space, bulk[pos]) == sub
 
@@ -348,13 +350,15 @@ def test_cached_arrays_are_read_only():
     pts = PointSet(space, [0, 5, 17, 30, 31])
     arrays = [pts.ranks, pts.mask(), pts.coords(), space.coords_array(),
               space.incidence(1)]
-    for dim, full, mode in ((1, False, "packed"), (2, False, "dual"),
-                            (2, True, "full"), (3, False, "full")):
-        summary = subspace_traces(pts, dim, prefer_full=full)
+    for summary, mode in ((subspace_traces(pts, 1), "packed"),
+                          (subspace_traces(pts, 2), "dual"),
+                          (projspace._scan_full(space, pts, 2), "full"),
+                          (subspace_traces(pts, 3), "full")):
         assert summary.mode == mode
         groupings = summary.by_subspace() + summary.by_point()
         assert groupings[0].dtype == groupings[2].dtype == np.int32
         arrays += [summary.keys, summary.sizes, *groupings,
+                   *summary.size_counts(),
                    summary.per_point_counts(min_size=1)]
     for arr in arrays:
         with pytest.raises(ValueError):

@@ -3,14 +3,16 @@ and hyperplane scan kernels against the covector-building kernels they
 replaced, and the one-pass transversal-line search against a
 per-candidate reference loop."""
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
-import copy
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockingsets import catalogue, projspace
+from blockingsets import catalogue, linalg, projspace
 from blockingsets.blocking import traces_of
 from blockingsets.errors import (BadParamsError, NotASublineError,
                                  SpecMismatchError, XNotOnElementError)
@@ -36,8 +38,35 @@ def _summaries(pts):
     for dim in range(1, space.n):
         out.append(subspace_traces(pts, dim))
         if space._incidence_ok(dim):
-            out.append(subspace_traces(pts, dim, prefer_full=True))
+            out.append(projspace._scan_full(space, pts, dim))
     return out
+
+
+def _decoded_rows(summary, idx):
+    """The basis of slot idx decoded from its key alone, as each mode
+    defines the key, then brought to RREF by `linalg.rref`."""
+    space, field, n = summary.space, summary.space.field, summary.space.n
+    key = summary.keys[idx]
+    if summary.dim == n:
+        rows = np.eye(n + 1, dtype=np.int64).tolist()
+    elif summary.mode == "packed":
+        width, words = space._pack_width()
+        parts = [(int(key), width)] if words == 1 else \
+            [(int(key[0]), width // 2), (int(key[1]), width - width // 2)]
+        digits = []
+        for val, count in parts:
+            for _ in range(count):
+                val, d = divmod(val, space.q)
+                digits.append(d)
+        rows = [digits[:n + 1], digits[n + 1:]]
+    elif summary.mode == "dual":
+        # the hyperplane u . x = 0 of the covector of rank key
+        rows = linalg.left_kernel([[c] for c in space.coords_of(int(key))],
+                                  field)
+    else:
+        rows = next(itertools.islice(space.subspaces(summary.dim), int(key),
+                                     None)).rows
+    return linalg.rref(rows, field)[0]
 
 
 def _scan_order(summary, pos):
@@ -86,6 +115,13 @@ def test_trace_summaries_match_brute_force(data):
     m = len(pts)
     for summary in _summaries(pts):
         nslots = summary.sizes.size
+        # canonical bases of any selection of slots, in any order and mode
+        sel = rng.choice(nslots, min(nslots, 12), replace=False)
+        bases = summary.bases(sel)
+        assert bases.shape == (sel.size, summary.dim + 1, space.n + 1)
+        for rows, idx in zip(bases.tolist(), sel):
+            assert tuple(map(tuple, rows)) == _decoded_rows(summary, idx)
+        assert summary.bases(sel[:0]).shape == (0,) + bases.shape[1:]
         brute = []
         for idx in range(nslots):
             got = summary.points_of(idx)
