@@ -71,28 +71,8 @@ def is_k_blocking(pts: PointSet, k: int):
     if len(pts) == 0:
         first = next(space.subspaces(dim))
         return False, first
-    summary = traces_of(pts, dim)
-    if summary.x0 == 0:
-        return True, None
-    return False, _uncovered_witness(pts, summary)
-
-
-def _uncovered_witness(pts: PointSet, summary: TraceSummary) -> Subspace:
-    space = pts.space
-    dim = summary.dim
-    if summary.mode == "full":
-        covered = np.zeros(summary.total, dtype=bool)
-        covered[summary.keys] = True
-        idx = int(np.nonzero(~covered)[0][0])
-        return space.subspace_by_index(dim, idx)
-    mask = pts.mask()
-    for rank in range(space.num_points):
-        if mask[rank]:
-            continue
-        for sub in space.subspaces(dim, through=rank):
-            if not mask[sub.point_ranks()].any():
-                return sub
-    raise NotFoundError("no uncovered subspace found")  # pragma: no cover
+    witness = traces_of(pts, dim).first_uncovered()
+    return witness is None, witness
 
 
 def is_small(pts: PointSet, k: int) -> bool:
@@ -174,7 +154,8 @@ def is_redei(pts: PointSet, k: int):
     if target <= 0:
         return False, None
     summary = traces_of(pts, space.n - 1)
-    hits = np.nonzero(summary.sizes == target)[0]
+    # in PG(2, q) the hyperplanes are lines: take the first in witness order
+    hits = summary.witness_order(np.flatnonzero(summary.sizes == target))
     if hits.size:
         return True, summary.subspace_at(int(hits[0]))
     return False, None

@@ -288,9 +288,9 @@ class InstanceAnalysis:
             classify_trace(int(size), p0, self.h, 1)   # loud on gap traces
         large_idx = np.nonzero(
             planes.sizes * upper.denominator > upper.numerator)[0]
-        # ambient line keys of the internal tangents and (p0+1)-secants,
+        # ambient line ranks of the internal tangents and (p0+1)-secants,
         # one chunk per large space; a line lies in as many large spaces
-        # as its key occurs
+        # as its rank occurs
         tangent_keys, secant_keys = [], []
         compositions = []
         for idx in large_idx:
@@ -340,7 +340,7 @@ class InstanceAnalysis:
         per_point = lines.per_point_counts(exact=p0 + 1)
         for pos in np.nonzero(per_point > 0)[0]:
             pos = int(pos)
-            through = np.sort(lines.indices_through_point(pos))
+            through = lines.witness_order(lines.indices_through_point(pos))
             sizes = lines.sizes[through]
             secants = [lines.subspace_at(int(i))
                        for i in through[sizes == p0 + 1]]
@@ -369,11 +369,11 @@ class InstanceAnalysis:
 
 
 def _key_multiplicities(chunks) -> tuple:
-    """(distinct keys, largest multiplicity) over chunks of packed keys."""
+    """(distinct keys, largest multiplicity) over chunks of line ranks."""
     keys = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
-    if not keys.shape[0]:
+    if not keys.size:
         return 0, 0
-    _, counts = np.unique(keys, axis=0, return_counts=True)
+    _, counts = np.unique(keys, return_counts=True)
     return int(counts.size), int(counts.max())
 
 

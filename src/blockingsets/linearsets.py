@@ -14,7 +14,6 @@ subline machinery only needs p0 = p^e with e | t and stays general.
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -207,72 +206,51 @@ def build_family(name: str, **params) -> PointSet:
 # -- sublines ------------------------------------------------------------------
 
 
-def _solve_dependence(field, a, b, c):
-    """Coefficients (lam, mu) with c = lam*a + mu*b for 2-coordinate
-    projective points a, b, c (a, b independent)."""
-    det = field.sub(field.mul(a[0], b[1]), field.mul(a[1], b[0]))
-    lam = field.mul(field.inv(det),
-                    field.sub(field.mul(c[0], b[1]), field.mul(c[1], b[0])))
-    mu = field.mul(field.inv(det),
-                   field.sub(field.mul(a[0], c[1]), field.mul(a[1], c[0])))
-    return lam, mu
-
-
-def _triple_closure_ranks(param_space: ProjectiveSpace, ra, rb, rc,
-                          sub_codes) -> tuple:
-    """Ranks (sorted) of the unique subline of PG(1,q) through 3 points.
-
-    This is the parameter-chart form of the rank-2 span in the spread
-    model: c = lam*a + mu*b fixes the scaling, the subline is
-    {t0*lam*a + t1*mu*b : (t0 : t1) over the subfield}.
-    """
-    field = param_space.field
-    a = param_space.coords_of(ra)
-    b = param_space.coords_of(rb)
-    c = param_space.coords_of(rc)
-    lam, mu = _solve_dependence(field, a, b, c)
-    u = tuple(field.mul(lam, x) for x in a)
-    v = tuple(field.mul(mu, x) for x in b)
-    out = {rb}
-    for t0 in sub_codes:
-        if t0 == 0:
-            continue
-        for t1 in sub_codes:
-            w = tuple(field.add(field.mul(t0, x), field.mul(t1, y))
-                      for x, y in zip(u, v))
-            out.add(param_space.rank_of(param_space.normalize(w)))
-    return tuple(sorted(out))
-
-
 @locked_cache(maxsize=8)
 def subline_patterns(field: FieldSpec, p0: int):
     """All GF(p0)-sublines of the parameter line PG(1, q), once per field.
 
     Returns (bool matrix, list of rank tuples): row i marks the point
-    ranks of subline i.  Parameter coordinates are projective coordinates,
-    and projectivities permute sublines, so the same patterns serve every
-    line of every space over this field through its coefficient chart.
+    ranks of subline i, and the tuples (each ascending) are in
+    lexicographic order.  Parameter coordinates are projective
+    coordinates, and projectivities permute sublines, so the same patterns
+    serve every line of every space over this field through its
+    coefficient chart.
+
+    The sublines through two points a, b are {t0 a + t1 mu b : (t0 : t1)
+    in PG(1, p0)}, one for each coset mu GF(p0)* of GF(q)*.  So the
+    sublines whose smallest point is a are those through a and a later
+    point b, for every coset representative mu, whose smallest point
+    comes out as a; one pass per a keeps the arrays small, and the
+    passes come in lexicographic order.
     """
     e = _exact_log(p0, field.p)
     if field.t % e:
         raise BadParamsError(f"GF({p0}) is not a subfield of GF(q)")
     embed, _ = field.embedding(e) if e < field.t else (
         np.arange(field.q, dtype=np.int64), None)
-    sub_codes = [int(c) for c in embed]
+    add, mul, _, _ = field.tables()
     param_space = ProjectiveSpace(1, field)
     npts = param_space.num_points
-    covered = set()
-    tuples = []
-    for tri in itertools.combinations(range(npts), 3):
-        if tri in covered:
-            continue
-        ranks = _triple_closure_ranks(param_space, *tri, tuple(sub_codes))
-        tuples.append(ranks)
-        covered.update(itertools.combinations(ranks, 3))
-    mat = np.zeros((len(tuples), npts), dtype=bool)
-    for i, ranks in enumerate(tuples):
-        mat[i, list(ranks)] = True
-    return mat, tuples
+    units = embed[embed != 0]
+    # the smallest code of each coset mu GF(p0)*
+    reps = np.unique(mul[np.arange(1, field.q)[:, None], units].min(axis=1))
+    # (t0, t1) over the points of PG(1, p0): (1, s) for s in GF(p0), (0, 1)
+    t0 = np.append(np.ones(p0, dtype=np.int64), 0)
+    t1 = np.append(embed, 1)
+    coords = param_space.coords_array()
+    t0_a = mul[t0[:, None], coords[:, None, :]]         # (q+1, p0+1, 2)
+    rows = []
+    for a in range(npts - 1):
+        mu_b = mul[reps[:, None, None, None], coords[a + 1:, None, :]]
+        vecs = add[t0_a[a], mul[t1[:, None], mu_b]]
+        ranks = np.sort(param_space.ranks_from_rows(vecs), axis=-1) \
+            .reshape(-1, p0 + 1)
+        rows.append(np.unique(ranks[ranks[:, 0] == a], axis=0))
+    rows = np.concatenate(rows)
+    mat = np.zeros((rows.shape[0], npts), dtype=bool)
+    mat[np.arange(rows.shape[0])[:, None], rows] = True
+    return mat, [tuple(r) for r in rows.tolist()]
 
 
 def line_param_positions(line: Subspace, ranks) -> np.ndarray:
@@ -402,7 +380,8 @@ def subline_meet_check(witness: LinearSetWitness,
             sizes = _meet_sizes(distinct[lo:lo + chunk], bank_bits)
             bad[lo:lo + chunk] = ~allowed_lut[sizes].all(axis=1)
         checked += sel.size * len(tuples)
-        for li in np.flatnonzero(bad[which]):
+        # the failing lines in witness order
+        for li in np.searchsorted(sel, lines.witness_order(sel[bad[which]])):
             if len(violations) >= 10:
                 break
             sizes = _meet_sizes(line_bits[li:li + 1], bank_bits)[0]
@@ -444,15 +423,13 @@ def secant_linearity_check(pts: PointSet, k: int,
     _, tuples = subline_patterns(space.field, p0)
     bank = {frozenset(row) for row in tuples}
     lines = traces_of(pts, 1)
-    failures = []
     sel = np.nonzero(lines.sizes == p0 + 1)[0]
     count = int(sel.size)
     positions, _, offsets = _bulk_param_positions(lines, sel)
-    for pos in range(sel.size):
-        key = frozenset(
-            int(r) for r in positions[offsets[pos]:offsets[pos + 1]])
-        if key not in bank and len(failures) < 10:
-            failures.append(lines.subspace_at(int(sel[pos])))
+    bad = [sel[pos] for pos in range(sel.size) if frozenset(
+        int(r) for r in positions[offsets[pos]:offsets[pos + 1]]) not in bank]
+    failures = [lines.subspace_at(int(i))
+                for i in lines.witness_order(bad)[:10]]
     return SecantLinearityReport(not failures, count, within, failures)
 
 

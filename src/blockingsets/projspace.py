@@ -37,6 +37,8 @@ from .errors import (
 _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
+# per-point scans count keys whose range is at most this many incidences
+_COUNT_RANGE = 8
 # lazy trace orderings and per-point counts are built once, whole
 _TRACE_LOCK = threading.RLock()
 
@@ -114,6 +116,7 @@ class ProjectiveSpace:
         self._coords = None
         self._incidence = {}
         self._bases = {}
+        self._lines = None
         self._ready = True
 
     def __repr__(self):
@@ -341,34 +344,40 @@ class ProjectiveSpace:
             self.incidence(dim)
         return Subspace(self, self._bases[dim][idx].tolist())
 
-    # -- packed keys for line scans ------------------------------------------
+    # -- dense line ranks ------------------------------------------------------
 
-    def _pack_width(self):
-        digits = 2 * (self.n + 1)
-        val = self.q ** digits
-        return digits, (1 if val < 2 ** 62 else 2)
-
-    def pack_rows2(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Pack canonical 2-row bases into integer keys (base-q digits)."""
-        digits = np.concatenate([first, second], axis=-1)
-        width, words = self._pack_width()
-        if words == 1:
-            powers = self.q ** np.arange(width, dtype=np.int64)
-            return digits @ powers
-        half = width // 2
-        if self.q ** max(half, width - half) >= 2 ** 62:
-            raise TooLargeError(f"line keys of {self!r} do not fit two words")
-        p1 = self.q ** np.arange(half, dtype=np.int64)
-        p2 = self.q ** np.arange(width - half, dtype=np.int64)
-        out = np.empty(digits.shape[:-1] + (2,), dtype=np.int64)
-        out[..., 0] = digits[..., :half] @ p1
-        out[..., 1] = digits[..., half:] @ p2
-        return out
+    def _line_cells(self) -> tuple:
+        """Tables of the dense line rank, built once.  A line's canonical
+        basis pivots at columns c1 < c2, its cell; the cells come by c2
+        descending, then c1 descending.  The rank is the cell's offset (the
+        lines in the cells before it) plus the base-q numeral of the free
+        digits: row 2's, then row 1's, lower columns more significant.
+        Returns offsets[c1, c2], weights[c1, c2, r, c] (the place value of
+        row r, column c; 0 where no digit is free) and the cells in order."""
+        if self._lines is None:
+            n, q = self.n, self.q
+            if self.num_subspaces(1) >= 2 ** 63:
+                raise TooLargeError(f"line ranks of {self!r} exceed int64")
+            offsets = np.zeros((n + 1, n + 1), dtype=np.int64)
+            weights = np.zeros((n + 1, n + 1, 2, n + 1), dtype=np.int64)
+            cells, start = [], 0
+            for c2 in range(n, 0, -1):
+                for c1 in range(c2 - 1, -1, -1):
+                    free = [(1, c) for c in range(c2 + 1, n + 1)] \
+                        + [(0, c) for c in range(c1 + 1, n + 1) if c != c2]
+                    for place, (r, c) in enumerate(reversed(free)):
+                        weights[c1, c2, r, c] = q ** place
+                    offsets[c1, c2] = start
+                    start += q ** len(free)
+                    cells.append((c1, c2))
+            self._lines = (_frozen(offsets), _frozen(weights),
+                           _frozen(np.asarray(cells, dtype=np.int64)))
+        return self._lines
 
     def line_keys(self, stack: np.ndarray) -> np.ndarray:
-        """Packed keys of the lines spanned by the row pairs of an
+        """Dense ranks of the lines spanned by the row pairs of an
         (N, 2, n+1) stack: each pair is brought to the canonical 2-row RREF
-        that `Subspace` would hold, then packed as by `pack_rows2`."""
+        that `Subspace` would hold, then ranked as in `_line_cells`."""
         add, mul, neg, inv = self.field.tables()
         stack = np.asarray(stack, dtype=np.int64)
         a, b = stack[:, 0], stack[:, 1]
@@ -388,30 +397,29 @@ class ProjectiveSpace:
             raise BadParamsError("row pairs that do not span a line")
         second = mul[second, inv[piv2][:, None]]
         first = add[first, neg[mul[first[at, c2][:, None], second]]]
-        return self.pack_rows2(first, second)
+        offsets, weights, _ = self._line_cells()
+        w = weights[c1, c2]
+        return offsets[c1, c2] + (first * w[:, 0]).sum(axis=1) \
+            + (second * w[:, 1]).sum(axis=1)
 
-    def unpack_rows2_bulk(self, keys: np.ndarray) -> np.ndarray:
-        """Unpack an array of packed line keys into (N, 2, n+1) basis rows."""
-        width, words = self._pack_width()
-        keys = np.asarray(keys, dtype=np.int64)
-        n_keys = keys.shape[0]
-        digits = np.empty((n_keys, width), dtype=np.int64)
-        if words == 1:
-            rem = keys.copy()
-            for j in range(width):
-                digits[:, j] = rem % self.q
-                rem //= self.q
-        else:
-            half = width // 2
-            rem = keys[:, 0].copy()
-            for j in range(half):
-                digits[:, j] = rem % self.q
-                rem //= self.q
-            rem = keys[:, 1].copy()
-            for j in range(width - half):
-                digits[:, half + j] = rem % self.q
-                rem //= self.q
-        return digits.reshape(n_keys, 2, self.n + 1)
+    def line_bases(self, ranks) -> np.ndarray:
+        """Canonical 2-row bases, shape (N, 2, n+1), of an array of dense
+        line ranks: the inverse of `line_keys` on canonical bases."""
+        offsets, weights, cells = self._line_cells()
+        ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
+        if ranks.size and (ranks.min() < 0
+                           or ranks.max() >= self.num_subspaces(1)):
+            raise RangeError(f"line rank out of range for {self!r}")
+        starts = offsets[cells[:, 0], cells[:, 1]]
+        cell = np.searchsorted(starts, ranks, side="right") - 1
+        c1, c2 = cells[cell, 0], cells[cell, 1]
+        w = weights[c1, c2]
+        local = (ranks - starts[cell])[:, None, None]
+        rows = np.where(w > 0, local // np.maximum(w, 1) % self.q, 0)
+        at = np.arange(ranks.size)
+        rows[at, 0, c1] = 1
+        rows[at, 1, c2] = 1
+        return rows
 
 
 def _coerce_coords(space, item) -> tuple:
@@ -738,33 +746,44 @@ def _offsets(counts) -> np.ndarray:
     return out
 
 
-def _transpose(flat, offsets, size) -> tuple:
-    """The other grouping of a CSR incidence array: for each of the `size`
-    members, the owners whose groups list it, ascending."""
-    order = np.argsort(flat, kind="stable")
-    owners = np.repeat(np.arange(offsets.size - 1, dtype=np.int32),
-                       np.diff(offsets))
-    return (_frozen(owners[order]),
-            _frozen(_offsets(np.bincount(flat, minlength=size))))
+def _transpose(flat, offsets, counts) -> tuple:
+    """The other grouping of a CSR incidence array, whose groups have the
+    sizes `counts`: for each member, the owners whose groups list it,
+    ascending.  It sorts the keys member * owners + owner, all distinct."""
+    owners = offsets.size - 1
+    keyed = flat.astype(np.int64)
+    keyed *= owners
+    keyed += np.repeat(np.arange(owners, dtype=np.int32), np.diff(offsets))
+    keyed.sort()
+    keyed %= owners
+    return _frozen(keyed.astype(np.int32)), _frozen(_offsets(counts))
 
 
 class TraceSummary:
     """Intersection counts of one point set against all dim-subspaces.
 
     Only subspaces that meet the set are held explicitly: slot i has a key
-    and a size, everything else is the x_0 count.  Three storage modes
-    share the interface:
+    and a size, everything else is the x_0 count.  A key is a dense index
+    in range(total), and the keys ascend.  The mode says which index:
 
-    - "full":   key = index into the space's enumeration order (and the
-                single key 0 of the whole space when dim = n),
-    - "packed": key = base-q packed canonical 2-row basis (lines),
-    - "dual":   key = point rank of the covector in the dual space
-                (hyperplanes); the ranks are dense, so they are counted
-                with a bincount over all dual points.
+    - "rank": the dense line rank (lines): pivot cells (c1, c2) by c2
+      descending, then c1 descending, then the free digits as a base-q
+      numeral (see `ProjectiveSpace._line_cells`),
+    - "dual": the point rank of the covector in the dual space
+      (hyperplanes),
+    - "full": the index in the space's enumeration order (the incidence
+      table, and the single key 0 of the whole space when dim = n).
 
-    Keys ascend in every mode.  Only this class reads them: `bases` turns
-    any selection of slots into canonical RREF basis rows, whatever the
-    mode.  The incidences between slots and points
+    The two per-point scans group their incidences by counting: a
+    bincount over the key range gives the sizes, its nonzero entries the
+    keys, and the same array then becomes the key -> slot table.  When
+    the key range is much larger than the incidence count (a small set in
+    a large space), one sort does it without a range-sized array.
+
+    Only this class reads keys: `bases` turns any selection of slots into
+    canonical RREF basis rows, `first_uncovered` unranks the first missing
+    key, and `witness_order` orders line slots by their bases.  The
+    incidences between slots and points
     (a point is its position in the set's rank order) are kept in CSR
     form, "compressed sparse row": one flat int32 array grouped by owner
     plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  There
@@ -773,15 +792,14 @@ class TraceSummary:
     - by subspace (`by_subspace`, `points_of`): the point positions of each
       slot, ascending; the offsets are the running sums of the sizes.
     - by point (`by_point`, `indices_through_point`): the slots through
-      each point, ascending, except for the line scan, which lists them
-      in its scan order (one line per point of PG(n-1, q), in rank order).
+      each point, ascending, which for both scans is the scan order.
 
-    A builder passes each grouping its scan yields for free: both for the
-    line scan and for dim = n, the by-point one for the hyperplane scan,
-    the by-subspace one for the full table.  A missing grouping is built
-    on first use under a lock, by a stable sort of the other, so at most
-    two incidence-length arrays are ever held.  All arrays are read-only:
-    summaries are cached per point set and shared.
+    A builder passes each grouping its scan yields for free: the by-point
+    one for the two scans and dim = n, the by-subspace one for the full
+    table.  A missing grouping is built on first use under a lock,
+    by one sort of the other, so at most two incidence-length arrays are
+    ever held.  All arrays are read-only: summaries are cached per point
+    set and shared.
     """
 
     def __init__(self, space, dim, point_ranks, mode, keys, sizes, *,
@@ -833,8 +851,8 @@ class TraceSummary:
             with _TRACE_LOCK:
                 if self._by_subspace is None:
                     if self._subspace_points is None:
-                        self._by_subspace = _transpose(
-                            *self._by_point, self.sizes.size)
+                        self._by_subspace = _transpose(*self._by_point,
+                                                       self.sizes)
                     else:
                         self._by_subspace = (self._subspace_points,
                                              _frozen(_offsets(self.sizes)))
@@ -842,12 +860,13 @@ class TraceSummary:
 
     def by_point(self) -> tuple:
         """(slots, offsets): the slots through the point at position p are
-        slots[offsets[p]:offsets[p+1]], ascending (lines: in scan order)."""
+        slots[offsets[p]:offsets[p+1]], ascending."""
         if self._by_point is None:
             with _TRACE_LOCK:
                 if self._by_point is None:
-                    self._by_point = _transpose(*self.by_subspace(),
-                                                self.point_ranks.size)
+                    points, offsets = self.by_subspace()
+                    self._by_point = _transpose(points, offsets, np.bincount(
+                        points, minlength=self.point_ranks.size))
         return self._by_point
 
     def points_of(self, idx: int) -> np.ndarray:
@@ -891,31 +910,58 @@ class TraceSummary:
     def bases(self, sel) -> np.ndarray:
         """Canonical RREF bases of the slots in sel (an index array), shape
         (len(sel), dim+1, n+1), the rows `Subspace` would hold."""
-        space, n = self.space, self.space.n
         sel = np.asarray(sel, dtype=np.int64).reshape(-1)
+        return self._decode(self.keys[sel])
+
+    def _decode(self, keys: np.ndarray) -> np.ndarray:
+        space, n = self.space, self.space.n
         if self.dim == n:
-            return np.repeat(np.eye(n + 1, dtype=np.int64)[None], sel.size,
+            return np.repeat(np.eye(n + 1, dtype=np.int64)[None], keys.size,
                              axis=0)
-        if self.mode == "packed":
-            return space.unpack_rows2_bulk(self.keys[sel])
+        if self.mode == "rank":
+            return space.line_bases(keys)
         if self.mode == "full":
-            return space._bases[self.dim][self.keys[sel]]
+            return space._bases[self.dim][keys]
         # u . x = 0 has the basis e_j - (u_j / u_z) e_z, j != z, with z the
         # last nonzero column of u: row j pivots at j, and no row at z
         _, mul, neg, inv = space.field.tables()
-        u = space.coords_of_ranks(self.keys[sel])
+        u = space.coords_of_ranks(keys)
         z = n - (u[:, ::-1] != 0).argmax(axis=1)
-        at = np.arange(sel.size)
-        rows = np.repeat(np.eye(n + 1, dtype=np.int64)[None], sel.size,
+        at = np.arange(keys.size)
+        rows = np.repeat(np.eye(n + 1, dtype=np.int64)[None], keys.size,
                          axis=0)
         rows[at[:, None], np.arange(n + 1), z[:, None]] = \
             neg[mul[u, inv[u[at, z]][:, None]]]
-        return rows[np.arange(n + 1) != z[:, None]].reshape(sel.size, n, n + 1)
+        return rows[np.arange(n + 1) != z[:, None]].reshape(keys.size, n, n + 1)
 
-    def subspace_at(self, idx: int) -> Subspace:
-        rows = self.bases([idx])[0]
+    def _subspace(self, rows: np.ndarray) -> Subspace:
         return Subspace(self.space, rows.tolist(),
                         (rows != 0).argmax(axis=1).tolist(), canonical=True)
+
+    def subspace_at(self, idx: int) -> Subspace:
+        return self._subspace(self.bases([idx])[0])
+
+    def first_uncovered(self):
+        """The dim-subspace with the smallest key among those that miss
+        the set, or None when every one meets it.  The keys are dense and
+        ascend, so keys[i] - i never falls and that key is the first i
+        where it is positive."""
+        key = int(np.searchsorted(self.keys - np.arange(self.keys.size), 0,
+                                  side="right"))
+        if key >= self.total:
+            return None
+        return self._subspace(self._decode(np.asarray([key]))[0])
+
+    def witness_order(self, sel) -> np.ndarray:
+        """The slots in sel in the order searches for a first witness visit
+        them: for lines, that of the base-q numerals whose digits, lowest
+        place first, are the basis rows (row 2's last column most
+        significant); for other summaries, sel as given."""
+        sel = np.asarray(sel, dtype=np.int64).reshape(-1)
+        if self.mode != "rank":
+            return sel
+        digits = self.bases(sel).reshape(sel.size, 2 * (self.space.n + 1))
+        return sel[np.lexsort(digits.T)]
 
     def subspaces_with_size(self, size: int):
         for idx in np.nonzero(self.sizes == size)[0]:
@@ -928,25 +974,23 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
 
     The lines through P are P w for the points w of PG(n-1, q) placed in
     the columns other than P's lead l, taken in rank order.  That order
-    lists each lead of w as a C-order grid of its free digits, and over
-    such a block the packed key of the canonical basis is a sum of one
-    term per digit: with lw the lead of w, the basis is (w, P) when
-    lw < l, and (P - P_lw w, w) when lw > l, whose first row holds
-    P_c - P_lw w_c in each column c > lw.  So each block's keys are
-    built by broadcast adds of per-point q-vectors."""
+    lists each lead of w as a C-order grid of its free digits, and such a
+    block lies in one cell of the line rank (see `_line_cells`): with lw
+    the lead of w, the basis is (w, P) in cell (lw, l) when lw < l, and
+    (P - P_lw w, w) in cell (l, lw) when lw > l, whose first row holds
+    P_c - P_lw w_c in each column c > lw.  So each block's ranks are the
+    cell's offset plus broadcast adds of per-point q-vectors.  The blocks
+    come in cell order, and w's digits are the most significant that vary
+    within one, so each point's ranks ascend."""
     add, mul, neg, _ = space.field.tables()
     n, q = space.n, space.q
     m = len(pts)
     coords = pts.coords()
     lead = (coords != 0).argmax(axis=1)
     npar = (q ** n - 1) // (q - 1)
-    # weight[r, c]: the packed key of digit 1 at row r, column c
-    unit = np.eye(2 * (n + 1), dtype=np.int64)
-    weight = space.pack_rows2(unit[:, :n + 1], unit[:, n + 1:]) \
-        .reshape(2, n + 1, -1)
-    words = weight.shape[2]
-    digits = np.arange(q, dtype=np.int64)[:, None]
-    keys = np.empty((m, npar, words), dtype=np.int64)
+    offsets, weights, _ = space._line_cells()
+    digits = np.arange(q, dtype=np.int64)
+    ranks = np.empty((m, npar), dtype=np.int64)
     for l in range(n + 1):
         # the ranks ascend, so the points of one lead are contiguous
         rows = np.flatnonzero(lead == l)
@@ -957,58 +1001,32 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
         start = 0
         for j in range(n - 1, -1, -1):
             size = q ** (n - 1 - j)
-            out = keys[grp, start:start + size]
+            out = ranks[grp, start:start + size]
             start += size
             if j < l:
                 # rows (w, P): the free digits of w sit in the first row
-                grid = weight[0, j][None, :]
+                weight = weights[j, l]
+                grid = np.zeros(1, dtype=np.int64)
                 for c in range(j + 1, n + 1):
                     if c != l:
-                        grid = (grid[:, None, :]
-                                + digits * weight[0, c]).reshape(-1, words)
-                np.add((p @ weight[1])[:, None, :], grid, out=out)
+                        grid = (grid[:, None]
+                                + digits * weight[0, c]).reshape(-1)
+                np.add((p @ weight[1] + offsets[j, l])[:, None], grid,
+                       out=out)
             else:
                 # rows (P - P_lw w, w) with lw = j + 1
                 lw = j + 1
-                acc = (p[:, :lw] @ weight[0, :lw] + weight[1, lw])[:, None, :]
-                scale = mul[neg[p[:, lw]][:, None], digits[:, 0]]
+                weight = weights[l, lw]
+                acc = (p[:, :lw] @ weight[0, :lw] + offsets[l, lw])[:, None]
+                scale = mul[neg[p[:, lw]][:, None], digits]
                 for c in range(lw + 1, n + 1):
-                    term = add[p[:, c, None], scale][:, :, None] * weight[0, c] \
+                    term = add[p[:, c, None], scale] * weight[0, c] \
                         + digits * weight[1, c]
-                    acc = (acc[:, :, None, :] + term[:, None, :, :]) \
-                        .reshape(p.shape[0], -1, words)
+                    acc = (acc[:, :, None] + term[:, None, :]) \
+                        .reshape(p.shape[0], -1)
                 out[...] = acc
-    # incidence j belongs to point j // npar, so the incidences come
-    # grouped by point; np.unique written out groups them by line
-    all_keys = keys.reshape(m * npar, -1) if words == 2 \
-        else keys.reshape(m * npar)
-    del keys
-    n_inc = m * npar
-    perm = np.lexsort(all_keys.T[::-1]) if words == 2 \
-        else np.argsort(all_keys)
-    ordered = all_keys[perm]
-    del all_keys
-    head = np.empty(n_inc, dtype=bool)     # first incidence of each line
-    head[0] = True
-    head[1:] = (ordered[1:] != ordered[:-1]).reshape(n_inc - 1, -1) \
-        .any(axis=1)
-    keys = ordered[head]
-    del ordered
-    slot = np.cumsum(head, dtype=np.int64) - 1
-    # the sort leaves ties in any order: restore incidence order within
-    # each line, which puts its points in ascending order
-    perm += slot * n_inc
-    perm.sort()
-    perm %= n_inc
-    inc_sub = np.empty(n_inc, dtype=np.int32)
-    inc_sub[perm] = slot
-    del slot
-    sizes = np.diff(np.append(np.flatnonzero(head), n_inc))
-    return TraceSummary(
-        space, 1, pts.ranks, "packed", keys, sizes,
-        subspace_points=(perm // npar).astype(np.int32),
-        point_subspaces=inc_sub,
-        point_offsets=np.arange(m + 1, dtype=np.int64) * npar)
+    return _by_point_summary(space, 1, pts, "rank", ranks,
+                             space.num_subspaces(1))
 
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
@@ -1061,16 +1079,34 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
                 .reshape(rows.size, size)
     # each point's ranks ascend: the rank orders covectors by their columns
     # lexicographically, u_z is a function of the columns before z, and
-    # PG(n-1, q) lists a in the lexicographic order of the other columns.
-    # Dual ranks are dense indices, so count them instead of sorting them
+    # PG(n-1, q) lists a in the lexicographic order of the other columns
+    return _by_point_summary(space, n - 1, pts, "dual", ranks,
+                             dual.num_points)
+
+
+def _by_point_summary(space, dim, pts, mode, ranks, total) -> TraceSummary:
+    """The summary of a per-point scan: row p of the (m, npar) array ranks
+    holds the dense keys in range(total) of the dim-subspaces through the
+    point at position p, ascending.  The incidences are grouped by
+    counting the keys; when their range is much larger than their number,
+    by one sort instead."""
+    m, npar = ranks.shape
     flat = ranks.reshape(-1)
-    counts = np.bincount(flat, minlength=dual.num_points)
-    keys = np.flatnonzero(counts)
-    slot = np.zeros(dual.num_points, dtype=np.int32)
-    slot[keys] = np.arange(keys.size, dtype=np.int32)
+    if total <= _COUNT_RANGE * flat.size:
+        counts = np.bincount(flat, minlength=total)
+        keys = np.flatnonzero(counts)
+        sizes = counts[keys]
+        # the counts are spent: their buffer becomes the key -> slot table
+        table = counts.view(np.int32)[:total]
+        table[keys] = np.arange(keys.size, dtype=np.int32)
+        slots = table[flat]
+    else:
+        keys, slots, sizes = np.unique(flat, return_inverse=True,
+                                       return_counts=True)
+        slots = slots.astype(np.int32)
     return TraceSummary(
-        space, n - 1, pts.ranks, "dual", keys, counts[keys],
-        point_subspaces=slot[flat],
+        space, dim, pts.ranks, mode, keys, sizes,
+        point_subspaces=slots,
         point_offsets=np.arange(m + 1, dtype=np.int64) * npar)
 
 
@@ -1101,13 +1137,9 @@ def subspace_traces(pts: PointSet, dim: int) -> TraceSummary:
     if len(pts) == 0:
         raise EmptyInputError("trace scan of an empty point set")
     if dim == space.n:
-        m = len(pts)
-        return TraceSummary(
-            space, dim, pts.ranks, "full", np.asarray([0], dtype=np.int64),
-            np.asarray([m], dtype=np.int64),
-            subspace_points=np.arange(m, dtype=np.int32),
-            point_subspaces=np.zeros(m, dtype=np.int32),
-            point_offsets=np.arange(m + 1, dtype=np.int64))
+        # every point lies on the one subspace, key 0
+        return _by_point_summary(space, dim, pts, "full", np.zeros(
+            (len(pts), 1), dtype=np.int64), 1)
     if dim == 1:
         return _scan_lines(space, pts)
     if dim == space.n - 1:

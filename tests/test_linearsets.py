@@ -1,5 +1,6 @@
 """Linear-set families, sublines, and the linearity decision procedures."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -132,6 +133,57 @@ def test_subline_pattern_counts(p, t, p0, count):
     assert len({tuple(row) for row in tuples}) == count
     # every 3 points of the parameter line lie on exactly one subline
     assert count * comb(p0 + 1, 3) == comb(q + 1, 3)
+
+
+def _reference_subline_patterns(field, p0):
+    """The scalar loop `subline_patterns` ran before it was vectorized:
+    for each triple of PG(1, q) points not yet covered, in lexicographic
+    order, solve c = lam a + mu b and collect {t0 lam a + t1 mu b} over
+    the subfield."""
+    space = ProjectiveSpace(1, field)
+    e = next(e for e in range(1, field.t + 1) if field.p ** e == p0)
+    embed, _ = field.embedding(e) if e < field.t else (range(field.q), None)
+    sub_codes = [int(c) for c in embed]
+    covered, tuples = set(), []
+    for tri in combinations(range(space.num_points), 3):
+        if tri in covered:
+            continue
+        a, b, c = (space.coords_of(r) for r in tri)
+        det = field.sub(field.mul(a[0], b[1]), field.mul(a[1], b[0]))
+        lam = field.mul(field.inv(det), field.sub(
+            field.mul(c[0], b[1]), field.mul(c[1], b[0])))
+        mu = field.mul(field.inv(det), field.sub(
+            field.mul(a[0], c[1]), field.mul(a[1], c[0])))
+        u = [field.mul(lam, x) for x in a]
+        v = [field.mul(mu, x) for x in b]
+        out = {tri[1]}
+        for t0 in sub_codes:
+            if t0 == 0:
+                continue
+            for t1 in sub_codes:
+                out.add(space.rank_of([field.add(field.mul(t0, x),
+                                                 field.mul(t1, y))
+                                       for x, y in zip(u, v)]))
+        ranks = tuple(sorted(out))
+        tuples.append(ranks)
+        covered.update(combinations(ranks, 3))
+    mat = np.zeros((len(tuples), space.num_points), dtype=bool)
+    for i, ranks in enumerate(tuples):
+        mat[i, list(ranks)] = True
+    return mat, tuples
+
+
+@pytest.mark.parametrize("p,t,p0,count", [
+    (3, 2, 3, 30), (3, 3, 3, 819), (7, 2, 7, 350), (2, 4, 4, 68)])
+def test_subline_patterns_match_reference_loop(p, t, p0, count):
+    field = make_field(p, t)
+    mat, tuples = subline_patterns(field, p0)
+    want_mat, want = _reference_subline_patterns(field, p0)
+    assert len(tuples) == count
+    assert tuples == want and all(type(r) is int for t in tuples for r in t)
+    assert mat.dtype == bool and np.array_equal(mat, want_mat)
+    # the loop emits the sublines in lexicographic order of their tuples
+    assert tuples == sorted(tuples)
 
 
 def test_subline_patterns_cached_and_guarded():
@@ -286,6 +338,51 @@ def test_secant_linearity_on_a_line():
     _, tuples = subline_patterns(space.field, 3)
     assert tuple(pts.ranks.tolist()) in tuples
     assert tuple(fake.ranks.tolist()) not in tuples
+
+
+def _packed_key(line):
+    """The base-q numeral of a line's canonical basis, row 1 then row 2,
+    lowest place first: the order first failures are reported in."""
+    q = line.space.q
+    return sum(d * q ** i for i, d in
+               enumerate(c for row in line.rows for c in row))
+
+
+def test_failure_lists_come_in_witness_order(rank4_27, subgeom_49):
+    space = rank4_27.points.space
+    pts = PointSet(space, np.random.default_rng(5).choice(
+        space.num_points, 100, replace=False))
+    lines = traces_of(pts, 1)
+    _, tuples = subline_patterns(space.field, 3)
+    failing = []
+    for idx in np.flatnonzero(lines.sizes == 4):
+        line = lines.subspace_at(int(idx))
+        trace = pts.ranks[lines.points_of(int(idx))]
+        if tuple(sorted(line_param_positions(line, trace).tolist())) \
+                not in tuples:
+            failing.append(_packed_key(line))
+    report = secant_linearity_check(pts, 1, 3)
+    assert len(failing) > 10
+    assert [_packed_key(f) for f in report.failures] == sorted(failing)[:10]
+    # every meet of a 4-point subline is allowed at rank 4, so use p0 = 7
+    space = subgeom_49.points.space
+    pts = PointSet(space, np.random.default_rng(5).choice(
+        space.num_points, 600, replace=False))
+    fake = LinearSetWitness(subgeom_49.ctx, subgeom_49.pi, pts,
+                            subgeom_49.rank)
+    report = subline_meet_check(fake)
+    mat, _ = subline_patterns(space.field, 7)
+    lines = traces_of(pts, 1)
+    failing = []
+    for idx in np.flatnonzero((lines.sizes >= 2) & (lines.sizes <= 49)):
+        line = lines.subspace_at(int(idx))
+        pos = line_param_positions(line, pts.ranks[lines.points_of(idx)])
+        if not set(mat[:, pos].sum(axis=1).tolist()) \
+                <= set(report.allowed_sizes):
+            failing.append(_packed_key(line))
+    keys = [_packed_key(line) for line, _, _ in report.violations]
+    assert len(failing) > 1 and keys[0] == min(failing)
+    assert keys == sorted(keys)
 
 
 # -- linearity decision -------------------------------------------------------------

@@ -294,19 +294,120 @@ def test_trace_modes_agree():
     assert plane_sets(planes_dual) == plane_sets(planes_full)
 
 
+def _reference_line_rank(space, rows):
+    """The dense rank of a canonical 2-row line basis from its definition:
+    the cells of pivot columns (c1, c2), c2 descending then c1 descending,
+    each holding q^(free digits) lines, then the free digits as a base-q
+    numeral, row 2's first, lower columns first."""
+    n, q = space.n, space.q
+    c1, c2 = (next(c for c, x in enumerate(r) if x) for r in rows)
+    rank = 0
+    for d2 in range(n, c2, -1):
+        rank += sum(q ** (2 * n - d2 - d1 - 1) for d1 in range(d2))
+    for d1 in range(c2 - 1, c1, -1):
+        rank += q ** (2 * n - c2 - d1 - 1)
+    local = 0
+    for c in range(c2 + 1, n + 1):
+        local = local * q + rows[1][c]
+    for c in range(c1 + 1, n + 1):
+        if c != c2:
+            local = local * q + rows[0][c]
+    return rank + local
+
+
+def _packed_line_keys(space, bases):
+    """The base-q packed keys that lines had before their dense ranks:
+    the entries of row 1 then row 2, lowest place first."""
+    flat = np.asarray(bases).reshape(len(bases), -1)
+    return flat @ space.q ** np.arange(flat.shape[1], dtype=np.int64)
+
+
 def test_packed_line_keys_roundtrip():
     space = pg(3, 3, 2)
     pts = PointSet(space, np.arange(25, dtype=np.int64) * 7)
     lines = subspace_traces(pts, 1)
-    assert lines.mode == "packed"
+    assert lines.mode == "rank"
     sel = np.arange(min(40, lines.sizes.size))
-    bulk = space.unpack_rows2_bulk(lines.keys[sel])
+    bulk = space.line_bases(lines.keys[sel])
     assert np.array_equal(lines.bases(sel), bulk)
+    assert np.array_equal(space.line_keys(bulk), lines.keys[sel])
     for pos in sel.tolist():
-        assert np.array_equal(space.pack_rows2(bulk[pos, 0], bulk[pos, 1]),
-                              lines.keys[pos])
+        assert _reference_line_rank(space, bulk[pos].tolist()) \
+            == lines.keys[pos]
         sub = lines.subspace_at(pos)
         assert Subspace(space, bulk[pos]) == sub
+    # witness order is the order of the packed keys
+    every = np.arange(lines.sizes.size)
+    packed = _packed_line_keys(space, lines.bases(every))
+    assert np.array_equal(lines.witness_order(every[::-1]),
+                          np.argsort(packed))
+    assert lines.witness_order(every[:0]).size == 0
+    planes = subspace_traces(pts, 2)
+    assert np.array_equal(planes.witness_order(every[:9][::-1]),
+                          every[:9][::-1])
+
+
+# PG(2,4), PG(3,3), PG(4,2), PG(2,8), PG(3,4)
+LINE_SPACES = [(2, 2, 2), (3, 3, 1), (4, 2, 1), (2, 2, 3), (3, 2, 2)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_line_rank_is_invariant_under_row_operations(data):
+    n, p, t = data.draw(st.sampled_from(LINE_SPACES))
+    space = pg(n, p, t)
+    q = space.q
+    add, mul, _, _ = space.field.tables()
+    vec = st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
+    a, b = np.asarray(data.draw(vec)), np.asarray(data.draw(vec))
+    # two distinct points span a line
+    pa = space.normalize(a) if a.any() else None
+    pb = space.normalize(b) if b.any() else None
+    if pa is None or pb is None or pa == pb:
+        with pytest.raises((BadParamsError, EmptyInputError)):
+            space.line_keys(np.stack([a, b])[None])
+        return
+    key = int(space.line_keys(np.stack([a, b])[None])[0])
+    alpha, beta = data.draw(st.integers(1, q - 1)), \
+        data.draw(st.integers(1, q - 1))
+    gamma = data.draw(st.integers(0, q - 1))
+    variants = [[b, a], [mul[alpha, a], mul[beta, b]],
+                [a, add[b, mul[gamma, a]]], [add[a, mul[gamma, b]], b]]
+    assert space.line_keys(np.asarray(variants)).tolist() == [key] * 4
+    line = projspace._line_of(space, pa, pb)
+    assert int(space.line_keys(np.asarray([line.rows]))[0]) == key
+    assert space.line_bases([key])[0].tolist() == [list(r) for r in line.rows]
+    # any rank unranks to canonical rows that rank back to it
+    rank = data.draw(st.integers(0, space.num_subspaces(1) - 1))
+    rows = space.line_bases([rank])
+    assert Subspace(space, rows[0].tolist()).rows == \
+        tuple(map(tuple, rows[0].tolist()))
+    assert space.line_keys(rows).tolist() == [rank]
+
+
+@pytest.mark.parametrize("n,p,t", LINE_SPACES)
+def test_line_ranks_cover_every_line_once(n, p, t):
+    space = pg(n, p, t)
+    every = np.arange(space.num_subspaces(1))
+    bases = space.line_bases(every)
+    assert np.array_equal(space.line_keys(bases), every)
+    enumerated = np.asarray([sub.rows for sub in space.subspaces(1)])
+    assert np.array_equal(np.sort(space.line_keys(enumerated)), every)
+    for bad in (-1, every.size):
+        with pytest.raises(RangeError):
+            space.line_bases([bad])
+
+
+def test_line_ranks_refuse_more_lines_than_int64_holds():
+    space = pg(31, 2)
+    assert space.num_subspaces(1) < 2 ** 63 < pg(32, 2).num_subspaces(1)
+    # the last line: pivots at columns 0 and 1, every free digit 1
+    top = np.ones((1, 2, 32), dtype=np.int64)
+    top[0, 0, 1] = top[0, 1, 0] = 0
+    assert space.line_keys(top).tolist() == [space.num_subspaces(1) - 1]
+    assert np.array_equal(space.line_bases([space.num_subspaces(1) - 1]), top)
+    with pytest.raises(TooLargeError):
+        pg(32, 2).line_keys(np.eye(2, 33, dtype=np.int64)[None])
 
 
 @pytest.mark.parametrize("n,p,t", [(3, 3, 2), (3, 7, 2), (2, 3, 3)])
@@ -326,8 +427,7 @@ def test_line_keys_are_canonical(n, p, t):
             continue
         if line.dim != 1:
             continue
-        key = space.pack_rows2(np.asarray(line.rows[0]),
-                               np.asarray(line.rows[1]))
+        key = _reference_line_rank(space, line.rows)
         a, b = rows
         alpha, beta = (int(x) for x in rng.integers(1, q, size=2))
         gamma = int(rng.integers(0, q))
@@ -350,7 +450,7 @@ def test_cached_arrays_are_read_only():
     pts = PointSet(space, [0, 5, 17, 30, 31])
     arrays = [pts.ranks, pts.mask(), pts.coords(), space.coords_array(),
               space.incidence(1)]
-    for summary, mode in ((subspace_traces(pts, 1), "packed"),
+    for summary, mode in ((subspace_traces(pts, 1), "rank"),
                           (subspace_traces(pts, 2), "dual"),
                           (projspace._scan_full(space, pts, 2), "full"),
                           (subspace_traces(pts, 3), "full")):

@@ -42,6 +42,27 @@ def _summaries(pts):
     return out
 
 
+def _unrank_line(space, rank):
+    """The canonical rows of the line of a dense rank, from the rank's
+    definition: the cells of pivot columns (c1, c2), c2 descending then c1
+    descending, each holding q^(free digits) lines, and within a cell the
+    free digits as a base-q numeral, row 2's first, lower columns first."""
+    n, q = space.n, space.q
+    for c2 in range(n, 0, -1):
+        for c1 in range(c2 - 1, -1, -1):
+            free = [(1, c) for c in range(c2 + 1, n + 1)] \
+                + [(0, c) for c in range(c1 + 1, n + 1) if c != c2]
+            if rank >= q ** len(free):
+                rank -= q ** len(free)
+                continue
+            rows = [[0] * (n + 1), [0] * (n + 1)]
+            rows[0][c1] = rows[1][c2] = 1
+            for r, c in reversed(free):
+                rank, rows[r][c] = divmod(rank, q)
+            return rows
+    raise AssertionError("line rank out of range")
+
+
 def _decoded_rows(summary, idx):
     """The basis of slot idx decoded from its key alone, as each mode
     defines the key, then brought to RREF by `linalg.rref`."""
@@ -49,16 +70,8 @@ def _decoded_rows(summary, idx):
     key = summary.keys[idx]
     if summary.dim == n:
         rows = np.eye(n + 1, dtype=np.int64).tolist()
-    elif summary.mode == "packed":
-        width, words = space._pack_width()
-        parts = [(int(key), width)] if words == 1 else \
-            [(int(key[0]), width // 2), (int(key[1]), width - width // 2)]
-        digits = []
-        for val, count in parts:
-            for _ in range(count):
-                val, d = divmod(val, space.q)
-                digits.append(d)
-        rows = [digits[:n + 1], digits[n + 1:]]
+    elif summary.mode == "rank":
+        rows = _unrank_line(space, int(key))
     elif summary.mode == "dual":
         # the hyperplane u . x = 0 of the covector of rank key
         rows = linalg.left_kernel([[c] for c in space.coords_of(int(key))],
@@ -70,37 +83,31 @@ def _decoded_rows(summary, idx):
 
 
 def _scan_order(summary, pos):
-    """Slots through the point at position pos in the order the scans list
-    them.  Lines: one per point w of PG(n-1, q), taken in rank order,
-    placed in the columns other than the point's lead.  Hyperplanes: the
-    covectors u with u . p = 0, ascending."""
+    """The subspaces through the point at position pos, as canonical rows,
+    in the order the scans list them.  Lines: one per point w of
+    PG(n-1, q), taken in rank order, placed in the columns other than the
+    point's lead.  Hyperplanes: the covectors u with u . p = 0,
+    ascending."""
     space, field = summary.space, summary.space.field
     n = space.n
     p = space.coords_of(int(summary.point_ranks[pos]))
-    if summary.mode == "packed":
+    out = []
+    if summary.mode == "rank":
         lead = next(i for i, c in enumerate(p) if c)
         cols = [c for c in range(n + 1) if c != lead]
-        keys = []
         for lam in ProjectiveSpace(n - 1, field).coords_array().tolist():
             w = [0] * (n + 1)
             for c, v in zip(cols, lam):
                 w[c] = v
-            line = Subspace(space, (p, w))
-            keys.append(space.pack_rows2(np.asarray(line.rows[0]),
-                                         np.asarray(line.rows[1])))
+            out.append(Subspace(space, (p, w)).rows)
     else:
-        keys = []
-        for rank, u in enumerate(space.coords_array().tolist()):
+        for u in space.coords_array().tolist():
             dot = 0
             for a, b in zip(u, p):
                 dot = field.add(dot, field.mul(a, b))
             if dot == 0:
-                keys.append(rank)
-    out = []
-    for key in keys:
-        slot = int(np.searchsorted(summary.keys, key))
-        assert summary.keys[slot] == key
-        out.append(slot)
+                out.append(linalg.rref(
+                    linalg.left_kernel([[c] for c in u], field), field)[0])
     return out
 
 
@@ -133,11 +140,12 @@ def test_trace_summaries_match_brute_force(data):
         # every slot through a point, in the order its grouping promises
         for pos in range(m):
             through = summary.indices_through_point(pos).tolist()
-            if summary.mode in ("packed", "dual"):
-                assert through == _scan_order(summary, pos)
-            else:
-                assert through == [i for i in range(nslots)
-                                   if pos in brute[i]]
+            assert through == [i for i in range(nslots) if pos in brute[i]]
+            if summary.mode in ("rank", "dual"):
+                # the scans list the same subspaces in the same order
+                rows = summary.bases(through).tolist()
+                assert [tuple(map(tuple, r)) for r in rows] \
+                    == _scan_order(summary, pos)
         # the per-point counts against a bincount of the brute incidences
         owners = np.repeat(np.arange(nslots), summary.sizes)
         flat = np.concatenate(brute)
@@ -154,6 +162,21 @@ def test_trace_summaries_match_brute_force(data):
             [[0], np.cumsum(summary.sizes[sel])]))
         assert np.array_equal(got, np.concatenate(
             [summary.points_of(i) for i in sel] + [np.zeros(0, np.int32)]))
+
+
+def _pack_rows2(space, first, second):
+    """The packed line keys the line scan used before its dense ranks:
+    the entries of row 1 then row 2 as base-q digits, lowest place first,
+    in one int64 word, or in two when q^(2n+2) >= 2^62."""
+    digits = np.concatenate([first, second], axis=-1)
+    width = digits.shape[-1]
+    if space.q ** width < 2 ** 62:
+        return digits @ space.q ** np.arange(width, dtype=np.int64)
+    half = width // 2
+    out = np.empty(digits.shape[:-1] + (2,), dtype=np.int64)
+    out[..., 0] = digits[..., :half] @ space.q ** np.arange(half)
+    out[..., 1] = digits[..., half:] @ space.q ** np.arange(width - half)
+    return out
 
 
 def _reference_line_keys(space, pts):
@@ -177,8 +200,8 @@ def _reference_line_keys(space, pts):
     u_at_lw = np.take_along_axis(u, lw[:, :, None], axis=2)[:, :, 0]
     a = add[u, mul[neg[u_at_lw][:, :, None], w]]
     first_is_w = (lw < lead[:, None])[:, :, None]
-    keys = space.pack_rows2(np.where(first_is_w, w, a),
-                            np.where(first_is_w, a, w))
+    keys = _pack_rows2(space, np.where(first_is_w, w, a),
+                       np.where(first_is_w, a, w))
     return keys.reshape((m * npar,) + keys.shape[2:])
 
 
@@ -215,14 +238,20 @@ def _kernel_cases():
         for size in (1, 7, min(150, space.num_points)):
             yield PointSet(space, rng.choice(space.num_points, size,
                                              replace=False))
-    # line keys of PG(3,256) take two words
+    # PG(3,256): packed line keys took two words; 4.3e9 line ranks
     space = _space(3, 2, 8)
-    assert space._pack_width()[1] == 2
     yield PointSet(space, [0, 1, 257, space.num_points - 1,
                            int(rng.integers(space.num_points))])
 
 
+def _counted(summary):
+    """Whether the scan grouped its incidences by counting (else by one
+    sort): the choice rests on the key range against the incidences."""
+    return summary.total <= projspace._COUNT_RANGE * int(summary.sizes.sum())
+
+
 def test_scan_kernels_match_reference_kernels():
+    paths = set()
     for pts in _kernel_cases():
         space = pts.space
         m = len(pts)
@@ -230,9 +259,12 @@ def test_scan_kernels_match_reference_kernels():
         slots, offsets = lines.by_point()
         npar = slots.size // m
         assert np.array_equal(offsets, np.arange(m + 1) * npar)
-        # bit-identical keys for every incidence, in the same order
-        assert np.array_equal(lines.keys[slots],
+        # the same line for every incidence, in the same order, and the
+        # keys of each point's lines ascend
+        bases = lines.bases(slots)
+        assert np.array_equal(_pack_rows2(space, bases[:, 0], bases[:, 1]),
                               _reference_line_keys(space, pts))
+        assert np.all(np.diff(lines.keys[slots].reshape(m, npar)) > 0)
         planes = projspace._scan_hyperplanes(space, pts)
         slots, offsets = planes.by_point()
         assert np.array_equal(offsets, np.arange(m + 1) * npar)
@@ -240,6 +272,10 @@ def test_scan_kernels_match_reference_kernels():
         got = planes.keys[slots].reshape(m, npar)
         want = _reference_covector_ranks(space, pts)
         assert np.array_equal(got, np.sort(want, axis=1))
+        paths |= {("lines", _counted(lines)), ("planes", _counted(planes))}
+    # the cases reach both groupings of both scans
+    assert paths == {(scan, counted) for scan in ("lines", "planes")
+                     for counted in (False, True)}
 
 
 def _reference_transversal(ctx, trace, x):
