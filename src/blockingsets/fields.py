@@ -31,8 +31,7 @@ from .errors import (
     ZeroInverseError,
 )
 
-SIZE_LIMIT = 2 ** 20        # largest supported field order
-_TABLE_LIMIT = 1024         # build q x q lookup tables up to this order
+SIZE_LIMIT = 1024           # largest supported order: q x q lookup tables
 _BUILD_LOCK = threading.RLock()   # each lazy table is built once, whole
 
 
@@ -306,27 +305,21 @@ class FieldSpec:
 
     # --- scalar arithmetic on codes ---
     #
-    # Fields with lookup tables (q <= 1024) answer from nested lists of
-    # Python ints made once from tables(); larger fields compute on base-p
-    # digits through the _*_poly helpers, which also build the tables.
+    # The scalar ops answer from nested lists of Python ints made once from
+    # tables(); the _*_poly helpers compute on base-p digits to build them.
 
     def add(self, a: int, b: int) -> int:
-        lut = self._lut or self._scalar_tables()
-        return lut[0][a][b] if lut else self._add_poly(a, b)
+        return (self._lut or self._scalar_tables())[0][a][b]
 
     def neg(self, a: int) -> int:
-        lut = self._lut or self._scalar_tables()
-        return lut[2][a] if lut else self._neg_poly(a)
+        return (self._lut or self._scalar_tables())[2][a]
 
     def sub(self, a: int, b: int) -> int:
         lut = self._lut or self._scalar_tables()
-        if lut:
-            return lut[0][a][lut[2][b]]
-        return self._add_poly(a, self._neg_poly(b))
+        return lut[0][a][lut[2][b]]
 
     def mul(self, a: int, b: int) -> int:
-        lut = self._lut or self._scalar_tables()
-        return lut[1][a][b] if lut else self._mul_poly(a, b)
+        return (self._lut or self._scalar_tables())[1][a][b]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -343,8 +336,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        lut = self._lut or self._scalar_tables()
-        return lut[3][a] if lut else self._pow_poly(a, self.q - 2)
+        return (self._lut or self._scalar_tables())[3][a]
 
     def frobenius(self, a: int, e: int = 1) -> int:
         return self.pow(a, self.p ** e)
@@ -359,9 +351,8 @@ class FieldSpec:
         raise BlockingSetsError(f"no primitive element in {self!r}")
 
     def _scalar_tables(self):
-        """tables() as lists of Python ints for the scalar ops; None above
-        the table cap."""
-        if self._lut is None and self.has_tables:
+        """tables() as lists of Python ints for the scalar ops."""
+        if self._lut is None:
             with _BUILD_LOCK:
                 if self._lut is None:
                     add, mul, neg, inv = self.tables()
@@ -371,19 +362,6 @@ class FieldSpec:
                         [[codes[c] for c in row.tolist()] for row in mul],
                         neg.tolist(), inv.tolist())
         return self._lut
-
-    def _add_poly(self, a: int, b: int) -> int:
-        p = self.p
-        if self.t == 1:
-            return (a + b) % p
-        ca, cb = self.decode(a), self.decode(b)
-        return self.encode((x + y) % p for x, y in zip(ca, cb))
-
-    def _neg_poly(self, a: int) -> int:
-        p = self.p
-        if self.t == 1:
-            return (-a) % p
-        return self.encode((-x) % p for x in self.decode(a))
 
     def _mul_poly(self, a: int, b: int) -> int:
         p, t = self.p, self.t
@@ -499,16 +477,9 @@ class FieldSpec:
 
     # --- lookup tables for batched work ---
 
-    @property
-    def has_tables(self) -> bool:
-        return self.q <= _TABLE_LIMIT
-
     def tables(self):
-        """(ADD, MUL, NEG, INV) numpy arrays; built once, q <= 1024 only."""
+        """(ADD, MUL, NEG, INV) numpy arrays; built once."""
         if self._tables is None:
-            if not self.has_tables:
-                raise RangeError(
-                    f"no lookup tables for q={self.q} > {_TABLE_LIMIT}")
             with _BUILD_LOCK:
                 if self._tables is None:
                     self._tables = self._build_tables()

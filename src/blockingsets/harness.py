@@ -248,12 +248,13 @@ class InstanceAnalysis:
 
     @property
     def dual_sizes(self) -> np.ndarray:
-        """Hyperplane trace sizes indexed by dual point rank."""
+        """Hyperplane trace sizes indexed by dual point rank; refused for
+        n < 3, where the hyperplanes are lines, keyed by line rank."""
         def run():
-            summary = self.hyperplanes()
-            if summary.mode != "dual":
+            if self.n < 3:
                 raise TooLargeError(
-                    "hyperplane summary is not in dual mode")
+                    f"the hyperplanes of {self.space!r} have no dual ranks")
+            summary = self.hyperplanes()
             out = np.zeros(self.dual_space.num_points, dtype=np.int64)
             out[summary.keys] = summary.sizes
             return out

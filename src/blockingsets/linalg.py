@@ -4,7 +4,7 @@ Matrices are sequences of rows; a row is a sequence of integer element codes.
 Everything here is scalar pure Python: matrices in this package stay tiny
 (at most a few dozen rows), the bulk work happens in the batched numpy scans
 of the projspace module.  Each scalar field operation is a lookup in the
-field's tables, which every field of a projective space has (q <= 1024).
+field's tables (every field has them: q <= 1024).
 """
 
 from __future__ import annotations

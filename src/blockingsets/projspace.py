@@ -8,10 +8,10 @@ are ordered as ascending base-q numerals.  Rank 0 is (0, ..., 0, 1) and the
 last rank is (1, q-1, ..., q-1).
 
 Subspaces are kept as reduced row echelon bases, which makes the basis a
-canonical key for the subspace.  Every space needs the field's lookup
-tables (q <= 1024): the heavy counting work (traces of a point set against
-all lines or all hyperplanes) runs on them as numpy arrays, and the scalar
-field operations behind RREF, normalization and charts read them too.
+canonical key for the subspace.  The heavy counting work (traces of a
+point set against all dim-subspaces) runs on the field's lookup tables as
+numpy arrays, and the scalar field operations behind RREF, normalization
+and charts read them too.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class ProjectiveSpace:
         key = (n, field)
         inst = cls._registry.get(key)
         if inst is None:
-            if not field.has_tables:
-                raise TooLargeError(
-                    f"projective spaces need field tables, q={field.q} "
-                    "is too large")
             inst = super().__new__(cls)
             cls._registry[key] = inst
         return inst
@@ -307,12 +303,11 @@ class ProjectiveSpace:
         return ns <= _INCIDENCE_SUBSPACE_CAP and ns * per <= _INCIDENCE_CAP
 
     def incidence(self, dim: int) -> np.ndarray:
-        """Point ranks of every dim-subspace, row i in enumeration order.
-
-        Each row ascends: the parameters come in rank order, and the lift
-        through an RREF basis keeps it (two parameter vectors first differ
-        at some index j, and their lifts first differ at pivot column j,
-        by the same codes)."""
+        """The dim-subspaces through each point, shape (num_points, theta),
+        theta the number through any one point: row r lists the indices
+        (places in `subspaces(dim)` order) of those through point r,
+        ascending.  Built once per dim, with the canonical bases of all
+        dim-subspaces, which decode an index."""
         got = self._incidence.get(dim)
         if got is not None:
             return got
@@ -327,7 +322,8 @@ class ProjectiveSpace:
         params = ProjectiveSpace(dim, self.field).coords_array() \
             if dim >= 1 else np.ones((1, 1), dtype=np.int64)
         npar = params.shape[0]
-        out = np.empty((len(stack), npar), dtype=np.int32)
+        # on[i] holds the point ranks of subspace i
+        on = np.empty((len(stack), npar), dtype=np.int32)
         step = max(1, _INCIDENCE_CAP // (npar * (self.n + 1) * 4))
         for lo in range(0, len(stack), step):
             hi = min(lo + step, len(stack))
@@ -335,8 +331,17 @@ class ProjectiveSpace:
             for j in range(r):
                 term = mul[params[None, :, j, None], stack[lo:hi, None, j, :]]
                 acc = add[acc, term]
-            out[lo:hi] = self.ranks_from_rows(acc, normalized=False)
-        self._incidence[dim] = _frozen(out)
+            on[lo:hi] = self.ranks_from_rows(acc, normalized=False)
+        # every point lies on theta subspaces, so a stable sort by point
+        # splits the flat positions into equal rows, each ascending, and
+        # a flat position divided by npar is its subspace; the chunk
+        # buffers go first, so the sort does not raise the peak memory
+        del acc, term
+        through = np.argsort(on.reshape(-1), kind="stable")
+        del on
+        through //= npar
+        out = _frozen(through.astype(np.int32).reshape(self.num_points, -1))
+        self._incidence[dim] = out
         return out
 
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
@@ -764,21 +769,24 @@ class TraceSummary:
 
     Only subspaces that meet the set are held explicitly: slot i has a key
     and a size, everything else is the x_0 count.  A key is a dense index
-    in range(total), and the keys ascend.  The mode says which index:
+    in range(total), and the keys ascend.  The dimension says which index,
+    tested in the order `subspace_traces` picks its scan:
 
-    - "rank": the dense line rank (lines): pivot cells (c1, c2) by c2
-      descending, then c1 descending, then the free digits as a base-q
-      numeral (see `ProjectiveSpace._line_cells`),
-    - "dual": the point rank of the covector in the dual space
-      (hyperplanes),
-    - "full": the index in the space's enumeration order (the incidence
-      table, and the single key 0 of the whole space when dim = n).
+    - dim = n: the single key 0 of the whole space,
+    - dim = 1: the dense line rank: pivot cells (c1, c2) by c2 descending,
+      then c1 descending, then the free digits as a base-q numeral (see
+      `ProjectiveSpace._line_cells`),
+    - dim = n-1: the point rank of the covector in the dual space,
+    - otherwise: the index in the space's enumeration order (see
+      `ProjectiveSpace.incidence`).
 
-    The two per-point scans group their incidences by counting: a
-    bincount over the key range gives the sizes, its nonzero entries the
-    keys, and the same array then becomes the key -> slot table.  When
-    the key range is much larger than the incidence count (a small set in
-    a large space), one sort does it without a range-sized array.
+    Every scan lists, for each point of the set, the keys of the
+    dim-subspaces through it, ascending, and `_by_point_summary` groups
+    those incidences by counting: a bincount over the key range gives the
+    sizes, its nonzero entries the keys, and the same array then becomes
+    the key -> slot table.  When the key range is much larger than the
+    incidence count (a small set in a large space), one sort does it
+    without a range-sized array.
 
     Only this class reads keys: `bases` turns any selection of slots into
     canonical RREF basis rows, `first_uncovered` unranks the first missing
@@ -789,34 +797,26 @@ class TraceSummary:
     plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  There
     are two groupings:
 
-    - by subspace (`by_subspace`, `points_of`): the point positions of each
-      slot, ascending; the offsets are the running sums of the sizes.
     - by point (`by_point`, `indices_through_point`): the slots through
-      each point, ascending, which for both scans is the scan order.
+      each point, ascending, which is the scan order; every scan yields it.
+    - by subspace (`by_subspace`, `points_of`): the point positions of each
+      slot, ascending; the offsets are the running sums of the sizes.  It
+      is built on first use under a lock, by one sort of the other.
 
-    A builder passes each grouping its scan yields for free: the by-point
-    one for the two scans and dim = n, the by-subspace one for the full
-    table.  A missing grouping is built on first use under a lock,
-    by one sort of the other, so at most two incidence-length arrays are
-    ever held.  All arrays are read-only: summaries are cached per point
-    set and shared.
+    All arrays are read-only: summaries are cached per point set and
+    shared.
     """
 
-    def __init__(self, space, dim, point_ranks, mode, keys, sizes, *,
-                 subspace_points=None, point_subspaces=None,
-                 point_offsets=None):
+    def __init__(self, space, dim, point_ranks, keys, sizes,
+                 point_subspaces, point_offsets):
         self.space = space
         self.dim = dim
         self.point_ranks = point_ranks
         self.total = space.num_subspaces(dim)
-        self.mode = mode
         self.keys = _frozen(keys)
         self.sizes = _frozen(sizes)
-        self._subspace_points = None if subspace_points is None \
-            else _frozen(subspace_points)
+        self._by_point = (_frozen(point_subspaces), _frozen(point_offsets))
         self._by_subspace = None
-        self._by_point = None if point_subspaces is None \
-            else (_frozen(point_subspaces), _frozen(point_offsets))
         self._counts = {}
         self._size_counts = None
 
@@ -850,23 +850,13 @@ class TraceSummary:
         if self._by_subspace is None:
             with _TRACE_LOCK:
                 if self._by_subspace is None:
-                    if self._subspace_points is None:
-                        self._by_subspace = _transpose(*self._by_point,
-                                                       self.sizes)
-                    else:
-                        self._by_subspace = (self._subspace_points,
-                                             _frozen(_offsets(self.sizes)))
+                    self._by_subspace = _transpose(*self._by_point,
+                                                   self.sizes)
         return self._by_subspace
 
     def by_point(self) -> tuple:
         """(slots, offsets): the slots through the point at position p are
         slots[offsets[p]:offsets[p+1]], ascending."""
-        if self._by_point is None:
-            with _TRACE_LOCK:
-                if self._by_point is None:
-                    points, offsets = self.by_subspace()
-                    self._by_point = _transpose(points, offsets, np.bincount(
-                        points, minlength=self.point_ranks.size))
         return self._by_point
 
     def points_of(self, idx: int) -> np.ndarray:
@@ -914,14 +904,15 @@ class TraceSummary:
         return self._decode(self.keys[sel])
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
-        space, n = self.space, self.space.n
-        if self.dim == n:
+        space, n, dim = self.space, self.space.n, self.dim
+        if dim == n:
             return np.repeat(np.eye(n + 1, dtype=np.int64)[None], keys.size,
                              axis=0)
-        if self.mode == "rank":
+        if dim == 1:
             return space.line_bases(keys)
-        if self.mode == "full":
-            return space._bases[self.dim][keys]
+        if dim != n - 1:
+            # a middle dimension: the index into the incidence table
+            return space._bases[dim][keys]
         # u . x = 0 has the basis e_j - (u_j / u_z) e_z, j != z, with z the
         # last nonzero column of u: row j pivots at j, and no row at z
         _, mul, neg, inv = space.field.tables()
@@ -958,7 +949,7 @@ class TraceSummary:
         place first, are the basis rows (row 2's last column most
         significant); for other summaries, sel as given."""
         sel = np.asarray(sel, dtype=np.int64).reshape(-1)
-        if self.mode != "rank":
+        if self.dim != 1:
             return sel
         digits = self.bases(sel).reshape(sel.size, 2 * (self.space.n + 1))
         return sel[np.lexsort(digits.T)]
@@ -1025,7 +1016,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
                     acc = (acc[:, :, None] + term[:, None, :]) \
                         .reshape(p.shape[0], -1)
                 out[...] = acc
-    return _by_point_summary(space, 1, pts, "rank", ranks,
+    return _by_point_summary(space, 1, pts, ranks,
                              space.num_subspaces(1))
 
 
@@ -1080,11 +1071,11 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     # each point's ranks ascend: the rank orders covectors by their columns
     # lexicographically, u_z is a function of the columns before z, and
     # PG(n-1, q) lists a in the lexicographic order of the other columns
-    return _by_point_summary(space, n - 1, pts, "dual", ranks,
+    return _by_point_summary(space, n - 1, pts, ranks,
                              dual.num_points)
 
 
-def _by_point_summary(space, dim, pts, mode, ranks, total) -> TraceSummary:
+def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
     """The summary of a per-point scan: row p of the (m, npar) array ranks
     holds the dense keys in range(total) of the dim-subspaces through the
     point at position p, ascending.  The incidences are grouped by
@@ -1104,32 +1095,23 @@ def _by_point_summary(space, dim, pts, mode, ranks, total) -> TraceSummary:
         keys, slots, sizes = np.unique(flat, return_inverse=True,
                                        return_counts=True)
         slots = slots.astype(np.int32)
-    return TraceSummary(
-        space, dim, pts.ranks, mode, keys, sizes,
-        point_subspaces=slots,
-        point_offsets=np.arange(m + 1, dtype=np.int64) * npar)
+    return TraceSummary(space, dim, pts.ranks, keys, sizes, slots,
+                        np.arange(m + 1, dtype=np.int64) * npar)
 
 
 def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
-    inc = space.incidence(dim)
-    hits = pts.mask()[inc]
-    sizes_all = hits.sum(axis=1)
-    keys = np.nonzero(sizes_all)[0].astype(np.int64)
-    sizes = sizes_all[keys].astype(np.int64)
-    # rows ascend (see incidence), so row-major order lists each slot's
-    # points ascending
-    on = inc[keys][hits[keys]]
-    return TraceSummary(
-        space, dim, pts.ranks, "full", keys, sizes,
-        subspace_points=np.searchsorted(pts.ranks, on).astype(np.int32))
+    """Traces of all dim-subspaces meeting the set, read off the rows of
+    the cached incidence table at the set's points (middle dimensions)."""
+    return _by_point_summary(space, dim, pts, space.incidence(dim)[pts.ranks],
+                             space.num_subspaces(dim))
 
 
 def subspace_traces(pts: PointSet, dim: int) -> TraceSummary:
     """Trace summary of the set against every dim-subspace of its space.
 
     Lines and hyperplanes come from the per-point scans, the middle
-    dimensions from the cached full incidence table, which only small
-    spaces have: middle dimensions of large spaces are out of scope.
+    dimensions from the rows of the cached incidence table, which only
+    small spaces have: middle dimensions of large spaces are out of scope.
     """
     space = pts.space
     if not 1 <= dim <= space.n:
@@ -1138,7 +1120,7 @@ def subspace_traces(pts: PointSet, dim: int) -> TraceSummary:
         raise EmptyInputError("trace scan of an empty point set")
     if dim == space.n:
         # every point lies on the one subspace, key 0
-        return _by_point_summary(space, dim, pts, "full", np.zeros(
+        return _by_point_summary(space, dim, pts, np.zeros(
             (len(pts), 1), dtype=np.int64), 1)
     if dim == 1:
         return _scan_lines(space, pts)

@@ -1,0 +1,81 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps the package's
+functions by name from outside, so renaming or deleting one of them, or
+routing a scan around it, breaks `perfbench/run.py --trace 1`.  These
+tests install the tracer on the package and check what it relies on."""
+
+import importlib
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import blockingsets
+from blockingsets import blocking, fields, harness, projspace, spreads
+from blockingsets.fields import make_field
+from blockingsets.projspace import PointSet, ProjectiveSpace
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+# the classes whose methods the tracer wraps
+CLASSES = (fields.FieldSpec, projspace.ProjectiveSpace, projspace.Subspace,
+           projspace.TraceSummary, spreads.SpreadContext)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    return importlib.import_module("tracing")
+
+
+def _package_state():
+    """Every attribute of every loaded package module and wrapped class,
+    and the harness's check table, by identity."""
+    mods = [m for name, m in sorted(sys.modules.items())
+            if name.startswith("blockingsets") and m is not None]
+    out = {("module", m.__name__): dict(vars(m)) for m in mods}
+    out.update({("class", c.__qualname__): dict(vars(c)) for c in CLASSES})
+    out[("checks",)] = dict(harness._CHECKS)
+    return out
+
+
+def _same(a, b):
+    return a.keys() == b.keys() and all(
+        a[k].keys() == b[k].keys()
+        and all(a[k][name] is b[k][name] for name in a[k]) for k in a)
+
+
+def test_tracer_installs_and_restores_every_attribute(tracing):
+    before = _package_state()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = _package_state()
+        # the scans and the incidence table are wrapped where looked up
+        assert projspace._scan_full is not before[
+            ("module", "blockingsets.projspace")]["_scan_full"]
+        assert vars(ProjectiveSpace)["incidence"] is not before[
+            ("class", "ProjectiveSpace")]["incidence"]
+        assert not _same(before, during)
+    finally:
+        tracer.uninstall()
+    assert _same(before, _package_state())
+
+
+def test_middle_dimension_spectrum_fires_the_table_metrics(tracing):
+    space = ProjectiveSpace(5, make_field(2, 1))
+    rng = np.random.default_rng(5)
+    pts = PointSet(space, rng.choice(space.num_points, 20, replace=False))
+    blocking.traces_of.cache_clear()      # both scans run under the tracer
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for dim in (2, 3):
+            spec = blockingsets.spectrum(pts, dim)
+            assert sum(spec.x.values()) == space.num_subspaces(dim)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["projspace.table_scan_s"] > 0
+    assert metrics["projspace.incidence_table_s"] > 0
+    assert metrics["blocking.trace_scans"] == 2

@@ -65,14 +65,17 @@ def test_blocking_matches_brute_force(n, q, k, seed):
             assert not pts.mask()[witness.point_ranks()].any()
 
 
-@pytest.mark.parametrize("n,p,t,k,mode", [
+# kind: how the summary of the (n-k)-spaces keys them, line ranks,
+# dual ranks or enumeration indices (the incidence table)
+@pytest.mark.parametrize("n,p,t,k,kind", [
     (2, 3, 2, 1, "rank"), (3, 2, 2, 2, "rank"), (4, 2, 1, 3, "rank"),
     (3, 2, 2, 1, "dual"), (4, 2, 1, 1, "dual"), (4, 2, 1, 2, "full"),
     (3, 7, 2, 2, "rank"), (3, 7, 2, 1, "dual"),
 ])
-def test_uncovered_witness_misses_the_set(n, p, t, k, mode):
+def test_uncovered_witness_misses_the_set(n, p, t, k, kind):
     space = ProjectiveSpace(n, make_field(p, t))
     dim = n - k
+    assert kind == {n - 1: "dual", 1: "rank"}.get(dim, "full")
     rng = np.random.default_rng(n * 100 + p * 10 + k)
     sizes = (1, 4, 30) if space.num_points > 1000 else \
         (1, 4, space.num_points // 4, space.num_points // 2)
@@ -80,7 +83,6 @@ def test_uncovered_witness_misses_the_set(n, p, t, k, mode):
         pts = PointSet(space, rng.choice(space.num_points, size,
                                          replace=False))
         summary = traces_of(pts, dim)
-        assert summary.mode == mode
         got, witness = is_k_blocking(pts, k)
         if space.num_points <= 1000:
             assert got == brute_blocking(pts, k)
@@ -91,9 +93,9 @@ def test_uncovered_witness_misses_the_set(n, p, t, k, mode):
         # the uncovered subspace with the smallest key
         first = int(np.flatnonzero(np.isin(np.arange(summary.total),
                                            summary.keys, invert=True))[0])
-        if mode == "rank":
+        if kind == "rank":
             key = int(space.line_keys(np.asarray([witness.rows]))[0])
-        elif mode == "dual":
+        elif kind == "dual":
             key = space.rank_of(space.covector_of(witness))
         else:
             key = next(i for i in range(summary.total)

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from blockingsets.errors import (NoTableEntryError, NotPrimeError,
-                                 ReduciblePolynomialError, ZeroInverseError)
-from blockingsets.fields import (FieldSpec, conway_polynomial,
+                                 RangeError, ReduciblePolynomialError,
+                                 ZeroInverseError)
+from blockingsets.fields import (SIZE_LIMIT, FieldSpec, conway_polynomial,
                                  conway_table_version, make_field)
 
 
@@ -257,10 +258,13 @@ def test_subfield_membership_and_embedding():
             assert int(embed[small.mul(a, b)]) == f.mul(img[a], img[b])
 
 
-def test_tables_flag():
-    assert make_field(7, 2).has_tables
-    assert make_field(2, 10).has_tables
-    assert not make_field(2, 11).has_tables   # 2048 > table cap
+def test_size_limit_is_the_table_limit():
+    assert SIZE_LIMIT == 1024
+    add, mul, neg, inv = make_field(2, 10).tables()
+    assert add.shape == mul.shape == (1024, 1024)
+    assert neg.shape == inv.shape == (1024,)
+    with pytest.raises(RangeError):
+        make_field(2, 11)                     # 2048 > the limit
 
 
 def test_spec_equality_and_hash():
@@ -271,9 +275,18 @@ def test_spec_equality_and_hash():
 
 # -- table-backed scalar ops against the polynomial reference ------------------
 
+def _add_poly(f, a, b):
+    """Digitwise sum of two codes of f, base p."""
+    return f.encode((x + y) % f.p for x, y in zip(f.decode(a), f.decode(b)))
+
+
+def _neg_poly(f, a):
+    return f.encode((-x) % f.p for x in f.decode(a))
+
+
 def assert_binary_ops_match(f, a, b):
     got = (f.add(a, b), f.sub(a, b), f.mul(a, b))
-    want = (f._add_poly(a, b), f._add_poly(a, f._neg_poly(b)),
+    want = (_add_poly(f, a, b), _add_poly(f, a, _neg_poly(f, b)),
             f._mul_poly(a, b))
     assert got == want, (f, a, b)
     assert all(type(v) is int for v in got), (f, a, b)
@@ -281,7 +294,7 @@ def assert_binary_ops_match(f, a, b):
 
 def assert_unary_ops_match(f, a, n):
     got = (f.neg(a), f.pow(a, n), f.frobenius(a))
-    assert got == (f._neg_poly(a), f._pow_poly(a, n),
+    assert got == (_neg_poly(f, a), f._pow_poly(a, n),
                    f._pow_poly(a, f.p)), (f, a, n)
     assert all(type(v) is int for v in got), (f, a, n)
     if a:
@@ -306,7 +319,6 @@ def test_scalar_tables_match_polynomials_exhaustive(p, t):
 @pytest.mark.parametrize("p,t", [(2, 10), (3, 6), (31, 2)])
 def test_scalar_tables_match_polynomials_sampled(p, t):
     f = make_field(p, t)
-    assert f.has_tables
     rng = random.Random(41)
     for _ in range(2000):
         a, b, n = (rng.randrange(f.q) for _ in range(3))
@@ -328,13 +340,12 @@ def test_scalar_tables_non_primitive_modulus():
         assert tbl.shape == (9, 9) and tbl.dtype == np.int64
 
 
-def test_scalar_ops_above_table_cap():
-    f = make_field(2, 11)
-    rng = random.Random(3)
-    for _ in range(50):
-        a = rng.randrange(1, f.q)
-        assert f.mul(a, f.inv(a)) == 1
-        assert f.add(a, f.neg(a)) == 0
+def test_no_field_above_size_limit():
+    # no scalar path is left for orders without tables
+    for p, t in ((2, 11), (3, 7), (1031, 1), (31, 3)):
+        for build in (make_field, FieldSpec):
+            with pytest.raises(RangeError):
+                build(p, t)
 
 
 def test_lazy_tables_built_once_under_threads():

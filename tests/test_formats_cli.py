@@ -76,6 +76,7 @@ def test_pointset_accepts_comments_and_representatives(tmp_path):
     ("pointset 1 3 1 2\n1 0 5\n", "element code outside"),
     ("pointset 1 3 1 2\n0 0 0\n", "zero vector"),
     ("pointset 1 4 1 2\n1 0 1\n", "bad space parameters"),
+    ("pointset 1 2 11 2\n1 0 1\n", "bad space parameters"),   # q > 1024
     ("", "empty file"),
 ])
 def test_pointset_parse_errors(tmp_path, body, fragment):
@@ -209,6 +210,14 @@ def test_cli_check_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.pts"))
     assert code == 3
     assert err.startswith("error: IoError:")
+
+
+def test_cli_check_field_above_size_limit_exits_3(capsys, tmp_path):
+    path = tmp_path / "big.pts"
+    path.write_text("pointset 1 2 11 2\n1 0 1\n")
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 3
+    assert err.startswith("error: ParseError:")
 
 
 def test_cli_reconstruct(capsys, baer_file):

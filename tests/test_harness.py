@@ -10,7 +10,8 @@ import pytest
 
 from blockingsets import catalogue, harness
 from blockingsets.blocking import gap_thresholds, traces_of
-from blockingsets.errors import IoError, NotFoundError, ParseError
+from blockingsets.errors import (IoError, NotFoundError, ParseError,
+                                 TooLargeError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     subspace_traces)
@@ -347,3 +348,21 @@ def test_large_space_profile_matches_per_line_scan(fast_instances):
         shared += profile["max_through_secant"] > 1
         shared += profile["max_through_tangent"] > 1
     assert shared >= 2
+
+
+def test_dual_sizes_count_points_on_each_hyperplane():
+    cone, baer = (catalogue.load_shipped([name])[0]
+                  for name in ("cone_pg3_9", "baer_pg2_9"))
+    a = harness.InstanceAnalysis(cone)
+    sizes = a.dual_sizes
+    # brute force: the set's points x with u . x = 0, for every covector u
+    add, mul, _, _ = a.space.field.tables()
+    cov = a.dual_space.coords_array()
+    pts = cone.points.coords()
+    dot = np.zeros((cov.shape[0], pts.shape[0]), dtype=np.int64)
+    for j in range(a.n + 1):
+        dot = add[dot, mul[cov[:, None, j], pts[None, :, j]]]
+    assert np.array_equal(sizes, (dot == 0).sum(axis=1))
+    # in PG(2, q) the hyperplanes are lines, keyed by line rank
+    with pytest.raises(TooLargeError):
+        harness.InstanceAnalysis(baer).dual_sizes

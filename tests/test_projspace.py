@@ -269,29 +269,33 @@ def test_trace_summary_accessors(baer):
 
 
 def test_trace_modes_agree():
+    # the planes of PG(3,3) from the hyperplane scan and from the rows of
+    # the incidence table, whose keys are enumeration indices in any
+    # dimension (decoded here through the table's bases)
     space = pg(3, 3)
     rng = np.random.default_rng(31)
     pts = PointSet(space, rng.choice(space.num_points, size=11,
                                      replace=False))
     planes_dual = subspace_traces(pts, 2)
     planes_full = projspace._scan_full(space, pts, 2)
-    assert planes_dual.mode == "dual" and planes_full.mode == "full"
     a = sorted([0] * planes_dual.x0 + [int(s) for s in planes_dual.sizes])
     b = sorted([0] * planes_full.x0 + [int(s) for s in planes_full.sizes])
     assert a == b
 
-    def plane_sets(summary):
+    def plane_sets(summary, plane_at):
         assert np.all(np.diff(summary.keys) > 0)
         out = {}
         for idx in range(summary.sizes.size):
-            plane = summary.subspace_at(idx)
+            plane = plane_at(idx)
             on = pts.ranks[summary.points_of(idx)]
             assert on.size == summary.sizes[idx]
             assert np.array_equal(
                 on, np.intersect1d(plane.point_ranks(), pts.ranks))
             out[plane.rows] = tuple(on.tolist())
         return out
-    assert plane_sets(planes_dual) == plane_sets(planes_full)
+    assert plane_sets(planes_dual, planes_dual.subspace_at) == plane_sets(
+        planes_full, lambda idx: space.subspace_by_index(
+            2, int(planes_full.keys[idx])))
 
 
 def _reference_line_rank(space, rows):
@@ -326,7 +330,6 @@ def test_packed_line_keys_roundtrip():
     space = pg(3, 3, 2)
     pts = PointSet(space, np.arange(25, dtype=np.int64) * 7)
     lines = subspace_traces(pts, 1)
-    assert lines.mode == "rank"
     sel = np.arange(min(40, lines.sizes.size))
     bulk = space.line_bases(lines.keys[sel])
     assert np.array_equal(lines.bases(sel), bulk)
@@ -446,15 +449,16 @@ def test_line_keys_are_canonical(n, p, t):
 
 
 def test_cached_arrays_are_read_only():
-    space = pg(3, 3)
+    space, middle = pg(3, 3), pg(4, 2)
     pts = PointSet(space, [0, 5, 17, 30, 31])
-    arrays = [pts.ranks, pts.mask(), pts.coords(), space.coords_array(),
-              space.incidence(1)]
-    for summary, mode in ((subspace_traces(pts, 1), "rank"),
-                          (subspace_traces(pts, 2), "dual"),
-                          (projspace._scan_full(space, pts, 2), "full"),
-                          (subspace_traces(pts, 3), "full")):
-        assert summary.mode == mode
+    arrays = [pts.ranks, pts.mask(), pts.coords(), space.coords_array()]
+    # lines, hyperplanes, a middle dimension (the incidence table) and
+    # dim = n
+    summaries = [subspace_traces(pts, 1), subspace_traces(pts, 2),
+                 subspace_traces(PointSet(middle, [0, 5, 17, 30]), 2),
+                 subspace_traces(pts, 3)]
+    arrays.append(middle.incidence(2))
+    for summary in summaries:
         groupings = summary.by_subspace() + summary.by_point()
         assert groupings[0].dtype == groupings[2].dtype == np.int32
         arrays += [summary.keys, summary.sizes, *groupings,
@@ -481,10 +485,10 @@ def test_subspace_space_mismatch():
 
 
 def test_space_needs_field_tables():
-    with pytest.raises(TooLargeError):
-        ProjectiveSpace(2, make_field(2, 11))
-    with pytest.raises(TooLargeError):     # nothing half-built was kept
-        ProjectiveSpace(2, make_field(2, 11))
+    # every field has tables: one of order 2^11 is refused when it is made
+    for _ in range(2):                     # nothing half-built was kept
+        with pytest.raises(RangeError):
+            ProjectiveSpace(2, make_field(2, 11))
 
 
 def test_normalize_rejects_codes_outside_field():

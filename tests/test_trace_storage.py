@@ -22,8 +22,11 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
 from blockingsets.spreads import spread_context
 
 # (n, p, t); PG(4,2) reaches every (point lead, direction lead) pair of
-# the line kernel with up to three free digits, PG(2,8) is GF(2^3)
-SPACES = [(2, 2, 2), (3, 3, 1), (2, 3, 2), (3, 2, 2), (4, 2, 1), (2, 2, 3)]
+# the line kernel with up to three free digits, PG(2,8) is GF(2^3), and
+# PG(4,2) and PG(5,2) have middle dimensions (2, then 2 and 3), read
+# from the incidence table
+SPACES = [(2, 2, 2), (3, 3, 1), (2, 3, 2), (3, 2, 2), (4, 2, 1), (2, 2, 3),
+          (5, 2, 1)]
 
 
 def _space(n, p, t):
@@ -31,15 +34,9 @@ def _space(n, p, t):
 
 
 def _summaries(pts):
-    """A summary in every storage mode the set's space offers: the scans,
-    the full table and dim = n."""
-    space = pts.space
-    out = [subspace_traces(pts, space.n)]
-    for dim in range(1, space.n):
-        out.append(subspace_traces(pts, dim))
-        if space._incidence_ok(dim):
-            out.append(projspace._scan_full(space, pts, dim))
-    return out
+    """A summary for every dimension: the line and hyperplane scans, the
+    incidence table for the middle dimensions, and dim = n."""
+    return [subspace_traces(pts, dim) for dim in range(1, pts.space.n + 1)]
 
 
 def _unrank_line(space, rank):
@@ -64,15 +61,15 @@ def _unrank_line(space, rank):
 
 
 def _decoded_rows(summary, idx):
-    """The basis of slot idx decoded from its key alone, as each mode
-    defines the key, then brought to RREF by `linalg.rref`."""
+    """The basis of slot idx decoded from its key alone, as the summary's
+    dimension defines the key, then brought to RREF by `linalg.rref`."""
     space, field, n = summary.space, summary.space.field, summary.space.n
     key = summary.keys[idx]
     if summary.dim == n:
         rows = np.eye(n + 1, dtype=np.int64).tolist()
-    elif summary.mode == "rank":
+    elif summary.dim == 1:
         rows = _unrank_line(space, int(key))
-    elif summary.mode == "dual":
+    elif summary.dim == n - 1:
         # the hyperplane u . x = 0 of the covector of rank key
         rows = linalg.left_kernel([[c] for c in space.coords_of(int(key))],
                                   field)
@@ -92,7 +89,7 @@ def _scan_order(summary, pos):
     n = space.n
     p = space.coords_of(int(summary.point_ranks[pos]))
     out = []
-    if summary.mode == "rank":
+    if summary.dim == 1:
         lead = next(i for i, c in enumerate(p) if c)
         cols = [c for c in range(n + 1) if c != lead]
         for lam in ProjectiveSpace(n - 1, field).coords_array().tolist():
@@ -122,7 +119,7 @@ def test_trace_summaries_match_brute_force(data):
     m = len(pts)
     for summary in _summaries(pts):
         nslots = summary.sizes.size
-        # canonical bases of any selection of slots, in any order and mode
+        # canonical bases of any selection of slots, in any order and dim
         sel = rng.choice(nslots, min(nslots, 12), replace=False)
         bases = summary.bases(sel)
         assert bases.shape == (sel.size, summary.dim + 1, space.n + 1)
@@ -141,7 +138,7 @@ def test_trace_summaries_match_brute_force(data):
         for pos in range(m):
             through = summary.indices_through_point(pos).tolist()
             assert through == [i for i in range(nslots) if pos in brute[i]]
-            if summary.mode in ("rank", "dual"):
+            if summary.dim in (1, space.n - 1):
                 # the scans list the same subspaces in the same order
                 rows = summary.bases(through).tolist()
                 assert [tuple(map(tuple, r)) for r in rows] \
