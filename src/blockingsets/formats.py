@@ -103,22 +103,35 @@ def read_pointset(path: str, with_meta: bool = False):
         raise ParseError(f"{path}: bad space parameters "
                          f"p={p} t={t} n={n}: {exc}") from exc
     q = space.q
-    ranks = []
-    for lineno, row in rows:
-        if any(c < 0 or c >= q for c in row):
-            raise ParseError(f"{path}:{lineno}: element code outside "
-                             f"0..{q - 1}")
-        try:
-            ranks.append(int(space.ranks_from_rows(
-                np.asarray([row], dtype=np.int64))[0]))
-        except EmptyInputError as exc:
-            raise ParseError(f"{path}:{lineno}: zero vector") from exc
+    # rank the whole file in one call; a code past int64 or a flagged row
+    # sends the rows through the per-row checks, which name the first bad
+    # line in file order (the reshape keeps a header-only file 2-d)
+    try:
+        arr = np.array([row for _, row in rows],
+                       dtype=np.int64).reshape(len(rows), n + 1)
+        ok = ((arr >= 0) & (arr < q)).all() and (arr != 0).any(axis=1).all()
+    except OverflowError:
+        ok = False
+    if not ok:
+        _raise_first_bad_row(path, rows, q)
+    ranks = space.ranks_from_rows(arr)
     pts = PointSet(space, ranks)
     if not with_meta:
         return pts
     side = meta_path(path)
     meta = read_json(side) if os.path.exists(side) else None
     return pts, meta
+
+
+def _raise_first_bad_row(path: str, rows, q: int):
+    """Raise the ParseError of the first row, in file order, with a code
+    outside 0..q-1 or no nonzero code; a row is checked for range first."""
+    for lineno, row in rows:
+        if any(c < 0 or c >= q for c in row):
+            raise ParseError(f"{path}:{lineno}: element code outside "
+                             f"0..{q - 1}")
+        if not any(row):
+            raise ParseError(f"{path}:{lineno}: zero vector")
 
 
 def write_json(path: str, obj):

@@ -37,6 +37,9 @@ from .errors import (
 _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
+# bytes of one (subspaces, points per subspace, n+1) int64 buffer in the
+# chunked incidence build
+_INCIDENCE_CHUNK_BYTES = 1 << 22
 # per-point scans count keys whose range is at most this many incidences
 _COUNT_RANGE = 8
 # lazy trace orderings and per-point counts are built once, whole
@@ -324,7 +327,7 @@ class ProjectiveSpace:
         npar = params.shape[0]
         # on[i] holds the point ranks of subspace i
         on = np.empty((len(stack), npar), dtype=np.int32)
-        step = max(1, _INCIDENCE_CAP // (npar * (self.n + 1) * 4))
+        step = max(1, _INCIDENCE_CHUNK_BYTES // (npar * (self.n + 1) * 8))
         for lo in range(0, len(stack), step):
             hi = min(lo + step, len(stack))
             acc = np.zeros((hi - lo, npar, self.n + 1), dtype=np.int64)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import blockingsets
-from blockingsets import blocking, fields, harness, projspace, spreads
+from blockingsets import blocking, fields, formats, harness, projspace, spreads
 from blockingsets.fields import make_field
 from blockingsets.projspace import PointSet, ProjectiveSpace
 
@@ -56,6 +56,8 @@ def test_tracer_installs_and_restores_every_attribute(tracing):
             ("module", "blockingsets.projspace")]["_scan_full"]
         assert vars(ProjectiveSpace)["incidence"] is not before[
             ("class", "ProjectiveSpace")]["incidence"]
+        assert formats.read_pointset is not before[
+            ("module", "blockingsets.formats")]["read_pointset"]
         assert not _same(before, during)
     finally:
         tracer.uninstall()
@@ -79,3 +81,36 @@ def test_middle_dimension_spectrum_fires_the_table_metrics(tracing):
     assert metrics["projspace.table_scan_s"] > 0
     assert metrics["projspace.incidence_table_s"] > 0
     assert metrics["blocking.trace_scans"] == 2
+
+
+def _random_set_file(path, rows):
+    space = ProjectiveSpace(4, make_field(5, 1))
+    rng = np.random.default_rng(9)
+    pts = PointSet(space, rng.choice(space.num_points, rows, replace=False))
+    formats.write_pointset(str(path), pts)
+    return pts
+
+
+def test_reading_a_file_fires_its_metric(tracing, tmp_path):
+    pts = _random_set_file(tmp_path / "set.pts", 50)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert formats.read_pointset(str(tmp_path / "set.pts")) == pts
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["formats.read_pointset_s"] > 0
+
+
+def test_read_pointset_ranks_a_file_in_one_call(monkeypatch, tmp_path):
+    pts = _random_set_file(tmp_path / "set.pts", 500)
+    orig = ProjectiveSpace.ranks_from_rows
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProjectiveSpace, "ranks_from_rows", counted)
+    assert formats.read_pointset(str(tmp_path / "set.pts")) == pts
+    assert calls == [pts.space]

@@ -6,6 +6,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockingsets import catalogue, formats, harness
 from blockingsets.blocking import traces_of
@@ -96,6 +98,64 @@ def test_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(ParseError) as err:
         formats.read_pointset(path)
     assert f"{path}:4:" in str(err.value)
+
+
+@pytest.mark.parametrize("body,where", [
+    # codes past int64 either way: a range error, not an overflow
+    (f"pointset 1 3 1 2\n1 0 1\n\n1 0 {10 ** 23}\n",
+     "4: element code outside 0..2"),
+    (f"pointset 1 3 1 2\n1 0 1\n\n1 0 {-10 ** 23}\n",
+     "4: element code outside 0..2"),
+    # the first bad row in file order, whatever its fault
+    ("pointset 1 3 1 2\n0 0 0\n1 0 7\n", "2: zero vector"),
+    ("pointset 1 3 1 2\n1 0 7\n0 0 0\n", "2: element code outside 0..2"),
+    # syntax errors come before the space is built
+    ("pointset 1 4 1 2\n1 0 1\n1 x 1\n", "3: non-integer coordinate"),
+])
+def test_parse_errors_name_the_first_bad_row(tmp_path, body, where):
+    path = str(tmp_path / "bad.pts")
+    with open(path, "w") as fh:
+        fh.write(body)
+    with pytest.raises(ParseError) as err:
+        formats.read_pointset(path)
+    assert f"{path}:{where}" in str(err.value)
+
+
+def test_pointset_header_only_is_empty(tmp_path):
+    path = str(tmp_path / "empty.pts")
+    with open(path, "w") as fh:
+        fh.write("# nothing but a header\npointset 1 3 1 2\n\n")
+    pts = formats.read_pointset(path)
+    assert len(pts) == 0
+    assert pts.space is ProjectiveSpace(2, make_field(3, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pointset_reads_any_representatives(tmp_path_factory, data):
+    n, p, t = data.draw(st.sampled_from(
+        [(2, 2, 2), (3, 3, 1), (4, 2, 1), (2, 7, 2)]))
+    space = ProjectiveSpace(n, make_field(p, t))
+    mul = space.field.tables()[1]
+    picks = data.draw(st.lists(
+        st.integers(0, space.num_points - 1), max_size=60))
+    picks += picks[:data.draw(st.integers(0, 10))]      # repeated rows
+    rows = []
+    for rank in picks:
+        scale = data.draw(st.integers(1, space.q - 1))
+        rows.append([int(mul[scale, c]) for c in space.coords_of(rank)])
+    rows = data.draw(st.permutations(rows))
+    lines = ["# a random set", f"pointset 1 {p} {t} {n}"]
+    for row in rows:
+        lines.append(" ".join(map(str, row)))
+        lines += data.draw(st.sampled_from([[], [""], ["# comment"]]))
+    path = str(tmp_path_factory.mktemp("pts") / "set.pts")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    # the reference ranks each row on its own, as the per-row reader did
+    want = sorted({space.rank_of(row) for row in rows})
+    assert formats.read_pointset(path).ranks.tolist() == want
+    assert want == sorted(set(picks))
 
 
 def test_io_errors(tmp_path, baer):
@@ -217,6 +277,15 @@ def test_cli_check_field_above_size_limit_exits_3(capsys, tmp_path):
     path.write_text("pointset 1 2 11 2\n1 0 1\n")
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 3
+    assert err.startswith("error: ParseError:")
+
+
+@pytest.mark.parametrize("code", [10 ** 23, -10 ** 23])
+def test_cli_check_code_past_int64_exits_3(capsys, tmp_path, code):
+    path = tmp_path / "huge.pts"
+    path.write_text(f"pointset 1 3 1 2\n1 0 {code}\n")
+    status, _, err = run_cli(capsys, "check", str(path))
+    assert status == 3
     assert err.startswith("error: ParseError:")
 
 

@@ -469,6 +469,24 @@ def test_cached_arrays_are_read_only():
             arr[0] = 0
 
 
+@pytest.mark.parametrize("budget", [1, 4096])
+@pytest.mark.parametrize("n,q,dim", [(4, 2, 2), (4, 3, 2), (5, 2, 2),
+                                     (5, 2, 3)])
+def test_incidence_table_does_not_depend_on_the_chunk_size(
+        monkeypatch, n, q, dim, budget):
+    # a budget of 1 byte builds one subspace at a time; 4096 bytes leaves
+    # a shorter last chunk in each of these spaces
+    space = pg(n, q)
+    want, bases = space.incidence(dim), space._bases[dim]
+    monkeypatch.setattr(space, "_incidence", {})
+    monkeypatch.setattr(space, "_bases", {})
+    monkeypatch.setattr(projspace, "_INCIDENCE_CHUNK_BYTES", budget)
+    got = space.incidence(dim)
+    assert got is not want and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(space._bases[dim], bases)
+
+
 def test_projpoint_wrapper():
     space = pg(2, 3)
     coords = space.normalize((2, 1, 0))
