@@ -10,7 +10,13 @@ elements it touches.
 
 The spread is cached eagerly as two integer arrays (big rank -> sorted small
 ranks of its element, small rank -> big rank), since those lookups sit inside
-the reconstruction inner loop.
+the reconstruction inner loop.  They are built in closed form: the element of
+a normalized big point v is {lambda*v}, lambda running over the codes whose
+first nonzero base-p digit is 1 (one per coset of GF(p)* in GF(p^h)*), and
+each such lambda*v blows up to an already normalized small row.  So each
+representative costs one table lookup and one matrix product, with no row
+normalization (Lavrauw-Van de Voorde, Field reduction and linear sets in
+finite geometry, 2015).  A point rank outside the space is a RangeError.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     BadParamsError,
     DimensionMismatchError,
     NotASublineError,
+    RangeError,
     SpecMismatchError,
     TooLargeError,
     XNotOnElementError,
@@ -71,38 +78,44 @@ class SpreadContext:
                 out.append(d)
         return tuple(out)
 
-    def _blow_up_rows(self, arr: np.ndarray) -> np.ndarray:
-        p0, h = self.p0, self.h
-        m = arr.shape[0]
-        out = np.empty((m, self.small.n + 1), dtype=np.int64)
-        for j in range(self.big.n + 1):
-            c = arr[:, j]
-            for i in range(h):
-                out[:, j * h + i] = c % p0
-                c = c // p0
-        return out
-
     # -- cache ----------------------------------------------------------------
 
     def _build_cache(self):
         # The element of a big point v holds the small points of lambda*v,
-        # lambda in GF(q)*, and lambda matters only modulo GF(p0)*.  For a
-        # generator g of GF(q)* that subgroup is <g^per>, so g^0 .. g^(per-1)
-        # are coset representatives and reach each point of the element once.
+        # lambda in GF(q)*, and lambda matters only modulo GF(p0)*.  Scaling
+        # by GF(p0)* scales every base-p0 digit alike, so the codes whose
+        # first nonzero digit (least significant first) is 1 are one
+        # representative per coset.  With v normalized, lambda*v blows up to
+        # an already normalized small row: zero before small column
+        # h*lead(v), then the digits of lambda.  Its small lead is
+        # h*lead(v) + first_nonzero_digit(lambda), and its rank is
+        # weight[lambda*v] @ block + offs[lead] - powers[lead], where
+        # weight[c] reads c's digits as a base-p0 numeral in small-column
+        # order and block[j] = p0^(h(n-j)) is the place of big column j.
         big, small = self.big, self.small
+        p0, h, n = self.p0, self.h, big.n
         nbig = big.num_points
         per = self.points_per_element
         _, mul, _, _ = big.field.tables()
-        g = big.field.primitive_element()
-        scaled = big.coords_array()
+        codes = np.arange(big.q, dtype=np.int64)
+        digits = codes[:, None] // p0 ** np.arange(h) % p0
+        weight = digits @ p0 ** np.arange(h - 1, -1, -1)
+        first = (digits != 0).argmax(axis=1)
+        reps = np.flatnonzero(digits[codes, first] == 1)
+        if reps.size != per:
+            raise SpecMismatchError(
+                f"spread cache: {reps.size} coset representatives, "
+                f"expected {per}")
+        coords = big.coords_array()
+        big_lead = h * (coords != 0).argmax(axis=1)
+        block = p0 ** (h * (n - np.arange(n + 1, dtype=np.int64)))
+        offs = np.asarray(small._offsets, dtype=np.int64)
+        powers = np.asarray(small._powers, dtype=np.int64)
+        start = offs - powers
         ranks = np.empty((per, nbig), dtype=np.int64)
-        for i in range(per):
-            ranks[i] = small.ranks_from_rows(self._blow_up_rows(scaled))
-            scaled = mul[scaled, g]
-        # g^per lies in GF(p0)*: it must fix every small point
-        if not np.array_equal(
-                small.ranks_from_rows(self._blow_up_rows(scaled)), ranks[0]):
-            raise SpecMismatchError("spread cache: g^per moves a point")
+        for i, lam in enumerate(reps):
+            ranks[i] = weight[mul[coords, lam]] @ block \
+                + start[big_lead + first[lam]]
         ranks.sort(axis=0)
         if not (ranks[1:] != ranks[:-1]).all():
             raise SpecMismatchError("spread cache: an element repeats a point")
@@ -122,7 +135,7 @@ class SpreadContext:
     # -- spread queries --------------------------------------------------------
 
     def element_ranks(self, big_rank: int) -> np.ndarray:
-        return self.big_to_small[int(big_rank)]
+        return self.big_to_small[_checked_rank(self.big, big_rank)]
 
     def spread_element(self, point) -> Subspace:
         """S(P): the small-side (h-1)-space of a big-side point."""
@@ -142,7 +155,7 @@ class SpreadContext:
         """Rank of the big-side point whose spread element covers the
         given small-side point."""
         if isinstance(small_point, (int, np.integer)):
-            r = int(small_point)
+            r = _checked_rank(self.small, small_point)
         else:
             r = self.small.rank_of(_coerce_coords(self.small, small_point))
         return int(self.small_to_big[r])
@@ -155,8 +168,11 @@ class SpreadContext:
                         np.unique(self.small_to_big[pi.point_ranks()]))
 
     def linear_set_of_ranks(self, small_ranks) -> np.ndarray:
-        return np.unique(self.small_to_big[np.asarray(small_ranks,
-                                                      dtype=np.int64)])
+        ranks = np.asarray(small_ranks, dtype=np.int64)
+        if ranks.size and (ranks.min() < 0
+                           or ranks.max() >= self.small.num_points):
+            raise RangeError(f"point rank out of range for {self.small!r}")
+        return np.unique(self.small_to_big[ranks])
 
     def blow_up_subspace(self, sub: Subspace) -> Subspace:
         """S(H): the span of the spread elements of the points of H,
@@ -194,7 +210,7 @@ class SpreadContext:
             raise BadParamsError(
                 f"expected {self.p0 + 1} points, got {len(subline_points)}")
         if isinstance(x, (int, np.integer)):
-            xrank = int(x)
+            xrank = _checked_rank(self.small, x)
         else:
             xrank = self.small.rank_of(_coerce_coords(self.small, x))
         home = int(self.small_to_big[xrank])
@@ -222,6 +238,14 @@ class SpreadContext:
             raise SpecMismatchError("two transversal lines through one point")
         return _line_of(self.small, tuple(xv.tolist()),
                         tuple(ys[matches[0]].tolist()))
+
+
+def _checked_rank(space: ProjectiveSpace, rank) -> int:
+    # numpy would wrap a negative rank round to the end of the cache
+    r = int(rank)
+    if not 0 <= r < space.num_points:
+        raise RangeError(f"point rank {r} out of range for {space!r}")
+    return r
 
 
 @locked_cache(maxsize=8)

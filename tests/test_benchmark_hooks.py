@@ -114,3 +114,34 @@ def test_read_pointset_ranks_a_file_in_one_call(monkeypatch, tmp_path):
     monkeypatch.setattr(ProjectiveSpace, "ranks_from_rows", counted)
     assert formats.read_pointset(str(tmp_path / "set.pts")) == pts
     assert calls == [pts.space]
+
+
+def test_spread_build_ranks_in_closed_form(monkeypatch):
+    big = ProjectiveSpace(3, make_field(7, 2))
+    calls = []
+    for attr in ("ranks_from_rows", "normalize_rows"):
+        orig = getattr(ProjectiveSpace, attr)
+
+        def counted(self, *args, _orig=orig, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProjectiveSpace, attr, counted)
+    ctx = spreads.SpreadContext(big)      # not the cached spread_context
+    assert ctx.big_to_small.shape == (big.num_points, 8)
+    assert calls == []
+
+
+def test_spread_build_fires_its_metrics(tracing):
+    big = ProjectiveSpace(2, make_field(7, 2))
+    before = vars(spreads.SpreadContext)["__init__"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert vars(spreads.SpreadContext)["__init__"] is not before
+        spreads.SpreadContext(big)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["spreads.contexts_built"] == 1
+    assert metrics["spreads.context_build_s"] > 0

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockingsets.errors import (DimensionMismatchError, NotASublineError,
-                                 XNotOnElementError)
+                                 RangeError, XNotOnElementError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace, span
-from blockingsets.spreads import spread_context
+from blockingsets.spreads import SpreadContext, spread_context
+
+# (p, t, n) of the big space of every shipped catalogue instance
+SHIPPED = [(3, 2, 2), (3, 2, 3), (3, 3, 2), (7, 2, 2), (7, 2, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -157,3 +162,94 @@ def test_prime_subfield_reduction_of_gf27():
     assert ctx.small.n == 8
     elem = ctx.element_ranks(0)
     assert elem.size == (27 - 1) // 2
+
+
+def test_out_of_range_ranks_are_range_errors(ctx9, baer):
+    nbig, nsmall = ctx9.big.num_points, ctx9.small.num_points
+    for bad in (-1, nbig, nbig + 5):
+        with pytest.raises(RangeError):
+            ctx9.element_ranks(bad)
+    for bad in (-1, nsmall):
+        with pytest.raises(RangeError):
+            ctx9.big_point_of(bad)
+        with pytest.raises(RangeError):
+            ctx9.linear_set_of_ranks([0, bad])
+    assert ctx9.big_point_of(nsmall - 1) == ctx9.small_to_big[-1]
+    assert ctx9.linear_set_of_ranks([]).size == 0
+    line = Subspace(ctx9.big, [(1, 0, 0), (0, 1, 0)])
+    for bad in (-1, nsmall):
+        with pytest.raises(RangeError):
+            ctx9.transversal_line(PointSet(ctx9.big, line.point_ranks()[:4]),
+                                  bad)
+
+
+# -- the spread cache against the construction it replaced ---------------------
+
+def _blow_up_rows(arr, p0, h):
+    out = np.empty((arr.shape[0], arr.shape[1] * h), dtype=np.int64)
+    for j in range(arr.shape[1]):
+        c = arr[:, j]
+        for i in range(h):
+            out[:, j * h + i] = c % p0
+            c = c // p0
+    return out
+
+
+def _reference_cache(ctx):
+    """The spread arrays by the generator-power construction: g^0 ..
+    g^(per-1) for a generator g of GF(q)* are coset representatives of
+    GF(q)*/GF(p0)*, and each scaled point is blown up, normalized and
+    ranked row by row."""
+    big, small = ctx.big, ctx.small
+    per = ctx.points_per_element
+    _, mul, _, _ = big.field.tables()
+    g = big.field.primitive_element()
+    scaled = big.coords_array()
+    ranks = np.empty((per, big.num_points), dtype=np.int64)
+    for i in range(per):
+        ranks[i] = small.ranks_from_rows(_blow_up_rows(scaled, ctx.p0, ctx.h))
+        scaled = mul[scaled, g]
+    ranks.sort(axis=0)
+    big_to_small = ranks.T
+    small_to_big = np.empty(small.num_points, dtype=np.int64)
+    small_to_big[big_to_small.reshape(-1)] = np.repeat(
+        np.arange(big.num_points), per)
+    return big_to_small, small_to_big
+
+
+REFERENCE_SPACES = [(p, t, n, None) for p, t, n in SHIPPED] + [
+    (7, 1, 2, None), (2, 1, 3, None),           # prime fields: h = 1
+    (3, 2, 2, (1, 0, 1)),                       # x^2 + 1: x is no generator
+    (2, 4, 2, None), (2, 3, 3, None), (5, 2, 2, None), (2, 2, 4, None),
+    (3, 4, 2, None), (2, 6, 2, None)]
+
+
+@pytest.mark.parametrize("p,t,n,modulus", REFERENCE_SPACES)
+def test_spread_cache_matches_reference_construction(p, t, n, modulus):
+    ctx = SpreadContext(ProjectiveSpace(n, make_field(p, t, modulus)))
+    big_to_small, small_to_big = _reference_cache(ctx)
+    assert np.array_equal(ctx.big_to_small, big_to_small)
+    assert np.array_equal(ctx.small_to_big, small_to_big)
+
+
+# -- the spread partitions the small side, checked apart from the build --------
+
+@pytest.mark.parametrize("p,t,n", SHIPPED)
+def test_spread_partitions_small_side(p, t, n):
+    ctx = spread_context(ProjectiveSpace(n, make_field(p, t)))
+    counts = np.bincount(ctx.small_to_big, minlength=ctx.big.num_points)
+    assert counts.size == ctx.big.num_points
+    assert (counts == ctx.points_per_element).all()
+    small = np.arange(ctx.small.num_points)
+    home = ctx.big_to_small[ctx.small_to_big]
+    assert (home == small[:, None]).any(axis=1).all()
+
+
+@pytest.mark.parametrize("p,t,n", SHIPPED)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sampled_elements_match_spread_element(p, t, n, data):
+    ctx = spread_context(ProjectiveSpace(n, make_field(p, t)))
+    rank = data.draw(st.integers(0, ctx.big.num_points - 1))
+    sub = ctx.spread_element(ctx.big.coords_of(rank))
+    assert np.array_equal(ctx.element_ranks(rank), sub.point_ranks())

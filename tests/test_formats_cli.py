@@ -502,6 +502,14 @@ def test_cli_spread_dump(capsys):
     assert data["spread_elements"] == 91
 
 
+@pytest.mark.parametrize("point", ["91", "-1"])
+def test_cli_spread_dump_rank_out_of_range(capsys, point):
+    code, out, err = run_cli(capsys, "spread-dump", "--p", "3", "--t", "2",
+                             "--n", "2", "--point", point)
+    assert code == 2 and out == ""
+    assert f"RangeError: point rank {point} out of range" in err
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
