@@ -37,9 +37,6 @@ from .errors import (
 _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
-# bytes of one (subspaces, points per subspace, n+1) int64 buffer in the
-# chunked incidence build
-_INCIDENCE_CHUNK_BYTES = 1 << 22
 # per-point scans count keys whose range is at most this many incidences
 _COUNT_RANGE = 8
 # lazy trace orderings and per-point counts are built once, whole
@@ -265,15 +262,22 @@ class ProjectiveSpace:
                 lifted.append(tuple(amb))
             yield Subspace(self, base.rows + tuple(lifted))
 
-    def _subspaces_all(self, dim: int):
-        r = dim + 1
-        m = self.n + 1
-        q = self.q
+    def _cells(self, dim: int):
+        """The RREF cells of the dim-subspaces, in enumeration order: each
+        pivot column set (ascending) with its free cells (row, column),
+        row-major.  A cell lists its subspaces as a base-q odometer over
+        the free entries, the first free cell most significant."""
+        r, m = dim + 1, self.n + 1
         for pivots in itertools.combinations(range(m), r):
-            cells = [(i, c) for i in range(r)
-                     for c in range(pivots[i] + 1, m) if c not in pivots]
-            for values in itertools.product(range(q), repeat=len(cells)):
-                rows = [[0] * m for _ in range(r)]
+            yield pivots, [(i, c) for i in range(r)
+                           for c in range(pivots[i] + 1, m)
+                           if c not in pivots]
+
+    def _subspaces_all(self, dim: int):
+        m = self.n + 1
+        for pivots, cells in self._cells(dim):
+            for values in itertools.product(range(self.q), repeat=len(cells)):
+                rows = [[0] * m for _ in pivots]
                 for i, p in enumerate(pivots):
                     rows[i][p] = 1
                 for (i, c), val in zip(cells, values):
@@ -310,36 +314,66 @@ class ProjectiveSpace:
         theta the number through any one point: row r lists the indices
         (places in `subspaces(dim)` order) of those through point r,
         ascending.  Built once per dim, with the canonical bases of all
-        dim-subspaces, which decode an index."""
+        dim-subspaces, which decode an index.
+
+        The build goes one RREF cell (see `_cells`) at a time, with no
+        row normalized.  For a normalized point a of PG(dim, q) and a
+        canonical basis B, a B is normalized: it holds a_i at pivot p_i,
+        so its lead is the pivot of a's lead row, and zeros before it.  Its
+        rank is then a per-cell vector over a (pivot columns and lead),
+        plus one term per free column c, whose digit is the sum of
+        a_i B[i, c] over the rows i pivoting before c: a table over the
+        grid axes of those free entries, broadcast into the cell's ranks."""
         got = self._incidence.get(dim)
         if got is not None:
             return got
+        if not 0 <= dim <= self.n:
+            raise RangeError(f"subspace dimension {dim} out of range")
         if not self._incidence_ok(dim):
             raise TooLargeError(
                 f"incidence table for dim {dim} of {self!r} is too large")
-        stack = _frozen(np.asarray(
-            [sub.rows for sub in self._subspaces_all(dim)], dtype=np.int64))
-        self._bases[dim] = stack
-        r = dim + 1
+        q, r = self.q, dim + 1
         add, mul, _, _ = self.field.tables()
         params = ProjectiveSpace(dim, self.field).coords_array() \
             if dim >= 1 else np.ones((1, 1), dtype=np.int64)
         npar = params.shape[0]
+        lead = (params != 0).argmax(axis=1)
+        offs = np.asarray(self._offsets, dtype=np.int64)
+        powers = np.asarray(self._powers, dtype=np.int64)
+        digits = np.arange(q)[:, None]
+        ns = self.num_subspaces(dim)
+        stack = np.zeros((ns, r, self.n + 1), dtype=np.int64)
         # on[i] holds the point ranks of subspace i
-        on = np.empty((len(stack), npar), dtype=np.int32)
-        step = max(1, _INCIDENCE_CHUNK_BYTES // (npar * (self.n + 1) * 8))
-        for lo in range(0, len(stack), step):
-            hi = min(lo + step, len(stack))
-            acc = np.zeros((hi - lo, npar, self.n + 1), dtype=np.int64)
-            for j in range(r):
-                term = mul[params[None, :, j, None], stack[lo:hi, None, j, :]]
-                acc = add[acc, term]
-            on[lo:hi] = self.ranks_from_rows(acc, normalized=False)
+        on = np.empty((ns, npar), dtype=np.int32)
+        lo = 0
+        for pivots, cells in self._cells(dim):
+            k = len(cells)
+            piv = np.asarray(pivots)
+            bases = stack[lo:lo + q ** k]
+            bases[:, np.arange(r), piv] = 1
+            grid = np.arange(q ** k)
+            for place, (i, c) in enumerate(cells):
+                bases[:, i, c] = grid // q ** (k - 1 - place) % q
+            ranks = on[lo:lo + q ** k].reshape((q,) * k + (npar,))
+            ranks[...] = params @ powers[piv] + (offs - powers)[piv[lead]]
+            columns = {}
+            for place, (i, c) in enumerate(cells):
+                columns.setdefault(c, []).append((place, i))
+            for c, entries in columns.items():
+                # the digit at c over the free entries of column c, one
+                # grid axis per row, in row order as in the grid: row i
+                # adds a_i x for its entry x
+                digit = np.zeros((npar,), dtype=np.int64)
+                shape = [1] * k + [npar]
+                for place, i in entries:
+                    digit = add[digit[..., None, :], mul[digits, params[:, i]]]
+                    shape[place] = q
+                ranks += (digit * powers[c]).astype(np.int32).reshape(shape)
+            lo += q ** k
+        self._bases[dim] = _frozen(stack)
         # every point lies on theta subspaces, so a stable sort by point
         # splits the flat positions into equal rows, each ascending, and
-        # a flat position divided by npar is its subspace; the chunk
-        # buffers go first, so the sort does not raise the peak memory
-        del acc, term
+        # a flat position divided by npar is its subspace
         through = np.argsort(on.reshape(-1), kind="stable")
         del on
         through //= npar
@@ -350,6 +384,9 @@ class ProjectiveSpace:
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
         if dim not in self._bases:
             self.incidence(dim)
+        if not 0 <= idx < len(self._bases[dim]):
+            raise RangeError(
+                f"subspace index {idx} out of range for dim {dim}")
         return Subspace(self, self._bases[dim][idx].tolist())
 
     # -- dense line ranks ------------------------------------------------------
@@ -822,6 +859,7 @@ class TraceSummary:
         self._by_subspace = None
         self._counts = {}
         self._size_counts = None
+        self._uncovered = None
 
     @property
     def x0(self) -> int:
@@ -862,8 +900,17 @@ class TraceSummary:
         slots[offsets[p]:offsets[p+1]], ascending."""
         return self._by_point
 
+    def _check_slot(self, idx: int):
+        if not 0 <= idx < self.sizes.size:
+            raise RangeError(f"trace slot {idx} out of range")
+
+    def _check_slots(self, sel: np.ndarray):
+        if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
+            raise RangeError("trace slot out of range")
+
     def points_of(self, idx: int) -> np.ndarray:
         """Positions of the set's points on slot idx, ascending."""
+        self._check_slot(idx)
         points, offsets = self.by_subspace()
         return points[offsets[idx]:offsets[idx + 1]]
 
@@ -872,6 +919,7 @@ class TraceSummary:
         and offsets: group i is out[offsets[i]:offsets[i+1]]."""
         points, starts = self.by_subspace()
         sel = np.asarray(sel, dtype=np.int64)
+        self._check_slots(sel)
         counts = self.sizes[sel]
         offsets = _offsets(counts)
         at = np.repeat(starts[sel] - offsets[:-1], counts) \
@@ -879,6 +927,8 @@ class TraceSummary:
         return points[at], offsets
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
+        if not 0 <= pt_pos < self.point_ranks.size:
+            raise RangeError(f"point position {pt_pos} out of range")
         slots, offsets = self.by_point()
         return slots[offsets[pt_pos]:offsets[pt_pos + 1]]
 
@@ -904,6 +954,7 @@ class TraceSummary:
         """Canonical RREF bases of the slots in sel (an index array), shape
         (len(sel), dim+1, n+1), the rows `Subspace` would hold."""
         sel = np.asarray(sel, dtype=np.int64).reshape(-1)
+        self._check_slots(sel)
         return self._decode(self.keys[sel])
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
@@ -933,15 +984,21 @@ class TraceSummary:
                         (rows != 0).argmax(axis=1).tolist(), canonical=True)
 
     def subspace_at(self, idx: int) -> Subspace:
-        return self._subspace(self.bases([idx])[0])
+        self._check_slot(idx)
+        return self._subspace(self._decode(self.keys[idx:idx + 1])[0])
 
     def first_uncovered(self):
         """The dim-subspace with the smallest key among those that miss
         the set, or None when every one meets it.  The keys are dense and
         ascend, so keys[i] - i never falls and that key is the first i
-        where it is positive."""
-        key = int(np.searchsorted(self.keys - np.arange(self.keys.size), 0,
-                                  side="right"))
+        where it is positive.  The key is found once per summary."""
+        if self._uncovered is None:
+            with _TRACE_LOCK:
+                if self._uncovered is None:
+                    self._uncovered = int(np.searchsorted(
+                        self.keys - np.arange(self.keys.size), 0,
+                        side="right"))
+        key = self._uncovered
         if key >= self.total:
             return None
         return self._subspace(self._decode(np.asarray([key]))[0])

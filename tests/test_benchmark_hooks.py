@@ -83,6 +83,25 @@ def test_middle_dimension_spectrum_fires_the_table_metrics(tracing):
     assert metrics["blocking.trace_scans"] == 2
 
 
+def test_incidence_table_builds_in_closed_form(monkeypatch):
+    space = ProjectiveSpace(4, make_field(5, 1))
+    monkeypatch.setattr(space, "_incidence", {})
+    monkeypatch.setattr(space, "_bases", {})
+    calls = []
+    for cls, attr in ((projspace.Subspace, "__init__"),
+                      (ProjectiveSpace, "normalize_rows"),
+                      (ProjectiveSpace, "ranks_from_rows")):
+        orig = getattr(cls, attr)
+
+        def counted(self, *args, _orig=orig, _attr=attr, **kwargs):
+            calls.append(_attr)
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+    assert space.incidence(2).shape == (space.num_points, 806)
+    assert calls == []
+
+
 def _random_set_file(path, rows):
     space = ProjectiveSpace(4, make_field(5, 1))
     rng = np.random.default_rng(9)

@@ -90,6 +90,9 @@ def test_uncovered_witness_misses_the_set(n, p, t, k, kind):
             continue
         assert witness.dim == dim
         assert not pts.mask()[witness.point_ranks()].any()
+        # the first key is found once, and later calls give the same witness
+        assert summary._uncovered is not None
+        assert is_k_blocking(pts, k) == (False, witness)
         # the uncovered subspace with the smallest key
         first = int(np.flatnonzero(np.isin(np.arange(summary.total),
                                            summary.keys, invert=True))[0])

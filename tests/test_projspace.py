@@ -469,22 +469,66 @@ def test_cached_arrays_are_read_only():
             arr[0] = 0
 
 
-@pytest.mark.parametrize("budget", [1, 4096])
-@pytest.mark.parametrize("n,q,dim", [(4, 2, 2), (4, 3, 2), (5, 2, 2),
-                                     (5, 2, 3)])
-def test_incidence_table_does_not_depend_on_the_chunk_size(
-        monkeypatch, n, q, dim, budget):
-    # a budget of 1 byte builds one subspace at a time; 4096 bytes leaves
-    # a shorter last chunk in each of these spaces
-    space = pg(n, q)
-    want, bases = space.incidence(dim), space._bases[dim]
+def _reference_incidence(space, dim):
+    """The incidence table and bases as first built: one Subspace per
+    subspace, the points of each by table passes over its basis and
+    ranks_from_rows, grouped by point with a stable argsort."""
+    stack = np.asarray([sub.rows for sub in space._subspaces_all(dim)],
+                       dtype=np.int64)
+    add, mul, _, _ = space.field.tables()
+    params = ProjectiveSpace(dim, space.field).coords_array() \
+        if dim >= 1 else np.ones((1, 1), dtype=np.int64)
+    acc = np.zeros((len(stack), len(params), space.n + 1), dtype=np.int64)
+    for j in range(dim + 1):
+        acc = add[acc, mul[params[None, :, j, None], stack[:, None, j, :]]]
+    on = space.ranks_from_rows(acc)
+    through = np.argsort(on.reshape(-1), kind="stable") // len(params)
+    return through.astype(np.int32).reshape(space.num_points, -1), stack
+
+
+REFERENCE_TABLES = [
+    *[(4, 2, 1, None, d) for d in range(5)],
+    *[(4, 3, 1, None, d) for d in range(5)],
+    *[(5, 2, 1, None, d) for d in range(6)],
+    *[(3, 2, 2, None, d) for d in range(4)],       # PG(3,4)
+    (4, 5, 1, None, 2),                             # the benchmark's planes
+    (3, 2, 3, None, 1),                             # PG(3,8)
+    (3, 3, 2, (1, 0, 1), 1),                        # GF(9) mod x^2 + 1
+]
+
+
+@pytest.mark.parametrize(
+    "n,p,t,modulus,dim", REFERENCE_TABLES,
+    ids=[f"{n}-{p}-{t}-{dim}" + ("-x2+1" if mod else "")
+         for n, p, t, mod, dim in REFERENCE_TABLES])
+def test_incidence_table_matches_reference_construction(
+        monkeypatch, n, p, t, modulus, dim):
+    space = ProjectiveSpace(n, make_field(p, t, modulus))
     monkeypatch.setattr(space, "_incidence", {})
     monkeypatch.setattr(space, "_bases", {})
-    monkeypatch.setattr(projspace, "_INCIDENCE_CHUNK_BYTES", budget)
+    want, bases = _reference_incidence(space, dim)
     got = space.incidence(dim)
-    assert got is not want and got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert space._bases[dim].dtype == bases.dtype
     assert np.array_equal(space._bases[dim], bases)
+
+
+def test_incidence_dimension_out_of_range():
+    space = pg(4, 3)
+    for dim in (-1, 5):
+        with pytest.raises(RangeError):
+            space.incidence(dim)
+        with pytest.raises(RangeError):
+            space.subspace_by_index(dim, 0)
+
+
+def test_subspace_index_out_of_range():
+    space = pg(4, 3)
+    last = space.num_subspaces(2) - 1
+    assert space.subspace_by_index(2, last).dim == 2
+    for idx in (-1, last + 1, 10 ** 6):
+        with pytest.raises(RangeError):
+            space.subspace_by_index(2, idx)
 
 
 def test_projpoint_wrapper():

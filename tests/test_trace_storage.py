@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from blockingsets import catalogue, linalg, projspace
 from blockingsets.blocking import traces_of
 from blockingsets.errors import (BadParamsError, NotASublineError,
-                                 SpecMismatchError, XNotOnElementError)
+                                 RangeError, SpecMismatchError,
+                                 XNotOnElementError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     span, subspace_traces)
@@ -134,6 +135,17 @@ def test_trace_summaries_match_brute_force(data):
             assert np.array_equal(pts.ranks[got], want)
             assert got.size == summary.sizes[idx]
             brute.append(np.searchsorted(pts.ranks, want))
+        # a slot or point position out of range does not wrap round
+        for bad in (-1, nslots):
+            for lookup in (summary.points_of, summary.subspace_at):
+                with pytest.raises(RangeError):
+                    lookup(bad)
+            for lookup in (summary.bases, summary.grouped_points):
+                with pytest.raises(RangeError):
+                    lookup([0, bad])
+        for bad in (-1, m):
+            with pytest.raises(RangeError):
+                summary.indices_through_point(bad)
         # every slot through a point, in the order its grouping promises
         for pos in range(m):
             through = summary.indices_through_point(pos).tolist()
