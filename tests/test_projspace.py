@@ -469,20 +469,29 @@ def test_cached_arrays_are_read_only():
             arr[0] = 0
 
 
-def _reference_incidence(space, dim):
+def _reference_incidence(space, dim, chunk_bytes=None):
     """The incidence table and bases as first built: one Subspace per
     subspace, the points of each by table passes over its basis and
-    ranks_from_rows, grouped by point with a stable argsort."""
+    ranks_from_rows, grouped by point with a stable argsort.  With
+    chunk_bytes the point rows are built a chunk of subspaces at a time,
+    each chunk's buffer at most that many bytes (at least one subspace)."""
     stack = np.asarray([sub.rows for sub in space._subspaces_all(dim)],
                        dtype=np.int64)
     add, mul, _, _ = space.field.tables()
     params = ProjectiveSpace(dim, space.field).coords_array() \
         if dim >= 1 else np.ones((1, 1), dtype=np.int64)
-    acc = np.zeros((len(stack), len(params), space.n + 1), dtype=np.int64)
-    for j in range(dim + 1):
-        acc = add[acc, mul[params[None, :, j, None], stack[:, None, j, :]]]
-    on = space.ranks_from_rows(acc)
-    through = np.argsort(on.reshape(-1), kind="stable") // len(params)
+    npar = len(params)
+    step = len(stack) if chunk_bytes is None else \
+        max(1, chunk_bytes // (npar * (space.n + 1) * 8))
+    on = np.empty((len(stack), npar), dtype=np.int64)
+    for lo in range(0, len(stack), step):
+        hi = min(lo + step, len(stack))
+        acc = np.zeros((hi - lo, npar, space.n + 1), dtype=np.int64)
+        for j in range(dim + 1):
+            acc = add[acc, mul[params[None, :, j, None],
+                               stack[lo:hi, None, j, :]]]
+        on[lo:hi] = space.ranks_from_rows(acc)
+    through = np.argsort(on.reshape(-1), kind="stable") // npar
     return through.astype(np.int32).reshape(space.num_points, -1), stack
 
 
@@ -510,6 +519,24 @@ def test_incidence_table_matches_reference_construction(
     got = space.incidence(dim)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert space._bases[dim].dtype == bases.dtype
+    assert np.array_equal(space._bases[dim], bases)
+
+
+@pytest.mark.parametrize("budget", [1, 4096])
+@pytest.mark.parametrize("n,q,dim", [(4, 2, 2), (4, 3, 2), (5, 2, 2),
+                                     (5, 2, 3)])
+def test_incidence_table_does_not_depend_on_the_chunk_size(
+        monkeypatch, n, q, dim, budget):
+    # the reference built a chunk of subspaces at a time: a budget of 1
+    # byte builds one subspace at a time; 4096 bytes leaves a shorter last
+    # chunk in each of these spaces; the closed form matches both
+    space = pg(n, q)
+    monkeypatch.setattr(space, "_incidence", {})
+    monkeypatch.setattr(space, "_bases", {})
+    want, bases = _reference_incidence(space, dim, chunk_bytes=budget)
+    got = space.incidence(dim)
+    assert got is not want and got.dtype == want.dtype
+    assert np.array_equal(got, want)
     assert np.array_equal(space._bases[dim], bases)
 
 
