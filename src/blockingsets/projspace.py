@@ -274,16 +274,18 @@ class ProjectiveSpace:
                            if c not in pivots]
 
     def _subspaces_all(self, dim: int):
-        m = self.n + 1
         for pivots, cells in self._cells(dim):
             for values in itertools.product(range(self.q), repeat=len(cells)):
-                rows = [[0] * m for _ in pivots]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, c), val in zip(cells, values):
-                    rows[i][c] = val
-                yield Subspace(self, tuple(tuple(rw) for rw in rows),
-                               pivots, canonical=True)
+                yield self._cell_subspace(pivots, cells, values)
+
+    def _cell_subspace(self, pivots, cells, values) -> "Subspace":
+        """The subspace of a cell with the given free entries."""
+        rows = [[0] * (self.n + 1) for _ in pivots]
+        for i, p in enumerate(pivots):
+            rows[i][p] = 1
+        for (i, c), val in zip(cells, values):
+            rows[i][c] = val
+        return Subspace(self, rows, pivots, canonical=True)
 
     def line_through(self, a, b) -> "Subspace":
         return _line_of(self, _coerce_coords(self, a), _coerce_coords(self, b))
@@ -382,12 +384,23 @@ class ProjectiveSpace:
         return out
 
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
-        if dim not in self._bases:
-            self.incidence(dim)
-        if not 0 <= idx < len(self._bases[dim]):
+        """The dim-subspace at place idx of the `subspaces(dim)` order,
+        decoded arithmetically: each cell of `_cells` holds q**(free cells)
+        subspaces, and a place within a cell is the base-q numeral of the
+        free entries."""
+        if not 0 <= dim <= self.n:
+            raise RangeError(f"subspace dimension {dim} out of range")
+        idx = int(idx)
+        if not 0 <= idx < self.num_subspaces(dim):
             raise RangeError(
                 f"subspace index {idx} out of range for dim {dim}")
-        return Subspace(self, self._bases[dim][idx].tolist())
+        for pivots, cells in self._cells(dim):
+            size = self.q ** len(cells)
+            if idx < size:
+                break
+            idx -= size
+        values = np.unravel_index(idx, (self.q,) * len(cells))
+        return self._cell_subspace(pivots, cells, [int(v) for v in values])
 
     # -- dense line ranks ------------------------------------------------------
 

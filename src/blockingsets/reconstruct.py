@@ -11,18 +11,14 @@ routine doubles as a counterexample detector on arbitrary input.
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .blocking import is_k_blocking, secant_analysis, traces_of
-from .errors import (
-    BadParamsError,
-    NoSublineSecantError,
-    NotASublineError,
-    NotBlockingError,
-)
-from .projspace import PointSet, Subspace, span
+from .errors import BadParamsError, NoSublineSecantError, NotBlockingError
+from .projspace import PointSet, Subspace, _line_of, span
 from .spreads import SpreadContext, spread_context
 
 
@@ -69,20 +65,19 @@ def _secants_through(lines, pos: int, p0: int) -> np.ndarray:
 def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
                       p_rank: int, line_summary,
                       secant_indices) -> ReconstructionResult:
-    space = pts.space
+    space, small = pts.space, ctx.small
     h = space.field.t
     x = int(ctx.element_ranks(p_rank).min())
-    used, transversals, skipped = [], [], []
-    for idx in secant_indices:
-        idx = int(idx)
-        trace = PointSet(space, pts.ranks[line_summary.points_of(idx)])
-        try:
-            ell = ctx.transversal_line(trace, x)
-        except NotASublineError:
-            skipped.append(line_summary.subspace_at(idx))
-            continue
-        used.append(trace)
-        transversals.append(ell)
+    flat, _ = line_summary.grouped_points(secant_indices)
+    traces = pts.ranks[flat].reshape(-1, p0 + 1)
+    ys = ctx.transversal_line(traces, x)
+    found = ys >= 0
+    ys = ys[found].tolist()
+    xv = small.coords_of(x)
+    used = [PointSet(space, trace) for trace in traces[found]]
+    transversals = [_line_of(small, xv, small.coords_of(y)) for y in ys]
+    skipped = [line_summary.subspace_at(int(idx))
+               for idx in np.asarray(secant_indices)[~found]]
     diagnostics = {
         "secants_through_P": len(secant_indices),
         "skipped_non_sublines": len(skipped),
@@ -93,7 +88,8 @@ def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
         return ReconstructionResult(
             p_rank, x, [], [], None, None, False,
             "no secant trace is a subline", diagnostics)
-    W = span(ctx.small, *transversals)
+    # every transversal is the line x y, so x and the ys span them all
+    W = span(small, x, *ys)
     image = ctx.linear_set_of_ranks(W.point_ranks())
     status = _status(W.dim, h * k, image, pts.ranks)
     return ReconstructionResult(
@@ -160,26 +156,19 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
         raise BadParamsError("P must be a point of the set")
     xrank = int(x) if isinstance(x, (int, np.integer)) \
         else ctx.small.rank_of(ctx.small.normalize(x))
-    transversals = []
-    for idx in _secants_through(lines, pos, p0):
-        trace = PointSet(space, pts.ranks[lines.points_of(idx)])
-        try:
-            transversals.append(ctx.transversal_line(trace, xrank))
-        except NotASublineError:
-            continue
+    flat, _ = lines.grouped_points(_secants_through(lines, pos, p0))
+    ys = ctx.transversal_line(pts.ranks[flat].reshape(-1, p0 + 1), xrank)
+    ys = ys[ys >= 0].tolist()
     mask = pts.mask()
     failing = []
-    pairs = 0
-    for i in range(len(transversals)):
-        for j in range(i + 1, len(transversals)):
-            pairs += 1
-            image = ctx.linear_set_of_ranks(
-                span(ctx.small, transversals[i],
-                     transversals[j]).point_ranks())
-            extra = image[~mask[image]]
-            if extra.size:
-                failing.append((i, j, extra))
-    return SpanPairReport(not failing, pairs, failing)
+    for i, j in itertools.combinations(range(len(ys)), 2):
+        # the span of the transversals x y_i and x y_j
+        image = ctx.linear_set_of_ranks(
+            span(ctx.small, xrank, ys[i], ys[j]).point_ranks())
+        extra = image[~mask[image]]
+        if extra.size:
+            failing.append((i, j, extra))
+    return SpanPairReport(not failing, len(ys) * (len(ys) - 1) // 2, failing)
 
 
 class SecantBoundReport(NamedTuple):

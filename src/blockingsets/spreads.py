@@ -191,53 +191,75 @@ class SpreadContext:
             raise SpecMismatchError("blown-up subspace has the wrong dimension")
         return out
 
-    def transversal_line(self, subline_points: PointSet, x) -> Subspace:
-        """The unique small-side line through x mapping onto the given
-        (p+1)-point big-side subline.
+    def transversal_line(self, sublines, x):
+        """The small-side lines through x mapping onto (p+1)-point
+        big-side sublines.  Single form: `sublines` is one PointSet, and
+        the call returns its transversal line or raises NotASublineError.
+        Batch form: `sublines` is an (m, p+1) array of big point ranks, one
+        subline per row, and the call returns m small ranks as int64: the
+        point y of the row's companion element with xy the transversal, or
+        -1 where the row is not a subline.
 
-        x must lie on the spread element of one of the subline points.  The
-        candidates are the lines xy for the points y of one companion
-        element, all tested in one pass: their points x + lambda*y (lambda
-        in GF(p0)) and y are mapped to the big side, and a candidate matches
-        when its sorted images are the subline.  A subline has exactly one
-        transversal through each point of its elements, so zero matches
-        means the input was not a subline and two would be an internal
-        inconsistency.
+        x must lie on the spread element of a point of every row.  The
+        candidates for a row are the lines xy, y on its companion element
+        (that of its first point off x's element), all rows in one pass:
+        the points x + lambda*y (lambda in GF(p0)) and y of each candidate
+        are mapped to the big side, and it matches when its sorted images
+        are the row.  A subline has exactly one transversal through each
+        point of its elements, so two matches on a row are inconsistent.
         """
-        if subline_points.space is not self.big:
-            raise DimensionMismatchError("subline not on the big side")
-        if len(subline_points) != self.p0 + 1:
+        p0, nbig = self.p0, self.big.num_points
+        single = isinstance(sublines, PointSet)
+        if single:
+            if sublines.space is not self.big:
+                raise DimensionMismatchError("subline not on the big side")
+            rows = sublines.ranks[None, :]
+        else:
+            rows = np.asarray(sublines, dtype=np.int64)
+            if rows.ndim != 2:
+                raise BadParamsError("expected one subline per row")
+            rows = np.sort(rows, axis=1)
+        if rows.shape[1] != p0 + 1:
             raise BadParamsError(
-                f"expected {self.p0 + 1} points, got {len(subline_points)}")
+                f"expected {p0 + 1} points, got {rows.shape[1]}")
+        if (rows[:, 1:] == rows[:, :-1]).any():
+            raise BadParamsError("a subline repeats a point")
+        if rows.size and not 0 <= rows.min() <= rows.max() < nbig:
+            raise RangeError(f"point rank out of range for {self.big!r}")
         if isinstance(x, (int, np.integer)):
             xrank = _checked_rank(self.small, x)
         else:
             xrank = self.small.rank_of(_coerce_coords(self.small, x))
         home = int(self.small_to_big[xrank])
-        if home not in subline_points:
+        at_home = rows == home
+        if not at_home.any(axis=1).all():
             raise XNotOnElementError(
                 "x does not lie on a spread element of the subline")
-        companion = next(int(r) for r in subline_points.ranks if r != home)
+        # rows ascend, so the first point off home is column 0 or 1
+        companion = np.where(at_home[:, 0], rows[:, 1], rows[:, 0])
         add, mul, _, _ = self.small_field.tables()
         xv = np.asarray(self.small.coords_of(xrank), dtype=np.int64)
-        ys = self.small.coords_of_ranks(self.element_ranks(companion))
-        lam = np.arange(self.p0, dtype=np.int64)
-        # row i: the points x + lambda*y_i, then y_i itself
-        on_line = np.concatenate(
-            [add[xv, mul[lam[None, :, None], ys[:, None, :]]],
-             ys[:, None, :]], axis=1)
+        yr = self.big_to_small[companion]
+        ys = self.small.coords_of_ranks(yr)[:, :, None, :]
+        lam = np.arange(p0, dtype=np.int64)[:, None]
+        # [i, j]: the points x + lambda*y, then y itself, for y = yr[i, j]
+        on_line = np.concatenate([add[xv, mul[lam, ys]], ys], axis=2)
         images = self.small_to_big[self.small.ranks_from_rows(on_line)]
-        images.sort(axis=1)
-        matches = np.flatnonzero(
-            (images == subline_points.ranks).all(axis=1))
-        if matches.size == 0:
-            raise NotASublineError(
-                "the given points are not the image of a line")
-        if matches.size > 1:
+        images.sort(axis=2)
+        hits = (images == rows[:, None, :]).all(axis=2)
+        count = hits.sum(axis=1)
+        if (count > 1).any():
             # distinct points of the companion element give distinct lines
             raise SpecMismatchError("two transversal lines through one point")
+        found = yr[np.arange(len(rows)), hits.argmax(axis=1)].astype(np.int64)
+        found[count == 0] = -1
+        if not single:
+            return found
+        if found[0] < 0:
+            raise NotASublineError(
+                "the given points are not the image of a line")
         return _line_of(self.small, tuple(xv.tolist()),
-                        tuple(ys[matches[0]].tolist()))
+                        self.small.coords_of(int(found[0])))
 
 
 def _checked_rank(space: ProjectiveSpace, rank) -> int:

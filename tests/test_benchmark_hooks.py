@@ -164,3 +164,22 @@ def test_spread_build_fires_its_metrics(tracing):
     metrics = tracer.metrics()
     assert metrics["spreads.contexts_built"] == 1
     assert metrics["spreads.context_build_s"] > 0
+
+
+def test_reconstruct_searches_once_per_base_point(tracing):
+    # the tracer counts transversal_line spans: one batched search per
+    # base point, not one per secant
+    from blockingsets import catalogue
+    from blockingsets.reconstruct import reconstruct
+    cone = catalogue.load_shipped(["cone_pg3_9"])[0]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        results = reconstruct(cone.points, cone.k, cone.p0,
+                              point_policy="all")
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["spreads.transversal_line_s"] > 0
+    assert metrics["spreads.transversal_lines"] == len(results)
+    assert sum(len(r.secants_used) for r in results) > len(results)

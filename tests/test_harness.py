@@ -366,3 +366,13 @@ def test_dual_sizes_count_points_on_each_hyperplane():
     # in PG(2, q) the hyperplanes are lines, keyed by line rank
     with pytest.raises(TooLargeError):
         harness.InstanceAnalysis(baer).dual_sizes
+
+
+@pytest.mark.parametrize("p0", [7, 11, 13, 17, 19, 23, 29, 31])
+def test_codim2_candidates_cannot_exist(p0):
+    # large_through_codim2 runs at n = 3, k = 2, where its candidates are
+    # (p0+1)-secant lines classified small at level 0: small means a trace
+    # below gap_thresholds(p0, h, 0)[0], which stays under 2 < p0 + 1
+    for h in range(1, 11):
+        lower, _ = gap_thresholds(p0, h, 0)
+        assert lower < 2 < p0 + 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockingsets import projspace
+from blockingsets import linalg, projspace
 from blockingsets.errors import (BadParamsError, CentreInHyperplaneError,
                                  CentreInSetError, DimensionMismatchError,
                                  EmptyInputError, NotHyperplaneError,
@@ -647,3 +647,68 @@ def test_coords_of_ranks_matches_coords_of():
             list(space.coords_of(int(r))) for r in ranks[::-3]]
     with pytest.raises(RangeError):
         pg(2, 3).coords_of_ranks([13])
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])
+def test_subspace_by_index_matches_the_incidence_bases(n, q):
+    space = pg(n, q)
+    for dim in range(n + 1):
+        space.incidence(dim)
+        bases = space._bases[dim]
+        for idx in range(space.num_subspaces(dim)):
+            sub = space.subspace_by_index(dim, idx)
+            assert sub.rows == tuple(map(tuple, bases[idx].tolist()))
+
+
+def test_subspace_by_index_decodes_without_the_table(monkeypatch):
+    # the plane table of PG(4,9) is over its caps, so only the arithmetic
+    # decoding of the index can reach these planes
+    space = pg(4, 3, 2)
+    monkeypatch.setattr(space, "_incidence", {})
+    monkeypatch.setattr(space, "_bases", {})
+    with pytest.raises(TooLargeError):
+        space.incidence(2)
+    lo = 0
+    for pivots, cells in space._cells(2):
+        size = 9 ** len(cells)
+        for idx, fill in ((lo, 0), (lo + size - 1, 8)):
+            sub = space.subspace_by_index(2, idx)
+            assert sub.dim == 2 and sub.pivots == pivots
+            assert Subspace(space, sub.rows).rows == sub.rows
+            assert [sub.rows[i][c] for i, c in cells] == [fill] * len(cells)
+        lo += size
+    assert lo == space.num_subspaces(2)
+    assert space._incidence == {} and space._bases == {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_rref_is_canonical_under_row_operations(data):
+    field = make_field(*data.draw(st.sampled_from([(2, 2), (7, 1), (3, 2)])))
+    q = field.q
+    width = data.draw(st.integers(2, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=width, max_size=width)
+    mat = data.draw(st.lists(row, min_size=1, max_size=5))
+    want = linalg.rref(mat, field)
+    i = data.draw(st.integers(0, len(mat) - 1))
+    j = data.draw(st.integers(0, len(mat) - 1))
+    scale = data.draw(st.integers(1, q - 1))
+    coeff = data.draw(st.integers(0, q - 1))
+    combo = data.draw(st.lists(st.integers(0, q - 1), min_size=len(mat),
+                               max_size=len(mat)))
+
+    def axpy(c, x, y):
+        # y + c x, entrywise
+        return [field.add(b, field.mul(c, a)) for a, b in zip(x, y)]
+    swapped = list(mat)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    scaled = list(mat)
+    scaled[i] = [field.mul(scale, a) for a in mat[i]]
+    sheared = list(mat)
+    if i != j:
+        sheared[j] = axpy(coeff, mat[i], mat[j])
+    inside = [0] * width
+    for c, r in zip(combo, mat):
+        inside = axpy(c, r, inside)
+    for variant in (swapped, scaled, sheared, mat + [inside]):
+        assert linalg.rref(variant, field) == want

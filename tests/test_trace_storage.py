@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from blockingsets import catalogue, linalg, projspace
 from blockingsets.blocking import traces_of
-from blockingsets.errors import (BadParamsError, NotASublineError,
-                                 RangeError, SpecMismatchError,
-                                 XNotOnElementError)
+from blockingsets.errors import (BadParamsError, DimensionMismatchError,
+                                 NotASublineError, RangeError,
+                                 SpecMismatchError, XNotOnElementError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     span, subspace_traces)
@@ -333,9 +333,24 @@ def test_transversal_line_errors():
     outside = space.rank_of((0, 1, 0))
     with pytest.raises(XNotOnElementError):
         ctx.transversal_line(broken, int(ctx.element_ranks(outside)[0]))
+    x = int(ctx.element_ranks(broken.ranks[0])[0])
     with pytest.raises(BadParamsError):
-        ctx.transversal_line(PointSet(space, broken.ranks[:3]),
-                             int(ctx.element_ranks(broken.ranks[0])[0]))
+        ctx.transversal_line(PointSet(space, broken.ranks[:3]), x)
+    with pytest.raises(DimensionMismatchError):
+        ctx.transversal_line(PointSet(ctx.small, broken.ranks), x)
+    # the batch form: -1 for a row that is no subline, the same errors
+    assert ctx.transversal_line([broken.ranks[::-1]], x).tolist() == [-1]
+    assert ctx.transversal_line(np.empty((0, 4), int), x).size == 0
+    first = int(broken.ranks[0])
+    for rows in ([broken.ranks[:3]], broken.ranks,
+                 [[first, first, *broken.ranks[2:]]]):
+        with pytest.raises(BadParamsError):
+            ctx.transversal_line(rows, x)
+    for bad in (-1, space.num_points):
+        with pytest.raises(RangeError):
+            ctx.transversal_line([[first, *broken.ranks[2:], bad]], x)
+    with pytest.raises(XNotOnElementError):
+        ctx.transversal_line([broken.ranks, [*broken.ranks[1:], outside]], x)
 
 
 def test_transversal_line_refuses_two_matches(baer):
@@ -363,3 +378,67 @@ def test_transversal_line_refuses_two_matches(baer):
     bad.small_to_big[line_ranks(other)] = ctx.small_to_big[line_ranks(y)]
     with pytest.raises(SpecMismatchError):
         bad.transversal_line(trace, x)
+    # the batch form refuses it too, also beside a good row
+    home = trace.ranks[0]
+    for rows in ([trace.ranks], [_broken_row(ctx, trace.ranks, home),
+                                 trace.ranks]):
+        with pytest.raises(SpecMismatchError):
+            bad.transversal_line(np.asarray(rows), x)
+
+
+def _broken_row(ctx, ranks, keep):
+    """Collinear ranks with the last one other than keep swapped for
+    another point of their big line."""
+    line = span(ctx.big, *ranks[:2].tolist())
+    other = np.setdiff1d(line.point_ranks(), ranks)[0]
+    drop = ranks[ranks != keep][-1]
+    return np.sort(np.append(ranks[ranks != drop], other))
+
+
+def _per_secant_transversal(ctx, trace, x):
+    """The search as it ran before the batch form, one subline at a time:
+    the small rank y with x y the transversal, or -1."""
+    home = int(ctx.small_to_big[x])
+    companion = next(int(r) for r in trace if r != home)
+    add, mul, _, _ = ctx.small_field.tables()
+    xv = np.asarray(ctx.small.coords_of(x), dtype=np.int64)
+    yr = ctx.element_ranks(companion)
+    ys = ctx.small.coords_of_ranks(yr)
+    lam = np.arange(ctx.p0, dtype=np.int64)
+    on_line = np.concatenate(
+        [add[xv, mul[lam[None, :, None], ys[:, None, :]]],
+         ys[:, None, :]], axis=1)
+    images = ctx.small_to_big[ctx.small.ranks_from_rows(on_line)]
+    images.sort(axis=1)
+    matches = np.flatnonzero((images == trace).all(axis=1))
+    assert matches.size <= 1
+    return int(yr[matches[0]]) if matches.size else -1
+
+
+@pytest.mark.parametrize("name", ["baer_pg2_9", "cone_pg3_49", "cone_pg3_9",
+                                  "rank4_pg2_27", "subgeom_pg2_49",
+                                  "subplane_pg3_49"])
+def test_batched_transversal_search_matches_per_secant_reference(name):
+    inst = catalogue.load_shipped([name])[0]
+    pts, p0 = inst.points, inst.p0
+    ctx = spread_context(pts.space)
+    lines = traces_of(pts, 1)
+    admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
+    for pos in admissible[:3].tolist():
+        through = lines.indices_through_point(pos)
+        flat, _ = lines.grouped_points(through[lines.sizes[through] == p0 + 1])
+        traces = pts.ranks[flat].reshape(-1, p0 + 1)
+        x = int(ctx.element_ranks(pts.ranks[pos]).min())
+        want = [_per_secant_transversal(ctx, t, x) for t in traces]
+        assert max(want) >= 0
+        got = ctx.transversal_line(traces, x)
+        assert got.dtype == np.int64 and got.tolist() == want
+        # swap a point off the base point for another of the big line:
+        # p0 >= 3 points of a subline remain, and they fix it
+        perturbed = np.asarray([_broken_row(ctx, t, pts.ranks[pos])
+                                for t in traces])
+        assert (perturbed == pts.ranks[pos]).any(axis=1).all()
+        assert [_per_secant_transversal(ctx, t, x) for t in perturbed] \
+            == [-1] * len(traces)
+        both = ctx.transversal_line(np.concatenate([perturbed, traces]), x)
+        assert both.tolist() == [-1] * len(traces) + want
