@@ -117,14 +117,6 @@ def write_instance(directory: str, name: str) -> tuple:
     return path, formats.meta_path(path)
 
 
-def write_catalogue(directory: str) -> list:
-    os.makedirs(directory, exist_ok=True)
-    out = []
-    for name in NAMES:
-        out.extend(write_instance(directory, name))
-    return out
-
-
 def shipped_dir() -> str:
     return str(importlib.resources.files(__package__) / "data" / "catalogue")
 
@@ -132,12 +124,4 @@ def shipped_dir() -> str:
 def load_shipped(names=None):
     """Shipped instances as harness Instance records, sorted by name."""
     from . import harness
-    instances = harness.load_catalogue(shipped_dir())
-    if names is not None:
-        wanted = set(names)
-        unknown = wanted - {i.name for i in instances}
-        if unknown:
-            from .errors import NotFoundError
-            raise NotFoundError(f"unknown instances {sorted(unknown)}")
-        instances = [i for i in instances if i.name in wanted]
-    return instances
+    return harness.load_catalogue(shipped_dir(), names)

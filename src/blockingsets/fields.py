@@ -182,10 +182,6 @@ class FieldElement:
         self.field = field
         self.code = code
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.decode(self.code)
-
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"cannot combine FieldElement with {type(other)}")
@@ -419,9 +415,6 @@ class FieldSpec:
                 raise RangeError(f"code {code} outside [0, {self.q})")
             return FieldElement(self, code)
         return FieldElement(self, self.encode(value))
-
-    def elements(self):
-        return (FieldElement(self, c) for c in range(self.q))
 
     # --- subfields ---
 

@@ -17,7 +17,6 @@ exceed it, so it is reported as data, not used for pass/fail.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -31,7 +30,7 @@ from .blocking import (_log_base, classify_trace, exponent, gap_thresholds,
                        one_mod_p0_applicable, secant_analysis, spectrum,
                        traces_of)
 from .errors import (GapViolationError, IoError, NotBlockingError,
-                     ParseError, RangeError, TooLargeError)
+                     NotFoundError, ParseError, RangeError, TooLargeError)
 from .fields import conway_table_version
 from .linearsets import is_linear, subline_meet_check
 from .projspace import (PointSet, ProjectiveSpace, Subspace, span,
@@ -150,16 +149,27 @@ def load_instance(path: str) -> Instance:
                     witness=witness, slow=slow, meta=meta)
 
 
-def load_catalogue(directory: str) -> list:
+def load_catalogue(directory: str, names=None) -> list:
+    """The instances of every .pts file under directory, in file order; with
+    names, only the instances so named (NotFoundError for an unknown one).
+    A sidecar may name its instance apart from its file, so the filter
+    runs on the loaded names."""
     try:
-        names = os.listdir(directory)
+        files = os.listdir(directory)
     except OSError as exc:
         raise IoError(f"cannot list {directory}: {exc}") from exc
     paths = sorted(
-        os.path.join(directory, f) for f in names if f.endswith(".pts"))
+        os.path.join(directory, f) for f in files if f.endswith(".pts"))
     if not paths:
         raise ParseError(f"{directory}: no .pts files")
-    return [load_instance(p) for p in paths]
+    instances = [load_instance(p) for p in paths]
+    if names is not None:
+        wanted = set(names)
+        unknown = wanted - {i.name for i in instances}
+        if unknown:
+            raise NotFoundError(f"unknown instances {sorted(unknown)}")
+        instances = [i for i in instances if i.name in wanted]
+    return instances
 
 
 class InstanceAnalysis:
@@ -443,10 +453,7 @@ def _check_trace_gap(a: InstanceAnalysis) -> LemmaCheck:
             "dim": dim, "traces": sizes,
             "gap_lower": lower, "gap_upper": upper,
         }
-    cap = (Fraction(a.p0) ** (a.h * a.k)
-           + Fraction(a.p0) ** (a.h * a.k - 1)
-           + Fraction(a.p0) ** (a.h * a.k - 2)
-           + 3 * Fraction(a.p0) ** (a.h * a.k - 3))
+    cap = gap_thresholds(a.p0, a.h, a.k)[0]
     size_ok = len(a.pts) < cap
     if not size_ok:
         offenders.append({"dim": a.n, "trace": len(a.pts)})
@@ -551,7 +558,7 @@ def _check_nonsecant_points(a: InstanceAnalysis) -> LemmaCheck:
         return _na(a.inst.name, "nonsecant_points", hyp)
     f = Fraction(a.p0)
     hk = a.h * a.k
-    m_cap = f ** hk + f ** (hk - 1) + f ** (hk - 2) + 3 * f ** (hk - 3)
+    m_cap = gap_thresholds(a.p0, a.h, a.k)[0]
     secant_cap = f ** (2 * hk - 2) + 2 * f ** (2 * hk - 3)
     total = Fraction(a.p0 ** (a.h * (a.n + 1)) - 1)
     bound = total / (f ** a.h + 1) - secant_cap * (f ** a.h + 1) - m_cap
@@ -591,12 +598,11 @@ def _check_large_through_secant(a: InstanceAnalysis) -> LemmaCheck:
         return _na(a.inst.name, "large_through_secant", hyp)
     f = Fraction(a.p0)
     hk = a.h * a.k
-    m_cap = f ** hk + f ** (hk - 1) + f ** (hk - 2) + 3 * f ** (hk - 3)
+    m_cap = gap_thresholds(a.p0, a.h, a.k)[0]
     count = Fraction(a.p0 ** hk - 1, a.p0 ** a.h - 1)
     # excess of a large space over the p0+1 shared points, and the floor
     # for a small space through the secant (non-trivial planar bound)
-    excess_large = (f ** (a.h + 1) - f ** (a.h - 1) - f ** (a.h - 2)
-                    - 3 * f ** (a.h - 3) - a.p0 - 1)
+    excess_large = gap_thresholds(a.p0, a.h, 1)[1] - a.p0 - 1
     excess_small = (f ** a.h + f ** (a.h - 1) - f ** (a.h - 2) - a.p0 - 1)
     bound = (m_cap - (a.p0 + 1) - count * excess_small) \
         / (excess_large - excess_small)
@@ -629,10 +635,9 @@ def _check_large_through_tangent(a: InstanceAnalysis) -> LemmaCheck:
         return _na(a.inst.name, "large_through_tangent", hyp)
     f = Fraction(a.p0)
     hk = a.h * a.k
-    m_cap = f ** hk + f ** (hk - 1) + f ** (hk - 2) + 3 * f ** (hk - 3)
+    m_cap = gap_thresholds(a.p0, a.h, a.k)[0]
     count = Fraction(a.p0 ** hk - 1, a.p0 ** a.h - 1)
-    excess_large = (f ** (a.h + 1) - f ** (a.h - 1) - f ** (a.h - 2)
-                    - 3 * f ** (a.h - 3) - 1)
+    excess_large = gap_thresholds(a.p0, a.h, 1)[1] - 1
     floor_small = f ** a.h       # q+1 points, one of them on the tangent
     bound = (m_cap - 1 - count * floor_small) / (excess_large - floor_small)
     printed = f ** (hk - a.h - 2) + 4 * f ** (hk - a.h - 3) - 1
@@ -901,20 +906,17 @@ def run_instance(inst: Instance, checks=None) -> list:
 
 
 def run_suite(instances, include_slow=False, checks=None, threads=None):
-    """All checks on all instances; returns (results, skipped names).
+    """All checks on all instances, one instance after another; returns
+    (results, skipped names).
 
-    Results are ordered by (instance name, check id) regardless of the
-    execution schedule, so scorecards are reproducible byte for byte.
+    Results are ordered by (instance name, check id), so scorecards are
+    reproducible byte for byte.
     """
+    # threads is ignored, kept only because perfbench/worker.py passes it
     selected = [i for i in instances if include_slow or not i.slow]
     skipped = sorted(i.name for i in instances if i not in selected)
-    if threads and threads > 1 and len(selected) > 1:
-        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-            batches = list(pool.map(
-                lambda inst: run_instance(inst, checks), selected))
-    else:
-        batches = [run_instance(inst, checks) for inst in selected]
-    results = [check for batch in batches for check in batch]
+    results = [check for inst in selected
+               for check in run_instance(inst, checks)]
     results.sort(key=lambda c: (c.instance, c.check))
     return results, skipped
 

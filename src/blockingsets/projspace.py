@@ -62,27 +62,6 @@ def gaussian_binomial(m: int, r: int, q: int) -> int:
     return out
 
 
-class ProjPoint:
-    """A single projective point: rank plus normalized coordinates."""
-
-    __slots__ = ("space", "rank", "coords")
-
-    def __init__(self, space: "ProjectiveSpace", rank: int, coords: tuple):
-        self.space = space
-        self.rank = rank
-        self.coords = coords
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint)
-                and self.space is other.space and self.rank == other.rank)
-
-    def __hash__(self):
-        return hash((id(self.space), self.rank))
-
-    def __repr__(self):
-        return f"ProjPoint({self.rank}: {list(self.coords)})"
-
-
 class ProjectiveSpace:
     """PG(n, q) for a FieldSpec.  Instances are shared per (n, field)."""
 
@@ -154,13 +133,6 @@ class ProjectiveSpace:
             tail, v[j] = divmod(tail, self.q)
         return tuple(v)
 
-    def point(self, rank: int) -> ProjPoint:
-        return ProjPoint(self, rank, self.coords_of(rank))
-
-    def point_from_coords(self, coords) -> ProjPoint:
-        v = self.normalize(coords)
-        return ProjPoint(self, self.rank_of(v), v)
-
     # -- batched point coding -----------------------------------------------
 
     def normalize_rows(self, arr: np.ndarray) -> np.ndarray:
@@ -225,7 +197,7 @@ class ProjectiveSpace:
 
     def subspaces(self, dim: int, through=None):
         """Yield all dim-subspaces, optionally only those containing
-        `through` (a point rank, ProjPoint, or Subspace).
+        `through` (a point rank, coordinates, or Subspace).
 
         The order is deterministic: pivot column sets ascending, free
         entries as ascending base-q odometers.
@@ -236,6 +208,9 @@ class ProjectiveSpace:
             yield from self._subspaces_all(dim)
             return
         base = _coerce_subspace(self, through)
+        if dim == self.n:
+            yield from self._subspaces_all(dim)
+            return
         if base.dim > dim:
             return
         if base.dim == dim:
@@ -243,16 +218,9 @@ class ProjectiveSpace:
             return
         s = base.dim + 1
         comp = [c for c in range(self.n + 1) if c not in base.pivots]
-        quot = ProjectiveSpace(self.n - s, self.field) \
-            if self.n - s >= 1 else None
+        # s <= dim < n, so the quotient is a space PG(n-s, q) with n-s >= 1
+        quot = ProjectiveSpace(self.n - s, self.field)
         r_extra = dim + 1 - s
-        if quot is None:
-            # quotient is a single projective point: only when dim == n == s
-            lift = [0] * (self.n + 1)
-            lift[comp[0]] = 1
-            rows = base.rows + (tuple(lift),)
-            yield Subspace(self, rows)
-            return
         for small in quot._subspaces_all(r_extra - 1):
             lifted = []
             for row in small.rows:
@@ -481,10 +449,6 @@ class ProjectiveSpace:
 
 
 def _coerce_coords(space, item) -> tuple:
-    if isinstance(item, ProjPoint):
-        if item.space is not space:
-            raise DimensionMismatchError("point from a different space")
-        return item.coords
     if isinstance(item, (int, np.integer)):
         return space.coords_of(int(item))
     return space.normalize(item)
@@ -544,10 +508,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows) - 1
 
-    @property
-    def num_points(self) -> int:
-        return gaussian_binomial(self.dim + 1, 1, self.space.q)
-
     def contains(self, item) -> bool:
         v = _coerce_coords(self.space, item)
         return linalg.in_row_space(v, self.rows, self.pivots,
@@ -582,9 +542,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((id(self.space), self.rows))
-
-    def __lt__(self, other):
-        return self.rows < other.rows
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, rows={[list(r) for r in self.rows]})"
@@ -643,10 +600,6 @@ class PointSet:
         self.ranks = _frozen(arr)
         self._mask = None
         self._coords = None
-
-    @classmethod
-    def from_coords(cls, space, rows):
-        return cls(space, [space.rank_of(r) for r in rows])
 
     def __len__(self):
         return int(self.ranks.size)

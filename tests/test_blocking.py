@@ -268,6 +268,18 @@ def test_gap_thresholds_exact():
     lower, upper = gap_thresholds(7, 2, 1)
     assert lower == Fraction(402, 7)
     assert upper == Fraction(2342, 7)
+    # the harness reads its size cap and large-space excess from here
+    for p0 in (7, 11, 13, 17, 19, 23, 29, 31):
+        f = Fraction(p0)
+        for h in range(1, 11):
+            _, upper = gap_thresholds(p0, h, 1)
+            assert upper == (f ** (h + 1) - f ** (h - 1) - f ** (h - 2)
+                             - 3 * f ** (h - 3))
+            for k in range(1, 4):
+                hk = h * k
+                assert gap_thresholds(p0, h, k)[0] == (
+                    f ** hk + f ** (hk - 1) + f ** (hk - 2)
+                    + 3 * f ** (hk - 3))
 
 
 def test_classify_trace_sides():

@@ -200,6 +200,7 @@ def test_element_wrapper():
     x = f.x
     assert int(x) == 3
     assert x + x == f.element(f.mul(2, 3))
+    assert (x + f.one) - x == f.one
     assert (x * x).code == f.mul(3, 3)
     assert x ** 8 == f.one
     assert x ** 0 == f.one

@@ -365,10 +365,10 @@ def test_cli_harness_shipped(capsys, tmp_path):
     out1 = str(tmp_path / "card1.json")
     out2 = str(tmp_path / "card2.json")
     code, _, _ = run_cli(capsys, "harness", "--instances", "baer_pg2_9",
-                         "--threads", "1", "--out", out1)
+                         "--out", out1)
     assert code == 0
     code, _, _ = run_cli(capsys, "harness", "--instances", "baer_pg2_9",
-                         "--threads", "4", "--out", out2)
+                         "--out", out2)
     assert code == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
     card = json.loads(open(out1).read())
@@ -434,13 +434,15 @@ def test_cli_harness_malformed_sidecar_exits_3(tmp_path, capsys, edit):
         json.dump(meta, fh)
     with pytest.raises(ParseError):
         harness.load_instance(str(tmp_path / "baer_pg2_9.pts"))
-    code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path),
-                           "--threads", "1")
+    code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path))
     assert code == 3 and "ParseError" in err, err
 
 
 def test_cli_harness_rejects_unknown_names(capsys):
     code, _, err = run_cli(capsys, "harness", "--instances", "nope")
+    assert code == 2 and "NotFoundError" in err
+    code, _, err = run_cli(capsys, "harness", "--dir",
+                           catalogue.shipped_dir(), "--instances", "nope")
     assert code == 2 and "NotFoundError" in err
     code, _, err = run_cli(capsys, "harness", "--instances", "baer_pg2_9",
                            "--checks", "nope")

@@ -1,5 +1,6 @@
 """Catalogue loading, the check suite, scorecards, counting identities."""
 
+import concurrent.futures
 import json
 import shutil
 import sys
@@ -68,7 +69,7 @@ def fast_instances():
 
 @pytest.fixture(scope="module")
 def fast_results(fast_instances):
-    results, skipped = harness.run_suite(fast_instances, threads=4)
+    results, skipped = harness.run_suite(fast_instances)
     assert skipped == []
     return results
 
@@ -157,15 +158,6 @@ def test_fast_tier_summary_counts(fast_results):
     json.loads(text)
 
 
-def test_scorecard_byte_stable_across_threads(fast_instances):
-    cards = []
-    for threads in (1, 3):
-        results, skipped = harness.run_suite(fast_instances, threads=threads)
-        cards.append(json.dumps(harness.scorecard(results, skipped),
-                                sort_keys=True, indent=2))
-    assert cards[0] == cards[1]
-
-
 def test_run_suite_builds_subline_patterns_once(fast_instances):
     from blockingsets.linearsets import subline_patterns
     keys = {(i.points.space.field, i.p0) for i in fast_instances}
@@ -173,7 +165,11 @@ def test_run_suite_builds_subline_patterns_once(fast_instances):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        harness.run_suite(fast_instances, threads=4)
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(subline_patterns, field, p0)
+                       for field, p0 in list(keys) * 4]
+            for future in futures:
+                future.result(timeout=60)
     finally:
         sys.setswitchinterval(old)
     info = subline_patterns.cache_info()
@@ -183,7 +179,7 @@ def test_run_suite_builds_subline_patterns_once(fast_instances):
 
 def test_run_suite_check_filter(fast_instances):
     results, _ = harness.run_suite(fast_instances,
-                                   checks=["size_bound_strong"], threads=1)
+                                   checks=["size_bound_strong"])
     assert len(results) == 5
     assert all(r.check == "size_bound_strong" for r in results)
 
@@ -191,7 +187,7 @@ def test_run_suite_check_filter(fast_instances):
 def test_run_suite_skips_slow():
     instances = catalogue.load_shipped()
     results, skipped = harness.run_suite(
-        instances, include_slow=False, checks=["declared_claims"], threads=1)
+        instances, include_slow=False, checks=["declared_claims"])
     assert skipped == ["cone_pg3_49"]
     assert {r.instance for r in results} == set(EXPECTED_POINTS) - \
         {"cone_pg3_49"}
@@ -225,8 +221,7 @@ def mutated_baer_instance():
 def test_declared_claims_flags_mutant():
     inst = mutated_baer_instance()
     results, skipped = harness.run_suite([inst],
-                                         checks=["declared_claims"],
-                                         threads=1)
+                                         checks=["declared_claims"])
     r = results[0]
     assert r.verdict == harness.VIOLATED
     claims = r.notes["claims"]

@@ -13,9 +13,9 @@ from blockingsets.errors import (BadParamsError, CentreInHyperplaneError,
                                  EmptyInputError, NotHyperplaneError,
                                  RangeError, TooLargeError)
 from blockingsets.fields import make_field
-from blockingsets.projspace import (PointSet, ProjPoint, ProjectiveSpace,
-                                    Subspace, gaussian_binomial, meet,
-                                    project, span, subspace_traces)
+from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
+                                    gaussian_binomial, meet, project, span,
+                                    subspace_traces)
 
 
 def pg(n, p, t=1):
@@ -558,13 +558,21 @@ def test_subspace_index_out_of_range():
             space.subspace_by_index(2, idx)
 
 
-def test_projpoint_wrapper():
-    space = pg(2, 3)
-    coords = space.normalize((2, 1, 0))
-    pt = ProjPoint(space, space.rank_of(coords), coords)
-    assert pt.coords == space.normalize((1, 2, 0))   # same point, scaled by 2
-    assert pt == ProjPoint(space, pt.rank, pt.coords)
-    assert "ProjPoint" in repr(pt)
+def test_subspaces_through_matches_brute_force():
+    # a point (given by its rank), a line and a plane of PG(3,3); at dim 3
+    # each must yield the whole space, once
+    space = pg(3, 3)
+    whole = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    for through, sub in ((5, span(space, 5)),
+                         (space.line_through(0, 7),) * 2,
+                         (space.hyperplane((1, 2, 0, 1)),) * 2):
+        for dim in range(4):
+            got = [s.rows for s in space.subspaces(dim, through=through)]
+            want = [s.rows for s in space.subspaces(dim)
+                    if all(s.contains(r) for r in sub.rows)]
+            assert sorted(got) == sorted(want)
+        assert [s.rows for s in space.subspaces(3, through=through)] == [
+            whole]
 
 
 def test_subspace_space_mismatch():
