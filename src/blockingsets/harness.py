@@ -737,26 +737,20 @@ def _check_span_image_subset(a: InstanceAnalysis) -> LemmaCheck:
     x = int(min(ctx.element_ranks(p_rank)))
     lines = a.lines()
     pos = int(np.searchsorted(a.pts.ranks, p_rank))
-    through = np.sort(lines.indices_through_point(pos))
-    secant_idx = through[lines.sizes[through] == a.p0 + 1].tolist()
-    secants = [lines.subspace_at(i) for i in secant_idx]
+    _, flat, _ = lines.secants_through(pos, a.p0 + 1)
+    traces = a.pts.ranks[flat].reshape(-1, a.p0 + 1)
     planes_used = []
     subspaces = []
     for d in config["small_space_duals"]:
         if len(subspaces) == 2:
             break
         cov = a.dual_space.coords_of(int(d))
-        plane = a.space.hyperplane(cov)
-        inner = a.pts.intersection(PointSet(a.space, plane.point_ranks()))
-        # canonical basis rows are normalized points, so a line lies in
-        # the plane exactly when both its basis ranks do
-        plane_set = set(int(r) for r in plane.point_ranks())
-        inside = [i for i, sec in zip(secant_idx, secants)
-                  if all(a.space.rank_of(r) in plane_set
-                         for r in sec.rows)]
-        flat, _ = lines.grouped_points(inside)
-        ys = ctx.transversal_line(
-            a.pts.ranks[flat].reshape(-1, a.p0 + 1), x)
+        plane = PointSet(a.space, a.space.hyperplane(cov).point_ranks())
+        inner = a.pts.intersection(plane)
+        # a line meets a plane it does not lie in once, so a secant with
+        # its p0+1 >= 2 trace points in the plane lies in it
+        inside = plane.mask()[traces].all(axis=1)
+        ys = ctx.transversal_line(traces[inside], x)
         ys = ys[ys >= 0].tolist()
         if not ys:
             continue
@@ -766,7 +760,7 @@ def _check_span_image_subset(a: InstanceAnalysis) -> LemmaCheck:
         if np.array_equal(np.sort(image), inner.ranks):
             subspaces.append(pi)
             planes_used.append({"dual": int(d), "trace": len(inner),
-                                "secants_inside": len(inside),
+                                "secants_inside": int(inside.sum()),
                                 "witness_dim": pi.dim})
     if len(subspaces) < 2:
         notes["reconstructed_spaces"] = len(subspaces)

@@ -39,7 +39,8 @@ _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
 # per-point scans count keys whose range is at most this many incidences
 _COUNT_RANGE = 8
-# lazy trace orderings and per-point counts are built once, whole
+# lazy per-summary results (size and per-point counts, the first uncovered
+# key) are built once, whole
 _TRACE_LOCK = threading.RLock()
 
 
@@ -757,19 +758,6 @@ def _offsets(counts) -> np.ndarray:
     return out
 
 
-def _transpose(flat, offsets, counts) -> tuple:
-    """The other grouping of a CSR incidence array, whose groups have the
-    sizes `counts`: for each member, the owners whose groups list it,
-    ascending.  It sorts the keys member * owners + owner, all distinct."""
-    owners = offsets.size - 1
-    keyed = flat.astype(np.int64)
-    keyed *= owners
-    keyed += np.repeat(np.arange(owners, dtype=np.int32), np.diff(offsets))
-    keyed.sort()
-    keyed %= owners
-    return _frozen(keyed.astype(np.int32)), _frozen(_offsets(counts))
-
-
 class TraceSummary:
     """Intersection counts of one point set against all dim-subspaces.
 
@@ -800,17 +788,20 @@ class TraceSummary:
     incidences between slots and points
     (a point is its position in the set's rank order) are kept in CSR
     form, "compressed sparse row": one flat int32 array grouped by owner
-    plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  There
-    are two groupings:
+    plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  One
+    grouping is stored, by point (`by_point`, `indices_through_point`):
+    the slots through each point, ascending, which is the scan order.
+    Every scan gives each point the same number of slots, so the offsets
+    are multiples of that width.
 
-    - by point (`by_point`, `indices_through_point`): the slots through
-      each point, ascending, which is the scan order; every scan yields it.
-    - by subspace (`by_subspace`, `points_of`): the point positions of each
-      slot, ascending; the offsets are the running sums of the sizes.  It
-      is built on first use under a lock, by one sort of the other.
+    The point positions of chosen slots come in the same layout, built
+    per call and never cached: `grouped_points` gathers them for any
+    selection with one pass over the by-point array and one sort of the
+    hits, and `secants_through` finds those of the lines through one point
+    from the set's coordinates alone.
 
-    All arrays are read-only: summaries are cached per point set and
-    shared.
+    All stored arrays are read-only: summaries are cached per point set
+    and shared.
     """
 
     def __init__(self, space, dim, point_ranks, keys, sizes,
@@ -822,7 +813,6 @@ class TraceSummary:
         self.keys = _frozen(keys)
         self.sizes = _frozen(sizes)
         self._by_point = (_frozen(point_subspaces), _frozen(point_offsets))
-        self._by_subspace = None
         self._counts = {}
         self._size_counts = None
         self._uncovered = None
@@ -851,16 +841,6 @@ class TraceSummary:
             out[int(v)] = int(c)
         return out
 
-    def by_subspace(self) -> tuple:
-        """(points, offsets): the point positions of slot i are
-        points[offsets[i]:offsets[i+1]], ascending."""
-        if self._by_subspace is None:
-            with _TRACE_LOCK:
-                if self._by_subspace is None:
-                    self._by_subspace = _transpose(*self._by_point,
-                                                   self.sizes)
-        return self._by_subspace
-
     def by_point(self) -> tuple:
         """(slots, offsets): the slots through the point at position p are
         slots[offsets[p]:offsets[p+1]], ascending."""
@@ -877,20 +857,80 @@ class TraceSummary:
     def points_of(self, idx: int) -> np.ndarray:
         """Positions of the set's points on slot idx, ascending."""
         self._check_slot(idx)
-        points, offsets = self.by_subspace()
-        return points[offsets[idx]:offsets[idx + 1]]
+        return self.grouped_points([idx])[0]
 
     def grouped_points(self, sel: np.ndarray) -> tuple:
-        """Point positions of each slot in sel, concatenated in sel order,
-        and offsets: group i is out[offsets[i]:offsets[i+1]]."""
-        points, starts = self.by_subspace()
-        sel = np.asarray(sel, dtype=np.int64)
+        """Point positions (int32) of each slot in sel, each group
+        ascending, concatenated in sel order, and offsets: group i is
+        out[offsets[i]:offsets[i+1]].  sel may come in any order and may
+        repeat slots.
+
+        Only the incidences of the selected slots are grouped: a slot mask
+        picks them out of the by-point array, where a flat position
+        divided by the row width is the point, and one sort of the keys
+        slot * m + point lays out the distinct slots ascending."""
+        sel = np.asarray(sel, dtype=np.int64).reshape(-1)
         self._check_slots(sel)
         counts = self.sizes[sel]
         offsets = _offsets(counts)
-        at = np.repeat(starts[sel] - offsets[:-1], counts) \
+        distinct, place = np.unique(sel, return_inverse=True)
+        slots, starts = self._by_point
+        chosen = np.zeros(self.sizes.size, dtype=bool)
+        chosen[distinct] = True
+        hit = np.flatnonzero(chosen[slots])
+        m = self.point_ranks.size
+        keyed = slots[hit].astype(np.int64)
+        keyed *= m
+        keyed += hit // starts[1]
+        keyed.sort()
+        keyed %= m
+        # the groups of the distinct slots, picked out in sel order
+        first = _offsets(self.sizes[distinct])[:-1]
+        at = np.repeat(first[place] - offsets[:-1], counts) \
             + np.arange(offsets[-1])
-        return points[at], offsets
+        return keyed[at].astype(np.int32), offsets
+
+    def secants_through(self, pos: int, size: int) -> tuple:
+        """(slots, points, offsets) for the lines through the point at
+        position pos whose traces have `size` points: the slots ascending
+        (the scan order), and their point positions grouped as
+        `grouped_points` groups them.  Line summaries only.
+
+        The line scan lists the lines through P as P w for w in
+        PG(n-1, q) in rank order, w placed off P's lead column l.  So
+        another point Q of the set lies on the line at entry j of P's row,
+        j the rank of Q - Q_l P with column l deleted: one table pass over
+        the set's coordinates, with no grouping of other incidences."""
+        if self.dim != 1:
+            raise DimensionMismatchError(
+                f"secants through a point need a line summary, not dim "
+                f"{self.dim}")
+        through = self.indices_through_point(pos)
+        space = self.space
+        add, mul, neg, _ = space.field.tables()
+        coords = space.coords_of_ranks(self.point_ranks)
+        p = coords[pos]
+        l = int((p != 0).argmax())
+        others = np.flatnonzero(np.arange(coords.shape[0]) != pos)
+        rest = coords[others]
+        proj = np.delete(add[rest, neg[mul[rest[:, l, None], p]]], l, axis=1)
+        if space.n > 1:
+            entry = ProjectiveSpace(space.n - 1, space.field) \
+                .ranks_from_rows(proj)
+        else:
+            # PG(0, q) is a single point: one line, the whole space
+            entry = np.zeros(others.size, dtype=np.int64)
+        wanted = self.sizes[through] == size
+        keep = np.flatnonzero(wanted)
+        on = wanted[entry]
+        m = coords.shape[0]
+        # P lies on every chosen line; the keys entry * m + point sort the
+        # groups by entry, hence by slot, each ascending
+        keyed = np.concatenate([entry[on] * m + others[on], keep * m + pos])
+        keyed.sort()
+        chosen = through[keep]
+        return chosen, (keyed % m).astype(np.int32), \
+            _offsets(self.sizes[chosen])
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
         if not 0 <= pt_pos < self.point_ranks.size:

@@ -55,20 +55,13 @@ def _status(dim_w: int, target: int, image: np.ndarray,
     return "ok"
 
 
-def _secants_through(lines, pos: int, p0: int) -> np.ndarray:
-    """Slots of the (p0+1)-secant lines through the point at position pos,
-    in scan order."""
-    through = lines.indices_through_point(pos)
-    return through[lines.sizes[through] == p0 + 1]
-
-
 def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
-                      p_rank: int, line_summary,
-                      secant_indices) -> ReconstructionResult:
+                      pos: int, line_summary) -> ReconstructionResult:
     space, small = pts.space, ctx.small
     h = space.field.t
+    p_rank = int(pts.ranks[pos])
     x = int(ctx.element_ranks(p_rank).min())
-    flat, _ = line_summary.grouped_points(secant_indices)
+    secant_indices, flat, _ = line_summary.secants_through(pos, p0 + 1)
     traces = pts.ranks[flat].reshape(-1, p0 + 1)
     ys = ctx.transversal_line(traces, x)
     found = ys >= 0
@@ -77,7 +70,7 @@ def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
     used = [PointSet(space, trace) for trace in traces[found]]
     transversals = [_line_of(small, xv, small.coords_of(y)) for y in ys]
     skipped = [line_summary.subspace_at(int(idx))
-               for idx in np.asarray(secant_indices)[~found]]
+               for idx in secant_indices[~found]]
     diagnostics = {
         "secants_through_P": len(secant_indices),
         "skipped_non_sublines": len(skipped),
@@ -127,8 +120,7 @@ def reconstruct(pts: PointSet, k: int, p0: int,
             f"the set has no ({p0 + 1})-secant line")
 
     def run(pos: int) -> ReconstructionResult:
-        return _reconstruct_from(ctx, pts, k, p0, int(pts.ranks[pos]), lines,
-                                 _secants_through(lines, pos, p0))
+        return _reconstruct_from(ctx, pts, k, p0, pos, lines)
 
     if point_policy == "first":
         return run(int(admissible[0]))
@@ -156,7 +148,7 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
         raise BadParamsError("P must be a point of the set")
     xrank = int(x) if isinstance(x, (int, np.integer)) \
         else ctx.small.rank_of(ctx.small.normalize(x))
-    flat, _ = lines.grouped_points(_secants_through(lines, pos, p0))
+    _, flat, _ = lines.secants_through(pos, p0 + 1)
     ys = ctx.transversal_line(pts.ranks[flat].reshape(-1, p0 + 1), xrank)
     ys = ys[ys >= 0].tolist()
     mask = pts.mask()

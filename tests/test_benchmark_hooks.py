@@ -183,3 +183,33 @@ def test_reconstruct_searches_once_per_base_point(tracing):
     assert metrics["spreads.transversal_line_s"] > 0
     assert metrics["spreads.transversal_lines"] == len(results)
     assert sum(len(r.secants_used) for r in results) > len(results)
+
+
+def test_point_secant_paths_gather_no_selection(monkeypatch):
+    # reconstruction, the span lemma and the span_image_subset check read
+    # the secants through one point, never a gathered selection of slots
+    from blockingsets import catalogue
+    from blockingsets.reconstruct import check_span_lemma, reconstruct
+    instances = catalogue.load_shipped()
+    cone = next(i for i in instances if i.name == "cone_pg3_9")
+
+    def run():
+        results = reconstruct(cone.points, cone.k, cone.p0,
+                              point_policy="all")
+        lemma = check_span_lemma(cone.points, cone.k, cone.p0,
+                                 results[0].P, results[0].x)
+        checks = [harness.run_instance(inst, ["span_image_subset"])[0]
+                  .to_json() for inst in instances]
+        return results, lemma, checks
+
+    usual = run()
+
+    def refuse(self, sel):
+        raise AssertionError("grouped_points on a per-point path")
+
+    monkeypatch.setattr(projspace.TraceSummary, "grouped_points", refuse)
+    results, lemma, checks = run()
+    assert results == usual[0] and all(r.success for r in results)
+    assert lemma == usual[1] and lemma.ok and lemma.pairs_checked
+    assert checks == usual[2]
+    assert [c["verdict"] for c in checks].count(harness.HOLDS) == 1

@@ -109,6 +109,34 @@ def _scan_order(summary, pos):
     return out
 
 
+def _reference_by_subspace(summary):
+    """(points, offsets): the point positions of every slot, ascending,
+    from one sort of every incidence of the by-point grouping, keyed
+    slot * m + point for the m points: the whole-table transpose that
+    summaries once stored, kept as the reference for the gathers."""
+    flat, offsets = summary.by_point()
+    owners = offsets.size - 1
+    keyed = flat.astype(np.int64)
+    keyed *= owners
+    keyed += np.repeat(np.arange(owners, dtype=np.int32), np.diff(offsets))
+    keyed.sort()
+    keyed %= owners
+    starts = np.concatenate([[0], np.cumsum(summary.sizes)])
+    return keyed.astype(np.int32), starts
+
+
+def _reference_grouped(reference, summary, sel):
+    """The groups of the slots in sel, concatenated in sel order, read off
+    the transposed table, with their offsets."""
+    points, starts = reference
+    sel = np.asarray(sel, dtype=np.int64)
+    counts = summary.sizes[sel]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    at = np.repeat(starts[sel] - offsets[:-1], counts) \
+        + np.arange(offsets[-1])
+    return points[at], offsets
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.data())
 def test_trace_summaries_match_brute_force(data):
@@ -165,12 +193,57 @@ def test_trace_summaries_match_brute_force(data):
                 summary.sizes == size_arg["exact"]
             want = np.bincount(flat[keep[owners]], minlength=m)
             assert np.array_equal(summary.per_point_counts(**size_arg), want)
-        sel = np.flatnonzero(np.arange(nslots) % 3 == 1)
-        got, offsets = summary.grouped_points(sel)
-        assert np.array_equal(offsets, np.concatenate(
-            [[0], np.cumsum(summary.sizes[sel])]))
-        assert np.array_equal(got, np.concatenate(
-            [summary.points_of(i) for i in sel] + [np.zeros(0, np.int32)]))
+        # the gathered groups against the whole-table transpose, for
+        # selections in any order, with repeats, and empty
+        reference = _reference_by_subspace(summary)
+        every_third = np.flatnonzero(np.arange(nslots) % 3 == 1)
+        drawn = rng.choice(nslots, min(nslots, 9))
+        for sel in (every_third, every_third[::-1], drawn,
+                    np.concatenate([drawn, drawn[::-1]]), every_third[:0]):
+            got, offsets = summary.grouped_points(sel)
+            want, want_offsets = _reference_grouped(reference, summary, sel)
+            assert got.dtype == np.int32 and offsets.dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.array_equal(offsets, want_offsets)
+
+
+def _secant_cases():
+    """Line summaries: every shipped instance with the points to visit
+    (every point, every 50th on the slow PG(3,49) cone), then random sets
+    of the test spaces and of PG(1, 9), visited whole."""
+    for inst in catalogue.load_shipped():
+        yield inst.points, 50 if inst.slow else 1
+    rng = np.random.default_rng(14)
+    for n, p, t in SPACES + [(1, 3, 2)]:
+        space = _space(n, p, t)
+        for size in (1, 7, min(40, space.num_points)):
+            yield PointSet(space, rng.choice(space.num_points, size,
+                                             replace=False)), 1
+
+
+def test_secants_through_matches_reference():
+    for pts, step in _secant_cases():
+        lines = subspace_traces(pts, 1)
+        reference = _reference_by_subspace(lines)
+        m = len(pts)
+        for pos in range(0, m, step):
+            through = lines.indices_through_point(pos)
+            for size in np.unique(lines.sizes[through]).tolist() + [m + 1]:
+                slots, points, offsets = lines.secants_through(pos, size)
+                want = through[lines.sizes[through] == size]
+                assert slots.tolist() == want.tolist()
+                want_points, want_offsets = _reference_grouped(
+                    reference, lines, want)
+                assert points.dtype == np.int32
+                assert np.array_equal(points, want_points)
+                assert np.array_equal(offsets, want_offsets)
+        for bad in (-1, m):
+            with pytest.raises(RangeError):
+                lines.secants_through(bad, 2)
+    # a hyperplane summary holds no lines
+    cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
+    with pytest.raises(DimensionMismatchError):
+        subspace_traces(cone, 2).secants_through(0, 2)
 
 
 def _pack_rows2(space, first, second):
