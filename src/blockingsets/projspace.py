@@ -344,8 +344,12 @@ class ProjectiveSpace:
         self._bases[dim] = _frozen(stack)
         # every point lies on theta subspaces, so a stable sort by point
         # splits the flat positions into equal rows, each ascending, and
-        # a flat position divided by npar is its subspace
-        through = np.argsort(on.reshape(-1), kind="stable")
+        # a flat position divided by npar is its subspace; in the smallest
+        # type that holds a rank, numpy sorts stably by radix (16 bits or
+        # fewer), in O(incidences)
+        through = np.argsort(
+            on.reshape(-1).astype(np.min_scalar_type(self.num_points - 1)),
+            kind="stable")
         del on
         through //= npar
         out = _frozen(through.astype(np.int32).reshape(self.num_points, -1))
@@ -777,10 +781,13 @@ class TraceSummary:
     Every scan lists, for each point of the set, the keys of the
     dim-subspaces through it, ascending, and `_by_point_summary` groups
     those incidences by counting: a bincount over the key range gives the
-    sizes, its nonzero entries the keys, and the same array then becomes
-    the key -> slot table.  When the key range is much larger than the
-    incidence count (a small set in a large space), one sort does it
-    without a range-sized array.
+    sizes.  When every count is positive (a set that meets every
+    dim-subspace, as a blocking set meets the subspaces of its scan), the
+    keys are range(total) and a slot is its key.  Otherwise the nonzero
+    entries are the keys, and the same array then becomes the key -> slot
+    table.  When the key range is much larger than the incidence count
+    (a small set in a large space), one sort does it without a
+    range-sized array.
 
     Only this class reads keys: `bases` turns any selection of slots into
     canonical RREF basis rows, `first_uncovered` unranks the first missing
@@ -792,7 +799,8 @@ class TraceSummary:
     grouping is stored, by point (`by_point`, `indices_through_point`):
     the slots through each point, ascending, which is the scan order.
     Every scan gives each point the same number of slots, so the offsets
-    are multiples of that width.
+    are multiples of that width and the by-point array is an
+    (m, width) grid.
 
     The point positions of chosen slots come in the same layout, built
     per call and never cached: `grouped_points` gathers them for any
@@ -949,10 +957,11 @@ class TraceSummary:
                 if got is None:
                     keep = self.sizes == exact if exact is not None \
                         else self.sizes >= min_size
-                    slots, offsets = self.by_point()
-                    # every point lies on a slot, so no group is empty
-                    got = _frozen(np.add.reduceat(
-                        keep[slots], offsets[:-1], dtype=np.int64))
+                    slots, _ = self.by_point()
+                    # every point lies on the same number of slots
+                    got = _frozen(np.count_nonzero(
+                        keep[slots].reshape(self.point_ranks.size, -1),
+                        axis=1).astype(np.int64, copy=False))
                     self._counts[(min_size, exact)] = got
         return got
 
@@ -995,9 +1004,12 @@ class TraceSummary:
 
     def first_uncovered(self):
         """The dim-subspace with the smallest key among those that miss
-        the set, or None when every one meets it.  The keys are dense and
-        ascend, so keys[i] - i never falls and that key is the first i
-        where it is positive.  The key is found once per summary."""
+        the set, or None when every one meets it (x0 = 0).  The keys are
+        dense and ascend, so keys[i] - i never falls and that key is the
+        first i where it is positive.  The key is found once per
+        summary."""
+        if not self.x0:
+            return None
         if self._uncovered is None:
             with _TRACE_LOCK:
                 if self._uncovered is None:
@@ -1146,17 +1158,25 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
     holds the dense keys in range(total) of the dim-subspaces through the
     point at position p, ascending.  The incidences are grouped by
     counting the keys; when their range is much larger than their number,
-    by one sort instead."""
+    by one sort instead.  When every key is counted (the set meets every
+    dim-subspace), the slot of a key is the key itself, and no table is
+    built."""
     m, npar = ranks.shape
     flat = ranks.reshape(-1)
     if total <= _COUNT_RANGE * flat.size:
         counts = np.bincount(flat, minlength=total)
-        keys = np.flatnonzero(counts)
-        sizes = counts[keys]
-        # the counts are spent: their buffer becomes the key -> slot table
-        table = counts.view(np.int32)[:total]
-        table[keys] = np.arange(keys.size, dtype=np.int32)
-        slots = table[flat]
+        if np.count_nonzero(counts) == total:
+            keys = np.arange(total)
+            sizes = counts
+            slots = flat.astype(np.int32)
+        else:
+            keys = np.flatnonzero(counts)
+            sizes = counts[keys]
+            # the counts are spent: their buffer becomes the key -> slot
+            # table
+            table = counts.view(np.int32)[:total]
+            table[keys] = np.arange(keys.size, dtype=np.int32)
+            slots = table[flat]
     else:
         keys, slots, sizes = np.unique(flat, return_inverse=True,
                                        return_counts=True)

@@ -185,6 +185,21 @@ def test_reconstruct_searches_once_per_base_point(tracing):
     assert sum(len(r.secants_used) for r in results) > len(results)
 
 
+def test_dense_summaries_search_for_no_uncovered_key(monkeypatch):
+    # the cone meets every line: its line summary has no missing key, so
+    # neither the summary nor the blocking verdict searches the keys
+    from blockingsets import catalogue
+    cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
+    blocking.traces_of.cache_clear()      # a fresh summary, nothing cached
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a key search on a dense summary")
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    assert projspace.subspace_traces(cone, 1).first_uncovered() is None
+    assert blocking.is_k_blocking(cone, 2) == (True, None)
+
+
 def test_point_secant_paths_gather_no_selection(monkeypatch):
     # reconstruction, the span lemma and the span_image_subset check read
     # the secants through one point, never a gathered selection of slots

@@ -1,4 +1,5 @@
-"""Trace summaries in CSR form against brute force, the closed-form line
+"""Trace summaries in CSR form against brute force, the grouping of dense
+summaries against the key -> slot table it skips, the closed-form line
 and hyperplane scan kernels against the covector-building kernels they
 replaced, and the one-pass transversal-line search against a
 per-candidate reference loop."""
@@ -205,6 +206,93 @@ def test_trace_summaries_match_brute_force(data):
             assert got.dtype == np.int32 and offsets.dtype == np.int64
             assert np.array_equal(got, want)
             assert np.array_equal(offsets, want_offsets)
+
+
+def _table_grouping(ranks, total):
+    """(keys, sizes, slots) of the scan's keys as `_by_point_summary`
+    grouped them before dense summaries skipped the table: the nonzero
+    counts are the keys, and the count buffer becomes the key -> slot
+    table; or one sort, when the key range is much larger."""
+    flat = ranks.reshape(-1)
+    if total > projspace._COUNT_RANGE * flat.size:
+        keys, slots, sizes = np.unique(flat, return_inverse=True,
+                                       return_counts=True)
+        return keys, sizes, slots.astype(np.int32)
+    counts = np.bincount(flat, minlength=total)
+    keys = np.flatnonzero(counts)
+    sizes = counts[keys]
+    table = counts.view(np.int32)[:total]
+    table[keys] = np.arange(keys.size, dtype=np.int32)
+    return keys, sizes, table[flat]
+
+
+def _grouping_cases():
+    """(points, dim, the one subspace missing the set or None): dense
+    summaries of lines, hyperplanes and middle dimensions, near-dense ones
+    (the whole space less the points of one subspace, x0 = 1), and a set
+    too small for its space to count its keys."""
+    pg43 = _space(4, 3, 1)
+    whole = PointSet(pg43, np.arange(pg43.num_points))
+    for dim in range(1, 5):
+        yield whole, dim, None
+    for inst in catalogue.load_shipped(["baer_pg2_9", "cone_pg3_9"]):
+        for dim in range(1, inst.points.space.n):
+            yield inst.points, dim, None
+    for space in (pg43, _space(5, 2, 1), _space(2, 2, 2)):
+        for dim in range(1, space.n):
+            gone = space.subspace_by_index(dim, space.num_subspaces(dim) // 3)
+            rest = np.setdiff1d(np.arange(space.num_points),
+                                gone.point_ranks())
+            yield PointSet(space, rest), dim, gone
+    space = _space(3, 2, 2)
+    yield PointSet(space, [3, space.num_points - 2]), 1, None
+
+
+def test_dense_grouping_matches_the_table(monkeypatch):
+    # the scan's keys as they reach the grouping, for the reference
+    seen = []
+    summarize = projspace._by_point_summary
+
+    def recorded(space, dim, pts, ranks, total):
+        seen.append((np.array(ranks), total))
+        return summarize(space, dim, pts, ranks, total)
+
+    monkeypatch.setattr(projspace, "_by_point_summary", recorded)
+    paths = set()
+    for pts, dim, gone in _grouping_cases():
+        seen.clear()
+        summary = subspace_traces(pts, dim)
+        (ranks, total), = seen
+        keys, sizes, slots = _table_grouping(ranks, total)
+        got, offsets = summary.by_point()
+        assert summary.keys.dtype == keys.dtype
+        assert summary.sizes.dtype == sizes.dtype
+        assert got.dtype == np.int32 and offsets.dtype == np.int64
+        assert np.array_equal(summary.keys, keys)
+        assert np.array_equal(summary.sizes, sizes)
+        assert np.array_equal(got, slots)
+        m, npar = ranks.shape
+        assert np.array_equal(offsets, np.arange(m + 1) * npar)
+        counted = total <= projspace._COUNT_RANGE * ranks.size
+        paths.add((counted, summary.x0 == 0))
+        if gone is None and counted:
+            assert summary.x0 == 0
+            assert summary.first_uncovered() is None
+        elif gone is not None:
+            # the one subspace that misses the set is the first
+            assert summary.x0 == 1
+            assert summary.first_uncovered() == gone
+        # the per-point counts against a bincount of the incidences
+        owner = np.repeat(np.arange(m), npar)
+        top = int(sizes.max())
+        for args, keep in (({"min_size": 2}, sizes >= 2),
+                           ({"exact": top}, sizes == top)):
+            want = np.bincount(owner[keep[slots]], minlength=m)
+            counts = summary.per_point_counts(**args)
+            assert counts.dtype == np.int64 and not counts.flags.writeable
+            assert np.array_equal(counts, want)
+    # the cases reach the dense grouping, the table and the sort
+    assert paths == {(True, True), (True, False), (False, False)}
 
 
 def _secant_cases():
