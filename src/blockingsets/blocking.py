@@ -32,6 +32,7 @@ from .projspace import (
     Subspace,
     TraceSummary,
     _coerce_coords,
+    _combine,
     gaussian_binomial,
     span,
     subspace_traces,
@@ -383,18 +384,12 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
     lines = traces_of(pts, 1)
     covered = pts.mask().copy()
     idx = np.nonzero(lines.sizes >= 2)[0]
-    add, mul, _, _ = space.field.tables()
     line_space_params = ProjectiveSpace(1, space.field).coords_array()
     step = max(1, 2_000_000 // (line_space_params.shape[0] * (space.n + 1)))
     for lo in range(0, idx.size, step):
         bases = lines.bases(idx[lo:lo + step])
-        acc = np.zeros(
-            (bases.shape[0], line_space_params.shape[0], space.n + 1),
-            dtype=np.int64)
-        for j in range(2):
-            acc = add[acc, mul[line_space_params[None, :, j, None],
-                               bases[:, None, j, :]]]
-        covered[space.ranks_from_rows(acc).reshape(-1)] = True
+        on = _combine(space.field, line_space_params, bases[:, None])
+        covered[space.ranks_from_rows(on).reshape(-1)] = True
     return ~covered
 
 

@@ -173,71 +173,11 @@ def conway_polynomial(p: int, t: int) -> tuple[int, ...]:
             f"no conway polynomial shipped for p={p}, t={t}") from None
 
 
-class FieldElement:
-    """A single element; thin wrapper over (spec, integer code)."""
-
-    __slots__ = ("field", "code")
-
-    def __init__(self, field: "FieldSpec", code: int):
-        self.field = field
-        self.code = code
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other)}")
-        if other.field is not self.field and other.field != self.field:
-            raise SpecMismatchError(
-                f"mixed fields {self.field} and {other.field}")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return FieldElement(self.field, self.field.mul(self.code, other.code))
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        return FieldElement(
-            self.field, self.field.mul(self.code, self.field.inv(other.code)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.code))
-
-    def __pow__(self, n: int):
-        return FieldElement(self.field, self.field.pow(self.code, n))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.code))
-
-    def __bool__(self):
-        return self.code != 0
-
-    def __eq__(self, other):
-        return (isinstance(other, FieldElement)
-                and other.field == self.field and other.code == self.code)
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.t, self.code))
-
-    def __int__(self):
-        return self.code
-
-    def __repr__(self):
-        return f"{self.field!r}:{self.code}"
-
-
 class FieldSpec:
     """GF(p^t) with a fixed polynomial basis.
 
-    All arithmetic methods operate on integer codes; the FieldElement wrapper
-    exists for operator convenience.  Instances are immutable and hashable.
+    All arithmetic methods operate on integer codes.  Instances are
+    immutable and hashable.
     """
 
     def __init__(self, p: int, t: int, modulus=None):
@@ -341,7 +281,7 @@ class FieldSpec:
         """Code of a generator of GF(q)*: x itself for the Conway moduli."""
         order = self.q - 1
         factors = _prime_factors(order)
-        for g in (self.x.code, *range(1, self.q)):
+        for g in (self.x, *range(1, self.q)):
             if g and all(self.pow(g, order // r) != 1 for r in factors):
                 return g
         raise BlockingSetsError(f"no primitive element in {self!r}")
@@ -389,32 +329,10 @@ class FieldSpec:
                 a = self._mul_poly(a, a)
         return r
 
-    # --- elements ---
-
     @property
-    def zero(self):
-        return FieldElement(self, 0)
-
-    @property
-    def one(self):
-        return FieldElement(self, 1)
-
-    @property
-    def x(self):
-        """The basis generator (the class of x)."""
-        return FieldElement(self, self.p if self.t > 1 else (-self.modulus[0]) % self.p)
-
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise SpecMismatchError("element from a different field")
-            return value
-        if isinstance(value, (int, np.integer)):
-            code = int(value)
-            if not 0 <= code < self.q:
-                raise RangeError(f"code {code} outside [0, {self.q})")
-            return FieldElement(self, code)
-        return FieldElement(self, self.encode(value))
+    def x(self) -> int:
+        """Code of the basis generator (the class of x)."""
+        return self.p if self.t > 1 else (-self.modulus[0]) % self.p
 
     # --- subfields ---
 
@@ -442,8 +360,8 @@ class FieldSpec:
         if e in self._embeddings:
             return self._embeddings[e]
         sub = self.subfield(e)
-        beta = self.pow(self.x.code, (self.q - 1) // (sub.q - 1)) \
-            if self.t > 1 else self.x.code
+        beta = self.pow(self.x, (self.q - 1) // (sub.q - 1)) \
+            if self.t > 1 else self.x
         # sanity: beta must be a root of the subfield modulus inside this field
         acc = 0
         for c in reversed(sub.modulus):
@@ -490,7 +408,7 @@ class FieldSpec:
             neg = neg * p + (-d) % p
         # multiplication and inverses through discrete logs when x is
         # primitive, polynomial products otherwise
-        xc = self.x.code
+        xc = self.x
         exp = [1]
         for _ in range(q - 2):
             exp.append(self._mul_poly(exp[-1], xc))

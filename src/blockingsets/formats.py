@@ -62,6 +62,8 @@ def read_pointset(path: str, with_meta: bool = False):
             raw = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text: {exc}") from exc
     header = None
     rows = []
     for lineno, line in enumerate(raw.splitlines(), start=1):

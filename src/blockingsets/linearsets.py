@@ -32,6 +32,7 @@ from .projspace import (
     PointSet,
     ProjectiveSpace,
     Subspace,
+    _coords,
     gaussian_binomial,
     span,
 )
@@ -260,12 +261,7 @@ def line_param_positions(line: Subspace, ranks) -> np.ndarray:
     if line.dim != 1:
         raise RangeError("chart positions need a line")
     j0, j1 = line.pivots
-    ranks = np.asarray(ranks, dtype=np.int64)
-    try:
-        coords = space.coords_array()[ranks]
-    except TooLargeError:
-        coords = np.asarray([space.coords_of(int(r)) for r in ranks],
-                            dtype=np.int64)
+    coords = _coords(space, np.asarray(ranks, dtype=np.int64))
     param = np.stack([coords[:, j0], coords[:, j1]], axis=-1)
     return ProjectiveSpace(1, space.field).ranks_from_rows(param)
 
@@ -292,14 +288,14 @@ def _bulk_param_positions(summary, sel: np.ndarray):
     positions[offsets[i]:offsets[i+1]] and belongs to line sel[i]."""
     space = summary.space
     points, offsets = summary.grouped_points(sel)
-    grouped = summary.point_ranks[points]
     bases = summary.bases(sel)
     # canonical bases: row pivots give the chart columns, j0 < j1
     j0 = np.argmax(bases[:, 0, :] != 0, axis=1)
     j1 = np.argmax(bases[:, 1, :] != 0, axis=1)
     rep = np.repeat(np.arange(sel.size), np.diff(offsets))
-    coords = space.coords_array()
-    param = np.stack([coords[grouped, j0[rep]], coords[grouped, j1[rep]]],
+    # the set's own coordinate rows, read by point position
+    coords = _coords(space, summary.point_ranks)
+    param = np.stack([coords[points, j0[rep]], coords[points, j1[rep]]],
                      axis=-1)
     # coords at the pivot columns of a normalized point are themselves a
     # normalized PG(1, q) vector, so no renormalization pass is needed

@@ -257,7 +257,8 @@ class ProjectiveSpace:
         return Subspace(self, rows, pivots, canonical=True)
 
     def line_through(self, a, b) -> "Subspace":
-        return _line_of(self, _coerce_coords(self, a), _coerce_coords(self, b))
+        pair = [_coerce_coords(self, a), _coerce_coords(self, b)]
+        return _canonical(self, self.line_rows([pair]))[0]
 
     def hyperplane(self, covector) -> "Subspace":
         u = self.normalize(covector)
@@ -405,10 +406,10 @@ class ProjectiveSpace:
                            _frozen(np.asarray(cells, dtype=np.int64)))
         return self._lines
 
-    def line_keys(self, stack: np.ndarray) -> np.ndarray:
-        """Dense ranks of the lines spanned by the row pairs of an
-        (N, 2, n+1) stack: each pair is brought to the canonical 2-row RREF
-        that `Subspace` would hold, then ranked as in `_line_cells`."""
+    def line_rows(self, stack) -> np.ndarray:
+        """Canonical 2-row RREF bases, shape (N, 2, n+1), of the lines
+        spanned by the row pairs of an (N, 2, n+1) stack: the rows
+        `Subspace` would hold."""
         add, mul, neg, inv = self.field.tables()
         stack = np.asarray(stack, dtype=np.int64)
         a, b = stack[:, 0], stack[:, 1]
@@ -428,10 +429,15 @@ class ProjectiveSpace:
             raise BadParamsError("row pairs that do not span a line")
         second = mul[second, inv[piv2][:, None]]
         first = add[first, neg[mul[first[at, c2][:, None], second]]]
+        return np.stack([first, second], axis=1)
+
+    def line_keys(self, stack) -> np.ndarray:
+        """Dense ranks of the lines spanned by the row pairs of an
+        (N, 2, n+1) stack: their `line_rows`, ranked as in `_line_cells`."""
+        rows = self.line_rows(stack)
+        c1, c2 = (rows != 0).argmax(axis=2).T
         offsets, weights, _ = self._line_cells()
-        w = weights[c1, c2]
-        return offsets[c1, c2] + (first * w[:, 0]).sum(axis=1) \
-            + (second * w[:, 1]).sum(axis=1)
+        return offsets[c1, c2] + (rows * weights[c1, c2]).sum(axis=(1, 2))
 
     def line_bases(self, ranks) -> np.ndarray:
         """Canonical 2-row bases, shape (N, 2, n+1), of an array of dense
@@ -459,25 +465,33 @@ def _coerce_coords(space, item) -> tuple:
     return space.normalize(item)
 
 
-def _line_of(space, pa: tuple, pb: tuple) -> "Subspace":
-    """The line through two normalized points (tuples of codes), reduced
-    straight to the canonical 2-row basis that `Subspace` would hold."""
-    field = space.field
-    # a normalized point's first 1 is its lead
-    la, lb = pa.index(1), pb.index(1)
-    if lb < la:
-        pa, pb, la = pb, pa, lb
-    if pb[la]:
-        pb = [field.sub(y, x) for x, y in zip(pa, pb)]
-    lb = next((i for i, c in enumerate(pb) if c), None)
-    if lb is None:
-        raise BadParamsError("the two points coincide")
-    if pb[lb] != 1:
-        scale = field.inv(pb[lb])
-        pb = [field.mul(scale, y) for y in pb]
-    if pa[lb]:
-        pa = [field.sub(x, field.mul(pa[lb], y)) for x, y in zip(pa, pb)]
-    return Subspace(space, (pa, pb), (la, lb), canonical=True)
+def _canonical(space, stack) -> list:
+    """The Subspaces of a stack of canonical RREF bases, shape
+    (N, d+1, n+1), built without a row reduction."""
+    pivots = (stack != 0).argmax(axis=2).tolist()
+    return [Subspace(space, rows, piv, canonical=True)
+            for rows, piv in zip(stack.tolist(), pivots)]
+
+
+def _combine(field, coeff, basis) -> np.ndarray:
+    """The GF(q)-combinations sum_j coeff[..., j] basis[..., j, :], with
+    the field tables; the leading axes of coeff and basis broadcast."""
+    add, mul, _, _ = field.tables()
+    coeff = np.asarray(coeff, dtype=np.int64)
+    basis = np.asarray(basis, dtype=np.int64)
+    acc = mul[coeff[..., 0, None], basis[..., 0, :]]
+    for j in range(1, coeff.shape[-1]):
+        acc = add[acc, mul[coeff[..., j, None], basis[..., j, :]]]
+    return acc
+
+
+def _coords(space, ranks) -> np.ndarray:
+    """Normalized coordinates of an array of point ranks: rows of the
+    cached `coords_array` when the space fits under the cap, decoded by
+    `coords_of_ranks` otherwise."""
+    if space.num_points * (space.n + 1) <= _COORDS_CAP:
+        return space.coords_array()[ranks]
+    return space.coords_of_ranks(ranks)
 
 
 def _coerce_subspace(space, item) -> "Subspace":
@@ -528,13 +542,9 @@ class Subspace:
         if self.dim == 0:
             ranks = np.asarray([space.rank_of(self.rows[0])], dtype=np.int64)
         else:
-            add, mul, _, _ = space.field.tables()
             params = ProjectiveSpace(self.dim, space.field).coords_array()
-            basis = np.asarray(self.rows, dtype=np.int64)
-            acc = np.zeros((params.shape[0], space.n + 1), dtype=np.int64)
-            for j in range(len(self.rows)):
-                acc = add[acc, mul[params[:, j, None], basis[None, j, :]]]
-            ranks = np.sort(space.ranks_from_rows(acc, normalized=False))
+            ranks = np.sort(space.ranks_from_rows(
+                _combine(space.field, params, self.rows)))
         self._ranks = ranks
         return ranks
 
@@ -556,12 +566,12 @@ def span(space, *items) -> Subspace:
     """Smallest subspace containing the given points and subspaces."""
     rows = []
     for item in items:
+        if isinstance(item, (Subspace, PointSet)) and item.space is not space:
+            raise DimensionMismatchError(f"{item!r} from a different space")
         if isinstance(item, Subspace):
-            if item.space is not space:
-                raise DimensionMismatchError("subspace from a different space")
             rows.extend(item.rows)
         elif isinstance(item, PointSet):
-            rows.extend(space.coords_of(r) for r in item)
+            rows.extend(item.coords().tolist())
         else:
             rows.append(_coerce_coords(space, item))
     if not rows:
@@ -578,17 +588,10 @@ def meet(a: Subspace, b: Subspace):
     ker = linalg.left_kernel(stacked, field)
     if not ker:
         return None
-    na = len(a.rows)
-    rows = []
-    for combo in ker:
-        vec = [0] * (a.space.n + 1)
-        for s in range(na):
-            c = combo[s]
-            if c:
-                for j, x in enumerate(a.rows[s]):
-                    vec[j] = field.add(vec[j], field.mul(c, x))
-        rows.append(vec)
-    return Subspace(a.space, rows)
+    # a kernel vector's first len(a.rows) entries combine a's rows into a
+    # point of the meet
+    coeff = np.asarray(ker, dtype=np.int64)[:, :len(a.rows)]
+    return Subspace(a.space, _combine(field, coeff, a.rows).tolist())
 
 
 class PointSet:
@@ -636,13 +639,7 @@ class PointSet:
 
     def coords(self) -> np.ndarray:
         if self._coords is None:
-            if self.space.num_points * (self.space.n + 1) <= _COORDS_CAP:
-                self._coords = self.space.coords_array()[self.ranks]
-            else:
-                self._coords = np.asarray(
-                    [self.space.coords_of(int(r)) for r in self.ranks],
-                    dtype=np.int64)
-            _frozen(self._coords)
+            self._coords = _frozen(_coords(self.space, self.ranks))
         return self._coords
 
     def union(self, other: "PointSet") -> "PointSet":
@@ -684,13 +681,7 @@ class SubspaceChart:
         return self.small.normalize(coeff)
 
     def to_ambient(self, coeff) -> tuple:
-        field = self.ambient.field
-        vec = [0] * (self.ambient.n + 1)
-        for c, row in zip(coeff, self.subspace.rows):
-            if c:
-                for j, x in enumerate(row):
-                    vec[j] = field.add(vec[j], field.mul(c, x))
-        return tuple(vec)
+        return tuple(self.lift_rows(coeff).tolist())
 
     def restrict(self, pts: PointSet) -> PointSet:
         sub_ranks = self.subspace.point_ranks()
@@ -699,7 +690,7 @@ class SubspaceChart:
             raise BadParamsError(
                 f"{pts.ranks.size - inside.size} points lie outside "
                 "the chart subspace")
-        coords = self.ambient.coords_array()[inside]
+        coords = _coords(self.ambient, inside)
         coeff = coords[:, list(self.subspace.pivots)]
         return PointSet(self.small, self.small.ranks_from_rows(coeff))
 
@@ -707,14 +698,7 @@ class SubspaceChart:
         """Ambient vectors of an array of small-space coordinate rows (last
         axis dim+1, any leading shape): the same linear map as
         `to_ambient`, applied with the field tables."""
-        add, mul, _, _ = self.ambient.field.tables()
-        coeff = np.asarray(coeff, dtype=np.int64)
-        basis = np.asarray(self.subspace.rows, dtype=np.int64)
-        acc = np.zeros(coeff.shape[:-1] + (self.ambient.n + 1,),
-                       dtype=np.int64)
-        for j in range(basis.shape[0]):
-            acc = add[acc, mul[coeff[..., j, None], basis[j]]]
-        return acc
+        return _combine(self.ambient.field, coeff, self.subspace.rows)
 
 
 def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
@@ -739,16 +723,12 @@ def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
         raise CentreInHyperplaneError(
             "projection centre lies on the target hyperplane")
     field = space.field
-    u = space.covector_of(hyperplane)
-    uc = 0
-    for a, b in zip(u, c):
-        uc = field.add(uc, field.mul(a, b))
-    add, mul, neg, _ = field.tables()
+    u = np.asarray(space.covector_of(hyperplane), dtype=np.int64)[:, None]
     coords = pts.coords()
-    uv = np.asarray(u, dtype=np.int64)
-    ur = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(space.n + 1):
-        ur = add[ur, mul[coords[:, j], uv[j]]]
+    # the dot products u.centre and u.R, as combinations of u's entries
+    uc = int(_combine(field, c, u)[0])
+    ur = _combine(field, coords, u)[:, 0]
+    add, mul, neg, _ = field.tables()
     cv = np.asarray(c, dtype=np.int64)
     img = add[mul[coords, uc], mul[neg[ur][:, None], cv[None, :]]]
     return PointSet(space, space.ranks_from_rows(img))
@@ -861,11 +841,6 @@ class TraceSummary:
     def _check_slots(self, sel: np.ndarray):
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
             raise RangeError("trace slot out of range")
-
-    def points_of(self, idx: int) -> np.ndarray:
-        """Positions of the set's points on slot idx, ascending."""
-        self._check_slot(idx)
-        return self.grouped_points([idx])[0]
 
     def grouped_points(self, sel: np.ndarray) -> tuple:
         """Point positions (int32) of each slot in sel, each group
@@ -994,13 +969,9 @@ class TraceSummary:
             neg[mul[u, inv[u[at, z]][:, None]]]
         return rows[np.arange(n + 1) != z[:, None]].reshape(keys.size, n, n + 1)
 
-    def _subspace(self, rows: np.ndarray) -> Subspace:
-        return Subspace(self.space, rows.tolist(),
-                        (rows != 0).argmax(axis=1).tolist(), canonical=True)
-
     def subspace_at(self, idx: int) -> Subspace:
         self._check_slot(idx)
-        return self._subspace(self._decode(self.keys[idx:idx + 1])[0])
+        return _canonical(self.space, self._decode(self.keys[idx:idx + 1]))[0]
 
     def first_uncovered(self):
         """The dim-subspace with the smallest key among those that miss
@@ -1019,7 +990,7 @@ class TraceSummary:
         key = self._uncovered
         if key >= self.total:
             return None
-        return self._subspace(self._decode(np.asarray([key]))[0])
+        return _canonical(self.space, self._decode(np.asarray([key])))[0]
 
     def witness_order(self, sel) -> np.ndarray:
         """The slots in sel in the order searches for a first witness visit
@@ -1031,10 +1002,6 @@ class TraceSummary:
             return sel
         digits = self.bases(sel).reshape(sel.size, 2 * (self.space.n + 1))
         return sel[np.lexsort(digits.T)]
-
-    def subspaces_with_size(self, size: int):
-        for idx in np.nonzero(self.sizes == size)[0]:
-            yield int(idx), self.subspace_at(int(idx))
 
 
 def _scan_lines(space, pts: PointSet) -> TraceSummary:

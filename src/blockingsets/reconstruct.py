@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocking import is_k_blocking, secant_analysis, traces_of
 from .errors import BadParamsError, NoSublineSecantError, NotBlockingError
-from .projspace import PointSet, Subspace, _line_of, span
+from .projspace import PointSet, Subspace, _canonical, span
 from .spreads import SpreadContext, spread_context
 
 
@@ -65,10 +65,11 @@ def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
     traces = pts.ranks[flat].reshape(-1, p0 + 1)
     ys = ctx.transversal_line(traces, x)
     found = ys >= 0
-    ys = ys[found].tolist()
-    xv = small.coords_of(x)
+    ys = ys[found]
     used = [PointSet(space, trace) for trace in traces[found]]
-    transversals = [_line_of(small, xv, small.coords_of(y)) for y in ys]
+    # the transversals are the lines x y, reduced in one batch
+    pairs = small.coords_of_ranks(np.stack([np.full_like(ys, x), ys], axis=1))
+    transversals = _canonical(small, small.line_rows(pairs))
     skipped = [line_summary.subspace_at(int(idx))
                for idx in secant_indices[~found]]
     diagnostics = {
@@ -82,7 +83,7 @@ def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
             p_rank, x, [], [], None, None, False,
             "no secant trace is a subline", diagnostics)
     # every transversal is the line x y, so x and the ys span them all
-    W = span(small, x, *ys)
+    W = span(small, x, *ys.tolist())
     image = ctx.linear_set_of_ranks(W.point_ranks())
     status = _status(W.dim, h * k, image, pts.ranks)
     return ReconstructionResult(

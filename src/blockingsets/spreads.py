@@ -37,8 +37,8 @@ from .projspace import (
     PointSet,
     ProjectiveSpace,
     Subspace,
+    _canonical,
     _coerce_coords,
-    _line_of,
 )
 
 _SMALL_SIDE_CAP = 4_000_000
@@ -77,6 +77,17 @@ class SpreadContext:
                 c, d = divmod(c, p0)
                 out.append(d)
         return tuple(out)
+
+    def _element_rows(self, v) -> list:
+        """The blow-ups of v, x v, ..., x^(h-1) v: h small-side rows that
+        span the spread element of the big vector v."""
+        field = self.big.field
+        xcode = field.x if self.h > 1 else 1
+        rows = []
+        for _ in range(self.h):
+            rows.append(self.blow_up_vector(v))
+            v = tuple(field.mul(xcode, c) for c in v)
+        return rows
 
     # -- cache ----------------------------------------------------------------
 
@@ -139,14 +150,8 @@ class SpreadContext:
 
     def spread_element(self, point) -> Subspace:
         """S(P): the small-side (h-1)-space of a big-side point."""
-        v = _coerce_coords(self.big, point)
-        xcode = self.big.field.x.code if self.h > 1 else 1
-        rows = []
-        w = v
-        for _ in range(self.h):
-            rows.append(self.blow_up_vector(w))
-            w = tuple(self.big.field.mul(xcode, c) for c in w)
-        sub = Subspace(self.small, rows)
+        sub = Subspace(self.small,
+                       self._element_rows(_coerce_coords(self.big, point)))
         if sub.dim != self.h - 1:
             raise SpecMismatchError("spread element has the wrong dimension")
         return sub
@@ -179,14 +184,8 @@ class SpreadContext:
         projective dimension h(dim H + 1) - 1."""
         if sub.space is not self.big:
             raise DimensionMismatchError("subspace not on the big side")
-        xcode = self.big.field.x.code if self.h > 1 else 1
-        rows = []
-        for v in sub.rows:
-            w = v
-            for _ in range(self.h):
-                rows.append(self.blow_up_vector(w))
-                w = tuple(self.big.field.mul(xcode, c) for c in w)
-        out = Subspace(self.small, rows)
+        out = Subspace(self.small, [row for v in sub.rows
+                                    for row in self._element_rows(v)])
         if out.dim != self.h * (sub.dim + 1) - 1:
             raise SpecMismatchError("blown-up subspace has the wrong dimension")
         return out
@@ -258,8 +257,8 @@ class SpreadContext:
         if found[0] < 0:
             raise NotASublineError(
                 "the given points are not the image of a line")
-        return _line_of(self.small, tuple(xv.tolist()),
-                        self.small.coords_of(int(found[0])))
+        pair = self.small.coords_of_ranks([[xrank, found[0]]])
+        return _canonical(self.small, self.small.line_rows(pair))[0]
 
 
 def _checked_rank(space: ProjectiveSpace, rank) -> int:

@@ -57,7 +57,7 @@ def test_element_ranks_match_spread_element(ctx9):
 
 def test_spread_with_non_primitive_modulus():
     field = make_field(3, 2, modulus=(1, 0, 1))     # x^2 + 1: x has order 4
-    assert field.primitive_element() != field.x.code
+    assert field.primitive_element() != field.x
     ctx = spread_context(ProjectiveSpace(2, field))
     for rank in range(ctx.big.num_points):
         sub = ctx.spread_element(ctx.big.coords_of(rank))
@@ -112,12 +112,17 @@ def test_transversal_line_rebuilds_subline(ctx9, baer):
     pts = baer.points
     lines = traces_of(pts, 1)
     idx = int(np.nonzero(lines.sizes == 4)[0][0])
-    trace = PointSet(ctx9.big, pts.ranks[lines.points_of(idx)])
+    trace = PointSet(ctx9.big, pts.ranks[lines.grouped_points([idx])[0]])
     first = int(trace.ranks[0])
     for x in ctx9.element_ranks(first):
         ell = ctx9.transversal_line(trace, int(x))
         assert ell.dim == 1
         assert ctx9.linear_set_of(ell) == trace
+        # the canonical basis of the line x y, y the batch form's match
+        y = int(ctx9.transversal_line(trace.ranks[None], int(x))[0])
+        want = Subspace(ctx9.small, [ctx9.small.coords_of(int(x)),
+                                     ctx9.small.coords_of(y)])
+        assert ell.rows == want.rows and ell.pivots == want.pivots
     # x on the element of a point not in the subline: loud error
     outside = next(r for r in range(ctx9.big.num_points)
                    if r not in trace)

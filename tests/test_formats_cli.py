@@ -289,6 +289,22 @@ def test_cli_check_code_past_int64_exits_3(capsys, tmp_path, code):
     assert err.startswith("error: ParseError:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "PTS"), ("reconstruct", "PTS", "--p0", "3"),
+    ("islinear", "PTS", "--p0", "3"), ("secants", "PTS", "--p0", "3"),
+    ("project", "PTS"), ("harness", "--dir", "DIR")])
+def test_cli_non_ascii_pointset_exits_3(capsys, tmp_path, argv):
+    # a byte outside ASCII is a parse error, not a traceback
+    src = catalogue.shipped_dir() + "/baer_pg2_9"
+    raw = open(src + ".pts", "rb").read().replace(b"\n", b"\xff\n", 1)
+    (tmp_path / "baer_pg2_9.pts").write_bytes(raw)
+    shutil.copy(src + ".meta.json", tmp_path / "baer_pg2_9.meta.json")
+    paths = {"PTS": str(tmp_path / "baer_pg2_9.pts"), "DIR": str(tmp_path)}
+    code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert code == 3 and out == "", err
+    assert err.startswith("error: ParseError:"), err
+
+
 def test_cli_reconstruct(capsys, baer_file):
     data = cli_json(capsys, "reconstruct", baer_file, "--p0", "3")
     assert data["status"] == "ok" and data["dim_W"] == 2

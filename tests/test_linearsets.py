@@ -355,9 +355,11 @@ def test_failure_lists_come_in_witness_order(rank4_27, subgeom_49):
     lines = traces_of(pts, 1)
     _, tuples = subline_patterns(space.field, 3)
     failing = []
-    for idx in np.flatnonzero(lines.sizes == 4):
+    fours = np.flatnonzero(lines.sizes == 4)
+    points, offsets = lines.grouped_points(fours)
+    for i, idx in enumerate(fours):
         line = lines.subspace_at(int(idx))
-        trace = pts.ranks[lines.points_of(int(idx))]
+        trace = pts.ranks[points[offsets[i]:offsets[i + 1]]]
         if tuple(sorted(line_param_positions(line, trace).tolist())) \
                 not in tuples:
             failing.append(_packed_key(line))
@@ -374,9 +376,12 @@ def test_failure_lists_come_in_witness_order(rank4_27, subgeom_49):
     mat, _ = subline_patterns(space.field, 7)
     lines = traces_of(pts, 1)
     failing = []
-    for idx in np.flatnonzero((lines.sizes >= 2) & (lines.sizes <= 49)):
+    secants = np.flatnonzero((lines.sizes >= 2) & (lines.sizes <= 49))
+    points, offsets = lines.grouped_points(secants)
+    for i, idx in enumerate(secants):
         line = lines.subspace_at(int(idx))
-        pos = line_param_positions(line, pts.ranks[lines.points_of(idx)])
+        pos = line_param_positions(
+            line, pts.ranks[points[offsets[i]:offsets[i + 1]]])
         if not set(mat[:, pos].sum(axis=1).tolist()) \
                 <= set(report.allowed_sizes):
             failing.append(_packed_key(line))

@@ -256,10 +256,10 @@ def test_trace_summary_accessors(baer):
     tangents = lines.per_point_counts(min_size=1) \
         - lines.per_point_counts(min_size=2)
     assert tangents.tolist() == [6] * 13
-    four = list(lines.subspaces_with_size(4))
-    assert len(four) == 13
-    for idx, sub in four[:4]:
-        assert lines.subspace_at(idx) == sub
+    four = np.flatnonzero(lines.sizes == 4)
+    assert four.size == 13
+    for idx in four[:4]:
+        sub = lines.subspace_at(int(idx))
         got = pts.intersection(PointSet(pts.space, sub.point_ranks()))
         assert len(got) == 4
     pos0 = lines.indices_through_point(0)
@@ -285,9 +285,11 @@ def test_trace_modes_agree():
     def plane_sets(summary, plane_at):
         assert np.all(np.diff(summary.keys) > 0)
         out = {}
+        points, offsets = summary.grouped_points(
+            np.arange(summary.sizes.size))
         for idx in range(summary.sizes.size):
             plane = plane_at(idx)
-            on = pts.ranks[summary.points_of(idx)]
+            on = pts.ranks[points[offsets[idx]:offsets[idx + 1]]]
             assert on.size == summary.sizes[idx]
             assert np.array_equal(
                 on, np.intersect1d(plane.point_ranks(), pts.ranks))
@@ -377,7 +379,7 @@ def test_line_rank_is_invariant_under_row_operations(data):
     variants = [[b, a], [mul[alpha, a], mul[beta, b]],
                 [a, add[b, mul[gamma, a]]], [add[a, mul[gamma, b]], b]]
     assert space.line_keys(np.asarray(variants)).tolist() == [key] * 4
-    line = projspace._line_of(space, pa, pb)
+    line = Subspace(space, [pa, pb])
     assert int(space.line_keys(np.asarray([line.rows]))[0]) == key
     assert space.line_bases([key])[0].tolist() == [list(r) for r in line.rows]
     # any rank unranks to canonical rows that rank back to it
@@ -579,6 +581,9 @@ def test_subspace_space_mismatch():
     a, b = pg(2, 3), pg(3, 3)
     with pytest.raises(DimensionMismatchError):
         span(a, Subspace(b, [(1, 0, 0, 0)]))
+    # a point set of another space with the same n is refused too
+    with pytest.raises(DimensionMismatchError):
+        span(a, PointSet(pg(2, 5), [30, 10]))
 
 
 def test_space_needs_field_tables():
@@ -720,3 +725,133 @@ def test_rref_is_canonical_under_row_operations(data):
         inside = axpy(c, r, inside)
     for variant in (swapped, scaled, sheared, mat + [inside]):
         assert linalg.rref(variant, field) == want
+
+
+def test_line_through_needs_no_line_rank():
+    # PG(7, 2^10) has more lines than int64 holds, so lines there have no
+    # rank; line_through still reduces the pair to its canonical basis
+    space = pg(7, 2, 10)
+    a, b = (0, 5, 1000, 3, 0, 0, 1, 2), (1, 0, 0, 0, 7, 9, 1023, 0)
+    with pytest.raises(TooLargeError):
+        space.line_keys([[a, b]])
+    line = space.line_through(a, b)
+    want = Subspace(space, [a, b])
+    assert line.rows == want.rows and line.pivots == want.pivots
+    assert space.line_rows([[a, b]]).tolist() == [list(map(list, want.rows))]
+
+
+# -- the scalar loops the batched combination kernel replaced, kept as
+# references --------------------------------------------------------------
+
+
+def _ref_combine(field, coeff, rows):
+    vec = [0] * len(rows[0])
+    for c, row in zip(coeff, rows):
+        if c:
+            for j, x in enumerate(row):
+                vec[j] = field.add(vec[j], field.mul(c, x))
+    return tuple(vec)
+
+
+def _ref_meet(a, b):
+    field = a.space.field
+    stacked = [list(r) for r in a.rows] + [list(r) for r in b.rows]
+    ker = linalg.left_kernel(stacked, field)
+    if not ker:
+        return None
+    return Subspace(a.space, [_ref_combine(field, combo[:len(a.rows)], a.rows)
+                              for combo in ker])
+
+
+def _ref_point_ranks(sub):
+    params = ProjectiveSpace(sub.dim, sub.space.field)
+    return sorted(sub.space.rank_of(_ref_combine(
+        sub.space.field, params.coords_of(r), sub.rows))
+        for r in range(params.num_points))
+
+
+def _ref_project(pts, centre, hyperplane):
+    space = pts.space
+    field = space.field
+    u = space.covector_of(hyperplane)
+
+    def dot(x):
+        acc = 0
+        for a, b in zip(u, x):
+            acc = field.add(acc, field.mul(a, b))
+        return acc
+    uc = dot(centre)
+    image = []
+    for r in pts:
+        v = space.coords_of(r)
+        ur = dot(v)
+        image.append(space.rank_of(
+            [field.sub(field.mul(uc, x), field.mul(ur, y))
+             for x, y in zip(v, centre)]))
+    return PointSet(space, image)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_combination_kernels_match_scalar_references(data):
+    # q in {4, 8, 9, 25}
+    p, t = data.draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]))
+    space = pg(data.draw(st.integers(2, 3)), p, t)
+    field, n = space.field, space.n
+
+    def subspace(lo, hi):
+        dim = data.draw(st.integers(lo, hi))
+        idx = data.draw(st.integers(0, space.num_subspaces(dim) - 1))
+        return space.subspace_by_index(dim, idx)
+    a, b = subspace(1, n - 1), subspace(0, n - 1)
+    assert meet(a, b) == _ref_meet(a, b)
+    assert a.point_ranks().tolist() == _ref_point_ranks(a)
+    chart = projspace.SubspaceChart(a)
+    coeffs = data.draw(st.lists(
+        st.lists(st.integers(0, field.q - 1), min_size=a.dim + 1,
+                 max_size=a.dim + 1), min_size=2, max_size=6))
+    want = [_ref_combine(field, c, a.rows) for c in coeffs]
+    assert [chart.to_ambient(c) for c in coeffs] == want
+    assert chart.lift_rows(coeffs).tolist() == [list(w) for w in want]
+    # leading axes of any shape
+    grid = chart.lift_rows(np.asarray(coeffs[:2])[:, None, :])
+    assert grid.shape == (2, 1, n + 1)
+    assert grid[:, 0].tolist() == [list(w) for w in want[:2]]
+    # a projection from a centre off the set and off the hyperplane
+    hyper = subspace(n - 1, n - 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    pts = PointSet(space, rng.choice(space.num_points, 12, replace=False))
+    off = np.setdiff1d(np.arange(space.num_points),
+                       np.union1d(pts.ranks, hyper.point_ranks()))
+    centre = space.coords_of(int(off[data.draw(
+        st.integers(0, off.size - 1))]))
+    assert project(pts, centre, hyper) == _ref_project(pts, centre, hyper)
+
+
+@pytest.mark.parametrize("fixture", ["baer", "cone_9"])
+def test_coordinate_gather_decodes_above_the_cap(request, monkeypatch,
+                                                 fixture):
+    from blockingsets.blocking import traces_of
+    from blockingsets.linearsets import (LinearSetWitness,
+                                         line_param_positions,
+                                         subline_meet_check)
+    witness = request.getfixturevalue(fixture)
+    space = witness.points.space
+    lines = [traces_of(witness.points, 1).subspace_at(int(i))
+             for i in np.flatnonzero(
+                 traces_of(witness.points, 1).sizes >= 2)[:8]]
+    on_lines = [line.point_ranks() for line in lines]
+
+    def gathered():
+        pts = PointSet(space, witness.points.ranks)
+        fresh = LinearSetWitness(witness.ctx, witness.pi, pts, witness.rank)
+        traces_of.cache_clear()
+        return (pts.coords().tolist(),
+                [line_param_positions(line, ranks).tolist()
+                 for line, ranks in zip(lines, on_lines)],
+                subline_meet_check(fresh))
+    want = gathered()
+    # with no space under the cap, every gather decodes ranks
+    monkeypatch.setattr(projspace, "_COORDS_CAP", 0)
+    assert gathered() == want
+    traces_of.cache_clear()

@@ -156,9 +156,10 @@ def test_trace_summaries_match_brute_force(data):
         for rows, idx in zip(bases.tolist(), sel):
             assert tuple(map(tuple, rows)) == _decoded_rows(summary, idx)
         assert summary.bases(sel[:0]).shape == (0,) + bases.shape[1:]
+        points, offsets = summary.grouped_points(np.arange(nslots))
         brute = []
         for idx in range(nslots):
-            got = summary.points_of(idx)
+            got = points[offsets[idx]:offsets[idx + 1]]
             want = np.intersect1d(summary.subspace_at(idx).point_ranks(),
                                   pts.ranks)
             assert np.array_equal(pts.ranks[got], want)
@@ -166,12 +167,12 @@ def test_trace_summaries_match_brute_force(data):
             brute.append(np.searchsorted(pts.ranks, want))
         # a slot or point position out of range does not wrap round
         for bad in (-1, nslots):
-            for lookup in (summary.points_of, summary.subspace_at):
-                with pytest.raises(RangeError):
-                    lookup(bad)
+            with pytest.raises(RangeError):
+                summary.subspace_at(bad)
             for lookup in (summary.bases, summary.grouped_points):
-                with pytest.raises(RangeError):
-                    lookup([0, bad])
+                for picked in ([bad], [0, bad]):
+                    with pytest.raises(RangeError):
+                        lookup(picked)
         for bad in (-1, m):
             with pytest.raises(RangeError):
                 summary.indices_through_point(bad)
@@ -471,8 +472,10 @@ def test_transversal_line_matches_reference(name):
     lines = traces_of(pts, 1)
     secants = np.flatnonzero(lines.sizes == p0 + 1)
     assert secants.size
-    for i, idx in enumerate(secants):
-        trace = PointSet(pts.space, pts.ranks[lines.points_of(idx)])
+    points, offsets = lines.grouped_points(secants)
+    for i in range(secants.size):
+        trace = PointSet(pts.space,
+                         pts.ranks[points[offsets[i]:offsets[i + 1]]])
         home = int(trace.ranks[i % (p0 + 1)])
         for x in ctx.element_ranks(home).tolist():
             want = _reference_transversal(ctx, trace, x)
@@ -518,7 +521,8 @@ def test_transversal_line_refuses_two_matches(baer):
     ctx = baer.ctx
     lines = traces_of(baer.points, 1)
     idx = int(np.flatnonzero(lines.sizes == 4)[0])
-    trace = PointSet(ctx.big, baer.points.ranks[lines.points_of(idx)])
+    trace = PointSet(ctx.big,
+                     baer.points.ranks[lines.grouped_points([idx])[0]])
     x = int(ctx.element_ranks(trace.ranks[0])[0])
     line = ctx.transversal_line(trace, x)
     # the transversal meets the companion element (that of the second
