@@ -26,6 +26,7 @@ from .errors import (
     NotFoundError,
     RangeError,
 )
+from .fields import exact_log
 from .projspace import (
     PointSet,
     ProjectiveSpace,
@@ -261,20 +262,11 @@ def classify_small_large(pts: PointSet, k: int, p0: int,
     if not one_mod_p0_applicable(pts, k, p0):
         raise NotApplicableError(
             "needs p0 >= 7 and all (n-k)-traces 1 mod p0")
-    h = _log_base(space.q, p0)
+    h = exact_log(space.q, p0)
+    if h is None:
+        raise RangeError(f"{space.q} is not a power of {p0}")
     trace = int(pts.mask()[sub.point_ranks()].sum())
     return classify_trace(trace, p0, h, s)
-
-
-def _log_base(q: int, p0: int) -> int:
-    h = 0
-    v = 1
-    while v < q:
-        v *= p0
-        h += 1
-    if v != q:
-        raise RangeError(f"{q} is not a power of {p0}")
-    return h
 
 
 # -- tangency and secants ------------------------------------------------------

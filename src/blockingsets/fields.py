@@ -60,6 +60,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def exact_log(value: int, base: int) -> int | None:
+    """The e >= 0 with base**e == value, or None when there is none."""
+    if base < 2:
+        return None
+    e, v = 0, 1
+    while v < value:
+        v *= base
+        e += 1
+    return e if v == value else None
+
+
 # --- dense polynomial helpers over GF(p), coefficient lists constant-first ---
 
 def _poly_mul_mod(a, b, f, p):

@@ -1,11 +1,11 @@
 """Batch verification of counting bounds over a catalogue of instances.
 
-Every check pairs one counting statement with one instance: it lists the
-statement's hypotheses explicitly, evaluates bound and observed value with
-exact integer or rational arithmetic, and reports a verdict.  A check whose
-hypotheses fail on the instance answers not_applicable rather than being
-skipped silently, and a violated verdict always carries enough detail in
-its notes to reproduce the offending configuration.
+Every check pairs one counting statement with one instance: it names the
+statement's hypotheses from one shared table, evaluates bound and observed
+value with exact integer or rational arithmetic, and reports a verdict.  A
+check whose hypotheses fail on the instance answers not_applicable rather
+than being skipped silently, and a violated verdict always carries enough
+detail in its notes to reproduce the offending configuration.
 
 Two of the large-space counting checks carry a second, stricter bound in
 their notes (``bound_printed``): the commonly quoted closed form of the
@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import formats
-from .blocking import (_log_base, classify_trace, exponent, gap_thresholds,
+from .blocking import (classify_trace, exponent, gap_thresholds,
                        is_k_blocking, is_minimal, is_redei, is_small,
                        is_trivial, nonsecant_point_count,
                        one_mod_p0_applicable, secant_analysis, spectrum,
                        traces_of)
-from .errors import (GapViolationError, IoError, NotBlockingError,
-                     NotFoundError, ParseError, RangeError, TooLargeError)
-from .fields import conway_table_version
+from .errors import (IoError, NotBlockingError, NotFoundError, ParseError,
+                     TooLargeError)
+from .fields import conway_table_version, exact_log
 from .linearsets import is_linear, subline_meet_check
 from .projspace import (PointSet, ProjectiveSpace, Subspace, span,
                         subspace_traces)
@@ -39,23 +40,6 @@ from .reconstruct import secant_count_bounds
 from .spreads import spread_context
 
 SCORECARD_SCHEMA = "blockingsets-scorecard/1"
-
-CHECK_IDS = (
-    "declared_claims",
-    "large_through_codim2",
-    "large_through_secant",
-    "large_through_tangent",
-    "nonsecant_points",
-    "planar_secant_floor",
-    "rich_tangent_config",
-    "secant_floor",
-    "size_bound_strong",
-    "size_bound_weak",
-    "small_trace_cap",
-    "span_image_subset",
-    "subline_meet_sizes",
-    "trace_gap",
-)
 
 HOLDS = "holds"
 VIOLATED = "violated"
@@ -185,64 +169,51 @@ class InstanceAnalysis:
         self.q = self.space.q
         self.p = self.space.field.p
         self.t = self.space.field.t
-        self._cache = {}
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def blocking(self):
-        return self._get("blocking", lambda: is_k_blocking(self.pts, self.k))
+        return is_k_blocking(self.pts, self.k)
 
-    @property
+    @cached_property
     def small(self):
-        return self._get("small", lambda: is_small(self.pts, self.k))
+        return is_small(self.pts, self.k)
 
-    @property
+    @cached_property
     def trivial(self):
-        return self._get("trivial", lambda: is_trivial(self.pts, self.k))
+        return is_trivial(self.pts, self.k)
 
-    @property
+    @cached_property
     def exponent(self):
-        def run():
-            try:
-                return exponent(self.pts, self.k)
-            except NotBlockingError:
-                return None
-        return self._get("exponent", run)
+        try:
+            return exponent(self.pts, self.k)
+        except NotBlockingError:
+            return None
 
-    @property
+    @cached_property
     def minimal(self):
-        return self._get("minimal",
-                         lambda: is_minimal(self.pts, self.k, "direct"))
+        return is_minimal(self.pts, self.k, "direct")
 
     @property
     def p0_is_exponent(self) -> bool:
         e = self.exponent
         return e is not None and e > 0 and self.p0 == self.p ** e
 
-    @property
+    @cached_property
     def h(self):
         """q as a power of p0, or None when p0 is not a proper base."""
-        def run():
-            try:
-                return _log_base(self.q, self.p0)
-            except RangeError:
-                return None
-        return self._get("h", run)
+        return exact_log(self.q, self.p0)
 
-    @property
+    @cached_property
     def one_mod(self) -> bool:
-        return self._get(
-            "one_mod",
-            lambda: one_mod_p0_applicable(self.pts, self.k, self.p0))
+        return one_mod_p0_applicable(self.pts, self.k, self.p0)
 
-    @property
+    @cached_property
     def secant_report(self):
-        return self._get(
-            "secants", lambda: secant_analysis(self.pts, self.k, self.p0))
+        return secant_analysis(self.pts, self.k, self.p0)
+
+    @cached_property
+    def secant_bounds(self):
+        return secant_count_bounds(self.pts, self.k, self.p0)
 
     def lines(self):
         return traces_of(self.pts, 1)
@@ -254,26 +225,24 @@ class InstanceAnalysis:
     def dual_space(self):
         return ProjectiveSpace(self.n, self.space.field)
 
-    @property
+    @cached_property
     def dual_sizes(self) -> np.ndarray:
         """Hyperplane trace sizes indexed by dual point rank; refused for
         n < 3, where the hyperplanes are lines, keyed by line rank."""
-        def run():
-            if self.n < 3:
-                raise TooLargeError(
-                    f"the hyperplanes of {self.space!r} have no dual ranks")
-            summary = self.hyperplanes()
-            out = np.zeros(self.dual_space.num_points, dtype=np.int64)
-            out[summary.keys] = summary.sizes
-            return out
-        return self._get("dual_sizes", run)
+        if self.n < 3:
+            raise TooLargeError(
+                f"the hyperplanes of {self.space!r} have no dual ranks")
+        summary = self.hyperplanes()
+        out = np.zeros(self.dual_space.num_points, dtype=np.int64)
+        out[summary.keys] = summary.sizes
+        return out
 
     def dual_rank_of(self, sub: Subspace) -> int:
         return self.dual_space.rank_of(self.space.covector_of(sub))
 
     # -- scan shared by the two large-space multiplicity checks ----------
 
-    @property
+    @cached_property
     def large_space_profile(self) -> dict:
         """How many large (n-k+1)-spaces contain each tangent and each
         (p0+1)-secant line, summarized as the number of such lines inside
@@ -281,9 +250,6 @@ class InstanceAnalysis:
         large spaces themselves and keying their internal tangent and
         (p0+1)-secant lines (n = 3, k = 2 shape only: the lines are the
         (n-k)-spaces and the hyperplanes are the (n-k+1)-spaces)."""
-        return self._get("large_profile", self._scan_large_spaces)
-
-    def _scan_large_spaces(self) -> dict:
         pts, space, p0 = self.pts, self.space, self.p0
         _, upper = gap_thresholds(p0, self.h, 1)
         planes = self.hyperplanes()
@@ -326,16 +292,20 @@ class InstanceAnalysis:
     # -- witness search shared by the tangent-configuration checks -------
 
     @property
+    def tangent_bound(self) -> Fraction:
+        """The number of small (n-k+1)-spaces that the pencil of a rich
+        tangent reaches."""
+        f = Fraction(self.p0)
+        return f ** (self.h * self.k - self.h) \
+            - 5 * f ** (self.h * self.k - self.h - 1)
+
+    @cached_property
     def tangent_config(self) -> Optional[dict]:
         """First point on a (p0+1)-secant together with the first tangent
         line through it whose pencil reaches the required count of small
         (n-k+1)-spaces carrying a (p0+1)-secant through the point."""
-        return self._get("tangent_config", self._find_tangent_config)
-
-    def _find_tangent_config(self):
         pts, space, p0 = self.pts, self.space, self.p0
-        bound = (Fraction(p0) ** (self.h * self.k - self.h)
-                 - 5 * Fraction(p0) ** (self.h * self.k - self.h - 1))
+        bound = self.tangent_bound
         lines = self.lines()
         lower, _ = gap_thresholds(p0, self.h, 1)
         dual_sizes = self.dual_sizes
@@ -360,7 +330,6 @@ class InstanceAnalysis:
                     "tangent_rows": tangent.rows,
                     "small_spaces": len(found),
                     "small_space_duals": sorted(found),
-                    "bound": bound,
                     "secants_through_point": len(secants),
                 }
                 if best is None or entry["small_spaces"] > \
@@ -380,109 +349,144 @@ def _key_multiplicities(chunks) -> tuple:
     return int(counts.size), int(counts.max())
 
 
-def _hyp(pairs) -> tuple:
-    hyp = dict(pairs)
-    return all(hyp.values()), hyp
+# -- hypotheses ------------------------------------------------------------
+
+# Every hypothesis a check may list, by name.  A check lists names; its
+# record carries the value of each, and it applies when all of them hold.
+_HYPOTHESES = {
+    "k_blocking": lambda a: a.blocking[0],
+    "non_trivial": lambda a: not a.trivial,
+    "exponent_positive": lambda a: bool(a.exponent),
+    "k_at_least_2": lambda a: a.k >= 2,
+    "small": lambda a: a.small,
+    "minimal": lambda a: a.minimal[0],
+    "p0_at_least_7": lambda a: a.p0 >= 7,
+    "p0_is_exponent": lambda a: a.p0_is_exponent,
+    "q_power_of_p0": lambda a: a.h is not None,
+    "traces_1_mod_p0": lambda a: a.one_mod,
+    "planar": lambda a: a.n == 2,
+    "one_blocking": lambda a: a.k == 1 and a.blocking[0],
+    "dimension_at_least_2k_plus_1": lambda a: a.n >= 2 * a.k + 1,
+    # the multiplicity scans enumerate lines inside hyperplanes, which
+    # covers exactly the shape where (n-k)-spaces are lines and
+    # (n-k+1)-spaces are hyperplanes
+    "scan_shape_lines_to_hyperplanes":
+        lambda a: a.n - a.k == 1 and a.n - a.k + 1 == a.n - 1,
+    "codim2_spaces_are_lines": lambda a: a.n == 3,
+    "prime_subfield_model": lambda a: a.p0 == a.p,
+    "witness_available": lambda a: a.inst.witness is not None,
+}
+
+# blocks shared by several checks, in the order the checks list them: the
+# size bounds, the small minimal sets with p0 = p^e >= 7, the k >= 2
+# lemmas built on the small/large trace dichotomy, and the two
+# large-space multiplicity bounds
+_SIZE = ("k_blocking", "non_trivial", "exponent_positive")
+_SMALL_MINIMAL = ("small", "minimal", "p0_at_least_7", "p0_is_exponent")
+_DICHOTOMY = ("k_at_least_2", "non_trivial") + _SMALL_MINIMAL \
+    + ("traces_1_mod_p0",)
+_SHAPE = "scan_shape_lines_to_hyperplanes"
+_LARGE_SPACES = ("k_at_least_2",) + _SMALL_MINIMAL \
+    + ("traces_1_mod_p0", _SHAPE)
 
 
-def _na(inst, check, hyp, notes=None) -> LemmaCheck:
-    return LemmaCheck(inst, check, False, hyp, None, None,
-                      NOT_APPLICABLE, notes or {})
+# -- the check skeleton ----------------------------------------------------
+
+_CHECKS = {}
+
+
+class _Inapplicable(Exception):
+    """Raised by a check body whose hypotheses hold but whose instance
+    offers nothing to measure; its notes join the check's notes."""
+
+    def __init__(self, **notes):
+        super().__init__()
+        self.notes = notes
+
+
+def _check(cid: str, hypotheses=(), notes=None):
+    """Register the decorated body as check cid.
+
+    The registered callable runs `notes` (not-applicable notes, computed
+    before anything else), then every listed hypothesis in order.  When
+    one fails it answers not_applicable with those notes; otherwise the
+    body returns (bound, observed, ok, notes) and the verdict is holds
+    exactly when ok.
+    """
+    def register(body):
+        def run(a: InstanceAnalysis) -> LemmaCheck:
+            na_notes = notes(a) if notes else {}
+            hyp = {name: _HYPOTHESES[name](a) for name in hypotheses}
+            try:
+                if all(hyp.values()):
+                    bound, observed, ok, body_notes = body(a)
+                    return LemmaCheck(a.inst.name, cid, True, hyp, bound,
+                                      observed, HOLDS if ok else VIOLATED,
+                                      body_notes)
+            except _Inapplicable as exc:
+                na_notes.update(exc.notes)
+            return LemmaCheck(a.inst.name, cid, False, hyp, None, None,
+                              NOT_APPLICABLE, na_notes)
+        _CHECKS[cid] = run
+        return body
+    return register
+
+
+def _assumed(a) -> dict:
+    # the bound rests on the linearity of small minimal blocking sets of
+    # lower index, which the harness takes as given
+    return {"assumed_lower_blocking_linearity": True}
+
+
+def _levels(a):
+    """(s, dim, trace summary, gap thresholds) for each level s < k."""
+    for s in range(a.k):
+        dim = a.n - a.k + s
+        yield s, dim, traces_of(a.pts, dim), gap_thresholds(a.p0, a.h, s)
 
 
 # -- individual checks -----------------------------------------------------
 
 
-def _check_size_bound_weak(a: InstanceAnalysis) -> LemmaCheck:
-    e = a.exponent
-    met, hyp = _hyp([
-        ("k_blocking", a.blocking[0]),
-        ("non_trivial", not a.trivial),
-        ("exponent_positive", bool(e)),
-    ])
-    if not met:
-        return _na(a.inst.name, "size_bound_weak", hyp)
-    f = Fraction(a.p)
+@_check("size_bound_weak", _SIZE)
+def _size_bound_weak(a):
+    e, f = a.exponent, Fraction(a.p)
     bound = f ** (a.t * a.k) + f ** (a.t * a.k - e) - f ** (a.t * a.k - 2 * e)
-    observed = len(a.pts)
-    verdict = HOLDS if observed >= bound else VIOLATED
-    return LemmaCheck(a.inst.name, "size_bound_weak", True, hyp,
-                      bound, observed, verdict, {"exponent": e})
+    return bound, len(a.pts), len(a.pts) >= bound, {"exponent": e}
 
 
-def _check_size_bound_strong(a: InstanceAnalysis) -> LemmaCheck:
+@_check("size_bound_strong", _SIZE)
+def _size_bound_strong(a):
     e = a.exponent
-    met, hyp = _hyp([
-        ("k_blocking", a.blocking[0]),
-        ("non_trivial", not a.trivial),
-        ("exponent_positive", bool(e)),
-    ])
-    if not met:
-        return _na(a.inst.name, "size_bound_strong", hyp)
     pe = a.p ** e
     num = a.p ** (a.t * a.k - e) + 1
     bound = a.p ** (a.t * a.k) + 1 + pe * (-(-num // (pe + 1)))
-    observed = len(a.pts)
-    verdict = HOLDS if observed >= bound else VIOLATED
-    return LemmaCheck(a.inst.name, "size_bound_strong", True, hyp,
-                      bound, observed, verdict, {"exponent": e})
+    return bound, len(a.pts), len(a.pts) >= bound, {"exponent": e}
 
 
-def _check_trace_gap(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("p0_at_least_7", a.p0 >= 7),
-        ("q_power_of_p0", a.h is not None),
-        ("traces_1_mod_p0", a.one_mod),
-    ])
-    if not met:
-        return _na(a.inst.name, "trace_gap", hyp)
-    offenders = []
-    per_level = {}
-    for s in range(a.k):
-        dim = a.n - a.k + s
-        summary = traces_of(a.pts, dim)
-        lower, upper = gap_thresholds(a.p0, a.h, s)
+@_check("trace_gap", ("p0_at_least_7", "q_power_of_p0", "traces_1_mod_p0"))
+def _trace_gap(a):
+    offenders, per_level = [], {}
+    for s, dim, summary, (lower, upper) in _levels(a):
         sizes = [0] if summary.x0 else []
         sizes += [int(v) for v in summary.size_counts()[0]]
-        for v in sizes:
-            try:
-                classify_trace(v, a.p0, a.h, s)
-            except GapViolationError:
-                offenders.append({"dim": dim, "trace": v})
-        per_level[str(s)] = {
-            "dim": dim, "traces": sizes,
-            "gap_lower": lower, "gap_upper": upper,
-        }
+        offenders += [{"dim": dim, "trace": v} for v in sizes
+                      if lower <= v <= upper]
+        per_level[str(s)] = {"dim": dim, "traces": sizes,
+                             "gap_lower": lower, "gap_upper": upper}
     cap = gap_thresholds(a.p0, a.h, a.k)[0]
     size_ok = len(a.pts) < cap
     if not size_ok:
         offenders.append({"dim": a.n, "trace": len(a.pts)})
-    verdict = HOLDS if not offenders else VIOLATED
-    return LemmaCheck(a.inst.name, "trace_gap", True, hyp, 0,
-                      len(offenders), verdict,
-                      {"levels": per_level, "offenders": offenders,
-                       "size_cap": cap, "size_below_cap": size_ok})
+    return 0, len(offenders), not offenders, {
+        "levels": per_level, "offenders": offenders,
+        "size_cap": cap, "size_below_cap": size_ok}
 
 
-def _check_small_trace_cap(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("k_at_least_2", a.k >= 2),
-        ("non_trivial", not a.trivial),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("traces_1_mod_p0", a.one_mod),
-    ])
-    notes = {"assumed_lower_blocking_linearity": True}
-    if not met:
-        return _na(a.inst.name, "small_trace_cap", hyp, notes)
-    offenders = []
-    per_level = {}
-    for s in range(a.k):
-        dim = a.n - a.k + s
-        summary = traces_of(a.pts, dim)
-        lower, _ = gap_thresholds(a.p0, a.h, s)
+@_check("small_trace_cap", _DICHOTOMY, notes=_assumed)
+def _small_trace_cap(a):
+    offenders, per_level = [], {}
+    for s, dim, summary, (lower, _) in _levels(a):
         cap = Fraction(a.p0 ** (a.h * s + 1) - 1, a.p0 - 1)
         small_traces = [int(v) for v in summary.size_counts()[0]
                         if int(v) * lower.denominator < lower.numerator]
@@ -494,68 +498,44 @@ def _check_small_trace_cap(a: InstanceAnalysis) -> LemmaCheck:
             "max_small_trace": max(small_traces, default=0),
             "tight": bool(small_traces) and max(small_traces) == cap,
         }
-    notes["levels"] = per_level
-    notes["offenders"] = offenders
-    verdict = HOLDS if not offenders else VIOLATED
-    return LemmaCheck(a.inst.name, "small_trace_cap", True, hyp, 0,
-                      len(offenders), verdict, notes)
+    return 0, len(offenders), not offenders, {
+        **_assumed(a), "levels": per_level, "offenders": offenders}
 
 
-def _check_secant_floor(a: InstanceAnalysis) -> LemmaCheck:
-    report = secant_count_bounds(a.pts, a.k, a.p0)
-    met, hyp = _hyp([
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-    ])
-    notes = {
-        "points_on_secants": report.points_checked,
-        "violating_points": report.violations[:10],
-    }
-    if not met:
-        # outside the hypotheses the counts are still reported as data
-        notes["exploratory_bound"] = report.bound
-        notes["exploratory_min"] = report.min_observed
-        return _na(a.inst.name, "secant_floor", hyp, notes)
-    verdict = HOLDS if report.ok else VIOLATED
-    return LemmaCheck(a.inst.name, "secant_floor", True, hyp,
-                      report.bound, report.min_observed, verdict, notes)
+def _secant_notes(a) -> dict:
+    report = a.secant_bounds
+    return {"points_on_secants": report.points_checked,
+            "violating_points": report.violations[:10]}
 
 
-def _check_planar_secant_floor(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("planar", a.n == 2),
-        ("one_blocking", a.k == 1 and a.blocking[0]),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_is_exponent", a.p0_is_exponent),
-    ])
-    if not met:
-        return _na(a.inst.name, "planar_secant_floor", hyp)
+def _secant_exploratory(a) -> dict:
+    # outside the hypotheses the counts are still reported as data
+    report = a.secant_bounds
+    return {**_secant_notes(a), "exploratory_bound": report.bound,
+            "exploratory_min": report.min_observed}
+
+
+@_check("secant_floor", _SMALL_MINIMAL, notes=_secant_exploratory)
+def _secant_floor(a):
+    report = a.secant_bounds
+    return report.bound, report.min_observed, report.ok, _secant_notes(a)
+
+
+@_check("planar_secant_floor",
+        ("planar", "one_blocking", "small", "minimal", "p0_is_exponent"))
+def _planar_secant_floor(a):
     kappa = len(a.pts) - a.q
     bound = Fraction(a.q, a.p0) - Fraction(3 * (kappa - 1), a.p0) + 2
     observed = a.secant_report.min_subline_secants()
-    notes = {"kappa": kappa}
     if observed is None:
-        notes["no_point_on_a_secant"] = True
-        return LemmaCheck(a.inst.name, "planar_secant_floor", True, hyp,
-                          bound, None, HOLDS, notes)
-    verdict = HOLDS if observed >= bound else VIOLATED
-    return LemmaCheck(a.inst.name, "planar_secant_floor", True, hyp,
-                      bound, int(observed), verdict, notes)
+        return bound, None, True, {"kappa": kappa,
+                                   "no_point_on_a_secant": True}
+    return bound, int(observed), observed >= bound, {"kappa": kappa}
 
 
-def _check_nonsecant_points(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("dimension_at_least_2k_plus_1", a.n >= 2 * a.k + 1),
-    ])
-    if not met:
-        return _na(a.inst.name, "nonsecant_points", hyp)
+@_check("nonsecant_points",
+        _SMALL_MINIMAL + ("dimension_at_least_2k_plus_1",))
+def _nonsecant_points(a):
     f = Fraction(a.p0)
     hk = a.h * a.k
     m_cap = gap_thresholds(a.p0, a.h, a.k)[0]
@@ -566,109 +546,61 @@ def _check_nonsecant_points(a: InstanceAnalysis) -> LemmaCheck:
     sharp = total / (f ** a.h - 1) - secant_cap * (f ** a.h + 1) - m_cap
     observed = nonsecant_point_count(a.pts)
     hyperplane_points = (a.q ** a.n - 1) // (a.q - 1)
-    verdict = HOLDS if observed >= bound else VIOLATED
-    return LemmaCheck(
-        a.inst.name, "nonsecant_points", True, hyp, bound, observed,
-        verdict,
-        {"sharp_bound": sharp,
-         "sharp_satisfied": observed >= sharp,
-         "pg_n_minus_1_points": hyperplane_points,
-         "exceeds_pg_n_minus_1": observed > hyperplane_points})
+    return bound, observed, observed >= bound, {
+        "sharp_bound": sharp,
+        "sharp_satisfied": observed >= sharp,
+        "pg_n_minus_1_points": hyperplane_points,
+        "exceeds_pg_n_minus_1": observed > hyperplane_points}
 
 
-def _shape_hyp(a: InstanceAnalysis) -> tuple:
-    # the multiplicity scans enumerate lines inside hyperplanes, which
-    # covers exactly the shape where (n-k)-spaces are lines and
-    # (n-k+1)-spaces are hyperplanes
-    return ("scan_shape_lines_to_hyperplanes",
-            a.n - a.k == 1 and a.n - a.k + 1 == a.n - 1)
-
-
-def _check_large_through_secant(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("k_at_least_2", a.k >= 2),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("traces_1_mod_p0", a.one_mod),
-        _shape_hyp(a),
-    ])
-    if not met:
-        return _na(a.inst.name, "large_through_secant", hyp)
-    f = Fraction(a.p0)
-    hk = a.h * a.k
+def _large_through(a, line: str, shared: int, floor, printed):
+    """Bound and profile for the large (n-k+1)-spaces through one line of
+    a kind ("secant" or "tangent").  The line holds `shared` points of B
+    and each (n-k+1)-space through it at least `floor` more; B has fewer
+    points than its size cap, so the number of large spaces through the
+    line is at most what is left of the cap once the line and every floor
+    are paid, divided by how much more than the floor a large space
+    holds."""
     m_cap = gap_thresholds(a.p0, a.h, a.k)[0]
-    count = Fraction(a.p0 ** hk - 1, a.p0 ** a.h - 1)
-    # excess of a large space over the p0+1 shared points, and the floor
-    # for a small space through the secant (non-trivial planar bound)
-    excess_large = gap_thresholds(a.p0, a.h, 1)[1] - a.p0 - 1
-    excess_small = (f ** a.h + f ** (a.h - 1) - f ** (a.h - 2) - a.p0 - 1)
-    bound = (m_cap - (a.p0 + 1) - count * excess_small) \
-        / (excess_large - excess_small)
-    printed = 3 * f ** (hk - a.h - 3)
+    count = Fraction(a.p0 ** (a.h * a.k) - 1, a.p0 ** a.h - 1)
+    excess_large = gap_thresholds(a.p0, a.h, 1)[1] - shared
+    bound = (m_cap - shared - count * floor) / (excess_large - floor)
     profile = a.large_space_profile
-    observed = profile["max_through_secant"]
-    verdict = HOLDS if observed <= bound else VIOLATED
-    return LemmaCheck(
-        a.inst.name, "large_through_secant", True, hyp, bound, observed,
-        verdict,
-        {"bound_printed": printed,
-         "printed_satisfied": observed <= printed,
-         "large_spaces": profile["large_spaces"],
-         "secant_spaces": profile["total_secants"],
-         "secants_inside_large": profile["secants_inside_large"],
-         "per_large_compositions_tan_sec_full": profile["compositions"]})
+    observed = profile[f"max_through_{line}"]
+    return bound, observed, observed <= bound, {
+        "bound_printed": printed,
+        "printed_satisfied": observed <= printed,
+        "large_spaces": profile["large_spaces"],
+        f"{line}_spaces": profile[f"total_{line}s"],
+        f"{line}s_inside_large": profile[f"{line}s_inside_large"]}
 
 
-def _check_large_through_tangent(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("k_at_least_2", a.k >= 2),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("traces_1_mod_p0", a.one_mod),
-        _shape_hyp(a),
-    ])
-    if not met:
-        return _na(a.inst.name, "large_through_tangent", hyp)
+@_check("large_through_secant", _LARGE_SPACES)
+def _large_through_secant(a):
+    f = Fraction(a.p0)
+    # the floor for a small space through the secant (non-trivial planar
+    # bound), less the p0+1 points it shares with the secant
+    floor = f ** a.h + f ** (a.h - 1) - f ** (a.h - 2) - a.p0 - 1
+    printed = 3 * f ** (a.h * a.k - a.h - 3)
+    bound, observed, ok, notes = _large_through(a, "secant", a.p0 + 1,
+                                                floor, printed)
+    notes["per_large_compositions_tan_sec_full"] = \
+        a.large_space_profile["compositions"]
+    return bound, observed, ok, notes
+
+
+@_check("large_through_tangent", _LARGE_SPACES)
+def _large_through_tangent(a):
     f = Fraction(a.p0)
     hk = a.h * a.k
-    m_cap = gap_thresholds(a.p0, a.h, a.k)[0]
-    count = Fraction(a.p0 ** hk - 1, a.p0 ** a.h - 1)
-    excess_large = gap_thresholds(a.p0, a.h, 1)[1] - 1
-    floor_small = f ** a.h       # q+1 points, one of them on the tangent
-    bound = (m_cap - 1 - count * floor_small) / (excess_large - floor_small)
     printed = f ** (hk - a.h - 2) + 4 * f ** (hk - a.h - 3) - 1
-    profile = a.large_space_profile
-    observed = profile["max_through_tangent"]
-    verdict = HOLDS if observed <= bound else VIOLATED
-    return LemmaCheck(
-        a.inst.name, "large_through_tangent", True, hyp, bound, observed,
-        verdict,
-        {"bound_printed": printed,
-         "printed_satisfied": observed <= printed,
-         "large_spaces": profile["large_spaces"],
-         "tangent_spaces": profile["total_tangents"],
-         "tangents_inside_large": profile["tangents_inside_large"]})
+    # a small space through the tangent has q+1 points, one on the tangent
+    return _large_through(a, "tangent", 1, f ** a.h, printed)
 
 
-def _check_large_through_codim2(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("k_at_least_2", a.k >= 2),
-        ("non_trivial", not a.trivial),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("traces_1_mod_p0", a.one_mod),
-        ("codim2_spaces_are_lines", a.n == 3),
-    ])
-    notes = {"assumed_lower_blocking_linearity": True}
-    if not met:
-        return _na(a.inst.name, "large_through_codim2", hyp, notes)
-    bound = 4 * Fraction(a.p0) ** (a.h - 3)
+@_check("large_through_codim2", _DICHOTOMY + ("codim2_spaces_are_lines",),
+        notes=_assumed)
+def _large_through_codim2(a):
     # The candidates are the small (n-2)-spaces through a (p0+1)-secant.
     # The hypotheses force n = 3 and k = 2 (a minimal 3-blocking set of
     # PG(3, q) is the whole space, which is trivial), so n-2 = n-k and a
@@ -676,71 +608,35 @@ def _check_large_through_codim2(a: InstanceAnalysis) -> LemmaCheck:
     # there means trace < gap_thresholds(p0, h, 0)[0]
     # = 1 + 1/p0 + 1/p0^2 + 3/p0^3 < 2, while a secant has p0 + 1 >= 8
     # points: the check is vacuous by construction.
-    notes["candidates"] = 0
-    notes["vacuous"] = True
-    return LemmaCheck(a.inst.name, "large_through_codim2", True, hyp,
-                      bound, 0, HOLDS, notes)
+    return 4 * Fraction(a.p0) ** (a.h - 3), 0, True, {
+        **_assumed(a), "candidates": 0, "vacuous": True}
 
 
-def _check_rich_tangent_config(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("k_at_least_2", a.k >= 2),
-        ("non_trivial", not a.trivial),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("traces_1_mod_p0", a.one_mod),
-        _shape_hyp(a),
-    ])
-    if not met:
-        return _na(a.inst.name, "rich_tangent_config", hyp)
-    config = a.tangent_config
-    f = Fraction(a.p0)
-    bound = f ** (a.h * a.k - a.h) - 5 * f ** (a.h * a.k - a.h - 1)
+@_check("rich_tangent_config", _DICHOTOMY + (_SHAPE,))
+def _rich_tangent_config(a):
+    config, bound = a.tangent_config, a.tangent_bound
     if config is None:
-        return LemmaCheck(
-            a.inst.name, "rich_tangent_config", True, hyp, bound, 0,
-            VIOLATED if bound > 0 else HOLDS,
-            {"no_point_on_a_secant": True})
+        return bound, 0, bound <= 0, {"no_point_on_a_secant": True}
     observed = config["small_spaces"]
-    verdict = HOLDS if observed >= bound else VIOLATED
-    return LemmaCheck(
-        a.inst.name, "rich_tangent_config", True, hyp, bound, observed,
-        verdict,
-        {"witness_point": config["point"],
-         "witness_tangent_rows": config["tangent_rows"],
-         "secants_through_point": config["secants_through_point"]})
+    return bound, observed, observed >= bound, {
+        "witness_point": config["point"],
+        "witness_tangent_rows": config["tangent_rows"],
+        "secants_through_point": config["secants_through_point"]}
 
 
-def _check_span_image_subset(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("k_at_least_2", a.k >= 2),
-        ("non_trivial", not a.trivial),
-        ("small", a.small),
-        ("minimal", a.minimal[0]),
-        ("p0_at_least_7", a.p0 >= 7),
-        ("p0_is_exponent", a.p0_is_exponent),
-        ("traces_1_mod_p0", a.one_mod),
-        _shape_hyp(a),
-        ("prime_subfield_model", a.p0 == a.p),
-    ])
-    notes = {"assumed_lower_blocking_linearity": True}
-    if not met:
-        return _na(a.inst.name, "span_image_subset", hyp, notes)
+@_check("span_image_subset",
+        _DICHOTOMY + (_SHAPE, "prime_subfield_model"), notes=_assumed)
+def _span_image_subset(a):
     config = a.tangent_config
     if config is None or config["small_spaces"] < 2:
-        notes["no_two_qualifying_spaces"] = True
-        return _na(a.inst.name, "span_image_subset", hyp, notes)
+        raise _Inapplicable(no_two_qualifying_spaces=True)
     ctx = spread_context(a.space)
     p_rank = config["point"]
     x = int(min(ctx.element_ranks(p_rank)))
-    lines = a.lines()
     pos = int(np.searchsorted(a.pts.ranks, p_rank))
-    _, flat, _ = lines.secants_through(pos, a.p0 + 1)
+    _, flat, _ = a.lines().secants_through(pos, a.p0 + 1)
     traces = a.pts.ranks[flat].reshape(-1, a.p0 + 1)
-    planes_used = []
-    subspaces = []
+    planes_used, subspaces = [], []
     for d in config["small_space_duals"]:
         if len(subspaces) == 2:
             break
@@ -763,33 +659,26 @@ def _check_span_image_subset(a: InstanceAnalysis) -> LemmaCheck:
                                 "secants_inside": int(inside.sum()),
                                 "witness_dim": pi.dim})
     if len(subspaces) < 2:
-        notes["reconstructed_spaces"] = len(subspaces)
-        return _na(a.inst.name, "span_image_subset", hyp, notes)
+        raise _Inapplicable(reconstructed_spaces=len(subspaces))
     union = span(ctx.small, subspaces[0], subspaces[1])
     image = ctx.linear_set_of_ranks(union.point_ranks())
     extra = np.setdiff1d(image, a.pts.ranks)
-    observed = int(extra.size)
-    notes.update({
+    image_size = int(np.unique(image).size)
+    return 0, int(extra.size), extra.size == 0, {
+        **_assumed(a),
         "planes": planes_used,
         "span_dim": union.dim,
-        "image_size": int(np.unique(image).size),
+        "image_size": image_size,
         "set_size": len(a.pts),
-        "proper_subset": int(np.unique(image).size) < len(a.pts),
+        "proper_subset": image_size < len(a.pts),
         "extra_points": [int(v) for v in extra[:10]],
-    })
-    verdict = HOLDS if observed == 0 else VIOLATED
-    return LemmaCheck(a.inst.name, "span_image_subset", True, hyp, 0,
-                      observed, verdict, notes)
+    }
 
 
-def _check_subline_meet_sizes(a: InstanceAnalysis) -> LemmaCheck:
-    met, hyp = _hyp([
-        ("witness_available", a.inst.witness is not None),
-    ])
-    if not met:
-        return _na(a.inst.name, "subline_meet_sizes", hyp)
+@_check("subline_meet_sizes", ("witness_available",))
+def _subline_meet_sizes(a):
     report = subline_meet_check(a.inst.witness)
-    notes = {
+    return 0, len(report.violations), report.ok, {
         "rank": a.inst.witness.rank,
         "allowed_sizes": list(report.allowed_sizes),
         "secant_lines": report.secant_lines,
@@ -798,26 +687,16 @@ def _check_subline_meet_sizes(a: InstanceAnalysis) -> LemmaCheck:
             {"line_rows": line.rows, "subline": [int(r) for r in sub.ranks],
              "size": size} for line, sub, size in report.violations],
     }
-    verdict = HOLDS if report.ok else VIOLATED
-    return LemmaCheck(a.inst.name, "subline_meet_sizes", True, hyp, 0,
-                      len(report.violations), verdict, notes)
 
 
-def _check_declared_claims(a: InstanceAnalysis) -> LemmaCheck:
+@_check("declared_claims")
+def _declared_claims(a):
     claims = a.inst.claims
     results = {}
-    mismatches = 0
-    witness_notes = {}
 
     def record(name, declared, computed, extra=None):
-        nonlocal mismatches
-        entry = {"declared": declared, "computed": computed,
-                 "match": declared == computed}
-        if extra:
-            entry.update(extra)
-        if not entry["match"]:
-            mismatches += 1
-        results[name] = entry
+        results[name] = {"declared": declared, "computed": computed,
+                         "match": declared == computed, **(extra or {})}
 
     if "blocking" in claims:
         ok, witness = a.blocking
@@ -839,10 +718,7 @@ def _check_declared_claims(a: InstanceAnalysis) -> LemmaCheck:
     if "exponent" in claims:
         record("exponent", int(claims["exponent"]), a.exponent)
     if "redei" in claims:
-        try:
-            ok, hyperplane = is_redei(a.pts, a.k)
-        except NotBlockingError:
-            ok, hyperplane = False, None
+        ok, hyperplane = is_redei(a.pts, a.k)
         extra = {"hyperplane_rows": hyperplane.rows} if hyperplane else None
         record("redei", bool(claims["redei"]), ok, extra)
     if "linear" in claims:
@@ -861,27 +737,11 @@ def _check_declared_claims(a: InstanceAnalysis) -> LemmaCheck:
                 results["linear"] = {"declared": bool(claims["linear"]),
                                      "computed": None, "match": True,
                                      "skipped": "search space too large"}
-    verdict = HOLDS if mismatches == 0 else VIOLATED
-    return LemmaCheck(a.inst.name, "declared_claims", True, {},
-                      0, mismatches, verdict, {"claims": results})
+    mismatches = sum(not r["match"] for r in results.values())
+    return 0, mismatches, mismatches == 0, {"claims": results}
 
 
-_CHECKS = {
-    "declared_claims": _check_declared_claims,
-    "large_through_codim2": _check_large_through_codim2,
-    "large_through_secant": _check_large_through_secant,
-    "large_through_tangent": _check_large_through_tangent,
-    "nonsecant_points": _check_nonsecant_points,
-    "planar_secant_floor": _check_planar_secant_floor,
-    "rich_tangent_config": _check_rich_tangent_config,
-    "secant_floor": _check_secant_floor,
-    "size_bound_strong": _check_size_bound_strong,
-    "size_bound_weak": _check_size_bound_weak,
-    "small_trace_cap": _check_small_trace_cap,
-    "span_image_subset": _check_span_image_subset,
-    "subline_meet_sizes": _check_subline_meet_sizes,
-    "trace_gap": _check_trace_gap,
-}
+CHECK_IDS = tuple(sorted(_CHECKS))
 
 
 def run_instance(inst: Instance, checks=None) -> list:

@@ -27,7 +27,7 @@ from .errors import (
     RangeError,
     TooLargeError,
 )
-from .fields import FieldSpec, make_field
+from .fields import FieldSpec, exact_log, make_field
 from .projspace import (
     PointSet,
     ProjectiveSpace,
@@ -67,9 +67,8 @@ def build_linear_set(ctx: SpreadContext, pi: Subspace) -> LinearSetWitness:
 def _field_for(q: int, p0: int):
     """The big field GF(q) plus the embedding degree e with p0 = p^e."""
     p = _smallest_prime_factor(p0)
-    e = _exact_log(p0, p)
-    t = _exact_log(q, p)
-    if t % e:
+    e, t = exact_log(p0, p), exact_log(q, p)
+    if e is None or t is None or t % e:
         raise BadParamsError(f"GF({p0}) is not a subfield of GF({q})")
     return make_field(p, t), e
 
@@ -83,17 +82,6 @@ def _smallest_prime_factor(m: int) -> int:
             return d
         d += 1
     return m
-
-
-def _exact_log(value: int, base: int) -> int:
-    e = 0
-    v = 1
-    while v < value:
-        v *= base
-        e += 1
-    if v != value:
-        raise BadParamsError(f"{value} is not a power of {base}")
-    return e
 
 
 def _subfield_basis_codes(field: FieldSpec, e: int) -> list:
@@ -168,7 +156,10 @@ def cone_witness(q: int, p0: int, n: int, base_m: int) -> LinearSetWitness:
 def random_rank_r_witness(q: int, n: int, r: int, seed: int) -> LinearSetWitness:
     """Seeded pseudo-random rank-r small-side subspace (prime subfield)."""
     p = _smallest_prime_factor(q)
-    field = make_field(p, _exact_log(q, p))
+    t = exact_log(q, p)
+    if t is None:
+        raise BadParamsError(f"{q} is not a prime power")
+    field = make_field(p, t)
     ctx = spread_context(ProjectiveSpace(n, field))
     if not 1 <= r <= ctx.small.n + 1:
         raise BadParamsError(f"rank {r} out of range for {ctx.small!r}")
@@ -225,8 +216,8 @@ def subline_patterns(field: FieldSpec, p0: int):
     comes out as a; one pass per a keeps the arrays small, and the
     passes come in lexicographic order.
     """
-    e = _exact_log(p0, field.p)
-    if field.t % e:
+    e = exact_log(p0, field.p)
+    if not e or field.t % e:
         raise BadParamsError(f"GF({p0}) is not a subfield of GF(q)")
     embed, _ = field.embedding(e) if e < field.t else (
         np.arange(field.q, dtype=np.int64), None)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .blocking import is_k_blocking, secant_analysis, traces_of
 from .errors import BadParamsError, NoSublineSecantError, NotBlockingError
+from .fields import exact_log
 from .projspace import PointSet, Subspace, _canonical, span
 from .spreads import SpreadContext, spread_context
 
@@ -186,12 +187,8 @@ def secant_count_bounds(pts: PointSet, k: int, p0: int) -> SecantBoundReport:
     from fractions import Fraction
 
     space = pts.space
-    e = 0
-    m = p0
-    while m % space.field.p == 0:
-        m //= space.field.p
-        e += 1
-    if m != 1 or e == 0 or space.field.t % e:
+    e = exact_log(p0, space.field.p)
+    if not e or space.field.t % e:
         raise BadParamsError(f"p0={p0} is not a subfield order")
     h = space.field.t // e
     f = Fraction

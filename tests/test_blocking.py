@@ -312,6 +312,12 @@ def test_classify_small_large_gates(baer, subgeom_49):
     point = Subspace(space, [(1, 0, 0)])
     with pytest.raises(RangeError):
         classify_small_large(subgeom_49.points, 1, 7, point)
+    # a line of PG(2,32) meets every line in 1 or 33 points, both 1 mod 16,
+    # but 32 is no power of 16
+    plane = ProjectiveSpace(2, make_field(2, 5))
+    line = Subspace(plane, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(RangeError):
+        classify_small_large(line.point_set(), 1, 16, line)
 
 
 # -- tangency ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from blockingsets.errors import (NoTableEntryError, NotPrimeError,
                                  RangeError, ReduciblePolynomialError,
                                  ZeroInverseError)
 from blockingsets.fields import (SIZE_LIMIT, FieldSpec, conway_polynomial,
-                                 conway_table_version, make_field)
+                                 conway_table_version, exact_log, make_field)
 
 
 # -- independent polynomial arithmetic (deliberately not fields.py) -----------
@@ -133,6 +133,13 @@ def shipped_entries():
 def test_conway_table_recomputed(p, t):
     table = shipped_entries()
     assert brute_force_reference(p, t, table) == table[(p, t)]
+
+
+def test_exact_log():
+    assert [exact_log(v, 3) for v in (1, 3, 9, 27)] == [0, 1, 2, 3]
+    assert exact_log(2401, 49) == 2
+    for value, base in ((12, 2), (0, 3), (-9, 3), (9, -3), (1, 1), (4, 0)):
+        assert exact_log(value, base) is None
 
 
 def test_conway_table_version():

@@ -409,6 +409,11 @@ def _put(value, *path):
     return edit
 
 
+def _other_witness(meta):
+    meta["witness"] = formats.witness_to_dict(
+        catalogue.build_witness("cone_pg3_9"))
+
+
 _MALFORMED = {
     "no-k": _drop("k"),
     "no-p0": _drop("p0"),
@@ -436,6 +441,7 @@ _MALFORMED = {
     "rank-string": _put("3", "witness", "rank"),
     "witness-other-space": _put({"p": 3, "t": 2, "n": 3},
                                 "witness", "space"),
+    "witness-of-another-space": _other_witness,
 }
 
 
@@ -452,6 +458,19 @@ def test_cli_harness_malformed_sidecar_exits_3(tmp_path, capsys, edit):
         harness.load_instance(str(tmp_path / "baer_pg2_9.pts"))
     code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path))
     assert code == 3 and "ParseError" in err, err
+
+
+def test_cli_harness_rejects_p0_zero(tmp_path, capsys):
+    # p0 = 0 is no subfield order; the secant floor's logarithm of it
+    # must end, not loop
+    src = catalogue.shipped_dir() + "/baer_pg2_9"
+    shutil.copy(src + ".pts", tmp_path / "baer_pg2_9.pts")
+    meta = json.load(open(src + ".meta.json"))
+    meta["p0"] = 0
+    with open(tmp_path / "baer_pg2_9.meta.json", "w") as fh:
+        json.dump(meta, fh)
+    code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path))
+    assert code == 2 and "BadParamsError" in err, err
 
 
 def test_cli_harness_rejects_unknown_names(capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockingsets import catalogue, harness
+from blockingsets import catalogue, formats, harness
 from blockingsets.blocking import gap_thresholds, traces_of
 from blockingsets.errors import (IoError, NotFoundError, ParseError,
                                  TooLargeError)
@@ -116,6 +116,15 @@ def test_load_instance_needs_sidecar(tmp_path):
         harness.load_catalogue(str(empty))
     with pytest.raises(IoError):
         harness.load_catalogue(str(tmp_path / "missing"))
+
+
+def test_load_instance_defaults(tmp_path, baer):
+    path = str(tmp_path / "bare.pts")
+    formats.write_pointset(path, baer.points, meta={"k": 1, "p0": 3})
+    inst = harness.load_instance(path)
+    assert (inst.name, inst.claims, inst.witness, inst.slow) == \
+        ("bare", {}, None, False)
+    assert inst.points == baer.points
 
 
 def test_write_catalogue_roundtrip(tmp_path):

@@ -95,6 +95,8 @@ def test_build_family_returns_points(baer):
     ("redei_trace", dict(q=9, p0=9)),
     ("cone", dict(q=9, p0=3, n=3, base_m=3)),
     ("random_rank_r", dict(q=27, n=2, r=99, seed=1)),
+    ("subgeometry", dict(q=9, p0=6, n=2)),
+    ("random_rank_r", dict(q=12, n=2, r=3, seed=1)),
 ])
 def test_family_parameter_errors(name, params):
     with pytest.raises(BadParamsError):
@@ -189,8 +191,9 @@ def test_subline_patterns_match_reference_loop(p, t, p0, count):
 def test_subline_patterns_cached_and_guarded():
     field = make_field(3, 2)
     assert subline_patterns(field, 3) is subline_patterns(field, 3)
-    with pytest.raises(BadParamsError):
-        subline_patterns(make_field(3, 3), 9)
+    for p0 in (9, 6, 1):
+        with pytest.raises(BadParamsError):
+            subline_patterns(make_field(3, 3), p0)
 
 
 def test_enumerate_sublines_partition_triples():

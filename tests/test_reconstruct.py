@@ -1,14 +1,17 @@
 """Witness reconstruction from subline secants, span pairs, secant bounds."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from blockingsets.cli import main as cli_main
 from blockingsets.errors import (BadParamsError, NoSublineSecantError,
                                  NotBlockingError)
 from blockingsets.fields import make_field
-from blockingsets.linearsets import enumerate_sublines
+from blockingsets.formats import write_pointset
+from blockingsets.linearsets import enumerate_sublines, random_rank_r_witness
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace
 from blockingsets.reconstruct import (check_span_lemma, reconstruct,
                                       secant_count_bounds)
@@ -65,6 +68,8 @@ def test_reconstruct_guards(baer):
         reconstruct(baer.points, 1, 9)
     with pytest.raises(BadParamsError):
         reconstruct(baer.points, 1, 3, point_policy="median")
+    with pytest.raises(BadParamsError):     # h*k = 6 > 5, the small side
+        reconstruct(baer.points, 3, 3)
     space = baer.points.space
     subline = PointSet(space, baer.points.ranks[:4])
     with pytest.raises(NotBlockingError):
@@ -92,6 +97,50 @@ def test_reconstruct_span_too_small():
     res = reconstruct(pts, 1, 3)
     assert not res.success and res.status == "span too small"
     assert res.dim_W == 1 and not res.image_equal
+
+
+def test_reconstruct_proper_subset(baer, tmp_path, capsys):
+    # a point off the subplane adds no secant, so every base point still
+    # rebuilds the subplane, whose image misses the new point
+    rng = np.random.default_rng(0)
+    space = baer.points.space
+    extra = int(rng.choice(np.setdiff1d(np.arange(space.num_points),
+                                        baer.points.ranks)))
+    pts = PointSet(space, list(baer.points.ranks) + [extra])
+    results = reconstruct(pts, 1, 3, point_policy="all")
+    assert len(results) == 13
+    for res in results:
+        assert res.status == "image is a proper subset" and not res.success
+        assert res.dim_W == 2 and not res.image_equal
+        assert baer.ctx.linear_set_of(res.W) == baer.points
+    path = str(tmp_path / "baer_plus.pts")
+    write_pointset(path, pts)
+    assert cli_main(["reconstruct", path, "--k", "1", "--p0", "3"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "image is a proper subset"
+    assert record["image_equal"] is False
+
+
+def test_reconstruct_span_too_large_and_image_differs():
+    # two rank-4 GF(2)-linear sets of PG(2,8): from most base points the
+    # secants span a line, from one they span two witnesses at once, and
+    # from another a plane of the wrong linear set
+    a, b = (random_rank_r_witness(8, 2, 4, seed) for seed in (0, 2))
+    pts = PointSet(a.points.space,
+                   np.union1d(a.points.ranks, b.points.ranks))
+    ctx = spread_context(pts.space)
+    by_status = {}
+    for res in reconstruct(pts, 1, 2, point_policy="all"):
+        by_status.setdefault(res.status, []).append(res)
+    assert {s: len(r) for s, r in by_status.items()} == {
+        "span too small": 18, "span too large": 1, "image differs": 1}
+    (large,), (differs,) = by_status["span too large"], \
+        by_status["image differs"]
+    assert large.dim_W > 3 and not large.image_equal
+    assert differs.dim_W == 3
+    image = ctx.linear_set_of(differs.W)
+    assert set(image.ranks.tolist()) - set(pts.ranks.tolist())
+    assert set(pts.ranks.tolist()) - set(image.ranks.tolist())
 
 
 def test_reconstruct_skips_non_subline_secants():
@@ -169,5 +218,6 @@ def test_secant_bounds_violations():
 def test_secant_bounds_param_guard(baer):
     with pytest.raises(BadParamsError):
         secant_count_bounds(baer.points, 1, 5)
-    with pytest.raises(BadParamsError):
-        secant_count_bounds(baer.points, 1, 1)
+    for p0 in (1, 0, -3, 6):
+        with pytest.raises(BadParamsError):
+            secant_count_bounds(baer.points, 1, p0)

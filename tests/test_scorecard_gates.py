@@ -1,0 +1,167 @@
+"""The committed --slow scorecard, and the hypothesis gates behind it.
+
+tests/data/scorecard_slow.json is the scorecard of `blockingsets harness
+--slow`.  It is the only place where tier-1 sees the verdicts of the six
+checks that apply to the PG(3,49) cone alone, so any change to a bound,
+an observed value, a hypothesis or a note shows up here as a byte
+difference.  Regenerate it only when a scorecard change is intended:
+
+    blockingsets harness --slow --out tests/data/scorecard_slow.json
+"""
+
+import json
+import os
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from blockingsets import catalogue, harness
+from blockingsets.blocking import traces_of
+from blockingsets.cli import main as cli_main
+from blockingsets.projspace import PointSet
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data",
+                      "scorecard_slow.json")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, "rb") as fh:
+        return fh.read()
+
+
+def test_slow_scorecard_matches_golden(tmp_path, golden):
+    out = tmp_path / "slow.json"
+    assert cli_main(["harness", "--slow", "--out", str(out)]) == 0
+    assert out.read_bytes() == golden
+
+
+def test_fast_scorecard_is_golden_without_the_cone(tmp_path, golden):
+    out = tmp_path / "fast.json"
+    assert cli_main(["harness", "--out", str(out)]) == 0
+    fast, slow = json.loads(out.read_bytes()), json.loads(golden)
+    assert fast["checks"] == [c for c in slow["checks"]
+                              if c["instance"] != "cone_pg3_49"]
+    assert fast["skipped_instances"] == ["cone_pg3_49"]
+    assert fast["summary"] == {"holds": 28, "not_applicable": 42,
+                               "violated": 0}
+
+
+# -- hypothesis gates ----------------------------------------------------------
+
+GATE_INSTANCES = ("baer_pg2_9", "cone_pg3_9", "rank4_pg2_27",
+                  "subgeom_pg2_49")
+
+
+def _instance(name, pts):
+    e = catalogue.entry(name)
+    return harness.Instance(name, pts, e["k"], e["p0"], {}, None, False, {})
+
+
+@pytest.fixture(scope="module", params=GATE_INSTANCES)
+def rebuilt(request):
+    return catalogue.build_witness(request.param).points, request.param
+
+
+def _with_point_added(pts):
+    off = next(r for r in range(pts.space.num_points) if r not in pts)
+    return PointSet(pts.space, list(pts.ranks) + [off]), off
+
+
+def _by_check(inst):
+    results = harness.run_instance(inst)
+    assert [r.check for r in results] == sorted(harness.CHECK_IDS)
+    assert all(r.verdict != harness.VIOLATED for r in results)
+    return {r.check: r for r in results}
+
+
+def test_unperturbed_instance_meets_the_gates(rebuilt):
+    pts, name = rebuilt
+    checks = _by_check(_instance(name, pts))
+    assert checks["size_bound_weak"].hypotheses["k_blocking"]
+    for r in checks.values():
+        if "minimal" in r.hypotheses:
+            assert r.hypotheses["minimal"] is True, r.check
+
+
+def test_dropping_a_point_turns_blocking_off(rebuilt):
+    pts, name = rebuilt
+    dropped = PointSet(pts.space, pts.ranks[1:])
+    checks = _by_check(_instance(name, dropped))
+    weak = checks["size_bound_weak"]
+    assert weak.hypotheses["k_blocking"] is False
+    assert weak.verdict == harness.NOT_APPLICABLE
+    # minimality presumes a blocking set, so the checks that list it
+    # fall back to the non-blocking record
+    for cid in ("secant_floor", "small_trace_cap", "span_image_subset"):
+        assert checks[cid].hypotheses == {"blocking": False}
+        assert checks[cid].notes["error"]
+
+
+def test_adding_a_point_turns_minimal_off(rebuilt):
+    pts, name = rebuilt
+    added, _ = _with_point_added(pts)
+    checks = _by_check(_instance(name, added))
+    listing = [r for r in checks.values() if "minimal" in r.hypotheses]
+    assert len(listing) == 9
+    for r in listing:
+        assert r.hypotheses["minimal"] is False, r.check
+        assert r.verdict == harness.NOT_APPLICABLE
+
+
+# -- verdicts that no catalogue instance produces ----------------------------
+
+
+def test_declared_claims_name_the_removable_point():
+    added, off = _with_point_added(
+        catalogue.build_witness("subgeom_pg2_49").points)
+    inst = harness.Instance("added", added, 1, 7,
+                            {"minimal": True, "linear": True}, None, False,
+                            {})
+    (r,) = harness.run_instance(inst, ["declared_claims"])
+    assert r.verdict == harness.VIOLATED and r.observed == 1
+    claims = r.notes["claims"]
+    assert claims["minimal"] == {"declared": True, "computed": False,
+                                 "match": False, "removable_point": off}
+    # reconstruction fails, and the 19608 small-side points of PG(2,49)
+    # are too many for the exhaustive search
+    assert claims["linear"] == {"declared": True, "computed": None,
+                                "match": True,
+                                "skipped": "search space too large"}
+
+
+def test_subline_meet_sizes_flags_a_witness_off_its_set():
+    w = catalogue.build_witness("subgeom_pg2_49")
+    lines = traces_of(w.points, 1)
+    line = lines.subspace_at(int(np.flatnonzero(lines.sizes == 8)[0]))
+    on = [r for r in line.point_ranks().tolist() if r in w.points]
+    off = [r for r in line.point_ranks().tolist() if r not in w.points]
+    mutated = PointSet(w.points.space, [r for r in w.points.ranks.tolist()
+                                        if r != on[0]] + [off[0]])
+    inst = harness.Instance("mutant", mutated, 1, 7, {},
+                            w._replace(points=mutated), False, {})
+    (r,) = harness.run_instance(inst, ["subline_meet_sizes"])
+    assert r.verdict == harness.VIOLATED
+    assert r.observed == len(r.notes["violations"]) > 0
+
+
+def test_tangent_checks_without_a_configuration():
+    # every hypothesis of the two checks holds, but no point of the set
+    # lies on a (p0+1)-secant: the tangent search comes back empty
+    a = SimpleNamespace(inst=SimpleNamespace(name="stub"), n=3, k=2, p0=7,
+                        p=7, trivial=False, small=True, minimal=(True, None),
+                        p0_is_exponent=True, one_mod=True,
+                        tangent_config=None, tangent_bound=Fraction(14))
+    rich = harness._CHECKS["rich_tangent_config"](a)
+    assert rich.hypotheses_met and rich.verdict == harness.VIOLATED
+    assert (rich.bound, rich.observed) == (14, 0)
+    assert rich.notes == {"no_point_on_a_secant": True}
+    # the span check has nothing to measure, which is not a verdict
+    span = harness._CHECKS["span_image_subset"](a)
+    assert all(span.hypotheses.values()) and not span.hypotheses_met
+    assert span.verdict == harness.NOT_APPLICABLE
+    assert span.bound is None and span.observed is None
+    assert span.notes == {"assumed_lower_blocking_linearity": True,
+                          "no_two_qualifying_spaces": True}
