@@ -17,6 +17,7 @@ exceed it, so it is reported as data, not used for pass/fail.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from functools import cached_property
@@ -233,8 +234,8 @@ class InstanceAnalysis:
             raise TooLargeError(
                 f"the hyperplanes of {self.space!r} have no dual ranks")
         summary = self.hyperplanes()
-        out = np.zeros(self.dual_space.num_points, dtype=np.int64)
-        out[summary.keys] = summary.sizes
+        out = np.zeros(self.dual_space.num_points, dtype=summary.sizes.dtype)
+        out[summary.keys_of(np.arange(summary.sizes.size))] = summary.sizes
         return out
 
     def dual_rank_of(self, sub: Subspace) -> int:
@@ -255,8 +256,7 @@ class InstanceAnalysis:
         planes = self.hyperplanes()
         for size in planes.size_counts()[0]:
             classify_trace(int(size), p0, self.h, 1)   # loud on gap traces
-        large_idx = np.nonzero(
-            planes.sizes * upper.denominator > upper.numerator)[0]
+        large_idx = np.flatnonzero(_above(planes.sizes, upper))
         # ambient line ranks of the internal tangents and (p0+1)-secants,
         # one chunk per large space; a line lies in as many large spaces
         # as its rank occurs
@@ -323,7 +323,7 @@ class InstanceAnalysis:
                 for sec in secants:
                     plane = span(space, tangent, sec)
                     d = self.dual_rank_of(plane)
-                    if dual_sizes[d] * lower.denominator < lower.numerator:
+                    if _below(dual_sizes[d], lower):
                         found.add(d)
                 entry = {
                     "point": int(pts.ranks[pos]),
@@ -338,6 +338,18 @@ class InstanceAnalysis:
                 if len(found) * bound.denominator >= bound.numerator:
                     return entry
         return best
+
+
+def _above(sizes, bound: Fraction):
+    """sizes > bound, for integer sizes: sizes > floor(bound), an exact
+    integer.  The sizes may be narrow, so a product by the denominator
+    could wrap."""
+    return sizes > math.floor(bound)
+
+
+def _below(sizes, bound: Fraction):
+    """sizes < bound, for integer sizes: sizes < ceil(bound)."""
+    return sizes < math.ceil(bound)
 
 
 def _key_multiplicities(chunks) -> tuple:

@@ -759,20 +759,24 @@ class TraceSummary:
       `ProjectiveSpace.incidence`).
 
     Every scan lists, for each point of the set, the keys of the
-    dim-subspaces through it, ascending, and `_by_point_summary` groups
-    those incidences by counting: a bincount over the key range gives the
-    sizes.  When every count is positive (a set that meets every
-    dim-subspace, as a blocking set meets the subspaces of its scan), the
-    keys are range(total) and a slot is its key.  Otherwise the nonzero
-    entries are the keys, and the same array then becomes the key -> slot
-    table.  When the key range is much larger than the incidence count
-    (a small set in a large space), one sort does it without a
-    range-sized array.
+    dim-subspaces through it, ascending, as int32 whenever every key fits
+    (int64 otherwise), and `_by_point_summary` groups those incidences by
+    counting: a bincount over the key range gives the sizes.  When every
+    count is positive (a set that meets every dim-subspace, as a blocking
+    set meets the subspaces of its scan), the summary is dense: a slot is
+    its key, no keys are stored, and the scan's int32 array itself is
+    the by-point grouping.  Otherwise the nonzero entries are the keys
+    (int64), and the same array then becomes the key -> slot table.  When
+    the key range is much larger than the incidence count (a small set in
+    a large space), one sort does it without a range-sized array.  The
+    sizes are held in the smallest signed integer type that holds the
+    set's size, so they never wrap on subtraction; compare them with
+    exact integers, not with products that could wrap.
 
-    Only this class reads keys: `bases` turns any selection of slots into
-    canonical RREF basis rows, `first_uncovered` unranks the first missing
-    key, and `witness_order` orders line slots by their bases.  The
-    incidences between slots and points
+    Keys are read through `keys_of` alone: `bases` turns any selection of
+    slots into canonical RREF basis rows, `first_uncovered` unranks the
+    first missing key, and `witness_order` orders line slots by their
+    bases.  The incidences between slots and points
     (a point is its position in the set's rank order) are kept in CSR
     form, "compressed sparse row": one flat int32 array grouped by owner
     plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  One
@@ -798,7 +802,8 @@ class TraceSummary:
         self.dim = dim
         self.point_ranks = point_ranks
         self.total = space.num_subspaces(dim)
-        self.keys = _frozen(keys)
+        # None on a dense summary, whose slots are its keys
+        self._keys = None if keys is None else _frozen(keys)
         self.sizes = _frozen(sizes)
         self._by_point = (_frozen(point_subspaces), _frozen(point_offsets))
         self._counts = {}
@@ -816,7 +821,10 @@ class TraceSummary:
         if self._size_counts is None:
             with _TRACE_LOCK:
                 if self._size_counts is None:
-                    vals, cnts = np.unique(self.sizes, return_counts=True)
+                    # numpy sorts int8 several times slower than int16
+                    vals, cnts = np.unique(self.sizes.astype(np.promote_types(
+                        self.sizes.dtype, np.int16), copy=False),
+                        return_counts=True)
                     self._size_counts = (_frozen(vals), _frozen(cnts))
         return self._size_counts
 
@@ -833,10 +841,6 @@ class TraceSummary:
         """(slots, offsets): the slots through the point at position p are
         slots[offsets[p]:offsets[p+1]], ascending."""
         return self._by_point
-
-    def _check_slot(self, idx: int):
-        if not 0 <= idx < self.sizes.size:
-            raise RangeError(f"trace slot {idx} out of range")
 
     def _check_slots(self, sel: np.ndarray):
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
@@ -940,12 +944,17 @@ class TraceSummary:
                     self._counts[(min_size, exact)] = got
         return got
 
+    def keys_of(self, sel) -> np.ndarray:
+        """The keys (int64) of the slots in sel (an index array); on a
+        dense summary a slot is its key."""
+        sel = np.asarray(sel, dtype=np.int64).reshape(-1)
+        self._check_slots(sel)
+        return sel if self._keys is None else self._keys[sel]
+
     def bases(self, sel) -> np.ndarray:
         """Canonical RREF bases of the slots in sel (an index array), shape
         (len(sel), dim+1, n+1), the rows `Subspace` would hold."""
-        sel = np.asarray(sel, dtype=np.int64).reshape(-1)
-        self._check_slots(sel)
-        return self._decode(self.keys[sel])
+        return self._decode(self.keys_of(sel))
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
         space, n, dim = self.space, self.space.n, self.dim
@@ -970,8 +979,7 @@ class TraceSummary:
         return rows[np.arange(n + 1) != z[:, None]].reshape(keys.size, n, n + 1)
 
     def subspace_at(self, idx: int) -> Subspace:
-        self._check_slot(idx)
-        return _canonical(self.space, self._decode(self.keys[idx:idx + 1]))[0]
+        return _canonical(self.space, self.bases([idx]))[0]
 
     def first_uncovered(self):
         """The dim-subspace with the smallest key among those that miss
@@ -984,9 +992,9 @@ class TraceSummary:
         if self._uncovered is None:
             with _TRACE_LOCK:
                 if self._uncovered is None:
+                    at = np.arange(self.sizes.size)
                     self._uncovered = int(np.searchsorted(
-                        self.keys - np.arange(self.keys.size), 0,
-                        side="right"))
+                        self.keys_of(at) - at, 0, side="right"))
         key = self._uncovered
         if key >= self.total:
             return None
@@ -1026,7 +1034,8 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     npar = (q ** n - 1) // (q - 1)
     offsets, weights, _ = space._line_cells()
     digits = np.arange(q, dtype=np.int64)
-    ranks = np.empty((m, npar), dtype=np.int64)
+    total = space.num_subspaces(1)
+    ranks = np.empty((m, npar), dtype=_rank_dtype(total))
     for l in range(n + 1):
         # the ranks ascend, so the points of one lead are contiguous
         rows = np.flatnonzero(lead == l)
@@ -1061,8 +1070,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
                     acc = (acc[:, :, None] + term[:, None, :]) \
                         .reshape(p.shape[0], -1)
                 out[...] = acc
-    return _by_point_summary(space, 1, pts, ranks,
-                             space.num_subspaces(1))
+    return _by_point_summary(space, 1, pts, ranks, total)
 
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
@@ -1085,23 +1093,27 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     params = ProjectiveSpace(n - 1, space.field).coords_array()
     npar = params.shape[0]
     digits = np.arange(q, dtype=np.int64)
-    ranks = np.empty((m, npar), dtype=np.int64)
+    ranks = np.empty((m, npar), dtype=_rank_dtype(dual.num_points))
     for z in range(n + 1):
         rows = np.flatnonzero(last == z)
         if not rows.size:
             continue
         placed = np.insert(params, z, 0, axis=1)
-        base = dual.ranks_from_rows(placed, normalized=True)
+        base = dual.ranks_from_rows(placed, normalized=True) \
+            .astype(ranks.dtype)
         p = coords[rows]
         # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
         coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
+        # the group is built in one contiguous buffer, block by block, and
+        # its rows are scattered into ranks once
+        buf = np.empty((rows.size, npar), dtype=ranks.dtype)
         start = 0
         for i0 in range(n - 1, -1, -1):
             size = q ** (n - 1 - i0)
             block = slice(start, start + size)
             start += size
             if i0 >= z:
-                ranks[rows, block] = base[block]
+                buf[:, block] = base[block]
                 continue
             # u_z over the digits i0 < i < z of a (a_i0 = 1); the later
             # digits repeat each value q^(n-z) times
@@ -1110,14 +1122,28 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
                 uz = add[uz[:, :, None],
                          mul[digits, coef[:, i, None]][:, None, :]] \
                     .reshape(rows.size, -1)
-            ranks[rows, block] = (base[block].reshape(-1, q ** (n - z))
-                                  + uz[:, :, None] * q ** (n - z)) \
-                .reshape(rows.size, size)
+            # a view of the block: only its contiguous last axis is split
+            out = buf[:, block].reshape(rows.size, -1, q ** (n - z))
+            out[...] = uz[:, :, None]
+            out *= q ** (n - z)
+            out += base[block].reshape(-1, q ** (n - z))
+        ranks[rows] = buf
     # each point's ranks ascend: the rank orders covectors by their columns
     # lexicographically, u_z is a function of the columns before z, and
     # PG(n-1, q) lists a in the lexicographic order of the other columns
-    return _by_point_summary(space, n - 1, pts, ranks,
-                             dual.num_points)
+    return _by_point_summary(space, n - 1, pts, ranks, dual.num_points)
+
+
+def _rank_dtype(total: int):
+    """The dtype of a scan's keys in range(total): int32 whenever they fit."""
+    return np.int32 if total < 2 ** 31 else np.int64
+
+
+def _size_dtype(m: int):
+    """The smallest signed integer type that holds m, the largest trace
+    size of an m-point set; signed, so that a difference cannot wrap."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if m <= np.iinfo(t).max)
 
 
 def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
@@ -1126,19 +1152,20 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
     point at position p, ascending.  The incidences are grouped by
     counting the keys; when their range is much larger than their number,
     by one sort instead.  When every key is counted (the set meets every
-    dim-subspace), the slot of a key is the key itself, and no table is
-    built."""
+    dim-subspace), the slot of a key is the key itself: no table and no
+    keys are built, and the int32 ranks are the slots."""
     m, npar = ranks.shape
     flat = ranks.reshape(-1)
+    sizes_type = _size_dtype(m)
     if total <= _COUNT_RANGE * flat.size:
         counts = np.bincount(flat, minlength=total)
         if np.count_nonzero(counts) == total:
-            keys = np.arange(total)
-            sizes = counts
-            slots = flat.astype(np.int32)
+            keys = None
+            sizes = counts.astype(sizes_type)
+            slots = flat.astype(np.int32, copy=False)
         else:
             keys = np.flatnonzero(counts)
-            sizes = counts[keys]
+            sizes = counts[keys].astype(sizes_type)
             # the counts are spent: their buffer becomes the key -> slot
             # table
             table = counts.view(np.int32)[:total]
@@ -1147,6 +1174,8 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
     else:
         keys, slots, sizes = np.unique(flat, return_inverse=True,
                                        return_counts=True)
+        keys = keys.astype(np.int64)
+        sizes = sizes.astype(sizes_type)
         slots = slots.astype(np.int32)
     return TraceSummary(space, dim, pts.ranks, keys, sizes, slots,
                         np.arange(m + 1, dtype=np.int64) * npar)
@@ -1174,7 +1203,7 @@ def subspace_traces(pts: PointSet, dim: int) -> TraceSummary:
     if dim == space.n:
         # every point lies on the one subspace, key 0
         return _by_point_summary(space, dim, pts, np.zeros(
-            (len(pts), 1), dtype=np.int64), 1)
+            (len(pts), 1), dtype=np.int32), 1)
     if dim == 1:
         return _scan_lines(space, pts)
     if dim == space.n - 1:

@@ -95,7 +95,9 @@ def test_uncovered_witness_misses_the_set(n, p, t, k, kind):
         assert is_k_blocking(pts, k) == (False, witness)
         # the uncovered subspace with the smallest key
         first = int(np.flatnonzero(np.isin(np.arange(summary.total),
-                                           summary.keys, invert=True))[0])
+                                           summary.keys_of(np.arange(
+                                               summary.sizes.size)),
+                                           invert=True))[0])
         if kind == "rank":
             key = int(space.line_keys(np.asarray([witness.rows]))[0])
         elif kind == "dual":

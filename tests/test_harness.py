@@ -357,19 +357,45 @@ def test_large_space_profile_matches_per_line_scan(fast_instances):
 def test_dual_sizes_count_points_on_each_hyperplane():
     cone, baer = (catalogue.load_shipped([name])[0]
                   for name in ("cone_pg3_9", "baer_pg2_9"))
-    a = harness.InstanceAnalysis(cone)
-    sizes = a.dual_sizes
-    # brute force: the set's points x with u . x = 0, for every covector u
-    add, mul, _, _ = a.space.field.tables()
-    cov = a.dual_space.coords_array()
-    pts = cone.points.coords()
-    dot = np.zeros((cov.shape[0], pts.shape[0]), dtype=np.int64)
-    for j in range(a.n + 1):
-        dot = add[dot, mul[cov[:, None, j], pts[None, :, j]]]
-    assert np.array_equal(sizes, (dot == 0).sum(axis=1))
+    # the cone meets every plane (a dense summary); five points of PG(3,4)
+    # miss some (the summary stores its keys)
+    space = ProjectiveSpace(3, make_field(2, 2))
+    sparse = harness.Instance("five_pg3_4", PointSet(space, [0, 9, 30, 61,
+                                                             84]),
+                              2, 2, {}, None, False, {})
+    dense = set()
+    for inst in (cone, sparse):
+        a = harness.InstanceAnalysis(inst)
+        dense.add(a.hyperplanes().x0 == 0)
+        sizes = a.dual_sizes
+        # brute force: the set's points x with u . x = 0, for every
+        # covector u
+        add, mul, _, _ = a.space.field.tables()
+        cov = a.dual_space.coords_array()
+        pts = inst.points.coords()
+        dot = np.zeros((cov.shape[0], pts.shape[0]), dtype=np.int64)
+        for j in range(a.n + 1):
+            dot = add[dot, mul[cov[:, None, j], pts[None, :, j]]]
+        assert np.array_equal(sizes, (dot == 0).sum(axis=1))
+    assert dense == {True, False}
     # in PG(2, q) the hyperplanes are lines, keyed by line rank
     with pytest.raises(TooLargeError):
         harness.InstanceAnalysis(baer).dual_sizes
+
+
+def test_size_thresholds_compare_exactly_on_narrow_sizes():
+    # trace sizes come in the narrowest signed type: 393 * 200 wraps to
+    # 13064 in int16, so a product by the bound's denominator would
+    # misjudge every size here
+    sizes = np.arange(380, 400, dtype=np.int16)
+    for bound in (Fraction(78599, 200), Fraction(78601, 200), Fraction(393),
+                  Fraction(10 ** 30 + 1, 10 ** 28)):
+        above = [Fraction(int(v)) > bound for v in sizes]
+        below = [Fraction(int(v)) < bound for v in sizes]
+        assert harness._above(sizes, bound).tolist() == above
+        assert harness._below(sizes, bound).tolist() == below
+        # one size at a time, as numpy scalars
+        assert [bool(harness._below(v, bound)) for v in sizes] == below
 
 
 @pytest.mark.parametrize("p0", [7, 11, 13, 17, 19, 23, 29, 31])

@@ -283,7 +283,8 @@ def test_trace_modes_agree():
     assert a == b
 
     def plane_sets(summary, plane_at):
-        assert np.all(np.diff(summary.keys) > 0)
+        assert np.all(np.diff(summary.keys_of(
+            np.arange(summary.sizes.size))) > 0)
         out = {}
         points, offsets = summary.grouped_points(
             np.arange(summary.sizes.size))
@@ -297,7 +298,7 @@ def test_trace_modes_agree():
         return out
     assert plane_sets(planes_dual, planes_dual.subspace_at) == plane_sets(
         planes_full, lambda idx: space.subspace_by_index(
-            2, int(planes_full.keys[idx])))
+            2, int(planes_full.keys_of([idx])[0])))
 
 
 def _reference_line_rank(space, rows):
@@ -333,12 +334,12 @@ def test_packed_line_keys_roundtrip():
     pts = PointSet(space, np.arange(25, dtype=np.int64) * 7)
     lines = subspace_traces(pts, 1)
     sel = np.arange(min(40, lines.sizes.size))
-    bulk = space.line_bases(lines.keys[sel])
+    bulk = space.line_bases(lines.keys_of(sel))
     assert np.array_equal(lines.bases(sel), bulk)
-    assert np.array_equal(space.line_keys(bulk), lines.keys[sel])
+    assert np.array_equal(space.line_keys(bulk), lines.keys_of(sel))
     for pos in sel.tolist():
         assert _reference_line_rank(space, bulk[pos].tolist()) \
-            == lines.keys[pos]
+            == lines.keys_of([pos])[0]
         sub = lines.subspace_at(pos)
         assert Subspace(space, bulk[pos]) == sub
     # witness order is the order of the packed keys
@@ -463,9 +464,12 @@ def test_cached_arrays_are_read_only():
     for summary in summaries:
         groupings = summary.by_point()
         assert groupings[0].dtype == np.int32
-        arrays += [summary.keys, summary.sizes, *groupings,
-                   *summary.size_counts(),
+        arrays += [summary.sizes, *groupings, *summary.size_counts(),
                    summary.per_point_counts(min_size=1)]
+        # only a summary that misses some subspace stores its keys
+        assert (summary._keys is None) == (summary.x0 == 0)
+        if summary.x0:
+            arrays.append(summary._keys)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0

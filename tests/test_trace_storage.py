@@ -66,7 +66,7 @@ def _decoded_rows(summary, idx):
     """The basis of slot idx decoded from its key alone, as the summary's
     dimension defines the key, then brought to RREF by `linalg.rref`."""
     space, field, n = summary.space, summary.space.field, summary.space.n
-    key = summary.keys[idx]
+    key = summary.keys_of([idx])[0]
     if summary.dim == n:
         rows = np.eye(n + 1, dtype=np.int64).tolist()
     elif summary.dim == 1:
@@ -211,10 +211,11 @@ def test_trace_summaries_match_brute_force(data):
 
 def _table_grouping(ranks, total):
     """(keys, sizes, slots) of the scan's keys as `_by_point_summary`
-    grouped them before dense summaries skipped the table: the nonzero
-    counts are the keys, and the count buffer becomes the key -> slot
-    table; or one sort, when the key range is much larger."""
-    flat = ranks.reshape(-1)
+    grouped them before dense summaries skipped the table, in int64 keys
+    and sizes: the nonzero counts are the keys, and the count buffer
+    becomes the key -> slot table; or one sort, when the key range is
+    much larger."""
+    flat = ranks.reshape(-1).astype(np.int64)
     if total > projspace._COUNT_RANGE * flat.size:
         keys, slots, sizes = np.unique(flat, return_inverse=True,
                                        return_counts=True)
@@ -249,16 +250,29 @@ def _grouping_cases():
     yield PointSet(space, [3, space.num_points - 2]), 1, None
 
 
-def test_dense_grouping_matches_the_table(monkeypatch):
-    # the scan's keys as they reach the grouping, for the reference
+def _recorded_scans(monkeypatch):
+    """The (ranks, total) of every scan as it reaches the grouping, the
+    scan's own array, listed as the scans run."""
     seen = []
     summarize = projspace._by_point_summary
 
     def recorded(space, dim, pts, ranks, total):
-        seen.append((np.array(ranks), total))
+        seen.append((ranks, total))
         return summarize(space, dim, pts, ranks, total)
 
     monkeypatch.setattr(projspace, "_by_point_summary", recorded)
+    return seen
+
+
+def _assert_narrowest_signed(sizes, m):
+    """sizes is of the smallest signed integer type that holds m."""
+    assert sizes.dtype.kind == "i" and np.iinfo(sizes.dtype).max >= m
+    if sizes.itemsize > 1:
+        assert np.iinfo(f"int{4 * sizes.itemsize}").max < m
+
+
+def test_dense_grouping_matches_the_table(monkeypatch):
+    seen = _recorded_scans(monkeypatch)
     paths = set()
     for pts, dim, gone in _grouping_cases():
         seen.clear()
@@ -266,13 +280,21 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         (ranks, total), = seen
         keys, sizes, slots = _table_grouping(ranks, total)
         got, offsets = summary.by_point()
-        assert summary.keys.dtype == keys.dtype
-        assert summary.sizes.dtype == sizes.dtype
+        m, npar = ranks.shape
+        _assert_narrowest_signed(summary.sizes, m)
+        assert ranks.dtype == np.int32
         assert got.dtype == np.int32 and offsets.dtype == np.int64
-        assert np.array_equal(summary.keys, keys)
+        got_keys = summary.keys_of(np.arange(keys.size))
+        assert got_keys.dtype == np.int64
+        assert np.array_equal(got_keys, keys)
         assert np.array_equal(summary.sizes, sizes)
         assert np.array_equal(got, slots)
-        m, npar = ranks.shape
+        if summary.x0 == 0:
+            # dense: no keys stored, and the scan's array is the slots
+            assert summary._keys is None
+            assert np.shares_memory(got, ranks)
+        else:
+            assert summary._keys.dtype == np.int64
         assert np.array_equal(offsets, np.arange(m + 1) * npar)
         counted = total <= projspace._COUNT_RANGE * ranks.size
         paths.add((counted, summary.x0 == 0))
@@ -421,11 +443,13 @@ def _counted(summary):
     return summary.total <= projspace._COUNT_RANGE * int(summary.sizes.sum())
 
 
-def test_scan_kernels_match_reference_kernels():
-    paths = set()
+def test_scan_kernels_match_reference_kernels(monkeypatch):
+    seen = _recorded_scans(monkeypatch)
+    paths, widths = set(), []
     for pts in _kernel_cases():
         space = pts.space
         m = len(pts)
+        seen.clear()
         lines = projspace._scan_lines(space, pts)
         slots, offsets = lines.by_point()
         npar = slots.size // m
@@ -435,18 +459,28 @@ def test_scan_kernels_match_reference_kernels():
         bases = lines.bases(slots)
         assert np.array_equal(_pack_rows2(space, bases[:, 0], bases[:, 1]),
                               _reference_line_keys(space, pts))
-        assert np.all(np.diff(lines.keys[slots].reshape(m, npar)) > 0)
+        assert np.all(np.diff(lines.keys_of(slots).reshape(m, npar)) > 0)
         planes = projspace._scan_hyperplanes(space, pts)
         slots, offsets = planes.by_point()
         assert np.array_equal(offsets, np.arange(m + 1) * npar)
         # the same dual ranks through each point, listed ascending
-        got = planes.keys[slots].reshape(m, npar)
+        got = planes.keys_of(slots).reshape(m, npar)
         want = _reference_covector_ranks(space, pts)
         assert np.array_equal(got, np.sort(want, axis=1))
         paths |= {("lines", _counted(lines)), ("planes", _counted(planes))}
+        # int32 ranks whenever every key fits, and int32 slots
+        for (ranks, total), summary in zip(seen, (lines, planes)):
+            wide = total >= 2 ** 31
+            assert ranks.dtype == (np.int64 if wide else np.int32)
+            assert summary.by_point()[0].dtype == np.int32
+            _assert_narrowest_signed(summary.sizes, m)
+        widths.append(tuple(ranks.dtype for ranks, _ in seen))
     # the cases reach both groupings of both scans
     assert paths == {(scan, counted) for scan in ("lines", "planes")
                      for counted in (False, True)}
+    # only the PG(3,256) lines, 4.3e9 of them, need int64 ranks
+    assert widths.count((np.int32, np.int32)) == len(widths) - 1
+    assert widths[-1] == (np.int64, np.int32)
 
 
 def _reference_transversal(ctx, trace, x):
