@@ -14,6 +14,7 @@ Everything returns exact integers; fractional thresholds use Fraction.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -216,6 +217,18 @@ def gap_thresholds(p0: int, h: int, s: int):
     upper = f(p0) ** (h * s + 1) - f(p0) ** (h * s - 1) \
         - f(p0) ** (h * s - 2) - 3 * f(p0) ** (h * s - 3)
     return lower, upper
+
+
+def _above(sizes, bound: Fraction):
+    """sizes > bound, for integer sizes (an int, a numpy scalar or an
+    array): sizes > floor(bound), an exact integer.  The sizes may be
+    narrow, so a product by the denominator could wrap."""
+    return sizes > math.floor(bound)
+
+
+def _below(sizes, bound: Fraction):
+    """sizes < bound, for integer sizes: sizes < ceil(bound)."""
+    return sizes < math.ceil(bound)
 
 
 class GapClassification(NamedTuple):

@@ -47,16 +47,12 @@ def version_string() -> str:
 
 
 def _emit(data, out=None) -> None:
-    text = json.dumps(harness._jsonable(data), sort_keys=True,
-                      indent=2) + "\n"
+    """Canonical JSON of data to the file out, or to stdout."""
+    data = harness._jsonable(data)
     if out:
-        try:
-            with open(out, "w", encoding="ascii") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoError(f"{out}: {exc.strerror or exc}") from exc
+        formats.write_json(out, data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def _subspace_rows(sub):

@@ -212,26 +212,9 @@ class FieldSpec:
         self.t = t
         self.q = q
         self.modulus = modulus
-        # x^(t+i) mod f for i in 0..t-2, as coefficient tuples
-        self._xpow_red = self._reduction_rows()
         self._tables = None
         self._lut = None
         self._embeddings = {}
-
-    def _reduction_rows(self):
-        p, t, f = self.p, self.t, self.modulus
-        rows = []
-        cur = [(-f[i]) % p for i in range(t)]  # x^t mod f
-        rows.append(tuple(cur))
-        for _ in range(t - 2):
-            nxt = [0] + cur[:-1]
-            c = cur[-1]
-            if c:
-                for j in range(t):
-                    nxt[j] = (nxt[j] - c * f[j]) % p
-            cur = nxt
-            rows.append(tuple(cur))
-        return rows
 
     # --- code <-> coefficient vector ---
 
@@ -311,34 +294,12 @@ class FieldSpec:
         return self._lut
 
     def _mul_poly(self, a: int, b: int) -> int:
-        p, t = self.p, self.t
-        if t == 1:
-            return (a * b) % p
-        if a == 0 or b == 0:
-            return 0
-        ca, cb = self.decode(a), self.decode(b)
-        prod = [0] * (2 * t - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] += x * y
-        out = [c % p for c in prod[:t]]
-        for i, red in enumerate(self._xpow_red):
-            c = prod[t + i] % p if t + i < len(prod) else 0
-            if c:
-                for j in range(t):
-                    out[j] = (out[j] + c * red[j]) % p
-        return self.encode(out)
+        return self.encode(_poly_mul_mod(
+            self.decode(a), self.decode(b), self.modulus, self.p))
 
     def _pow_poly(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self._mul_poly(r, a)
-            n >>= 1
-            if n:
-                a = self._mul_poly(a, a)
-        return r
+        return self.encode(_poly_pow_mod(
+            self.decode(a), n, self.modulus, self.p))
 
     @property
     def x(self) -> int:
@@ -434,8 +395,8 @@ class FieldSpec:
         else:
             mul = np.array([[self._mul_poly(a, b) for b in range(q)]
                             for a in range(q)], dtype=np.int64)
-            inv = np.array([self._pow_poly(a, q - 2) for a in range(q)],
-                           dtype=np.int64)
+            # each nonzero row holds a single 1, at the inverse
+            inv = (mul == 1).argmax(axis=1)
         inv[0] = 0
         return add, mul, neg, inv
 

@@ -17,7 +17,6 @@ exceed it, so it is reported as data, not used for pass/fail.
 
 from __future__ import annotations
 
-import math
 import os
 from fractions import Fraction
 from functools import cached_property
@@ -26,9 +25,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import formats
-from .blocking import (classify_trace, exponent, gap_thresholds,
-                       is_k_blocking, is_minimal, is_redei, is_small,
-                       is_trivial, nonsecant_point_count,
+from .blocking import (_above, _below, classify_trace, exponent,
+                       gap_thresholds, is_k_blocking, is_minimal, is_redei,
+                       is_small, is_trivial, nonsecant_point_count,
                        one_mod_p0_applicable, secant_analysis, spectrum,
                        traces_of)
 from .errors import (IoError, NotBlockingError, NotFoundError, ParseError,
@@ -335,21 +334,9 @@ class InstanceAnalysis:
                 if best is None or entry["small_spaces"] > \
                         best["small_spaces"]:
                     best = entry
-                if len(found) * bound.denominator >= bound.numerator:
+                if not _below(len(found), bound):
                     return entry
         return best
-
-
-def _above(sizes, bound: Fraction):
-    """sizes > bound, for integer sizes: sizes > floor(bound), an exact
-    integer.  The sizes may be narrow, so a product by the denominator
-    could wrap."""
-    return sizes > math.floor(bound)
-
-
-def _below(sizes, bound: Fraction):
-    """sizes < bound, for integer sizes: sizes < ceil(bound)."""
-    return sizes < math.ceil(bound)
 
 
 def _key_multiplicities(chunks) -> tuple:
@@ -476,7 +463,8 @@ def _size_bound_strong(a):
     return bound, len(a.pts), len(a.pts) >= bound, {"exponent": e}
 
 
-@_check("trace_gap", ("p0_at_least_7", "q_power_of_p0", "traces_1_mod_p0"))
+@_check("trace_gap",
+        ("small", "p0_at_least_7", "q_power_of_p0", "traces_1_mod_p0"))
 def _trace_gap(a):
     offenders, per_level = [], {}
     for s, dim, summary, (lower, upper) in _levels(a):
@@ -501,7 +489,7 @@ def _small_trace_cap(a):
     for s, dim, summary, (lower, _) in _levels(a):
         cap = Fraction(a.p0 ** (a.h * s + 1) - 1, a.p0 - 1)
         small_traces = [int(v) for v in summary.size_counts()[0]
-                        if int(v) * lower.denominator < lower.numerator]
+                        if _below(int(v), lower)]
         over = [v for v in small_traces if v > cap]
         if over:
             offenders.append({"dim": dim, "cap": cap, "traces": over})

@@ -32,7 +32,6 @@ from .projspace import (
     PointSet,
     ProjectiveSpace,
     Subspace,
-    _coords,
     gaussian_binomial,
     span,
 )
@@ -252,7 +251,7 @@ def line_param_positions(line: Subspace, ranks) -> np.ndarray:
     if line.dim != 1:
         raise RangeError("chart positions need a line")
     j0, j1 = line.pivots
-    coords = _coords(space, np.asarray(ranks, dtype=np.int64))
+    coords = space.coords_of_ranks(ranks)
     param = np.stack([coords[:, j0], coords[:, j1]], axis=-1)
     return ProjectiveSpace(1, space.field).ranks_from_rows(param)
 
@@ -285,7 +284,7 @@ def _bulk_param_positions(summary, sel: np.ndarray):
     j1 = np.argmax(bases[:, 1, :] != 0, axis=1)
     rep = np.repeat(np.arange(sel.size), np.diff(offsets))
     # the set's own coordinate rows, read by point position
-    coords = _coords(space, summary.point_ranks)
+    coords = space.coords_of_ranks(summary.point_ranks)
     param = np.stack([coords[points, j0[rep]], coords[points, j1[rep]]],
                      axis=-1)
     # coords at the pivot columns of a normalized point are themselves a

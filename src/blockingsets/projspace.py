@@ -91,7 +91,7 @@ class ProjectiveSpace:
         self._powers = tuple(self.q ** (n - j) for j in range(n + 1))
         self._coords = None
         self._incidence = {}
-        self._bases = {}
+        self._index_cells = {}
         self._lines = None
         self._ready = True
 
@@ -245,34 +245,49 @@ class ProjectiveSpace:
     def _subspaces_all(self, dim: int):
         for pivots, cells in self._cells(dim):
             for values in itertools.product(range(self.q), repeat=len(cells)):
-                yield self._cell_subspace(pivots, cells, values)
-
-    def _cell_subspace(self, pivots, cells, values) -> "Subspace":
-        """The subspace of a cell with the given free entries."""
-        rows = [[0] * (self.n + 1) for _ in pivots]
-        for i, p in enumerate(pivots):
-            rows[i][p] = 1
-        for (i, c), val in zip(cells, values):
-            rows[i][c] = val
-        return Subspace(self, rows, pivots, canonical=True)
+                rows = [[0] * (self.n + 1) for _ in pivots]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, c), val in zip(cells, values):
+                    rows[i][c] = val
+                yield Subspace(self, rows, pivots, canonical=True)
 
     def line_through(self, a, b) -> "Subspace":
         pair = [_coerce_coords(self, a), _coerce_coords(self, b)]
         return _canonical(self, self.line_rows([pair]))[0]
 
     def hyperplane(self, covector) -> "Subspace":
-        u = self.normalize(covector)
-        col = [[c] for c in u]
-        rows = linalg.left_kernel(col, self.field)
-        return Subspace(self, rows)
+        u = np.asarray([self.normalize(covector)], dtype=np.int64)
+        return _canonical(self, self._hyperplane_rows(u))[0]
 
     def covector_of(self, sub: "Subspace") -> tuple:
+        """The normalized covector u of a hyperplane, u . x = 0 on it, read
+        off its canonical basis: 1 at the one column z without a pivot, and
+        -row[z] at the pivot of each row."""
         if sub.dim != self.n - 1:
             raise NotHyperplaneError(
                 f"dimension {sub.dim} subspace is not a hyperplane of {self!r}")
-        ker = linalg.left_kernel(
-            [list(col) for col in zip(*sub.rows)], self.field)
-        return self.normalize(ker[0])
+        z = next(c for c in range(self.n + 1) if c not in sub.pivots)
+        u = [0] * (self.n + 1)
+        u[z] = 1
+        for row, p in zip(sub.rows, sub.pivots):
+            u[p] = self.field.neg(row[z])
+        return self.normalize(u)
+
+    def _hyperplane_rows(self, u: np.ndarray) -> np.ndarray:
+        """Canonical bases, shape (N, n, n+1), of the hyperplanes u . x = 0
+        of an (N, n+1) array of covectors.  With z the last nonzero column
+        of u, the basis is e_j - (u_j / u_z) e_z for j != z: row j pivots
+        at j, and no row at z."""
+        n = self.n
+        _, mul, neg, inv = self.field.tables()
+        z = n - (u[:, ::-1] != 0).argmax(axis=1)
+        at = np.arange(u.shape[0])
+        rows = np.repeat(np.eye(n + 1, dtype=np.int64)[None], u.shape[0],
+                         axis=0)
+        rows[at[:, None], np.arange(n + 1), z[:, None]] = \
+            neg[mul[u, inv[u[at, z]][:, None]]]
+        return rows[np.arange(n + 1) != z[:, None]].reshape(-1, n, n + 1)
 
     # -- cached incidence (small spaces only) --------------------------------
 
@@ -285,8 +300,7 @@ class ProjectiveSpace:
         """The dim-subspaces through each point, shape (num_points, theta),
         theta the number through any one point: row r lists the indices
         (places in `subspaces(dim)` order) of those through point r,
-        ascending.  Built once per dim, with the canonical bases of all
-        dim-subspaces, which decode an index.
+        ascending.  Built once per dim; `_index_rows` decodes an index.
 
         The build goes one RREF cell (see `_cells`) at a time, with no
         row normalized.  For a normalized point a of PG(dim, q) and a
@@ -304,7 +318,7 @@ class ProjectiveSpace:
         if not self._incidence_ok(dim):
             raise TooLargeError(
                 f"incidence table for dim {dim} of {self!r} is too large")
-        q, r = self.q, dim + 1
+        q = self.q
         add, mul, _, _ = self.field.tables()
         params = ProjectiveSpace(dim, self.field).coords_array() \
             if dim >= 1 else np.ones((1, 1), dtype=np.int64)
@@ -313,19 +327,12 @@ class ProjectiveSpace:
         offs = np.asarray(self._offsets, dtype=np.int64)
         powers = np.asarray(self._powers, dtype=np.int64)
         digits = np.arange(q)[:, None]
-        ns = self.num_subspaces(dim)
-        stack = np.zeros((ns, r, self.n + 1), dtype=np.int64)
         # on[i] holds the point ranks of subspace i
-        on = np.empty((ns, npar), dtype=np.int32)
+        on = np.empty((self.num_subspaces(dim), npar), dtype=np.int32)
         lo = 0
         for pivots, cells in self._cells(dim):
             k = len(cells)
             piv = np.asarray(pivots)
-            bases = stack[lo:lo + q ** k]
-            bases[:, np.arange(r), piv] = 1
-            grid = np.arange(q ** k)
-            for place, (i, c) in enumerate(cells):
-                bases[:, i, c] = grid // q ** (k - 1 - place) % q
             ranks = on[lo:lo + q ** k].reshape((q,) * k + (npar,))
             ranks[...] = params @ powers[piv] + (offs - powers)[piv[lead]]
             columns = {}
@@ -342,7 +349,6 @@ class ProjectiveSpace:
                     shape[place] = q
                 ranks += (digit * powers[c]).astype(np.int32).reshape(shape)
             lo += q ** k
-        self._bases[dim] = _frozen(stack)
         # every point lies on theta subspaces, so a stable sort by point
         # splits the flat positions into equal rows, each ascending, and
         # a flat position divided by npar is its subspace; in the smallest
@@ -358,23 +364,35 @@ class ProjectiveSpace:
         return out
 
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
-        """The dim-subspace at place idx of the `subspaces(dim)` order,
-        decoded arithmetically: each cell of `_cells` holds q**(free cells)
-        subspaces, and a place within a cell is the base-q numeral of the
-        free entries."""
+        """The dim-subspace at place idx of the `subspaces(dim)` order."""
+        return _canonical(self, self._index_rows(dim, [int(idx)]))[0]
+
+    def _index_rows(self, dim: int, idx) -> np.ndarray:
+        """Canonical bases, shape (N, dim+1, n+1), of the dim-subspaces at
+        an array of places in the `subspaces(dim)` order: each cell of
+        `_cells` holds q**(free cells) subspaces, and a place within a cell
+        is the base-q numeral of its free entries, as `line_bases` decodes
+        a line rank.  The per-cell tables (first places, pivots, place
+        values) are built once per dim."""
         if not 0 <= dim <= self.n:
             raise RangeError(f"subspace dimension {dim} out of range")
-        idx = int(idx)
-        if not 0 <= idx < self.num_subspaces(dim):
-            raise RangeError(
-                f"subspace index {idx} out of range for dim {dim}")
-        for pivots, cells in self._cells(dim):
-            size = self.q ** len(cells)
-            if idx < size:
-                break
-            idx -= size
-        values = np.unravel_index(idx, (self.q,) * len(cells))
-        return self._cell_subspace(pivots, cells, [int(v) for v in values])
+        if dim not in self._index_cells:
+            if self.num_subspaces(dim) >= 2 ** 63:
+                raise TooLargeError(
+                    f"dim {dim} subspace indices of {self!r} exceed int64")
+            cells = list(self._cells(dim))
+            weights = np.zeros((len(cells), dim + 1, self.n + 1),
+                               dtype=np.int64)
+            for w, (_, free) in enumerate(cells):
+                for place, (i, c) in enumerate(reversed(free)):
+                    weights[w, i, c] = self.q ** place
+            sizes = [self.q ** len(free) for _, free in cells]
+            self._index_cells[dim] = (
+                _frozen(np.cumsum(sizes) - sizes),
+                _frozen(np.asarray([piv for piv, _ in cells])),
+                _frozen(weights))
+        return _unrank(self, self.num_subspaces(dim),
+                       *self._index_cells[dim], idx)
 
     # -- dense line ranks ------------------------------------------------------
 
@@ -443,26 +461,34 @@ class ProjectiveSpace:
         """Canonical 2-row bases, shape (N, 2, n+1), of an array of dense
         line ranks: the inverse of `line_keys` on canonical bases."""
         offsets, weights, cells = self._line_cells()
-        ranks = np.asarray(ranks, dtype=np.int64).reshape(-1)
-        if ranks.size and (ranks.min() < 0
-                           or ranks.max() >= self.num_subspaces(1)):
-            raise RangeError(f"line rank out of range for {self!r}")
-        starts = offsets[cells[:, 0], cells[:, 1]]
-        cell = np.searchsorted(starts, ranks, side="right") - 1
-        c1, c2 = cells[cell, 0], cells[cell, 1]
-        w = weights[c1, c2]
-        local = (ranks - starts[cell])[:, None, None]
-        rows = np.where(w > 0, local // np.maximum(w, 1) % self.q, 0)
-        at = np.arange(ranks.size)
-        rows[at, 0, c1] = 1
-        rows[at, 1, c2] = 1
-        return rows
+        c1, c2 = cells.T
+        return _unrank(self, self.num_subspaces(1), offsets[c1, c2], cells,
+                       weights[c1, c2], ranks)
 
 
 def _coerce_coords(space, item) -> tuple:
     if isinstance(item, (int, np.integer)):
         return space.coords_of(int(item))
     return space.normalize(item)
+
+
+def _unrank(space, total, starts, pivots, weights, keys) -> np.ndarray:
+    """Canonical bases, shape (N, r, n+1), of an array of dense keys in
+    range(total), whose subspaces come in cells: cell j holds the keys
+    from starts[j] (ascending), its r rows pivot at the columns pivots[j],
+    and weights[j] holds the place value of each free entry (0 elsewhere),
+    so a key's free entries are the base-q digits of its place in its
+    cell."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    if keys.size and not 0 <= keys.min() <= keys.max() < total:
+        raise RangeError(f"subspace key out of range for {space!r}")
+    which = np.searchsorted(starts, keys, side="right") - 1
+    w = weights[which]
+    local = (keys - starts[which])[:, None, None]
+    rows = np.where(w > 0, local // np.maximum(w, 1) % space.q, 0)
+    rows[np.arange(keys.size)[:, None], np.arange(pivots.shape[1]),
+         pivots[which]] = 1
+    return rows
 
 
 def _canonical(space, stack) -> list:
@@ -483,15 +509,6 @@ def _combine(field, coeff, basis) -> np.ndarray:
     for j in range(1, coeff.shape[-1]):
         acc = add[acc, mul[coeff[..., j, None], basis[..., j, :]]]
     return acc
-
-
-def _coords(space, ranks) -> np.ndarray:
-    """Normalized coordinates of an array of point ranks: rows of the
-    cached `coords_array` when the space fits under the cap, decoded by
-    `coords_of_ranks` otherwise."""
-    if space.num_points * (space.n + 1) <= _COORDS_CAP:
-        return space.coords_array()[ranks]
-    return space.coords_of_ranks(ranks)
 
 
 def _coerce_subspace(space, item) -> "Subspace":
@@ -639,7 +656,7 @@ class PointSet:
 
     def coords(self) -> np.ndarray:
         if self._coords is None:
-            self._coords = _frozen(_coords(self.space, self.ranks))
+            self._coords = _frozen(self.space.coords_of_ranks(self.ranks))
         return self._coords
 
     def union(self, other: "PointSet") -> "PointSet":
@@ -690,7 +707,7 @@ class SubspaceChart:
             raise BadParamsError(
                 f"{pts.ranks.size - inside.size} points lie outside "
                 "the chart subspace")
-        coords = _coords(self.ambient, inside)
+        coords = self.ambient.coords_of_ranks(inside)
         coeff = coords[:, list(self.subspace.pivots)]
         return PointSet(self.small, self.small.ranks_from_rows(coeff))
 
@@ -748,15 +765,14 @@ class TraceSummary:
     Only subspaces that meet the set are held explicitly: slot i has a key
     and a size, everything else is the x_0 count.  A key is a dense index
     in range(total), and the keys ascend.  The dimension says which index,
-    tested in the order `subspace_traces` picks its scan:
+    each decoded in closed form:
 
-    - dim = n: the single key 0 of the whole space,
     - dim = 1: the dense line rank: pivot cells (c1, c2) by c2 descending,
       then c1 descending, then the free digits as a base-q numeral (see
       `ProjectiveSpace._line_cells`),
     - dim = n-1: the point rank of the covector in the dual space,
     - otherwise: the index in the space's enumeration order (see
-      `ProjectiveSpace.incidence`).
+      `ProjectiveSpace._index_rows`), the single key 0 when dim = n.
 
     Every scan lists, for each point of the set, the keys of the
     dim-subspaces through it, ascending, as int32 whenever every key fits
@@ -957,26 +973,12 @@ class TraceSummary:
         return self._decode(self.keys_of(sel))
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
-        space, n, dim = self.space, self.space.n, self.dim
-        if dim == n:
-            return np.repeat(np.eye(n + 1, dtype=np.int64)[None], keys.size,
-                             axis=0)
+        space, dim = self.space, self.dim
         if dim == 1:
             return space.line_bases(keys)
-        if dim != n - 1:
-            # a middle dimension: the index into the incidence table
-            return space._bases[dim][keys]
-        # u . x = 0 has the basis e_j - (u_j / u_z) e_z, j != z, with z the
-        # last nonzero column of u: row j pivots at j, and no row at z
-        _, mul, neg, inv = space.field.tables()
-        u = space.coords_of_ranks(keys)
-        z = n - (u[:, ::-1] != 0).argmax(axis=1)
-        at = np.arange(keys.size)
-        rows = np.repeat(np.eye(n + 1, dtype=np.int64)[None], keys.size,
-                         axis=0)
-        rows[at[:, None], np.arange(n + 1), z[:, None]] = \
-            neg[mul[u, inv[u[at, z]][:, None]]]
-        return rows[np.arange(n + 1) != z[:, None]].reshape(keys.size, n, n + 1)
+        if dim == space.n - 1:
+            return space._hyperplane_rows(space.coords_of_ranks(keys))
+        return space._index_rows(dim, keys)
 
     def subspace_at(self, idx: int) -> Subspace:
         return _canonical(self.space, self.bases([idx]))[0]

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blocking import is_k_blocking, secant_analysis, traces_of
+from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import BadParamsError, NoSublineSecantError, NotBlockingError
 from .fields import exact_log
 from .projspace import PointSet, Subspace, _canonical, span
@@ -201,9 +201,8 @@ def secant_count_bounds(pts: PointSet, k: int, p0: int) -> SecantBoundReport:
     report = secant_analysis(pts, k, p0)
     counts = report.per_point_subline_secants
     on = counts > 0
-    below = counts * bound.denominator < bound.numerator
     violations = [(int(pts.ranks[i]), int(counts[i]))
-                  for i in np.nonzero(on & below)[0]]
+                  for i in np.nonzero(on & _below(counts, bound))[0]]
     return SecantBoundReport(
         ok=not violations,
         k=k, p0=p0, h=h, bound=bound,

@@ -86,7 +86,6 @@ def test_middle_dimension_spectrum_fires_the_table_metrics(tracing):
 def test_incidence_table_builds_in_closed_form(monkeypatch):
     space = ProjectiveSpace(4, make_field(5, 1))
     monkeypatch.setattr(space, "_incidence", {})
-    monkeypatch.setattr(space, "_bases", {})
     calls = []
     for cls, attr in ((projspace.Subspace, "__init__"),
                       (ProjectiveSpace, "normalize_rows"),

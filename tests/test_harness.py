@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockingsets import catalogue, formats, harness
+from blockingsets import blocking, catalogue, formats, harness
 from blockingsets.blocking import gap_thresholds, traces_of
 from blockingsets.errors import (IoError, NotFoundError, ParseError,
                                  TooLargeError)
@@ -392,10 +392,11 @@ def test_size_thresholds_compare_exactly_on_narrow_sizes():
                   Fraction(10 ** 30 + 1, 10 ** 28)):
         above = [Fraction(int(v)) > bound for v in sizes]
         below = [Fraction(int(v)) < bound for v in sizes]
-        assert harness._above(sizes, bound).tolist() == above
-        assert harness._below(sizes, bound).tolist() == below
-        # one size at a time, as numpy scalars
-        assert [bool(harness._below(v, bound)) for v in sizes] == below
+        assert blocking._above(sizes, bound).tolist() == above
+        assert blocking._below(sizes, bound).tolist() == below
+        # one size at a time, as numpy scalars and as Python ints
+        assert [bool(blocking._below(v, bound)) for v in sizes] == below
+        assert [blocking._above(int(v), bound) for v in sizes] == above
 
 
 @pytest.mark.parametrize("p0", [7, 11, 13, 17, 19, 23, 29, 31])
@@ -406,3 +407,17 @@ def test_codim2_candidates_cannot_exist(p0):
     for h in range(1, 11):
         lower, _ = gap_thresholds(p0, h, 0)
         assert lower < 2 < p0 + 1
+
+
+def test_trace_gap_needs_a_small_set():
+    # every line meets the whole plane PG(2,49) in 50 = 1 (mod 7) points,
+    # so the other hypotheses of the gap hold there; the size cap bounds
+    # small sets only, and the whole plane is not small
+    space = ProjectiveSpace(2, make_field(7, 2))
+    whole = PointSet(space, np.arange(space.num_points))
+    inst = harness.Instance("plane_pg2_49", whole, 1, 7, {}, None, False, {})
+    (gap,) = harness.run_instance(inst, checks=["trace_gap"])
+    assert gap.verdict == harness.NOT_APPLICABLE
+    assert gap.hypotheses == {"small": False, "p0_at_least_7": True,
+                              "q_power_of_p0": True,
+                              "traces_1_mod_p0": True}

@@ -172,6 +172,33 @@ def test_hyperplane_covector_roundtrip():
         space.covector_of(line)
 
 
+HYPERPLANE_SPACES = [(2, 3, 2, None), (3, 2, 2, None), (4, 3, 1, None),
+                     (2, 3, 2, (1, 0, 1))]
+
+
+@pytest.mark.parametrize(
+    "n,p,t,modulus", HYPERPLANE_SPACES,
+    ids=[f"{n}-{p}-{t}" + ("-x2+1" if mod else "")
+         for n, p, t, mod in HYPERPLANE_SPACES])
+def test_hyperplane_and_covector_match_the_kernel_reference(n, p, t,
+                                                            modulus):
+    # the reference: the hyperplane u . x = 0 is the left kernel of the
+    # column u, and a hyperplane's covector spans the left kernel of its
+    # basis columns
+    space = ProjectiveSpace(n, make_field(p, t, modulus))
+    field = space.field
+    for u in space.coords_array().tolist():
+        want = Subspace(space, linalg.left_kernel([[c] for c in u], field))
+        got = space.hyperplane(u)
+        assert got.rows == want.rows and got.pivots == want.pivots
+        ker = linalg.left_kernel([list(col) for col in zip(*got.rows)],
+                                 field)
+        assert space.covector_of(got) == tuple(u) == space.normalize(ker[0])
+        # any multiple of u names the same hyperplane
+        scaled = [field.mul(field.q - 1, c) for c in u]
+        assert space.hyperplane(scaled) == got
+
+
 def test_pointset_set_algebra():
     space = pg(2, 3)
     a = PointSet(space, [5, 1, 3, 1])
@@ -520,12 +547,12 @@ def test_incidence_table_matches_reference_construction(
         monkeypatch, n, p, t, modulus, dim):
     space = ProjectiveSpace(n, make_field(p, t, modulus))
     monkeypatch.setattr(space, "_incidence", {})
-    monkeypatch.setattr(space, "_bases", {})
     want, bases = _reference_incidence(space, dim)
     got = space.incidence(dim)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert space._bases[dim].dtype == bases.dtype
-    assert np.array_equal(space._bases[dim], bases)
+    # the table's indices decode to the reference's bases
+    decoded = space._index_rows(dim, np.arange(space.num_subspaces(dim)))
+    assert decoded.dtype == bases.dtype and np.array_equal(decoded, bases)
 
 
 @pytest.mark.parametrize("budget", [1, 4096])
@@ -538,12 +565,12 @@ def test_incidence_table_does_not_depend_on_the_chunk_size(
     # chunk in each of these spaces; the closed form matches both
     space = pg(n, q)
     monkeypatch.setattr(space, "_incidence", {})
-    monkeypatch.setattr(space, "_bases", {})
     want, bases = _reference_incidence(space, dim, chunk_bytes=budget)
     got = space.incidence(dim)
     assert got is not want and got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert np.array_equal(space._bases[dim], bases)
+    assert np.array_equal(
+        space._index_rows(dim, np.arange(space.num_subspaces(dim))), bases)
 
 
 def test_incidence_dimension_out_of_range():
@@ -562,6 +589,11 @@ def test_subspace_index_out_of_range():
     for idx in (-1, last + 1, 10 ** 6):
         with pytest.raises(RangeError):
             space.subspace_by_index(2, idx)
+    # the solids of PG(7,1024) number over 2^63, past int64 indices
+    huge = pg(7, 2, 10)
+    assert huge.num_subspaces(3) >= 2 ** 63
+    with pytest.raises(TooLargeError):
+        huge.subspace_by_index(3, 0)
 
 
 def test_subspaces_through_matches_brute_force():
@@ -668,13 +700,16 @@ def test_coords_of_ranks_matches_coords_of():
 
 @pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])
 def test_subspace_by_index_matches_the_incidence_bases(n, q):
+    # the incidence table indexes the subspaces in the order of
+    # `_subspaces_all`; the bulk decoder and subspace_by_index follow it
     space = pg(n, q)
     for dim in range(n + 1):
-        space.incidence(dim)
-        bases = space._bases[dim]
-        for idx in range(space.num_subspaces(dim)):
-            sub = space.subspace_by_index(dim, idx)
-            assert sub.rows == tuple(map(tuple, bases[idx].tolist()))
+        want = [sub.rows for sub in space._subspaces_all(dim)]
+        bulk = space._index_rows(dim, np.arange(len(want)))
+        assert bulk.shape == (len(want), dim + 1, n + 1)
+        assert [tuple(map(tuple, rows)) for rows in bulk.tolist()] == want
+        assert [space.subspace_by_index(dim, idx).rows
+                for idx in range(len(want))] == want
 
 
 def test_subspace_by_index_decodes_without_the_table(monkeypatch):
@@ -682,10 +717,9 @@ def test_subspace_by_index_decodes_without_the_table(monkeypatch):
     # decoding of the index can reach these planes
     space = pg(4, 3, 2)
     monkeypatch.setattr(space, "_incidence", {})
-    monkeypatch.setattr(space, "_bases", {})
     with pytest.raises(TooLargeError):
         space.incidence(2)
-    lo = 0
+    lo, ends = 0, []
     for pivots, cells in space._cells(2):
         size = 9 ** len(cells)
         for idx, fill in ((lo, 0), (lo + size - 1, 8)):
@@ -693,9 +727,17 @@ def test_subspace_by_index_decodes_without_the_table(monkeypatch):
             assert sub.dim == 2 and sub.pivots == pivots
             assert Subspace(space, sub.rows).rows == sub.rows
             assert [sub.rows[i][c] for i, c in cells] == [fill] * len(cells)
+            ends.append((idx, sub.rows))
         lo += size
     assert lo == space.num_subspaces(2)
-    assert space._incidence == {} and space._bases == {}
+    # the bulk decoder gives the same bases at every cell boundary at once
+    bulk = space._index_rows(2, [idx for idx, _ in ends][::-1])
+    assert [tuple(map(tuple, rows)) for rows in bulk.tolist()] == [
+        rows for _, rows in ends][::-1]
+    for bad in ([-1], [lo], [0, lo], [lo + 10 ** 6]):
+        with pytest.raises(RangeError):
+            space._index_rows(2, bad)
+    assert space._incidence == {}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

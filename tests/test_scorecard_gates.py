@@ -1,4 +1,5 @@
-"""The committed --slow scorecard, and the hypothesis gates behind it.
+"""The committed --slow scorecard and reconstruct digests, and the hypothesis
+gates behind the scorecard.
 
 tests/data/scorecard_slow.json is the scorecard of `blockingsets harness
 --slow`.  It is the only place where tier-1 sees the verdicts of the six
@@ -7,8 +8,14 @@ an observed value, a hypothesis or a note shows up here as a byte
 difference.  Regenerate it only when a scorecard change is intended:
 
     blockingsets harness --slow --out tests/data/scorecard_slow.json
+
+tests/data/reconstruct_digests.json holds the SHA-256 of the output of
+`blockingsets reconstruct <catalogue .pts> --k K --p0 P0 --point-policy
+POLICY` for each shipped instance, with the instance's k and p0 and the
+policy named there; regenerate it the same way, with `sha256sum`.
 """
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -24,6 +31,8 @@ from blockingsets.projspace import PointSet
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "scorecard_slow.json")
+DIGESTS = os.path.join(os.path.dirname(__file__), "data",
+                       "reconstruct_digests.json")
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +56,25 @@ def test_fast_scorecard_is_golden_without_the_cone(tmp_path, golden):
     assert fast["skipped_instances"] == ["cone_pg3_49"]
     assert fast["summary"] == {"holds": 28, "not_applicable": 42,
                                "violated": 0}
+
+
+def test_reconstruct_outputs_match_their_digests(capsys, tmp_path):
+    with open(DIGESTS, encoding="ascii") as fh:
+        digests = json.load(fh)
+    assert sorted(digests) == sorted(catalogue.NAMES)
+    failed = []
+    for name, want in sorted(digests.items()):
+        e = catalogue.entry(name)
+        path = os.path.join(catalogue.shipped_dir(), name + ".pts")
+        assert cli_main(["reconstruct", path, "--k", str(e["k"]),
+                         "--p0", str(e["p0"]), "--point-policy",
+                         want["point_policy"]]) == 0
+        out = capsys.readouterr().out.encode("ascii")
+        if hashlib.sha256(out).hexdigest() != want["sha256"]:
+            kept = tmp_path / f"{name}.json"
+            kept.write_bytes(out)
+            failed.append(str(kept))
+    assert not failed, f"reconstruct outputs differ, kept in {failed}"
 
 
 # -- hypothesis gates ----------------------------------------------------------
