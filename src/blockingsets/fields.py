@@ -272,11 +272,14 @@ class FieldSpec:
         return self.pow(a, self.p ** e)
 
     def primitive_element(self) -> int:
-        """Code of a generator of GF(q)*: x itself for the Conway moduli."""
+        """Code of a generator of GF(q)*: x itself for the Conway moduli,
+        else the smallest code that generates.  Found with polynomial
+        powers, so the tables can be built from it."""
         order = self.q - 1
         factors = _prime_factors(order)
         for g in (self.x, *range(1, self.q)):
-            if g and all(self.pow(g, order // r) != 1 for r in factors):
+            if g and all(self._pow_poly(g, order // r) != 1
+                         for r in factors):
                 return g
         raise BlockingSetsError(f"no primitive element in {self!r}")
 
@@ -378,25 +381,19 @@ class FieldSpec:
             d = (idx // p ** i) % p
             add = add * p + (d[:, None] + d[None, :]) % p
             neg = neg * p + (-d) % p
-        # multiplication and inverses through discrete logs when x is
-        # primitive, polynomial products otherwise
-        xc = self.x
+        # multiplication and inverses through discrete logs to the first
+        # primitive element
+        g = self.primitive_element()
         exp = [1]
         for _ in range(q - 2):
-            exp.append(self._mul_poly(exp[-1], xc))
-        if len(set(exp)) == q - 1:
-            exp = np.array(exp, dtype=np.int64)
-            log = np.zeros(q, dtype=np.int64)
-            log[exp] = np.arange(q - 1)
-            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            inv = exp[-log % (q - 1)]
-        else:
-            mul = np.array([[self._mul_poly(a, b) for b in range(q)]
-                            for a in range(q)], dtype=np.int64)
-            # each nonzero row holds a single 1, at the inverse
-            inv = (mul == 1).argmax(axis=1)
+            exp.append(self._mul_poly(exp[-1], g))
+        exp = np.array(exp, dtype=np.int64)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        inv = exp[-log % (q - 1)]
         inv[0] = 0
         return add, mul, neg, inv
 

@@ -38,6 +38,9 @@ from .projspace import (
 from .spreads import SpreadContext, spread_context
 
 _EXHAUSTIVE_POINT_CAP = 10_000
+# bytes of one block's temporaries when marking chart positions, at most
+# 64 per by-point entry of the block
+_MARK_BLOCK_BYTES = 1 << 22
 
 
 class LinearSetWitness(NamedTuple):
@@ -270,44 +273,67 @@ def enumerate_sublines(line: Subspace, p0: int):
         yield PointSet(space, ambient[list(row)])
 
 
-def _bulk_param_positions(summary, sel: np.ndarray):
-    """Chart positions of every trace point of the selected lines of a line
-    summary, computed in one vectorized pass.
+def _chart_marks(summary, sel: np.ndarray) -> np.ndarray:
+    """(len(sel), q+1) bool: row i marks the chart positions (see
+    `line_param_positions`) of the set's points on line sel[i] of a line
+    summary; sel ascends.
 
-    Returns (positions, line_of_entry, offsets): group i covers
-    positions[offsets[i]:offsets[i+1]] and belongs to line sel[i]."""
+    One pass over the by-point grid, a bounded block of point rows at a
+    time: the hits of the selected slots in a block give the points, and
+    a hit's place in sel gives its line and so its pivot columns.  The
+    pass reads no grouping of the slots' points, which would re-read the
+    whole grid per block."""
     space = summary.space
-    points, offsets = summary.grouped_points(sel)
-    bases = summary.bases(sel)
-    # canonical bases: row pivots give the chart columns, j0 < j1
-    j0 = np.argmax(bases[:, 0, :] != 0, axis=1)
-    j1 = np.argmax(bases[:, 1, :] != 0, axis=1)
-    rep = np.repeat(np.arange(sel.size), np.diff(offsets))
+    j0, j1 = space.line_pivots(summary.keys_of(sel)).T
     # the set's own coordinate rows, read by point position
     coords = space.coords_of_ranks(summary.point_ranks)
-    param = np.stack([coords[points, j0[rep]], coords[points, j1[rep]]],
-                     axis=-1)
-    # coords at the pivot columns of a normalized point are themselves a
-    # normalized PG(1, q) vector, so no renormalization pass is needed
-    positions = ProjectiveSpace(1, space.field).ranks_from_rows(
-        param, normalized=True)
-    return positions, rep, offsets
+    chosen = np.zeros(summary.sizes.size, dtype=bool)
+    chosen[sel] = True
+    # a chosen slot's place in sel counts the chosen slots below it: a
+    # prefix sum of popcounts over 64-slot words, plus one masked popcount
+    words = _bitmasks(chosen[None, :])[0]
+    below = np.zeros(words.size, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words[:-1]), out=below[1:])
+    slots, _ = summary.by_point()
+    # every point lies on the same number of slots: a row of that width
+    width = slots.size // summary.point_ranks.size
+    step = max(1, _MARK_BLOCK_BYTES // (64 * width)) * width
+    param = ProjectiveSpace(1, space.field)
+    marks = np.zeros((sel.size, space.q + 1), dtype=bool)
+    for lo in range(0, slots.size, step):
+        block = slots[lo:lo + step]
+        hit = np.flatnonzero(chosen[block])
+        at = block[hit]
+        low = (np.uint64(1) << (at & 63).astype(np.uint64)) - np.uint64(1)
+        li = below[at >> 6] + np.bitwise_count(words[at >> 6] & low)
+        pt = (hit + lo) // width
+        # coords at the pivot columns of a normalized point are themselves
+        # a normalized PG(1, q) vector, so no renormalization pass is
+        # needed
+        pos = param.ranks_from_rows(np.stack(
+            [coords[pt, j0[li]], coords[pt, j1[li]]], axis=-1),
+            normalized=True)
+        marks[li, pos] = True
+    return marks
 
 
 def _bitmasks(marks: np.ndarray) -> np.ndarray:
     """The rows of a bool matrix as uint64 bitmasks, one word per 64
     columns."""
     words = -(-marks.shape[1] // 64)
-    padded = np.zeros((marks.shape[0], 64 * words), dtype=bool)
-    padded[:, :marks.shape[1]] = marks
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    # padded to whole words after packing, a byte per 8 columns
+    packed = np.zeros((marks.shape[0], 8 * words), dtype=np.uint8)
+    packed[:, :-(-marks.shape[1] // 8)] = np.packbits(marks, axis=1,
+                                                      bitorder="little")
+    return packed.view(np.uint64)
 
 
 def _meet_sizes(line_bits: np.ndarray, bank_bits: np.ndarray) -> np.ndarray:
     """(lines, patterns) popcounts of line & pattern, summed over the
     words: the meet sizes, exact integers."""
     return np.bitwise_count(
-        line_bits[:, None, :] & bank_bits[None, :, :]).sum(axis=2)
+        line_bits[:, None, :] & bank_bits[None, :, :]).sum(axis=2,
+                                                            dtype=np.int16)
 
 
 class SublineMeetReport(NamedTuple):
@@ -346,10 +372,7 @@ def subline_meet_check(witness: LinearSetWitness,
     allowed_lut = np.zeros(space.q + 2, dtype=bool)
     allowed_lut[list(allowed)] = True
     if sel.size:
-        positions, rep, _ = _bulk_param_positions(lines, sel)
-        marks = np.zeros((sel.size, space.q + 1), dtype=bool)
-        marks[rep, positions] = True
-        line_bits = _bitmasks(marks)
+        line_bits = _bitmasks(_chart_marks(lines, sel))
         bank_bits = _bitmasks(mat)
         # lines with the same chart positions meet the sublines alike, so
         # each distinct mask is counted once
@@ -406,14 +429,15 @@ def secant_linearity_check(pts: PointSet, k: int,
                 and p0 == space.field.p ** e
         except NotBlockingError:
             pass
-    _, tuples = subline_patterns(space.field, p0)
-    bank = {frozenset(row) for row in tuples}
+    mat, _ = subline_patterns(space.field, p0)
     lines = traces_of(pts, 1)
     sel = np.nonzero(lines.sizes == p0 + 1)[0]
     count = int(sel.size)
-    positions, _, offsets = _bulk_param_positions(lines, sel)
-    bad = [sel[pos] for pos in range(sel.size) if frozenset(
-        int(r) for r in positions[offsets[pos]:offsets[pos + 1]]) not in bank]
+    # a trace is a subline when its marks are a row of the patterns: equal
+    # rows get equal ids
+    _, ids = np.unique(np.concatenate([mat, _chart_marks(lines, sel)]),
+                       axis=0, return_inverse=True)
+    bad = sel[~np.isin(ids[len(mat):], ids[:len(mat)])]
     failures = [lines.subspace_at(int(i))
                 for i in lines.witness_order(bad)[:10]]
     return SecantLinearityReport(not failures, count, within, failures)

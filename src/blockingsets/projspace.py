@@ -39,6 +39,8 @@ _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
 # per-point scans count keys whose range is at most this many incidences
 _COUNT_RANGE = 8
+# bytes of one block of the hyperplane scan's per-row temporaries
+_SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the first uncovered
 # key) are built once, whole
 _TRACE_LOCK = threading.RLock()
@@ -464,6 +466,14 @@ class ProjectiveSpace:
         c1, c2 = cells.T
         return _unrank(self, self.num_subspaces(1), offsets[c1, c2], cells,
                        weights[c1, c2], ranks)
+
+    def line_pivots(self, ranks) -> np.ndarray:
+        """Pivot columns (c1, c2), shape (N, 2), of the canonical bases of
+        an array of dense line ranks: their cells, with no basis built."""
+        offsets, _, cells = self._line_cells()
+        c1, c2 = cells.T
+        return cells[np.searchsorted(offsets[c1, c2], ranks, side="right")
+                     - 1]
 
 
 def _coerce_coords(space, item) -> tuple:
@@ -1096,40 +1106,45 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     npar = params.shape[0]
     digits = np.arange(q, dtype=np.int64)
     ranks = np.empty((m, npar), dtype=_rank_dtype(dual.num_points))
+    # a block's buffer and its u_z gathers hold at most 8 bytes per entry
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * npar))
     for z in range(n + 1):
-        rows = np.flatnonzero(last == z)
-        if not rows.size:
+        group = np.flatnonzero(last == z)
+        if not group.size:
             continue
         placed = np.insert(params, z, 0, axis=1)
         base = dual.ranks_from_rows(placed, normalized=True) \
             .astype(ranks.dtype)
-        p = coords[rows]
-        # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
-        coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
-        # the group is built in one contiguous buffer, block by block, and
-        # its rows are scattered into ranks once
-        buf = np.empty((rows.size, npar), dtype=ranks.dtype)
-        start = 0
-        for i0 in range(n - 1, -1, -1):
-            size = q ** (n - 1 - i0)
-            block = slice(start, start + size)
-            start += size
-            if i0 >= z:
-                buf[:, block] = base[block]
-                continue
-            # u_z over the digits i0 < i < z of a (a_i0 = 1); the later
-            # digits repeat each value q^(n-z) times
-            uz = coef[:, i0, None]
-            for i in range(i0 + 1, z):
-                uz = add[uz[:, :, None],
-                         mul[digits, coef[:, i, None]][:, None, :]] \
-                    .reshape(rows.size, -1)
-            # a view of the block: only its contiguous last axis is split
-            out = buf[:, block].reshape(rows.size, -1, q ** (n - z))
-            out[...] = uz[:, :, None]
-            out *= q ** (n - z)
-            out += base[block].reshape(-1, q ** (n - z))
-        ranks[rows] = buf
+        # the group is built a bounded block of rows at a time, each block
+        # in its own buffer, scattered into ranks once
+        for r0 in range(0, group.size, step):
+            rows = group[r0:r0 + step]
+            p = coords[rows]
+            # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
+            coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
+            buf = np.empty((rows.size, npar), dtype=ranks.dtype)
+            start = 0
+            for i0 in range(n - 1, -1, -1):
+                size = q ** (n - 1 - i0)
+                block = slice(start, start + size)
+                start += size
+                if i0 >= z:
+                    buf[:, block] = base[block]
+                    continue
+                # u_z over the digits i0 < i < z of a (a_i0 = 1); the
+                # later digits repeat each value q^(n-z) times
+                uz = coef[:, i0, None]
+                for i in range(i0 + 1, z):
+                    uz = add[uz[:, :, None],
+                             mul[digits, coef[:, i, None]][:, None, :]] \
+                        .reshape(rows.size, -1)
+                # a view of the block: only its contiguous last axis is
+                # split
+                out = buf[:, block].reshape(rows.size, -1, q ** (n - z))
+                out[...] = uz[:, :, None]
+                out *= q ** (n - z)
+                out += base[block].reshape(-1, q ** (n - z))
+            ranks[rows] = buf
     # each point's ranks ascend: the rank orders covectors by their columns
     # lexicographically, u_z is a function of the columns before z, and
     # PG(n-1, q) lists a in the lexicographic order of the other columns

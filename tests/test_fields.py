@@ -334,6 +334,36 @@ def test_scalar_tables_non_primitive_modulus():
         assert tbl.shape == (9, 9) and tbl.dtype == np.int64
 
 
+@pytest.mark.parametrize("p,t,modulus,order", [
+    (3, 2, (1, 0, 1), 4),               # x^2 + 1
+    (2, 4, (1, 1, 1, 1, 1), 5),         # x^4 + x^3 + x^2 + x + 1
+])
+def test_tables_of_non_primitive_modulus_match_polynomials(p, t, modulus,
+                                                           order):
+    # x is not primitive: the logs go to another generator
+    f = FieldSpec(p, t, modulus)
+    assert len({f._pow_poly(f.x, k) for k in range(2 * order)}) == order
+    assert f.primitive_element() != f.x
+    _, mul, _, inv = f.tables()
+    want = [[f._mul_poly(a, b) for b in range(f.q)] for a in range(f.q)]
+    assert mul.tolist() == want
+    assert inv.tolist() == [0] + [f._pow_poly(a, f.q - 2)
+                                  for a in range(1, f.q)]
+
+
+def test_tables_of_large_non_primitive_modulus_build():
+    # 1 + x + x^2 + x^3 + x^10 over GF(2): x is not primitive
+    f = FieldSpec(2, 10, (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 1))
+    assert f._pow_poly(f.x, 1023) == 1
+    assert any(f._pow_poly(f.x, 1023 // r) == 1 for r in (3, 11, 31))
+    _, mul, _, inv = f.tables()
+    rng = random.Random(7)
+    for _ in range(500):
+        a, b = rng.randrange(1024), rng.randrange(1024)
+        assert mul[a, b] == f._mul_poly(a, b)
+    assert (mul[np.arange(1, 1024), inv[1:]] == 1).all()
+
+
 def test_no_field_above_size_limit():
     # no scalar path is left for orders without tables
     for p, t in ((2, 11), (3, 7), (1031, 1), (31, 3)):

@@ -6,7 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blockingsets import catalogue, formats, harness
@@ -303,6 +303,41 @@ def test_cli_non_ascii_pointset_exits_3(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *(paths.get(a, a) for a in argv))
     assert code == 3 and out == "", err
     assert err.startswith("error: ParseError:"), err
+
+
+# bytes that keep a file ASCII and often parseable, or any byte at all
+_MUTANT_BYTES = st.one_of(st.sampled_from(b'0123456789 -\n{}[],:"'),
+                          st.integers(0, 255))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_survives_byte_mutations(tmp_path_factory, capsys, data):
+    # a small shipped instance with a few bytes of one of its files
+    # replaced: every file command ends with a documented exit code
+    name = data.draw(st.sampled_from(
+        ["baer_pg2_9", "cone_pg3_9", "rank4_pg2_27", "subgeom_pg2_49"]))
+    src = os.path.join(catalogue.shipped_dir(), name)
+    meta = json.loads(open(src + ".meta.json").read())
+    files = {ext: bytearray(open(src + ext, "rb").read())
+             for ext in (".pts", ".meta.json")}
+    raw = files[data.draw(st.sampled_from(sorted(files)))]
+    for _ in range(data.draw(st.integers(1, 3))):
+        raw[data.draw(st.integers(0, len(raw) - 1))] = \
+            data.draw(_MUTANT_BYTES)
+    where = tmp_path_factory.mktemp("mutant")
+    for ext, body in files.items():
+        (where / (name + ext)).write_bytes(body)
+    pts, k, p0 = str(where / (name + ".pts")), str(meta["k"]), \
+        str(meta["p0"])
+    for argv in (("check", pts, "--k", k),
+                 ("reconstruct", pts, "--k", k, "--p0", p0),
+                 ("islinear", pts, "--p0", p0),
+                 ("secants", pts, "--k", k, "--p0", p0),
+                 ("harness", "--dir", str(where))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, code, err)
 
 
 def test_cli_reconstruct(capsys, baer_file):

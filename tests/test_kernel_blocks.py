@@ -1,0 +1,172 @@
+"""The bounded-block kernels: the hyperplane scan and the chart marks of
+the subline checks give the same results whatever their block size, and
+their traced memory stays within bounds set by the array shapes."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from blockingsets import catalogue, linearsets, projspace
+from blockingsets.blocking import traces_of
+from blockingsets.fields import make_field
+from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
+                                     secant_linearity_check,
+                                     subline_meet_check)
+from blockingsets.projspace import PointSet, ProjectiveSpace, subspace_traces
+
+
+def _rows_budget(rows, bytes_per_entry, width):
+    """A byte budget that gives blocks of `rows` rows of `width` entries;
+    0 gives blocks of one row."""
+    return rows * bytes_per_entry * width
+
+
+def _brute_hyperplanes(pts):
+    """(keys, sizes, keys through each point) of the hyperplanes meeting
+    the set, from the dot product of every covector with every point: a
+    hyperplane's key is the rank of its covector."""
+    space = pts.space
+    add, mul, _, _ = space.field.tables()
+    cov, coords = space.coords_array(), pts.coords()
+    dot = mul[cov[:, None, 0], coords[None, :, 0]]
+    for c in range(1, space.n + 1):
+        dot = add[dot, mul[cov[:, None, c], coords[None, :, c]]]
+    on = dot == 0
+    sizes = on.sum(axis=1)
+    keys = np.flatnonzero(sizes)
+    return keys, sizes[keys], on.T
+
+
+@pytest.mark.parametrize("n,p,t", [(3, 2, 2), (3, 3, 2), (4, 3, 1)])
+def test_hyperplane_blocks_match_brute_force(monkeypatch, n, p, t):
+    space = ProjectiveSpace(n, make_field(p, t))
+    npar = (space.q ** n - 1) // (space.q - 1)
+    rng = np.random.default_rng(20 + n + space.q)
+    for size in (1, 7, space.num_points // 3, space.num_points - 2):
+        pts = PointSet(space, rng.choice(space.num_points, size,
+                                         replace=False))
+        keys, sizes, on = _brute_hyperplanes(pts)
+        # one row, seven rows (every last-column group of more than seven
+        # points is split), and the default budget
+        for rows in (0, 7, None):
+            if rows is not None:
+                monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                                    _rows_budget(rows, 8, npar))
+            summary = subspace_traces(pts, n - 1)
+            monkeypatch.undo()
+            slots = np.arange(summary.sizes.size)
+            assert np.array_equal(summary.keys_of(slots), keys)
+            assert np.array_equal(summary.sizes, sizes)
+            through, offsets = summary.by_point()
+            assert np.array_equal(offsets, np.arange(size + 1) * npar)
+            got = summary.keys_of(through).reshape(size, npar)
+            for pos in range(size):
+                assert np.array_equal(got[pos], np.flatnonzero(on[pos]))
+
+
+@pytest.mark.parametrize("n,p,t", [(2, 3, 2), (3, 2, 2), (4, 3, 1)])
+def test_line_pivots_are_the_pivots_of_the_bases(n, p, t):
+    space = ProjectiveSpace(n, make_field(p, t))
+    ranks = np.arange(space.num_subspaces(1))
+    bases = space.line_bases(ranks)
+    want = (bases != 0).argmax(axis=2)
+    assert np.array_equal(space.line_pivots(ranks), want)
+
+
+def _perturbed(witness, p0, seed):
+    """The witness's set with one point of a (p0+1)-secant swapped for a
+    point of that line off the set, and a few random points added."""
+    pts = witness.points
+    lines = traces_of(pts, 1)
+    line = lines.subspace_at(int(np.flatnonzero(lines.sizes == p0 + 1)[0]))
+    on = [r for r in line.point_ranks().tolist() if r in pts]
+    off = [r for r in line.point_ranks().tolist() if r not in pts]
+    rng = np.random.default_rng(seed)
+    extra = rng.choice(pts.space.num_points, 12, replace=False).tolist()
+    ranks = sorted(set(pts.ranks.tolist()) - {on[0]} | {off[0]} | set(extra))
+    return LinearSetWitness(witness.ctx, witness.pi,
+                            PointSet(pts.space, ranks), witness.rank)
+
+
+def _reports(witness, k, p0):
+    return (subline_meet_check(witness, p0),
+            secant_linearity_check(witness.points, k, p0))
+
+
+def test_chart_mark_blocks_give_equal_reports(monkeypatch):
+    cone, = catalogue.load_shipped(["cone_pg3_9"])
+    subgeom = build_family_witness("subgeometry", q=49, p0=7, n=2)
+    cases = [(cone.witness, 2, 3), (_perturbed(cone.witness, 3, 1), 2, 3),
+             (_perturbed(subgeom, 7, 2), 1, 7)]
+    reports = []
+    for witness, k, p0 in cases:
+        space = witness.points.space
+        width = (space.q ** space.n - 1) // (space.q - 1)
+        reports.append(_reports(witness, k, p0))
+        for rows in (0, 7):
+            monkeypatch.setattr(linearsets, "_MARK_BLOCK_BYTES",
+                                _rows_budget(rows, 64, width))
+            assert _reports(witness, k, p0) == reports[-1]
+            monkeypatch.undo()
+    # the reports are not vacuous: the cone passes both checks, and the
+    # perturbed sets fail them
+    (meets, secants), (_, cone_secants), (fake_meets, fake_secants) = reports
+    assert meets.ok and secants.ok and secants.secants
+    assert cone_secants.failures
+    assert fake_meets.violations and fake_secants.failures
+
+
+@pytest.fixture(scope="module")
+def dense_27():
+    """2,000 seeded points of PG(3,27): they meet every plane, and about
+    428,000 of the lines in 2 to 27 points."""
+    space = ProjectiveSpace(3, make_field(3, 3))
+    pts = PointSet(space, np.random.default_rng(2024).choice(
+        space.num_points, 2000, replace=False))
+    pts.coords()
+    return pts
+
+
+def _traced_peak(fn, *args):
+    """(result, traced peak in bytes above what was live at the call)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_hyperplane_scan_memory_is_bounded(dense_27):
+    space = dense_27.space
+    m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
+    summary, peak = _traced_peak(projspace._scan_hyperplanes, space,
+                                 dense_27)
+    assert summary.x0 == 0
+    kept = summary.sizes.nbytes + sum(a.nbytes for a in summary.by_point())
+    # the int32 ranks, their intp copy in the count, and two blocks; one
+    # whole last-column group and its u_z gather would not fit
+    bound = m * npar * (4 + 8) + 2 * projspace._SCAN_BLOCK_BYTES
+    assert peak - kept < bound, (peak, kept, bound)
+
+
+def test_subline_marks_memory_is_bounded(dense_27):
+    space = dense_27.space
+    base = build_family_witness("random_rank_r", q=27, n=3, r=4, seed=1)
+    witness = LinearSetWitness(base.ctx, base.pi, dense_27, base.rank)
+    lines = traces_of(dense_27, 1)
+    linearsets.subline_patterns(space.field, 3)
+    nsel = int(np.count_nonzero((lines.sizes >= 2)
+                                & (lines.sizes <= space.q)))
+    report, peak = _traced_peak(subline_meet_check, witness)
+    assert report.ok and report.secant_lines >= nsel > 400_000
+    # per selected line its marks and six int64-sized arrays (pivots,
+    # bitmasks, sort order, copies); per slot a mask and its words; the
+    # meet sizes of one chunk of lines, and two blocks of the marking pass;
+    # a grouping of the lines' points would not fit
+    bound = nsel * (space.q + 1 + 6 * 8) + 2 * lines.sizes.size \
+        + 16 * (1 << 21) + 2 * linearsets._MARK_BLOCK_BYTES
+    assert peak < bound, (peak, bound)

@@ -1,0 +1,45 @@
+"""The command-line tools under tools/, run in process on small inputs, so
+that a rename in the package cannot break them unnoticed."""
+
+import importlib.util
+import os
+
+from blockingsets import blocking, harness, projspace
+
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "tools")
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(TOOLS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_mempeaks_rows(monkeypatch, capsys):
+    mempeaks = _tool("mempeaks")
+    # the tool wraps the checks and scans in place: restore them afterwards
+    monkeypatch.setattr(harness, "_CHECKS", dict(harness._CHECKS))
+    for scan in ("_scan_lines", "_scan_hyperplanes"):
+        monkeypatch.setattr(projspace, scan, getattr(projspace, scan))
+    # cached summaries would hide the scans
+    blocking.traces_of.cache_clear()
+    assert mempeaks.main(["cone_pg3_9"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("cone_pg3_9: maxrss")
+    assert out[1].split()[:2] == ["span", "s"]
+    rows = [(line[:28], line[28:].split()) for line in out[2:]]
+    assert all(len(numbers) == 5 for _, numbers in rows)
+    checks = [name.strip() for name, _ in rows if not name.startswith(" ")]
+    scans = {name.strip() for name, _ in rows if name.startswith("  ")}
+    assert sorted(checks) == sorted(harness.CHECK_IDS)
+    assert scans == {"_scan_lines", "_scan_hyperplanes"}
+
+
+def test_mempeaks_rejects_unknown_names(capsys):
+    mempeaks = _tool("mempeaks")
+    assert mempeaks.main(["no_such_instance"]) == 2
+    assert mempeaks.main([]) == 2
+    assert capsys.readouterr().out == ""
