@@ -37,8 +37,15 @@ from .errors import (
 _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
-# per-point scans count keys whose range is at most this many incidences
+# per-point scans count their keys when the int64 count array, 8 bytes per
+# key, fits in this many bytes (no more than one block's intp copy) and
+# the key range is at most _COUNT_RANGE times the incidences, and sort
+# them otherwise
+_COUNT_BYTES = 1 << 23
 _COUNT_RANGE = 8
+# incidences per block of the grouping tail: one bincount call, or one
+# pass over a block of the sorted copy
+_TAIL_BLOCK = 1 << 20
 # bytes of one block of the hyperplane scan's per-row temporaries
 _SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the first uncovered
@@ -786,18 +793,21 @@ class TraceSummary:
 
     Every scan lists, for each point of the set, the keys of the
     dim-subspaces through it, ascending, as int32 whenever every key fits
-    (int64 otherwise), and `_by_point_summary` groups those incidences by
-    counting: a bincount over the key range gives the sizes.  When every
-    count is positive (a set that meets every dim-subspace, as a blocking
-    set meets the subspaces of its scan), the summary is dense: a slot is
-    its key, no keys are stored, and the scan's int32 array itself is
-    the by-point grouping.  Otherwise the nonzero entries are the keys
-    (int64), and the same array then becomes the key -> slot table.  When
-    the key range is much larger than the incidence count (a small set in
-    a large space), one sort does it without a range-sized array.  The
-    sizes are held in the smallest signed integer type that holds the
-    set's size, so they never wrap on subtraction; compare them with
-    exact integers, not with products that could wrap.
+    (int64 otherwise), and `_by_point_summary` groups those incidences in
+    one of two regimes, chosen by the byte size of a count array over the
+    key range (8 bytes per key) and by that range against the incidences:
+    a small count array over a range not much larger than the incidences
+    is counted with a bincount per bounded block of incidences; otherwise
+    (the lines of a large space, or a small set) a copy of the keys is
+    sorted and its runs counted, with no range-sized array.  When every
+    key occurs (a set that meets every dim-subspace, as a blocking set
+    meets the subspaces of its scan), the summary is dense: a slot is its
+    key, no keys are stored, and the scan's int32 array itself is the
+    by-point grouping.  Otherwise the keys that occur are stored (int64)
+    and the slots are their places among them (int32).  The sizes are
+    held in the smallest signed integer type that holds the set's size,
+    so they never wrap on subtraction; compare them with exact integers,
+    not with products that could wrap.
 
     Keys are read through `keys_of` alone: `bases` turns any selection of
     slots into canonical RREF basis rows, `first_uncovered` unranks the
@@ -812,10 +822,8 @@ class TraceSummary:
     are multiples of that width and the by-point array is an
     (m, width) grid.
 
-    The point positions of chosen slots come in the same layout, built
-    per call and never cached: `grouped_points` gathers them for any
-    selection with one pass over the by-point array and one sort of the
-    hits, and `secants_through` finds those of the lines through one point
+    The point positions of the lines through one point come in the same
+    layout, built per call and never cached: `secants_through` finds them
     from the set's coordinates alone.
 
     All stored arrays are read-only: summaries are cached per point set
@@ -872,42 +880,12 @@ class TraceSummary:
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
             raise RangeError("trace slot out of range")
 
-    def grouped_points(self, sel: np.ndarray) -> tuple:
-        """Point positions (int32) of each slot in sel, each group
-        ascending, concatenated in sel order, and offsets: group i is
-        out[offsets[i]:offsets[i+1]].  sel may come in any order and may
-        repeat slots.
-
-        Only the incidences of the selected slots are grouped: a slot mask
-        picks them out of the by-point array, where a flat position
-        divided by the row width is the point, and one sort of the keys
-        slot * m + point lays out the distinct slots ascending."""
-        sel = np.asarray(sel, dtype=np.int64).reshape(-1)
-        self._check_slots(sel)
-        counts = self.sizes[sel]
-        offsets = _offsets(counts)
-        distinct, place = np.unique(sel, return_inverse=True)
-        slots, starts = self._by_point
-        chosen = np.zeros(self.sizes.size, dtype=bool)
-        chosen[distinct] = True
-        hit = np.flatnonzero(chosen[slots])
-        m = self.point_ranks.size
-        keyed = slots[hit].astype(np.int64)
-        keyed *= m
-        keyed += hit // starts[1]
-        keyed.sort()
-        keyed %= m
-        # the groups of the distinct slots, picked out in sel order
-        first = _offsets(self.sizes[distinct])[:-1]
-        at = np.repeat(first[place] - offsets[:-1], counts) \
-            + np.arange(offsets[-1])
-        return keyed[at].astype(np.int32), offsets
-
     def secants_through(self, pos: int, size: int) -> tuple:
         """(slots, points, offsets) for the lines through the point at
         position pos whose traces have `size` points: the slots ascending
-        (the scan order), and their point positions grouped as
-        `grouped_points` groups them.  Line summaries only.
+        (the scan order), and their point positions (int32), each group
+        ascending, concatenated in slot order, with int64 offsets: group i
+        is points[offsets[i]:offsets[i+1]].  Line summaries only.
 
         The line scan lists the lines through P as P w for w in
         PG(n-1, q) in rank order, w placed off P's lead column l.  So
@@ -1166,36 +1144,95 @@ def _size_dtype(m: int):
 def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
     """The summary of a per-point scan: row p of the (m, npar) array ranks
     holds the dense keys in range(total) of the dim-subspaces through the
-    point at position p, ascending.  The incidences are grouped by
-    counting the keys; when their range is much larger than their number,
-    by one sort instead.  When every key is counted (the set meets every
-    dim-subspace), the slot of a key is the key itself: no table and no
-    keys are built, and the int32 ranks are the slots."""
+    point at position p, ascending.
+
+    Two regimes, chosen by the byte size of a count array, 8 * total, and
+    by the key range against the incidences:
+
+    - when the count array is at most `_COUNT_BYTES` and the range at most
+      `_COUNT_RANGE` times the incidences, the keys are counted: a
+      bincount over each block of `_TAIL_BLOCK` incidences, summed into
+      one int64 count, so no intp copy of the whole ranks array is made;
+      the nonzero counts are the keys, and their buffer becomes the
+      key -> slot table;
+    - otherwise (a large key range, or a small set whose incidences a
+      pass over the range would dwarf) an int32 copy of the ranks (int64
+      when the keys need it) is sorted, leaving ranks in by-point order,
+      and its runs are counted block by block straight into the sizes,
+      with no range-sized array; a key's slot is its place among the
+      distinct keys, found by a blocked search that writes into the
+      sorted copy's buffer.
+
+    When every key occurs (the set meets every dim-subspace), the slot of
+    a key is the key itself: no table and no keys are built, and the int32
+    ranks are the slots."""
     m, npar = ranks.shape
     flat = ranks.reshape(-1)
     sizes_type = _size_dtype(m)
-    if total <= _COUNT_RANGE * flat.size:
-        counts = np.bincount(flat, minlength=total)
-        if np.count_nonzero(counts) == total:
-            keys = None
-            sizes = counts.astype(sizes_type)
-            slots = flat.astype(np.int32, copy=False)
-        else:
-            keys = np.flatnonzero(counts)
-            sizes = counts[keys].astype(sizes_type)
+    step = _TAIL_BLOCK
+    if 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * flat.size:
+        counts = np.bincount(flat[:step], minlength=total)
+        for b in range(step, flat.size, step):
+            counts += np.bincount(flat[b:b + step], minlength=total)
+        keys = None if np.count_nonzero(counts) == total \
+            else np.flatnonzero(counts)
+        sizes = (counts if keys is None else counts[keys]).astype(sizes_type)
+        if keys is not None:
             # the counts are spent: their buffer becomes the key -> slot
             # table
             table = counts.view(np.int32)[:total]
             table[keys] = np.arange(keys.size, dtype=np.int32)
             slots = table[flat]
     else:
-        keys, slots, sizes = np.unique(flat, return_inverse=True,
-                                       return_counts=True)
-        keys = keys.astype(np.int64)
-        sizes = sizes.astype(sizes_type)
-        slots = slots.astype(np.int32)
+        srt = np.sort(flat)
+        keys, sizes = _sorted_runs(srt, total, sizes_type)
+        if keys is not None:
+            slots = srt if srt.dtype == np.int32 \
+                else np.empty(flat.size, dtype=np.int32)
+            for b in range(0, flat.size, step):
+                slots[b:b + step] = np.searchsorted(keys, flat[b:b + step])
+    if keys is None:
+        slots = flat.astype(np.int32, copy=False)
     return TraceSummary(space, dim, pts.ranks, keys, sizes, slots,
                         np.arange(m + 1, dtype=np.int64) * npar)
+
+
+def _sorted_runs(srt, total, sizes_type) -> tuple:
+    """(keys, sizes) of the runs of the sorted keys srt: the distinct keys
+    (int64), None when they are the whole of range(total), and the length
+    of each run in sizes_type.  Two passes of `_TAIL_BLOCK` entries each:
+    one counts the runs, one fills the arrays."""
+    step = _TAIL_BLOCK
+
+    def boundaries(b):
+        # the positions i > 0 in the block at b where a new run starts
+        lo, hi = max(b, 1), min(b + step, srt.size)
+        out = np.flatnonzero(srt[lo:hi] != srt[lo - 1:hi - 1])
+        out += lo
+        return out
+
+    blocks = range(0, srt.size, step)
+    nkeys = 1 + sum(boundaries(b).size for b in blocks)
+    keys = None if nkeys == total else np.empty(nkeys, dtype=np.int64)
+    sizes = np.empty(nkeys, dtype=sizes_type)
+    if keys is not None:
+        keys[0] = srt[0]
+    # run j starts at the boundary before it (0 for the first) and ends at
+    # its own boundary (the end of srt for the last)
+    j, start = 0, 0
+    for b in blocks:
+        ends = boundaries(b)
+        if ends.size:
+            if keys is not None:
+                keys[j + 1:j + 1 + ends.size] = srt[ends]
+            sizes[j] = ends[0] - start
+            np.subtract(ends[1:], ends[:-1],
+                        out=sizes[j + 1:j + ends.size], casting="unsafe")
+            j, start = j + ends.size, ends[-1]
+        # one block's boundaries are live at a time
+        del ends
+    sizes[j] = srt.size - start
+    return keys, sizes
 
 
 def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:

@@ -201,29 +201,29 @@ def test_dense_summaries_search_for_no_uncovered_key(monkeypatch):
 
 def test_point_secant_paths_gather_no_selection(monkeypatch):
     # reconstruction, the span lemma and the span_image_subset check read
-    # the secants through one point, never a gathered selection of slots
+    # the secants through one point; summaries have no gather of a
+    # selection of slots to fall back on
     from blockingsets import catalogue
     from blockingsets.reconstruct import check_span_lemma, reconstruct
+    assert not hasattr(projspace.TraceSummary, "grouped_points")
     instances = catalogue.load_shipped()
     cone = next(i for i in instances if i.name == "cone_pg3_9")
+    calls = []
+    through = projspace.TraceSummary.secants_through
 
-    def run():
-        results = reconstruct(cone.points, cone.k, cone.p0,
-                              point_policy="all")
-        lemma = check_span_lemma(cone.points, cone.k, cone.p0,
-                                 results[0].P, results[0].x)
-        checks = [harness.run_instance(inst, ["span_image_subset"])[0]
-                  .to_json() for inst in instances]
-        return results, lemma, checks
+    def counted(self, pos, size):
+        calls.append(pos)
+        return through(self, pos, size)
 
-    usual = run()
-
-    def refuse(self, sel):
-        raise AssertionError("grouped_points on a per-point path")
-
-    monkeypatch.setattr(projspace.TraceSummary, "grouped_points", refuse)
-    results, lemma, checks = run()
-    assert results == usual[0] and all(r.success for r in results)
-    assert lemma == usual[1] and lemma.ok and lemma.pairs_checked
-    assert checks == usual[2]
+    monkeypatch.setattr(projspace.TraceSummary, "secants_through", counted)
+    results = reconstruct(cone.points, cone.k, cone.p0, point_policy="all")
+    assert len(calls) == len(results) and all(r.success for r in results)
+    calls.clear()
+    lemma = check_span_lemma(cone.points, cone.k, cone.p0, results[0].P,
+                             results[0].x)
+    assert calls and lemma.ok and lemma.pairs_checked
+    calls.clear()
+    checks = [harness.run_instance(inst, ["span_image_subset"])[0]
+              .to_json() for inst in instances]
+    assert calls
     assert [c["verdict"] for c in checks].count(harness.HOLDS) == 1

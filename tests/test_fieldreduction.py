@@ -11,6 +11,8 @@ from blockingsets.fields import make_field
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace, span
 from blockingsets.spreads import SpreadContext, spread_context
 
+from trace_reference import grouped_points
+
 # (p, t, n) of the big space of every shipped catalogue instance
 SHIPPED = [(3, 2, 2), (3, 2, 3), (3, 3, 2), (7, 2, 2), (7, 2, 3)]
 
@@ -112,7 +114,7 @@ def test_transversal_line_rebuilds_subline(ctx9, baer):
     pts = baer.points
     lines = traces_of(pts, 1)
     idx = int(np.nonzero(lines.sizes == 4)[0][0])
-    trace = PointSet(ctx9.big, pts.ranks[lines.grouped_points([idx])[0]])
+    trace = PointSet(ctx9.big, pts.ranks[grouped_points(lines, [idx])[0]])
     first = int(trace.ranks[0])
     for x in ctx9.element_ranks(first):
         ell = ctx9.transversal_line(trace, int(x))

@@ -1,6 +1,7 @@
-"""The bounded-block kernels: the hyperplane scan and the chart marks of
-the subline checks give the same results whatever their block size, and
-their traced memory stays within bounds set by the array shapes."""
+"""The bounded-block kernels: the hyperplane scan, both regimes of the
+scans' grouping tail and the chart marks of the subline checks give the
+same results whatever their block size, and their traced memory stays
+within bounds set by the array shapes."""
 
 import tracemalloc
 
@@ -14,6 +15,8 @@ from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
                                      secant_linearity_check,
                                      subline_meet_check)
 from blockingsets.projspace import PointSet, ProjectiveSpace, subspace_traces
+
+from trace_reference import reference_grouping
 
 
 def _rows_budget(rows, bytes_per_entry, width):
@@ -63,6 +66,92 @@ def test_hyperplane_blocks_match_brute_force(monkeypatch, n, p, t):
             got = summary.keys_of(through).reshape(size, npar)
             for pos in range(size):
                 assert np.array_equal(got[pos], np.flatnonzero(on[pos]))
+
+
+def _grouping_cases():
+    """(points, dim): dense sets (the whole space), near-dense ones (the
+    whole space less the points of one subspace, x0 = 1), sparse random
+    sets, wide-range ones (a few points of a space with many more keys
+    than incidences), and middle dimensions from the incidence table."""
+    pg33 = ProjectiveSpace(3, make_field(3, 1))
+    rng = np.random.default_rng(21)
+    for dim in (1, 2):
+        yield PointSet(pg33, np.arange(pg33.num_points)), dim
+        gone = pg33.subspace_by_index(dim, 5).point_ranks()
+        yield PointSet(pg33, np.setdiff1d(np.arange(pg33.num_points),
+                                          gone)), dim
+        yield PointSet(pg33, rng.choice(pg33.num_points, 7,
+                                        replace=False)), dim
+        pg3_16 = ProjectiveSpace(3, make_field(2, 4))
+        yield PointSet(pg3_16, rng.choice(pg3_16.num_points, 3,
+                                          replace=False)), dim
+    pg42 = ProjectiveSpace(4, make_field(2, 1))
+    yield PointSet(pg42, np.arange(pg42.num_points)), 2
+    yield PointSet(pg42, rng.choice(pg42.num_points, 9, replace=False)), 2
+
+
+def _check_grouping(summary, ranks):
+    """The summary groups ranks as the reference does, with the dtypes
+    the summaries promise."""
+    keys, sizes, slots = reference_grouping(ranks)
+    m = ranks.shape[0]
+    got_keys = summary.keys_of(np.arange(summary.sizes.size))
+    assert got_keys.dtype == np.int64 and np.array_equal(got_keys, keys)
+    assert summary.sizes.dtype == projspace._size_dtype(m)
+    assert np.array_equal(summary.sizes, sizes)
+    got, offsets = summary.by_point()
+    assert got.dtype == np.int32 and np.array_equal(got, slots)
+    assert np.array_equal(offsets, np.arange(m + 1) * ranks.shape[1])
+    if summary.x0 == 0:
+        assert summary._keys is None and np.shares_memory(got, ranks)
+    else:
+        assert summary._keys.dtype == np.int64
+
+
+def test_grouping_regimes_match_the_reference(monkeypatch):
+    seen, sorted_runs = [], []
+    summarize, runs = projspace._by_point_summary, projspace._sorted_runs
+    monkeypatch.setattr(projspace, "_by_point_summary",
+                        lambda *args: seen.append(args))
+    monkeypatch.setattr(projspace, "_sorted_runs",
+                        lambda *args: sorted_runs.append(1) or runs(*args))
+    paths = set()
+    for pts, dim in _grouping_cases():
+        seen.clear()
+        subspace_traces(pts, dim)
+        (space, _, _, ranks, total), = seen
+        size = ranks.size
+        # the byte rule at its edge, with any key range counted: a count
+        # array of exactly _COUNT_BYTES is counted, one byte more is sorted
+        for counted in (True, False):
+            budget = 8 * total - (not counted)
+            # one incidence per block, seven, a block boundary just
+            # before the last incidence, at it and past it, and the
+            # default
+            for step in (1, 7, size - 1, size, size + 1, None):
+                with monkeypatch.context() as patch:
+                    patch.setattr(projspace, "_COUNT_BYTES", budget)
+                    patch.setattr(projspace, "_COUNT_RANGE", total)
+                    if step is not None:
+                        patch.setattr(projspace, "_TAIL_BLOCK", step)
+                    sorted_runs.clear()
+                    summary = summarize(space, dim, pts, ranks, total)
+                assert bool(sorted_runs) != counted
+                _check_grouping(summary, ranks)
+            paths.add((counted, summary.x0 == 0))
+        # at the default rules every case is under the byte budget, and
+        # a key range over 8 times the incidences is sorted, not passed
+        # over by a count
+        sorted_runs.clear()
+        summarize(space, dim, pts, ranks, total)
+        wide = total > 8 * size
+        assert bool(sorted_runs) == wide
+        paths.add(("wide", wide))
+    # the cases reach dense and sparse summaries in both regimes, and
+    # wide key ranges
+    assert paths == {(counted, dense) for counted in (False, True)
+                     for dense in (False, True)} | {("wide", False),
+                                                    ("wide", True)}
 
 
 @pytest.mark.parametrize("n,p,t", [(2, 3, 2), (3, 2, 2), (4, 3, 1)])
@@ -140,17 +229,51 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_hyperplane_scan_memory_is_bounded(dense_27):
+def test_hyperplane_scan_memory_is_bounded(dense_27, monkeypatch):
     space = dense_27.space
     m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
+    # tail blocks whose intp copies are the size of a scan block
+    monkeypatch.setattr(projspace, "_TAIL_BLOCK",
+                        projspace._SCAN_BLOCK_BYTES // 8)
     summary, peak = _traced_peak(projspace._scan_hyperplanes, space,
                                  dense_27)
-    assert summary.x0 == 0
+    assert summary.x0 == 0 and 8 * summary.total <= projspace._COUNT_BYTES
     kept = summary.sizes.nbytes + sum(a.nbytes for a in summary.by_point())
-    # the int32 ranks, their intp copy in the count, and two blocks; one
-    # whole last-column group and its u_z gather would not fit
-    bound = m * npar * (4 + 8) + 2 * projspace._SCAN_BLOCK_BYTES
+    # the int32 ranks, two blocks of the scan, and the count: one tail
+    # block's intp copy, the int64 count and one block's bincount; one
+    # whole last-column group and its u_z gather would not fit, nor an
+    # intp copy of the whole ranks
+    bound = m * npar * 4 + 2 * projspace._SCAN_BLOCK_BYTES \
+        + 8 * projspace._TAIL_BLOCK + 16 * summary.total
     assert peak - kept < bound, (peak, kept, bound)
+
+
+def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
+    # the line scan's grouping tail in its sorted regime, on the scan's
+    # own ranks, which are live before it starts
+    space = dense_27.space
+    seen = []
+    summarize = projspace._by_point_summary
+    with monkeypatch.context() as patch:
+        patch.setattr(projspace, "_by_point_summary",
+                      lambda *args: seen.append(args))
+        projspace._scan_lines(space, dense_27)
+    (_, dim, _, ranks, total), = seen
+    # the lines' count array (4.4 MB) is under the byte rule: sort anyway
+    monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
+    monkeypatch.setattr(projspace, "_TAIL_BLOCK", 1 << 15)
+    summary, peak = _traced_peak(summarize, space, dim, dense_27, ranks,
+                                 total)
+    assert ranks.dtype == np.int32 and summary.x0 > 0
+    nslots = summary.sizes.size
+    assert nslots > 500_000
+    # one int32 sorted copy of the ranks, whose buffer becomes the slots,
+    # the int64 keys and the sizes, and a few arrays of one block; an
+    # intp copy of the ranks, or an int64 count over the key range beside
+    # the new slots, would not fit
+    bound = ranks.size * 4 + nslots * (8 + summary.sizes.itemsize) \
+        + 64 * projspace._TAIL_BLOCK
+    assert peak < bound, (peak, bound)
 
 
 def test_subline_marks_memory_is_bounded(dense_27):

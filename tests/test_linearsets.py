@@ -25,6 +25,8 @@ from blockingsets.linearsets import (
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace
 from blockingsets.spreads import spread_context
 
+from trace_reference import grouped_points
+
 
 def mutate_on_secant(pts, p0):
     """Swap one point of a (p0+1)-secant for another point of that line."""
@@ -359,7 +361,7 @@ def test_failure_lists_come_in_witness_order(rank4_27, subgeom_49):
     _, tuples = subline_patterns(space.field, 3)
     failing = []
     fours = np.flatnonzero(lines.sizes == 4)
-    points, offsets = lines.grouped_points(fours)
+    points, offsets = grouped_points(lines, fours)
     for i, idx in enumerate(fours):
         line = lines.subspace_at(int(idx))
         trace = pts.ranks[points[offsets[i]:offsets[i + 1]]]
@@ -380,7 +382,7 @@ def test_failure_lists_come_in_witness_order(rank4_27, subgeom_49):
     lines = traces_of(pts, 1)
     failing = []
     secants = np.flatnonzero((lines.sizes >= 2) & (lines.sizes <= 49))
-    points, offsets = lines.grouped_points(secants)
+    points, offsets = grouped_points(lines, secants)
     for i, idx in enumerate(secants):
         line = lines.subspace_at(int(idx))
         pos = line_param_positions(

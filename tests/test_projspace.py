@@ -17,6 +17,8 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     gaussian_binomial, meet, project, span,
                                     subspace_traces)
 
+from trace_reference import grouped_points
+
 
 def pg(n, p, t=1):
     return ProjectiveSpace(n, make_field(p, t))
@@ -313,8 +315,8 @@ def test_trace_modes_agree():
         assert np.all(np.diff(summary.keys_of(
             np.arange(summary.sizes.size))) > 0)
         out = {}
-        points, offsets = summary.grouped_points(
-            np.arange(summary.sizes.size))
+        points, offsets = grouped_points(
+            summary, np.arange(summary.sizes.size))
         for idx in range(summary.sizes.size):
             plane = plane_at(idx)
             on = pts.ranks[points[offsets[idx]:offsets[idx + 1]]]

@@ -27,7 +27,9 @@ import pytest
 from blockingsets import catalogue, harness
 from blockingsets.blocking import traces_of
 from blockingsets.cli import main as cli_main
+from blockingsets.linearsets import build_family_witness
 from blockingsets.projspace import PointSet
+from blockingsets.reconstruct import reconstruct
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "scorecard_slow.json")
@@ -81,16 +83,30 @@ def test_reconstruct_outputs_match_their_digests(capsys, tmp_path):
 
 GATE_INSTANCES = ("baer_pg2_9", "cone_pg3_9", "rank4_pg2_27",
                   "subgeom_pg2_49")
+# seeded rank-3 GF(7)-linear sets of PG(2,49), k = 1 and p0 = 7, off the
+# catalogue
+RANDOM_SEEDS = (1, 2, 3)
 
 
-def _instance(name, pts):
-    e = catalogue.entry(name)
-    return harness.Instance(name, pts, e["k"], e["p0"], {}, None, False, {})
+def _instance(rebuilt, pts):
+    _, name, k, p0 = rebuilt
+    return harness.Instance(name, pts, k, p0, {}, None, False, {})
 
 
-@pytest.fixture(scope="module", params=GATE_INSTANCES)
+GATES = [(name, None) for name in GATE_INSTANCES] \
+    + [(f"random_rank3_pg2_49_seed{seed}", seed) for seed in RANDOM_SEEDS]
+
+
+@pytest.fixture(scope="module", params=GATES, ids=[n for n, _ in GATES])
 def rebuilt(request):
-    return catalogue.build_witness(request.param).points, request.param
+    """(witness, name, k, p0) of a rebuilt catalogue instance or of a
+    seeded random linear set."""
+    name, seed = request.param
+    if seed is None:
+        e = catalogue.entry(name)
+        return catalogue.build_witness(name), name, e["k"], e["p0"]
+    return build_family_witness("random_rank_r", q=49, n=2, r=3,
+                                seed=seed), name, 1, 7
 
 
 def _with_point_added(pts):
@@ -106,18 +122,25 @@ def _by_check(inst):
 
 
 def test_unperturbed_instance_meets_the_gates(rebuilt):
-    pts, name = rebuilt
-    checks = _by_check(_instance(name, pts))
+    pts = rebuilt[0].points
+    checks = _by_check(_instance(rebuilt, pts))
     assert checks["size_bound_weak"].hypotheses["k_blocking"]
     for r in checks.values():
         if "minimal" in r.hypotheses:
             assert r.hypotheses["minimal"] is True, r.check
 
 
+def test_reconstruct_rebuilds_the_unperturbed_witness(rebuilt):
+    witness, _, k, p0 = rebuilt
+    res = reconstruct(witness.points, k, p0)
+    assert res.success and res.image_equal
+    assert witness.ctx.linear_set_of(res.W) == witness.points
+
+
 def test_dropping_a_point_turns_blocking_off(rebuilt):
-    pts, name = rebuilt
+    pts = rebuilt[0].points
     dropped = PointSet(pts.space, pts.ranks[1:])
-    checks = _by_check(_instance(name, dropped))
+    checks = _by_check(_instance(rebuilt, dropped))
     weak = checks["size_bound_weak"]
     assert weak.hypotheses["k_blocking"] is False
     assert weak.verdict == harness.NOT_APPLICABLE
@@ -129,9 +152,8 @@ def test_dropping_a_point_turns_blocking_off(rebuilt):
 
 
 def test_adding_a_point_turns_minimal_off(rebuilt):
-    pts, name = rebuilt
-    added, _ = _with_point_added(pts)
-    checks = _by_check(_instance(name, added))
+    added, _ = _with_point_added(rebuilt[0].points)
+    checks = _by_check(_instance(rebuilt, added))
     listing = [r for r in checks.values() if "minimal" in r.hypotheses]
     assert len(listing) == 9
     for r in listing:

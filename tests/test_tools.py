@@ -20,10 +20,11 @@ def _tool(name):
 
 def test_mempeaks_rows(monkeypatch, capsys):
     mempeaks = _tool("mempeaks")
-    # the tool wraps the checks and scans in place: restore them afterwards
+    # the tool wraps the checks, the scans and their grouping tail in
+    # place: restore them afterwards
     monkeypatch.setattr(harness, "_CHECKS", dict(harness._CHECKS))
-    for scan in ("_scan_lines", "_scan_hyperplanes"):
-        monkeypatch.setattr(projspace, scan, getattr(projspace, scan))
+    for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
+        monkeypatch.setattr(projspace, name, getattr(projspace, name))
     # cached summaries would hide the scans
     blocking.traces_of.cache_clear()
     assert mempeaks.main(["cone_pg3_9"]) == 0
@@ -32,10 +33,17 @@ def test_mempeaks_rows(monkeypatch, capsys):
     assert out[1].split()[:2] == ["span", "s"]
     rows = [(line[:28], line[28:].split()) for line in out[2:]]
     assert all(len(numbers) == 5 for _, numbers in rows)
-    checks = [name.strip() for name, _ in rows if not name.startswith(" ")]
-    scans = {name.strip() for name, _ in rows if name.startswith("  ")}
+    depths = [(len(name) - len(name.lstrip())) // 2 for name, _ in rows]
+    names = [name.strip() for name, _ in rows]
+    checks = [name for name, d in zip(names, depths) if d == 0]
+    scans = {name for name, d in zip(names, depths) if d == 1}
     assert sorted(checks) == sorted(harness.CHECK_IDS)
     assert scans == {"_scan_lines", "_scan_hyperplanes"}
+    # each scan ends in one run of the grouping tail, nested under it
+    tails = [i for i, name in enumerate(names) if name == "_by_point_summary"]
+    assert tails and {depths[i] for i in tails} == {2}
+    assert all(names[i - 1] in scans for i in tails)
+    assert len(tails) == sum(d == 1 for d in depths)
 
 
 def test_mempeaks_rejects_unknown_names(capsys):

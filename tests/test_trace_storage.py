@@ -1,5 +1,5 @@
-"""Trace summaries in CSR form against brute force, the grouping of dense
-summaries against the key -> slot table it skips, the closed-form line
+"""Trace summaries in CSR form against brute force, the grouping of every
+scan in both regimes against one np.unique, the closed-form line
 and hyperplane scan kernels against the covector-building kernels they
 replaced, and the one-pass transversal-line search against a
 per-candidate reference loop."""
@@ -22,6 +22,8 @@ from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     span, subspace_traces)
 from blockingsets.spreads import spread_context
+
+from trace_reference import grouped_points, reference_grouping
 
 # (n, p, t); PG(4,2) reaches every (point lead, direction lead) pair of
 # the line kernel with up to three free digits, PG(2,8) is GF(2^3), and
@@ -156,7 +158,7 @@ def test_trace_summaries_match_brute_force(data):
         for rows, idx in zip(bases.tolist(), sel):
             assert tuple(map(tuple, rows)) == _decoded_rows(summary, idx)
         assert summary.bases(sel[:0]).shape == (0,) + bases.shape[1:]
-        points, offsets = summary.grouped_points(np.arange(nslots))
+        points, offsets = grouped_points(summary, np.arange(nslots))
         brute = []
         for idx in range(nslots):
             got = points[offsets[idx]:offsets[idx + 1]]
@@ -169,10 +171,9 @@ def test_trace_summaries_match_brute_force(data):
         for bad in (-1, nslots):
             with pytest.raises(RangeError):
                 summary.subspace_at(bad)
-            for lookup in (summary.bases, summary.grouped_points):
-                for picked in ([bad], [0, bad]):
-                    with pytest.raises(RangeError):
-                        lookup(picked)
+            for picked in ([bad], [0, bad]):
+                with pytest.raises(RangeError):
+                    summary.bases(picked)
         for bad in (-1, m):
             with pytest.raises(RangeError):
                 summary.indices_through_point(bad)
@@ -202,37 +203,18 @@ def test_trace_summaries_match_brute_force(data):
         drawn = rng.choice(nslots, min(nslots, 9))
         for sel in (every_third, every_third[::-1], drawn,
                     np.concatenate([drawn, drawn[::-1]]), every_third[:0]):
-            got, offsets = summary.grouped_points(sel)
+            got, offsets = grouped_points(summary, sel)
             want, want_offsets = _reference_grouped(reference, summary, sel)
             assert got.dtype == np.int32 and offsets.dtype == np.int64
             assert np.array_equal(got, want)
             assert np.array_equal(offsets, want_offsets)
 
 
-def _table_grouping(ranks, total):
-    """(keys, sizes, slots) of the scan's keys as `_by_point_summary`
-    grouped them before dense summaries skipped the table, in int64 keys
-    and sizes: the nonzero counts are the keys, and the count buffer
-    becomes the key -> slot table; or one sort, when the key range is
-    much larger."""
-    flat = ranks.reshape(-1).astype(np.int64)
-    if total > projspace._COUNT_RANGE * flat.size:
-        keys, slots, sizes = np.unique(flat, return_inverse=True,
-                                       return_counts=True)
-        return keys, sizes, slots.astype(np.int32)
-    counts = np.bincount(flat, minlength=total)
-    keys = np.flatnonzero(counts)
-    sizes = counts[keys]
-    table = counts.view(np.int32)[:total]
-    table[keys] = np.arange(keys.size, dtype=np.int32)
-    return keys, sizes, table[flat]
-
-
 def _grouping_cases():
     """(points, dim, the one subspace missing the set or None): dense
     summaries of lines, hyperplanes and middle dimensions, near-dense ones
     (the whole space less the points of one subspace, x0 = 1), and a set
-    too small for its space to count its keys."""
+    too small for its space to meet every line."""
     pg43 = _space(4, 3, 1)
     whole = PointSet(pg43, np.arange(pg43.num_points))
     for dim in range(1, 5):
@@ -271,14 +253,26 @@ def _assert_narrowest_signed(sizes, m):
         assert np.iinfo(f"int{4 * sizes.itemsize}").max < m
 
 
+def _counts(total, incidences):
+    """Whether a scan over total keys groups them by counting (else by
+    sorting): the choice rests on the byte size of a count array and on
+    the key range against the incidences."""
+    return 8 * total <= projspace._COUNT_BYTES \
+        and total <= projspace._COUNT_RANGE * incidences
+
+
 def test_dense_grouping_matches_the_table(monkeypatch):
     seen = _recorded_scans(monkeypatch)
     paths = set()
-    for pts, dim, gone in _grouping_cases():
+    # every case at the default rule, then with every scan sorting
+    cases = [(case, budget) for budget in (projspace._COUNT_BYTES, 0)
+             for case in _grouping_cases()]
+    for (pts, dim, gone), budget in cases:
+        monkeypatch.setattr(projspace, "_COUNT_BYTES", budget)
         seen.clear()
         summary = subspace_traces(pts, dim)
         (ranks, total), = seen
-        keys, sizes, slots = _table_grouping(ranks, total)
+        keys, sizes, slots = reference_grouping(ranks)
         got, offsets = summary.by_point()
         m, npar = ranks.shape
         _assert_narrowest_signed(summary.sizes, m)
@@ -296,9 +290,9 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         else:
             assert summary._keys.dtype == np.int64
         assert np.array_equal(offsets, np.arange(m + 1) * npar)
-        counted = total <= projspace._COUNT_RANGE * ranks.size
-        paths.add((counted, summary.x0 == 0))
-        if gone is None and counted:
+        paths.add((_counts(total, ranks.size), summary.x0 == 0))
+        if gone is None and ranks.size >= total:
+            # each such case meets every subspace; the small set cannot
             assert summary.x0 == 0
             assert summary.first_uncovered() is None
         elif gone is not None:
@@ -314,8 +308,9 @@ def test_dense_grouping_matches_the_table(monkeypatch):
             counts = summary.per_point_counts(**args)
             assert counts.dtype == np.int64 and not counts.flags.writeable
             assert np.array_equal(counts, want)
-    # the cases reach the dense grouping, the table and the sort
-    assert paths == {(True, True), (True, False), (False, False)}
+    # the cases reach dense and sparse summaries in both regimes
+    assert paths == {(counted, dense) for counted in (False, True)
+                     for dense in (False, True)}
 
 
 def _secant_cases():
@@ -437,12 +432,6 @@ def _kernel_cases():
                            int(rng.integers(space.num_points))])
 
 
-def _counted(summary):
-    """Whether the scan grouped its incidences by counting (else by one
-    sort): the choice rests on the key range against the incidences."""
-    return summary.total <= projspace._COUNT_RANGE * int(summary.sizes.sum())
-
-
 def test_scan_kernels_match_reference_kernels(monkeypatch):
     seen = _recorded_scans(monkeypatch)
     paths, widths = set(), []
@@ -467,7 +456,8 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
         got = planes.keys_of(slots).reshape(m, npar)
         want = _reference_covector_ranks(space, pts)
         assert np.array_equal(got, np.sort(want, axis=1))
-        paths |= {("lines", _counted(lines)), ("planes", _counted(planes))}
+        paths |= {(name, _counts(summary.total, int(summary.sizes.sum())))
+                  for name, summary in (("lines", lines), ("planes", planes))}
         # int32 ranks whenever every key fits, and int32 slots
         for (ranks, total), summary in zip(seen, (lines, planes)):
             wide = total >= 2 ** 31
@@ -506,7 +496,7 @@ def test_transversal_line_matches_reference(name):
     lines = traces_of(pts, 1)
     secants = np.flatnonzero(lines.sizes == p0 + 1)
     assert secants.size
-    points, offsets = lines.grouped_points(secants)
+    points, offsets = grouped_points(lines, secants)
     for i in range(secants.size):
         trace = PointSet(pts.space,
                          pts.ranks[points[offsets[i]:offsets[i + 1]]])
@@ -556,7 +546,7 @@ def test_transversal_line_refuses_two_matches(baer):
     lines = traces_of(baer.points, 1)
     idx = int(np.flatnonzero(lines.sizes == 4)[0])
     trace = PointSet(ctx.big,
-                     baer.points.ranks[lines.grouped_points([idx])[0]])
+                     baer.points.ranks[grouped_points(lines, [idx])[0]])
     x = int(ctx.element_ranks(trace.ranks[0])[0])
     line = ctx.transversal_line(trace, x)
     # the transversal meets the companion element (that of the second
@@ -625,7 +615,8 @@ def test_batched_transversal_search_matches_per_secant_reference(name):
     admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
     for pos in admissible[:3].tolist():
         through = lines.indices_through_point(pos)
-        flat, _ = lines.grouped_points(through[lines.sizes[through] == p0 + 1])
+        flat, _ = grouped_points(
+            lines, through[lines.sizes[through] == p0 + 1])
         traces = pts.ranks[flat].reshape(-1, p0 + 1)
         x = int(ctx.element_ranks(pts.ranks[pos]).min())
         want = [_per_secant_transversal(ctx, t, x) for t in traces]

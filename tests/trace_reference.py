@@ -1,0 +1,54 @@
+"""References for the tests of trace summaries: the grouping of a scan's
+keys, which both regimes of `projspace._by_point_summary` must match, and
+the point positions of chosen slots read off a summary's by-point
+grouping.  The package reads the lines through one point with
+`TraceSummary.secants_through` and never groups a selection of slots;
+tests use `grouped_points` to check whole traces."""
+
+import numpy as np
+
+
+def reference_grouping(ranks):
+    """(keys, sizes, slots) of a scan's keys from one np.unique: int64
+    keys and sizes, int32 slots.  Both regimes of `_by_point_summary`,
+    counting and sorting, must give these, whatever the key range."""
+    keys, slots, sizes = np.unique(ranks.reshape(-1).astype(np.int64),
+                                   return_inverse=True, return_counts=True)
+    return keys, sizes, slots.astype(np.int32)
+
+
+def _offsets(counts):
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def grouped_points(summary, sel):
+    """(points, offsets): the point positions (int32) of each slot in sel,
+    each group ascending, concatenated in sel order; group i is
+    points[offsets[i]:offsets[i+1]].  sel may come in any order and may
+    repeat slots.
+
+    Only the incidences of the selected slots are grouped: a slot mask
+    picks them out of the by-point array, where a flat position divided
+    by the row width is the point, and one sort of the keys slot * m +
+    point lays out the distinct slots ascending."""
+    sel = np.asarray(sel, dtype=np.int64).reshape(-1)
+    counts = summary.sizes[sel]
+    offsets = _offsets(counts)
+    distinct, place = np.unique(sel, return_inverse=True)
+    slots, starts = summary.by_point()
+    chosen = np.zeros(summary.sizes.size, dtype=bool)
+    chosen[distinct] = True
+    hit = np.flatnonzero(chosen[slots])
+    m = summary.point_ranks.size
+    keyed = slots[hit].astype(np.int64)
+    keyed *= m
+    keyed += hit // starts[1]
+    keyed.sort()
+    keyed %= m
+    # the groups of the distinct slots, picked out in sel order
+    first = _offsets(summary.sizes[distinct])[:-1]
+    at = np.repeat(first[place] - offsets[:-1], counts) \
+        + np.arange(offsets[-1])
+    return keyed[at].astype(np.int32), offsets

@@ -5,11 +5,12 @@ standard library and the package only.
 
 The instance is loaded from the shipped catalogue, then
 `harness.run_instance` runs every check on it under `tracemalloc`.  One
-row is printed per check, in run order, and one per line or hyperplane
-scan (`projspace._scan_lines`, `_scan_hyperplanes`), indented under the
-check that ran it: the seconds, the traced MB live before, the traced
-peak MB, the traced MB live after, and the process's maxrss in MB when
-the row ends.  Traced sizes count only what is allocated after set-up,
+row is printed per check, in run order, one per line or hyperplane scan
+(`projspace._scan_lines`, `_scan_hyperplanes`), indented under the check
+that ran it, and one per run of the scans' shared grouping tail
+(`projspace._by_point_summary`), indented under its scan: the seconds,
+the traced MB live before, the traced peak MB, the traced MB live after,
+and the process's maxrss in MB when the row ends.  Traced sizes count only what is allocated after set-up,
 when tracing starts; a row's peak includes those of the rows nested in
 it.  Tracing slows the run down, so compare seconds between rows only.
 """
@@ -76,8 +77,8 @@ def main(argv) -> int:
     spans = Spans()
     for check_id, run in list(harness._CHECKS.items()):
         harness._CHECKS[check_id] = spans.wrap(check_id, run)
-    for scan in ("_scan_lines", "_scan_hyperplanes"):
-        setattr(projspace, scan, spans.wrap(scan, getattr(projspace, scan)))
+    for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
+        setattr(projspace, name, spans.wrap(name, getattr(projspace, name)))
     print(f"{inst.name}: maxrss {maxrss_mb():.1f} MB after set-up")
     tracemalloc.start()
     try:
