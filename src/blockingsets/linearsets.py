@@ -41,6 +41,8 @@ _EXHAUSTIVE_POINT_CAP = 10_000
 # bytes of one block's temporaries when marking chart positions, at most
 # 64 per by-point entry of the block
 _MARK_BLOCK_BYTES = 1 << 22
+# bytes of the vectors y + w of one block of candidates at a search node
+_NODE_BLOCK_BYTES = 1 << 21
 
 
 class LinearSetWitness(NamedTuple):
@@ -508,7 +510,13 @@ def _preimage_ranks(ctx: SpreadContext, pts: PointSet) -> np.ndarray:
 def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):
     """Depth-first search over small-side subspaces all of whose points
     blow down into the set, each generated once via its canonical
-    min-point basis chain; returns (witness or None, tested, ranks)."""
+    min-point basis chain; returns (witness or None, tested, ranks).
+
+    A node is a subspace W, held as the list of its vectors (0 included)
+    and the ranks of its points.  The points of span(W, y) off W are the
+    y + w, w in W, so every candidate y of a node is tested in one table
+    pass: it extends the chain when y is the least of them and all of
+    them lie in the preimage.  Only the witness becomes a Subspace."""
     small = ctx.small
     if small.num_points > _EXHAUSTIVE_POINT_CAP:
         raise TooLargeError(
@@ -520,40 +528,45 @@ def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):
         r_min += 1
     if r_min > cap:
         return None, 0, []
+    pre = _preimage_ranks(ctx, pts)
     pre_mask = np.zeros(small.num_points, dtype=bool)
-    pre_mask[_preimage_ranks(ctx, pts)] = True
+    pre_mask[pre] = True
+    pre_coords = small.coords_of_ranks(pre)
+    add, mul, _, _ = small.field.tables()
+    scalars = np.arange(small.q, dtype=np.int64)[:, None, None]
     tested = 0
 
-    def image_equals(span_ranks) -> bool:
-        return np.array_equal(ctx.linear_set_of_ranks(span_ranks), target)
-
-    def extend(rows, span_ranks, depth):
+    def extend(vectors, span_ranks, depth):
         nonlocal tested
-        if depth >= r_min and image_equals(span_ranks):
-            return Subspace(small, rows)
+        if depth >= r_min and np.array_equal(
+                ctx.linear_set_of_ranks(span_ranks), target):
+            return Subspace(small, small.coords_of_ranks(chain).tolist())
         if depth == cap:
             return None
         span_mask = np.zeros(small.num_points, dtype=bool)
         span_mask[span_ranks] = True
-        floor = -1 if depth == 0 else chain[-1]
-        for y in np.nonzero(pre_mask & ~span_mask)[0]:
-            y = int(y)
-            if y <= floor:
-                continue
-            cand = Subspace(small, rows + [small.coords_of(y)])
-            cand_ranks = cand.point_ranks()
-            new = cand_ranks[~span_mask[cand_ranks]]
-            if new.min() != y or not pre_mask[new].all():
-                continue
-            tested += 1
-            chain.append(y)
-            got = extend(list(cand.rows), cand_ranks, depth + 1)
-            chain.pop()
-            if got is not None:
-                return got
+        floor = chain[-1] if chain else -1
+        cand = np.flatnonzero(~span_mask[pre] & (pre > floor))
+        step = max(1, _NODE_BLOCK_BYTES // (8 * vectors.size))
+        for start in range(0, cand.size, step):
+            at = cand[start:start + step]
+            off = small.ranks_from_rows(
+                add[pre_coords[at, None, :], vectors[None, :, :]])
+            ok = (off.min(axis=1) == pre[at]) & pre_mask[off].all(axis=1)
+            for a in np.flatnonzero(ok).tolist():
+                tested += 1
+                chain.append(int(pre[at[a]]))
+                # the vectors c*y + w of span(W, y), c in GF(q)
+                grown = add[mul[scalars, pre_coords[at[a]]], vectors[None]]
+                got = extend(grown.reshape(-1, small.n + 1),
+                             np.concatenate([span_ranks, off[a]]), depth + 1)
+                chain.pop()
+                if got is not None:
+                    return got
         return None
 
     chain = []
-    found = extend([], np.empty(0, dtype=np.int64), 0)
+    found = extend(np.zeros((1, small.n + 1), dtype=np.int64),
+                   np.empty(0, dtype=np.int64), 0)
     witness = build_linear_set(ctx, found) if found is not None else None
     return witness, tested, list(range(r_min, cap + 1))

@@ -49,7 +49,7 @@ _TAIL_BLOCK = 1 << 20
 # bytes of one block of the hyperplane scan's per-row temporaries
 _SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the first uncovered
-# key) are built once, whole
+# key, the points' coordinates) are built once, whole
 _TRACE_LOCK = threading.RLock()
 
 
@@ -147,19 +147,25 @@ class ProjectiveSpace:
 
     def normalize_rows(self, arr: np.ndarray) -> np.ndarray:
         """Normalize each row of an (m, n+1) array of element codes."""
+        return self._normalized(arr)[0]
+
+    def _normalized(self, arr) -> tuple:
+        """(rows, leads): the normalized rows of an array of element codes
+        (last axis n+1) and the lead column of each."""
         _, mul, _, inv = self.field.tables()
         arr = np.asarray(arr, dtype=np.int64)
         lead = (arr != 0).argmax(axis=-1)
         lv = np.take_along_axis(arr, lead[..., None], axis=-1)
         if not lv.all():
             raise EmptyInputError("zero vector in point batch")
-        return mul[arr, inv[lv]]
+        return mul[arr, inv[lv]], lead
 
     def ranks_from_rows(self, arr: np.ndarray, normalized=False) -> np.ndarray:
-        arr = np.asarray(arr, dtype=np.int64)
-        if not normalized:
-            arr = self.normalize_rows(arr)
-        lead = (arr != 0).argmax(axis=-1)
+        if normalized:
+            arr = np.asarray(arr, dtype=np.int64)
+            lead = (arr != 0).argmax(axis=-1)
+        else:
+            arr, lead = self._normalized(arr)
         offs = np.asarray(self._offsets, dtype=np.int64)
         powers = np.asarray(self._powers, dtype=np.int64)
         full = arr @ powers
@@ -457,6 +463,51 @@ class ProjectiveSpace:
         second = mul[second, inv[piv2][:, None]]
         first = add[first, neg[mul[first[at, c2][:, None], second]]]
         return np.stack([first, second], axis=1)
+
+    def rref_rows(self, stack) -> tuple:
+        """Batched row reduction of an (N, R, n+1) stack of row sets, any
+        integer dtype, zero rows allowed: (rows, ranks), rows of shape
+        (N, min(R, n+1), n+1) holding in rows[i, :ranks[i]] the canonical
+        RREF basis of set i, the rows `Subspace` would hold, and zeros
+        below it.  The sets are reduced through the field tables in blocks
+        whose int64 copy takes at most _SCAN_BLOCK_BYTES (one set at
+        least), column by column: each set whose unreduced rows have an
+        entry in the column takes the first such row as its next pivot."""
+        stack = np.asarray(stack)
+        if stack.ndim != 3 or stack.shape[2] != self.n + 1:
+            raise DimensionMismatchError(
+                f"expected a stack of rows of length {self.n + 1}, got "
+                f"shape {stack.shape}")
+        num, height, width = stack.shape
+        add, mul, neg, inv = self.field.tables()
+        keep = min(height, width)
+        rows = np.zeros((num, keep, width), dtype=np.int64)
+        ranks = np.zeros(num, dtype=np.int64)
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * max(height, 1) * width))
+        for start in range(0, num, step):
+            block = stack[start:start + step].astype(np.int64)
+            rank = ranks[start:start + step]
+            for c in range(width):
+                cand = (block[:, :, c] != 0) \
+                    & (np.arange(height) >= rank[:, None])
+                sel = cand.argmax(axis=1)
+                live = np.flatnonzero(cand.any(axis=1))
+                if not live.size:
+                    continue
+                r, s = rank[live], sel[live]
+                pivot = block[live, s]
+                pivot = mul[pivot, inv[pivot[:, c]][:, None]]
+                block[live, s] = block[live, r]
+                block[live, r] = pivot
+                # clear column c off the pivot row; the columns before c
+                # are zero on the pivot row, so only c onwards change
+                coeff = block[live, :, c]
+                coeff[np.arange(live.size), r] = 0
+                block[live, :, c:] = add[block[live, :, c:], mul[
+                    coeff[:, :, None], neg[pivot[:, None, c:]]]]
+                rank[live] += 1
+            rows[start:start + step] = block[:, :keep]
+        return rows, ranks
 
     def line_keys(self, stack) -> np.ndarray:
         """Dense ranks of the lines spanned by the row pairs of an
@@ -843,6 +894,7 @@ class TraceSummary:
         self._counts = {}
         self._size_counts = None
         self._uncovered = None
+        self._coords = None
 
     @property
     def x0(self) -> int:
@@ -899,12 +951,15 @@ class TraceSummary:
         through = self.indices_through_point(pos)
         space = self.space
         add, mul, neg, _ = space.field.tables()
-        coords = space.coords_of_ranks(self.point_ranks)
+        coords = self.point_coords()
         p = coords[pos]
         l = int((p != 0).argmax())
         others = np.flatnonzero(np.arange(coords.shape[0]) != pos)
         rest = coords[others]
-        proj = np.delete(add[rest, neg[mul[rest[:, l, None], p]]], l, axis=1)
+        cols = np.flatnonzero(np.arange(space.n + 1) != l)
+        # -c*P off column l, for each scalar c
+        minus = neg[mul[np.arange(space.q)[:, None], p[cols]]]
+        proj = add[rest[:, cols], minus[rest[:, l]]]
         if space.n > 1:
             entry = ProjectiveSpace(space.n - 1, space.field) \
                 .ranks_from_rows(proj)
@@ -922,6 +977,16 @@ class TraceSummary:
         chosen = through[keep]
         return chosen, (keyed % m).astype(np.int32), \
             _offsets(self.sizes[chosen])
+
+    def point_coords(self) -> np.ndarray:
+        """Normalized coordinates of the set's points, in rank order.
+        Decoded once per summary; the array is read-only."""
+        if self._coords is None:
+            with _TRACE_LOCK:
+                if self._coords is None:
+                    self._coords = _frozen(
+                        self.space.coords_of_ranks(self.point_ranks))
+        return self._coords
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
         if not 0 <= pt_pos < self.point_ranks.size:

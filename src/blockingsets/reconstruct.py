@@ -11,23 +11,47 @@ routine doubles as a counterexample detector on arbitrary input.
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .blocking import _below, is_k_blocking, secant_analysis, traces_of
-from .errors import BadParamsError, NoSublineSecantError, NotBlockingError
+from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
+                     SpecMismatchError)
 from .fields import exact_log
-from .projspace import PointSet, Subspace, _canonical, span
+from .projspace import (_SCAN_BLOCK_BYTES, PointSet, ProjectiveSpace, Subspace,
+                        _canonical, _combine, _frozen)
 from .spreads import SpreadContext, spread_context
+
+
+class RowSequence(Sequence):
+    """A read-only sequence over the rows of an array: item i is built
+    from row i on access, so a result holds no object per row."""
+
+    __slots__ = ("_rows", "_build")
+
+    def __init__(self, rows: np.ndarray, build):
+        self._rows = _frozen(rows)
+        self._build = build
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._build(row) for row in self._rows[i]]
+        return self._build(self._rows[i])
+
+    def __repr__(self):
+        return f"RowSequence({len(self)} rows)"
 
 
 class ReconstructionResult(NamedTuple):
     P: int                     # base point rank (big side)
     x: int                     # chosen point rank of S(P) (small side)
-    secants_used: list         # (p0+1)-secant traces, as PointSets
-    transversals: list         # small-side lines through x
+    secants_used: RowSequence  # (p0+1)-secant traces, as PointSets
+    transversals: RowSequence  # small-side lines through x
     W: Optional[Subspace]      # span of the transversals
     dim_W: Optional[int]
     image_equal: bool
@@ -39,14 +63,11 @@ class ReconstructionResult(NamedTuple):
         return self.status == "ok"
 
 
-def _status(dim_w: int, target: int, image: np.ndarray,
-            want: np.ndarray) -> str:
+def _status(dim_w: int, target: int, extra: bool, missing: bool) -> str:
     if dim_w < target:
         return "span too small"
     if dim_w > target:
         return "span too large"
-    extra = np.setdiff1d(image, want).size
-    missing = np.setdiff1d(want, image).size
     if extra and missing:
         return "image differs"
     if extra:
@@ -56,40 +77,67 @@ def _status(dim_w: int, target: int, image: np.ndarray,
     return "ok"
 
 
-def _reconstruct_from(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
-                      pos: int, line_summary) -> ReconstructionResult:
+def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
+                        positions: np.ndarray, lines, width: int) -> list:
+    """One result per base point position, in order.  Each point makes
+    one secant search and one transversal search; x and the ys of every
+    point go into one zero-padded stack of at most `width` rows, and one
+    batched reduction gives each W.  The points of a set often share
+    their W, so each distinct W is expanded and mapped down once."""
     space, small = pts.space, ctx.small
-    h = space.field.t
-    p_rank = int(pts.ranks[pos])
-    x = int(ctx.element_ranks(p_rank).min())
-    secant_indices, flat, _ = line_summary.secants_through(pos, p0 + 1)
-    traces = pts.ranks[flat].reshape(-1, p0 + 1)
-    ys = ctx.transversal_line(traces, x)
-    found = ys >= 0
-    ys = ys[found]
-    used = [PointSet(space, trace) for trace in traces[found]]
-    # the transversals are the lines x y, reduced in one batch
-    pairs = small.coords_of_ranks(np.stack([np.full_like(ys, x), ys], axis=1))
-    transversals = _canonical(small, small.line_rows(pairs))
-    skipped = [line_summary.subspace_at(int(idx))
-               for idx in secant_indices[~found]]
-    diagnostics = {
-        "secants_through_P": len(secant_indices),
-        "skipped_non_sublines": len(skipped),
-        "skipped": skipped,
-        "target_dim": h * k,
-    }
-    if not transversals:
-        return ReconstructionResult(
-            p_rank, x, [], [], None, None, False,
-            "no secant trace is a subline", diagnostics)
-    # every transversal is the line x y, so x and the ys span them all
-    W = span(small, x, *ys.tolist())
-    image = ctx.linear_set_of_ranks(W.point_ranks())
-    status = _status(W.dim, h * k, image, pts.ranks)
-    return ReconstructionResult(
-        p_rank, x, used, transversals, W, W.dim,
-        bool(np.array_equal(image, pts.ranks)), status, diagnostics)
+    target = space.field.t * k
+    stack = np.zeros((positions.size, width, small.n + 1),
+                     dtype=np.min_scalar_type(small.q - 1))
+    found = []
+    for i, pos in enumerate(positions.tolist()):
+        p_rank = int(pts.ranks[pos])
+        x = int(ctx.element_ranks(p_rank).min())
+        slots, flat, _ = lines.secants_through(pos, p0 + 1)
+        flat = flat.reshape(-1, p0 + 1)
+        ys = ctx.transversal_line(pts.ranks[flat], x)
+        hit = ys >= 0
+        ys = ys[hit]
+        # every transversal is the line x y, so x and the ys span them all
+        stack[i, 0] = small.coords_of(x)
+        stack[i, 1:1 + ys.size] = small.coords_of_ranks(ys)
+        # the traces are kept as int32 point positions
+        found.append((p_rank, x, flat[hit], ys, len(slots), slots[~hit]))
+    bases, ranks = small.rref_rows(stack)
+    del stack
+    mask, spans = pts.mask(), {}
+    results = []
+    for (p_rank, x, used, ys, through, skip), basis, rank in zip(
+            found, bases, ranks.tolist()):
+        skipped = _canonical(space, lines.bases(skip)) if skip.size else []
+        diagnostics = {
+            "secants_through_P": through,
+            "skipped_non_sublines": len(skipped),
+            "skipped": skipped,
+            "target_dim": target,
+        }
+        secants = RowSequence(
+            used, lambda row: PointSet(space, pts.ranks[row]))
+        transversals = RowSequence(ys, lambda y, x=x: _canonical(
+            small, small.line_rows(small.coords_of_ranks([[x, y]])))[0])
+        if not ys.size:
+            results.append(ReconstructionResult(
+                p_rank, x, secants, transversals, None, None, False,
+                "no secant trace is a subline", diagnostics))
+            continue
+        basis = basis[:rank]
+        key = basis.tobytes()
+        if key not in spans:
+            W, = _canonical(small, basis[None])
+            inside = mask[ctx.linear_set_of_ranks(W.point_ranks())]
+            extra = not inside.all()
+            missing = int(inside.sum()) < len(pts)
+            spans[key] = (W, not (extra or missing),
+                          _status(W.dim, target, extra, missing))
+        W, equal, status = spans[key]
+        results.append(ReconstructionResult(
+            p_rank, x, secants, transversals, W, W.dim, equal, status,
+            diagnostics))
+    return results
 
 
 def reconstruct(pts: PointSet, k: int, p0: int,
@@ -99,6 +147,8 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     point_policy "first" uses the lowest-rank point of B lying on a
     (p0+1)-secant and returns one result; "all" returns a list with one
     result per such point.  x is always the lowest-rank point of S(P).
+    The secant traces and transversals of a result are read-only
+    sequences that build each PointSet or Subspace on access.
     """
     space = pts.space
     if p0 != space.field.p:
@@ -120,13 +170,11 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     if admissible.size == 0:
         raise NoSublineSecantError(
             f"the set has no ({p0 + 1})-secant line")
-
-    def run(pos: int) -> ReconstructionResult:
-        return _reconstruct_from(ctx, pts, k, p0, pos, lines)
-
     if point_policy == "first":
-        return run(int(admissible[0]))
-    return [run(int(pos)) for pos in admissible]
+        admissible = admissible[:1]
+    results = _reconstruct_points(ctx, pts, k, p0, admissible, lines,
+                                  1 + int(per_point[admissible].max()))
+    return results[0] if point_policy == "first" else results
 
 
 class SpanPairReport(NamedTuple):
@@ -152,17 +200,28 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
         else ctx.small.rank_of(ctx.small.normalize(x))
     _, flat, _ = lines.secants_through(pos, p0 + 1)
     ys = ctx.transversal_line(pts.ranks[flat].reshape(-1, p0 + 1), xrank)
-    ys = ys[ys >= 0].tolist()
+    ys = ys[ys >= 0]
+    # the pairs i < j in lexicographic order, each reduced with x
+    first, second = np.triu_indices(ys.size, 1)
+    small = ctx.small
+    bases, ranks = small.rref_rows(small.coords_of_ranks(np.stack(
+        [np.full_like(first, xrank), ys[first], ys[second]], axis=1)))
+    if (ranks != 3).any():
+        # distinct secants have distinct transversals through x
+        raise SpecMismatchError("two transversals through x span a line")
+    plane = ProjectiveSpace(2, small.field).coords_array()
     mask = pts.mask()
     failing = []
-    for i, j in itertools.combinations(range(len(ys)), 2):
-        # the span of the transversals x y_i and x y_j
-        image = ctx.linear_set_of_ranks(
-            span(ctx.small, xrank, ys[i], ys[j]).point_ranks())
-        extra = image[~mask[image]]
-        if extra.size:
-            failing.append((i, j, extra))
-    return SpanPairReport(not failing, len(ys) * (len(ys) - 1) // 2, failing)
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * len(plane) * (small.n + 1)))
+    for start in range(0, first.size, step):
+        # the linear sets of the planes of the transversals x y_i, x y_j
+        images = ctx.small_to_big[small.ranks_from_rows(_combine(
+            small.field, plane, bases[start:start + step, None]))]
+        for at in np.flatnonzero(~mask[images].all(axis=1)).tolist():
+            image = images[at]
+            failing.append((int(first[start + at]), int(second[start + at]),
+                            np.unique(image[~mask[image]])))
+    return SpanPairReport(not failing, int(first.size), failing)
 
 
 class SecantBoundReport(NamedTuple):

@@ -103,11 +103,12 @@ class SpreadContext:
         # weight[lambda*v] @ block + offs[lead] - powers[lead], where
         # weight[c] reads c's digits as a base-p0 numeral in small-column
         # order and block[j] = p0^(h(n-j)) is the place of big column j.
+        # `_blown_ranks` is the same rank for any nonzero big vector.
         big, small = self.big, self.small
         p0, h, n = self.p0, self.h, big.n
         nbig = big.num_points
         per = self.points_per_element
-        _, mul, _, _ = big.field.tables()
+        _, mul, _, inv = big.field.tables()
         codes = np.arange(big.q, dtype=np.int64)
         digits = codes[:, None] // p0 ** np.arange(h) % p0
         weight = digits @ p0 ** np.arange(h - 1, -1, -1)
@@ -123,6 +124,10 @@ class SpreadContext:
         offs = np.asarray(small._offsets, dtype=np.int64)
         powers = np.asarray(small._powers, dtype=np.int64)
         start = offs - powers
+        # the inverse in GF(p0) of each code's first nonzero digit
+        unit = inv[digits[codes, first]]
+        self._blow_tables = (weight, first, unit, block, start)
+        self._reps = reps
         ranks = np.empty((per, nbig), dtype=np.int64)
         for i, lam in enumerate(reps):
             ranks[i] = weight[mul[coords, lam]] @ block \
@@ -140,8 +145,22 @@ class SpreadContext:
             raise SpecMismatchError("spread does not partition the small side")
         self.small_to_big = s2b
         # shared per space through spread_context: keep them read-only
-        self.big_to_small.flags.writeable = False
-        self.small_to_big.flags.writeable = False
+        for arr in (self.big_to_small, s2b, reps, *self._blow_tables):
+            arr.flags.writeable = False
+
+    def _blown_ranks(self, vecs) -> np.ndarray:
+        """Small ranks of the blow-ups of an array of nonzero big vectors
+        (last axis n+1, not necessarily normalized).  The blow-up of w
+        leads at small column h*lead(w) + first[c], c = w[lead(w)], with
+        c's first nonzero digit there; w scaled by that digit's inverse in
+        GF(p0) blows up to the normalized row, ranked as in
+        _build_cache."""
+        _, mul, _, _ = self.big.field.tables()
+        weight, first, unit, block, start = self._blow_tables
+        lead = (vecs != 0).argmax(axis=-1)
+        c = np.take_along_axis(vecs, lead[..., None], axis=-1)
+        return weight[mul[vecs, unit[c]]] @ block \
+            + start[self.h * lead + first[c[..., 0]]]
 
     # -- spread queries --------------------------------------------------------
 
@@ -202,8 +221,9 @@ class SpreadContext:
         x must lie on the spread element of a point of every row.  The
         candidates for a row are the lines xy, y on its companion element
         (that of its first point off x's element), all rows in one pass:
-        the points x + lambda*y (lambda in GF(p0)) and y of each candidate
-        are mapped to the big side, and it matches when its sorted images
+        the candidates whose point x + y maps onto the row survive, and a
+        survivor matches when the images of its points x + lambda*y
+        (lambda in GF(p0)) and y, x's being home and y's the companion,
         are the row.  A subline has exactly one transversal through each
         point of its elements, so two matches on a row are inconsistent.
         """
@@ -236,22 +256,35 @@ class SpreadContext:
                 "x does not lie on a spread element of the subline")
         # rows ascend, so the first point off home is column 0 or 1
         companion = np.where(at_home[:, 0], rows[:, 1], rows[:, 0])
-        add, mul, _, _ = self.small_field.tables()
+        # the search runs on big vectors: blowing up is GF(p0)-linear, x
+        # blows up from X, and the points of the companion element from
+        # lambda*v, v the companion and lambda the coset representatives,
+        # so x + mu*y blows up from X + mu*Y; each point is still mapped
+        # back through small_to_big
+        add, mul, _, _ = self.big.field.tables()
         xv = np.asarray(self.small.coords_of(xrank), dtype=np.int64)
-        yr = self.big_to_small[companion]
-        ys = self.small.coords_of_ranks(yr)[:, :, None, :]
-        lam = np.arange(p0, dtype=np.int64)[:, None]
-        # [i, j]: the points x + lambda*y, then y itself, for y = yr[i, j]
-        on_line = np.concatenate([add[xv, mul[lam, ys]], ys], axis=2)
-        images = self.small_to_big[self.small.ranks_from_rows(on_line)]
-        images.sort(axis=2)
-        hits = (images == rows[:, None, :]).all(axis=2)
-        count = hits.sum(axis=1)
-        if (count > 1).any():
+        X = xv.reshape(-1, self.h) @ p0 ** np.arange(self.h)
+        Y = mul[self._reps[:, None],
+                self.big.coords_of_ranks(companion)[:, None, :]]
+        # a line xy matches only if the image of x + y lies on the row:
+        # test that one point of every candidate first, then the rest of
+        # the line of each survivor (row i, candidate j): x maps to home
+        # and y to the companion, so the points x + lambda*y, lambda = 2
+        # .. p0-1, are left
+        mid = self.small_to_big[self._blown_ranks(add[X, Y])]
+        i, j = np.nonzero((mid[:, :, None] == rows[:, None, :]).any(axis=2))
+        lam = np.arange(2, p0, dtype=np.int64)[:, None]
+        rest = add[X, mul[lam, Y[i, j][:, None, :]]]
+        images = np.concatenate([
+            np.stack([np.full_like(i, home), companion[i], mid[i, j]], axis=1),
+            self.small_to_big[self._blown_ranks(rest)]], axis=1)
+        images.sort(axis=1)
+        hit = (images == rows[i]).all(axis=1)
+        if (np.bincount(i[hit], minlength=len(rows)) > 1).any():
             # distinct points of the companion element give distinct lines
             raise SpecMismatchError("two transversal lines through one point")
-        found = yr[np.arange(len(rows)), hits.argmax(axis=1)].astype(np.int64)
-        found[count == 0] = -1
+        found = np.full(len(rows), -1, dtype=np.int64)
+        found[i[hit]] = self._blown_ranks(Y[i[hit], j[hit]])
         if not single:
             return found
         if found[0] < 0:

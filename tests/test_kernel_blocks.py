@@ -1,14 +1,14 @@
 """The bounded-block kernels: the hyperplane scan, both regimes of the
-scans' grouping tail and the chart marks of the subline checks give the
-same results whatever their block size, and their traced memory stays
-within bounds set by the array shapes."""
+scans' grouping tail, the chart marks of the subline checks and the
+batched row reduction give the same results whatever their block size,
+and their traced memory stays within bounds set by the array shapes."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from blockingsets import catalogue, linearsets, projspace
+from blockingsets import catalogue, linalg, linearsets, projspace
 from blockingsets.blocking import traces_of
 from blockingsets.fields import make_field
 from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
@@ -292,4 +292,57 @@ def test_subline_marks_memory_is_bounded(dense_27):
     # a grouping of the lines' points would not fit
     bound = nsel * (space.q + 1 + 6 * 8) + 2 * lines.sizes.size \
         + 16 * (1 << 21) + 2 * linearsets._MARK_BLOCK_BYTES
+    assert peak < bound, (peak, bound)
+
+
+def _row_stack(field, n, rng):
+    """A seeded (40, 6, n+1) stack of row sets of mixed ranks: random
+    rows, zero rows, repeated rows and rows combined from two others, so
+    the sets run from rank 0 to full rank."""
+    q = field.q
+    stack = rng.integers(0, q, size=(40, 6, n + 1))
+    stack[rng.random((40, 6)) < 0.25] = 0
+    stack[0] = 0
+    stack[1, 1:] = stack[1, 0]
+    add, mul, _, _ = field.tables()
+    for i in range(2, 40, 3):
+        a, b = rng.integers(1, q, size=2)
+        stack[i, 2] = add[mul[a, stack[i, 0]], mul[b, stack[i, 1]]]
+    return stack
+
+
+@pytest.mark.parametrize("p,t", [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_rref_rows_match_the_scalar_rref(monkeypatch, p, t, n):
+    field = make_field(p, t)
+    space = ProjectiveSpace(n, field)
+    stack = _row_stack(field, n, np.random.default_rng(100 * p + 10 * t + n))
+    want = [linalg.rref(rows.tolist(), field) for rows in stack]
+    assert {len(red) for red, _ in want} >= {0, min(6, n + 1)}
+    # one set per block, seven, and the default
+    for sets in (1, 7, None):
+        with monkeypatch.context() as patch:
+            if sets is not None:
+                patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                              sets * 8 * stack[0].size)
+            rows, ranks = space.rref_rows(stack.astype(np.uint8))
+        assert rows.shape == (40, min(6, n + 1), n + 1)
+        assert rows.dtype == np.int64 and ranks.dtype == np.int64
+        for got, rank, (red, _) in zip(rows, ranks, want):
+            assert rank == len(red)
+            assert got[:rank].tolist() == [list(r) for r in red]
+            assert not got[rank:].any()
+
+
+def test_rref_rows_memory_is_bounded():
+    space = ProjectiveSpace(7, make_field(7, 1))
+    rng = np.random.default_rng(7)
+    stack = rng.integers(0, 7, size=(6000, 40, 8), dtype=np.uint8)
+    (rows, ranks), peak = _traced_peak(space.rref_rows, stack)
+    assert (ranks == 8).all()
+    # the reduced rows and ranks, and a few int64 arrays of one block:
+    # its copy, its live sets and the table lookups of one column; an
+    # int64 copy of the whole stack (15 MB) and its lookups would not fit
+    bound = rows.nbytes + ranks.nbytes + 8 * projspace._SCAN_BLOCK_BYTES
+    assert 8 * stack.size > bound / 2
     assert peak < bound, (peak, bound)

@@ -25,6 +25,7 @@ from blockingsets.linearsets import (
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace
 from blockingsets.spreads import spread_context
 
+from exhaustive_reference import reference_search
 from trace_reference import grouped_points
 
 
@@ -442,3 +443,49 @@ def test_is_linear_cert_keys(baer):
     assert set(cert) == {"strategy", "rank_cap", "k", "reconstruct_attempted",
                          "reconstruct_succeeded", "ranks_searched",
                          "subspaces_tested", "preimage_points"}
+
+
+def _replaced(pts, seed):
+    """The set with one seeded point swapped for a seeded point off it."""
+    rng = np.random.default_rng(seed)
+    space = pts.space
+    drop = rng.integers(len(pts))
+    new = rng.choice(np.setdiff1d(np.arange(space.num_points), pts.ranks))
+    return PointSet(space, np.append(np.delete(pts.ranks, drop), new))
+
+
+def _decisions(pts, monkeypatch):
+    """is_linear with the batched search and with the reference search:
+    (witness rows or None, certificate) each."""
+    out = []
+    for search in (linearsets._exhaustive_search, reference_search):
+        with monkeypatch.context() as patch:
+            patch.setattr(linearsets, "_exhaustive_search", search)
+            witness, cert = is_linear(pts, 3, strategy="exhaustive")
+        out.append((None if witness is None else witness.pi.rows, cert))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_search_matches_reference_on_replacements(baer, monkeypatch,
+                                                          seed):
+    got, want = _decisions(_replaced(baer.points, seed), monkeypatch)
+    assert got == want
+    assert want[0] is None and want[1]["subspaces_tested"] > 0
+
+
+def test_batched_search_matches_reference_on_witnesses(baer, rank4_27,
+                                                       monkeypatch):
+    for inst in (baer, rank4_27):
+        got, want = _decisions(inst.points, monkeypatch)
+        assert got == want and want[0] is not None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(2))
+def test_batched_search_matches_reference_on_rank4_replacements(
+        rank4_27, monkeypatch, seed):
+    # the reference tests about 3,100 subspaces here, one scalar RREF
+    # each: over a minute per set
+    got, want = _decisions(_replaced(rank4_27.points, seed), monkeypatch)
+    assert got == want and want[1]["subspaces_tested"] > 3000

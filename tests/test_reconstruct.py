@@ -1,6 +1,8 @@
 """Witness reconstruction from subline secants, span pairs, secant bounds."""
 
+import itertools
 import json
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +14,8 @@ from blockingsets.errors import (BadParamsError, NoSublineSecantError,
 from blockingsets.fields import make_field
 from blockingsets.formats import write_pointset
 from blockingsets.linearsets import enumerate_sublines, random_rank_r_witness
-from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace
+from blockingsets.blocking import traces_of
+from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace, span
 from blockingsets.reconstruct import (check_span_lemma, reconstruct,
                                       secant_count_bounds)
 from blockingsets.spreads import spread_context
@@ -33,6 +36,21 @@ def test_reconstruct_baer(baer):
         assert len(trace) == 4 and res.P in trace
     for ell in res.transversals:
         assert ell.dim == 1 and res.x in ell.point_ranks()
+
+
+def test_result_sequences_are_read_only(baer):
+    res = reconstruct(baer.points, 1, 3)
+    for seq, kind in ((res.secants_used, PointSet),
+                      (res.transversals, Subspace)):
+        assert isinstance(seq, Sequence) and len(seq) == 4
+        items = list(seq)
+        assert all(isinstance(item, kind) for item in items)
+        assert seq[0] == items[0] and seq[-1] == items[3]
+        assert seq[1:3] == items[1:3] and items[2] in seq
+        with pytest.raises(IndexError):
+            seq[4]
+        with pytest.raises(TypeError):
+            seq[0] = items[1]
 
 
 def test_reconstruct_rank4(rank4_27):
@@ -168,6 +186,46 @@ def test_check_span_lemma_baer(baer):
                                space.coords_of(res.P),
                                baer.ctx.small.coords_of(res.x))
     assert report2.ok and report2.pairs_checked == 6
+
+
+def _pairwise_span_report(pts, p0, P, x):
+    """(pairs checked, failing pairs) of the span lemma as it ran before
+    the pairs were batched: one scalar span per pair of transversals."""
+    ctx = spread_context(pts.space)
+    pos = int(np.searchsorted(pts.ranks, P))
+    _, flat, _ = traces_of(pts, 1).secants_through(pos, p0 + 1)
+    ys = ctx.transversal_line(pts.ranks[flat].reshape(-1, p0 + 1), x)
+    ys = ys[ys >= 0].tolist()
+    mask = pts.mask()
+    failing = []
+    for i, j in itertools.combinations(range(len(ys)), 2):
+        image = ctx.linear_set_of_ranks(
+            span(ctx.small, x, ys[i], ys[j]).point_ranks())
+        extra = image[~mask[image]]
+        if extra.size:
+            failing.append((i, j, extra.tolist()))
+    return len(ys) * (len(ys) - 1) // 2, failing
+
+
+def test_check_span_lemma_matches_pairwise_reference(cone_9):
+    # the union of two rank-4 GF(2)-linear sets of PG(2,8) (see above):
+    # from two of its base points some pairs of transversals span planes
+    # whose linear sets leave the set
+    a, b = (random_rank_r_witness(8, 2, 4, seed) for seed in (0, 2))
+    union = PointSet(a.points.space,
+                     np.union1d(a.points.ranks, b.points.ranks))
+    failed = 0
+    for pts, k, p0 in ((union, 1, 2), (cone_9.points, 2, 3)):
+        results = reconstruct(pts, k, p0, point_policy="all")
+        for res in results[:20]:
+            report = check_span_lemma(pts, k, p0, res.P, res.x)
+            checked, failing = _pairwise_span_report(pts, p0, res.P, res.x)
+            assert report.pairs_checked == checked
+            assert report.ok == (not failing)
+            assert [(i, j, extra.tolist())
+                    for i, j, extra in report.failing_pairs] == failing
+            failed += len(failing)
+    assert failed == 8
 
 
 def test_check_span_lemma_rejects_outsider(baer):

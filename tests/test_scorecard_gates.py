@@ -12,7 +12,10 @@ difference.  Regenerate it only when a scorecard change is intended:
 tests/data/reconstruct_digests.json holds the SHA-256 of the output of
 `blockingsets reconstruct <catalogue .pts> --k K --p0 P0 --point-policy
 POLICY` for each shipped instance, with the instance's k and p0 and the
-policy named there; regenerate it the same way, with `sha256sum`.
+policy named there; regenerate it the same way, with `sha256sum`.  Two
+more outputs are pinned here: the whole-set reconstruction of the
+PG(3,49) cone, and `islinear` on a one-digit mutation of rank4_pg2_27,
+whose search exhausts rank 4.
 """
 
 import hashlib
@@ -77,6 +80,39 @@ def test_reconstruct_outputs_match_their_digests(capsys, tmp_path):
             kept.write_bytes(out)
             failed.append(str(kept))
     assert not failed, f"reconstruct outputs differ, kept in {failed}"
+
+
+# `reconstruct cone_pg3_49.pts --k 2 --p0 7 --point-policy all`
+CONE_ALL_SHA256 = \
+    "c11ab10deb09055d067ffcc6288c642a4bf9fedcba223f75ac1579746419eb61"
+# `islinear --p0 3` on rank4_pg2_27.pts with its line 14, "1 9 13",
+# changed to "1 9 19": not linear, 3,134 subspaces tested
+MUTATED_RANK4_SHA256 = \
+    "0e07b9e15ae100635f358925e568424063ea66738f24c4e0d34de8f8fc6815ef"
+
+
+def _stdout_digest(capsys, argv, code):
+    assert cli_main(argv) == code
+    return hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+
+
+def test_cone_whole_set_reconstruction_matches_its_digest(capsys):
+    path = os.path.join(catalogue.shipped_dir(), "cone_pg3_49.pts")
+    assert _stdout_digest(capsys, [
+        "reconstruct", path, "--k", "2", "--p0", "7", "--point-policy",
+        "all"], 0) == CONE_ALL_SHA256
+
+
+def test_islinear_on_a_mutated_set_matches_its_digest(capsys, tmp_path):
+    src = os.path.join(catalogue.shipped_dir(), "rank4_pg2_27.pts")
+    with open(src, encoding="ascii") as fh:
+        lines = fh.read().split("\n")
+    assert lines[13] == "1 9 13"
+    lines[13] = "1 9 19"
+    path = tmp_path / "rank4_mutated.pts"
+    path.write_text("\n".join(lines), encoding="ascii")
+    assert _stdout_digest(capsys, ["islinear", str(path), "--p0", "3"],
+                          1) == MUTATED_RANK4_SHA256
 
 
 # -- hypothesis gates ----------------------------------------------------------
