@@ -34,8 +34,7 @@ from .errors import (IoError, NotBlockingError, NotFoundError, ParseError,
                      TooLargeError)
 from .fields import conway_table_version, exact_log
 from .linearsets import is_linear, subline_meet_check
-from .projspace import (PointSet, ProjectiveSpace, Subspace, span,
-                        subspace_traces)
+from .projspace import PointSet, ProjectiveSpace, Subspace, span
 from .reconstruct import secant_count_bounds
 from .spreads import spread_context
 
@@ -246,37 +245,32 @@ class InstanceAnalysis:
     def large_space_profile(self) -> dict:
         """How many large (n-k+1)-spaces contain each tangent and each
         (p0+1)-secant line, summarized as the number of such lines inside
-        some large space and the largest count; computed by scanning the
-        large spaces themselves and keying their internal tangent and
-        (p0+1)-secant lines (n = 3, k = 2 shape only: the lines are the
-        (n-k)-spaces and the hyperplanes are the (n-k+1)-spaces)."""
-        pts, space, p0 = self.pts, self.space, self.p0
+        some large space and the largest count (n = 3, k = 2 shape only:
+        the lines are the (n-k)-spaces and the hyperplanes are the
+        (n-k+1)-spaces).  A line L inside a large space P meets B inside P
+        in the points it shares with B, |L cap (B cap P)| = |L cap B|, so
+        the ambient line summary holds the trace of every line of every
+        large space: the lines of each large space are ranked in the
+        ambient space and their sizes read from that summary, with no scan
+        of the large spaces."""
+        space, p0 = self.space, self.p0
         _, upper = gap_thresholds(p0, self.h, 1)
         planes = self.hyperplanes()
         for size in planes.size_counts()[0]:
             classify_trace(int(size), p0, self.h, 1)   # loud on gap traces
         large_idx = np.flatnonzero(_above(planes.sizes, upper))
-        # ambient line ranks of the internal tangents and (p0+1)-secants,
-        # one chunk per large space; a line lies in as many large spaces
-        # as its rank occurs
-        tangent_keys, secant_keys = [], []
-        compositions = []
-        for idx in large_idx:
-            plane = planes.subspace_at(int(idx))
-            inner = pts.intersection(PointSet(space, plane.point_ranks()))
-            small_pts, chart = inner.restrict_to(plane)
-            inside = subspace_traces(small_pts, 1)
-            tan = inside.sizes == 1
-            sec = (inside.sizes == p0 + 1) & ~tan
-            full = (inside.sizes == chart.small.q + 1) & ~tan & ~sec
-            compositions.append(
-                (int(tan.sum()), int(sec.sum()), int(full.sum())))
-            for sel, out in ((tan, tangent_keys), (sec, secant_keys)):
-                rows = inside.bases(np.flatnonzero(sel))
-                out.append(space.line_keys(chart.lift_rows(rows)))
-        secant_lines, max_secant = _key_multiplicities(secant_keys)
-        tangent_lines, max_tangent = _key_multiplicities(tangent_keys)
         lines = self.lines()
+        # row i: the ambient line ranks of the lines of large space i; a
+        # line lies in as many large spaces as its rank occurs
+        keys = space.lines_inside(planes.bases(large_idx))
+        sizes = lines.sizes_of(keys)
+        tan = sizes == 1
+        sec = (sizes == p0 + 1) & ~tan
+        full = (sizes == space.q + 1) & ~tan & ~sec
+        compositions = zip(*(m.sum(axis=1).tolist() for m in (tan, sec,
+                                                               full)))
+        secant_lines, max_secant = _key_multiplicities(keys[sec])
+        tangent_lines, max_tangent = _key_multiplicities(keys[tan])
         return {
             "large_spaces": int(large_idx.size),
             "secants_inside_large": secant_lines,
@@ -339,9 +333,8 @@ class InstanceAnalysis:
         return best
 
 
-def _key_multiplicities(chunks) -> tuple:
-    """(distinct keys, largest multiplicity) over chunks of line ranks."""
-    keys = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+def _key_multiplicities(keys) -> tuple:
+    """(distinct keys, largest multiplicity) of an array of line ranks."""
     if not keys.size:
         return 0, 0
     _, counts = np.unique(keys, return_counts=True)

@@ -179,7 +179,7 @@ class ProjectiveSpace:
         if ranks.size and (ranks.min() < 0 or ranks.max() >= self.num_points):
             raise RangeError(f"point rank out of range for {self!r}")
         # the offsets descend, so the lead is the number of them above rank
-        lead = (ranks[..., None] < offs).sum(axis=-1)
+        lead = offs.size - np.searchsorted(offs[::-1], ranks, side="right")
         tail = ranks - offs[lead]
         # tail < q^(n-lead): its digits vanish at and before the lead
         powers = np.asarray(self._powers, dtype=np.int64)
@@ -512,10 +512,41 @@ class ProjectiveSpace:
     def line_keys(self, stack) -> np.ndarray:
         """Dense ranks of the lines spanned by the row pairs of an
         (N, 2, n+1) stack: their `line_rows`, ranked as in `_line_cells`."""
-        rows = self.line_rows(stack)
+        return self._rank_line_rows(self.line_rows(stack))
+
+    def _rank_line_rows(self, rows) -> np.ndarray:
+        """Dense ranks of an (N, 2, n+1) stack of canonical line bases, as
+        in `_line_cells`: the cell's offset plus the numeral of the free
+        digits.  The rows are not reduced."""
         c1, c2 = (rows != 0).argmax(axis=2).T
         offsets, weights, _ = self._line_cells()
         return offsets[c1, c2] + (rows * weights[c1, c2]).sum(axis=(1, 2))
+
+    def lines_inside(self, bases) -> np.ndarray:
+        """Dense ranks, shape (N, L), of the lines inside each of N
+        subspaces of one dimension d >= 1 given by their canonical bases,
+        an (N, d+1, n+1) stack: column j is the lift of line j of PG(d, q),
+        in rank order, so L is the number of lines of PG(d, q).
+
+        Each line's canonical basis is lifted through each subspace's with
+        the field tables, a block of subspaces at a time whose int64 lift
+        takes at most _SCAN_BLOCK_BYTES (one subspace at least).  A lifted
+        row pivots at the subspace's pivot column of the line row's pivot,
+        where the other lifted row is zero (the subspace's basis is a unit
+        vector at its pivot columns, the line's zero at the other row's
+        pivot), so the lift is itself canonical and is ranked unreduced."""
+        bases = np.asarray(bases, dtype=np.int64)
+        num, height, width = bases.shape
+        small = ProjectiveSpace(height - 1, self.field)
+        coeff = small.line_bases(np.arange(small.num_subspaces(1)))
+        out = np.empty((num, coeff.shape[0]), dtype=np.int64)
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * coeff.shape[0] * 2 * width))
+        for start in range(0, num, step):
+            # one expression, so no block's lift outlives its ranking
+            out[start:start + step] = self._rank_line_rows(_combine(
+                self.field, coeff, bases[start:start + step, None, None])
+                .reshape(-1, 2, width)).reshape(-1, coeff.shape[0])
+        return out
 
     def line_bases(self, ranks) -> np.ndarray:
         """Canonical 2-row bases, shape (N, 2, n+1), of an array of dense
@@ -1019,6 +1050,23 @@ class TraceSummary:
         sel = np.asarray(sel, dtype=np.int64).reshape(-1)
         self._check_slots(sel)
         return sel if self._keys is None else self._keys[sel]
+
+    def sizes_of(self, keys) -> np.ndarray:
+        """Trace sizes of an array of keys in range(total), any shape: a
+        key that no slot holds (a subspace missing the set) has size 0.  On
+        a dense summary a key is its slot; otherwise one searchsorted into
+        the stored keys finds it."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size and not 0 <= keys.min() <= keys.max() < self.total:
+            raise RangeError("subspace key out of range")
+        if self._keys is None:
+            return self.sizes[keys]
+        at = np.searchsorted(self._keys, keys)
+        hit = at < self._keys.size
+        hit[hit] = self._keys[at[hit]] == keys[hit]
+        out = np.zeros(keys.shape, dtype=self.sizes.dtype)
+        out[hit] = self.sizes[at[hit]]
+        return out
 
     def bases(self, sel) -> np.ndarray:
         """Canonical RREF bases of the slots in sel (an index array), shape

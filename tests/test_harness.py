@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockingsets import blocking, catalogue, formats, harness
+from blockingsets import blocking, catalogue, formats, harness, projspace
 from blockingsets.blocking import gap_thresholds, traces_of
 from blockingsets.errors import (IoError, NotFoundError, ParseError,
                                  TooLargeError)
@@ -331,7 +331,8 @@ def _per_line_profile(a):
     }
 
 
-def test_large_space_profile_matches_per_line_scan(fast_instances):
+@pytest.fixture(scope="module")
+def profile_instances(fast_instances):
     cone = next(i for i in fast_instances if i.name == "cone_pg3_9")
     # p0 = 2 over GF(4) leaves no trace gap, so on random sets many large
     # planes share their tangents and 3-secants: the keys of one line met
@@ -343,15 +344,52 @@ def test_large_space_profile_matches_per_line_scan(fast_instances):
             space, rng.choice(space.num_points, size=size, replace=False)),
             2, 2, {}, None, False, {})
         for size in (20, 35, 50)]
+    return [cone] + random_sets
+
+
+def test_large_space_profile_matches_per_line_scan(profile_instances):
     shared = 0
-    for inst in [cone] + random_sets:
+    dense = set()
+    for inst in profile_instances:
         a = harness.InstanceAnalysis(inst)
         profile = a.large_space_profile
         assert profile == _per_line_profile(a), inst.name
         assert profile["large_spaces"] > 0
         shared += profile["max_through_secant"] > 1
         shared += profile["max_through_tangent"] > 1
+        dense.add(a.lines().x0 == 0)
     assert shared >= 2
+    # the cone and the 50-point set meet every line (a dense line
+    # summary); the smaller sets miss some (the summary stores its keys)
+    assert dense == {True, False}
+
+
+def test_large_space_profile_blocks_match_the_reference(profile_instances,
+                                                        monkeypatch):
+    for inst in profile_instances:
+        want = _per_line_profile(harness.InstanceAnalysis(inst))
+        large, q = want["large_spaces"], inst.points.space.q
+        # the int64 lift of one plane: two rows of four entries for each
+        # of its q^2+q+1 lines
+        plane_bytes = 64 * (q * q + q + 1)
+        # one plane per block, four (13, 69 and 85 large planes leave a
+        # short last block), and the default, which takes them all
+        for planes, blocks in ((1, large), (4, -(-large // 4)), (None, 1)):
+            lifts = []
+
+            def lift(field, coeff, basis, combine=projspace._combine):
+                lifts.append(basis.shape[0])
+                return combine(field, coeff, basis)
+
+            with monkeypatch.context() as patch:
+                if planes is not None:
+                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                                  planes * plane_bytes)
+                patch.setattr(projspace, "_combine", lift)
+                got = harness.InstanceAnalysis(inst).large_space_profile
+            assert got == want, (inst.name, planes)
+            assert len(lifts) == blocks and sum(lifts) == large
+        assert large % 4
 
 
 def test_dual_sizes_count_points_on_each_hyperplane():

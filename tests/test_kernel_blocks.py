@@ -1,14 +1,15 @@
 """The bounded-block kernels: the hyperplane scan, both regimes of the
-scans' grouping tail, the chart marks of the subline checks and the
-batched row reduction give the same results whatever their block size,
-and their traced memory stays within bounds set by the array shapes."""
+scans' grouping tail, the chart marks of the subline checks, the lift of
+the large planes' lines and the batched row reduction give the same
+results whatever their block size, and their traced memory stays within
+bounds set by the array shapes."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from blockingsets import catalogue, linalg, linearsets, projspace
+from blockingsets import catalogue, harness, linalg, linearsets, projspace
 from blockingsets.blocking import traces_of
 from blockingsets.fields import make_field
 from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
@@ -292,6 +293,26 @@ def test_subline_marks_memory_is_bounded(dense_27):
     # a grouping of the lines' points would not fit
     bound = nsel * (space.q + 1 + 6 * 8) + 2 * lines.sizes.size \
         + 16 * (1 << 21) + 2 * linearsets._MARK_BLOCK_BYTES
+    assert peak < bound, (peak, bound)
+
+
+def test_large_space_profile_memory_is_bounded():
+    inst = catalogue.load_shipped(["cone_pg3_49"])[0]
+    a = harness.InstanceAnalysis(inst)
+    # the line and plane summaries are built before the trace starts
+    lines = a.lines()
+    a.hyperplanes()
+    profile, peak = _traced_peak(lambda: a.large_space_profile)
+    q = a.space.q
+    nkeys = profile["large_spaces"] * (q * q + q + 1)
+    assert lines.x0 == 0 and nkeys == 139_707
+    # per line of a large plane its key, its size and three masks, and
+    # two int64 copies of the chosen keys (np.unique); four blocks of the
+    # lift (the lift, a product and its sum; or the lift, the rank's
+    # place values and their product); the 57 planes' int64 lift, 8.9 MB,
+    # made three times over would not fit
+    bound = nkeys * (8 + lines.sizes.itemsize + 3 + 16) \
+        + 4 * projspace._SCAN_BLOCK_BYTES
     assert peak < bound, (peak, bound)
 
 

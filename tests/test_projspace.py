@@ -14,8 +14,8 @@ from blockingsets.errors import (BadParamsError, CentreInHyperplaneError,
                                  RangeError, TooLargeError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
-                                    gaussian_binomial, meet, project, span,
-                                    subspace_traces)
+                                    SubspaceChart, gaussian_binomial, meet,
+                                    project, span, subspace_traces)
 
 from trace_reference import grouped_points
 
@@ -252,6 +252,26 @@ def test_projection_injective_off_secants():
         project(pts, on_plane_off_set, plane)
 
 
+def test_mismatched_inputs_are_refused():
+    space, other = pg(3, 3), pg(3, 2)
+    plane = space.hyperplane((0, 0, 0, 1))
+    foreign = other.hyperplane((0, 0, 0, 1))
+    pts = PointSet(space, plane.point_ranks()[:7])
+    line = space.line_through((1, 0, 0, 0), (0, 1, 0, 0))
+    with pytest.raises(NotHyperplaneError):
+        project(pts, (1, 1, 1, 1), line)
+    with pytest.raises(DimensionMismatchError):
+        meet(plane, foreign)
+    with pytest.raises(DimensionMismatchError):
+        list(space.subspaces(2, through=foreign))
+    with pytest.raises(DimensionMismatchError):
+        space.rref_rows(np.zeros((2, 2, 3), dtype=np.int64))
+    with pytest.raises(RangeError):
+        SubspaceChart(Subspace(space, [(1, 0, 0, 0)]))
+    with pytest.raises(BadParamsError):
+        SubspaceChart(plane).to_small((0, 0, 0, 1))
+
+
 def brute_force_sizes(space, pts, dim):
     mask = pts.mask()
     out = []
@@ -431,6 +451,39 @@ def test_line_ranks_cover_every_line_once(n, p, t):
     for bad in (-1, every.size):
         with pytest.raises(RangeError):
             space.line_bases([bad])
+
+
+@pytest.mark.parametrize("n,p,t,dim", [(3, 2, 2, 2), (3, 3, 1, 2),
+                                        (4, 2, 1, 3), (4, 2, 1, 2)])
+def test_lines_inside_are_the_lines_of_each_subspace(monkeypatch, n, p, t,
+                                                      dim):
+    space = pg(n, p, t)
+    subs = list(space.subspaces(dim))
+    bases = np.asarray([sub.rows for sub in subs])
+    line_points = [set(Subspace(space, rows).point_ranks().tolist())
+                   for rows in space.line_bases(
+                       np.arange(space.num_subspaces(1))).tolist()]
+    want = []
+    for sub in subs:
+        inside = set(sub.point_ranks().tolist())
+        want.append([j for j, on in enumerate(line_points) if on <= inside])
+    # column j lifts line j of PG(dim, q) through the chart, reduced
+    chart = SubspaceChart(subs[-1])
+    small = chart.small.line_bases(np.arange(chart.small.num_subspaces(1)))
+    lifted = [Subspace(space, [chart.to_ambient(r) for r in rows]).rows
+              for rows in small.tolist()]
+    nlines = small.shape[0]
+    # one subspace per block, three (no count here is a multiple of
+    # three), and the default
+    for per_block in (1, 3, None):
+        with monkeypatch.context() as patch:
+            if per_block is not None:
+                patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                              per_block * 16 * (n + 1) * nlines)
+            got = space.lines_inside(bases)
+        assert got.shape == (len(subs), nlines) and len(subs) % 3
+        assert [sorted(row) for row in got.tolist()] == want
+        assert got[-1].tolist() == space.line_keys(np.asarray(lifted)).tolist()
 
 
 def test_line_ranks_refuse_more_lines_than_int64_holds():
@@ -698,6 +751,19 @@ def test_coords_of_ranks_matches_coords_of():
             list(space.coords_of(int(r))) for r in ranks[::-3]]
     with pytest.raises(RangeError):
         pg(2, 3).coords_of_ranks([13])
+    # every point of PG(2,4) and PG(3,3), one rank at a time
+    for space in (pg(2, 2, 2), pg(3, 3)):
+        assert space.coords_of_ranks(np.arange(space.num_points)).tolist() \
+            == [list(space.coords_of(r)) for r in range(space.num_points)]
+    # the first and last rank of each lead's block of PG(7,7): the q^(7-l)
+    # points of lead l follow the blocks of the leads after it
+    space, q = pg(7, 7), 7
+    first = [(q ** (7 - lead) - 1) // (q - 1) for lead in range(8)]
+    ends = first + [start + q ** (7 - lead) - 1
+                    for lead, start in enumerate(first)]
+    bulk = space.coords_of_ranks(ends)
+    assert bulk.tolist() == [list(space.coords_of(r)) for r in ends]
+    assert (bulk != 0).argmax(axis=1).tolist() == list(range(8)) * 2
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])

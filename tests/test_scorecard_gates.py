@@ -119,9 +119,12 @@ def test_islinear_on_a_mutated_set_matches_its_digest(capsys, tmp_path):
 
 GATE_INSTANCES = ("baer_pg2_9", "cone_pg3_9", "rank4_pg2_27",
                   "subgeom_pg2_49")
-# seeded rank-3 GF(7)-linear sets of PG(2,49), k = 1 and p0 = 7, off the
-# catalogue
+# seeded linear sets of PG(2,q) off the catalogue, k = 1: rank-3
+# GF(7)-sets of PG(2,49) (p0 = 7) and rank-4 GF(3)-sets of PG(2,27)
+# (p0 = 3), by (q, rank, p0)
 RANDOM_SEEDS = (1, 2, 3)
+RANDOM_FAMILIES = {"random_rank3_pg2_49": (49, 3, 7),
+                   "random_rank4_pg2_27": (27, 4, 3)}
 
 
 def _instance(rebuilt, pts):
@@ -130,7 +133,8 @@ def _instance(rebuilt, pts):
 
 
 GATES = [(name, None) for name in GATE_INSTANCES] \
-    + [(f"random_rank3_pg2_49_seed{seed}", seed) for seed in RANDOM_SEEDS]
+    + [(f"{family}_seed{seed}", seed) for family in RANDOM_FAMILIES
+       for seed in RANDOM_SEEDS]
 
 
 @pytest.fixture(scope="module", params=GATES, ids=[n for n, _ in GATES])
@@ -141,8 +145,9 @@ def rebuilt(request):
     if seed is None:
         e = catalogue.entry(name)
         return catalogue.build_witness(name), name, e["k"], e["p0"]
-    return build_family_witness("random_rank_r", q=49, n=2, r=3,
-                                seed=seed), name, 1, 7
+    q, rank, p0 = RANDOM_FAMILIES[name.rsplit("_seed", 1)[0]]
+    return build_family_witness("random_rank_r", q=q, n=2, r=rank,
+                                seed=seed), name, 1, p0
 
 
 def _with_point_added(pts):

@@ -167,6 +167,15 @@ def test_trace_summaries_match_brute_force(data):
             assert np.array_equal(pts.ranks[got], want)
             assert got.size == summary.sizes[idx]
             brute.append(np.searchsorted(pts.ranks, want))
+        # the size of every key, 0 off the slots, in the keys' shape
+        every = np.zeros(summary.total, dtype=np.int64)
+        every[summary.keys_of(np.arange(nslots))] = summary.sizes
+        keys = np.arange(summary.total)[::-1]
+        assert np.array_equal(summary.sizes_of(keys), every[keys])
+        assert summary.sizes_of(keys[None]).shape == (1, keys.size)
+        for bad in (-1, summary.total):
+            with pytest.raises(RangeError):
+                summary.sizes_of([0, bad])
         # a slot or point position out of range does not wrap round
         for bad in (-1, nslots):
             with pytest.raises(RangeError):
