@@ -31,10 +31,10 @@ from .blocking import (_above, _below, classify_trace, exponent,
                        one_mod_p0_applicable, secant_analysis, spectrum,
                        traces_of)
 from .errors import (IoError, NotBlockingError, NotFoundError, ParseError,
-                     TooLargeError)
+                     SpecMismatchError, TooLargeError)
 from .fields import conway_table_version, exact_log
 from .linearsets import is_linear, subline_meet_check
-from .projspace import PointSet, ProjectiveSpace, Subspace, span
+from .projspace import PointSet, ProjectiveSpace, span
 from .reconstruct import secant_count_bounds
 from .spreads import spread_context
 
@@ -236,9 +236,6 @@ class InstanceAnalysis:
         out[summary.keys_of(np.arange(summary.sizes.size))] = summary.sizes
         return out
 
-    def dual_rank_of(self, sub: Subspace) -> int:
-        return self.dual_space.rank_of(self.space.covector_of(sub))
-
     # -- scan shared by the two large-space multiplicity checks ----------
 
     @cached_property
@@ -297,7 +294,7 @@ class InstanceAnalysis:
         """First point on a (p0+1)-secant together with the first tangent
         line through it whose pencil reaches the required count of small
         (n-k+1)-spaces carrying a (p0+1)-secant through the point."""
-        pts, space, p0 = self.pts, self.space, self.p0
+        pts, p0 = self.pts, self.p0
         bound = self.tangent_bound
         lines = self.lines()
         lower, _ = gap_thresholds(p0, self.h, 1)
@@ -308,21 +305,17 @@ class InstanceAnalysis:
             pos = int(pos)
             through = lines.witness_order(lines.indices_through_point(pos))
             sizes = lines.sizes[through]
-            secants = [lines.subspace_at(int(i))
-                       for i in through[sizes == p0 + 1]]
+            secants = lines.bases(through[sizes == p0 + 1])
             for tangent_idx in through[sizes == 1].tolist():
                 tangent = lines.subspace_at(tangent_idx)
-                found = set()
-                for sec in secants:
-                    plane = span(space, tangent, sec)
-                    d = self.dual_rank_of(plane)
-                    if _below(dual_sizes[d], lower):
-                        found.add(d)
+                duals = self._plane_duals(tangent.rows, secants)
+                found = sorted(set(
+                    duals[_below(dual_sizes[duals], lower)].tolist()))
                 entry = {
                     "point": int(pts.ranks[pos]),
                     "tangent_rows": tangent.rows,
                     "small_spaces": len(found),
-                    "small_space_duals": sorted(found),
+                    "small_space_duals": found,
                     "secants_through_point": len(secants),
                 }
                 if best is None or entry["small_spaces"] > \
@@ -331,6 +324,34 @@ class InstanceAnalysis:
                 if not _below(len(found), bound):
                     return entry
         return best
+
+    def _plane_duals(self, tangent, secants) -> np.ndarray:
+        """Dual ranks of the hyperplanes spanned by one line (its 2 basis
+        rows) and each of a stack of lines, (S, 2, n+1): the stacked rows
+        reduced in one `rref_rows` call, each covector read off its RREF
+        as `covector_of` does (1 at the one column z without a pivot,
+        -row[z] at the pivot of each row), ranked in one call.  A pair
+        that does not span a hyperplane is a SpecMismatchError."""
+        space = self.space
+        n = space.n
+        stack = np.concatenate([np.broadcast_to(
+            np.asarray(tangent, dtype=np.int64), secants.shape), secants],
+            axis=1)
+        rows, ranks = space.rref_rows(stack)
+        if (ranks != n).any():
+            raise SpecMismatchError(
+                "a tangent and a secant through one point do not span a "
+                "hyperplane")
+        rows = rows[:, :n]
+        _, _, neg, _ = space.field.tables()
+        at = np.arange(rows.shape[0])
+        pivots = (rows != 0).argmax(axis=2)
+        z = n * (n + 1) // 2 - pivots.sum(axis=1)
+        u = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
+        u[at, z] = 1
+        u[at[:, None], pivots] = neg[rows[at[:, None], np.arange(n),
+                                          z[:, None]]]
+        return self.dual_space.ranks_from_rows(u)
 
 
 def _key_multiplicities(keys) -> tuple:

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import projspace
 from ._cache import locked_cache
 from .blocking import exponent, is_minimal, is_small, traces_of
 from .errors import (
@@ -275,48 +276,68 @@ def enumerate_sublines(line: Subspace, p0: int):
         yield PointSet(space, ambient[list(row)])
 
 
-def _chart_marks(summary, sel: np.ndarray) -> np.ndarray:
-    """(len(sel), q+1) bool: row i marks the chart positions (see
-    `line_param_positions`) of the set's points on line sel[i] of a line
-    summary; sel ascends.
+def _sized_slots(summary, lo: int, hi: int) -> np.ndarray:
+    """The slots of a summary whose traces have lo..hi points, ascending
+    (int64), found a block of `_TAIL_BLOCK` slots at a time."""
+    sizes, step = summary.sizes, projspace._TAIL_BLOCK
+    found = [np.flatnonzero((sizes[b:b + step] >= lo)
+                            & (sizes[b:b + step] <= hi)) + b
+             for b in range(0, sizes.size, step)]
+    return np.concatenate(found)
 
-    One pass over the by-point grid, a bounded block of point rows at a
-    time: the hits of the selected slots in a block give the points, and
-    a hit's place in sel gives its line and so its pivot columns.  The
-    pass reads no grouping of the slots' points, which would re-read the
-    whole grid per block."""
+
+def _chart_marks(summary, lo: int, hi: int) -> tuple:
+    """(sel, marks) for the lines of a line summary whose traces have
+    lo..hi points: their slots, ascending, and a (len(sel), q+1) bool
+    array whose row i marks the chart positions (see
+    `line_param_positions`) of the set's points on line sel[i].
+
+    One pass over the by-point size grid (`TraceSummary.point_sizes`), a
+    bounded block of point rows at a time: a compare of the block's sizes
+    finds the incidences of the selected lines, and a hit's slot gives
+    its row.  No position is decoded: in the column layout of
+    `_scan_lines`, column block j of P's row holds the lines P w with
+    lead(w) = j, and P's chart position on them is rank 0 when j <
+    lead(P) and 1 + P_(j+1) otherwise."""
     space = summary.space
-    j0, j1 = space.line_pivots(summary.keys_of(sel)).T
-    # the set's own coordinate rows, read by point position
-    coords = space.coords_of_ranks(summary.point_ranks)
-    chosen = np.zeros(summary.sizes.size, dtype=bool)
-    chosen[sel] = True
-    # a chosen slot's place in sel counts the chosen slots below it: a
-    # prefix sum of popcounts over 64-slot words, plus one masked popcount
-    words = _bitmasks(chosen[None, :])[0]
+    n, q = space.n, space.q
+    grid = summary.point_sizes()
+    m, width = grid.shape
+    sel = _sized_slots(summary, lo, hi)
+    # a selected slot's place in sel: the place of the first selected
+    # slot of its 64-slot word, plus a masked popcount of the word
+    word = sel >> 6
+    bits = np.left_shift(np.uint64(1), (sel & 63).astype(np.uint64))
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words = np.zeros(-(-summary.sizes.size // 64), dtype=np.uint64)
     below = np.zeros(words.size, dtype=np.int64)
-    np.cumsum(np.bitwise_count(words[:-1]), out=below[1:])
-    slots, _ = summary.by_point()
-    # every point lies on the same number of slots: a row of that width
-    width = slots.size // summary.point_ranks.size
-    step = max(1, _MARK_BLOCK_BYTES // (64 * width)) * width
-    param = ProjectiveSpace(1, space.field)
-    marks = np.zeros((sel.size, space.q + 1), dtype=bool)
-    for lo in range(0, slots.size, step):
-        block = slots[lo:lo + step]
-        hit = np.flatnonzero(chosen[block])
-        at = block[hit]
+    if sel.size:
+        words[word[first]] = np.bitwise_or.reduceat(bits, first)
+        below[word[first]] = first
+    del word, bits, first
+    # chart[p, j]: P's chart position on the lines of column block j, and
+    # block[c]: the column block of column c, blocks j = n-1, ..., 0
+    coords = space.coords_of_ranks(summary.point_ranks)
+    lead = (coords != 0).argmax(axis=1)
+    j = np.arange(n)
+    chart = np.where(j < lead[:, None], 0, 1 + coords[:, 1:]).reshape(-1)
+    block = np.repeat(j[::-1], q ** j)
+    slots = summary.by_point()[0].reshape(m, width)
+    step = max(1, _MARK_BLOCK_BYTES // (64 * width))
+    marks = np.zeros((sel.size, q + 1), dtype=bool)
+    for r0 in range(0, m, step):
+        sizes = grid[r0:r0 + step]
+        hit = np.flatnonzero((sizes >= lo) & (sizes <= hi))
+        at = slots[r0:r0 + step].reshape(-1)[hit].astype(np.int64)
         low = (np.uint64(1) << (at & 63).astype(np.uint64)) - np.uint64(1)
-        li = below[at >> 6] + np.bitwise_count(words[at >> 6] & low)
-        pt = (hit + lo) // width
-        # coords at the pivot columns of a normalized point are themselves
-        # a normalized PG(1, q) vector, so no renormalization pass is
-        # needed
-        pos = param.ranks_from_rows(np.stack(
-            [coords[pt, j0[li]], coords[pt, j1[li]]], axis=-1),
-            normalized=True)
-        marks[li, pos] = True
-    return marks
+        at >>= 6
+        li = below[at] + np.bitwise_count(words[at] & low)
+        pt, col = np.divmod(hit, width)
+        pt += r0
+        li *= q + 1
+        li += chart[pt * n + block[col]]
+        marks.reshape(-1)[li] = True
+    return sel, marks
 
 
 def _bitmasks(marks: np.ndarray) -> np.ndarray:
@@ -367,14 +388,16 @@ def subline_meet_check(witness: LinearSetWitness,
     lines = traces_of(pts, 1)
     # a full line meets each of its own sublines in exactly p0+1 points,
     # which is always allowed, so only proper secants need scanning
-    sel = np.nonzero((lines.sizes >= 2) & (lines.sizes <= space.q))[0]
-    nlines = int(np.count_nonzero(lines.sizes >= 2))
-    checked = int(np.count_nonzero(lines.sizes == space.q + 1)) * len(tuples)
+    sel, marks = _chart_marks(lines, 2, space.q)
+    vals, counts = lines.size_counts()
+    nlines = int(counts[vals >= 2].sum())
+    checked = int(counts[vals == space.q + 1].sum()) * len(tuples)
     violations = []
     allowed_lut = np.zeros(space.q + 2, dtype=bool)
     allowed_lut[list(allowed)] = True
     if sel.size:
-        line_bits = _bitmasks(_chart_marks(lines, sel))
+        line_bits = _bitmasks(marks)
+        del marks
         bank_bits = _bitmasks(mat)
         # lines with the same chart positions meet the sublines alike, so
         # each distinct mask is counted once
@@ -433,12 +456,12 @@ def secant_linearity_check(pts: PointSet, k: int,
             pass
     mat, _ = subline_patterns(space.field, p0)
     lines = traces_of(pts, 1)
-    sel = np.nonzero(lines.sizes == p0 + 1)[0]
+    sel, marks = _chart_marks(lines, p0 + 1, p0 + 1)
     count = int(sel.size)
     # a trace is a subline when its marks are a row of the patterns: equal
     # rows get equal ids
-    _, ids = np.unique(np.concatenate([mat, _chart_marks(lines, sel)]),
-                       axis=0, return_inverse=True)
+    _, ids = np.unique(np.concatenate([mat, marks]), axis=0,
+                       return_inverse=True)
     bad = sel[~np.isin(ids[len(mat):], ids[:len(mat)])]
     failures = [lines.subspace_at(int(i))
                 for i in lines.witness_order(bad)[:10]]

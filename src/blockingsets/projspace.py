@@ -38,18 +38,19 @@ _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
 # per-point scans count their keys when the int64 count array, 8 bytes per
-# key, fits in this many bytes (no more than one block's intp copy) and
-# the key range is at most _COUNT_RANGE times the incidences, and sort
-# them otherwise
+# key, fits in this many bytes and the key range is at most _COUNT_RANGE
+# times the incidences, and sort them otherwise
 _COUNT_BYTES = 1 << 23
 _COUNT_RANGE = 8
-# incidences per block of the grouping tail: one bincount call, or one
-# pass over a block of the sorted copy
-_TAIL_BLOCK = 1 << 20
-# bytes of one block of the hyperplane scan's per-row temporaries
+# incidences per block of the grouping tail (one bincount call, whose intp
+# copy takes 8 bytes per incidence, or one pass over a block of the sorted
+# copy) and of the passes over the by-point size grid
+_TAIL_BLOCK = 1 << 18
+# bytes of one block of the line and hyperplane scans' per-row temporaries
 _SCAN_BLOCK_BYTES = 1 << 21
-# lazy per-summary results (size and per-point counts, the first uncovered
-# key, the points' coordinates) are built once, whole
+# lazy per-summary results (size and per-point counts, the by-point size
+# grid, the first uncovered key, the points' coordinates) are built once,
+# whole
 _TRACE_LOCK = threading.RLock()
 
 
@@ -556,14 +557,6 @@ class ProjectiveSpace:
         return _unrank(self, self.num_subspaces(1), offsets[c1, c2], cells,
                        weights[c1, c2], ranks)
 
-    def line_pivots(self, ranks) -> np.ndarray:
-        """Pivot columns (c1, c2), shape (N, 2), of the canonical bases of
-        an array of dense line ranks: their cells, with no basis built."""
-        offsets, _, cells = self._line_cells()
-        c1, c2 = cells.T
-        return cells[np.searchsorted(offsets[c1, c2], ranks, side="right")
-                     - 1]
-
 
 def _coerce_coords(space, item) -> tuple:
     if isinstance(item, (int, np.integer)):
@@ -600,13 +593,22 @@ def _canonical(space, stack) -> list:
 
 def _combine(field, coeff, basis) -> np.ndarray:
     """The GF(q)-combinations sum_j coeff[..., j] basis[..., j, :], with
-    the field tables; the leading axes of coeff and basis broadcast."""
+    the field tables; the leading axes of coeff and basis broadcast.  The
+    tables are read flat, at a * q + b, with one `take` per lookup, which
+    costs a fraction of 2-D fancy indexing; the index and sum buffers are
+    reused from one term to the next."""
     add, mul, _, _ = field.tables()
-    coeff = np.asarray(coeff, dtype=np.int64)
+    add, mul, q = add.ravel(), mul.ravel(), field.q
+    coeff = np.asarray(coeff, dtype=np.int64) * q
     basis = np.asarray(basis, dtype=np.int64)
-    acc = mul[coeff[..., 0, None], basis[..., 0, :]]
+    idx = coeff[..., 0, None] + basis[..., 0, :]
+    acc = mul.take(idx)
     for j in range(1, coeff.shape[-1]):
-        acc = add[acc, mul[coeff[..., j, None], basis[..., j, :]]]
+        np.add(coeff[..., j, None], basis[..., j, :], out=idx)
+        acc *= q
+        acc += mul.take(idx)
+        add.take(acc, out=idx)
+        acc, idx = idx, acc
     return acc
 
 
@@ -902,7 +904,9 @@ class TraceSummary:
     the slots through each point, ascending, which is the scan order.
     Every scan gives each point the same number of slots, so the offsets
     are multiples of that width and the by-point array is an
-    (m, width) grid.
+    (m, width) grid.  The sizes of its slots, gathered once into a grid
+    of the same shape (`point_sizes`), serve every per-point count and
+    the subline checks' search for the secants through each point.
 
     The point positions of the lines through one point come in the same
     layout, built per call and never cached: `secants_through` finds them
@@ -923,6 +927,7 @@ class TraceSummary:
         self.sizes = _frozen(sizes)
         self._by_point = (_frozen(point_subspaces), _frozen(point_offsets))
         self._counts = {}
+        self._point_sizes = None
         self._size_counts = None
         self._uncovered = None
         self._coords = None
@@ -1025,23 +1030,47 @@ class TraceSummary:
         slots, offsets = self.by_point()
         return slots[offsets[pt_pos]:offsets[pt_pos + 1]]
 
+    def point_sizes(self) -> np.ndarray:
+        """The (points, width) grid of the trace sizes of the by-point
+        slots: row p holds the sizes of the slots through the point at
+        position p, in `by_point` order, in the narrowest signed type that
+        holds the largest size.  Gathered once, in blocks of `_TAIL_BLOCK`
+        entries from a copy of the sizes in that type (a gather from the
+        narrow copy stays closer to the cache); the array is read-only."""
+        if self._point_sizes is None:
+            with _TRACE_LOCK:
+                if self._point_sizes is None:
+                    slots, _ = self.by_point()
+                    narrow = self.sizes.astype(
+                        _size_dtype(int(self.sizes.max())), copy=False)
+                    grid = np.empty(slots.size, dtype=narrow.dtype)
+                    for b in range(0, slots.size, _TAIL_BLOCK):
+                        np.take(narrow, slots[b:b + _TAIL_BLOCK],
+                                out=grid[b:b + _TAIL_BLOCK])
+                    del narrow
+                    self._point_sizes = _frozen(
+                        grid.reshape(self.point_ranks.size, -1))
+        return self._point_sizes
+
     def per_point_counts(self, min_size=2, exact=None) -> np.ndarray:
         """For each point of the set (in rank order): how many dim-subspaces
-        through it have trace >= min_size (or == exact).  Cached per
-        arguments; the result is read-only."""
+        through it have trace >= min_size (or == exact), counted along the
+        rows of `point_sizes`, a block of `_TAIL_BLOCK` entries at a time.
+        Cached per arguments; the result is read-only."""
         got = self._counts.get((min_size, exact))
         if got is None:
             with _TRACE_LOCK:
                 got = self._counts.get((min_size, exact))
                 if got is None:
-                    keep = self.sizes == exact if exact is not None \
-                        else self.sizes >= min_size
-                    slots, _ = self.by_point()
-                    # every point lies on the same number of slots
-                    got = _frozen(np.count_nonzero(
-                        keep[slots].reshape(self.point_ranks.size, -1),
-                        axis=1).astype(np.int64, copy=False))
-                    self._counts[(min_size, exact)] = got
+                    grid = self.point_sizes()
+                    got = np.empty(grid.shape[0], dtype=np.int64)
+                    step = max(1, _TAIL_BLOCK // grid.shape[1])
+                    for r in range(0, grid.shape[0], step):
+                        block = grid[r:r + step]
+                        keep = block == exact if exact is not None \
+                            else block >= min_size
+                        np.sum(keep, axis=1, out=got[r:r + step])
+                    self._counts[(min_size, exact)] = _frozen(got)
         return got
 
     def keys_of(self, sel) -> np.ndarray:
@@ -1128,7 +1157,18 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     P_c - P_lw w_c in each column c > lw.  So each block's ranks are the
     cell's offset plus broadcast adds of per-point q-vectors.  The blocks
     come in cell order, and w's digits are the most significant that vary
-    within one, so each point's ranks ascend."""
+    within one, so each point's ranks ascend.
+
+    Layout contract, which `linearsets._chart_marks` reads: P's row lists
+    the column blocks j = n-1, ..., 0 of q^(n-1-j) entries each, block j
+    holding the lines P w with lead(w) = j (in PG(n-1, q)'s columns).  In
+    the coefficient chart of such a line (P's coordinates at its two
+    pivot columns) P is the PG(1, q) point (0 : 1), rank 0, when j < l,
+    and (1 : P_(j+1)), rank 1 + P_(j+1), when j >= l.
+
+    The second kind of block is built a bounded block of rows at a time,
+    whose int64 temporaries take at most _SCAN_BLOCK_BYTES (one row at
+    least), and its last broadcast add writes into the ranks."""
     add, mul, neg, _ = space.field.tables()
     n, q = space.n, space.q
     m = len(pts)
@@ -1161,18 +1201,29 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
                                 + digits * weight[0, c]).reshape(-1)
                 np.add((p @ weight[1] + offsets[j, l])[:, None], grid,
                        out=out)
-            else:
-                # rows (P - P_lw w, w) with lw = j + 1
-                lw = j + 1
-                weight = weights[l, lw]
-                acc = (p[:, :lw] @ weight[0, :lw] + offsets[l, lw])[:, None]
-                scale = mul[neg[p[:, lw]][:, None], digits]
-                for c in range(lw + 1, n + 1):
-                    term = add[p[:, c, None], scale] * weight[0, c] \
-                        + digits * weight[1, c]
+                continue
+            # rows (P - P_lw w, w) with lw = j + 1
+            lw = j + 1
+            weight = weights[l, lw]
+            step = max(1, _SCAN_BLOCK_BYTES // (8 * size))
+            for r0 in range(0, p.shape[0], step):
+                pb = p[r0:r0 + step]
+                dst = out[r0:r0 + step]
+                acc = (pb[:, :lw] @ weight[0, :lw]
+                       + offsets[l, lw])[:, None]
+                scale = mul[neg[pb[:, lw]][:, None], digits]
+                terms = [add[pb[:, c, None], scale] * weight[0, c]
+                         + digits * weight[1, c]
+                         for c in range(lw + 1, n + 1)]
+                if not terms:
+                    dst[...] = acc
+                    continue
+                for term in terms[:-1]:
                     acc = (acc[:, :, None] + term[:, None, :]) \
-                        .reshape(p.shape[0], -1)
-                out[...] = acc
+                        .reshape(pb.shape[0], -1)
+                # a view: only the contiguous last axis is split
+                np.add(acc[:, :, None], terms[-1][:, None, :],
+                       out=dst.reshape(pb.shape[0], -1, q))
     return _by_point_summary(space, 1, pts, ranks, total)
 
 

@@ -14,7 +14,8 @@ the reconstruction inner loop.  They are built in closed form: the element of
 a normalized big point v is {lambda*v}, lambda running over the codes whose
 first nonzero base-p digit is 1 (one per coset of GF(p)* in GF(p^h)*), and
 each such lambda*v blows up to an already normalized small row.  So each
-representative costs one table lookup and one matrix product, with no row
+representative costs one flat table lookup per big column, in a table of
+the representatives' scaled digit numerals composed once, with no row
 normalization (Lavrauw-Van de Voorde, Field reduction and linear sets in
 finite geometry, 2015).  A point rank outside the space is a RangeError.
 """
@@ -103,6 +104,8 @@ class SpreadContext:
         # weight[lambda*v] @ block + offs[lead] - powers[lead], where
         # weight[c] reads c's digits as a base-p0 numeral in small-column
         # order and block[j] = p0^(h(n-j)) is the place of big column j.
+        # Composed once, placed[j, i, c] = weight[reps[i] * c] * block[j]:
+        # each representative's rank is one flat take per big column.
         # `_blown_ranks` is the same rank for any nonzero big vector.
         big, small = self.big, self.small
         p0, h, n = self.p0, self.h, big.n
@@ -128,15 +131,21 @@ class SpreadContext:
         unit = inv[digits[codes, first]]
         self._blow_tables = (weight, first, unit, block, start)
         self._reps = reps
-        ranks = np.empty((per, nbig), dtype=np.int64)
+        placed = weight[mul[reps]] * block[:, None, None]
+        columns = np.ascontiguousarray(coords.T)
+        # small ranks are below _SMALL_SIDE_CAP: int32 holds them
+        ranks = np.empty((nbig, per), dtype=np.int32)
         for i, lam in enumerate(reps):
-            ranks[i] = weight[mul[coords, lam]] @ block \
-                + start[big_lead + first[lam]]
-        ranks.sort(axis=0)
-        if not (ranks[1:] != ranks[:-1]).all():
+            acc = start[big_lead + first[lam]]
+            for j in range(n + 1):
+                acc += placed[j, i].take(columns[j])
+            ranks[:, i] = acc
+        del columns, acc
+        ranks.sort(axis=1)
+        if not (ranks[:, 1:] != ranks[:, :-1]).all():
             raise SpecMismatchError("spread cache: an element repeats a point")
-        self.big_to_small = np.ascontiguousarray(ranks.T).astype(np.int32)
-        flat = self.big_to_small.reshape(-1)
+        self.big_to_small = ranks
+        flat = ranks.reshape(-1)
         if flat.size != small.num_points:
             raise SpecMismatchError("spread does not cover the small side")
         s2b = np.full(small.num_points, -1, dtype=np.int32)

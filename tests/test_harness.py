@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import shutil
 import sys
 from fractions import Fraction
@@ -9,13 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from blockingsets import blocking, catalogue, formats, harness, projspace
+from blockingsets import (blocking, catalogue, formats, harness, linalg,
+                         projspace)
 from blockingsets.blocking import gap_thresholds, traces_of
 from blockingsets.errors import (IoError, NotFoundError, ParseError,
-                                 TooLargeError)
+                                 SpecMismatchError, TooLargeError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
-                                    subspace_traces)
+                                    span, subspace_traces)
 
 F = Fraction
 
@@ -390,6 +392,77 @@ def test_large_space_profile_blocks_match_the_reference(profile_instances,
             assert got == want, (inst.name, planes)
             assert len(lifts) == blocks and sum(lifts) == large
         assert large % 4
+
+
+def _scalar_tangent_config(a):
+    """The rich-tangent search with one scalar `span` per secant, its
+    covector read by `covector_of` and ranked by `rank_of`: the reference
+    for the batched `InstanceAnalysis.tangent_config`."""
+    lines, p0 = a.lines(), a.p0
+    lower, _ = gap_thresholds(p0, a.h, 1)
+    best = None
+    per_point = lines.per_point_counts(exact=p0 + 1)
+    for pos in np.nonzero(per_point > 0)[0].tolist():
+        through = lines.witness_order(lines.indices_through_point(pos))
+        sizes = lines.sizes[through]
+        secants = [lines.subspace_at(int(i))
+                   for i in through[sizes == p0 + 1]]
+        for tangent_idx in through[sizes == 1].tolist():
+            tangent = lines.subspace_at(tangent_idx)
+            found = set()
+            for sec in secants:
+                plane = span(a.space, tangent, sec)
+                d = a.dual_space.rank_of(a.space.covector_of(plane))
+                if a.dual_sizes[d] < math.ceil(lower):
+                    found.add(d)
+            entry = {"point": int(a.pts.ranks[pos]),
+                     "tangent_rows": tangent.rows,
+                     "small_spaces": len(found),
+                     "small_space_duals": sorted(found),
+                     "secants_through_point": len(secants)}
+            if best is None or entry["small_spaces"] > best["small_spaces"]:
+                best = entry
+            if len(found) >= math.ceil(a.tangent_bound):
+                return entry
+    return best
+
+
+@pytest.mark.parametrize("name", ["cone_pg3_9", "cone_pg3_49"])
+def test_tangent_config_matches_the_scalar_spans(monkeypatch, name):
+    inst, = catalogue.load_shipped([name])
+    want = _scalar_tangent_config(harness.InstanceAnalysis(inst))
+    a = harness.InstanceAnalysis(inst)
+    # the summaries are built, so that only the search is watched
+    a.lines(), a.dual_sizes
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda *args: calls.append(args) or rref(*args))
+    got = a.tangent_config
+    assert got == want and list(got) == list(want)
+    assert got["small_spaces"] > 0 and got["secants_through_point"] > 0
+    assert not calls
+
+
+def test_tangent_config_refuses_a_pair_off_a_hyperplane():
+    # a tangent and a secant through one point span a plane, which is a
+    # hyperplane only in PG(3, q); the batched covector read refuses the
+    # rest
+    inst, = catalogue.load_shipped(["cone_pg3_9"])
+    a = harness.InstanceAnalysis(inst)
+    lines = a.lines()
+    pos = int(np.flatnonzero(lines.per_point_counts(exact=a.p0 + 1))[0])
+    through = lines.indices_through_point(pos)
+    sizes = lines.sizes[through]
+    tangent = lines.bases(through[sizes == 1][:1])[0]
+    secants = lines.bases(through[sizes == a.p0 + 1])
+    duals = a._plane_duals(tangent, secants)
+    assert duals.tolist() == [
+        a.dual_space.rank_of(a.space.covector_of(span(
+            a.space, Subspace(a.space, tangent), Subspace(a.space, sec))))
+        for sec in secants]
+    with pytest.raises(SpecMismatchError):
+        a._plane_duals(tangent, np.repeat(tangent[None], 2, axis=0))
 
 
 def test_dual_sizes_count_points_on_each_hyperplane():

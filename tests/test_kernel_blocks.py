@@ -17,7 +17,7 @@ from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
                                      subline_meet_check)
 from blockingsets.projspace import PointSet, ProjectiveSpace, subspace_traces
 
-from trace_reference import reference_grouping
+from trace_reference import reference_chart_marks, reference_grouping
 
 
 def _rows_budget(rows, bytes_per_entry, width):
@@ -155,15 +155,6 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
                                                     ("wide", True)}
 
 
-@pytest.mark.parametrize("n,p,t", [(2, 3, 2), (3, 2, 2), (4, 3, 1)])
-def test_line_pivots_are_the_pivots_of_the_bases(n, p, t):
-    space = ProjectiveSpace(n, make_field(p, t))
-    ranks = np.arange(space.num_subspaces(1))
-    bases = space.line_bases(ranks)
-    want = (bases != 0).argmax(axis=2)
-    assert np.array_equal(space.line_pivots(ranks), want)
-
-
 def _perturbed(witness, p0, seed):
     """The witness's set with one point of a (p0+1)-secant swapped for a
     point of that line off the set, and a few random points added."""
@@ -205,6 +196,44 @@ def test_chart_mark_blocks_give_equal_reports(monkeypatch):
     assert meets.ok and secants.ok and secants.secants
     assert cone_secants.failures
     assert fake_meets.violations and fake_secants.failures
+
+
+def _chart_mark_sets(space, rng):
+    """(dense, keyed): the space less a tenth of its points, which meets
+    every line, and a q-th of its points, which misses some."""
+    total = space.num_points
+    dense = np.setdiff1d(np.arange(total),
+                         rng.choice(total, total // 10, replace=False))
+    keyed = rng.choice(total, total // space.q, replace=False)
+    return PointSet(space, dense), PointSet(space, keyed)
+
+
+@pytest.mark.parametrize("n,p,t", [(2, 7, 2), (3, 2, 2), (4, 3, 1),
+                                   (5, 2, 1)])
+def test_chart_marks_match_the_per_incidence_decode(monkeypatch, n, p, t):
+    space = ProjectiveSpace(n, make_field(p, t))
+    q, width = space.q, (space.q ** n - 1) // (space.q - 1)
+    dense, keyed = _chart_mark_sets(space, np.random.default_rng(30 + n))
+    for pts, is_dense in ((dense, True), (keyed, False)):
+        lines = traces_of(pts, 1)
+        assert (lines.x0 == 0) == is_dense
+        # the proper secants, the median size, and every slot
+        mid = int(np.median(lines.sizes))
+        for lo, hi in ((2, q), (mid, mid), (1, q + 1)):
+            want_sel = np.flatnonzero((lines.sizes >= lo)
+                                      & (lines.sizes <= hi))
+            want = reference_chart_marks(lines, want_sel)
+            assert want.any()
+            # one row, seven rows, and the default budget
+            for rows in (0, 7, None):
+                if rows is not None:
+                    monkeypatch.setattr(linearsets, "_MARK_BLOCK_BYTES",
+                                        _rows_budget(rows, 64, width))
+                sel, marks = linearsets._chart_marks(lines, lo, hi)
+                monkeypatch.undo()
+                assert sel.dtype == np.int64
+                assert np.array_equal(sel, want_sel)
+                assert np.array_equal(marks, want)
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +303,22 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
     # the new slots, would not fit
     bound = ranks.size * 4 + nslots * (8 + summary.sizes.itemsize) \
         + 64 * projspace._TAIL_BLOCK
+    assert peak < bound, (peak, bound)
+
+
+def test_line_scan_generation_memory_is_bounded(dense_27, monkeypatch):
+    # the line ranks alone: the grouping tail hands them back unread
+    space = dense_27.space
+    m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
+    monkeypatch.setattr(projspace, "_by_point_summary",
+                        lambda space, dim, pts, ranks, total: ranks)
+    ranks, peak = _traced_peak(projspace._scan_lines, space, dense_27)
+    assert ranks.shape == (m, npar) and ranks.dtype == np.int32
+    # the int32 ranks, the int64 temporaries of one block of rows (the
+    # last broadcast add writes into the ranks) and per point a few
+    # coordinate rows; the 1,919 points that lead at column 0 built whole,
+    # an int64 array of 11.2 MB, would not fit
+    bound = ranks.nbytes + 2 * projspace._SCAN_BLOCK_BYTES + 256 * m
     assert peak < bound, (peak, bound)
 
 

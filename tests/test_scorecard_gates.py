@@ -178,10 +178,7 @@ def test_reconstruct_rebuilds_the_unperturbed_witness(rebuilt):
     assert witness.ctx.linear_set_of(res.W) == witness.points
 
 
-def test_dropping_a_point_turns_blocking_off(rebuilt):
-    pts = rebuilt[0].points
-    dropped = PointSet(pts.space, pts.ranks[1:])
-    checks = _by_check(_instance(rebuilt, dropped))
+def _assert_blocking_off(checks):
     weak = checks["size_bound_weak"]
     assert weak.hypotheses["k_blocking"] is False
     assert weak.verdict == harness.NOT_APPLICABLE
@@ -192,14 +189,46 @@ def test_dropping_a_point_turns_blocking_off(rebuilt):
         assert checks[cid].notes["error"]
 
 
-def test_adding_a_point_turns_minimal_off(rebuilt):
-    added, _ = _with_point_added(rebuilt[0].points)
-    checks = _by_check(_instance(rebuilt, added))
+def _assert_minimal_off(checks):
     listing = [r for r in checks.values() if "minimal" in r.hypotheses]
     assert len(listing) == 9
     for r in listing:
         assert r.hypotheses["minimal"] is False, r.check
         assert r.verdict == harness.NOT_APPLICABLE
+
+
+def test_dropping_a_point_turns_blocking_off(rebuilt):
+    pts = rebuilt[0].points
+    dropped = PointSet(pts.space, pts.ranks[1:])
+    _assert_blocking_off(_by_check(_instance(rebuilt, dropped)))
+
+
+def test_adding_a_point_turns_minimal_off(rebuilt):
+    added, _ = _with_point_added(rebuilt[0].points)
+    _assert_minimal_off(_by_check(_instance(rebuilt, added)))
+
+
+@pytest.fixture(scope="module")
+def cone_perturbed():
+    """The checks by name of the PG(3,49) cone with its first point
+    dropped and with the first point off it added, run once per session
+    (about a second of harness runs): the two gates above, on the one
+    instance whose p0 >= 7 checks apply."""
+    e = catalogue.entry("cone_pg3_49")
+    rebuilt = (catalogue.build_witness("cone_pg3_49"), "cone_pg3_49",
+               e["k"], e["p0"])
+    pts = rebuilt[0].points
+    added, _ = _with_point_added(pts)
+    return (_by_check(_instance(rebuilt, PointSet(pts.space, pts.ranks[1:]))),
+            _by_check(_instance(rebuilt, added)))
+
+
+def test_dropping_a_point_of_the_cone_turns_blocking_off(cone_perturbed):
+    _assert_blocking_off(cone_perturbed[0])
+
+
+def test_adding_a_point_to_the_cone_turns_minimal_off(cone_perturbed):
+    _assert_minimal_off(cone_perturbed[1])
 
 
 # -- verdicts that no catalogue instance produces ----------------------------

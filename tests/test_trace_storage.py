@@ -205,6 +205,13 @@ def test_trace_summaries_match_brute_force(data):
                 summary.sizes == size_arg["exact"]
             want = np.bincount(flat[keep[owners]], minlength=m)
             assert np.array_equal(summary.per_point_counts(**size_arg), want)
+        # the size grid: the sizes of the by-point slots, one row per
+        # point, read-only, in the narrowest type that holds them
+        grid = summary.point_sizes()
+        slots, _ = summary.by_point()
+        assert np.array_equal(grid, summary.sizes[slots].reshape(m, -1))
+        assert grid.dtype == _narrowest(int(summary.sizes.max()))
+        assert not grid.flags.writeable and summary.point_sizes() is grid
         # the gathered groups against the whole-table transpose, for
         # selections in any order, with repeats, and empty
         reference = _reference_by_subspace(summary)
@@ -217,6 +224,28 @@ def test_trace_summaries_match_brute_force(data):
             assert got.dtype == np.int32 and offsets.dtype == np.int64
             assert np.array_equal(got, want)
             assert np.array_equal(offsets, want_offsets)
+
+
+def _narrowest(top):
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
+
+
+def test_point_sizes_take_the_narrowest_type():
+    # the whole of PG(3,11): 1,464 points, so the sizes are int16, while
+    # the lines hold 12 points (an int8 grid) and the planes 133 (int16)
+    space = ProjectiveSpace(3, make_field(11, 1))
+    pts = PointSet(space, np.arange(space.num_points))
+    want = {1: (12, np.int8), 2: (133, np.int16), 3: (1464, np.int16)}
+    for dim, (size, dtype) in want.items():
+        summary = subspace_traces(pts, dim)
+        assert summary.sizes.dtype == np.int16
+        grid = summary.point_sizes()
+        assert grid.dtype == dtype and (grid == size).all()
+        assert grid.shape == (len(pts), summary.by_point()[1][1])
+        assert np.array_equal(summary.per_point_counts(exact=size),
+                              np.full(len(pts), grid.shape[1]))
+        assert not summary.per_point_counts(min_size=size + 1).any()
 
 
 def _grouping_cases():

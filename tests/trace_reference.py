@@ -1,11 +1,14 @@
 """References for the tests of trace summaries: the grouping of a scan's
-keys, which both regimes of `projspace._by_point_summary` must match, and
-the point positions of chosen slots read off a summary's by-point
-grouping.  The package reads the lines through one point with
+keys, which both regimes of `projspace._by_point_summary` must match, the
+point positions of chosen slots read off a summary's by-point grouping,
+and the chart positions of the points on chosen lines, decoded per
+incidence.  The package reads the lines through one point with
 `TraceSummary.secants_through` and never groups a selection of slots;
 tests use `grouped_points` to check whole traces."""
 
 import numpy as np
+
+from blockingsets.projspace import ProjectiveSpace
 
 
 def reference_grouping(ranks):
@@ -52,3 +55,28 @@ def grouped_points(summary, sel):
     at = np.repeat(first[place] - offsets[:-1], counts) \
         + np.arange(offsets[-1])
     return keyed[at].astype(np.int32), offsets
+
+
+def reference_chart_marks(summary, sel):
+    """(len(sel), q+1) bool: row i marks the chart positions (see
+    `linearsets.line_param_positions`) of the set's points on line sel[i]
+    of a line summary; sel ascends.  Decoded per incidence: a slot mask
+    picks the selected slots out of the by-point array, a hit's place in
+    sel gives its line and so the line's pivot columns, and the point's
+    coordinates at those columns are ranked as a point of PG(1, q)."""
+    space = summary.space
+    sel = np.asarray(sel, dtype=np.int64)
+    j0, j1 = (summary.bases(sel) != 0).argmax(axis=2).T
+    coords = space.coords_of_ranks(summary.point_ranks)
+    chosen = np.zeros(summary.sizes.size, dtype=bool)
+    chosen[sel] = True
+    place = np.cumsum(chosen) - 1
+    slots, starts = summary.by_point()
+    hit = np.flatnonzero(chosen[slots])
+    li = place[slots[hit]]
+    pt = hit // starts[1]
+    pos = ProjectiveSpace(1, space.field).ranks_from_rows(np.stack(
+        [coords[pt, j0[li]], coords[pt, j1[li]]], axis=-1))
+    marks = np.zeros((sel.size, space.q + 1), dtype=bool)
+    marks[li, pos] = True
+    return marks
