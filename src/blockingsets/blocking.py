@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fields import exact_log
 from .projspace import (
+    _SCAN_BLOCK_BYTES,
     PointSet,
     ProjectiveSpace,
     Subspace,
@@ -390,7 +391,9 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
     covered = pts.mask().copy()
     idx = np.nonzero(lines.sizes >= 2)[0]
     line_space_params = ProjectiveSpace(1, space.field).coords_array()
-    step = max(1, 2_000_000 // (line_space_params.shape[0] * (space.n + 1)))
+    # a block's int64 lift takes 8 bytes per coordinate of its points
+    step = max(1, _SCAN_BLOCK_BYTES
+               // (8 * line_space_params.shape[0] * (space.n + 1)))
     for lo in range(0, idx.size, step):
         bases = lines.bases(idx[lo:lo + step])
         on = _combine(space.field, line_space_params, bases[:, None])

@@ -316,12 +316,6 @@ class FieldSpec:
             raise BadDivisorError(f"{e} does not divide t={self.t}")
         return make_field(self.p, e)
 
-    def in_subfield(self, a: int, e: int) -> bool:
-        """True iff a lies in the subfield GF(p^e); Frobenius fixed-point test."""
-        if self.t % e:
-            raise BadDivisorError(f"{e} does not divide t={self.t}")
-        return self.frobenius(a, e) == a
-
     def embedding(self, e: int):
         """(embed, retract) arrays for GF(p^e) -> GF(p^t).
 

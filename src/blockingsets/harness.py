@@ -34,7 +34,7 @@ from .errors import (IoError, NotBlockingError, NotFoundError, ParseError,
                      SpecMismatchError, TooLargeError)
 from .fields import conway_table_version, exact_log
 from .linearsets import is_linear, subline_meet_check
-from .projspace import PointSet, ProjectiveSpace, span
+from .projspace import PointSet, span
 from .reconstruct import secant_count_bounds
 from .spreads import spread_context
 
@@ -220,22 +220,6 @@ class InstanceAnalysis:
     def hyperplanes(self):
         return traces_of(self.pts, self.n - 1)
 
-    @property
-    def dual_space(self):
-        return ProjectiveSpace(self.n, self.space.field)
-
-    @cached_property
-    def dual_sizes(self) -> np.ndarray:
-        """Hyperplane trace sizes indexed by dual point rank; refused for
-        n < 3, where the hyperplanes are lines, keyed by line rank."""
-        if self.n < 3:
-            raise TooLargeError(
-                f"the hyperplanes of {self.space!r} have no dual ranks")
-        summary = self.hyperplanes()
-        out = np.zeros(self.dual_space.num_points, dtype=summary.sizes.dtype)
-        out[summary.keys_of(np.arange(summary.sizes.size))] = summary.sizes
-        return out
-
     # -- scan shared by the two large-space multiplicity checks ----------
 
     @cached_property
@@ -293,12 +277,17 @@ class InstanceAnalysis:
     def tangent_config(self) -> Optional[dict]:
         """First point on a (p0+1)-secant together with the first tangent
         line through it whose pencil reaches the required count of small
-        (n-k+1)-spaces carrying a (p0+1)-secant through the point."""
+        (n-k+1)-spaces carrying a (p0+1)-secant through the point.  The
+        planes are read by their dual ranks, the hyperplane keys only for
+        n >= 3: for n < 3 the hyperplanes are lines, keyed by line rank."""
+        if self.n < 3:
+            raise TooLargeError(
+                f"the hyperplanes of {self.space!r} have no dual ranks")
         pts, p0 = self.pts, self.p0
         bound = self.tangent_bound
         lines = self.lines()
+        planes = self.hyperplanes()
         lower, _ = gap_thresholds(p0, self.h, 1)
-        dual_sizes = self.dual_sizes
         best = None
         per_point = lines.per_point_counts(exact=p0 + 1)
         for pos in np.nonzero(per_point > 0)[0]:
@@ -310,7 +299,7 @@ class InstanceAnalysis:
                 tangent = lines.subspace_at(tangent_idx)
                 duals = self._plane_duals(tangent.rows, secants)
                 found = sorted(set(
-                    duals[_below(dual_sizes[duals], lower)].tolist()))
+                    duals[_below(planes.sizes_of(duals), lower)].tolist()))
                 entry = {
                     "point": int(pts.ranks[pos]),
                     "tangent_rows": tangent.rows,
@@ -328,10 +317,9 @@ class InstanceAnalysis:
     def _plane_duals(self, tangent, secants) -> np.ndarray:
         """Dual ranks of the hyperplanes spanned by one line (its 2 basis
         rows) and each of a stack of lines, (S, 2, n+1): the stacked rows
-        reduced in one `rref_rows` call, each covector read off its RREF
-        as `covector_of` does (1 at the one column z without a pivot,
-        -row[z] at the pivot of each row), ranked in one call.  A pair
-        that does not span a hyperplane is a SpecMismatchError."""
+        reduced in one `rref_rows` call, their covectors read off in one
+        `_covector_rows` call and ranked in one.  A pair that does not
+        span a hyperplane is a SpecMismatchError."""
         space = self.space
         n = space.n
         stack = np.concatenate([np.broadcast_to(
@@ -342,16 +330,8 @@ class InstanceAnalysis:
             raise SpecMismatchError(
                 "a tangent and a secant through one point do not span a "
                 "hyperplane")
-        rows = rows[:, :n]
-        _, _, neg, _ = space.field.tables()
-        at = np.arange(rows.shape[0])
-        pivots = (rows != 0).argmax(axis=2)
-        z = n * (n + 1) // 2 - pivots.sum(axis=1)
-        u = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
-        u[at, z] = 1
-        u[at[:, None], pivots] = neg[rows[at[:, None], np.arange(n),
-                                          z[:, None]]]
-        return self.dual_space.ranks_from_rows(u)
+        return space.ranks_from_rows(space._covector_rows(rows[:, :n]),
+                                     normalized=True)
 
 
 def _key_multiplicities(keys) -> tuple:
@@ -654,7 +634,7 @@ def _span_image_subset(a):
     for d in config["small_space_duals"]:
         if len(subspaces) == 2:
             break
-        cov = a.dual_space.coords_of(int(d))
+        cov = a.space.coords_of(int(d))
         plane = PointSet(a.space, a.space.hyperplane(cov).point_ranks())
         inner = a.pts.intersection(plane)
         # a line meets a plane it does not lie in once, so a secant with

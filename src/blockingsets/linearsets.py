@@ -18,7 +18,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import projspace
 from ._cache import locked_cache
 from .blocking import exponent, is_minimal, is_small, traces_of
 from .errors import (
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .fields import FieldSpec, exact_log, make_field
 from .projspace import (
+    _SCAN_BLOCK_BYTES,
     PointSet,
     ProjectiveSpace,
     Subspace,
@@ -39,11 +39,6 @@ from .projspace import (
 from .spreads import SpreadContext, spread_context
 
 _EXHAUSTIVE_POINT_CAP = 10_000
-# bytes of one block's temporaries when marking chart positions, at most
-# 64 per by-point entry of the block
-_MARK_BLOCK_BYTES = 1 << 22
-# bytes of the vectors y + w of one block of candidates at a search node
-_NODE_BLOCK_BYTES = 1 << 21
 
 
 class LinearSetWitness(NamedTuple):
@@ -276,70 +271,6 @@ def enumerate_sublines(line: Subspace, p0: int):
         yield PointSet(space, ambient[list(row)])
 
 
-def _sized_slots(summary, lo: int, hi: int) -> np.ndarray:
-    """The slots of a summary whose traces have lo..hi points, ascending
-    (int64), found a block of `_TAIL_BLOCK` slots at a time."""
-    sizes, step = summary.sizes, projspace._TAIL_BLOCK
-    found = [np.flatnonzero((sizes[b:b + step] >= lo)
-                            & (sizes[b:b + step] <= hi)) + b
-             for b in range(0, sizes.size, step)]
-    return np.concatenate(found)
-
-
-def _chart_marks(summary, lo: int, hi: int) -> tuple:
-    """(sel, marks) for the lines of a line summary whose traces have
-    lo..hi points: their slots, ascending, and a (len(sel), q+1) bool
-    array whose row i marks the chart positions (see
-    `line_param_positions`) of the set's points on line sel[i].
-
-    One pass over the by-point size grid (`TraceSummary.point_sizes`), a
-    bounded block of point rows at a time: a compare of the block's sizes
-    finds the incidences of the selected lines, and a hit's slot gives
-    its row.  No position is decoded: in the column layout of
-    `_scan_lines`, column block j of P's row holds the lines P w with
-    lead(w) = j, and P's chart position on them is rank 0 when j <
-    lead(P) and 1 + P_(j+1) otherwise."""
-    space = summary.space
-    n, q = space.n, space.q
-    grid = summary.point_sizes()
-    m, width = grid.shape
-    sel = _sized_slots(summary, lo, hi)
-    # a selected slot's place in sel: the place of the first selected
-    # slot of its 64-slot word, plus a masked popcount of the word
-    word = sel >> 6
-    bits = np.left_shift(np.uint64(1), (sel & 63).astype(np.uint64))
-    first = np.flatnonzero(np.diff(word, prepend=-1))
-    words = np.zeros(-(-summary.sizes.size // 64), dtype=np.uint64)
-    below = np.zeros(words.size, dtype=np.int64)
-    if sel.size:
-        words[word[first]] = np.bitwise_or.reduceat(bits, first)
-        below[word[first]] = first
-    del word, bits, first
-    # chart[p, j]: P's chart position on the lines of column block j, and
-    # block[c]: the column block of column c, blocks j = n-1, ..., 0
-    coords = space.coords_of_ranks(summary.point_ranks)
-    lead = (coords != 0).argmax(axis=1)
-    j = np.arange(n)
-    chart = np.where(j < lead[:, None], 0, 1 + coords[:, 1:]).reshape(-1)
-    block = np.repeat(j[::-1], q ** j)
-    slots = summary.by_point()[0].reshape(m, width)
-    step = max(1, _MARK_BLOCK_BYTES // (64 * width))
-    marks = np.zeros((sel.size, q + 1), dtype=bool)
-    for r0 in range(0, m, step):
-        sizes = grid[r0:r0 + step]
-        hit = np.flatnonzero((sizes >= lo) & (sizes <= hi))
-        at = slots[r0:r0 + step].reshape(-1)[hit].astype(np.int64)
-        low = (np.uint64(1) << (at & 63).astype(np.uint64)) - np.uint64(1)
-        at >>= 6
-        li = below[at] + np.bitwise_count(words[at] & low)
-        pt, col = np.divmod(hit, width)
-        pt += r0
-        li *= q + 1
-        li += chart[pt * n + block[col]]
-        marks.reshape(-1)[li] = True
-    return sel, marks
-
-
 def _bitmasks(marks: np.ndarray) -> np.ndarray:
     """The rows of a bool matrix as uint64 bitmasks, one word per 64
     columns."""
@@ -388,7 +319,7 @@ def subline_meet_check(witness: LinearSetWitness,
     lines = traces_of(pts, 1)
     # a full line meets each of its own sublines in exactly p0+1 points,
     # which is always allowed, so only proper secants need scanning
-    sel, marks = _chart_marks(lines, 2, space.q)
+    sel, marks = lines._chart_marks(2, space.q)
     vals, counts = lines.size_counts()
     nlines = int(counts[vals >= 2].sum())
     checked = int(counts[vals == space.q + 1].sum()) * len(tuples)
@@ -409,7 +340,8 @@ def subline_meet_check(witness: LinearSetWitness,
         which = np.empty(sel.size, dtype=np.int64)
         which[order] = np.cumsum(fresh) - 1
         bad = np.empty(distinct.shape[0], dtype=bool)
-        chunk = max(1, (1 << 21) // bank_bits.size)
+        # the uint64 words of one chunk's line & pattern
+        chunk = max(1, _SCAN_BLOCK_BYTES // (8 * bank_bits.size))
         for lo in range(0, distinct.shape[0], chunk):
             sizes = _meet_sizes(distinct[lo:lo + chunk], bank_bits)
             bad[lo:lo + chunk] = ~allowed_lut[sizes].all(axis=1)
@@ -456,7 +388,7 @@ def secant_linearity_check(pts: PointSet, k: int,
             pass
     mat, _ = subline_patterns(space.field, p0)
     lines = traces_of(pts, 1)
-    sel, marks = _chart_marks(lines, p0 + 1, p0 + 1)
+    sel, marks = lines._chart_marks(p0 + 1, p0 + 1)
     count = int(sel.size)
     # a trace is a subline when its marks are a row of the patterns: equal
     # rows get equal ids
@@ -570,7 +502,7 @@ def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):
         span_mask[span_ranks] = True
         floor = chain[-1] if chain else -1
         cand = np.flatnonzero(~span_mask[pre] & (pre > floor))
-        step = max(1, _NODE_BLOCK_BYTES // (8 * vectors.size))
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * vectors.size))
         for start in range(0, cand.size, step):
             at = cand[start:start + step]
             off = small.ranks_from_rows(

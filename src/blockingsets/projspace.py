@@ -42,11 +42,10 @@ _INCIDENCE_SUBSPACE_CAP = 400_000
 # times the incidences, and sort them otherwise
 _COUNT_BYTES = 1 << 23
 _COUNT_RANGE = 8
-# incidences per block of the grouping tail (one bincount call, whose intp
-# copy takes 8 bytes per incidence, or one pass over a block of the sorted
-# copy) and of the passes over the by-point size grid
-_TAIL_BLOCK = 1 << 18
-# bytes of one block of the line and hyperplane scans' per-row temporaries
+# bytes of one block of a blocked kernel's temporaries: each kernel takes
+# max(1, _SCAN_BLOCK_BYTES // (its bytes per item)) items per block, the
+# grouping tail and the passes over the by-point size grid 8 bytes per
+# entry (a bincount's intp copy of its incidences)
 _SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the by-point size
 # grid, the first uncovered key, the points' coordinates) are built once,
@@ -270,7 +269,10 @@ class ProjectiveSpace:
 
     def line_through(self, a, b) -> "Subspace":
         pair = [_coerce_coords(self, a), _coerce_coords(self, b)]
-        return _canonical(self, self.line_rows([pair]))[0]
+        rows, ranks = self.rref_rows([pair])
+        if ranks[0] != 2:
+            raise BadParamsError("the two points do not span a line")
+        return _canonical(self, rows)[0]
 
     def hyperplane(self, covector) -> "Subspace":
         u = np.asarray([self.normalize(covector)], dtype=np.int64)
@@ -278,17 +280,28 @@ class ProjectiveSpace:
 
     def covector_of(self, sub: "Subspace") -> tuple:
         """The normalized covector u of a hyperplane, u . x = 0 on it, read
-        off its canonical basis: 1 at the one column z without a pivot, and
-        -row[z] at the pivot of each row."""
+        off its canonical basis by `_covector_rows`."""
         if sub.dim != self.n - 1:
             raise NotHyperplaneError(
                 f"dimension {sub.dim} subspace is not a hyperplane of {self!r}")
-        z = next(c for c in range(self.n + 1) if c not in sub.pivots)
-        u = [0] * (self.n + 1)
-        u[z] = 1
-        for row, p in zip(sub.rows, sub.pivots):
-            u[p] = self.field.neg(row[z])
-        return self.normalize(u)
+        return tuple(self._covector_rows([sub.rows])[0].tolist())
+
+    def _covector_rows(self, rows) -> np.ndarray:
+        """Normalized covectors, shape (N, n+1), of an (N, n, n+1) stack of
+        canonical hyperplane bases, the inverse of `_hyperplane_rows`: 1 at
+        the one column z without a pivot, and -row[z] at the pivot of each
+        row."""
+        n = self.n
+        _, _, neg, _ = self.field.tables()
+        rows = np.asarray(rows, dtype=np.int64)
+        at = np.arange(rows.shape[0])[:, None]
+        pivots = (rows != 0).argmax(axis=2)
+        # the pivots are n of the columns 0..n, so z is the one left over
+        z = n * (n + 1) // 2 - pivots.sum(axis=1)
+        u = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
+        u[at[:, 0], z] = 1
+        u[at, pivots] = neg[rows[at, np.arange(n), z[:, None]]]
+        return self.normalize_rows(u)
 
     def _hyperplane_rows(self, u: np.ndarray) -> np.ndarray:
         """Canonical bases, shape (N, n, n+1), of the hyperplanes u . x = 0
@@ -440,31 +453,6 @@ class ProjectiveSpace:
                            _frozen(np.asarray(cells, dtype=np.int64)))
         return self._lines
 
-    def line_rows(self, stack) -> np.ndarray:
-        """Canonical 2-row RREF bases, shape (N, 2, n+1), of the lines
-        spanned by the row pairs of an (N, 2, n+1) stack: the rows
-        `Subspace` would hold."""
-        add, mul, neg, inv = self.field.tables()
-        stack = np.asarray(stack, dtype=np.int64)
-        a, b = stack[:, 0], stack[:, 1]
-        la = (a != 0).argmax(axis=1)
-        lb = (b != 0).argmax(axis=1)
-        # the row leading further left (the first one on ties) pivots first
-        swap = (lb < la)[:, None]
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        at = np.arange(stack.shape[0])
-        c1 = np.minimum(la, lb)
-        piv = a[at, c1]
-        first = mul[a, inv[piv][:, None]]
-        second = add[b, neg[mul[b[at, c1][:, None], first]]]
-        c2 = (second != 0).argmax(axis=1)
-        piv2 = second[at, c2]
-        if not (piv.all() and piv2.all()):
-            raise BadParamsError("row pairs that do not span a line")
-        second = mul[second, inv[piv2][:, None]]
-        first = add[first, neg[mul[first[at, c2][:, None], second]]]
-        return np.stack([first, second], axis=1)
-
     def rref_rows(self, stack) -> tuple:
         """Batched row reduction of an (N, R, n+1) stack of row sets, any
         integer dtype, zero rows allowed: (rows, ranks), rows of shape
@@ -512,8 +500,12 @@ class ProjectiveSpace:
 
     def line_keys(self, stack) -> np.ndarray:
         """Dense ranks of the lines spanned by the row pairs of an
-        (N, 2, n+1) stack: their `line_rows`, ranked as in `_line_cells`."""
-        return self._rank_line_rows(self.line_rows(stack))
+        (N, 2, n+1) stack: their canonical bases (`rref_rows`), ranked as in
+        `_line_cells`."""
+        rows, ranks = self.rref_rows(stack)
+        if (ranks != 2).any():
+            raise BadParamsError("row pairs that do not span a line")
+        return self._rank_line_rows(rows)
 
     def _rank_line_rows(self, rows) -> np.ndarray:
         """Dense ranks of an (N, 2, n+1) stack of canonical line bases, as
@@ -665,9 +657,6 @@ class Subspace:
                 _combine(space.field, params, self.rows)))
         self._ranks = ranks
         return ranks
-
-    def point_set(self) -> "PointSet":
-        return PointSet(self.space, self.point_ranks())
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.space is other.space
@@ -1014,6 +1003,71 @@ class TraceSummary:
         return chosen, (keyed % m).astype(np.int32), \
             _offsets(self.sizes[chosen])
 
+    def _sized_slots(self, lo: int, hi: int) -> np.ndarray:
+        """The slots whose traces have lo..hi points, ascending (int64),
+        found a block of `_SCAN_BLOCK_BYTES` / 8 slots at a time."""
+        sizes, step = self.sizes, max(1, _SCAN_BLOCK_BYTES // 8)
+        found = [np.flatnonzero((sizes[b:b + step] >= lo)
+                                & (sizes[b:b + step] <= hi)) + b
+                 for b in range(0, sizes.size, step)]
+        return np.concatenate(found)
+
+    def _chart_marks(self, lo: int, hi: int) -> tuple:
+        """(sel, marks) for the lines of a line summary whose traces have
+        lo..hi points: their slots, ascending, and a (len(sel), q+1) bool
+        array whose row i marks the chart positions (PG(1, q) ranks of the
+        coordinates at the line's two pivot columns) of the set's points
+        on line sel[i].
+
+        One pass over the by-point size grid (`point_sizes`), a bounded
+        block of point rows at a time (64 bytes of temporaries per entry):
+        a compare of the block's sizes finds the incidences of the
+        selected lines, and a hit's slot gives its row.  No position is
+        decoded: in the column layout of `_scan_lines`, column block j of
+        P's row holds the lines P w with lead(w) = j, and P's chart
+        position on them is rank 0 when j < lead(P) and 1 + P_(j+1)
+        otherwise."""
+        space = self.space
+        n, q = space.n, space.q
+        grid = self.point_sizes()
+        m, width = grid.shape
+        sel = self._sized_slots(lo, hi)
+        # a selected slot's place in sel: the place of the first selected
+        # slot of its 64-slot word, plus a masked popcount of the word
+        word = sel >> 6
+        bits = np.left_shift(np.uint64(1), (sel & 63).astype(np.uint64))
+        first = np.flatnonzero(np.diff(word, prepend=-1))
+        words = np.zeros(-(-self.sizes.size // 64), dtype=np.uint64)
+        below = np.zeros(words.size, dtype=np.int64)
+        if sel.size:
+            words[word[first]] = np.bitwise_or.reduceat(bits, first)
+            below[word[first]] = first
+        del word, bits, first
+        # chart[p, j]: P's chart position on the lines of column block j,
+        # and block[c]: the column block of column c, blocks j = n-1, ..., 0
+        coords = self.point_coords()
+        lead = (coords != 0).argmax(axis=1)
+        j = np.arange(n)
+        chart = np.where(j < lead[:, None], 0, 1 + coords[:, 1:]).reshape(-1)
+        block = np.repeat(j[::-1], q ** j)
+        slots = self.by_point()[0].reshape(m, width)
+        step = max(1, _SCAN_BLOCK_BYTES // (64 * width))
+        marks = np.zeros((sel.size, q + 1), dtype=bool)
+        for r0 in range(0, m, step):
+            sizes = grid[r0:r0 + step]
+            hit = np.flatnonzero((sizes >= lo) & (sizes <= hi))
+            at = slots[r0:r0 + step].reshape(-1)[hit].astype(np.int64)
+            low = (np.uint64(1) << (at & 63).astype(np.uint64)) \
+                - np.uint64(1)
+            at >>= 6
+            li = below[at] + np.bitwise_count(words[at] & low)
+            pt, col = np.divmod(hit, width)
+            pt += r0
+            li *= q + 1
+            li += chart[pt * n + block[col]]
+            marks.reshape(-1)[li] = True
+        return sel, marks
+
     def point_coords(self) -> np.ndarray:
         """Normalized coordinates of the set's points, in rank order.
         Decoded once per summary; the array is read-only."""
@@ -1034,9 +1088,10 @@ class TraceSummary:
         """The (points, width) grid of the trace sizes of the by-point
         slots: row p holds the sizes of the slots through the point at
         position p, in `by_point` order, in the narrowest signed type that
-        holds the largest size.  Gathered once, in blocks of `_TAIL_BLOCK`
-        entries from a copy of the sizes in that type (a gather from the
-        narrow copy stays closer to the cache); the array is read-only."""
+        holds the largest size.  Gathered once, in blocks of
+        `_SCAN_BLOCK_BYTES` / 8 entries from a copy of the sizes in that
+        type (a gather from the narrow copy stays closer to the cache); the
+        array is read-only."""
         if self._point_sizes is None:
             with _TRACE_LOCK:
                 if self._point_sizes is None:
@@ -1044,9 +1099,10 @@ class TraceSummary:
                     narrow = self.sizes.astype(
                         _size_dtype(int(self.sizes.max())), copy=False)
                     grid = np.empty(slots.size, dtype=narrow.dtype)
-                    for b in range(0, slots.size, _TAIL_BLOCK):
-                        np.take(narrow, slots[b:b + _TAIL_BLOCK],
-                                out=grid[b:b + _TAIL_BLOCK])
+                    step = max(1, _SCAN_BLOCK_BYTES // 8)
+                    for b in range(0, slots.size, step):
+                        np.take(narrow, slots[b:b + step],
+                                out=grid[b:b + step])
                     del narrow
                     self._point_sizes = _frozen(
                         grid.reshape(self.point_ranks.size, -1))
@@ -1055,7 +1111,8 @@ class TraceSummary:
     def per_point_counts(self, min_size=2, exact=None) -> np.ndarray:
         """For each point of the set (in rank order): how many dim-subspaces
         through it have trace >= min_size (or == exact), counted along the
-        rows of `point_sizes`, a block of `_TAIL_BLOCK` entries at a time.
+        rows of `point_sizes`, a block of `_SCAN_BLOCK_BYTES` / 8 entries
+        at a time.
         Cached per arguments; the result is read-only."""
         got = self._counts.get((min_size, exact))
         if got is None:
@@ -1064,7 +1121,7 @@ class TraceSummary:
                 if got is None:
                     grid = self.point_sizes()
                     got = np.empty(grid.shape[0], dtype=np.int64)
-                    step = max(1, _TAIL_BLOCK // grid.shape[1])
+                    step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
                     for r in range(0, grid.shape[0], step):
                         block = grid[r:r + step]
                         keep = block == exact if exact is not None \
@@ -1117,7 +1174,8 @@ class TraceSummary:
         """The dim-subspace with the smallest key among those that miss
         the set, or None when every one meets it (x0 = 0).  The keys are
         dense and ascend, so keys[i] - i never falls and that key is the
-        first i where it is positive.  The key is found once per
+        first i where it is positive; with x0 > 0 fewer than `total` keys
+        occur, so it is below `total`.  The key is found once per
         summary."""
         if not self.x0:
             return None
@@ -1127,10 +1185,8 @@ class TraceSummary:
                     at = np.arange(self.sizes.size)
                     self._uncovered = int(np.searchsorted(
                         self.keys_of(at) - at, 0, side="right"))
-        key = self._uncovered
-        if key >= self.total:
-            return None
-        return _canonical(self.space, self._decode(np.asarray([key])))[0]
+        return _canonical(self.space,
+                          self._decode(np.asarray([self._uncovered])))[0]
 
     def witness_order(self, sel) -> np.ndarray:
         """The slots in sel in the order searches for a first witness visit
@@ -1159,7 +1215,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     come in cell order, and w's digits are the most significant that vary
     within one, so each point's ranks ascend.
 
-    Layout contract, which `linearsets._chart_marks` reads: P's row lists
+    Layout contract, which `TraceSummary._chart_marks` reads: P's row lists
     the column blocks j = n-1, ..., 0 of q^(n-1-j) entries each, block j
     holding the lines P w with lead(w) = j (in PG(n-1, q)'s columns).  In
     the coefficient chart of such a line (P's coordinates at its two
@@ -1315,10 +1371,10 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
 
     - when the count array is at most `_COUNT_BYTES` and the range at most
       `_COUNT_RANGE` times the incidences, the keys are counted: a
-      bincount over each block of `_TAIL_BLOCK` incidences, summed into
-      one int64 count, so no intp copy of the whole ranks array is made;
-      the nonzero counts are the keys, and their buffer becomes the
-      key -> slot table;
+      bincount over each block of `_SCAN_BLOCK_BYTES` / 8 incidences (its
+      intp copy takes 8 bytes each), summed into one int64 count, so no
+      intp copy of the whole ranks array is made; the nonzero counts are
+      the keys, and their buffer becomes the key -> slot table;
     - otherwise (a large key range, or a small set whose incidences a
       pass over the range would dwarf) an int32 copy of the ranks (int64
       when the keys need it) is sorted, leaving ranks in by-point order,
@@ -1333,7 +1389,7 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
     m, npar = ranks.shape
     flat = ranks.reshape(-1)
     sizes_type = _size_dtype(m)
-    step = _TAIL_BLOCK
+    step = max(1, _SCAN_BLOCK_BYTES // 8)
     if 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * flat.size:
         counts = np.bincount(flat[:step], minlength=total)
         for b in range(step, flat.size, step):
@@ -1364,9 +1420,9 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
 def _sorted_runs(srt, total, sizes_type) -> tuple:
     """(keys, sizes) of the runs of the sorted keys srt: the distinct keys
     (int64), None when they are the whole of range(total), and the length
-    of each run in sizes_type.  Two passes of `_TAIL_BLOCK` entries each:
-    one counts the runs, one fills the arrays."""
-    step = _TAIL_BLOCK
+    of each run in sizes_type.  Two passes of `_SCAN_BLOCK_BYTES` / 8
+    entries each: one counts the runs, one fills the arrays."""
+    step = max(1, _SCAN_BLOCK_BYTES // 8)
 
     def boundaries(b):
         # the positions i > 0 in the block at b where a new run starts

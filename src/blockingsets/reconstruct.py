@@ -118,7 +118,7 @@ def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
         secants = RowSequence(
             used, lambda row: PointSet(space, pts.ranks[row]))
         transversals = RowSequence(ys, lambda y, x=x: _canonical(
-            small, small.line_rows(small.coords_of_ranks([[x, y]])))[0])
+            small, small.rref_rows(small.coords_of_ranks([[x, y]]))[0])[0])
         if not ys.size:
             results.append(ReconstructionResult(
                 p_rank, x, secants, transversals, None, None, False,

@@ -184,15 +184,6 @@ class SpreadContext:
             raise SpecMismatchError("spread element has the wrong dimension")
         return sub
 
-    def big_point_of(self, small_point) -> int:
-        """Rank of the big-side point whose spread element covers the
-        given small-side point."""
-        if isinstance(small_point, (int, np.integer)):
-            r = _checked_rank(self.small, small_point)
-        else:
-            r = self.small.rank_of(_coerce_coords(self.small, small_point))
-        return int(self.small_to_big[r])
-
     def linear_set_of(self, pi: Subspace) -> PointSet:
         """B(pi): big-side points whose spread elements meet pi."""
         if pi.space is not self.small:
@@ -300,7 +291,7 @@ class SpreadContext:
             raise NotASublineError(
                 "the given points are not the image of a line")
         pair = self.small.coords_of_ranks([[xrank, found[0]]])
-        return _canonical(self.small, self.small.line_rows(pair))[0]
+        return _canonical(self.small, self.small.rref_rows(pair)[0])[0]
 
 
 def _checked_rank(space: ProjectiveSpace, rank) -> int:

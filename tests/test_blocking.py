@@ -319,7 +319,7 @@ def test_classify_small_large_gates(baer, subgeom_49):
     plane = ProjectiveSpace(2, make_field(2, 5))
     line = Subspace(plane, [(1, 0, 0), (0, 1, 0)])
     with pytest.raises(RangeError):
-        classify_small_large(line.point_set(), 1, 16, line)
+        classify_small_large(PointSet(plane, line.point_ranks()), 1, 16, line)
 
 
 # -- tangency ------------------------------------------------------------------

@@ -304,7 +304,7 @@ def _per_line_profile(a):
     for idx in large:
         plane = planes.subspace_at(int(idx))
         small_pts, chart = a.pts.intersection(
-            plane.point_set()).restrict_to(plane)
+            PointSet(a.space, plane.point_ranks())).restrict_to(plane)
         inside = subspace_traces(small_pts, 1)
         comp = [0, 0, 0]
         for j, size in enumerate(inside.sizes.tolist()):
@@ -412,8 +412,8 @@ def _scalar_tangent_config(a):
             found = set()
             for sec in secants:
                 plane = span(a.space, tangent, sec)
-                d = a.dual_space.rank_of(a.space.covector_of(plane))
-                if a.dual_sizes[d] < math.ceil(lower):
+                d = a.space.rank_of(a.space.covector_of(plane))
+                if a.hyperplanes().sizes_of([d])[0] < math.ceil(lower):
                     found.add(d)
             entry = {"point": int(a.pts.ranks[pos]),
                      "tangent_rows": tangent.rows,
@@ -433,7 +433,7 @@ def test_tangent_config_matches_the_scalar_spans(monkeypatch, name):
     want = _scalar_tangent_config(harness.InstanceAnalysis(inst))
     a = harness.InstanceAnalysis(inst)
     # the summaries are built, so that only the search is watched
-    a.lines(), a.dual_sizes
+    a.lines(), a.hyperplanes()
     calls = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref",
@@ -458,7 +458,7 @@ def test_tangent_config_refuses_a_pair_off_a_hyperplane():
     secants = lines.bases(through[sizes == a.p0 + 1])
     duals = a._plane_duals(tangent, secants)
     assert duals.tolist() == [
-        a.dual_space.rank_of(a.space.covector_of(span(
+        a.space.rank_of(a.space.covector_of(span(
             a.space, Subspace(a.space, tangent), Subspace(a.space, sec))))
         for sec in secants]
     with pytest.raises(SpecMismatchError):
@@ -477,21 +477,23 @@ def test_dual_sizes_count_points_on_each_hyperplane():
     dense = set()
     for inst in (cone, sparse):
         a = harness.InstanceAnalysis(inst)
-        dense.add(a.hyperplanes().x0 == 0)
-        sizes = a.dual_sizes
+        planes = a.hyperplanes()
+        dense.add(planes.x0 == 0)
+        sizes = planes.sizes_of(np.arange(a.space.num_points))
         # brute force: the set's points x with u . x = 0, for every
         # covector u
         add, mul, _, _ = a.space.field.tables()
-        cov = a.dual_space.coords_array()
+        cov = a.space.coords_array()
         pts = inst.points.coords()
         dot = np.zeros((cov.shape[0], pts.shape[0]), dtype=np.int64)
         for j in range(a.n + 1):
             dot = add[dot, mul[cov[:, None, j], pts[None, :, j]]]
         assert np.array_equal(sizes, (dot == 0).sum(axis=1))
     assert dense == {True, False}
-    # in PG(2, q) the hyperplanes are lines, keyed by line rank
+    # in PG(2, q) the hyperplanes are lines, keyed by line rank, so the
+    # search by dual rank refuses them
     with pytest.raises(TooLargeError):
-        harness.InstanceAnalysis(baer).dual_sizes
+        harness.InstanceAnalysis(baer).tangent_config
 
 
 def test_size_thresholds_compare_exactly_on_narrow_sizes():

@@ -134,7 +134,9 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
                     patch.setattr(projspace, "_COUNT_BYTES", budget)
                     patch.setattr(projspace, "_COUNT_RANGE", total)
                     if step is not None:
-                        patch.setattr(projspace, "_TAIL_BLOCK", step)
+                        # 8 bytes per incidence of a tail block
+                        patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                                      8 * step)
                     sorted_runs.clear()
                     summary = summarize(space, dim, pts, ranks, total)
                 assert bool(sorted_runs) != counted
@@ -186,8 +188,11 @@ def test_chart_mark_blocks_give_equal_reports(monkeypatch):
         width = (space.q ** space.n - 1) // (space.q - 1)
         reports.append(_reports(witness, k, p0))
         for rows in (0, 7):
-            monkeypatch.setattr(linearsets, "_MARK_BLOCK_BYTES",
-                                _rows_budget(rows, 64, width))
+            # the marking pass in blocks of rows points, and the meet
+            # sizes in chunks of as many bytes
+            for mod in (projspace, linearsets):
+                monkeypatch.setattr(mod, "_SCAN_BLOCK_BYTES",
+                                    _rows_budget(rows, 64, width))
             assert _reports(witness, k, p0) == reports[-1]
             monkeypatch.undo()
     # the reports are not vacuous: the cone passes both checks, and the
@@ -227,9 +232,9 @@ def test_chart_marks_match_the_per_incidence_decode(monkeypatch, n, p, t):
             # one row, seven rows, and the default budget
             for rows in (0, 7, None):
                 if rows is not None:
-                    monkeypatch.setattr(linearsets, "_MARK_BLOCK_BYTES",
+                    monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES",
                                         _rows_budget(rows, 64, width))
-                sel, marks = linearsets._chart_marks(lines, lo, hi)
+                sel, marks = lines._chart_marks(lo, hi)
                 monkeypatch.undo()
                 assert sel.dtype == np.int64
                 assert np.array_equal(sel, want_sel)
@@ -259,12 +264,9 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
-def test_hyperplane_scan_memory_is_bounded(dense_27, monkeypatch):
+def test_hyperplane_scan_memory_is_bounded(dense_27):
     space = dense_27.space
     m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
-    # tail blocks whose intp copies are the size of a scan block
-    monkeypatch.setattr(projspace, "_TAIL_BLOCK",
-                        projspace._SCAN_BLOCK_BYTES // 8)
     summary, peak = _traced_peak(projspace._scan_hyperplanes, space,
                                  dense_27)
     assert summary.x0 == 0 and 8 * summary.total <= projspace._COUNT_BYTES
@@ -274,7 +276,7 @@ def test_hyperplane_scan_memory_is_bounded(dense_27, monkeypatch):
     # whole last-column group and its u_z gather would not fit, nor an
     # intp copy of the whole ranks
     bound = m * npar * 4 + 2 * projspace._SCAN_BLOCK_BYTES \
-        + 8 * projspace._TAIL_BLOCK + 16 * summary.total
+        + projspace._SCAN_BLOCK_BYTES + 16 * summary.total
     assert peak - kept < bound, (peak, kept, bound)
 
 
@@ -291,7 +293,8 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
     (_, dim, _, ranks, total), = seen
     # the lines' count array (4.4 MB) is under the byte rule: sort anyway
     monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
-    monkeypatch.setattr(projspace, "_TAIL_BLOCK", 1 << 15)
+    # tail blocks of 2^15 incidences
+    monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
     summary, peak = _traced_peak(summarize, space, dim, dense_27, ranks,
                                  total)
     assert ranks.dtype == np.int32 and summary.x0 > 0
@@ -302,7 +305,7 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
     # intp copy of the ranks, or an int64 count over the key range beside
     # the new slots, would not fit
     bound = ranks.size * 4 + nslots * (8 + summary.sizes.itemsize) \
-        + 64 * projspace._TAIL_BLOCK
+        + 8 * projspace._SCAN_BLOCK_BYTES
     assert peak < bound, (peak, bound)
 
 
@@ -337,7 +340,8 @@ def test_subline_marks_memory_is_bounded(dense_27):
     # meet sizes of one chunk of lines, and two blocks of the marking pass;
     # a grouping of the lines' points would not fit
     bound = nsel * (space.q + 1 + 6 * 8) + 2 * lines.sizes.size \
-        + 16 * (1 << 21) + 2 * linearsets._MARK_BLOCK_BYTES
+        + 2 * linearsets._SCAN_BLOCK_BYTES \
+        + 2 * projspace._SCAN_BLOCK_BYTES
     assert peak < bound, (peak, bound)
 
 

@@ -851,7 +851,9 @@ def test_line_through_needs_no_line_rank():
     line = space.line_through(a, b)
     want = Subspace(space, [a, b])
     assert line.rows == want.rows and line.pivots == want.pivots
-    assert space.line_rows([[a, b]]).tolist() == [list(map(list, want.rows))]
+    rows, ranks = space.rref_rows([[a, b]])
+    assert ranks.tolist() == [2]
+    assert rows.tolist() == [list(map(list, want.rows))]
 
 
 # -- the scalar loops the batched combination kernel replaced, kept as

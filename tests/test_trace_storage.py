@@ -514,7 +514,7 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
 def _reference_transversal(ctx, trace, x):
     """The search as one candidate line per point y of a companion
     element: the lines whose images are exactly the trace."""
-    home = ctx.big_point_of(x)
+    home = int(ctx.small_to_big[x])
     companion = next(int(r) for r in trace.ranks if r != home)
     found = []
     for y in ctx.element_ranks(companion):
