@@ -369,6 +369,7 @@ class SecantReport(NamedTuple):
 def secant_analysis(pts: PointSet, k: int, p0: int) -> SecantReport:
     _check_k(pts, k)
     space = pts.space
+    space.field.subfield_degree(p0)
     lines = traces_of(pts, 1)
     spec_counts = {int(s): int(c) for s, c in zip(*lines.size_counts())
                    if int(s) >= 2}

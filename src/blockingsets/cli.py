@@ -233,8 +233,7 @@ def cmd_project(args) -> int:
     space = pts.space
     centre = args.centre if args.centre is not None else _auto_centre(pts)
     if args.cov:
-        cov = [int(v) for v in args.cov.split(",")]
-        hyper = space.hyperplane(cov)
+        hyper = space.hyperplane(args.cov)
     else:
         hyper = _auto_hyperplane(space, centre)
     image = project(pts, centre, hyper)
@@ -278,6 +277,12 @@ def cmd_spread_dump(args) -> int:
 
 
 # -- parser --------------------------------------------------------------------
+
+def covector(text: str) -> list:
+    """The entries of a covector c0,c1,...; argparse reports a ValueError
+    as a usage error naming this function."""
+    return [int(v) for v in text.split(",")]
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -353,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     prj.add_argument("--centre", type=int, default=None,
                      help="centre point rank (default: first point off the "
                           "set and off all secant lines)")
-    prj.add_argument("--cov", default=None,
+    prj.add_argument("--cov", default=None, type=covector,
                      help="hyperplane covector c0,c1,... (default: first "
                           "coordinate hyperplane missing the centre)")
     prj.add_argument("--out", default=None,

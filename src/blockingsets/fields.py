@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BadDivisorError,
+    BadParamsError,
     BlockingSetsError,
     NoTableEntryError,
     NotPrimeError,
@@ -310,6 +311,15 @@ class FieldSpec:
         return self.p if self.t > 1 else (-self.modulus[0]) % self.p
 
     # --- subfields ---
+
+    def subfield_degree(self, order: int) -> int:
+        """The degree e of the subfield GF(order), order = p^e with e | t;
+        BadParamsError when there is no such subfield."""
+        e = exact_log(order, self.p)
+        if not e or self.t % e:
+            raise BadParamsError(
+                f"GF({order}) is not a subfield of GF({self.q})")
+        return e
 
     def subfield(self, e: int) -> "FieldSpec":
         if self.t % e:

@@ -102,6 +102,11 @@ def _jsonable(obj):
     return _jnum(obj)
 
 
+# the JSON kind of each claim a sidecar may declare
+_CLAIM_KINDS = {"blocking": bool, "small": bool, "minimal": bool,
+                "exponent": int, "redei": bool, "linear": bool}
+
+
 def load_instance(path: str) -> Instance:
     """Point set plus sidecar; every fault in the sidecar (a missing key, a
     wrong type, a bad or foreign witness) is a ParseError."""
@@ -117,6 +122,9 @@ def load_instance(path: str) -> Instance:
             else default
     name = optional("name", str, os.path.splitext(os.path.basename(path))[0])
     claims = optional("claims", dict, {})
+    for key, kind in _CLAIM_KINDS.items():
+        if key in claims:
+            formats.required(claims, key, kind, f"{side} claims")
     slow = optional("slow", bool, False)
     witness = None
     if meta.get("witness") is not None:
@@ -628,8 +636,8 @@ def _span_image_subset(a):
     p_rank = config["point"]
     x = int(min(ctx.element_ranks(p_rank)))
     pos = int(np.searchsorted(a.pts.ranks, p_rank))
-    _, flat, _ = a.lines().secants_through(pos, a.p0 + 1)
-    traces = a.pts.ranks[flat].reshape(-1, a.p0 + 1)
+    _, positions = a.lines().secants_through(pos, a.p0 + 1)
+    traces = a.pts.ranks[positions]
     planes_used, subspaces = [], []
     for d in config["small_space_duals"]:
         if len(subspaces) == 2:

@@ -216,9 +216,7 @@ def subline_patterns(field: FieldSpec, p0: int):
     comes out as a; one pass per a keeps the arrays small, and the
     passes come in lexicographic order.
     """
-    e = exact_log(p0, field.p)
-    if not e or field.t % e:
-        raise BadParamsError(f"GF({p0}) is not a subfield of GF(q)")
+    e = field.subfield_degree(p0)
     embed, _ = field.embedding(e) if e < field.t else (
         np.arange(field.q, dtype=np.int64), None)
     add, mul, _, _ = field.tables()
@@ -273,13 +271,13 @@ def enumerate_sublines(line: Subspace, p0: int):
 
 def _bitmasks(marks: np.ndarray) -> np.ndarray:
     """The rows of a bool matrix as uint64 bitmasks, one word per 64
-    columns."""
+    columns: column c is bit c % 64 of word c // 64."""
     words = -(-marks.shape[1] // 64)
     # padded to whole words after packing, a byte per 8 columns
     packed = np.zeros((marks.shape[0], 8 * words), dtype=np.uint8)
     packed[:, :-(-marks.shape[1] // 8)] = np.packbits(marks, axis=1,
                                                       bitorder="little")
-    return packed.view(np.uint64)
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 def _meet_sizes(line_bits: np.ndarray, bank_bits: np.ndarray) -> np.ndarray:
@@ -319,7 +317,7 @@ def subline_meet_check(witness: LinearSetWitness,
     lines = traces_of(pts, 1)
     # a full line meets each of its own sublines in exactly p0+1 points,
     # which is always allowed, so only proper secants need scanning
-    sel, marks = lines._chart_marks(2, space.q)
+    sel, line_bits = lines._chart_marks(2, space.q)
     vals, counts = lines.size_counts()
     nlines = int(counts[vals >= 2].sum())
     checked = int(counts[vals == space.q + 1].sum()) * len(tuples)
@@ -327,8 +325,6 @@ def subline_meet_check(witness: LinearSetWitness,
     allowed_lut = np.zeros(space.q + 2, dtype=bool)
     allowed_lut[list(allowed)] = True
     if sel.size:
-        line_bits = _bitmasks(marks)
-        del marks
         bank_bits = _bitmasks(mat)
         # lines with the same chart positions meet the sublines alike, so
         # each distinct mask is counted once
@@ -388,13 +384,13 @@ def secant_linearity_check(pts: PointSet, k: int,
             pass
     mat, _ = subline_patterns(space.field, p0)
     lines = traces_of(pts, 1)
-    sel, marks = lines._chart_marks(p0 + 1, p0 + 1)
+    sel, words = lines._chart_marks(p0 + 1, p0 + 1)
     count = int(sel.size)
-    # a trace is a subline when its marks are a row of the patterns: equal
-    # rows get equal ids
-    _, ids = np.unique(np.concatenate([mat, marks]), axis=0,
-                       return_inverse=True)
-    bad = sel[~np.isin(ids[len(mat):], ids[:len(mat)])]
+    # a trace is a subline when its chart bits are those of a pattern: a
+    # row of words, read as one opaque item, is in the patterns' rows
+    row = np.dtype((np.void, words.itemsize * words.shape[1]))
+    bad = sel[~np.isin(words.view(row).reshape(-1),
+                       _bitmasks(mat).view(row).reshape(-1))]
     failures = [lines.subspace_at(int(i))
                 for i in lines.witness_order(bad)[:10]]
     return SecantLinearityReport(not failures, count, within, failures)

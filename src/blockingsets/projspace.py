@@ -48,8 +48,7 @@ _COUNT_RANGE = 8
 # entry (a bincount's intp copy of its incidences)
 _SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the by-point size
-# grid, the first uncovered key, the points' coordinates) are built once,
-# whole
+# grid, the first uncovered key) are built once, whole
 _TRACE_LOCK = threading.RLock()
 
 
@@ -841,14 +840,6 @@ def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
     return PointSet(space, space.ranks_from_rows(img))
 
 
-def _offsets(counts) -> np.ndarray:
-    """CSR offsets of groups of the given sizes: group i of the flat array
-    is flat[out[i]:out[i+1]]."""
-    out = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=out[1:])
-    return out
-
-
 class TraceSummary:
     """Intersection counts of one point set against all dim-subspaces.
 
@@ -885,41 +876,37 @@ class TraceSummary:
     Keys are read through `keys_of` alone: `bases` turns any selection of
     slots into canonical RREF basis rows, `first_uncovered` unranks the
     first missing key, and `witness_order` orders line slots by their
-    bases.  The incidences between slots and points
-    (a point is its position in the set's rank order) are kept in CSR
-    form, "compressed sparse row": one flat int32 array grouped by owner
-    plus int64 offsets, group i being flat[offsets[i]:offsets[i+1]].  One
-    grouping is stored, by point (`by_point`, `indices_through_point`):
-    the slots through each point, ascending, which is the scan order.
-    Every scan gives each point the same number of slots, so the offsets
-    are multiples of that width and the by-point array is an
-    (m, width) grid.  The sizes of its slots, gathered once into a grid
-    of the same shape (`point_sizes`), serve every per-point count and
-    the subline checks' search for the secants through each point.
+    bases.  The incidences between slots and points (a point is its
+    position in the set's rank order) are stored once, by point: every
+    scan gives each point the same number of slots, its width, so they
+    form one (m, width) int32 grid (`by_point`), row p holding the slots
+    through the point at position p, ascending, which is the scan order
+    (`indices_through_point`).  The sizes of its slots, gathered once
+    into a grid of the same shape (`point_sizes`), serve every per-point
+    count and the subline checks' search for the secants through each
+    point.  The points' coordinates are those the set `pts` caches.
 
-    The point positions of the lines through one point come in the same
-    layout, built per call and never cached: `secants_through` finds them
-    from the set's coordinates alone.
+    The point positions of the lines through one point are built per
+    call and never cached: `secants_through` finds them from the set's
+    coordinates alone.
 
     All stored arrays are read-only: summaries are cached per point set
     and shared.
     """
 
-    def __init__(self, space, dim, point_ranks, keys, sizes,
-                 point_subspaces, point_offsets):
-        self.space = space
+    def __init__(self, pts, dim, keys, sizes, slots):
+        self.pts = pts
+        self.space = pts.space
         self.dim = dim
-        self.point_ranks = point_ranks
-        self.total = space.num_subspaces(dim)
+        self.total = self.space.num_subspaces(dim)
         # None on a dense summary, whose slots are its keys
         self._keys = None if keys is None else _frozen(keys)
         self.sizes = _frozen(sizes)
-        self._by_point = (_frozen(point_subspaces), _frozen(point_offsets))
+        self._slots = _frozen(slots)
         self._counts = {}
         self._point_sizes = None
         self._size_counts = None
         self._uncovered = None
-        self._coords = None
 
     @property
     def x0(self) -> int:
@@ -948,21 +935,20 @@ class TraceSummary:
             out[int(v)] = int(c)
         return out
 
-    def by_point(self) -> tuple:
-        """(slots, offsets): the slots through the point at position p are
-        slots[offsets[p]:offsets[p+1]], ascending."""
-        return self._by_point
+    def by_point(self) -> np.ndarray:
+        """The (points, width) int32 grid of slots: row p holds the slots
+        through the point at position p, ascending."""
+        return self._slots
 
     def _check_slots(self, sel: np.ndarray):
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
             raise RangeError("trace slot out of range")
 
     def secants_through(self, pos: int, size: int) -> tuple:
-        """(slots, points, offsets) for the lines through the point at
-        position pos whose traces have `size` points: the slots ascending
-        (the scan order), and their point positions (int32), each group
-        ascending, concatenated in slot order, with int64 offsets: group i
-        is points[offsets[i]:offsets[i+1]].  Line summaries only.
+        """(slots, points) for the lines through the point at position pos
+        whose traces have `size` points: the slots ascending (the scan
+        order), and a (len(slots), size) int32 grid whose row i holds the
+        point positions on line slots[i], ascending.  Line summaries only.
 
         The line scan lists the lines through P as P w for w in
         PG(n-1, q) in rank order, w placed off P's lead column l.  So
@@ -976,7 +962,7 @@ class TraceSummary:
         through = self.indices_through_point(pos)
         space = self.space
         add, mul, neg, _ = space.field.tables()
-        coords = self.point_coords()
+        coords = self.pts.coords()
         p = coords[pos]
         l = int((p != 0).argmax())
         others = np.flatnonzero(np.arange(coords.shape[0]) != pos)
@@ -999,9 +985,9 @@ class TraceSummary:
         # groups by entry, hence by slot, each ascending
         keyed = np.concatenate([entry[on] * m + others[on], keep * m + pos])
         keyed.sort()
-        chosen = through[keep]
-        return chosen, (keyed % m).astype(np.int32), \
-            _offsets(self.sizes[chosen])
+        # no line has a size below 1, so such a size selects none
+        return through[keep], (keyed % m).astype(np.int32).reshape(
+            keep.size, max(size, 0))
 
     def _sized_slots(self, lo: int, hi: int) -> np.ndarray:
         """The slots whose traces have lo..hi points, ascending (int64),
@@ -1013,20 +999,22 @@ class TraceSummary:
         return np.concatenate(found)
 
     def _chart_marks(self, lo: int, hi: int) -> tuple:
-        """(sel, marks) for the lines of a line summary whose traces have
-        lo..hi points: their slots, ascending, and a (len(sel), q+1) bool
-        array whose row i marks the chart positions (PG(1, q) ranks of the
+        """(sel, words) for the lines of a line summary whose traces have
+        lo..hi points: their slots, ascending, and a (len(sel), w) uint64
+        array, w = ceil((q+1) / 64), whose row i has bit c % 64 of word
+        c // 64 set for each chart position c (the PG(1, q) rank of the
         coordinates at the line's two pivot columns) of the set's points
-        on line sel[i].
+        on line sel[i]: the layout of `linearsets._bitmasks`.
 
         One pass over the by-point size grid (`point_sizes`), a bounded
         block of point rows at a time (64 bytes of temporaries per entry):
         a compare of the block's sizes finds the incidences of the
-        selected lines, and a hit's slot gives its row.  No position is
-        decoded: in the column layout of `_scan_lines`, column block j of
-        P's row holds the lines P w with lead(w) = j, and P's chart
-        position on them is rank 0 when j < lead(P) and 1 + P_(j+1)
-        otherwise."""
+        selected lines, a hit's slot gives its row, and `np.add.at` sets
+        its bit; a point lies on a line once, so the add is an exact OR.
+        No position is decoded: in the column layout of `_scan_lines`,
+        column block j of P's row holds the lines P w with lead(w) = j,
+        and P's chart position on them is rank 0 when j < lead(P) and
+        1 + P_(j+1) otherwise."""
         space = self.space
         n, q = space.n, space.q
         grid = self.point_sizes()
@@ -1037,22 +1025,26 @@ class TraceSummary:
         word = sel >> 6
         bits = np.left_shift(np.uint64(1), (sel & 63).astype(np.uint64))
         first = np.flatnonzero(np.diff(word, prepend=-1))
-        words = np.zeros(-(-self.sizes.size // 64), dtype=np.uint64)
-        below = np.zeros(words.size, dtype=np.int64)
+        taken = np.zeros(-(-self.sizes.size // 64), dtype=np.uint64)
+        below = np.zeros(taken.size, dtype=np.int64)
         if sel.size:
-            words[word[first]] = np.bitwise_or.reduceat(bits, first)
+            taken[word[first]] = np.bitwise_or.reduceat(bits, first)
             below[word[first]] = first
         del word, bits, first
-        # chart[p, j]: P's chart position on the lines of column block j,
-        # and block[c]: the column block of column c, blocks j = n-1, ..., 0
-        coords = self.point_coords()
+        # the word and bit of P's chart position on the lines of column
+        # block j, at p * n + j, and block[c]: the column block of column
+        # c, blocks j = n-1, ..., 0
+        coords = self.pts.coords()
         lead = (coords != 0).argmax(axis=1)
         j = np.arange(n)
         chart = np.where(j < lead[:, None], 0, 1 + coords[:, 1:]).reshape(-1)
+        nwords = -(-(q + 1) // 64)
+        at_word = chart >> 6
+        at_bit = np.left_shift(np.uint64(1), (chart & 63).astype(np.uint64))
         block = np.repeat(j[::-1], q ** j)
-        slots = self.by_point()[0].reshape(m, width)
+        slots = self.by_point()
         step = max(1, _SCAN_BLOCK_BYTES // (64 * width))
-        marks = np.zeros((sel.size, q + 1), dtype=bool)
+        words = np.zeros((sel.size, nwords), dtype=np.uint64)
         for r0 in range(0, m, step):
             sizes = grid[r0:r0 + step]
             hit = np.flatnonzero((sizes >= lo) & (sizes <= hi))
@@ -1060,29 +1052,17 @@ class TraceSummary:
             low = (np.uint64(1) << (at & 63).astype(np.uint64)) \
                 - np.uint64(1)
             at >>= 6
-            li = below[at] + np.bitwise_count(words[at] & low)
+            li = below[at] + np.bitwise_count(taken[at] & low)
             pt, col = np.divmod(hit, width)
-            pt += r0
-            li *= q + 1
-            li += chart[pt * n + block[col]]
-            marks.reshape(-1)[li] = True
-        return sel, marks
-
-    def point_coords(self) -> np.ndarray:
-        """Normalized coordinates of the set's points, in rank order.
-        Decoded once per summary; the array is read-only."""
-        if self._coords is None:
-            with _TRACE_LOCK:
-                if self._coords is None:
-                    self._coords = _frozen(
-                        self.space.coords_of_ranks(self.point_ranks))
-        return self._coords
+            cell = (pt + r0) * n + block[col]
+            np.add.at(words.reshape(-1), li * nwords + at_word[cell],
+                      at_bit[cell])
+        return sel, words
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
-        if not 0 <= pt_pos < self.point_ranks.size:
+        if not 0 <= pt_pos < self._slots.shape[0]:
             raise RangeError(f"point position {pt_pos} out of range")
-        slots, offsets = self.by_point()
-        return slots[offsets[pt_pos]:offsets[pt_pos + 1]]
+        return self._slots[pt_pos]
 
     def point_sizes(self) -> np.ndarray:
         """The (points, width) grid of the trace sizes of the by-point
@@ -1095,7 +1075,7 @@ class TraceSummary:
         if self._point_sizes is None:
             with _TRACE_LOCK:
                 if self._point_sizes is None:
-                    slots, _ = self.by_point()
+                    slots = self._slots.reshape(-1)
                     narrow = self.sizes.astype(
                         _size_dtype(int(self.sizes.max())), copy=False)
                     grid = np.empty(slots.size, dtype=narrow.dtype)
@@ -1105,7 +1085,7 @@ class TraceSummary:
                                 out=grid[b:b + step])
                     del narrow
                     self._point_sizes = _frozen(
-                        grid.reshape(self.point_ranks.size, -1))
+                        grid.reshape(self._slots.shape))
         return self._point_sizes
 
     def per_point_counts(self, min_size=2, exact=None) -> np.ndarray:
@@ -1413,8 +1393,7 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
                 slots[b:b + step] = np.searchsorted(keys, flat[b:b + step])
     if keys is None:
         slots = flat.astype(np.int32, copy=False)
-    return TraceSummary(space, dim, pts.ranks, keys, sizes, slots,
-                        np.arange(m + 1, dtype=np.int64) * npar)
+    return TraceSummary(pts, dim, keys, sizes, slots.reshape(m, npar))
 
 
 def _sorted_runs(srt, total, sizes_type) -> tuple:

@@ -19,7 +19,6 @@ import numpy as np
 from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
                      SpecMismatchError)
-from .fields import exact_log
 from .projspace import (_SCAN_BLOCK_BYTES, PointSet, ProjectiveSpace, Subspace,
                         _canonical, _combine, _frozen)
 from .spreads import SpreadContext, spread_context
@@ -92,16 +91,15 @@ def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
     for i, pos in enumerate(positions.tolist()):
         p_rank = int(pts.ranks[pos])
         x = int(ctx.element_ranks(p_rank).min())
-        slots, flat, _ = lines.secants_through(pos, p0 + 1)
-        flat = flat.reshape(-1, p0 + 1)
-        ys = ctx.transversal_line(pts.ranks[flat], x)
+        slots, traces = lines.secants_through(pos, p0 + 1)
+        ys = ctx.transversal_line(pts.ranks[traces], x)
         hit = ys >= 0
         ys = ys[hit]
         # every transversal is the line x y, so x and the ys span them all
         stack[i, 0] = small.coords_of(x)
         stack[i, 1:1 + ys.size] = small.coords_of_ranks(ys)
         # the traces are kept as int32 point positions
-        found.append((p_rank, x, flat[hit], ys, len(slots), slots[~hit]))
+        found.append((p_rank, x, traces[hit], ys, len(slots), slots[~hit]))
     bases, ranks = small.rref_rows(stack)
     del stack
     mask, spans = pts.mask(), {}
@@ -198,8 +196,8 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
         raise BadParamsError("P must be a point of the set")
     xrank = int(x) if isinstance(x, (int, np.integer)) \
         else ctx.small.rank_of(ctx.small.normalize(x))
-    _, flat, _ = lines.secants_through(pos, p0 + 1)
-    ys = ctx.transversal_line(pts.ranks[flat].reshape(-1, p0 + 1), xrank)
+    _, traces = lines.secants_through(pos, p0 + 1)
+    ys = ctx.transversal_line(pts.ranks[traces], xrank)
     ys = ys[ys >= 0]
     # the pairs i < j in lexicographic order, each reduced with x
     first, second = np.triu_indices(ys.size, 1)
@@ -246,10 +244,7 @@ def secant_count_bounds(pts: PointSet, k: int, p0: int) -> SecantBoundReport:
     from fractions import Fraction
 
     space = pts.space
-    e = exact_log(p0, space.field.p)
-    if not e or space.field.t % e:
-        raise BadParamsError(f"p0={p0} is not a subfield order")
-    h = space.field.t // e
+    h = space.field.t // space.field.subfield_degree(p0)
     f = Fraction
     if k == 1:
         bound = f(p0) ** (h - 1) - 4 * f(p0) ** (h - 2) + 1

@@ -14,9 +14,9 @@ import sys
 import numpy as np
 import pytest
 
-from blockingsets.errors import (NoTableEntryError, NotPrimeError,
-                                 RangeError, ReduciblePolynomialError,
-                                 ZeroInverseError)
+from blockingsets.errors import (BadParamsError, NoTableEntryError,
+                                 NotPrimeError, RangeError,
+                                 ReduciblePolynomialError, ZeroInverseError)
 from blockingsets.fields import (SIZE_LIMIT, FieldSpec, conway_polynomial,
                                  conway_table_version, exact_log, make_field)
 
@@ -225,6 +225,16 @@ def test_make_field_cached_and_validated():
         make_field(2, 2, modulus=(1, 0, 1))    # x^2+1 = (x+1)^2 over GF(2)
     custom = make_field(2, 2, modulus=(1, 1, 1))
     assert custom.q == 4 and custom is make_field(2, 2, modulus=(1, 1, 1))
+
+
+def test_subfield_degree_accepts_only_subfield_orders():
+    f = make_field(3, 4)
+    assert [f.subfield_degree(o) for o in (3, 9, 81)] == [1, 2, 4]
+    # 1 and 0 are no field orders, 27 is 3^3 with 3 not dividing 4, and
+    # 2 and 6 are no powers of 3
+    for order in (0, 1, 2, 6, 27, 243):
+        with pytest.raises(BadParamsError):
+            f.subfield_degree(order)
 
 
 def test_subfield_membership_and_embedding():

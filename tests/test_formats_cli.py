@@ -461,6 +461,9 @@ _MALFORMED = {
     "slow-string": _put("yes", "slow"),
     "name-int": _put(7, "name"),
     "claims-list": _put([], "claims"),
+    "claims-exponent-string": _put("x", "claims", "exponent"),
+    "claims-blocking-string": _put("yes", "claims", "blocking"),
+    "claims-exponent-bool": _put(True, "claims", "exponent"),
     "witness-list": _put([1, 2], "witness"),
     "witness-p-string": _put("3", "witness", "space", "p"),
     "witness-p-not-prime": _put(4, "witness", "space", "p"),
@@ -526,6 +529,27 @@ def test_cli_secants(capsys, baer_file):
     assert len(data["per_point"]) == 13
     assert all(row["subline_secants"] == 4 and row["tangent_spaces"] == 6
                for row in data["per_point"])
+
+
+@pytest.mark.parametrize("p0", ["0", "1", "2", "27"])
+def test_cli_secants_rejects_a_p0_that_is_no_subfield_order(capsys,
+                                                            baer_file, p0):
+    # PG(2, 9) has the subfields GF(3) and GF(9) only
+    code, out, err = run_cli(capsys, "secants", baer_file, "--p0", p0,
+                             "--k", "1")
+    assert code == 2 and out == "" and "BadParamsError" in err, err
+
+
+@pytest.mark.parametrize("cov", ["a,b", "1,,0", "1.5,0,0"])
+def test_cli_project_rejects_a_malformed_covector(capsys, baer_file, cov):
+    # a usage error from the parser, before any file is read
+    with pytest.raises(SystemExit) as exc:
+        main(["project", baer_file, "--cov", cov])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid covector value" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_project(tmp_path, capsys):

@@ -62,8 +62,8 @@ def test_hyperplane_blocks_match_brute_force(monkeypatch, n, p, t):
             slots = np.arange(summary.sizes.size)
             assert np.array_equal(summary.keys_of(slots), keys)
             assert np.array_equal(summary.sizes, sizes)
-            through, offsets = summary.by_point()
-            assert np.array_equal(offsets, np.arange(size + 1) * npar)
+            through = summary.by_point()
+            assert through.shape == (size, npar)
             got = summary.keys_of(through).reshape(size, npar)
             for pos in range(size):
                 assert np.array_equal(got[pos], np.flatnonzero(on[pos]))
@@ -100,9 +100,9 @@ def _check_grouping(summary, ranks):
     assert got_keys.dtype == np.int64 and np.array_equal(got_keys, keys)
     assert summary.sizes.dtype == projspace._size_dtype(m)
     assert np.array_equal(summary.sizes, sizes)
-    got, offsets = summary.by_point()
-    assert got.dtype == np.int32 and np.array_equal(got, slots)
-    assert np.array_equal(offsets, np.arange(m + 1) * ranks.shape[1])
+    got = summary.by_point()
+    assert got.dtype == np.int32 and got.shape == ranks.shape
+    assert np.array_equal(got.reshape(-1), slots)
     if summary.x0 == 0:
         assert summary._keys is None and np.shares_memory(got, ranks)
     else:
@@ -213,8 +213,9 @@ def _chart_mark_sets(space, rng):
     return PointSet(space, dense), PointSet(space, keyed)
 
 
-@pytest.mark.parametrize("n,p,t", [(2, 7, 2), (3, 2, 2), (4, 3, 1),
-                                   (5, 2, 1)])
+# PG(2, 64) has 65 chart positions, two words per line
+@pytest.mark.parametrize("n,p,t", [(2, 7, 2), (2, 2, 6), (3, 2, 2),
+                                   (4, 3, 1), (5, 2, 1)])
 def test_chart_marks_match_the_per_incidence_decode(monkeypatch, n, p, t):
     space = ProjectiveSpace(n, make_field(p, t))
     q, width = space.q, (space.q ** n - 1) // (space.q - 1)
@@ -227,18 +228,21 @@ def test_chart_marks_match_the_per_incidence_decode(monkeypatch, n, p, t):
         for lo, hi in ((2, q), (mid, mid), (1, q + 1)):
             want_sel = np.flatnonzero((lines.sizes >= lo)
                                       & (lines.sizes <= hi))
-            want = reference_chart_marks(lines, want_sel)
-            assert want.any()
+            marks = reference_chart_marks(lines, want_sel)
+            assert marks.any()
+            want = linearsets._bitmasks(marks)
             # one row, seven rows, and the default budget
             for rows in (0, 7, None):
                 if rows is not None:
                     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES",
                                         _rows_budget(rows, 64, width))
-                sel, marks = lines._chart_marks(lo, hi)
+                sel, words = lines._chart_marks(lo, hi)
                 monkeypatch.undo()
                 assert sel.dtype == np.int64
                 assert np.array_equal(sel, want_sel)
-                assert np.array_equal(marks, want)
+                assert words.dtype == np.uint64
+                assert words.shape == (sel.size, -(-(q + 1) // 64))
+                assert np.array_equal(words, want)
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +274,7 @@ def test_hyperplane_scan_memory_is_bounded(dense_27):
     summary, peak = _traced_peak(projspace._scan_hyperplanes, space,
                                  dense_27)
     assert summary.x0 == 0 and 8 * summary.total <= projspace._COUNT_BYTES
-    kept = summary.sizes.nbytes + sum(a.nbytes for a in summary.by_point())
+    kept = summary.sizes.nbytes + summary.by_point().nbytes
     # the int32 ranks, two blocks of the scan, and the count: one tail
     # block's intp copy, the int64 count and one block's bincount; one
     # whole last-column group and its u_z gather would not fit, nor an

@@ -544,9 +544,13 @@ def test_cached_arrays_are_read_only():
                  subspace_traces(pts, 3)]
     arrays.append(middle.incidence(2))
     for summary in summaries:
-        groupings = summary.by_point()
-        assert groupings[0].dtype == np.int32
-        arrays += [summary.sizes, *groupings, *summary.size_counts(),
+        # one int32 grid, a row of the subspaces through each point
+        grid = summary.by_point()
+        space = summary.space
+        assert grid.dtype == np.int32 and grid.flags.c_contiguous
+        assert grid.shape == (len(summary.pts), gaussian_binomial(
+            space.n, summary.dim, space.q))
+        arrays += [summary.sizes, grid, *summary.size_counts(),
                    summary.per_point_counts(min_size=1)]
         # only a summary that misses some subspace stores its keys
         assert (summary._keys is None) == (summary.x0 == 0)

@@ -193,8 +193,8 @@ def _pairwise_span_report(pts, p0, P, x):
     the pairs were batched: one scalar span per pair of transversals."""
     ctx = spread_context(pts.space)
     pos = int(np.searchsorted(pts.ranks, P))
-    _, flat, _ = traces_of(pts, 1).secants_through(pos, p0 + 1)
-    ys = ctx.transversal_line(pts.ranks[flat].reshape(-1, p0 + 1), x)
+    _, traces = traces_of(pts, 1).secants_through(pos, p0 + 1)
+    ys = ctx.transversal_line(pts.ranks[traces], x)
     ys = ys[ys >= 0].tolist()
     mask = pts.mask()
     failing = []

@@ -91,7 +91,7 @@ def _scan_order(summary, pos):
     ascending."""
     space, field = summary.space, summary.space.field
     n = space.n
-    p = space.coords_of(int(summary.point_ranks[pos]))
+    p = space.coords_of(int(summary.pts.ranks[pos]))
     out = []
     if summary.dim == 1:
         lead = next(i for i, c in enumerate(p) if c)
@@ -117,11 +117,11 @@ def _reference_by_subspace(summary):
     from one sort of every incidence of the by-point grouping, keyed
     slot * m + point for the m points: the whole-table transpose that
     summaries once stored, kept as the reference for the gathers."""
-    flat, offsets = summary.by_point()
-    owners = offsets.size - 1
-    keyed = flat.astype(np.int64)
+    grid = summary.by_point()
+    owners, width = grid.shape
+    keyed = grid.reshape(-1).astype(np.int64)
     keyed *= owners
-    keyed += np.repeat(np.arange(owners, dtype=np.int32), np.diff(offsets))
+    keyed += np.repeat(np.arange(owners, dtype=np.int32), width)
     keyed.sort()
     keyed %= owners
     starts = np.concatenate([[0], np.cumsum(summary.sizes)])
@@ -208,8 +208,7 @@ def test_trace_summaries_match_brute_force(data):
         # the size grid: the sizes of the by-point slots, one row per
         # point, read-only, in the narrowest type that holds them
         grid = summary.point_sizes()
-        slots, _ = summary.by_point()
-        assert np.array_equal(grid, summary.sizes[slots].reshape(m, -1))
+        assert np.array_equal(grid, summary.sizes[summary.by_point()])
         assert grid.dtype == _narrowest(int(summary.sizes.max()))
         assert not grid.flags.writeable and summary.point_sizes() is grid
         # the gathered groups against the whole-table transpose, for
@@ -242,7 +241,7 @@ def test_point_sizes_take_the_narrowest_type():
         assert summary.sizes.dtype == np.int16
         grid = summary.point_sizes()
         assert grid.dtype == dtype and (grid == size).all()
-        assert grid.shape == (len(pts), summary.by_point()[1][1])
+        assert grid.shape == summary.by_point().shape
         assert np.array_equal(summary.per_point_counts(exact=size),
                               np.full(len(pts), grid.shape[1]))
         assert not summary.per_point_counts(min_size=size + 1).any()
@@ -311,23 +310,22 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         summary = subspace_traces(pts, dim)
         (ranks, total), = seen
         keys, sizes, slots = reference_grouping(ranks)
-        got, offsets = summary.by_point()
+        got = summary.by_point()
         m, npar = ranks.shape
         _assert_narrowest_signed(summary.sizes, m)
         assert ranks.dtype == np.int32
-        assert got.dtype == np.int32 and offsets.dtype == np.int64
+        assert got.dtype == np.int32 and got.shape == (m, npar)
         got_keys = summary.keys_of(np.arange(keys.size))
         assert got_keys.dtype == np.int64
         assert np.array_equal(got_keys, keys)
         assert np.array_equal(summary.sizes, sizes)
-        assert np.array_equal(got, slots)
+        assert np.array_equal(got.reshape(-1), slots)
         if summary.x0 == 0:
             # dense: no keys stored, and the scan's array is the slots
             assert summary._keys is None
             assert np.shares_memory(got, ranks)
         else:
             assert summary._keys.dtype == np.int64
-        assert np.array_equal(offsets, np.arange(m + 1) * npar)
         paths.add((_counts(total, ranks.size), summary.x0 == 0))
         if gone is None and ranks.size >= total:
             # each such case meets every subspace; the small set cannot
@@ -370,20 +368,30 @@ def test_secants_through_matches_reference():
         lines = subspace_traces(pts, 1)
         reference = _reference_by_subspace(lines)
         m = len(pts)
+        sels, grids = [], []
         for pos in range(0, m, step):
             through = lines.indices_through_point(pos)
             for size in np.unique(lines.sizes[through]).tolist() + [m + 1]:
-                slots, points, offsets = lines.secants_through(pos, size)
+                slots, points = lines.secants_through(pos, size)
                 want = through[lines.sizes[through] == size]
                 assert slots.tolist() == want.tolist()
-                want_points, want_offsets = _reference_grouped(
-                    reference, lines, want)
+                want_points, _ = _reference_grouped(reference, lines, want)
                 assert points.dtype == np.int32
-                assert np.array_equal(points, want_points)
-                assert np.array_equal(offsets, want_offsets)
+                assert points.shape == (want.size, size)
+                assert np.array_equal(points.reshape(-1), want_points)
+                sels.append(want)
+                grids.append(points.reshape(-1))
+        # the grids are the groups grouped_points gives for the same
+        # slots, gathered in one call
+        grouped, _ = grouped_points(lines, np.concatenate(sels))
+        assert np.array_equal(np.concatenate(grids), grouped)
         for bad in (-1, m):
             with pytest.raises(RangeError):
                 lines.secants_through(bad, 2)
+        # sizes that no line has select no slots and an empty grid
+        for size in (0, -1):
+            slots, points = lines.secants_through(0, size)
+            assert slots.size == 0 and points.shape == (0, 0)
     # a hyperplane summary holds no lines
     cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
     with pytest.raises(DimensionMismatchError):
@@ -478,9 +486,9 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
         m = len(pts)
         seen.clear()
         lines = projspace._scan_lines(space, pts)
-        slots, offsets = lines.by_point()
-        npar = slots.size // m
-        assert np.array_equal(offsets, np.arange(m + 1) * npar)
+        slots = lines.by_point()
+        npar = slots.shape[1]
+        assert slots.shape == (m, npar)
         # the same line for every incidence, in the same order, and the
         # keys of each point's lines ascend
         bases = lines.bases(slots)
@@ -488,8 +496,8 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
                               _reference_line_keys(space, pts))
         assert np.all(np.diff(lines.keys_of(slots).reshape(m, npar)) > 0)
         planes = projspace._scan_hyperplanes(space, pts)
-        slots, offsets = planes.by_point()
-        assert np.array_equal(offsets, np.arange(m + 1) * npar)
+        slots = planes.by_point()
+        assert slots.shape == (m, npar)
         # the same dual ranks through each point, listed ascending
         got = planes.keys_of(slots).reshape(m, npar)
         want = _reference_covector_ranks(space, pts)
@@ -500,7 +508,7 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
         for (ranks, total), summary in zip(seen, (lines, planes)):
             wide = total >= 2 ** 31
             assert ranks.dtype == (np.int64 if wide else np.int32)
-            assert summary.by_point()[0].dtype == np.int32
+            assert summary.by_point().dtype == np.int32
             _assert_narrowest_signed(summary.sizes, m)
         widths.append(tuple(ranks.dtype for ranks, _ in seen))
     # the cases reach both groupings of both scans

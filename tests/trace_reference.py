@@ -33,21 +33,22 @@ def grouped_points(summary, sel):
     repeat slots.
 
     Only the incidences of the selected slots are grouped: a slot mask
-    picks them out of the by-point array, where a flat position divided
+    picks them out of the by-point grid, where a flat position divided
     by the row width is the point, and one sort of the keys slot * m +
     point lays out the distinct slots ascending."""
     sel = np.asarray(sel, dtype=np.int64).reshape(-1)
     counts = summary.sizes[sel]
     offsets = _offsets(counts)
     distinct, place = np.unique(sel, return_inverse=True)
-    slots, starts = summary.by_point()
+    grid = summary.by_point()
+    m, width = grid.shape
+    slots = grid.reshape(-1)
     chosen = np.zeros(summary.sizes.size, dtype=bool)
     chosen[distinct] = True
     hit = np.flatnonzero(chosen[slots])
-    m = summary.point_ranks.size
     keyed = slots[hit].astype(np.int64)
     keyed *= m
-    keyed += hit // starts[1]
+    keyed += hit // width
     keyed.sort()
     keyed %= m
     # the groups of the distinct slots, picked out in sel order
@@ -61,20 +62,23 @@ def reference_chart_marks(summary, sel):
     """(len(sel), q+1) bool: row i marks the chart positions (see
     `linearsets.line_param_positions`) of the set's points on line sel[i]
     of a line summary; sel ascends.  Decoded per incidence: a slot mask
-    picks the selected slots out of the by-point array, a hit's place in
+    picks the selected slots out of the by-point grid, a hit's place in
     sel gives its line and so the line's pivot columns, and the point's
-    coordinates at those columns are ranked as a point of PG(1, q)."""
+    coordinates at those columns are ranked as a point of PG(1, q).
+    `linearsets._bitmasks` packs the rows into the words that
+    `TraceSummary._chart_marks` returns."""
     space = summary.space
     sel = np.asarray(sel, dtype=np.int64)
     j0, j1 = (summary.bases(sel) != 0).argmax(axis=2).T
-    coords = space.coords_of_ranks(summary.point_ranks)
+    coords = space.coords_of_ranks(summary.pts.ranks)
     chosen = np.zeros(summary.sizes.size, dtype=bool)
     chosen[sel] = True
     place = np.cumsum(chosen) - 1
-    slots, starts = summary.by_point()
+    grid = summary.by_point()
+    slots = grid.reshape(-1)
     hit = np.flatnonzero(chosen[slots])
     li = place[slots[hit]]
-    pt = hit // starts[1]
+    pt = hit // grid.shape[1]
     pos = ProjectiveSpace(1, space.field).ranks_from_rows(np.stack(
         [coords[pt, j0[li]], coords[pt, j1[li]]], axis=-1))
     marks = np.zeros((sel.size, space.q + 1), dtype=bool)
