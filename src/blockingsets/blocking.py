@@ -287,8 +287,8 @@ def classify_small_large(pts: PointSet, k: int, p0: int,
 
 
 def tangent_space(pts: PointSet, k: int, point) -> Optional[Subspace]:
-    """First (n-k)-space in enumeration order meeting B only in the given
-    point of B, or None."""
+    """First (n-k)-space, in the order of `subspaces(n-k, through=point)`,
+    meeting B only in the given point of B, or None."""
     space = pts.space
     rank = space.rank_of(_coerce_coords(space, point))
     mask = pts.mask()

@@ -104,6 +104,9 @@ def read_pointset(path: str, with_meta: bool = False):
     except Exception as exc:
         raise ParseError(f"{path}: bad space parameters "
                          f"p={p} t={t} n={n}: {exc}") from exc
+    if space.num_points >= 2 ** 63:
+        raise ParseError(f"{path}: {space!r} has {space.num_points} points, "
+                         "past int64 point ranks")
     q = space.q
     # rank the whole file in one call; a code past int64 or a flagged row
     # sends the rows through the per-row checks, which name the first bad

@@ -30,8 +30,9 @@ from .blocking import (_above, _below, classify_trace, exponent,
                        is_small, is_trivial, nonsecant_point_count,
                        one_mod_p0_applicable, secant_analysis, spectrum,
                        traces_of)
-from .errors import (IoError, NotBlockingError, NotFoundError, ParseError,
-                     SpecMismatchError, TooLargeError)
+from .errors import (BadParamsError, IoError, NotBlockingError,
+                     NotFoundError, ParseError, SpecMismatchError,
+                     TooLargeError)
 from .fields import conway_table_version, exact_log
 from .linearsets import is_linear, subline_meet_check
 from .projspace import PointSet, span
@@ -109,19 +110,31 @@ _CLAIM_KINDS = {"blocking": bool, "small": bool, "minimal": bool,
 
 def load_instance(path: str) -> Instance:
     """Point set plus sidecar; every fault in the sidecar (a missing key, a
-    wrong type, a bad or foreign witness) is a ParseError."""
+    wrong type, an unknown claim, a k outside 1..n-1, a p0 that is no
+    subfield order, a bad or foreign witness) is a ParseError."""
     pts, meta = formats.read_pointset(path, with_meta=True)
     if meta is None:
         raise ParseError(f"{path}: no metadata sidecar")
     side = formats.meta_path(path)
     k = formats.required(meta, "k", int, side)
     p0 = formats.required(meta, "p0", int, side)
+    space = pts.space
+    if not 1 <= k <= space.n - 1:
+        raise ParseError(f"{side}: k={k} out of range 1..{space.n - 1} "
+                         f"for {space!r}")
+    try:
+        space.field.subfield_degree(p0)
+    except BadParamsError as exc:
+        raise ParseError(f"{side}: p0={p0}: {exc}") from exc
 
     def optional(key, kind, default):
         return formats.required(meta, key, kind, side) if key in meta \
             else default
     name = optional("name", str, os.path.splitext(os.path.basename(path))[0])
     claims = optional("claims", dict, {})
+    unknown = sorted(set(claims) - set(_CLAIM_KINDS))
+    if unknown:
+        raise ParseError(f"{side}: unknown claim {unknown[0]!r}")
     for key, kind in _CLAIM_KINDS.items():
         if key in claims:
             formats.required(claims, key, kind, f"{side} claims")

@@ -100,7 +100,6 @@ class ProjectiveSpace:
         self._coords = None
         self._incidence = {}
         self._index_cells = {}
-        self._lines = None
         self._ready = True
 
     def __repr__(self):
@@ -214,8 +213,10 @@ class ProjectiveSpace:
         """Yield all dim-subspaces, optionally only those containing
         `through` (a point rank, coordinates, or Subspace).
 
-        The order is deterministic: pivot column sets ascending, free
-        entries as ascending base-q odometers.
+        Without `through`, the order is that of the keys (see `_cells`):
+        the subspace at place i has key i, so points come in rank order and
+        lines in line-rank order.  With it, the order is that of the
+        quotient space's subspaces.
         """
         if not 0 <= dim <= self.n:
             raise RangeError(f"subspace dimension {dim} out of range")
@@ -246,13 +247,23 @@ class ProjectiveSpace:
             yield Subspace(self, base.rows + tuple(lifted))
 
     def _cells(self, dim: int):
-        """The RREF cells of the dim-subspaces, in enumeration order: each
-        pivot column set (ascending) with its free cells (row, column),
-        row-major.  A cell lists its subspaces as a base-q odometer over
-        the free entries, the first free cell most significant."""
+        """The RREF cells of the dim-subspaces, lazily, in the order of
+        their keys: each pivot column set with its free entries (row,
+        column).  The pivot sets come by last pivot descending, then the
+        one before it, and so on; a cell lists its subspaces as a base-q
+        odometer over its free entries, last row first, columns ascending,
+        the first entry most significant.
+
+        The key of a dim-subspace is its place in this order, one dense
+        numbering for every dimension: the point rank for points, the line
+        rank for lines, 0 for the whole space.  `subspace_bases` decodes
+        keys, `line_keys` ranks lines, and trace summaries key every
+        dimension by it but the hyperplanes of a space with n >= 3, which
+        they key by dual point rank."""
         r, m = dim + 1, self.n + 1
-        for pivots in itertools.combinations(range(m), r):
-            yield pivots, [(i, c) for i in range(r)
+        for comb in itertools.combinations(range(m), r):
+            pivots = tuple(self.n - c for c in reversed(comb))
+            yield pivots, [(i, c) for i in reversed(range(r))
                            for c in range(pivots[i] + 1, m)
                            if c not in pivots]
 
@@ -326,9 +337,10 @@ class ProjectiveSpace:
 
     def incidence(self, dim: int) -> np.ndarray:
         """The dim-subspaces through each point, shape (num_points, theta),
-        theta the number through any one point: row r lists the indices
-        (places in `subspaces(dim)` order) of those through point r,
-        ascending.  Built once per dim; `_index_rows` decodes an index.
+        theta the number through any one point: row r lists the keys
+        (places in `subspaces(dim)` order, see `_cells`) of those through
+        point r, ascending.  Built once per dim; `subspace_bases` decodes
+        a key.
 
         The build goes one RREF cell (see `_cells`) at a time, with no
         row normalized.  For a normalized point a of PG(dim, q) and a
@@ -368,8 +380,8 @@ class ProjectiveSpace:
                 columns.setdefault(c, []).append((place, i))
             for c, entries in columns.items():
                 # the digit at c over the free entries of column c, one
-                # grid axis per row, in row order as in the grid: row i
-                # adds a_i x for its entry x
+                # grid axis per entry, in grid order: row i adds a_i x for
+                # its entry x
                 digit = np.zeros((npar,), dtype=np.int64)
                 shape = [1] * k + [npar]
                 for place, i in entries:
@@ -392,22 +404,39 @@ class ProjectiveSpace:
         return out
 
     def subspace_by_index(self, dim: int, idx: int) -> "Subspace":
-        """The dim-subspace at place idx of the `subspaces(dim)` order."""
-        return _canonical(self, self._index_rows(dim, [int(idx)]))[0]
+        """The dim-subspace with key idx, at place idx of the
+        `subspaces(dim)` order."""
+        return _canonical(self, self.subspace_bases(dim, [int(idx)]))[0]
 
-    def _index_rows(self, dim: int, idx) -> np.ndarray:
-        """Canonical bases, shape (N, dim+1, n+1), of the dim-subspaces at
-        an array of places in the `subspaces(dim)` order: each cell of
-        `_cells` holds q**(free cells) subspaces, and a place within a cell
-        is the base-q numeral of its free entries, as `line_bases` decodes
-        a line rank.  The per-cell tables (first places, pivots, place
-        values) are built once per dim."""
+    def subspace_bases(self, dim: int, keys) -> np.ndarray:
+        """Canonical bases, shape (N, dim+1, n+1), of an array of
+        dim-subspace keys (see `_cells`): a key lies in the last cell whose
+        first key is at most it, and its free entries are the base-q
+        digits of its place in that cell."""
         if not 0 <= dim <= self.n:
             raise RangeError(f"subspace dimension {dim} out of range")
+        starts, pivots, weights = self._cell_table(dim)
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if keys.size and not 0 <= keys.min() <= keys.max() \
+                < self.num_subspaces(dim):
+            raise RangeError(f"dim {dim} subspace key out of range for "
+                             f"{self!r}")
+        which = np.searchsorted(starts, keys, side="right") - 1
+        w = weights[which]
+        local = (keys - starts[which])[:, None, None]
+        rows = np.where(w > 0, local // np.maximum(w, 1) % self.q, 0)
+        rows[np.arange(keys.size)[:, None], np.arange(dim + 1),
+             pivots[which]] = 1
+        return rows
+
+    def _cell_table(self, dim: int) -> tuple:
+        """(starts, pivots, weights): per cell of `_cells(dim)`, its first
+        key, its pivot columns, and the place value of each free entry at
+        its (row, column), 0 elsewhere.  Built once per dim."""
         if dim not in self._index_cells:
             if self.num_subspaces(dim) >= 2 ** 63:
                 raise TooLargeError(
-                    f"dim {dim} subspace indices of {self!r} exceed int64")
+                    f"dim {dim} subspace keys of {self!r} exceed int64")
             cells = list(self._cells(dim))
             weights = np.zeros((len(cells), dim + 1, self.n + 1),
                                dtype=np.int64)
@@ -419,38 +448,15 @@ class ProjectiveSpace:
                 _frozen(np.cumsum(sizes) - sizes),
                 _frozen(np.asarray([piv for piv, _ in cells])),
                 _frozen(weights))
-        return _unrank(self, self.num_subspaces(dim),
-                       *self._index_cells[dim], idx)
+        return self._index_cells[dim]
 
-    # -- dense line ranks ------------------------------------------------------
-
-    def _line_cells(self) -> tuple:
-        """Tables of the dense line rank, built once.  A line's canonical
-        basis pivots at columns c1 < c2, its cell; the cells come by c2
-        descending, then c1 descending.  The rank is the cell's offset (the
-        lines in the cells before it) plus the base-q numeral of the free
-        digits: row 2's, then row 1's, lower columns more significant.
-        Returns offsets[c1, c2], weights[c1, c2, r, c] (the place value of
-        row r, column c; 0 where no digit is free) and the cells in order."""
-        if self._lines is None:
-            n, q = self.n, self.q
-            if self.num_subspaces(1) >= 2 ** 63:
-                raise TooLargeError(f"line ranks of {self!r} exceed int64")
-            offsets = np.zeros((n + 1, n + 1), dtype=np.int64)
-            weights = np.zeros((n + 1, n + 1, 2, n + 1), dtype=np.int64)
-            cells, start = [], 0
-            for c2 in range(n, 0, -1):
-                for c1 in range(c2 - 1, -1, -1):
-                    free = [(1, c) for c in range(c2 + 1, n + 1)] \
-                        + [(0, c) for c in range(c1 + 1, n + 1) if c != c2]
-                    for place, (r, c) in enumerate(reversed(free)):
-                        weights[c1, c2, r, c] = q ** place
-                    offsets[c1, c2] = start
-                    start += q ** len(free)
-                    cells.append((c1, c2))
-            self._lines = (_frozen(offsets), _frozen(weights),
-                           _frozen(np.asarray(cells, dtype=np.int64)))
-        return self._lines
+    def _line_cell_at(self) -> np.ndarray:
+        """The (n+1, n+1) lookup from the pivot columns (c1, c2) of a line
+        to its cell's place in `_cell_table(1)`."""
+        _, pivots, _ = self._cell_table(1)
+        at = np.zeros((self.n + 1, self.n + 1), dtype=np.intp)
+        at[pivots[:, 0], pivots[:, 1]] = np.arange(pivots.shape[0])
+        return at
 
     def rref_rows(self, stack) -> tuple:
         """Batched row reduction of an (N, R, n+1) stack of row sets, any
@@ -498,24 +504,24 @@ class ProjectiveSpace:
         return rows, ranks
 
     def line_keys(self, stack) -> np.ndarray:
-        """Dense ranks of the lines spanned by the row pairs of an
-        (N, 2, n+1) stack: their canonical bases (`rref_rows`), ranked as in
-        `_line_cells`."""
+        """Line ranks, the keys of `_cells(1)`, of the lines spanned by the
+        row pairs of an (N, 2, n+1) stack: their canonical bases
+        (`rref_rows`), ranked by `_rank_line_rows`."""
         rows, ranks = self.rref_rows(stack)
         if (ranks != 2).any():
             raise BadParamsError("row pairs that do not span a line")
         return self._rank_line_rows(rows)
 
     def _rank_line_rows(self, rows) -> np.ndarray:
-        """Dense ranks of an (N, 2, n+1) stack of canonical line bases, as
-        in `_line_cells`: the cell's offset plus the numeral of the free
-        digits.  The rows are not reduced."""
-        c1, c2 = (rows != 0).argmax(axis=2).T
-        offsets, weights, _ = self._line_cells()
-        return offsets[c1, c2] + (rows * weights[c1, c2]).sum(axis=(1, 2))
+        """Line ranks of an (N, 2, n+1) stack of canonical line bases: the
+        first key of the cell of their pivot columns plus the numeral of
+        their free digits.  The rows are not reduced."""
+        starts, _, weights = self._cell_table(1)
+        which = self._line_cell_at()[tuple((rows != 0).argmax(axis=2).T)]
+        return starts[which] + (rows * weights[which]).sum(axis=(1, 2))
 
     def lines_inside(self, bases) -> np.ndarray:
-        """Dense ranks, shape (N, L), of the lines inside each of N
+        """Line ranks, shape (N, L), of the lines inside each of N
         subspaces of one dimension d >= 1 given by their canonical bases,
         an (N, d+1, n+1) stack: column j is the lift of line j of PG(d, q),
         in rank order, so L is the number of lines of PG(d, q).
@@ -530,7 +536,7 @@ class ProjectiveSpace:
         bases = np.asarray(bases, dtype=np.int64)
         num, height, width = bases.shape
         small = ProjectiveSpace(height - 1, self.field)
-        coeff = small.line_bases(np.arange(small.num_subspaces(1)))
+        coeff = small.subspace_bases(1, np.arange(small.num_subspaces(1)))
         out = np.empty((num, coeff.shape[0]), dtype=np.int64)
         step = max(1, _SCAN_BLOCK_BYTES // (8 * coeff.shape[0] * 2 * width))
         for start in range(0, num, step):
@@ -540,38 +546,11 @@ class ProjectiveSpace:
                 .reshape(-1, 2, width)).reshape(-1, coeff.shape[0])
         return out
 
-    def line_bases(self, ranks) -> np.ndarray:
-        """Canonical 2-row bases, shape (N, 2, n+1), of an array of dense
-        line ranks: the inverse of `line_keys` on canonical bases."""
-        offsets, weights, cells = self._line_cells()
-        c1, c2 = cells.T
-        return _unrank(self, self.num_subspaces(1), offsets[c1, c2], cells,
-                       weights[c1, c2], ranks)
-
 
 def _coerce_coords(space, item) -> tuple:
     if isinstance(item, (int, np.integer)):
         return space.coords_of(int(item))
     return space.normalize(item)
-
-
-def _unrank(space, total, starts, pivots, weights, keys) -> np.ndarray:
-    """Canonical bases, shape (N, r, n+1), of an array of dense keys in
-    range(total), whose subspaces come in cells: cell j holds the keys
-    from starts[j] (ascending), its r rows pivot at the columns pivots[j],
-    and weights[j] holds the place value of each free entry (0 elsewhere),
-    so a key's free entries are the base-q digits of its place in its
-    cell."""
-    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-    if keys.size and not 0 <= keys.min() <= keys.max() < total:
-        raise RangeError(f"subspace key out of range for {space!r}")
-    which = np.searchsorted(starts, keys, side="right") - 1
-    w = weights[which]
-    local = (keys - starts[which])[:, None, None]
-    rows = np.where(w > 0, local // np.maximum(w, 1) % space.q, 0)
-    rows[np.arange(keys.size)[:, None], np.arange(pivots.shape[1]),
-         pivots[which]] = 1
-    return rows
 
 
 def _canonical(space, stack) -> list:
@@ -845,15 +824,12 @@ class TraceSummary:
 
     Only subspaces that meet the set are held explicitly: slot i has a key
     and a size, everything else is the x_0 count.  A key is a dense index
-    in range(total), and the keys ascend.  The dimension says which index,
-    each decoded in closed form:
-
-    - dim = 1: the dense line rank: pivot cells (c1, c2) by c2 descending,
-      then c1 descending, then the free digits as a base-q numeral (see
-      `ProjectiveSpace._line_cells`),
-    - dim = n-1: the point rank of the covector in the dual space,
-    - otherwise: the index in the space's enumeration order (see
-      `ProjectiveSpace._index_rows`), the single key 0 when dim = n.
+    in range(total), and the keys ascend.  One rule says which index, each
+    decoded in closed form: the hyperplanes of a space with n >= 3 are
+    keyed by the point rank of their covector in the dual space, and every
+    other dimension by the subspace's place in the `subspaces(dim)` order
+    (see `ProjectiveSpace._cells`), which `subspace_bases` decodes: the
+    line rank for lines, the single key 0 when dim = n.
 
     Every scan lists, for each point of the set, the keys of the
     dim-subspaces through it, ascending, as int32 whenever every key fits
@@ -1141,11 +1117,9 @@ class TraceSummary:
 
     def _decode(self, keys: np.ndarray) -> np.ndarray:
         space, dim = self.space, self.dim
-        if dim == 1:
-            return space.line_bases(keys)
-        if dim == space.n - 1:
+        if dim == space.n - 1 > 1:
             return space._hyperplane_rows(space.coords_of_ranks(keys))
-        return space._index_rows(dim, keys)
+        return space.subspace_bases(dim, keys)
 
     def subspace_at(self, idx: int) -> Subspace:
         return _canonical(self.space, self.bases([idx]))[0]
@@ -1183,17 +1157,20 @@ class TraceSummary:
 def _scan_lines(space, pts: PointSet) -> TraceSummary:
     """Traces of all lines meeting the set, by enumerating per point the
     lines through it (each meeting line is hit once per contained point).
+    The keys are line ranks, the lines' places in the `subspaces(1)` order
+    (see `ProjectiveSpace._cells`), as for every dimension but the
+    hyperplanes of a space with n >= 3.
 
     The lines through P are P w for the points w of PG(n-1, q) placed in
     the columns other than P's lead l, taken in rank order.  That order
     lists each lead of w as a C-order grid of its free digits, and such a
-    block lies in one cell of the line rank (see `_line_cells`): with lw
-    the lead of w, the basis is (w, P) in cell (lw, l) when lw < l, and
-    (P - P_lw w, w) in cell (l, lw) when lw > l, whose first row holds
-    P_c - P_lw w_c in each column c > lw.  So each block's ranks are the
-    cell's offset plus broadcast adds of per-point q-vectors.  The blocks
-    come in cell order, and w's digits are the most significant that vary
-    within one, so each point's ranks ascend.
+    block lies in one cell of `_cells(1)`: with lw the lead of w, the
+    basis is (w, P) in cell (lw, l) when lw < l, and (P - P_lw w, w) in
+    cell (l, lw) when lw > l, whose first row holds P_c - P_lw w_c in each
+    column c > lw.  So each block's ranks are the cell's first key plus
+    broadcast adds of per-point q-vectors.  The blocks come in cell order,
+    and w's digits are the most significant that vary within one, so each
+    point's ranks ascend.
 
     Layout contract, which `TraceSummary._chart_marks` reads: P's row lists
     the column blocks j = n-1, ..., 0 of q^(n-1-j) entries each, block j
@@ -1211,7 +1188,8 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     coords = pts.coords()
     lead = (coords != 0).argmax(axis=1)
     npar = (q ** n - 1) // (q - 1)
-    offsets, weights, _ = space._line_cells()
+    starts, _, weights = space._cell_table(1)
+    cell = space._line_cell_at()
     digits = np.arange(q, dtype=np.int64)
     total = space.num_subspaces(1)
     ranks = np.empty((m, npar), dtype=_rank_dtype(total))
@@ -1229,24 +1207,24 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
             start += size
             if j < l:
                 # rows (w, P): the free digits of w sit in the first row
-                weight = weights[j, l]
+                weight = weights[cell[j, l]]
                 grid = np.zeros(1, dtype=np.int64)
                 for c in range(j + 1, n + 1):
                     if c != l:
                         grid = (grid[:, None]
                                 + digits * weight[0, c]).reshape(-1)
-                np.add((p @ weight[1] + offsets[j, l])[:, None], grid,
+                np.add((p @ weight[1] + starts[cell[j, l]])[:, None], grid,
                        out=out)
                 continue
             # rows (P - P_lw w, w) with lw = j + 1
             lw = j + 1
-            weight = weights[l, lw]
+            weight = weights[cell[l, lw]]
             step = max(1, _SCAN_BLOCK_BYTES // (8 * size))
             for r0 in range(0, p.shape[0], step):
                 pb = p[r0:r0 + step]
                 dst = out[r0:r0 + step]
                 acc = (pb[:, :lw] @ weight[0, :lw]
-                       + offsets[l, lw])[:, None]
+                       + starts[cell[l, lw]])[:, None]
                 scale = mul[neg[pb[:, lw]][:, None], digits]
                 terms = [add[pb[:, c, None], scale] * weight[0, c]
                          + digits * weight[1, c]

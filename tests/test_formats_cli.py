@@ -289,6 +289,15 @@ def test_cli_check_code_past_int64_exits_3(capsys, tmp_path, code):
     assert err.startswith("error: ParseError:")
 
 
+def test_cli_check_space_past_int64_ranks_exits_3(capsys, tmp_path):
+    # PG(30, 9) has over 2^63 points, past the int64 point ranks
+    path = tmp_path / "wide.pts"
+    path.write_text("pointset 1 3 2 30\n" + " ".join("1" * 31) + "\n")
+    status, _, err = run_cli(capsys, "check", str(path))
+    assert status == 3
+    assert err.startswith("error: ParseError:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "PTS"), ("reconstruct", "PTS", "--p0", "3"),
     ("islinear", "PTS", "--p0", "3"), ("secants", "PTS", "--p0", "3"),
@@ -464,6 +473,12 @@ _MALFORMED = {
     "claims-exponent-string": _put("x", "claims", "exponent"),
     "claims-blocking-string": _put("yes", "claims", "blocking"),
     "claims-exponent-bool": _put(True, "claims", "exponent"),
+    # a misspelt claim would otherwise pass as holding
+    "claims-unknown-name": _put(False, "claims", "blockng"),
+    # PG(2, 9) takes k = 1 only, and has the subfields GF(3) and GF(9)
+    "k-zero": _put(0, "k"),
+    "k-past-n-1": _put(5, "k"),
+    "p0-no-subfield": _put(4, "p0"),
     "witness-list": _put([1, 2], "witness"),
     "witness-p-string": _put("3", "witness", "space", "p"),
     "witness-p-not-prime": _put(4, "witness", "space", "p"),
@@ -496,11 +511,14 @@ def test_cli_harness_malformed_sidecar_exits_3(tmp_path, capsys, edit):
         harness.load_instance(str(tmp_path / "baer_pg2_9.pts"))
     code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path))
     assert code == 3 and "ParseError" in err, err
+    # one error line that names the sidecar, no traceback
+    assert err.startswith("error: ParseError:") and err.count("\n") == 1
+    assert "baer_pg2_9.meta.json" in err
 
 
 def test_cli_harness_rejects_p0_zero(tmp_path, capsys):
-    # p0 = 0 is no subfield order; the secant floor's logarithm of it
-    # must end, not loop
+    # p0 = 0 is no subfield order, a sidecar fault; the logarithm that
+    # tells so must end, not loop
     src = catalogue.shipped_dir() + "/baer_pg2_9"
     shutil.copy(src + ".pts", tmp_path / "baer_pg2_9.pts")
     meta = json.load(open(src + ".meta.json"))
@@ -508,7 +526,7 @@ def test_cli_harness_rejects_p0_zero(tmp_path, capsys):
     with open(tmp_path / "baer_pg2_9.meta.json", "w") as fh:
         json.dump(meta, fh)
     code, _, err = run_cli(capsys, "harness", "--dir", str(tmp_path))
-    assert code == 2 and "BadParamsError" in err, err
+    assert code == 3 and "ParseError" in err, err
 
 
 def test_cli_harness_rejects_unknown_names(capsys):

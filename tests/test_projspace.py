@@ -383,7 +383,7 @@ def test_packed_line_keys_roundtrip():
     pts = PointSet(space, np.arange(25, dtype=np.int64) * 7)
     lines = subspace_traces(pts, 1)
     sel = np.arange(min(40, lines.sizes.size))
-    bulk = space.line_bases(lines.keys_of(sel))
+    bulk = space.subspace_bases(1, lines.keys_of(sel))
     assert np.array_equal(lines.bases(sel), bulk)
     assert np.array_equal(space.line_keys(bulk), lines.keys_of(sel))
     for pos in sel.tolist():
@@ -431,26 +431,65 @@ def test_line_rank_is_invariant_under_row_operations(data):
     assert space.line_keys(np.asarray(variants)).tolist() == [key] * 4
     line = Subspace(space, [pa, pb])
     assert int(space.line_keys(np.asarray([line.rows]))[0]) == key
-    assert space.line_bases([key])[0].tolist() == [list(r) for r in line.rows]
+    assert space.subspace_bases(1, [key])[0].tolist() == [
+        list(r) for r in line.rows]
     # any rank unranks to canonical rows that rank back to it
     rank = data.draw(st.integers(0, space.num_subspaces(1) - 1))
-    rows = space.line_bases([rank])
+    rows = space.subspace_bases(1, [rank])
     assert Subspace(space, rows[0].tolist()).rows == \
         tuple(map(tuple, rows[0].tolist()))
     assert space.line_keys(rows).tolist() == [rank]
 
 
-@pytest.mark.parametrize("n,p,t", LINE_SPACES)
+# PG(2,4), PG(3,3), PG(4,2), PG(4,3), PG(5,2): one numbering for every
+# dimension
+NUMBERING_SPACES = [(2, 2, 2), (3, 3, 1), (4, 2, 1), (4, 3, 1), (5, 2, 1)]
+
+
+@pytest.mark.parametrize("n,p,t", LINE_SPACES + [(4, 3, 1), (5, 2, 1)])
 def test_line_ranks_cover_every_line_once(n, p, t):
     space = pg(n, p, t)
     every = np.arange(space.num_subspaces(1))
-    bases = space.line_bases(every)
+    bases = space.subspace_bases(1, every)
     assert np.array_equal(space.line_keys(bases), every)
+    # the enumeration lists the lines in line-rank order
     enumerated = np.asarray([sub.rows for sub in space.subspaces(1)])
-    assert np.array_equal(np.sort(space.line_keys(enumerated)), every)
+    assert np.array_equal(enumerated, bases)
+    assert np.array_equal(space.line_keys(enumerated), every)
     for bad in (-1, every.size):
         with pytest.raises(RangeError):
-            space.line_bases([bad])
+            space.subspace_bases(1, [bad])
+
+
+@pytest.mark.parametrize("n,p,t", NUMBERING_SPACES)
+def test_point_keys_are_point_ranks(n, p, t):
+    space = pg(n, p, t)
+    every = list(range(space.num_points))
+    want = [space.coords_of(r) for r in every]
+    assert [space.subspace_by_index(0, r).rows[0] for r in every] == want
+    assert [sub.rows[0] for sub in space.subspaces(0)] == want
+    assert np.array_equal(space.subspace_bases(0, every)[:, 0],
+                          space.coords_array())
+
+
+@pytest.mark.parametrize("n,p,t", [s for s in NUMBERING_SPACES if s[0] > 3])
+def test_middle_dimension_keys_are_places_in_the_enumeration(n, p, t):
+    space = pg(n, p, t)
+    rng = np.random.default_rng(7)
+    pts = PointSet(space, rng.choice(space.num_points,
+                                     size=space.num_points // 5,
+                                     replace=False))
+    for dim in range(2, n - 1):
+        summary = subspace_traces(pts, dim)
+        sel = np.arange(summary.sizes.size)
+        keys = summary.keys_of(sel)
+        bases = summary.bases(sel)
+        assert np.array_equal(bases, space.subspace_bases(dim, keys))
+        every = list(space.subspaces(dim))
+        assert [every[key].rows for key in keys.tolist()] == [
+            tuple(map(tuple, rows)) for rows in bases.tolist()]
+        assert [np.intersect1d(every[key].point_ranks(), pts.ranks).size
+                for key in keys.tolist()] == summary.sizes.tolist()
 
 
 @pytest.mark.parametrize("n,p,t,dim", [(3, 2, 2, 2), (3, 3, 1, 2),
@@ -461,15 +500,16 @@ def test_lines_inside_are_the_lines_of_each_subspace(monkeypatch, n, p, t,
     subs = list(space.subspaces(dim))
     bases = np.asarray([sub.rows for sub in subs])
     line_points = [set(Subspace(space, rows).point_ranks().tolist())
-                   for rows in space.line_bases(
-                       np.arange(space.num_subspaces(1))).tolist()]
+                   for rows in space.subspace_bases(
+                       1, np.arange(space.num_subspaces(1))).tolist()]
     want = []
     for sub in subs:
         inside = set(sub.point_ranks().tolist())
         want.append([j for j, on in enumerate(line_points) if on <= inside])
     # column j lifts line j of PG(dim, q) through the chart, reduced
     chart = SubspaceChart(subs[-1])
-    small = chart.small.line_bases(np.arange(chart.small.num_subspaces(1)))
+    small = chart.small.subspace_bases(
+        1, np.arange(chart.small.num_subspaces(1)))
     lifted = [Subspace(space, [chart.to_ambient(r) for r in rows]).rows
               for rows in small.tolist()]
     nlines = small.shape[0]
@@ -493,7 +533,8 @@ def test_line_ranks_refuse_more_lines_than_int64_holds():
     top = np.ones((1, 2, 32), dtype=np.int64)
     top[0, 0, 1] = top[0, 1, 0] = 0
     assert space.line_keys(top).tolist() == [space.num_subspaces(1) - 1]
-    assert np.array_equal(space.line_bases([space.num_subspaces(1) - 1]), top)
+    assert np.array_equal(
+        space.subspace_bases(1, [space.num_subspaces(1) - 1]), top)
     with pytest.raises(TooLargeError):
         pg(32, 2).line_keys(np.eye(2, 33, dtype=np.int64)[None])
 
@@ -610,7 +651,7 @@ def test_incidence_table_matches_reference_construction(
     got = space.incidence(dim)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     # the table's indices decode to the reference's bases
-    decoded = space._index_rows(dim, np.arange(space.num_subspaces(dim)))
+    decoded = space.subspace_bases(dim, np.arange(space.num_subspaces(dim)))
     assert decoded.dtype == bases.dtype and np.array_equal(decoded, bases)
 
 
@@ -629,7 +670,7 @@ def test_incidence_table_does_not_depend_on_the_chunk_size(
     assert got is not want and got.dtype == want.dtype
     assert np.array_equal(got, want)
     assert np.array_equal(
-        space._index_rows(dim, np.arange(space.num_subspaces(dim))), bases)
+        space.subspace_bases(dim, np.arange(space.num_subspaces(dim))), bases)
 
 
 def test_incidence_dimension_out_of_range():
@@ -777,7 +818,7 @@ def test_subspace_by_index_matches_the_incidence_bases(n, q):
     space = pg(n, q)
     for dim in range(n + 1):
         want = [sub.rows for sub in space._subspaces_all(dim)]
-        bulk = space._index_rows(dim, np.arange(len(want)))
+        bulk = space.subspace_bases(dim, np.arange(len(want)))
         assert bulk.shape == (len(want), dim + 1, n + 1)
         assert [tuple(map(tuple, rows)) for rows in bulk.tolist()] == want
         assert [space.subspace_by_index(dim, idx).rows
@@ -803,12 +844,12 @@ def test_subspace_by_index_decodes_without_the_table(monkeypatch):
         lo += size
     assert lo == space.num_subspaces(2)
     # the bulk decoder gives the same bases at every cell boundary at once
-    bulk = space._index_rows(2, [idx for idx, _ in ends][::-1])
+    bulk = space.subspace_bases(2, [idx for idx, _ in ends][::-1])
     assert [tuple(map(tuple, rows)) for rows in bulk.tolist()] == [
         rows for _, rows in ends][::-1]
     for bad in ([-1], [lo], [0, lo], [lo + 10 ** 6]):
         with pytest.raises(RangeError):
-            space._index_rows(2, bad)
+            space.subspace_bases(2, bad)
     assert space._incidence == {}
 
 
