@@ -170,13 +170,15 @@ def cmd_islinear(args) -> int:
 # -- harness -------------------------------------------------------------------
 
 def cmd_harness(args) -> int:
-    names = args.instances.split(",") if args.instances else None
+    # an empty list names '', which is unknown: a usage error, not a
+    # selection of everything
+    names = None if args.instances is None else args.instances.split(",")
     if args.dir:
         instances = harness.load_catalogue(args.dir, names)
     else:
         instances = catalogue.load_shipped(names)
-    checks = args.checks.split(",") if args.checks else None
-    if checks:
+    checks = None if args.checks is None else args.checks.split(",")
+    if checks is not None:
         unknown = set(checks) - set(harness.CHECK_IDS)
         if unknown:
             raise NotFoundError(f"unknown checks {sorted(unknown)}")

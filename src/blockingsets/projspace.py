@@ -831,36 +831,32 @@ class TraceSummary:
     (see `ProjectiveSpace._cells`), which `subspace_bases` decodes: the
     line rank for lines, the single key 0 when dim = n.
 
-    Every scan lists, for each point of the set, the keys of the
-    dim-subspaces through it, ascending, as int32 whenever every key fits
-    (int64 otherwise), and `_by_point_summary` groups those incidences in
-    one of two regimes, chosen by the byte size of a count array over the
-    key range (8 bytes per key) and by that range against the incidences:
-    a small count array over a range not much larger than the incidences
-    is counted with a bincount per bounded block of incidences; otherwise
-    (the lines of a large space, or a small set) a copy of the keys is
-    sorted and its runs counted, with no range-sized array.  When every
-    key occurs (a set that meets every dim-subspace, as a blocking set
-    meets the subspaces of its scan), the summary is dense: a slot is its
-    key, no keys are stored, and the scan's int32 array itself is the
-    by-point grouping.  Otherwise the keys that occur are stored (int64)
-    and the slots are their places among them (int32).  The sizes are
-    held in the smallest signed integer type that holds the set's size,
-    so they never wrap on subtraction; compare them with exact integers,
-    not with products that could wrap.
+    Every scan hands `_by_point_summary` a row generator of the keys of
+    the dim-subspaces through each point, ascending (int32 whenever every
+    key fits).  When every key occurs (a set that meets every
+    dim-subspace, as a blocking set meets the subspaces of its scan), the
+    summary is dense: a slot is its key and no keys are stored.
+    Otherwise the keys that occur are stored (int64) and the slots are
+    their places among them (int32).  The sizes are held in the smallest
+    signed integer type that holds the set's size, so they never wrap on
+    subtraction; compare them with exact integers, not with products
+    that could wrap.
 
     Keys are read through `keys_of` alone: `bases` turns any selection of
     slots into canonical RREF basis rows, `first_uncovered` unranks the
     first missing key, and `witness_order` orders line slots by their
     bases.  The incidences between slots and points (a point is its
-    position in the set's rank order) are stored once, by point: every
+    position in the set's rank order) are held once, by point: every
     scan gives each point the same number of slots, its width, so they
     form one (m, width) int32 grid (`by_point`), row p holding the slots
     through the point at position p, ascending, which is the scan order
-    (`indices_through_point`).  The sizes of its slots, gathered once
-    into a grid of the same shape (`point_sizes`), serve every per-point
-    count and the subline checks' search for the secants through each
-    point.  The points' coordinates are those the set `pts` caches.
+    (`indices_through_point`).  A counted scan of more than one block
+    keeps its row generator instead, and the first per-point read builds
+    the grid: such a summary asked only for sizes holds no array of
+    incidence length.  The sizes of its slots, gathered once into a grid
+    of the same shape (`point_sizes`), serve every per-point count and
+    the subline checks' search for the secants through each point.  The
+    points' coordinates are those the set `pts` caches.
 
     The point positions of the lines through one point are built per
     call and never cached: `secants_through` finds them from the set's
@@ -878,7 +874,10 @@ class TraceSummary:
         # None on a dense summary, whose slots are its keys
         self._keys = None if keys is None else _frozen(keys)
         self.sizes = _frozen(sizes)
-        self._slots = _frozen(slots)
+        # the by-point grid, or None and the scan's row generator until
+        # the first per-point read builds the grid
+        self._slots, self._ranks_of = (None, slots) if callable(slots) \
+            else (_frozen(slots), None)
         self._counts = {}
         self._point_sizes = None
         self._size_counts = None
@@ -890,16 +889,21 @@ class TraceSummary:
 
     def size_counts(self) -> tuple:
         """(sizes, counts): the distinct trace sizes of the slots,
-        ascending, and how many slots have each.  Computed once; the
+        ascending (in the sizes' type, int16 at least), and how many slots
+        have each (intp).  Computed once, a bincount over each block of
+        `_SCAN_BLOCK_BYTES` / 8 sizes (every size is at least 1); the
         arrays are read-only."""
         if self._size_counts is None:
             with _TRACE_LOCK:
                 if self._size_counts is None:
-                    # numpy sorts int8 several times slower than int16
-                    vals, cnts = np.unique(self.sizes.astype(np.promote_types(
-                        self.sizes.dtype, np.int16), copy=False),
-                        return_counts=True)
-                    self._size_counts = (_frozen(vals), _frozen(cnts))
+                    sizes, step = self.sizes, max(1, _SCAN_BLOCK_BYTES // 8)
+                    cnts = np.zeros(int(sizes.max()) + 1, dtype=np.intp)
+                    for b in range(0, sizes.size, step):
+                        cnts += np.bincount(sizes[b:b + step],
+                                            minlength=cnts.size)
+                    vals = np.flatnonzero(cnts).astype(
+                        np.promote_types(sizes.dtype, np.int16))
+                    self._size_counts = (_frozen(vals), _frozen(cnts[vals]))
         return self._size_counts
 
     def spectrum(self) -> dict:
@@ -913,7 +917,22 @@ class TraceSummary:
 
     def by_point(self) -> np.ndarray:
         """The (points, width) int32 grid of slots: row p holds the slots
-        through the point at position p, ascending."""
+        through the point at position p, ascending; read-only.  A summary
+        that kept its scan's row generator builds it on the first read, a
+        tail block of rows at a time, a key being its slot when dense and
+        its place in the stored keys otherwise."""
+        if self._slots is None:
+            with _TRACE_LOCK:
+                if self._slots is None:
+                    m, space = len(self.pts), self.space
+                    width = gaussian_binomial(space.n, self.dim, space.q)
+                    grid = np.empty((m, width), dtype=np.int32)
+                    rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
+                    for r0 in range(0, m, rows):
+                        block = self._ranks_of(r0, min(r0 + rows, m))
+                        grid[r0:r0 + rows] = block if self._keys is None \
+                            else np.searchsorted(self._keys, block)
+                    self._slots, self._ranks_of = _frozen(grid), None
         return self._slots
 
     def _check_slots(self, sel: np.ndarray):
@@ -1036,9 +1055,9 @@ class TraceSummary:
         return sel, words
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
-        if not 0 <= pt_pos < self._slots.shape[0]:
+        if not 0 <= pt_pos < len(self.pts):
             raise RangeError(f"point position {pt_pos} out of range")
-        return self._slots[pt_pos]
+        return self.by_point()[pt_pos]
 
     def point_sizes(self) -> np.ndarray:
         """The (points, width) grid of the trace sizes of the by-point
@@ -1051,17 +1070,17 @@ class TraceSummary:
         if self._point_sizes is None:
             with _TRACE_LOCK:
                 if self._point_sizes is None:
-                    slots = self._slots.reshape(-1)
+                    slots = self.by_point()
+                    flat = slots.reshape(-1)
                     narrow = self.sizes.astype(
                         _size_dtype(int(self.sizes.max())), copy=False)
-                    grid = np.empty(slots.size, dtype=narrow.dtype)
+                    grid = np.empty(flat.size, dtype=narrow.dtype)
                     step = max(1, _SCAN_BLOCK_BYTES // 8)
-                    for b in range(0, slots.size, step):
-                        np.take(narrow, slots[b:b + step],
+                    for b in range(0, flat.size, step):
+                        np.take(narrow, flat[b:b + step],
                                 out=grid[b:b + step])
                     del narrow
-                    self._point_sizes = _frozen(
-                        grid.reshape(self._slots.shape))
+                    self._point_sizes = _frozen(grid.reshape(slots.shape))
         return self._point_sizes
 
     def per_point_counts(self, min_size=2, exact=None) -> np.ndarray:
@@ -1179,12 +1198,12 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     pivot columns) P is the PG(1, q) point (0 : 1), rank 0, when j < l,
     and (1 : P_(j+1)), rank 1 + P_(j+1), when j >= l.
 
-    The second kind of block is built a bounded block of rows at a time,
-    whose int64 temporaries take at most _SCAN_BLOCK_BYTES (one row at
-    least), and its last broadcast add writes into the ranks."""
+    The scan is a row generator over the point positions r0..r1.  Within
+    a call the second kind of block is built a bounded block of rows at a
+    time, whose int64 temporaries take at most _SCAN_BLOCK_BYTES (one row
+    at least), and its last broadcast add writes into the ranks."""
     add, mul, neg, _ = space.field.tables()
     n, q = space.n, space.q
-    m = len(pts)
     coords = pts.coords()
     lead = (coords != 0).argmax(axis=1)
     npar = (q ** n - 1) // (q - 1)
@@ -1192,53 +1211,57 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     cell = space._line_cell_at()
     digits = np.arange(q, dtype=np.int64)
     total = space.num_subspaces(1)
-    ranks = np.empty((m, npar), dtype=_rank_dtype(total))
-    for l in range(n + 1):
-        # the ranks ascend, so the points of one lead are contiguous
-        rows = np.flatnonzero(lead == l)
-        if not rows.size:
-            continue
-        grp = slice(rows[0], rows[-1] + 1)
-        p = coords[grp]
-        start = 0
-        for j in range(n - 1, -1, -1):
-            size = q ** (n - 1 - j)
-            out = ranks[grp, start:start + size]
-            start += size
-            if j < l:
-                # rows (w, P): the free digits of w sit in the first row
-                weight = weights[cell[j, l]]
-                grid = np.zeros(1, dtype=np.int64)
-                for c in range(j + 1, n + 1):
-                    if c != l:
-                        grid = (grid[:, None]
-                                + digits * weight[0, c]).reshape(-1)
-                np.add((p @ weight[1] + starts[cell[j, l]])[:, None], grid,
-                       out=out)
+
+    def ranks_of(r0, r1):
+        ranks = np.empty((r1 - r0, npar), dtype=_rank_dtype(total))
+        for l in range(n + 1):
+            # the ranks ascend, so the points of one lead are contiguous
+            rows = np.flatnonzero(lead[r0:r1] == l)
+            if not rows.size:
                 continue
-            # rows (P - P_lw w, w) with lw = j + 1
-            lw = j + 1
-            weight = weights[cell[l, lw]]
-            step = max(1, _SCAN_BLOCK_BYTES // (8 * size))
-            for r0 in range(0, p.shape[0], step):
-                pb = p[r0:r0 + step]
-                dst = out[r0:r0 + step]
-                acc = (pb[:, :lw] @ weight[0, :lw]
-                       + starts[cell[l, lw]])[:, None]
-                scale = mul[neg[pb[:, lw]][:, None], digits]
-                terms = [add[pb[:, c, None], scale] * weight[0, c]
-                         + digits * weight[1, c]
-                         for c in range(lw + 1, n + 1)]
-                if not terms:
-                    dst[...] = acc
+            grp = slice(rows[0], rows[-1] + 1)
+            p = coords[r0:r1][grp]
+            start = 0
+            for j in range(n - 1, -1, -1):
+                size = q ** (n - 1 - j)
+                out = ranks[grp, start:start + size]
+                start += size
+                if j < l:
+                    # rows (w, P): w's free digits sit in the first row
+                    weight = weights[cell[j, l]]
+                    grid = np.zeros(1, dtype=np.int64)
+                    for c in range(j + 1, n + 1):
+                        if c != l:
+                            grid = (grid[:, None]
+                                    + digits * weight[0, c]).reshape(-1)
+                    np.add((p @ weight[1] + starts[cell[j, l]])[:, None],
+                           grid, out=out)
                     continue
-                for term in terms[:-1]:
-                    acc = (acc[:, :, None] + term[:, None, :]) \
-                        .reshape(pb.shape[0], -1)
-                # a view: only the contiguous last axis is split
-                np.add(acc[:, :, None], terms[-1][:, None, :],
-                       out=dst.reshape(pb.shape[0], -1, q))
-    return _by_point_summary(space, 1, pts, ranks, total)
+                # rows (P - P_lw w, w) with lw = j + 1
+                lw = j + 1
+                weight = weights[cell[l, lw]]
+                step = max(1, _SCAN_BLOCK_BYTES // (8 * size))
+                for b in range(0, p.shape[0], step):
+                    pb = p[b:b + step]
+                    dst = out[b:b + step]
+                    acc = (pb[:, :lw] @ weight[0, :lw]
+                           + starts[cell[l, lw]])[:, None]
+                    scale = mul[neg[pb[:, lw]][:, None], digits]
+                    terms = [add[pb[:, c, None], scale] * weight[0, c]
+                             + digits * weight[1, c]
+                             for c in range(lw + 1, n + 1)]
+                    if not terms:
+                        dst[...] = acc
+                        continue
+                    for term in terms[:-1]:
+                        acc = (acc[:, :, None] + term[:, None, :]) \
+                            .reshape(pb.shape[0], -1)
+                    # a view: only the contiguous last axis is split
+                    np.add(acc[:, :, None], terms[-1][:, None, :],
+                           out=dst.reshape(pb.shape[0], -1, q))
+        return ranks
+
+    return _by_point_summary(space, 1, pts, ranks_of, total)
 
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
@@ -1251,60 +1274,63 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     in the columns other than z, and u_z = -sum over j < z of a_j P_j / P_z.
     So a dual rank is the rank of a placed around column z, a constant per
     (z, a), plus u_z q^(n-z).  Over a lead block of a, u_z depends only on
-    the free digits before column z, so it is one outer add over them."""
+    the free digits before column z, so it is one outer add over them.
+    The scan is a row generator over the point positions r0..r1, which
+    builds the points of each z a bounded block of rows at a time, each
+    block in its own buffer, copied into place once."""
     add, mul, neg, inv = space.field.tables()
     n, q = space.n, space.q
-    m = len(pts)
     coords = pts.coords()
     last = n - (coords[:, ::-1] != 0).argmax(axis=1)
     dual = ProjectiveSpace(n, space.field)
     params = ProjectiveSpace(n - 1, space.field).coords_array()
     npar = params.shape[0]
     digits = np.arange(q, dtype=np.int64)
-    ranks = np.empty((m, npar), dtype=_rank_dtype(dual.num_points))
+    dtype = _rank_dtype(dual.num_points)
+    # per last column z of the set, the dual ranks of a placed around z
+    bases = {z: dual.ranks_from_rows(np.insert(params, z, 0, axis=1),
+                                     normalized=True).astype(dtype)
+             for z in np.unique(last).tolist()}
     # a block's buffer and its u_z gathers hold at most 8 bytes per entry
     step = max(1, _SCAN_BLOCK_BYTES // (8 * npar))
-    for z in range(n + 1):
-        group = np.flatnonzero(last == z)
-        if not group.size:
-            continue
-        placed = np.insert(params, z, 0, axis=1)
-        base = dual.ranks_from_rows(placed, normalized=True) \
-            .astype(ranks.dtype)
-        # the group is built a bounded block of rows at a time, each block
-        # in its own buffer, scattered into ranks once
-        for r0 in range(0, group.size, step):
-            rows = group[r0:r0 + step]
-            p = coords[rows]
-            # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
-            coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
-            buf = np.empty((rows.size, npar), dtype=ranks.dtype)
-            start = 0
-            for i0 in range(n - 1, -1, -1):
-                size = q ** (n - 1 - i0)
-                block = slice(start, start + size)
-                start += size
-                if i0 >= z:
-                    buf[:, block] = base[block]
-                    continue
-                # u_z over the digits i0 < i < z of a (a_i0 = 1); the
-                # later digits repeat each value q^(n-z) times
-                uz = coef[:, i0, None]
-                for i in range(i0 + 1, z):
-                    uz = add[uz[:, :, None],
-                             mul[digits, coef[:, i, None]][:, None, :]] \
-                        .reshape(rows.size, -1)
-                # a view of the block: only its contiguous last axis is
-                # split
-                out = buf[:, block].reshape(rows.size, -1, q ** (n - z))
-                out[...] = uz[:, :, None]
-                out *= q ** (n - z)
-                out += base[block].reshape(-1, q ** (n - z))
-            ranks[rows] = buf
+
+    def ranks_of(r0, r1):
+        ranks = np.empty((r1 - r0, npar), dtype=dtype)
+        for z, base in bases.items():
+            group = np.flatnonzero(last[r0:r1] == z)
+            for g0 in range(0, group.size, step):
+                rows = group[g0:g0 + step]
+                p = coords[r0 + rows]
+                # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
+                coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
+                buf = np.empty((rows.size, npar), dtype=dtype)
+                start = 0
+                for i0 in range(n - 1, -1, -1):
+                    size = q ** (n - 1 - i0)
+                    block = slice(start, start + size)
+                    start += size
+                    if i0 >= z:
+                        buf[:, block] = base[block]
+                        continue
+                    # u_z over the digits i0 < i < z of a (a_i0 = 1); the
+                    # later digits repeat each value q^(n-z) times
+                    uz = coef[:, i0, None]
+                    for i in range(i0 + 1, z):
+                        uz = add[uz[:, :, None],
+                                 mul[digits, coef[:, i, None]][:, None, :]] \
+                            .reshape(rows.size, -1)
+                    # a view: only the block's contiguous last axis is split
+                    out = buf[:, block].reshape(rows.size, -1, q ** (n - z))
+                    out[...] = uz[:, :, None]
+                    out *= q ** (n - z)
+                    out += base[block].reshape(-1, q ** (n - z))
+                ranks[rows] = buf
+        return ranks
+
     # each point's ranks ascend: the rank orders covectors by their columns
     # lexicographically, u_z is a function of the columns before z, and
     # PG(n-1, q) lists a in the lexicographic order of the other columns
-    return _by_point_summary(space, n - 1, pts, ranks, dual.num_points)
+    return _by_point_summary(space, n - 1, pts, ranks_of, dual.num_points)
 
 
 def _rank_dtype(total: int):
@@ -1319,49 +1345,60 @@ def _size_dtype(m: int):
                 if m <= np.iinfo(t).max)
 
 
-def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
-    """The summary of a per-point scan: row p of the (m, npar) array ranks
-    holds the dense keys in range(total) of the dim-subspaces through the
-    point at position p, ascending.
+def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
+    """The summary of a per-point scan, given as its row generator:
+    ranks_of(r0, r1), 0 <= r0 < r1 <= m, returns an (r1 - r0, width)
+    array whose row p - r0 holds the dense keys in range(total) of the
+    dim-subspaces through the point at position p, ascending.  A block is
+    `_SCAN_BLOCK_BYTES` / (8 * width) rows, one at least (a bincount's
+    intp copy takes 8 bytes per incidence).
 
     Two regimes, chosen by the byte size of a count array, 8 * total, and
     by the key range against the incidences:
 
     - when the count array is at most `_COUNT_BYTES` and the range at most
-      `_COUNT_RANGE` times the incidences, the keys are counted: a
-      bincount over each block of `_SCAN_BLOCK_BYTES` / 8 incidences (its
-      intp copy takes 8 bytes each), summed into one int64 count, so no
-      intp copy of the whole ranks array is made; the nonzero counts are
-      the keys, and their buffer becomes the key -> slot table;
+      `_COUNT_RANGE` times the incidences, a bincount of each block is
+      summed into one int64 count, whose nonzero entries are the keys.  A
+      scan of one block is kept as the grid, the counts' buffer becoming
+      the key -> slot table; a longer one is counted a generated block at
+      a time and none of it is kept: the summary keeps ranks_of and
+      builds its grid on the first per-point read;
     - otherwise (a large key range, or a small set whose incidences a
-      pass over the range would dwarf) an int32 copy of the ranks (int64
-      when the keys need it) is sorted, leaving ranks in by-point order,
-      and its runs are counted block by block straight into the sizes,
-      with no range-sized array; a key's slot is its place among the
-      distinct keys, found by a blocked search that writes into the
-      sorted copy's buffer.
+      pass over the range would dwarf) an int32 copy (int64 when the keys
+      need it) of the whole ranks is sorted and its runs counted block by
+      block straight into the sizes, with no range-sized array; a key's
+      slot is its place among the distinct keys, found by a blocked search
+      that writes into the sorted copy's buffer, and the grid is kept.
 
     When every key occurs (the set meets every dim-subspace), the slot of
-    a key is the key itself: no table and no keys are built, and the int32
+    a key is the key itself: no table and no keys are built, and int32
     ranks are the slots."""
-    m, npar = ranks.shape
-    flat = ranks.reshape(-1)
+    m = len(pts)
+    width = gaussian_binomial(space.n, dim, space.q)
     sizes_type = _size_dtype(m)
     step = max(1, _SCAN_BLOCK_BYTES // 8)
-    if 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * flat.size:
-        counts = np.bincount(flat[:step], minlength=total)
-        for b in range(step, flat.size, step):
-            counts += np.bincount(flat[b:b + step], minlength=total)
+    rows = max(1, step // width)
+    counted = 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * m * width
+    ranks = ranks_of(0, m) if m <= rows or not counted else None
+    if counted:
+        counts = np.zeros(total, dtype=np.int64)
+        for r0 in range(0, m, rows):
+            block = ranks_of(r0, min(r0 + rows, m)) if ranks is None \
+                else ranks
+            counts += np.bincount(block.reshape(-1), minlength=total)
+            del block
         keys = None if np.count_nonzero(counts) == total \
             else np.flatnonzero(counts)
         sizes = (counts if keys is None else counts[keys]).astype(sizes_type)
+        if ranks is None:
+            return TraceSummary(pts, dim, keys, sizes, ranks_of)
         if keys is not None:
-            # the counts are spent: their buffer becomes the key -> slot
-            # table
+            # the spent counts' buffer becomes the key -> slot table
             table = counts.view(np.int32)[:total]
             table[keys] = np.arange(keys.size, dtype=np.int32)
-            slots = table[flat]
+            slots = table[ranks]
     else:
+        flat = ranks.reshape(-1)
         srt = np.sort(flat)
         keys, sizes = _sorted_runs(srt, total, sizes_type)
         if keys is not None:
@@ -1370,8 +1407,8 @@ def _by_point_summary(space, dim, pts, ranks, total) -> TraceSummary:
             for b in range(0, flat.size, step):
                 slots[b:b + step] = np.searchsorted(keys, flat[b:b + step])
     if keys is None:
-        slots = flat.astype(np.int32, copy=False)
-    return TraceSummary(pts, dim, keys, sizes, slots.reshape(m, npar))
+        slots = ranks.astype(np.int32, copy=False)
+    return TraceSummary(pts, dim, keys, sizes, slots.reshape(m, width))
 
 
 def _sorted_runs(srt, total, sizes_type) -> tuple:
@@ -1414,8 +1451,11 @@ def _sorted_runs(srt, total, sizes_type) -> tuple:
 
 def _scan_full(space, pts: PointSet, dim: int) -> TraceSummary:
     """Traces of all dim-subspaces meeting the set, read off the rows of
-    the cached incidence table at the set's points (middle dimensions)."""
-    return _by_point_summary(space, dim, pts, space.incidence(dim)[pts.ranks],
+    the cached incidence table at the set's points (middle dimensions),
+    gathered a block of rows per call of the row generator."""
+    table = space.incidence(dim)
+    return _by_point_summary(space, dim, pts,
+                             lambda r0, r1: table[pts.ranks[r0:r1]],
                              space.num_subspaces(dim))
 
 
@@ -1433,8 +1473,8 @@ def subspace_traces(pts: PointSet, dim: int) -> TraceSummary:
         raise EmptyInputError("trace scan of an empty point set")
     if dim == space.n:
         # every point lies on the one subspace, key 0
-        return _by_point_summary(space, dim, pts, np.zeros(
-            (len(pts), 1), dtype=np.int32), 1)
+        return _by_point_summary(space, dim, pts, lambda r0, r1: np.zeros(
+            (r1 - r0, 1), dtype=np.int32), 1)
     if dim == 1:
         return _scan_lines(space, pts)
     if dim == space.n - 1:

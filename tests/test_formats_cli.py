@@ -540,6 +540,14 @@ def test_cli_harness_rejects_unknown_names(capsys):
     assert code == 2 and "NotFoundError" in err
 
 
+@pytest.mark.parametrize("flag", ["--instances", "--checks"])
+def test_cli_harness_rejects_an_empty_selection(capsys, flag):
+    # an empty list selects nothing, so nothing runs and no card is printed
+    code, out, err = run_cli(capsys, "harness", flag, "")
+    assert code == 2 and out == "" and "NotFoundError" in err, err
+    assert "['']" in err
+
+
 def test_cli_secants(capsys, baer_file):
     data = cli_json(capsys, "secants", baer_file, "--p0", "3")
     assert data["kappa"] == 4 and data["min_subline_secants"] == 4

@@ -4,6 +4,8 @@ the large planes' lines and the batched row reduction give the same
 results whatever their block size, and their traced memory stays within
 bounds set by the array shapes."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -91,22 +93,40 @@ def _grouping_cases():
     yield PointSet(pg42, rng.choice(pg42.num_points, 9, replace=False)), 2
 
 
-def _check_grouping(summary, ranks):
+def _recording(ranks_of):
+    """(generator, made): ranks_of, with each array it returns appended
+    to the list made."""
+    made = []
+
+    def generate(r0, r1):
+        made.append(ranks_of(r0, r1))
+        return made[-1]
+    return generate, made
+
+
+def _check_grouping(summary, ranks, made):
     """The summary groups ranks as the reference does, with the dtypes
-    the summaries promise."""
+    the summaries promise; made lists the arrays its scan generated.  A
+    scan generated in blocks keeps none of them, and builds its grid on
+    the first read; one generated whole keeps its array."""
     keys, sizes, slots = reference_grouping(ranks)
     m = ranks.shape[0]
     got_keys = summary.keys_of(np.arange(summary.sizes.size))
     assert got_keys.dtype == np.int64 and np.array_equal(got_keys, keys)
     assert summary.sizes.dtype == projspace._size_dtype(m)
     assert np.array_equal(summary.sizes, sizes)
+    streamed = len(made) > 1
+    assert (summary._slots is None) == streamed
     got = summary.by_point()
     assert got.dtype == np.int32 and got.shape == ranks.shape
     assert np.array_equal(got.reshape(-1), slots)
     if summary.x0 == 0:
-        assert summary._keys is None and np.shares_memory(got, ranks)
+        assert summary._keys is None
+        # a scan generated whole is itself the grid
+        assert streamed or np.shares_memory(got, made[0])
     else:
         assert summary._keys.dtype == np.int64
+    return streamed
 
 
 def test_grouping_regimes_match_the_reference(monkeypatch):
@@ -120,15 +140,16 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
     for pts, dim in _grouping_cases():
         seen.clear()
         subspace_traces(pts, dim)
-        (space, _, _, ranks, total), = seen
+        (space, _, _, ranks_of, total), = seen
+        ranks = ranks_of(0, len(pts))
         size = ranks.size
         # the byte rule at its edge, with any key range counted: a count
         # array of exactly _COUNT_BYTES is counted, one byte more is sorted
         for counted in (True, False):
             budget = 8 * total - (not counted)
-            # one incidence per block, seven, a block boundary just
-            # before the last incidence, at it and past it, and the
-            # default
+            # blocks of one row (a budget of one incidence), of seven
+            # incidences, a block boundary just before the last row, at
+            # the end and past it, and the default
             for step in (1, 7, size - 1, size, size + 1, None):
                 with monkeypatch.context() as patch:
                     patch.setattr(projspace, "_COUNT_BYTES", budget)
@@ -138,23 +159,29 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
                         patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
                                       8 * step)
                     sorted_runs.clear()
-                    summary = summarize(space, dim, pts, ranks, total)
-                assert bool(sorted_runs) != counted
-                _check_grouping(summary, ranks)
+                    generate, made = _recording(ranks_of)
+                    summary = summarize(space, dim, pts, generate, total)
+                    assert bool(sorted_runs) != counted
+                    # the grid is built, if at all, under the same budget
+                    streamed = _check_grouping(summary, ranks, made)
+                assert not streamed or counted
+                paths.add(("streamed", streamed, summary.x0 == 0))
             paths.add((counted, summary.x0 == 0))
         # at the default rules every case is under the byte budget, and
         # a key range over 8 times the incidences is sorted, not passed
         # over by a count
         sorted_runs.clear()
-        summarize(space, dim, pts, ranks, total)
+        summarize(space, dim, pts, ranks_of, total)
         wide = total > 8 * size
         assert bool(sorted_runs) == wide
         paths.add(("wide", wide))
-    # the cases reach dense and sparse summaries in both regimes, and
-    # wide key ranges
+    # the cases reach dense and sparse summaries in both regimes, kept
+    # whole and streamed, and wide key ranges
     assert paths == {(counted, dense) for counted in (False, True)
-                     for dense in (False, True)} | {("wide", False),
-                                                    ("wide", True)}
+                     for dense in (False, True)} \
+        | {("streamed", streamed, dense) for streamed in (False, True)
+           for dense in (False, True)} \
+        | {("wide", False), ("wide", True)}
 
 
 def _perturbed(witness, p0, seed):
@@ -268,20 +295,151 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def _held(summary):
+    """The arrays a summary holds as attributes."""
+    return [v for v in vars(summary).values() if isinstance(v, np.ndarray)]
+
+
 def test_hyperplane_scan_memory_is_bounded(dense_27):
     space = dense_27.space
-    m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
     summary, peak = _traced_peak(projspace._scan_hyperplanes, space,
                                  dense_27)
     assert summary.x0 == 0 and 8 * summary.total <= projspace._COUNT_BYTES
-    kept = summary.sizes.nbytes + summary.by_point().nbytes
-    # the int32 ranks, two blocks of the scan, and the count: one tail
-    # block's intp copy, the int64 count and one block's bincount; one
-    # whole last-column group and its u_z gather would not fit, nor an
-    # intp copy of the whole ranks
-    bound = m * npar * 4 + 2 * projspace._SCAN_BLOCK_BYTES \
-        + projspace._SCAN_BLOCK_BYTES + 16 * summary.total
+    # until a per-point read the summary holds no array of incidence
+    # length: its int32 grid would take 4 bytes per incidence
+    incidences = int(summary.sizes.sum())
+    kept = sum(arr.nbytes for arr in _held(summary))
+    assert kept < incidences * 4 / 10, (kept, incidences)
+    # two blocks of the scan, and the count: one tail block's intp copy,
+    # the int64 count and one block's bincount; the int32 ranks of the
+    # whole scan would not fit, nor one whole last-column group and its
+    # u_z gather, nor an intp copy of the whole ranks
+    bound = 3 * projspace._SCAN_BLOCK_BYTES + 16 * summary.total
     assert peak - kept < bound, (peak, kept, bound)
+
+
+def _streamed_cases(dense_27):
+    """(points, dim) whose counted scans span more than one block at the
+    default budget: the planes of dense_27, which it meets every one of
+    (dense), those of dense_27 less the points of one plane (keyed), and
+    the planes of PG(4,5) from the incidence table."""
+    space = dense_27.space
+    plane = projspace._scan_hyperplanes(space, dense_27).subspace_at(0)
+    rest = PointSet(space, np.setdiff1d(dense_27.ranks,
+                                        plane.point_ranks()))
+    pg45 = ProjectiveSpace(4, make_field(5, 1))
+    return [(dense_27, 2), (rest, 2),
+            (PointSet(pg45, np.arange(pg45.num_points)), 2)]
+
+
+def test_streamed_grids_match_the_reference(monkeypatch, dense_27):
+    seen = []
+    summarize = projspace._by_point_summary
+    dense = set()
+    for pts, dim in _streamed_cases(dense_27):
+        space = pts.space
+        width = projspace.gaussian_binomial(space.n, dim, space.q)
+        with monkeypatch.context() as patch:
+            patch.setattr(projspace, "_by_point_summary",
+                          lambda *args: seen.append(args) or summarize(*args))
+            subspace_traces(pts, dim)
+        ranks_of, total = seen.pop()[3:]
+        keys, sizes, slots = reference_grouping(ranks_of(0, len(pts)))
+        # one row, seven rows, and the default budget, for the count and
+        # for the grid built on the first read
+        for rows in (0, 7, None):
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                                  _rows_budget(rows, 8, width))
+                summary = summarize(space, dim, pts, ranks_of, total)
+                # no array of incidence length until the first read
+                assert summary._slots is None
+                assert max(arr.size for arr in _held(summary)) < slots.size
+                assert np.array_equal(
+                    summary.keys_of(np.arange(summary.sizes.size)), keys)
+                assert np.array_equal(summary.sizes, sizes)
+                grid = summary.by_point()
+            assert grid.dtype == np.int32 and grid.shape == (len(pts), width)
+            assert grid.flags.c_contiguous and not grid.flags.writeable
+            assert np.array_equal(grid.reshape(-1), slots)
+            assert summary.by_point() is grid
+            pos = len(pts) // 2
+            assert np.array_equal(summary.indices_through_point(pos),
+                                  grid[pos])
+            assert np.array_equal(summary.point_sizes(),
+                                  summary.sizes[grid])
+        dense.add(summary.x0 == 0)
+    assert dense == {False, True}
+
+
+def test_first_grid_read_is_shared_between_threads(dense_27):
+    summary = projspace._scan_hyperplanes(dense_27.space, dense_27)
+    assert summary._slots is None
+    # more readers than cores, switching often: a grid built twice would
+    # reach some reader as a second object
+    nthreads = 4
+    start = threading.Barrier(nthreads)
+    got = [None] * nthreads
+
+    def read(i):
+        start.wait(timeout=30)
+        got[i] = summary.by_point()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=read, args=(i,))
+                   for i in range(nthreads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got[0] is not None and all(grid is got[0] for grid in got)
+
+
+def test_size_counts_match_unique(monkeypatch, dense_27):
+    # summaries of their own: each budget counts the sizes afresh
+    cone, = catalogue.load_shipped(["cone_pg3_9"])
+    lines = subspace_traces(dense_27, 1)
+    small = subspace_traces(cone.points, 1)
+    for summary, sizes_type in ((small, np.int8), (lines, np.int16)):
+        assert summary.sizes.dtype == sizes_type
+        vals, counts = np.unique(summary.sizes, return_counts=True)
+        # blocks of one size (the small summary only: half a million
+        # one-size blocks would take seconds), of seven, and the default
+        for step in (1, 7, None):
+            if step == 1 and summary is lines:
+                continue
+            with monkeypatch.context() as patch:
+                if step is not None:
+                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 * step)
+                summary._size_counts = None
+                got_vals, got_counts = summary.size_counts()
+            # the sizes in their own type, int16 at least, and intp
+            # counts, as np.unique counts them
+            assert got_vals.dtype == np.int16
+            assert got_counts.dtype == counts.dtype == np.intp
+            assert np.array_equal(got_vals, vals)
+            assert np.array_equal(got_counts, counts)
+            assert not got_vals.flags.writeable
+            assert not got_counts.flags.writeable
+
+
+def test_size_counts_memory_is_bounded(monkeypatch, dense_27):
+    lines = subspace_traces(dense_27, 1)
+    top = int(lines.sizes.max())
+    assert lines.sizes.size > 500_000
+    # blocks of 2^12 sizes
+    monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 12)
+    _, peak = _traced_peak(lines.size_counts)
+    # one block's intp copy and its bincount, the count and the distinct
+    # sizes; a sorted copy of the sizes (1.1 MB) would not fit
+    bound = projspace._SCAN_BLOCK_BYTES + 64 * (top + 1) + 4096
+    assert peak < bound, (peak, bound)
 
 
 def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
@@ -294,13 +452,14 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
         patch.setattr(projspace, "_by_point_summary",
                       lambda *args: seen.append(args))
         projspace._scan_lines(space, dense_27)
-    (_, dim, _, ranks, total), = seen
+    (_, dim, _, ranks_of, total), = seen
+    ranks = ranks_of(0, len(dense_27))
     # the lines' count array (4.4 MB) is under the byte rule: sort anyway
     monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
     # tail blocks of 2^15 incidences
     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
-    summary, peak = _traced_peak(summarize, space, dim, dense_27, ranks,
-                                 total)
+    summary, peak = _traced_peak(summarize, space, dim, dense_27,
+                                 lambda r0, r1: ranks[r0:r1], total)
     assert ranks.dtype == np.int32 and summary.x0 > 0
     nslots = summary.sizes.size
     assert nslots > 500_000
@@ -314,11 +473,13 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
 
 
 def test_line_scan_generation_memory_is_bounded(dense_27, monkeypatch):
-    # the line ranks alone: the grouping tail hands them back unread
+    # the line ranks alone: the grouping tail generates them whole and
+    # hands them back unread
     space = dense_27.space
     m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
     monkeypatch.setattr(projspace, "_by_point_summary",
-                        lambda space, dim, pts, ranks, total: ranks)
+                        lambda space, dim, pts, ranks_of, total:
+                        ranks_of(0, len(pts)))
     ranks, peak = _traced_peak(projspace._scan_lines, space, dense_27)
     assert ranks.shape == (m, npar) and ranks.dtype == np.int32
     # the int32 ranks, the int64 temporaries of one block of rows (the

@@ -270,14 +270,20 @@ def _grouping_cases():
 
 
 def _recorded_scans(monkeypatch):
-    """The (ranks, total) of every scan as it reaches the grouping, the
-    scan's own array, listed as the scans run."""
+    """The (made, total) of every scan as it reaches the grouping, made
+    listing the arrays its row generator returns, listed as the scans
+    run."""
     seen = []
     summarize = projspace._by_point_summary
 
-    def recorded(space, dim, pts, ranks, total):
-        seen.append((ranks, total))
-        return summarize(space, dim, pts, ranks, total)
+    def recorded(space, dim, pts, ranks_of, total):
+        made = []
+
+        def generate(r0, r1):
+            made.append(ranks_of(r0, r1))
+            return made[-1]
+        seen.append((made, total))
+        return summarize(space, dim, pts, generate, total)
 
     monkeypatch.setattr(projspace, "_by_point_summary", recorded)
     return seen
@@ -308,7 +314,10 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         monkeypatch.setattr(projspace, "_COUNT_BYTES", budget)
         seen.clear()
         summary = subspace_traces(pts, dim)
-        (ranks, total), = seen
+        (made, total), = seen
+        # every case fits in one block, or is sorted: its scan is
+        # generated once, whole
+        ranks, = made
         keys, sizes, slots = reference_grouping(ranks)
         got = summary.by_point()
         m, npar = ranks.shape
@@ -505,12 +514,13 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
         paths |= {(name, _counts(summary.total, int(summary.sizes.sum())))
                   for name, summary in (("lines", lines), ("planes", planes))}
         # int32 ranks whenever every key fits, and int32 slots
-        for (ranks, total), summary in zip(seen, (lines, planes)):
+        for (made, total), summary in zip(seen, (lines, planes)):
             wide = total >= 2 ** 31
-            assert ranks.dtype == (np.int64 if wide else np.int32)
+            assert {ranks.dtype for ranks in made} \
+                == {np.dtype(np.int64 if wide else np.int32)}
             assert summary.by_point().dtype == np.int32
             _assert_narrowest_signed(summary.sizes, m)
-        widths.append(tuple(ranks.dtype for ranks, _ in seen))
+        widths.append(tuple(made[0].dtype for made, _ in seen))
     # the cases reach both groupings of both scans
     assert paths == {(scan, counted) for scan in ("lines", "planes")
                      for counted in (False, True)}

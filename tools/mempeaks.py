@@ -8,11 +8,13 @@ The instance is loaded from the shipped catalogue, then
 row is printed per check, in run order, one per line or hyperplane scan
 (`projspace._scan_lines`, `_scan_hyperplanes`), indented under the check
 that ran it, and one per run of the scans' shared grouping tail
-(`projspace._by_point_summary`), indented under its scan: the seconds,
-the traced MB live before, the traced peak MB, the traced MB live after,
-and the process's maxrss in MB when the row ends.  Traced sizes count only what is allocated after set-up,
-when tracing starts; a row's peak includes those of the rows nested in
-it.  Tracing slows the run down, so compare seconds between rows only.
+(`projspace._by_point_summary`, which calls the scan's row generator, so
+most of a scan's time and memory shows in its row), indented under its
+scan: the seconds, the traced MB live before, the traced peak MB, the
+traced MB live after, and the process's maxrss in MB when the row ends.
+Traced sizes count only what is allocated after set-up, when tracing
+starts; a row's peak includes those of the rows nested in it.  Tracing
+slows the run down, so compare seconds between rows only.
 """
 
 import os
