@@ -156,7 +156,7 @@ class ProjectiveSpace:
         lv = np.take_along_axis(arr, lead[..., None], axis=-1)
         if not lv.all():
             raise EmptyInputError("zero vector in point batch")
-        return mul[arr, inv[lv]], lead
+        return mul.ravel().take(arr * self.q + inv.take(lv)), lead
 
     def ranks_from_rows(self, arr: np.ndarray, normalized=False) -> np.ndarray:
         if normalized:
@@ -920,7 +920,8 @@ class TraceSummary:
         through the point at position p, ascending; read-only.  A summary
         that kept its scan's row generator builds it on the first read, a
         tail block of rows at a time, a key being its slot when dense and
-        its place in the stored keys otherwise."""
+        otherwise gathered from a temporary key -> slot table (int32, so
+        half the count array that the scan was counted under)."""
         if self._slots is None:
             with _TRACE_LOCK:
                 if self._slots is None:
@@ -928,10 +929,13 @@ class TraceSummary:
                     width = gaussian_binomial(space.n, self.dim, space.q)
                     grid = np.empty((m, width), dtype=np.int32)
                     rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
+                    if self._keys is not None:
+                        table = np.empty(self.total, dtype=np.int32)
+                        table[self._keys] = np.arange(self._keys.size)
                     for r0 in range(0, m, rows):
                         block = self._ranks_of(r0, min(r0 + rows, m))
                         grid[r0:r0 + rows] = block if self._keys is None \
-                            else np.searchsorted(self._keys, block)
+                            else table[block]
                     self._slots, self._ranks_of = _frozen(grid), None
         return self._slots
 
@@ -939,50 +943,67 @@ class TraceSummary:
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
             raise RangeError("trace slot out of range")
 
-    def secants_through(self, pos: int, size: int) -> tuple:
+    def secants_through(self, pos, size) -> tuple:
         """(slots, points) for the lines through the point at position pos
         whose traces have `size` points: the slots ascending (the scan
         order), and a (len(slots), size) int32 grid whose row i holds the
-        point positions on line slots[i], ascending.  Line summaries only.
+        point positions on line slots[i], ascending; for an array of
+        positions, (owner, slots, points), the rows grouped by owner (the
+        int32 index into pos) ascending.  Line summaries only.
 
         The line scan lists the lines through P as P w for w in
         PG(n-1, q) in rank order, w placed off P's lead column l.  So
         another point Q of the set lies on the line at entry j of P's row,
         j the rank of Q - Q_l P with column l deleted: one table pass over
-        the set's coordinates, with no grouping of other incidences."""
+        the set's coordinates and one sort of the keys (P, j, Q) per block
+        of positions (about _SCAN_BLOCK_BYTES of temporaries)."""
         if self.dim != 1:
             raise DimensionMismatchError(
                 f"secants through a point need a line summary, not dim "
                 f"{self.dim}")
-        through = self.indices_through_point(pos)
-        space = self.space
-        add, mul, neg, _ = space.field.tables()
-        coords = self.pts.coords()
-        p = coords[pos]
-        l = int((p != 0).argmax())
-        others = np.flatnonzero(np.arange(coords.shape[0]) != pos)
-        rest = coords[others]
-        cols = np.flatnonzero(np.arange(space.n + 1) != l)
-        # -c*P off column l, for each scalar c
-        minus = neg[mul[np.arange(space.q)[:, None], p[cols]]]
-        proj = add[rest[:, cols], minus[rest[:, l]]]
-        if space.n > 1:
-            entry = ProjectiveSpace(space.n - 1, space.field) \
-                .ranks_from_rows(proj)
-        else:
+        at = np.asarray(pos, dtype=np.int64).reshape(-1)
+        space, m = self.space, len(self.pts)
+        if at.size and not 0 <= at.min() <= at.max() < m:
+            raise RangeError(f"point position {pos} out of range")
+        add, mul, neg, _ = (t.ravel() for t in space.field.tables())
+        coords, grid = self.pts.coords(), self.by_point()
+        n, q, width = space.n, space.q, grid.shape[1]
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * (n + 2) * (m + width)))
+        blocks = [at[b:b + step] for b in range(0, max(at.size, 1), step)]
+        owner = np.repeat(np.arange(at.size, dtype=np.int32), np.concatenate(
+            [np.sum(self.sizes[grid[blk]] == size, axis=1) for blk in blocks]))
+        slots = np.empty(owner.size, dtype=np.int32)
+        points = np.empty((owner.size, max(size, 0)), dtype=np.int32)
+        r0 = 0
+        for blk in blocks:
+            k, p = np.arange(blk.size), coords[blk]
+            l = (p != 0).argmax(axis=1)
+            # Q - Q_l P for every Q, then its columns off P's lead
+            proj = add.take(q * coords + neg.take(mul.take(
+                q * coords[:, l].T[:, :, None] + p[:, None, :])))
+            off = np.arange(n) + (np.arange(n) >= l[:, None])
+            proj = np.take_along_axis(proj, off[:, None, :], axis=2)
+            # P itself projects to zero: rank a stand-in, never chosen
+            proj[k, blk] = 1
             # PG(0, q) is a single point: one line, the whole space
-            entry = np.zeros(others.size, dtype=np.int64)
-        wanted = self.sizes[through] == size
-        keep = np.flatnonzero(wanted)
-        on = wanted[entry]
-        m = coords.shape[0]
-        # P lies on every chosen line; the keys entry * m + point sort the
-        # groups by entry, hence by slot, each ascending
-        keyed = np.concatenate([entry[on] * m + others[on], keep * m + pos])
-        keyed.sort()
-        # no line has a size below 1, so such a size selects none
-        return through[keep], (keyed % m).astype(np.int32).reshape(
-            keep.size, max(size, 0))
+            entry = ProjectiveSpace(n - 1, space.field).ranks_from_rows(
+                proj) if n > 1 else np.zeros((k.size, m), dtype=np.int64)
+            through = grid[blk]
+            wanted = self.sizes[through] == size
+            on = np.take_along_axis(wanted, entry, axis=1)
+            on[k, blk] = False
+            # P lies on every chosen line; the keys (P, entry, Q) sort the
+            # groups by point, then slot, each ascending
+            a, other = np.nonzero(on)
+            mine, col = np.nonzero(wanted)
+            keyed = np.concatenate([(a * width + entry[a, other]) * m + other,
+                                    (mine * width + col) * m + blk[mine]])
+            keyed.sort()
+            rows = slice(r0, r0 := r0 + mine.size)
+            slots[rows] = through[mine, col]
+            points[rows] = (keyed % m).reshape(points[rows].shape)
+        return (slots, points) if np.ndim(pos) == 0 \
+            else (owner, slots, points)
 
     def _sized_slots(self, lo: int, hi: int) -> np.ndarray:
         """The slots whose traces have lo..hi points, ascending (int64),

@@ -77,47 +77,57 @@ def _status(dim_w: int, target: int, extra: bool, missing: bool) -> str:
 
 
 def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
-                        positions: np.ndarray, lines, width: int) -> list:
-    """One result per base point position, in order.  Each point makes
-    one secant search and one transversal search; x and the ys of every
-    point go into one zero-padded stack of at most `width` rows, and one
-    batched reduction gives each W.  The points of a set often share
-    their W, so each distinct W is expanded and mapped down once."""
+                        positions: np.ndarray, lines) -> list:
+    """One result per base point position, in order, from one pass: one
+    secant search, a transversal search per block of secants, and one
+    batched reduction of a zero-padded stack holding x and the ys of each
+    point, y of its secant i in row 1 + i.  The points of a set often
+    share their W, so each distinct W is expanded and mapped down once."""
     space, small = pts.space, ctx.small
     target = space.field.t * k
-    stack = np.zeros((positions.size, width, small.n + 1),
+    owner, slots, traces = lines.secants_through(positions, p0 + 1)
+    cut = np.searchsorted(owner, np.arange(positions.size + 1))
+    through = np.diff(cut)
+    # the ranks of an element ascend: column 0 is its lowest-rank point
+    xs = ctx.big_to_small[pts.ranks[positions], 0]
+    stack = np.zeros((positions.size, 1 + int(through.max()), small.n + 1),
                      dtype=np.min_scalar_type(small.q - 1))
-    found = []
-    for i, pos in enumerate(positions.tolist()):
-        p_rank = int(pts.ranks[pos])
-        x = int(ctx.element_ranks(p_rank).min())
-        slots, traces = lines.secants_through(pos, p0 + 1)
-        ys = ctx.transversal_line(pts.ranks[traces], x)
-        hit = ys >= 0
-        ys = ys[hit]
+    stack[:, 0] = small.coords_of_ranks(xs)
+    ys = np.empty(owner.size, dtype=np.int32)   # small ranks fit int32
+    step = max(1, _SCAN_BLOCK_BYTES
+               // (64 * ctx.points_per_element * (space.n + 1)))
+    for b in range(0, owner.size, step):
+        got = ys[b:b + step] = ctx.transversal_line(
+            pts.ranks[traces[b:b + step]], xs[owner[b:b + step]])
         # every transversal is the line x y, so x and the ys span them all
-        stack[i, 0] = small.coords_of(x)
-        stack[i, 1:1 + ys.size] = small.coords_of_ranks(ys)
-        # the traces are kept as int32 point positions
-        found.append((p_rank, x, traces[hit], ys, len(slots), slots[~hit]))
+        at = b + np.flatnonzero(got >= 0)
+        stack[owner[at], 1 + at - cut[owner[at]]] = \
+            small.coords_of_ranks(ys[at])
     bases, ranks = small.rref_rows(stack)
-    del stack
+    miss = np.flatnonzero(ys < 0)
+    skipped = _canonical(space, lines.bases(slots[miss]))
+    if miss.size:
+        # the traces are kept as int32 point positions
+        traces, ys = np.delete(traces, miss, axis=0), np.delete(ys, miss)
+    missed = np.searchsorted(miss, cut)
+    used, missed = (cut - missed).tolist(), missed.tolist()
     mask, spans = pts.mask(), {}
     results = []
-    for (p_rank, x, used, ys, through, skip), basis, rank in zip(
-            found, bases, ranks.tolist()):
-        skipped = _canonical(space, lines.bases(skip)) if skip.size else []
+    for i, (p_rank, x, basis, rank) in enumerate(zip(
+            pts.ranks[positions].tolist(), xs.tolist(), bases,
+            ranks.tolist())):
         diagnostics = {
-            "secants_through_P": through,
-            "skipped_non_sublines": len(skipped),
-            "skipped": skipped,
+            "secants_through_P": int(through[i]),
+            "skipped_non_sublines": missed[i + 1] - missed[i],
+            "skipped": skipped[missed[i]:missed[i + 1]],
             "target_dim": target,
         }
-        secants = RowSequence(
-            used, lambda row: PointSet(space, pts.ranks[row]))
-        transversals = RowSequence(ys, lambda y, x=x: _canonical(
+        secants = RowSequence(traces[used[i]:used[i + 1]],
+                              lambda row: PointSet(space, pts.ranks[row]))
+        mine = ys[used[i]:used[i + 1]]
+        transversals = RowSequence(mine, lambda y, x=x: _canonical(
             small, small.rref_rows(small.coords_of_ranks([[x, y]]))[0])[0])
-        if not ys.size:
+        if not mine.size:
             results.append(ReconstructionResult(
                 p_rank, x, secants, transversals, None, None, False,
                 "no secant trace is a subline", diagnostics))
@@ -146,7 +156,8 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     (p0+1)-secant and returns one result; "all" returns a list with one
     result per such point.  x is always the lowest-rank point of S(P).
     The secant traces and transversals of a result are read-only
-    sequences that build each PointSet or Subspace on access.
+    sequences that build each PointSet or Subspace on access.  "first"
+    reads by-point rows only up to the first block holding such a point.
     """
     space = pts.space
     if p0 != space.field.p:
@@ -163,15 +174,19 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     if not blocking:
         raise NotBlockingError(f"an (n-k)-space misses the set: {witness!r}")
     lines = traces_of(pts, 1)
-    per_point = lines.per_point_counts(exact=p0 + 1)
-    admissible = np.nonzero(per_point > 0)[0]
+    if point_policy == "all":
+        admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
+    else:
+        grid = lines.by_point()
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
+        firsts = (r0 + np.flatnonzero((lines.sizes[grid[r0:r0 + step]]
+                                       == p0 + 1).any(axis=1))[:1]
+                  for r0 in range(0, len(grid), step))
+        admissible = next((f for f in firsts if f.size), np.empty(0, int))
     if admissible.size == 0:
         raise NoSublineSecantError(
             f"the set has no ({p0 + 1})-secant line")
-    if point_policy == "first":
-        admissible = admissible[:1]
-    results = _reconstruct_points(ctx, pts, k, p0, admissible, lines,
-                                  1 + int(per_point[admissible].max()))
+    results = _reconstruct_points(ctx, pts, k, p0, admissible, lines)
     return results[0] if point_policy == "first" else results
 
 

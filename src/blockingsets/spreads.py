@@ -163,18 +163,22 @@ class SpreadContext:
         leads at small column h*lead(w) + first[c], c = w[lead(w)], with
         c's first nonzero digit there; w scaled by that digit's inverse in
         GF(p0) blows up to the normalized row, ranked as in
-        _build_cache."""
-        _, mul, _, _ = self.big.field.tables()
+        _build_cache, every table read flat."""
+        mul = self.big.field.tables()[1].ravel()
         weight, first, unit, block, start = self._blow_tables
         lead = (vecs != 0).argmax(axis=-1)
         c = np.take_along_axis(vecs, lead[..., None], axis=-1)
-        return weight[mul[vecs, unit[c]]] @ block \
-            + start[self.h * lead + first[c[..., 0]]]
+        return weight.take(mul.take(vecs * self.big.q + unit.take(c))) \
+            @ block + start.take(self.h * lead + first.take(c[..., 0]))
 
     # -- spread queries --------------------------------------------------------
 
     def element_ranks(self, big_rank: int) -> np.ndarray:
-        return self.big_to_small[_checked_rank(self.big, big_rank)]
+        # numpy would wrap a negative rank round to the end of the cache
+        r = int(big_rank)
+        if not 0 <= r < self.big.num_points:
+            raise RangeError(f"point rank {r} out of range for {self.big!r}")
+        return self.big_to_small[r]
 
     def spread_element(self, point) -> Subspace:
         """S(P): the small-side (h-1)-space of a big-side point."""
@@ -214,13 +218,15 @@ class SpreadContext:
         big-side sublines.  Single form: `sublines` is one PointSet, and
         the call returns its transversal line or raises NotASublineError.
         Batch form: `sublines` is an (m, p+1) array of big point ranks, one
-        subline per row, and the call returns m small ranks as int64: the
+        subline per row, x is one small point or an int array of m ranks,
+        one per row, and the call returns m small ranks as int64: the
         point y of the row's companion element with xy the transversal, or
         -1 where the row is not a subline.
 
-        x must lie on the spread element of a point of every row.  The
-        candidates for a row are the lines xy, y on its companion element
-        (that of its first point off x's element), all rows in one pass:
+        Each row's x must lie on the spread element of a point of the row.
+        The candidates for a row are the lines xy, y on its companion
+        element (that of its first point off x's element), all rows in one
+        pass (about 64 bytes per row, element point and big coordinate):
         the candidates whose point x + y maps onto the row survive, and a
         survivor matches when the images of its points x + lambda*y
         (lambda in GF(p0)) and y, x's being home and y's the companion,
@@ -245,12 +251,16 @@ class SpreadContext:
             raise BadParamsError("a subline repeats a point")
         if rows.size and not 0 <= rows.min() <= rows.max() < nbig:
             raise RangeError(f"point rank out of range for {self.big!r}")
-        if isinstance(x, (int, np.integer)):
-            xrank = _checked_rank(self.small, x)
-        else:
-            xrank = self.small.rank_of(_coerce_coords(self.small, x))
-        home = int(self.small_to_big[xrank])
-        at_home = rows == home
+        if not isinstance(x, (int, np.integer)) \
+                and (single or not isinstance(x, np.ndarray)):
+            x = self.small.rank_of(_coerce_coords(self.small, x))
+        xrank = np.asarray(x, dtype=np.int64)
+        if xrank.ndim and xrank.shape != rows.shape[:1]:
+            raise BadParamsError("expected one x per subline")
+        # a rank out of range is a RangeError here, before any lookup
+        xv = self.small.coords_of_ranks(xrank)
+        home = np.broadcast_to(self.small_to_big[xrank], rows.shape[:1])
+        at_home = rows == home[:, None]
         if not at_home.any(axis=1).all():
             raise XNotOnElementError(
                 "x does not lie on a spread element of the subline")
@@ -259,25 +269,27 @@ class SpreadContext:
         # the search runs on big vectors: blowing up is GF(p0)-linear, x
         # blows up from X, and the points of the companion element from
         # lambda*v, v the companion and lambda the coset representatives,
-        # so x + mu*y blows up from X + mu*Y; each point is still mapped
-        # back through small_to_big
+        # so x + mu*y blows up from X + mu*Y (X held times q, its row of
+        # the flat add table); each point still maps back through small_to_big
         add, mul, _, _ = self.big.field.tables()
-        xv = np.asarray(self.small.coords_of(xrank), dtype=np.int64)
-        X = xv.reshape(-1, self.h) @ p0 ** np.arange(self.h)
-        Y = mul[self._reps[:, None],
-                self.big.coords_of_ranks(companion)[:, None, :]]
+        add, mul, q = add.ravel(), mul.ravel(), self.big.q
+        X = np.broadcast_to(xv, (len(rows), xv.shape[-1])).reshape(
+            len(rows), self.big.n + 1, self.h) @ (q * p0 ** np.arange(self.h))
+        Y = mul.take(q * self._reps[:, None]
+                     + self.big.coords_of_ranks(companion)[:, None, :])
         # a line xy matches only if the image of x + y lies on the row:
         # test that one point of every candidate first, then the rest of
         # the line of each survivor (row i, candidate j): x maps to home
         # and y to the companion, so the points x + lambda*y, lambda = 2
         # .. p0-1, are left
-        mid = self.small_to_big[self._blown_ranks(add[X, Y])]
+        mid = self.small_to_big.take(self._blown_ranks(
+            add.take(X[:, None] + Y)))
         i, j = np.nonzero((mid[:, :, None] == rows[:, None, :]).any(axis=2))
-        lam = np.arange(2, p0, dtype=np.int64)[:, None]
-        rest = add[X, mul[lam, Y[i, j][:, None, :]]]
+        lam = q * np.arange(2, p0, dtype=np.int64)[:, None]
+        rest = add.take(X[i][:, None] + mul.take(lam + Y[i, j][:, None, :]))
         images = np.concatenate([
-            np.stack([np.full_like(i, home), companion[i], mid[i, j]], axis=1),
-            self.small_to_big[self._blown_ranks(rest)]], axis=1)
+            np.stack([home[i], companion[i], mid[i, j]], axis=1),
+            self.small_to_big.take(self._blown_ranks(rest))], axis=1)
         images.sort(axis=1)
         hit = (images == rows[i]).all(axis=1)
         if (np.bincount(i[hit], minlength=len(rows)) > 1).any():
@@ -292,14 +304,6 @@ class SpreadContext:
                 "the given points are not the image of a line")
         pair = self.small.coords_of_ranks([[xrank, found[0]]])
         return _canonical(self.small, self.small.rref_rows(pair)[0])[0]
-
-
-def _checked_rank(space: ProjectiveSpace, rank) -> int:
-    # numpy would wrap a negative rank round to the end of the cache
-    r = int(rank)
-    if not 0 <= r < space.num_points:
-        raise RangeError(f"point rank {r} out of range for {space!r}")
-    return r
 
 
 @locked_cache(maxsize=8)

@@ -165,9 +165,10 @@ def test_spread_build_fires_its_metrics(tracing):
     assert metrics["spreads.context_build_s"] > 0
 
 
-def test_reconstruct_searches_once_per_base_point(tracing):
-    # the tracer counts transversal_line spans: one batched search per
-    # base point, not one per secant
+def test_reconstruct_searches_in_blocks_of_secants(tracing):
+    # the tracer counts transversal_line spans: the whole-set search of
+    # the cone takes one call per block of secants, not one per base point
+    # nor one per secant
     from blockingsets import catalogue
     from blockingsets.reconstruct import reconstruct
     cone = catalogue.load_shipped(["cone_pg3_9"])[0]
@@ -179,8 +180,13 @@ def test_reconstruct_searches_once_per_base_point(tracing):
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
+    ctx = spreads.spread_context(cone.points.space)
+    rows = sum(r.diagnostics["secants_through_P"] for r in results)
+    block = projspace._SCAN_BLOCK_BYTES \
+        // (64 * ctx.points_per_element * (cone.points.space.n + 1))
     assert metrics["spreads.transversal_line_s"] > 0
-    assert metrics["spreads.transversal_lines"] == len(results)
+    assert 1 <= metrics["spreads.transversal_lines"] <= -(-rows // block)
+    assert metrics["spreads.transversal_lines"] < len(results)
     assert sum(len(r.secants_used) for r in results) > len(results)
 
 
@@ -221,8 +227,19 @@ def test_point_secant_paths_gather_no_selection(monkeypatch):
         return through(self, pos, size)
 
     monkeypatch.setattr(projspace.TraceSummary, "secants_through", counted)
-    results = reconstruct(cone.points, cone.k, cone.p0, point_policy="all")
-    assert len(calls) == len(results) and all(r.success for r in results)
+    lookups = []
+    with monkeypatch.context() as patch:
+        for cls, name in ((projspace.ProjectiveSpace, "coords_of"),
+                          (spreads.SpreadContext, "element_ranks")):
+            patch.setattr(cls, name, lambda *a, name=name, f=getattr(
+                cls, name): lookups.append(name) or f(*a))
+        results = reconstruct(cone.points, cone.k, cone.p0,
+                              point_policy="all")
+    # one batched call for every base point, and no per-point lookup
+    assert len(calls) == 1 and all(r.success for r in results)
+    assert not lookups
+    assert np.array_equal(cone.points.ranks[calls[0]],
+                          [r.P for r in results])
     calls.clear()
     lemma = check_span_lemma(cone.points, cone.k, cone.p0, results[0].P,
                              results[0].x)

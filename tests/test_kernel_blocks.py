@@ -1,8 +1,8 @@
 """The bounded-block kernels: the hyperplane scan, both regimes of the
 scans' grouping tail, the chart marks of the subline checks, the lift of
-the large planes' lines and the batched row reduction give the same
-results whatever their block size, and their traced memory stays within
-bounds set by the array shapes."""
+the large planes' lines, the batched row reduction and the whole-set
+reconstruction give the same results whatever their block size, and
+their traced memory stays within bounds set by the array shapes."""
 
 import sys
 import threading
@@ -18,6 +18,7 @@ from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
                                      secant_linearity_check,
                                      subline_meet_check)
 from blockingsets.projspace import PointSet, ProjectiveSpace, subspace_traces
+from blockingsets.spreads import spread_context
 
 from trace_reference import reference_chart_marks, reference_grouping
 
@@ -295,6 +296,37 @@ def _traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def test_whole_set_reconstruction_memory_is_bounded(monkeypatch):
+    # the cone's whole-set reconstruct under a small block budget: the
+    # secant search takes a block of base points at a time, and the
+    # transversal search a block of secants
+    import importlib
+    rc = importlib.import_module("blockingsets.reconstruct")
+    cone, = catalogue.load_shipped(["cone_pg3_9"])
+    pts, k, p0 = cone.points, cone.k, cone.p0
+    traces_of(pts, 1).per_point_counts(exact=p0 + 1)
+    rc.reconstruct(pts, k, p0, point_policy="all")
+    budget = 1 << 14
+    monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
+    monkeypatch.setattr(rc, "_SCAN_BLOCK_BYTES", budget)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        results = rc.reconstruct(pts, k, p0, point_policy="all")
+        kept, peak = (v - before for v in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # what the results keep (traces, ys and the objects) is live at the
+    # end; above it: a few blocks, the owner, slot and y of every secant,
+    # and the uint8 stack of x and the ys with its int64 reduced rows
+    through = [r.diagnostics["secants_through_P"] for r in results]
+    width, cols = 1 + max(through), spread_context(pts.space).small.n + 1
+    stack = len(results) * cols * (width + 8 * min(width, cols))
+    bound = 4 * budget + 24 * sum(through) + stack
+    assert peak - kept < bound, (peak, kept, bound)
+
+
 def _held(summary):
     """The arrays a summary holds as attributes."""
     return [v for v in vars(summary).values() if isinstance(v, np.ndarray)]
@@ -371,6 +403,31 @@ def test_streamed_grids_match_the_reference(monkeypatch, dense_27):
                                   summary.sizes[grid])
         dense.add(summary.x0 == 0)
     assert dense == {False, True}
+
+
+def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
+    # the first read of a keyed streamed summary gathers each key's slot
+    # from a key -> slot table: no search into the stored keys runs
+    seen = []
+    summarize, search = projspace._by_point_summary, np.searchsorted
+    _, (rest, dim), _ = _streamed_cases(dense_27)
+    with monkeypatch.context() as patch:
+        patch.setattr(projspace, "_by_point_summary",
+                      lambda *args: seen.append(args) or summarize(*args))
+        summary = subspace_traces(rest, dim)
+    ranks_of = seen[-1][3]
+    assert summary._slots is None and summary.x0 > 0
+    keys = summary._keys
+
+    def refuse(a, v, *args, **kwargs):
+        if a is keys:
+            raise AssertionError("a search into the stored keys")
+        return search(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    grid = summary.by_point()
+    _, _, slots = reference_grouping(ranks_of(0, len(rest)))
+    assert np.array_equal(grid.reshape(-1), slots)
 
 
 def test_first_grid_read_is_shared_between_threads(dense_27):

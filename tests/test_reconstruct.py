@@ -279,3 +279,116 @@ def test_secant_bounds_param_guard(baer):
     for p0 in (1, 0, -3, 6):
         with pytest.raises(BadParamsError):
             secant_count_bounds(baer.points, 1, p0)
+
+
+def _reference_reconstruction(pts, k, p0):
+    """The fields of every whole-set reconstruct result, rebuilt one base
+    point at a time with none of the batched kernels: the (p0+1)-secants
+    through P read off its by-point row and grouped by `grouped_points`,
+    each transversal found by the per-candidate search of
+    `_reference_transversal`, W spanned by scalar reduction and its image
+    compared with the set."""
+    from test_trace_storage import _reference_transversal
+    from trace_reference import grouped_points
+    space = pts.space
+    ctx = spread_context(space)
+    lines = traces_of(pts, 1)
+    target = space.field.t * k
+    out = []
+    for pos in range(len(pts)):
+        through = lines.by_point()[pos]
+        sel = through[lines.sizes[through] == p0 + 1]
+        if not sel.size:
+            continue
+        P = int(pts.ranks[pos])
+        x = int(ctx.element_ranks(P).min())
+        flat, offsets = grouped_points(lines, sel)
+        traces = [pts.ranks[flat[offsets[i]:offsets[i + 1]]]
+                  for i in range(sel.size)]
+        found = [_reference_transversal(ctx, PointSet(space, t), x)
+                 for t in traces]
+        assert all(len(f) <= 1 for f in found)
+        used = [t.tolist() for t, f in zip(traces, found) if f]
+        transversals = [f[0] for f in found if f]
+        skipped = [lines.subspace_at(int(s)).rows
+                   for s, f in zip(sel.tolist(), found) if not f]
+        W, dim, equal = None, None, False
+        if not transversals:
+            status = "no secant trace is a subline"
+        else:
+            W = span(ctx.small, *transversals)
+            dim = W.dim
+            image = set(ctx.linear_set_of(W).ranks.tolist())
+            extra = bool(image - set(pts.ranks.tolist()))
+            missing = bool(set(pts.ranks.tolist()) - image)
+            equal = not (extra or missing)
+            status = ("span too small" if dim < target
+                      else "span too large" if dim > target
+                      else "image differs" if extra and missing
+                      else "image overflows the set" if extra
+                      else "image is a proper subset" if missing
+                      else "ok")
+        out.append({
+            "P": P, "x": x, "secants": used,
+            "transversals": [t.rows for t in transversals],
+            "W": None if W is None else W.rows, "dim_W": dim,
+            "image_equal": equal, "status": status,
+            "diagnostics": {"secants_through_P": int(sel.size),
+                            "skipped_non_sublines": len(skipped),
+                            "skipped": skipped, "target_dim": target}})
+    return out
+
+
+def _result_fields(res):
+    diagnostics = dict(res.diagnostics)
+    diagnostics["skipped"] = [s.rows for s in diagnostics["skipped"]]
+    return {"P": res.P, "x": res.x,
+            "secants": [s.ranks.tolist() for s in res.secants_used],
+            "transversals": [t.rows for t in res.transversals],
+            "W": None if res.W is None else res.W.rows, "dim_W": res.dim_W,
+            "image_equal": res.image_equal, "status": res.status,
+            "diagnostics": diagnostics}
+
+
+def _tangent_mutant(seed):
+    """The Baer subplane of PG(2,9) with three seeded points added on one
+    of its tangent lines, which then holds four points of the set: from
+    seed 0 that line is a 4-secant but no GF(3)-subline, so some secants
+    have no transversal, and from seed 1 spans come out too small and too
+    large."""
+    from blockingsets import catalogue
+    baer = catalogue.load_shipped(["baer_pg2_9"])[0].points
+    lines = traces_of(baer, 1)
+    rng = np.random.default_rng(seed)
+    tangent = lines.subspace_at(int(rng.choice(
+        np.flatnonzero(lines.sizes == 1))))
+    off = np.setdiff1d(tangent.point_ranks(), baer.ranks)
+    return PointSet(baer.space, np.union1d(
+        baer.ranks, rng.choice(off, 3, replace=False)))
+
+
+@pytest.mark.parametrize("name", ["baer_pg2_9", "cone_pg3_9", "rank4_pg2_27",
+                                  "subgeom_pg2_49", "subplane_pg3_49",
+                                  "mutant_0", "mutant_1"])
+def test_whole_set_reconstruction_matches_per_point_reference(name):
+    from blockingsets import catalogue
+    if name.startswith("mutant"):
+        pts, k, p0 = _tangent_mutant(int(name[-1])), 1, 3
+    else:
+        inst = catalogue.load_shipped([name])[0]
+        pts, k, p0 = inst.points, inst.k, inst.p0
+    want = _reference_reconstruction(pts, k, p0)
+    got = [_result_fields(r)
+           for r in reconstruct(pts, k, p0, point_policy="all")]
+    assert got == want
+    assert _result_fields(reconstruct(pts, k, p0)) == want[0]
+    statuses = {w["status"] for w in want}
+    if name == "mutant_0":
+        # secants with no transversal, skipped and reported
+        assert "no secant trace is a subline" in statuses
+        assert any(w["diagnostics"]["skipped"] and w["transversals"]
+                   for w in want)
+    elif name == "mutant_1":
+        assert {"span too small", "span too large"} <= statuses
+    else:
+        assert statuses == {"ok"}

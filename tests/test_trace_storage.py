@@ -407,6 +407,38 @@ def test_secants_through_matches_reference():
         subspace_traces(cone, 2).secants_through(0, 2)
 
 
+def test_secants_through_positions_form_matches_one_point_calls(
+        monkeypatch):
+    # the positions form gives the rows of each position's one-point call,
+    # grouped by owner in the order of the array (shuffled, with repeats),
+    # whatever the block of positions
+    rng = np.random.default_rng(3)
+    for pts, step in _secant_cases():
+        lines = subspace_traces(pts, 1)
+        m = len(pts)
+        at = rng.permutation(np.arange(0, m, step))
+        at = np.concatenate([at, at[:2]])
+        for size in np.unique(lines.sizes)[:3].tolist():
+            singles = [lines.secants_through(int(p), size) for p in at]
+            for budget in (None, 1):
+                with monkeypatch.context() as patch:
+                    if budget is not None:
+                        patch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
+                    owner, slots, points = lines.secants_through(at, size)
+                assert owner.dtype == np.int32 and slots.dtype == np.int32
+                assert points.dtype == np.int32
+                assert np.array_equal(owner, np.repeat(
+                    np.arange(at.size), [s.size for s, _ in singles]))
+                assert np.array_equal(
+                    slots, np.concatenate([s for s, _ in singles]))
+                assert np.array_equal(
+                    points, np.concatenate([p for _, p in singles]))
+        owner, slots, points = lines.secants_through(np.empty(0, int), 2)
+        assert owner.size == slots.size == 0 and points.shape == (0, 2)
+        with pytest.raises(RangeError):
+            lines.secants_through(np.asarray([0, m]), 2)
+
+
 def _pack_rows2(space, first, second):
     """The packed line keys the line scan used before its dense ranks:
     the entries of row 1 then row 2 as base-q digits, lowest place first,
@@ -595,6 +627,19 @@ def test_transversal_line_errors():
             ctx.transversal_line([[first, *broken.ranks[2:], bad]], x)
     with pytest.raises(XNotOnElementError):
         ctx.transversal_line([broken.ranks, [*broken.ranks[1:], outside]], x)
+    # one x per row: each must lie on an element of its own row, be a
+    # small point, and come with exactly one row
+    xs = np.asarray([x, int(ctx.element_ranks(broken.ranks[1])[0])])
+    assert ctx.transversal_line([broken.ranks] * 2, xs).tolist() == [-1, -1]
+    with pytest.raises(XNotOnElementError):
+        ctx.transversal_line([broken.ranks, [broken.ranks[0],
+                                             *broken.ranks[2:], outside]],
+                             xs)
+    with pytest.raises(BadParamsError):
+        ctx.transversal_line([broken.ranks] * 3, xs)
+    for bad in (-1, ctx.small.num_points):
+        with pytest.raises(RangeError):
+            ctx.transversal_line([broken.ranks] * 2, np.asarray([x, bad]))
 
 
 def test_transversal_line_refuses_two_matches(baer):
@@ -669,6 +714,7 @@ def test_batched_transversal_search_matches_per_secant_reference(name):
     ctx = spread_context(pts.space)
     lines = traces_of(pts, 1)
     admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
+    every, xs, wants = [], [], []
     for pos in admissible[:3].tolist():
         through = lines.indices_through_point(pos)
         flat, _ = grouped_points(
@@ -688,3 +734,9 @@ def test_batched_transversal_search_matches_per_secant_reference(name):
             == [-1] * len(traces)
         both = ctx.transversal_line(np.concatenate([perturbed, traces]), x)
         assert both.tolist() == [-1] * len(traces) + want
+        every += [perturbed, traces]
+        xs.append(np.full(2 * len(traces), x))
+        wants += [-1] * len(traces) + want
+    # one x per row: the rows of all three base points in one call
+    got = ctx.transversal_line(np.concatenate(every), np.concatenate(xs))
+    assert got.tolist() == wants
