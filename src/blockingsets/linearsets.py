@@ -255,16 +255,22 @@ def line_param_positions(line: Subspace, ranks) -> np.ndarray:
     return ProjectiveSpace(1, space.field).ranks_from_rows(param)
 
 
+def _chart_points(line: Subspace) -> np.ndarray:
+    """The ambient ranks of the points of a line, indexed by their PG(1, q)
+    ranks in its coefficient chart (see `line_param_positions`)."""
+    ranks = line.point_ranks()
+    ambient = np.empty(line.space.q + 1, dtype=np.int64)
+    ambient[line_param_positions(line, ranks)] = ranks
+    return ambient
+
+
 def enumerate_sublines(line: Subspace, p0: int):
     """All GF(p0)-sublines of an ambient line, each once, as PointSets."""
     space = line.space
     if line.dim != 1:
         raise RangeError("subline enumeration needs a line")
-    mat, tuples = subline_patterns(space.field, p0)
-    ranks = line.point_ranks()
-    positions = line_param_positions(line, ranks)
-    ambient = np.empty(space.q + 1, dtype=np.int64)
-    ambient[positions] = ranks
+    _, tuples = subline_patterns(space.field, p0)
+    ambient = _chart_points(line)
     for row in tuples:
         yield PointSet(space, ambient[list(row)])
 
@@ -297,11 +303,8 @@ class SublineMeetReport(NamedTuple):
 
 
 def _meet_violation(space, line, tuples, pattern_idx, size, violations):
-    ranks = line.point_ranks()
-    ambient = np.empty(space.q + 1, dtype=np.int64)
-    ambient[line_param_positions(line, ranks)] = ranks
-    violations.append(
-        (line, PointSet(space, ambient[list(tuples[pattern_idx])]), size))
+    violations.append((line, PointSet(
+        space, _chart_points(line)[list(tuples[pattern_idx])]), size))
 
 
 def subline_meet_check(witness: LinearSetWitness,
@@ -454,8 +457,7 @@ def is_linear(pts: PointSet, p0: int, strategy: str = "reconstruct_first",
 
 
 def _preimage_ranks(ctx: SpreadContext, pts: PointSet) -> np.ndarray:
-    return np.sort(np.concatenate(
-        [ctx.element_ranks(int(r)) for r in pts.ranks]))
+    return np.sort(ctx.big_to_small[pts.ranks].reshape(-1))
 
 
 def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):

@@ -833,14 +833,14 @@ class TraceSummary:
 
     Every scan hands `_by_point_summary` a row generator of the keys of
     the dim-subspaces through each point, ascending (int32 whenever every
-    key fits).  When every key occurs (a set that meets every
-    dim-subspace, as a blocking set meets the subspaces of its scan), the
-    summary is dense: a slot is its key and no keys are stored.
-    Otherwise the keys that occur are stored (int64) and the slots are
-    their places among them (int32).  The sizes are held in the smallest
-    signed integer type that holds the set's size, so they never wrap on
-    subtraction; compare them with exact integers, not with products
-    that could wrap.
+    key fits), and the tail counts them into keys and sizes.  When every
+    key occurs (a set that meets every dim-subspace, as a blocking set
+    meets the subspaces of its scan), the summary is dense: a slot is its
+    key and no keys are stored.  Otherwise the keys that occur are stored
+    (int64) and the slots are their places among them (int32).  The sizes
+    are held in the smallest signed integer type that holds the set's
+    size, so they never wrap on subtraction; compare them with exact
+    integers, not with products that could wrap.
 
     Keys are read through `keys_of` alone: `bases` turns any selection of
     slots into canonical RREF basis rows, `first_uncovered` unranks the
@@ -850,13 +850,17 @@ class TraceSummary:
     scan gives each point the same number of slots, its width, so they
     form one (m, width) int32 grid (`by_point`), row p holding the slots
     through the point at position p, ascending, which is the scan order
-    (`indices_through_point`).  A counted scan of more than one block
-    keeps its row generator instead, and the first per-point read builds
-    the grid: such a summary asked only for sizes holds no array of
-    incidence length.  The sizes of its slots, gathered once into a grid
-    of the same shape (`point_sizes`), serve every per-point count and
-    the subline checks' search for the secants through each point.  The
-    points' coordinates are those the set `pts` caches.
+    (`indices_through_point`).  Every summary has one life cycle: it
+    holds its keys, sizes and a row source, rows(r0, r1), the keys
+    through the points at positions r0..r1, and builds the grid once, on
+    the first per-point read, after which the source is dropped.  The
+    source slices the scan's array where the tail kept it (a scan of one
+    block, or a sorted one) and is the scan's row generator otherwise, so
+    a summary asked only for sizes builds no grid.  The sizes of its
+    slots, gathered once into a grid of the same shape (`point_sizes`),
+    serve every per-point count and the subline checks' search for the
+    secants through each point.  The points' coordinates are those the
+    set `pts` caches.
 
     The point positions of the lines through one point are built per
     call and never cached: `secants_through` finds them from the set's
@@ -866,7 +870,7 @@ class TraceSummary:
     and shared.
     """
 
-    def __init__(self, pts, dim, keys, sizes, slots):
+    def __init__(self, pts, dim, keys, sizes, rows):
         self.pts = pts
         self.space = pts.space
         self.dim = dim
@@ -874,10 +878,9 @@ class TraceSummary:
         # None on a dense summary, whose slots are its keys
         self._keys = None if keys is None else _frozen(keys)
         self.sizes = _frozen(sizes)
-        # the by-point grid, or None and the scan's row generator until
-        # the first per-point read builds the grid
-        self._slots, self._ranks_of = (None, slots) if callable(slots) \
-            else (_frozen(slots), None)
+        # the scan's row source until the first per-point read builds the
+        # grid from it
+        self._rows, self._slots = rows, None
         self._counts = {}
         self._point_sizes = None
         self._size_counts = None
@@ -917,26 +920,33 @@ class TraceSummary:
 
     def by_point(self) -> np.ndarray:
         """The (points, width) int32 grid of slots: row p holds the slots
-        through the point at position p, ascending; read-only.  A summary
-        that kept its scan's row generator builds it on the first read, a
-        tail block of rows at a time, a key being its slot when dense and
-        otherwise gathered from a temporary key -> slot table (int32, so
-        half the count array that the scan was counted under)."""
+        through the point at position p, ascending; read-only.  The first
+        read builds it from the row source, the one place a grid is built.
+        On a dense summary a key is its slot, so the rows are the grid
+        (int32 rows are not copied).  Otherwise each tail block of rows is
+        mapped to slots through a temporary int32 key -> slot table when
+        the key range passes the count rule's byte bound (8 * total <=
+        `_COUNT_BYTES`), and by a search of the stored keys when not."""
         if self._slots is None:
             with _TRACE_LOCK:
                 if self._slots is None:
-                    m, space = len(self.pts), self.space
-                    width = gaussian_binomial(space.n, self.dim, space.q)
-                    grid = np.empty((m, width), dtype=np.int32)
-                    rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
-                    if self._keys is not None:
-                        table = np.empty(self.total, dtype=np.int32)
-                        table[self._keys] = np.arange(self._keys.size)
-                    for r0 in range(0, m, rows):
-                        block = self._ranks_of(r0, min(r0 + rows, m))
-                        grid[r0:r0 + rows] = block if self._keys is None \
-                            else table[block]
-                    self._slots, self._ranks_of = _frozen(grid), None
+                    m, rows_of, keys = len(self.pts), self._rows, self._keys
+                    if keys is None:
+                        grid = rows_of(0, m).astype(np.int32, copy=False)
+                    else:
+                        table = None
+                        if 8 * self.total <= _COUNT_BYTES:
+                            table = np.empty(self.total, dtype=np.int32)
+                            table[keys] = np.arange(keys.size)
+                        width = gaussian_binomial(self.space.n, self.dim,
+                                                  self.space.q)
+                        grid = np.empty((m, width), dtype=np.int32)
+                        rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
+                        for r0 in range(0, m, rows):
+                            block = rows_of(r0, min(r0 + rows, m))
+                            grid[r0:r0 + rows] = np.searchsorted(keys, block) \
+                                if table is None else table[block]
+                    self._slots, self._rows = _frozen(grid), None
         return self._slots
 
     def _check_slots(self, sel: np.ndarray):
@@ -1374,62 +1384,46 @@ def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
     `_SCAN_BLOCK_BYTES` / (8 * width) rows, one at least (a bincount's
     intp copy takes 8 bytes per incidence).
 
-    Two regimes, chosen by the byte size of a count array, 8 * total, and
-    by the key range against the incidences:
+    The tail only counts: it finds the keys and their sizes and hands
+    the summary a row source, from which `TraceSummary.by_point` builds
+    the slot grid on the first per-point read.  Two regimes, chosen by
+    the byte size of a count array, 8 * total, and by the key range
+    against the incidences:
 
     - when the count array is at most `_COUNT_BYTES` and the range at most
       `_COUNT_RANGE` times the incidences, a bincount of each block is
       summed into one int64 count, whose nonzero entries are the keys.  A
-      scan of one block is kept as the grid, the counts' buffer becoming
-      the key -> slot table; a longer one is counted a generated block at
-      a time and none of it is kept: the summary keeps ranks_of and
-      builds its grid on the first per-point read;
+      scan of one block is generated whole and kept in the row source; a
+      longer one is counted a generated block at a time and none of it
+      is kept: the row source is ranks_of itself;
     - otherwise (a large key range, or a small set whose incidences a
-      pass over the range would dwarf) an int32 copy (int64 when the keys
-      need it) of the whole ranks is sorted and its runs counted block by
-      block straight into the sizes, with no range-sized array; a key's
-      slot is its place among the distinct keys, found by a blocked search
-      that writes into the sorted copy's buffer, and the grid is kept.
+      pass over the range would dwarf) the whole scan is generated and
+      kept in the row source, and an int32 copy (int64 when the keys need
+      it) of it is sorted and its runs counted block by block straight
+      into the sizes, with no range-sized array.
 
-    When every key occurs (the set meets every dim-subspace), the slot of
-    a key is the key itself: no table and no keys are built, and int32
-    ranks are the slots."""
+    When every key occurs (the set meets every dim-subspace), no keys are
+    stored: the slot of a key is the key itself."""
     m = len(pts)
     width = gaussian_binomial(space.n, dim, space.q)
     sizes_type = _size_dtype(m)
-    step = max(1, _SCAN_BLOCK_BYTES // 8)
-    rows = max(1, step // width)
+    rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
     counted = 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * m * width
-    ranks = ranks_of(0, m) if m <= rows or not counted else None
+    # a scan of one block, or a sorted one, is generated whole and kept
+    kept = None if m > rows and counted else ranks_of(0, m)
+    rows_of = ranks_of if kept is None else lambda r0, r1: kept[r0:r1]
     if counted:
         counts = np.zeros(total, dtype=np.int64)
         for r0 in range(0, m, rows):
-            block = ranks_of(r0, min(r0 + rows, m)) if ranks is None \
-                else ranks
-            counts += np.bincount(block.reshape(-1), minlength=total)
-            del block
+            counts += np.bincount(rows_of(r0, min(r0 + rows, m)).reshape(-1),
+                                  minlength=total)
         keys = None if np.count_nonzero(counts) == total \
             else np.flatnonzero(counts)
         sizes = (counts if keys is None else counts[keys]).astype(sizes_type)
-        if ranks is None:
-            return TraceSummary(pts, dim, keys, sizes, ranks_of)
-        if keys is not None:
-            # the spent counts' buffer becomes the key -> slot table
-            table = counts.view(np.int32)[:total]
-            table[keys] = np.arange(keys.size, dtype=np.int32)
-            slots = table[ranks]
     else:
-        flat = ranks.reshape(-1)
-        srt = np.sort(flat)
-        keys, sizes = _sorted_runs(srt, total, sizes_type)
-        if keys is not None:
-            slots = srt if srt.dtype == np.int32 \
-                else np.empty(flat.size, dtype=np.int32)
-            for b in range(0, flat.size, step):
-                slots[b:b + step] = np.searchsorted(keys, flat[b:b + step])
-    if keys is None:
-        slots = ranks.astype(np.int32, copy=False)
-    return TraceSummary(pts, dim, keys, sizes, slots.reshape(m, width))
+        keys, sizes = _sorted_runs(np.sort(kept.reshape(-1)), total,
+                                   sizes_type)
+    return TraceSummary(pts, dim, keys, sizes, rows_of)
 
 
 def _sorted_runs(srt, total, sizes_type) -> tuple:

@@ -107,9 +107,9 @@ def _recording(ranks_of):
 
 def _check_grouping(summary, ranks, made):
     """The summary groups ranks as the reference does, with the dtypes
-    the summaries promise; made lists the arrays its scan generated.  A
-    scan generated in blocks keeps none of them, and builds its grid on
-    the first read; one generated whole keeps its array."""
+    the summaries promise; made lists the arrays its scan generated.
+    Every summary builds its grid on the first read; a dense one whose
+    scan was generated whole reads its grid off that array."""
     keys, sizes, slots = reference_grouping(ranks)
     m = ranks.shape[0]
     got_keys = summary.keys_of(np.arange(summary.sizes.size))
@@ -117,7 +117,7 @@ def _check_grouping(summary, ranks, made):
     assert summary.sizes.dtype == projspace._size_dtype(m)
     assert np.array_equal(summary.sizes, sizes)
     streamed = len(made) > 1
-    assert (summary._slots is None) == streamed
+    assert summary._slots is None
     got = summary.by_point()
     assert got.dtype == np.int32 and got.shape == ranks.shape
     assert np.array_equal(got.reshape(-1), slots)
@@ -428,6 +428,35 @@ def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
     grid = summary.by_point()
     _, _, slots = reference_grouping(ranks_of(0, len(rest)))
     assert np.array_equal(grid.reshape(-1), slots)
+
+
+def test_sorted_spectrum_searches_no_keys(monkeypatch):
+    # a keyed summary in the sorted regime (a few points of PG(3,16), far
+    # more lines than incidences) makes no search into its keys while the
+    # scan and its spectrum run; its grid, built on the first read, still
+    # matches the reference
+    seen, searched = [], []
+    summarize, search = projspace._by_point_summary, np.searchsorted
+    space = ProjectiveSpace(3, make_field(2, 4))
+    pts = PointSet(space, np.random.default_rng(30).choice(
+        space.num_points, 5, replace=False))
+    monkeypatch.setattr(projspace, "_by_point_summary",
+                        lambda *args: seen.append(args) or summarize(*args))
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, *args, **kwargs:
+                        searched.append(a) or search(a, v, *args, **kwargs))
+    summary = subspace_traces(pts, 1)
+    spectrum = summary.spectrum()
+    ranks_of, total = seen[-1][3:]
+    width = projspace.gaussian_binomial(3, 1, space.q)
+    assert total > projspace._COUNT_RANGE * len(pts) * width
+    assert not any(np.shares_memory(a, summary._keys) for a in searched)
+    assert summary.x0 > 0 and summary._slots is None
+    keys, sizes, slots = reference_grouping(ranks_of(0, len(pts)))
+    values, counts = np.unique(sizes, return_counts=True)
+    assert spectrum == {0: total - keys.size,
+                        **dict(zip(values.tolist(), counts.tolist()))}
+    assert np.array_equal(summary.keys_of(np.arange(sizes.size)), keys)
+    assert np.array_equal(summary.by_point().reshape(-1), slots)
 
 
 def test_first_grid_read_is_shared_between_threads(dense_27):

@@ -20,11 +20,13 @@ def _tool(name):
 
 def test_mempeaks_rows(monkeypatch, capsys):
     mempeaks = _tool("mempeaks")
-    # the tool wraps the checks, the scans and their grouping tail in
-    # place: restore them afterwards
+    # the tool wraps the checks, the scans, their grouping tail and the
+    # grid reads in place: restore them afterwards
     monkeypatch.setattr(harness, "_CHECKS", dict(harness._CHECKS))
     for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
         monkeypatch.setattr(projspace, name, getattr(projspace, name))
+    monkeypatch.setattr(projspace.TraceSummary, "by_point",
+                        projspace.TraceSummary.by_point)
     # cached summaries would hide the scans
     blocking.traces_of.cache_clear()
     assert mempeaks.main(["cone_pg3_9"]) == 0
@@ -36,14 +38,21 @@ def test_mempeaks_rows(monkeypatch, capsys):
     depths = [(len(name) - len(name.lstrip())) // 2 for name, _ in rows]
     names = [name.strip() for name, _ in rows]
     checks = [name for name, d in zip(names, depths) if d == 0]
-    scans = {name for name, d in zip(names, depths) if d == 1}
+    grids = [i for i, name in enumerate(names)
+             if name.startswith("by_point dim ")]
+    scans = {name for i, (name, d) in enumerate(zip(names, depths))
+             if d == 1 and i not in grids}
     assert sorted(checks) == sorted(harness.CHECK_IDS)
     assert scans == {"_scan_lines", "_scan_hyperplanes"}
     # each scan ends in one run of the grouping tail, nested under it
     tails = [i for i, name in enumerate(names) if name == "_by_point_summary"]
     assert tails and {depths[i] for i in tails} == {2}
     assert all(names[i - 1] in scans for i in tails)
-    assert len(tails) == sum(d == 1 for d in depths)
+    assert len(tails) == sum(name in scans for name in names)
+    # each grid build is nested under the check that paid for it, and
+    # the line summary's grid, read by many checks, is built once
+    assert grids and {depths[i] for i in grids} == {1}
+    assert [names[i] for i in grids].count("by_point dim 1") == 1
 
 
 def test_mempeaks_rejects_unknown_names(capsys):
