@@ -362,13 +362,15 @@ class FieldSpec:
             embed[c] = acc
         retract = np.full(self.q, -1, dtype=np.int64)
         retract[embed] = np.arange(sub.q)
+        # shared by every caller of make_field: keep them read-only
+        embed.flags.writeable = retract.flags.writeable = False
         self._embeddings[e] = (embed, retract)
         return embed, retract
 
     # --- lookup tables for batched work ---
 
     def tables(self):
-        """(ADD, MUL, NEG, INV) numpy arrays; built once."""
+        """(ADD, MUL, NEG, INV) numpy arrays; built once, read-only."""
         if self._tables is None:
             with _BUILD_LOCK:
                 if self._tables is None:
@@ -399,6 +401,10 @@ class FieldSpec:
         mul[:, 0] = 0
         inv = exp[-log % (q - 1)]
         inv[0] = 0
+        # shared by every caller of make_field: a write into one would
+        # change every later verdict over this field
+        for arr in (add, mul, neg, inv):
+            arr.flags.writeable = False
         return add, mul, neg, inv
 
     # --- identity ---

@@ -16,8 +16,10 @@ hypothesis flags as canonical JSON (sorted keys, trailing newline).
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 
 import numpy as np
 
@@ -57,6 +59,11 @@ def write_pointset(path: str, pts: PointSet, meta: dict | None = None):
 
 
 def read_pointset(path: str, with_meta: bool = False):
+    """The PointSet of a point set file (and its sidecar's JSON, or None,
+    with_meta).  A file in the form `write_pointset` writes is read in one
+    `np.loadtxt` pass; any other text, and any file with a bad code, goes
+    through the line parser, which defines the format and names the first
+    bad line: syntax first, then the space parameters, then the codes."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = fh.read()
@@ -64,6 +71,75 @@ def read_pointset(path: str, with_meta: bool = False):
         raise IoError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not ASCII text: {exc}") from exc
+    parsed = _canonical_rows(raw)
+    if parsed is None:
+        header, rows = _parse_lines(path, raw)
+    else:
+        (header, arr), rows = parsed, None
+    p, t, n = header
+    try:
+        space = space_for(p, t, n)
+    except Exception as exc:
+        raise ParseError(f"{path}: bad space parameters "
+                         f"p={p} t={t} n={n}: {exc}") from exc
+    if space.num_points >= 2 ** 63:
+        raise ParseError(f"{path}: {space!r} has {space.num_points} points, "
+                         "past int64 point ranks")
+    q = space.q
+    if rows is not None:
+        try:
+            # the reshape keeps a header-only file 2-d
+            arr = np.array([row for _, row in rows],
+                           dtype=np.int64).reshape(len(rows), n + 1)
+        except OverflowError:
+            arr = None
+    # check the whole file at once; a code past int64 or a flagged row
+    # sends the rows, parsed by the line parser if need be, through the
+    # per-row checks, which name the first bad line in file order
+    if arr is None or not (((arr >= 0) & (arr < q)).all()
+                           and (arr != 0).any(axis=1).all()):
+        if rows is None:
+            rows = _parse_lines(path, raw)[1]
+        _raise_first_bad_row(path, rows, q)
+    pts = PointSet(space, space.ranks_from_rows(arr))
+    if not with_meta:
+        return pts
+    side = meta_path(path)
+    meta = read_json(side) if os.path.exists(side) else None
+    return pts, meta
+
+
+# the header as write_pointset writes it, a whole line
+_CANONICAL_HEADER = re.compile(
+    rf"{POINTSET_MAGIC} {POINTSET_VERSION} ([0-9]+) ([0-9]+) ([0-9]+)\n")
+
+
+def _canonical_rows(raw: str):
+    """((p, t, n), int64 rows) of a text in the form `write_pointset`
+    writes, read by one `np.loadtxt`: a canonical header line, then only
+    ASCII digits, spaces and newlines, some digits among them, in rows of
+    n+1 codes that fit in int64.  None for any other text, which the line
+    parser reads; the codes are not checked here."""
+    head = _CANONICAL_HEADER.match(raw)
+    if head is None:
+        return None
+    body = raw[head.end():]
+    if not body.replace(" ", "").replace("\n", "").isdigit():
+        return None
+    p, t, n = (int(x) for x in head.groups())
+    try:
+        arr = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if arr.shape[1] != n + 1:
+        return None
+    return (p, t, n), arr
+
+
+def _parse_lines(path: str, raw: str):
+    """The line parser, which defines the format: ((p, t, n), rows) with
+    rows a list of (line number, codes), or the ParseError of the first
+    line, in file order, whose syntax is bad."""
     header = None
     rows = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -98,34 +174,7 @@ def read_pointset(path: str, with_meta: bool = False):
         rows.append((lineno, row))
     if header is None:
         raise ParseError(f"{path}: empty file")
-    p, t, n = header
-    try:
-        space = space_for(p, t, n)
-    except Exception as exc:
-        raise ParseError(f"{path}: bad space parameters "
-                         f"p={p} t={t} n={n}: {exc}") from exc
-    if space.num_points >= 2 ** 63:
-        raise ParseError(f"{path}: {space!r} has {space.num_points} points, "
-                         "past int64 point ranks")
-    q = space.q
-    # rank the whole file in one call; a code past int64 or a flagged row
-    # sends the rows through the per-row checks, which name the first bad
-    # line in file order (the reshape keeps a header-only file 2-d)
-    try:
-        arr = np.array([row for _, row in rows],
-                       dtype=np.int64).reshape(len(rows), n + 1)
-        ok = ((arr >= 0) & (arr < q)).all() and (arr != 0).any(axis=1).all()
-    except OverflowError:
-        ok = False
-    if not ok:
-        _raise_first_bad_row(path, rows, q)
-    ranks = space.ranks_from_rows(arr)
-    pts = PointSet(space, ranks)
-    if not with_meta:
-        return pts
-    side = meta_path(path)
-    meta = read_json(side) if os.path.exists(side) else None
-    return pts, meta
+    return header, rows
 
 
 def _raise_first_bad_row(path: str, rows, q: int):

@@ -677,8 +677,9 @@ def _span_image_subset(a):
         raise _Inapplicable(reconstructed_spaces=len(subspaces))
     union = span(ctx.small, subspaces[0], subspaces[1])
     image = ctx.linear_set_of_ranks(union.point_ranks())
-    extra = np.setdiff1d(image, a.pts.ranks)
-    image_size = int(np.unique(image).size)
+    # the image is sorted and unique (linear_set_of_ranks)
+    extra = image[~np.isin(image, a.pts.ranks, assume_unique=True)]
+    image_size = int(image.size)
     return 0, int(extra.size), extra.size == 0, {
         **_assumed(a),
         "planes": planes_used,

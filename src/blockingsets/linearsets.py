@@ -33,7 +33,10 @@ from .projspace import (
     PointSet,
     ProjectiveSpace,
     Subspace,
+    _frozen,
     gaussian_binomial,
+    sorted_unique,
+    sorted_unique_rows,
     span,
 )
 from .spreads import SpreadContext, spread_context
@@ -202,9 +205,10 @@ def build_family(name: str, **params) -> PointSet:
 def subline_patterns(field: FieldSpec, p0: int):
     """All GF(p0)-sublines of the parameter line PG(1, q), once per field.
 
-    Returns (bool matrix, list of rank tuples): row i marks the point
+    Returns (bool matrix, tuple of rank tuples): row i marks the point
     ranks of subline i, and the tuples (each ascending) are in
-    lexicographic order.  Parameter coordinates are projective
+    lexicographic order.  The result is shared, so the matrix is
+    read-only.  Parameter coordinates are projective
     coordinates, and projectivities permute sublines, so the same patterns
     serve every line of every space over this field through its
     coefficient chart.
@@ -224,7 +228,8 @@ def subline_patterns(field: FieldSpec, p0: int):
     npts = param_space.num_points
     units = embed[embed != 0]
     # the smallest code of each coset mu GF(p0)*
-    reps = np.unique(mul[np.arange(1, field.q)[:, None], units].min(axis=1))
+    reps = sorted_unique(
+        mul[np.arange(1, field.q)[:, None], units].min(axis=1))
     # (t0, t1) over the points of PG(1, p0): (1, s) for s in GF(p0), (0, 1)
     t0 = np.append(np.ones(p0, dtype=np.int64), 0)
     t1 = np.append(embed, 1)
@@ -236,11 +241,11 @@ def subline_patterns(field: FieldSpec, p0: int):
         vecs = add[t0_a[a], mul[t1[:, None], mu_b]]
         ranks = np.sort(param_space.ranks_from_rows(vecs), axis=-1) \
             .reshape(-1, p0 + 1)
-        rows.append(np.unique(ranks[ranks[:, 0] == a], axis=0))
+        rows.append(sorted_unique_rows(ranks[ranks[:, 0] == a]))
     rows = np.concatenate(rows)
     mat = np.zeros((rows.shape[0], npts), dtype=bool)
     mat[np.arange(rows.shape[0])[:, None], rows] = True
-    return mat, [tuple(r) for r in rows.tolist()]
+    return _frozen(mat), tuple(tuple(r) for r in rows.tolist())
 
 
 def line_param_positions(line: Subspace, ranks) -> np.ndarray:
@@ -331,13 +336,7 @@ def subline_meet_check(witness: LinearSetWitness,
         bank_bits = _bitmasks(mat)
         # lines with the same chart positions meet the sublines alike, so
         # each distinct mask is counted once
-        order = np.lexsort(line_bits.T)
-        ranked = line_bits[order]
-        fresh = np.ones(sel.size, dtype=bool)
-        fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        distinct = ranked[fresh]
-        which = np.empty(sel.size, dtype=np.int64)
-        which[order] = np.cumsum(fresh) - 1
+        distinct, which = sorted_unique_rows(line_bits, return_inverse=True)
         bad = np.empty(distinct.shape[0], dtype=bool)
         # the uint64 words of one chunk's line & pattern
         chunk = max(1, _SCAN_BLOCK_BYTES // (8 * bank_bits.size))
@@ -390,10 +389,13 @@ def secant_linearity_check(pts: PointSet, k: int,
     sel, words = lines._chart_marks(p0 + 1, p0 + 1)
     count = int(sel.size)
     # a trace is a subline when its chart bits are those of a pattern: a
-    # row of words, read as one opaque item, is in the patterns' rows
+    # row of words, read as one opaque item, is in the patterns' rows;
+    # both sides of the test are distinct items
     row = np.dtype((np.void, words.itemsize * words.shape[1]))
-    bad = sel[~np.isin(words.view(row).reshape(-1),
-                       _bitmasks(mat).view(row).reshape(-1))]
+    items, back = sorted_unique_rows(words, return_inverse=True)
+    bad = sel[~np.isin(items.view(row).reshape(-1),
+                       _bitmasks(mat).view(row).reshape(-1),
+                       assume_unique=True)[back]]
     failures = [lines.subspace_at(int(i))
                 for i in lines.witness_order(bad)[:10]]
     return SecantLinearityReport(not failures, count, within, failures)

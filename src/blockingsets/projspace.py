@@ -59,6 +59,33 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct entries of an array, flattened, ascending and in a new
+    array: `np.unique`'s result without the `numpy.ma` import that its
+    first plain call in a process pays."""
+    arr = np.sort(np.ravel(values))
+    keep = np.ones(arr.size, dtype=bool)
+    np.not_equal(arr[1:], arr[:-1], out=keep[1:])
+    return arr[keep]
+
+
+def sorted_unique_rows(rows, return_inverse: bool = False):
+    """The distinct rows of a 2-d array in lexicographic order, as
+    `np.unique(rows, axis=0)` gives them but without its `numpy.ma`
+    import; with return_inverse, also the index of each row's distinct
+    row."""
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    fresh = np.ones(len(ranked), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    if not return_inverse:
+        return ranked[fresh]
+    inverse = np.empty(len(ranked), dtype=np.int64)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], inverse
+
+
 def gaussian_binomial(m: int, r: int, q: int) -> int:
     """Number of r-dim subspaces of an m-dim vector space over GF(q)."""
     if m < 0 or q < 2:
@@ -466,14 +493,16 @@ class ProjectiveSpace:
         below it.  The sets are reduced through the field tables in blocks
         whose int64 copy takes at most _SCAN_BLOCK_BYTES (one set at
         least), column by column: each set whose unreduced rows have an
-        entry in the column takes the first such row as its next pivot."""
+        entry in the column takes the first such row as its next pivot.
+        The tables are read flat, at a * q + b, as in `_combine`."""
         stack = np.asarray(stack)
         if stack.ndim != 3 or stack.shape[2] != self.n + 1:
             raise DimensionMismatchError(
                 f"expected a stack of rows of length {self.n + 1}, got "
                 f"shape {stack.shape}")
         num, height, width = stack.shape
-        add, mul, neg, inv = self.field.tables()
+        add, mul, neg, inv = (t.ravel() for t in self.field.tables())
+        q = self.q
         keep = min(height, width)
         rows = np.zeros((num, keep, width), dtype=np.int64)
         ranks = np.zeros(num, dtype=np.int64)
@@ -490,15 +519,16 @@ class ProjectiveSpace:
                     continue
                 r, s = rank[live], sel[live]
                 pivot = block[live, s]
-                pivot = mul[pivot, inv[pivot[:, c]][:, None]]
+                pivot = mul.take(pivot * q + inv.take(pivot[:, c])[:, None])
                 block[live, s] = block[live, r]
                 block[live, r] = pivot
                 # clear column c off the pivot row; the columns before c
                 # are zero on the pivot row, so only c onwards change
                 coeff = block[live, :, c]
                 coeff[np.arange(live.size), r] = 0
-                block[live, :, c:] = add[block[live, :, c:], mul[
-                    coeff[:, :, None], neg[pivot[:, None, c:]]]]
+                block[live, :, c:] = add.take(
+                    block[live, :, c:] * q + mul.take(
+                        coeff[:, :, None] * q + neg.take(pivot[:, None, c:])))
                 rank[live] += 1
             rows[start:start + step] = block[:, :keep]
         return rows, ranks
@@ -686,7 +716,7 @@ class PointSet:
 
     def __init__(self, space, ranks):
         self.space = space
-        arr = np.unique(np.asarray(list(ranks) if not isinstance(
+        arr = sorted_unique(np.asarray(list(ranks) if not isinstance(
             ranks, np.ndarray) else ranks, dtype=np.int64))
         if arr.size and (arr[0] < 0 or arr[-1] >= space.num_points):
             raise RangeError("point rank out of range")
@@ -728,13 +758,15 @@ class PointSet:
         return self._coords
 
     def union(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, np.union1d(self.ranks, other.ranks))
+        return PointSet(self.space, np.concatenate((self.ranks, other.ranks)))
 
     def difference(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, np.setdiff1d(self.ranks, other.ranks))
+        return PointSet(self.space, self.ranks[~np.isin(
+            self.ranks, other.ranks, assume_unique=True)])
 
     def intersection(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.space, np.intersect1d(self.ranks, other.ranks))
+        return PointSet(self.space, self.ranks[np.isin(
+            self.ranks, other.ranks, assume_unique=True)])
 
     def restrict_to(self, sub: Subspace):
         """Coordinates of the points inside `sub`, as a set of the small
@@ -769,8 +801,8 @@ class SubspaceChart:
         return tuple(self.lift_rows(coeff).tolist())
 
     def restrict(self, pts: PointSet) -> PointSet:
-        sub_ranks = self.subspace.point_ranks()
-        inside = np.intersect1d(pts.ranks, sub_ranks)
+        inside = pts.ranks[np.isin(pts.ranks, self.subspace.point_ranks(),
+                                   assume_unique=True)]
         if inside.size != pts.ranks.size:
             raise BadParamsError(
                 f"{pts.ranks.size - inside.size} points lie outside "
@@ -1321,7 +1353,7 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     # per last column z of the set, the dual ranks of a placed around z
     bases = {z: dual.ranks_from_rows(np.insert(params, z, 0, axis=1),
                                      normalized=True).astype(dtype)
-             for z in np.unique(last).tolist()}
+             for z in sorted_unique(last).tolist()}
     # a block's buffer and its u_z gathers hold at most 8 bytes per entry
     step = max(1, _SCAN_BLOCK_BYTES // (8 * npar))
 

@@ -20,7 +20,7 @@ from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
                      SpecMismatchError)
 from .projspace import (_SCAN_BLOCK_BYTES, PointSet, ProjectiveSpace, Subspace,
-                        _canonical, _combine, _frozen)
+                        _canonical, _combine, _frozen, sorted_unique)
 from .spreads import SpreadContext, spread_context
 
 
@@ -233,7 +233,7 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
         for at in np.flatnonzero(~mask[images].all(axis=1)).tolist():
             image = images[at]
             failing.append((int(first[start + at]), int(second[start + at]),
-                            np.unique(image[~mask[image]])))
+                            sorted_unique(image[~mask[image]])))
     return SpanPairReport(not failing, int(first.size), failing)
 
 

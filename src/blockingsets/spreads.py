@@ -40,6 +40,7 @@ from .projspace import (
     Subspace,
     _canonical,
     _coerce_coords,
+    sorted_unique,
 )
 
 _SMALL_SIDE_CAP = 4_000_000
@@ -192,15 +193,14 @@ class SpreadContext:
         """B(pi): big-side points whose spread elements meet pi."""
         if pi.space is not self.small:
             raise DimensionMismatchError("subspace not on the small side")
-        return PointSet(self.big,
-                        np.unique(self.small_to_big[pi.point_ranks()]))
+        return PointSet(self.big, self.small_to_big[pi.point_ranks()])
 
     def linear_set_of_ranks(self, small_ranks) -> np.ndarray:
         ranks = np.asarray(small_ranks, dtype=np.int64)
         if ranks.size and (ranks.min() < 0
                            or ranks.max() >= self.small.num_points):
             raise RangeError(f"point rank out of range for {self.small!r}")
-        return np.unique(self.small_to_big[ranks])
+        return sorted_unique(self.small_to_big[ranks])
 
     def blow_up_subspace(self, sub: Subspace) -> Subspace:
         """S(H): the span of the spread elements of the points of H,

@@ -185,10 +185,11 @@ def test_subline_patterns_match_reference_loop(p, t, p0, count):
     mat, tuples = subline_patterns(field, p0)
     want_mat, want = _reference_subline_patterns(field, p0)
     assert len(tuples) == count
-    assert tuples == want and all(type(r) is int for t in tuples for r in t)
+    assert tuples == tuple(want) \
+        and all(type(r) is int for t in tuples for r in t)
     assert mat.dtype == bool and np.array_equal(mat, want_mat)
     # the loop emits the sublines in lexicographic order of their tuples
-    assert tuples == sorted(tuples)
+    assert list(tuples) == sorted(tuples)
 
 
 def test_subline_patterns_cached_and_guarded():

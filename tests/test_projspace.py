@@ -602,6 +602,77 @@ def test_cached_arrays_are_read_only():
             arr[0] = 0
 
 
+def _open_parts(value, where):
+    """The places in a cached result that a caller could change: every
+    reachable writeable array and every container other than a tuple."""
+    if isinstance(value, np.ndarray):
+        return [where] if value.flags.writeable else []
+    if isinstance(value, tuple):
+        return [part for i, item in enumerate(value)
+                for part in _open_parts(item, f"{where}[{i}]")]
+    if isinstance(value, (int, str, type(None))):
+        return []
+    return [f"{where}: a {type(value).__name__}"]
+
+
+def test_every_cached_public_result_is_closed():
+    from blockingsets.blocking import traces_of
+    from blockingsets.linearsets import subline_patterns
+    from blockingsets.spreads import spread_context
+    results = []
+    for p, t, sub in ((3, 2, 1), (7, 2, 1), (3, 3, 1), (2, 4, 2)):
+        field = make_field(p, t)
+        results += [(f"{field!r}.tables()", field.tables()),
+                    (f"{field!r}.embedding({sub})", field.embedding(sub)),
+                    (f"subline_patterns({field!r}, {p ** sub})",
+                     subline_patterns(field, p ** sub))]
+    space = pg(3, 3, 2)
+    ctx = spread_context(space)
+    results += [(f"spread_context.{name}", getattr(ctx, name)) for name in
+                ("big_to_small", "small_to_big", "_reps", "_blow_tables")]
+    results.append(("element_ranks", ctx.element_ranks(5)))
+    pts = PointSet(space, [0, 5, 17, 30, 31, 400])
+    middle = PointSet(pg(4, 2), [0, 5, 17, 30])
+    results += [("ranks", pts.ranks), ("mask", pts.mask()),
+                ("coords", pts.coords()),
+                ("coords_array", space.coords_array()),
+                ("incidence", middle.space.incidence(2))]
+    for summary in (traces_of(pts, 1), traces_of(pts, 2),
+                    traces_of(middle, 2)):
+        label = f"traces_of(dim {summary.dim})"
+        results += [(f"{label}.sizes", summary.sizes),
+                    (f"{label}.size_counts()", summary.size_counts()),
+                    (f"{label}.by_point()", summary.by_point()),
+                    (f"{label}.point_sizes()", summary.point_sizes()),
+                    (f"{label}.per_point_counts()",
+                     summary.per_point_counts(min_size=1)),
+                    (f"{label}.indices_through_point(0)",
+                     summary.indices_through_point(0))]
+    assert [part for where, value in results
+            for part in _open_parts(value, where)] == []
+
+
+def test_a_write_into_a_cached_table_raises_and_leaves_verdicts(tmp_path):
+    from blockingsets import blocking_report, catalogue, formats
+    from blockingsets.linearsets import subline_patterns
+    field = make_field(3, 2)
+    add, mul, neg, inv = field.tables()
+    for table in (add, mul):
+        with pytest.raises(ValueError):
+            table[1, [1, 2]] = table[1, [2, 1]]       # swap two entries
+    for table in (neg, inv):
+        with pytest.raises(ValueError):
+            table[[1, 2]] = table[[2, 1]]
+    mat, _ = subline_patterns(field, 3)
+    with pytest.raises(ValueError):
+        mat[0] = ~mat[0]
+    path = str(tmp_path / "cone.pts")
+    formats.write_pointset(path, catalogue.build_witness("cone_pg3_9").points)
+    report = blocking_report(formats.read_pointset(path), 2)
+    assert (report.is_blocking, report.minimal, report.exponent) == \
+        (True, True, 1)
+
+
 def _reference_incidence(space, dim, chunk_bytes=None):
     """The incidence table and bases as first built: one Subspace per
     subspace, the points of each by table passes over its basis and

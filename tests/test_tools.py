@@ -4,7 +4,7 @@ that a rename in the package cannot break them unnoticed."""
 import importlib.util
 import os
 
-from blockingsets import blocking, harness, projspace
+from blockingsets import blocking, formats, harness, projspace
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tools")
@@ -59,4 +59,25 @@ def test_mempeaks_rejects_unknown_names(capsys):
     mempeaks = _tool("mempeaks")
     assert mempeaks.main(["no_such_instance"]) == 2
     assert mempeaks.main([]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_setupcost_rows(tmp_path, capsys, monkeypatch, baer):
+    setupcost = _tool("setupcost")
+    monkeypatch.setattr(setupcost, "REPEAT", 1)
+    path = str(tmp_path / "baer.pts")
+    formats.write_pointset(path, baer.points)
+    assert setupcost.main([path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["stage", "median_s", "min_s", "numpy.ma"]
+    assert [line[:24].strip() for line in out[1:]] == list(setupcost.STAGES)
+    for line in out[1:]:
+        median, least, loaded = line[24:].split()
+        assert float(median) == float(least) > 0 and loaded in ("-",
+                                                                "loaded")
+
+
+def test_setupcost_rejects_bad_arguments(tmp_path, capsys):
+    setupcost = _tool("setupcost")
+    assert setupcost.main(["--root", str(tmp_path)]) == 2
     assert capsys.readouterr().out == ""
