@@ -31,11 +31,9 @@ from .fields import exact_log
 from .projspace import (
     _SCAN_BLOCK_BYTES,
     PointSet,
-    ProjectiveSpace,
     Subspace,
     TraceSummary,
     _coerce_coords,
-    _combine,
     gaussian_binomial,
     span,
     subspace_traces,
@@ -391,14 +389,10 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
     lines = traces_of(pts, 1)
     covered = pts.mask().copy()
     idx = np.nonzero(lines.sizes >= 2)[0]
-    line_space_params = ProjectiveSpace(1, space.field).coords_array()
     # a block's int64 lift takes 8 bytes per coordinate of its points
-    step = max(1, _SCAN_BLOCK_BYTES
-               // (8 * line_space_params.shape[0] * (space.n + 1)))
+    step = max(1, _SCAN_BLOCK_BYTES // (8 * (space.q + 1) * (space.n + 1)))
     for lo in range(0, idx.size, step):
-        bases = lines.bases(idx[lo:lo + step])
-        on = _combine(space.field, line_space_params, bases[:, None])
-        covered[space.ranks_from_rows(on).reshape(-1)] = True
+        covered[space.points_of(lines.bases(idx[lo:lo + step]))] = True
     return ~covered
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._cache import locked_cache
-from .blocking import exponent, is_minimal, is_small, traces_of
+from .blocking import _check_k, exponent, is_minimal, is_small, traces_of
 from .errors import (
     BadParamsError,
     NoSublineSecantError,
@@ -405,8 +405,8 @@ def secant_linearity_check(pts: PointSet, k: int,
 
 
 def _infer_k(pts: PointSet) -> int:
-    """Smallest k for which the set is below the smallness threshold;
-    this is the k whose theory caps the witness rank."""
+    """Smallest k for which the set is below the smallness threshold, else
+    n - 1 (0 on a line, which has no k); its theory caps the witness rank."""
     q, n = pts.space.q, pts.space.n
     for k in range(1, n):
         if 2 * len(pts) < 3 * (q ** k + 1):
@@ -434,6 +434,7 @@ def is_linear(pts: PointSet, p0: int, strategy: str = "reconstruct_first",
     h = space.field.t
     if k is None:
         k = _infer_k(pts)
+    _check_k(pts, k)
     cap = min(h * k + 1, ctx.small.n + 1)
     cert = {"strategy": strategy, "rank_cap": cap, "k": k,
             "reconstruct_attempted": False, "reconstruct_succeeded": False,

@@ -550,6 +550,18 @@ class ProjectiveSpace:
         which = self._line_cell_at()[tuple((rows != 0).argmax(axis=2).T)]
         return starts[which] + (rows * weights[which]).sum(axis=(1, 2))
 
+    def points_of(self, bases) -> np.ndarray:
+        """Point ranks, shape (..., theta), of a stack of canonical RREF
+        bases of d-subspaces, shape (..., d+1, n+1), column j by point j
+        of PG(d, q): normalized coefficients give a normalized combination
+        of a canonical basis, which is ranked as it is."""
+        bases = np.asarray(bases, dtype=np.int64)
+        d = bases.shape[-2] - 1
+        params = ProjectiveSpace(d, self.field).coords_array() if d \
+            else np.ones((1, 1), dtype=np.int64)
+        return self.ranks_from_rows(_combine(
+            self.field, params, bases[..., None, :, :]), normalized=True)
+
     def lines_inside(self, bases) -> np.ndarray:
         """Line ranks, shape (N, L), of the lines inside each of N
         subspaces of one dimension d >= 1 given by their canonical bases,
@@ -653,18 +665,11 @@ class Subspace:
     __contains__ = contains
 
     def point_ranks(self) -> np.ndarray:
-        """Sorted ranks of all points on the subspace."""
-        if self._ranks is not None:
-            return self._ranks
-        space = self.space
-        if self.dim == 0:
-            ranks = np.asarray([space.rank_of(self.rows[0])], dtype=np.int64)
-        else:
-            params = ProjectiveSpace(self.dim, space.field).coords_array()
-            ranks = np.sort(space.ranks_from_rows(
-                _combine(space.field, params, self.rows)))
-        self._ranks = ranks
-        return ranks
+        """Sorted ranks of all points on the subspace; read-only, as a
+        subspace may be shared."""
+        if self._ranks is None:
+            self._ranks = _frozen(np.sort(self.space.points_of(self.rows)))
+        return self._ranks
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.space is other.space
@@ -894,9 +899,8 @@ class TraceSummary:
     secants through each point.  The points' coordinates are those the
     set `pts` caches.
 
-    The point positions of the lines through one point are built per
-    call and never cached: `secants_through` finds them from the set's
-    coordinates alone.
+    The point positions on the lines through a point are built per call
+    and never cached, by `secants_through` from the grids and `bases`.
 
     All stored arrays are read-only: summaries are cached per point set
     and shared.
@@ -993,59 +997,54 @@ class TraceSummary:
         positions, (owner, slots, points), the rows grouped by owner (the
         int32 index into pos) ascending.  Line summaries only.
 
-        The line scan lists the lines through P as P w for w in
-        PG(n-1, q) in rank order, w placed off P's lead column l.  So
-        another point Q of the set lies on the line at entry j of P's row,
-        j the rank of Q - Q_l P with column l deleted: one table pass over
-        the set's coordinates and one sort of the keys (P, j, Q) per block
-        of positions (about _SCAN_BLOCK_BYTES of temporaries)."""
+        Only what the summary holds is read, a bounded block at a time:
+        one point's lines are decoded (`bases`) and their points ranked
+        (`points_of`); the array form reads the incidences of the chosen
+        lines, point ascending, off `point_sizes`, and one stable argsort
+        of their slots lists each line's points once."""
         if self.dim != 1:
             raise DimensionMismatchError(
                 f"secants through a point need a line summary, not dim "
                 f"{self.dim}")
         at = np.asarray(pos, dtype=np.int64).reshape(-1)
-        space, m = self.space, len(self.pts)
+        space, m, width = self.space, len(self.pts), max(size, 0)
         if at.size and not 0 <= at.min() <= at.max() < m:
             raise RangeError(f"point position {pos} out of range")
-        add, mul, neg, _ = (t.ravel() for t in space.field.tables())
-        coords, grid = self.pts.coords(), self.by_point()
-        n, q, width = space.n, space.q, grid.shape[1]
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * (n + 2) * (m + width)))
-        blocks = [at[b:b + step] for b in range(0, max(at.size, 1), step)]
-        owner = np.repeat(np.arange(at.size, dtype=np.int32), np.concatenate(
-            [np.sum(self.sizes[grid[blk]] == size, axis=1) for blk in blocks]))
+        grid, per = self.by_point(), max(width, 1)
+        if np.ndim(pos) == 0:
+            slots = grid[pos][self.sizes[grid[pos]] == size]
+            points = np.empty((slots.size, width), dtype=np.int32)
+            step = max(1, _SCAN_BLOCK_BYTES // (8 * (space.q + 1)
+                                                * (space.n + 1)))
+            for b in range(0, slots.size, step):
+                on = np.sort(space.points_of(self.bases(slots[b:b + step])))
+                points[b:b + step] = np.searchsorted(
+                    self.pts.ranks, on[self.pts.mask()[on]]).reshape(-1, width)
+            return slots, points
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
+        sizes, count, on = self.point_sizes(), np.empty(m, np.int64), []
+        for r0 in range(0, m, step):
+            hit = sizes[r0:r0 + step] == size
+            count[r0:r0 + step] = np.count_nonzero(hit, axis=1)
+            on.append(grid[r0:r0 + step][hit])
+        on = np.concatenate(on)
+        order = np.argsort(on, kind="stable")
+        lines = on[order[::per]]
+        members = np.repeat(np.arange(m, dtype=np.int32), count)[order] \
+            .reshape(lines.size, width)
+        del order
+        # row r, of owner a, is incidence r + skip[a], one of point at[a]
+        want = count[at]
+        owner = np.repeat(np.arange(at.size, dtype=np.int32), want)
+        skip = (np.cumsum(count) - count)[at] - (np.cumsum(want) - want)
         slots = np.empty(owner.size, dtype=np.int32)
-        points = np.empty((owner.size, max(size, 0)), dtype=np.int32)
-        r0 = 0
-        for blk in blocks:
-            k, p = np.arange(blk.size), coords[blk]
-            l = (p != 0).argmax(axis=1)
-            # Q - Q_l P for every Q, then its columns off P's lead
-            proj = add.take(q * coords + neg.take(mul.take(
-                q * coords[:, l].T[:, :, None] + p[:, None, :])))
-            off = np.arange(n) + (np.arange(n) >= l[:, None])
-            proj = np.take_along_axis(proj, off[:, None, :], axis=2)
-            # P itself projects to zero: rank a stand-in, never chosen
-            proj[k, blk] = 1
-            # PG(0, q) is a single point: one line, the whole space
-            entry = ProjectiveSpace(n - 1, space.field).ranks_from_rows(
-                proj) if n > 1 else np.zeros((k.size, m), dtype=np.int64)
-            through = grid[blk]
-            wanted = self.sizes[through] == size
-            on = np.take_along_axis(wanted, entry, axis=1)
-            on[k, blk] = False
-            # P lies on every chosen line; the keys (P, entry, Q) sort the
-            # groups by point, then slot, each ascending
-            a, other = np.nonzero(on)
-            mine, col = np.nonzero(wanted)
-            keyed = np.concatenate([(a * width + entry[a, other]) * m + other,
-                                    (mine * width + col) * m + blk[mine]])
-            keyed.sort()
-            rows = slice(r0, r0 := r0 + mine.size)
-            slots[rows] = through[mine, col]
-            points[rows] = (keyed % m).reshape(points[rows].shape)
-        return (slots, points) if np.ndim(pos) == 0 \
-            else (owner, slots, points)
+        points = np.empty((owner.size, width), dtype=np.int32)
+        step = max(1, _SCAN_BLOCK_BYTES // (8 * (width + 3)))
+        for b in range(0, owner.size, step):
+            got = slots[b:b + step] = on[skip[owner[b:b + step]] + np.arange(
+                b, min(b + step, owner.size))]
+            points[b:b + step] = members[np.searchsorted(lines, got)]
+        return owner, slots, points
 
     def _sized_slots(self, lo: int, hi: int) -> np.ndarray:
         """The slots whose traces have lo..hi points, ascending (int64),

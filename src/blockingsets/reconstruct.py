@@ -19,8 +19,8 @@ import numpy as np
 from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
                      SpecMismatchError)
-from .projspace import (_SCAN_BLOCK_BYTES, PointSet, ProjectiveSpace, Subspace,
-                        _canonical, _combine, _frozen, sorted_unique)
+from .projspace import (_SCAN_BLOCK_BYTES, PointSet, Subspace, _canonical,
+                        _frozen, sorted_unique)
 from .spreads import SpreadContext, spread_context
 
 
@@ -85,7 +85,12 @@ def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
     share their W, so each distinct W is expanded and mapped down once."""
     space, small = pts.space, ctx.small
     target = space.field.t * k
-    owner, slots, traces = lines.secants_through(positions, p0 + 1)
+    if positions.size == 1:
+        # one base point reads its own lines, not the whole grid
+        slots, traces = lines.secants_through(int(positions[0]), p0 + 1)
+        owner = np.zeros(slots.size, dtype=np.int32)
+    else:
+        owner, slots, traces = lines.secants_through(positions, p0 + 1)
     cut = np.searchsorted(owner, np.arange(positions.size + 1))
     through = np.diff(cut)
     # the ranks of an element ascend: column 0 is its lowest-rank point
@@ -222,14 +227,14 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
     if (ranks != 3).any():
         # distinct secants have distinct transversals through x
         raise SpecMismatchError("two transversals through x span a line")
-    plane = ProjectiveSpace(2, small.field).coords_array()
     mask = pts.mask()
     failing = []
-    step = max(1, _SCAN_BLOCK_BYTES // (8 * len(plane) * (small.n + 1)))
+    # a block's int64 lift takes 8 bytes per coordinate of a plane's points
+    step = max(1, _SCAN_BLOCK_BYTES
+               // (8 * (small.q ** 2 + small.q + 1) * (small.n + 1)))
     for start in range(0, first.size, step):
         # the linear sets of the planes of the transversals x y_i, x y_j
-        images = ctx.small_to_big[small.ranks_from_rows(_combine(
-            small.field, plane, bases[start:start + step, None]))]
+        images = ctx.small_to_big[small.points_of(bases[start:start + step])]
         for at in np.flatnonzero(~mask[images].all(axis=1)).tolist():
             image = images[at]
             failing.append((int(first[start + at]), int(second[start + at]),

@@ -211,9 +211,10 @@ def test_dense_summaries_search_for_no_uncovered_key(monkeypatch):
 
 
 def test_point_secant_paths_gather_no_selection(monkeypatch):
-    # reconstruction, the span lemma and the span_image_subset check read
-    # the secants through one point; summaries have no gather of a
-    # selection of slots to fall back on
+    # reconstruction reads the secants of all its base points in one
+    # call, the span lemma and the span_image_subset check those through
+    # one point; summaries have no gather of an arbitrary selection of
+    # slots to fall back on
     from blockingsets import catalogue
     from blockingsets.reconstruct import check_span_lemma, reconstruct
     assert not hasattr(projspace.TraceSummary, "grouped_points")

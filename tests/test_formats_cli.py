@@ -238,6 +238,38 @@ def test_cli_gen(tmp_path, capsys, baer):
         open(formats.meta_path(other), "rb").read()
 
 
+@pytest.mark.parametrize("argv, shipped", [
+    (("cone", "--p", "3", "--t", "2", "--n", "3", "--base-m", "2"),
+     "cone_pg3_9"),
+    (("subgeometry", "--p", "7", "--t", "2", "--n", "3", "--m", "2"),
+     "subplane_pg3_49"),
+])
+def test_cli_gen_reproduces_a_shipped_instance(tmp_path, capsys, argv,
+                                               shipped):
+    path = str(tmp_path / "out.pts")
+    data = cli_json(capsys, "gen", *argv, "--out", path)
+    with open(path, "rb") as got, open(os.path.join(
+            catalogue.shipped_dir(), shipped + ".pts"), "rb") as want:
+        assert got.read() == want.read()
+    _, meta = formats.read_pointset(path, with_meta=True)
+    assert meta["params"] == catalogue.entry(shipped)["params"]
+    assert data["witness_rank"] == catalogue.build_witness(shipped).rank
+
+
+def test_cli_gen_redei_trace(tmp_path, capsys):
+    from blockingsets.linearsets import build_family_witness
+    path = str(tmp_path / "redei.pts")
+    data = cli_json(capsys, "gen", "redei_trace", "--p", "3", "--t", "2",
+                    "--out", path)
+    want = build_family_witness("redei_trace", q=9, p0=3)
+    pts, meta = formats.read_pointset(path, with_meta=True)
+    assert pts == want.points and data["points"] == len(want.points)
+    assert meta["family"] == "redei_trace"
+    assert meta["params"] == {"q": 9, "p0": 3}
+    assert formats.witness_from_dict(meta["witness"]).pi == want.pi
+    assert data["witness_rank"] == want.rank
+
+
 def test_cli_gen_bad_params(tmp_path, capsys):
     code, _, err = run_cli(capsys, "gen", "random_rank_r", "--p", "3",
                            "--t", "3", "--n", "2", "--rank", "0",
@@ -419,6 +451,15 @@ def test_cli_islinear(capsys, baer_file, tmp_path, baer):
     data = cli_json(capsys, "islinear", bad, "--p0", "3",
                     "--strategy", "exhaustive", expect=1)
     assert not data["linear"] and data["witness_rows"] is None
+
+
+def test_cli_islinear_rejects_a_k_out_of_range(capsys, baer_file):
+    # k = 2 is out of range on the plane under either strategy
+    for strategy in ("reconstruct_first", "exhaustive"):
+        code, out, err = run_cli(capsys, "islinear", baer_file, "--p0", "3",
+                                 "--k", "2", "--strategy", strategy)
+        assert code == 2 and not out
+        assert err.startswith("error: RangeError:")
 
 
 def test_cli_harness_shipped(capsys, tmp_path):

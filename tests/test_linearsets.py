@@ -21,6 +21,7 @@ from blockingsets.linearsets import (
     secant_linearity_check,
     subline_meet_check,
     subline_patterns,
+    subgeometry_witness,
 )
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace
 from blockingsets.spreads import spread_context
@@ -437,6 +438,19 @@ def test_is_linear_guards(baer, subgeom_49):
         is_linear(PointSet(baer.points.space, []), 3)
     with pytest.raises(TooLargeError):
         is_linear(subgeom_49.points, 7, strategy="exhaustive")
+
+
+@pytest.mark.parametrize("strategy", ["reconstruct_first", "exhaustive"])
+def test_is_linear_rejects_a_k_out_of_range(baer, strategy):
+    # a k passed in must lie in 1..n-1, as everywhere else
+    for k in (0, 2):
+        with pytest.raises(RangeError):
+            is_linear(baer.points, 3, strategy=strategy, k=k)
+    # a line has no k: the inferred one is refused, not read as rank cap 1
+    line = subgeometry_witness(9, 3, 1)
+    assert line.rank == 2 and line.verify()
+    with pytest.raises(RangeError):
+        is_linear(line.points, 3, strategy=strategy)
 
 
 def test_is_linear_cert_keys(baer):

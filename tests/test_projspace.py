@@ -492,6 +492,40 @@ def test_middle_dimension_keys_are_places_in_the_enumeration(n, p, t):
                 for key in keys.tolist()] == summary.sizes.tolist()
 
 
+def test_subspace_traces_refusals(monkeypatch):
+    space = pg(4, 2)
+    pts = PointSet(space, [0, 5, 17, 30])
+    for dim in (0, space.n + 1):
+        with pytest.raises(RangeError):
+            subspace_traces(pts, dim)
+    with pytest.raises(EmptyInputError):
+        subspace_traces(PointSet(space, []), 1)
+    # a middle dimension whose incidence table passes the cap is refused,
+    # whether or not the table is already built
+    table = space.num_subspaces(2) * gaussian_binomial(3, 1, 2)
+    monkeypatch.setattr(projspace, "_INCIDENCE_CAP", table - 1)
+    with pytest.raises(TooLargeError):
+        subspace_traces(pts, 2)
+
+
+@pytest.mark.parametrize("n,p,t", [(2, 3, 1), (3, 2, 2), (4, 2, 1)])
+def test_points_of_ranks_each_basis_of_a_stack(n, p, t):
+    space = pg(n, p, t)
+    for dim in range(n + 1):
+        keys = np.arange(0, space.num_subspaces(dim), 7)
+        bases = space.subspace_bases(dim, keys)
+        got = space.points_of(bases)
+        assert got.shape == (keys.size,
+                             gaussian_binomial(dim + 1, 1, space.q))
+        for row, rows in zip(got, bases.tolist()):
+            assert np.array_equal(np.sort(row),
+                                  Subspace(space, rows).point_ranks())
+    # any leading shape: a (2, 3) stack of lines
+    bases = space.subspace_bases(1, np.arange(6)).reshape(2, 3, 2, n + 1)
+    assert np.array_equal(space.points_of(bases).reshape(6, -1),
+                          space.points_of(bases.reshape(6, 2, n + 1)))
+
+
 @pytest.mark.parametrize("n,p,t,dim", [(3, 2, 2, 2), (3, 3, 1, 2),
                                         (4, 2, 1, 3), (4, 2, 1, 2)])
 def test_lines_inside_are_the_lines_of_each_subspace(monkeypatch, n, p, t,
@@ -615,7 +649,7 @@ def _open_parts(value, where):
     return [f"{where}: a {type(value).__name__}"]
 
 
-def test_every_cached_public_result_is_closed():
+def test_every_cached_public_result_is_closed(baer):
     from blockingsets.blocking import traces_of
     from blockingsets.linearsets import subline_patterns
     from blockingsets.spreads import spread_context
@@ -648,6 +682,12 @@ def test_every_cached_public_result_is_closed():
                      summary.per_point_counts(min_size=1)),
                     (f"{label}.indices_through_point(0)",
                      summary.indices_through_point(0))]
+    # the results of one reconstruction share their W
+    from blockingsets.reconstruct import reconstruct
+    shared = reconstruct(baer.points, 1, 3, point_policy="all")
+    assert shared[0].W is shared[1].W
+    results.append(("reconstruct(...)[0].W.point_ranks()",
+                    shared[0].W.point_ranks()))
     assert [part for where, value in results
             for part in _open_parts(value, where)] == []
 

@@ -2,9 +2,11 @@
 keys, which both regimes of `projspace._by_point_summary` must match, the
 point positions of chosen slots read off a summary's by-point grouping,
 and the chart positions of the points on chosen lines, decoded per
-incidence.  The package reads the lines through one point with
-`TraceSummary.secants_through` and never groups a selection of slots;
-tests use `grouped_points` to check whole traces."""
+incidence.  The package reads the points of lines only through
+`TraceSummary.secants_through`, which decodes one point's lines or sorts
+the incidences of every line of one size; it never groups an arbitrary
+selection of slots, and tests use `grouped_points` to check whole
+traces."""
 
 import numpy as np
 
