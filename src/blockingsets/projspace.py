@@ -39,7 +39,8 @@ _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
 # per-point scans count their keys when the int64 count array, 8 bytes per
 # key, fits in this many bytes and the key range is at most _COUNT_RANGE
-# times the incidences, and sort them otherwise
+# times the incidences, and count them in key windows (lines) or sort them
+# otherwise (see `_grouping_regime`)
 _COUNT_BYTES = 1 << 23
 _COUNT_RANGE = 8
 # bytes of one block of a blocked kernel's temporaries: each kernel takes
@@ -892,8 +893,8 @@ class TraceSummary:
     through the points at positions r0..r1, and builds the grid once, on
     the first per-point read, after which the source is dropped.  The
     source slices the scan's array where the tail kept it (a scan of one
-    block, or a sorted one) and is the scan's row generator otherwise, so
-    a summary asked only for sizes builds no grid.  The sizes of its
+    block, or one not counted) and is the scan's row generator otherwise,
+    so a summary asked only for sizes builds no grid.  The sizes of its
     slots, gathered once into a grid of the same shape (`point_sizes`),
     serve every per-point count and the subline checks' search for the
     secants through each point.  The points' coordinates are those the
@@ -1253,12 +1254,22 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     and w's digits are the most significant that vary within one, so each
     point's ranks ascend.
 
-    Layout contract, which `TraceSummary._chart_marks` reads: P's row lists
-    the column blocks j = n-1, ..., 0 of q^(n-1-j) entries each, block j
-    holding the lines P w with lead(w) = j (in PG(n-1, q)'s columns).  In
-    the coefficient chart of such a line (P's coordinates at its two
-    pivot columns) P is the PG(1, q) point (0 : 1), rank 0, when j < l,
-    and (1 : P_(j+1)), rank 1 + P_(j+1), when j >= l.
+    Layout contract, which `TraceSummary._chart_marks` and `_line_windows`
+    read: P's row lists the column blocks j = n-1, ..., 0 of q^(n-1-j)
+    entries each, block j holding the lines P w with lead(w) = j (in
+    PG(n-1, q)'s columns).  In the coefficient chart of such a line (P's
+    coordinates at its two pivot columns) P is the PG(1, q) point (0 : 1),
+    rank 0, when j < l, and (1 : P_(j+1)), rank 1 + P_(j+1), when j >= l.
+    The keys follow from the cell's odometer, whose first row's digits
+    are the least significant:
+
+    - (a) runs: for j < l, P is the line's second basis row, and block j
+      holds one run of q^(n-1-j) consecutive keys, P's numeral in cell
+      (j, l) times q^(n-1-j) on from the cell's first key;
+    - (b) windows: for j >= l, column c of block j holds a line of cell
+      (l, j+1) whose key lies in [starts + c R, starts + (c+1) R), with
+      starts that cell's first key and R = q^(n-l-1); every point of
+      lead l on a line sees it in the same column, that of w's digits.
 
     The scan is a row generator over the point positions r0..r1.  Within
     a call the second kind of block is built a bounded block of rows at a
@@ -1339,8 +1350,9 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     the free digits before column z, so it is one outer add over them.
     The scan is a row generator over the point positions r0..r1, which
     builds the points of each z a bounded block of rows at a time, each
-    block in its own buffer, copied into place once."""
-    add, mul, neg, inv = space.field.tables()
+    block in its own buffer, copied into place once.  The tables are read
+    flat, at a * q + b, as in `_combine`."""
+    add, mul, neg, inv = (t.ravel() for t in space.field.tables())
     n, q = space.n, space.q
     coords = pts.coords()
     last = n - (coords[:, ::-1] != 0).argmax(axis=1)
@@ -1353,8 +1365,9 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     bases = {z: dual.ranks_from_rows(np.insert(params, z, 0, axis=1),
                                      normalized=True).astype(dtype)
              for z in sorted_unique(last).tolist()}
-    # a block's buffer and its u_z gathers hold at most 8 bytes per entry
-    step = max(1, _SCAN_BLOCK_BYTES // (8 * npar))
+    # a u_z lookup's flat int64 index and its int64 result are live at
+    # once, 16 bytes per entry of a block
+    step = max(1, _SCAN_BLOCK_BYTES // (16 * npar))
 
     def ranks_of(r0, r1):
         ranks = np.empty((r1 - r0, npar), dtype=dtype)
@@ -1364,7 +1377,8 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
                 rows = group[g0:g0 + step]
                 p = coords[r0 + rows]
                 # coef[:, i] = -P_i / P_z: a_i's share of u_z, for i < z
-                coef = neg[mul[p[:, :z], inv[p[:, z]][:, None]]]
+                coef = neg.take(mul.take(p[:, :z] * q
+                                         + inv.take(p[:, z])[:, None]))
                 buf = np.empty((rows.size, npar), dtype=dtype)
                 start = 0
                 for i0 in range(n - 1, -1, -1):
@@ -1378,14 +1392,14 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
                     # later digits repeat each value q^(n-z) times
                     uz = coef[:, i0, None]
                     for i in range(i0 + 1, z):
-                        uz = add[uz[:, :, None],
-                                 mul[digits, coef[:, i, None]][:, None, :]] \
+                        uz = add.take(uz[:, :, None] * q + mul.take(
+                            digits * q + coef[:, i, None])[:, None, :]) \
                             .reshape(rows.size, -1)
                     # a view: only the block's contiguous last axis is split
-                    out = buf[:, block].reshape(rows.size, -1, q ** (n - z))
-                    out[...] = uz[:, :, None]
-                    out *= q ** (n - z)
-                    out += base[block].reshape(-1, q ** (n - z))
+                    np.add(uz[:, :, None] * q ** (n - z),
+                           base[block].reshape(-1, q ** (n - z)),
+                           out=buf[:, block].reshape(rows.size, -1,
+                                                     q ** (n - z)))
                 ranks[rows] = buf
         return ranks
 
@@ -1417,21 +1431,21 @@ def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
 
     The tail only counts: it finds the keys and their sizes and hands
     the summary a row source, from which `TraceSummary.by_point` builds
-    the slot grid on the first per-point read.  Two regimes, chosen by
-    the byte size of a count array, 8 * total, and by the key range
-    against the incidences:
+    the slot grid on the first per-point read.  Three regimes, named by
+    `_grouping_regime`:
 
-    - when the count array is at most `_COUNT_BYTES` and the range at most
-      `_COUNT_RANGE` times the incidences, a bincount of each block is
-      summed into one int64 count, whose nonzero entries are the keys.  A
-      scan of one block is generated whole and kept in the row source; a
-      longer one is counted a generated block at a time and none of it
-      is kept: the row source is ranks_of itself;
-    - otherwise (a large key range, or a small set whose incidences a
-      pass over the range would dwarf) the whole scan is generated and
-      kept in the row source, and an int32 copy (int64 when the keys need
-      it) of it is sorted and its runs counted block by block straight
-      into the sizes, with no range-sized array.
+    - "counted": a bincount of each block is summed into one int64
+      count, whose nonzero entries are the keys.  A scan of one block is
+      generated whole and kept in the row source; a longer one is
+      counted a generated block at a time and none of it is kept: the
+      row source is ranks_of itself;
+    - "windowed" (line scans only): the whole scan is generated and kept
+      in the row source, and `_line_windows` counts it into a count
+      array in the sizes' type, a key window at a time, with no sort;
+    - "sorted": the whole scan is generated and kept in the row source,
+      and an int32 copy (int64 when the keys need it) of it is sorted and
+      its runs counted block by block straight into the sizes, with no
+      range-sized array.
 
     When every key occurs (the set meets every dim-subspace), no keys are
     stored: the slot of a key is the key itself."""
@@ -1439,22 +1453,94 @@ def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
     width = gaussian_binomial(space.n, dim, space.q)
     sizes_type = _size_dtype(m)
     rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
-    counted = 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * m * width
-    # a scan of one block, or a sorted one, is generated whole and kept
-    kept = None if m > rows and counted else ranks_of(0, m)
+    regime = _grouping_regime(space, dim, m * width, total, sizes_type)
+    # a scan of one block, or one not counted, is generated whole and kept
+    kept = None if m > rows and regime == "counted" else ranks_of(0, m)
     rows_of = ranks_of if kept is None else lambda r0, r1: kept[r0:r1]
-    if counted:
+    if regime == "counted":
         counts = np.zeros(total, dtype=np.int64)
         for r0 in range(0, m, rows):
             counts += np.bincount(rows_of(r0, min(r0 + rows, m)).reshape(-1),
                                   minlength=total)
-        keys = None if np.count_nonzero(counts) == total \
-            else np.flatnonzero(counts)
-        sizes = (counts if keys is None else counts[keys]).astype(sizes_type)
+        keys, sizes = _counted_keys(counts, sizes_type)
+    elif regime == "windowed":
+        keys, sizes = _line_windows(space, pts, kept, total, sizes_type)
     else:
         keys, sizes = _sorted_runs(np.sort(kept.reshape(-1)), total,
                                    sizes_type)
     return TraceSummary(pts, dim, keys, sizes, rows_of)
+
+
+def _grouping_regime(space, dim, incidences, total, sizes_type) -> str:
+    """How `_by_point_summary` groups a scan's incidences over total keys:
+    "counted" when the int64 count array, 8 * total bytes, is at most
+    `_COUNT_BYTES` and the key range at most `_COUNT_RANGE` times the
+    incidences; otherwise "windowed" for a line scan whose count array
+    in the sizes' type is no larger than the sorted copy of its keys it
+    replaces; "sorted" for the rest (a large key range, or a small set
+    whose incidences a pass over the range would dwarf)."""
+    if 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * incidences:
+        return "counted"
+    if dim == 1 < space.n and np.dtype(sizes_type).itemsize * total \
+            <= np.dtype(_rank_dtype(total)).itemsize * incidences:
+        return "windowed"
+    return "sorted"
+
+
+def _counted_keys(counts, sizes_type) -> tuple:
+    """(keys, sizes) of a count over the whole key range: the keys of the
+    nonzero counts (int64), None when every key occurs, and their counts
+    in sizes_type (counts itself when it is dense and of that type)."""
+    if np.count_nonzero(counts) == counts.size:
+        return None, counts.astype(sizes_type, copy=False)
+    keys = np.flatnonzero(counts)
+    return keys, counts[keys].astype(sizes_type, copy=False)
+
+
+def _line_windows(space, pts, ranks, total, sizes_type) -> tuple:
+    """(keys, sizes) of the ranks of a line scan, counted into one array
+    of total entries in sizes_type, with no sort, by facts (a) and (b) of
+    `_scan_lines`' layout contract.  The points of one lead l are
+    contiguous rows; for each column block j of theirs:
+
+    - j < l: each row's keys are one run, which adds 1 to a slice;
+    - j >= l: column c holds keys in the window starts + [c R, (c+1) R)
+      of the cell (l, j+1), R = q^(n-l-1), so a batch of columns is one
+      bincount over its window, of at most `_SCAN_BLOCK_BYTES` / 8 keys
+      (one column at least), a block of as many bytes of intp offsets
+      at a time (one row at least), added into the count."""
+    n, q = space.n, space.q
+    starts, _, _ = space._cell_table(1)
+    cell = space._line_cell_at()
+    lead = (pts.coords() != 0).argmax(axis=1)
+    counts = np.zeros(total, dtype=sizes_type)
+    for l in range(n + 1):
+        # the ranks ascend, so the points of one lead are contiguous
+        rows = np.flatnonzero(lead == l)
+        if not rows.size:
+            continue
+        group = ranks[rows[0]:rows[-1] + 1]
+        start = 0
+        for j in range(n - 1, -1, -1):
+            size = q ** (n - 1 - j)
+            block = group[:, start:start + size]
+            start += size
+            if j < l:
+                for first in block[:, 0].tolist():
+                    counts[first:first + size] += 1
+                continue
+            span = q ** (n - l - 1)
+            cols = max(1, _SCAN_BLOCK_BYTES // (8 * span))
+            for c0 in range(0, size, cols):
+                batch = block[:, c0:c0 + cols]
+                lo = int(starts[cell[l, j + 1]]) + c0 * span
+                window = counts[lo:lo + batch.shape[1] * span]
+                step = max(1, _SCAN_BLOCK_BYTES // (8 * batch.shape[1]))
+                for r0 in range(0, batch.shape[0], step):
+                    window += np.bincount(np.subtract(
+                        batch[r0:r0 + step], lo, dtype=np.intp).reshape(-1),
+                        minlength=window.size)
+    return _counted_keys(counts, sizes_type)
 
 
 def _sorted_runs(srt, total, sizes_type) -> tuple:

@@ -1,5 +1,5 @@
-"""The bounded-block kernels: the hyperplane scan, both regimes of the
-scans' grouping tail, the chart marks of the subline checks, the lift of
+"""The bounded-block kernels: the hyperplane scan, the three regimes of
+the scans' grouping tail, the chart marks of the subline checks, the lift of
 the large planes' lines, the batched row reduction and the whole-set
 reconstruction give the same results whatever their block size, and
 their traced memory stays within bounds set by the array shapes."""
@@ -59,7 +59,7 @@ def test_hyperplane_blocks_match_brute_force(monkeypatch, n, p, t):
         for rows in (0, 7, None):
             if rows is not None:
                 monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES",
-                                    _rows_budget(rows, 8, npar))
+                                    _rows_budget(rows, 16, npar))
             summary = subspace_traces(pts, n - 1)
             monkeypatch.undo()
             slots = np.arange(summary.sizes.size)
@@ -131,12 +131,26 @@ def _check_grouping(summary, ranks, made):
 
 
 def test_grouping_regimes_match_the_reference(monkeypatch):
-    seen, sorted_runs = [], []
-    summarize, runs = projspace._by_point_summary, projspace._sorted_runs
+    seen, regimes, grouped = [], [], []
+    summarize, choose = projspace._by_point_summary, projspace._grouping_regime
+    windows, runs = projspace._line_windows, projspace._sorted_runs
     monkeypatch.setattr(projspace, "_by_point_summary",
                         lambda *args: seen.append(args))
-    monkeypatch.setattr(projspace, "_sorted_runs",
-                        lambda *args: sorted_runs.append(1) or runs(*args))
+    # the regime each call chose, and which grouping helper then ran
+    monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
+                        regimes.append(choose(*args)) or regimes[-1])
+    monkeypatch.setattr(projspace, "_line_windows", lambda *args:
+                        grouped.append("windowed") or windows(*args))
+    monkeypatch.setattr(projspace, "_sorted_runs", lambda *args:
+                        grouped.append("sorted") or runs(*args))
+
+    def regime_run():
+        (regime,) = regimes
+        assert grouped == ([] if regime == "counted" else [regime])
+        regimes.clear()
+        grouped.clear()
+        return regime
+
     paths = set()
     for pts, dim in _grouping_cases():
         seen.clear()
@@ -144,8 +158,14 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
         (space, _, _, ranks_of, total), = seen
         ranks = ranks_of(0, len(pts))
         size = ranks.size
+        # past the count rule, a line scan is counted in key windows when
+        # its count array in the sizes' type is no larger than a sorted
+        # copy of its ranks, and every other scan is sorted
+        itemsize = np.dtype(projspace._size_dtype(len(pts))).itemsize
+        uncounted = "windowed" if dim == 1 \
+            and itemsize * total <= ranks.itemsize * size else "sorted"
         # the byte rule at its edge, with any key range counted: a count
-        # array of exactly _COUNT_BYTES is counted, one byte more is sorted
+        # array of exactly _COUNT_BYTES is counted, one byte more is not
         for counted in (True, False):
             budget = 8 * total - (not counted)
             # blocks of one row (a budget of one incidence), of seven
@@ -159,30 +179,105 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
                         # 8 bytes per incidence of a tail block
                         patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
                                       8 * step)
-                    sorted_runs.clear()
                     generate, made = _recording(ranks_of)
                     summary = summarize(space, dim, pts, generate, total)
-                    assert bool(sorted_runs) != counted
+                    regime = regime_run()
+                    assert regime == ("counted" if counted else uncounted)
                     # the grid is built, if at all, under the same budget
                     streamed = _check_grouping(summary, ranks, made)
                 assert not streamed or counted
                 paths.add(("streamed", streamed, summary.x0 == 0))
-            paths.add((counted, summary.x0 == 0))
+            paths.add((regime, summary.x0 == 0))
+            if dim == 1 and not counted:
+                paths.add(("lines", regime))
         # at the default rules every case is under the byte budget, and
         # a key range over 8 times the incidences is sorted, not passed
-        # over by a count
-        sorted_runs.clear()
+        # over by a count nor by key windows
         summarize(space, dim, pts, ranks_of, total)
         wide = total > 8 * size
-        assert bool(sorted_runs) == wide
+        assert regime_run() == ("sorted" if wide else "counted")
         paths.add(("wide", wide))
-    # the cases reach dense and sparse summaries in both regimes, kept
+    # the cases reach dense and sparse summaries in all three regimes,
+    # line scans both counted in windows and sorted, counted scans kept
     # whole and streamed, and wide key ranges
-    assert paths == {(counted, dense) for counted in (False, True)
+    assert paths == {(regime, dense)
+                     for regime in ("counted", "windowed", "sorted")
                      for dense in (False, True)} \
+        | {("lines", "windowed"), ("lines", "sorted")} \
         | {("streamed", streamed, dense) for streamed in (False, True)
            for dense in (False, True)} \
         | {("wide", False), ("wide", True)}
+
+
+def _line_ranks(pts):
+    """(ranks, total) of the line scan of pts: its whole row generator's
+    array and the number of lines."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projspace, "_by_point_summary",
+                      lambda *args: seen.append(args))
+        projspace._scan_lines(pts.space, pts)
+    (_, _, _, ranks_of, total), = seen
+    return ranks_of(0, len(pts)), total
+
+
+def _window_cases():
+    """(points, small): sets of every lead pattern for the windowed line
+    count: the plane x_0 = 0 (no point leads at column 0) and a random
+    half of it, single points (leads 0 and n), whole spaces, sets of
+    PG(n, 2), a random third of PG(2, 49), and the shipped cones; small
+    is False for the one whose reference grouping takes seconds, which
+    runs at the default block budget only."""
+    rng = np.random.default_rng(33)
+    for n, p, t in ((3, 5, 1), (2, 2, 2), (4, 3, 1)):
+        space = ProjectiveSpace(n, make_field(p, t))
+        plane = space._offsets[0]
+        yield PointSet(space, np.arange(plane)), True
+        yield PointSet(space, rng.choice(plane, plane // 2,
+                                         replace=False)), True
+    for n, p, t in ((3, 7, 1), (2, 3, 2)):
+        space = ProjectiveSpace(n, make_field(p, t))
+        yield PointSet(space, [0]), True
+        yield PointSet(space, [space.num_points - 1]), True
+    for n, p, t in ((3, 3, 1), (2, 2, 3), (5, 2, 1)):
+        space = ProjectiveSpace(n, make_field(p, t))
+        yield PointSet(space, np.arange(space.num_points)), True
+    pg42 = ProjectiveSpace(4, make_field(2, 1))
+    yield PointSet(pg42, rng.choice(pg42.num_points, 10, replace=False)), True
+    pg2_49 = ProjectiveSpace(2, make_field(7, 2))
+    yield PointSet(pg2_49, rng.choice(pg2_49.num_points, 817,
+                                      replace=False)), True
+    for inst in catalogue.load_shipped(["cone_pg3_9", "cone_pg3_49"]):
+        yield inst.points, not inst.slow
+
+
+def test_line_windows_match_the_reference(monkeypatch):
+    leads, dense = set(), set()
+    for pts, small in _window_cases():
+        ranks, total = _line_ranks(pts)
+        keys, sizes, _ = reference_grouping(ranks)
+        sizes_type = projspace._size_dtype(len(pts))
+        leads.add(int((pts.coords() != 0).argmax(axis=1).min()))
+        # one column and one row per bincount (a budget of one byte), a
+        # window of seven keys and blocks of seven offsets, and the
+        # default budget
+        for budget in (1, 56, None) if small else (None,):
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
+                got_keys, got_sizes = projspace._line_windows(
+                    pts.space, pts, ranks, total, sizes_type)
+            assert got_sizes.dtype == sizes_type
+            assert np.array_equal(got_sizes, sizes)
+            if got_keys is None:
+                # dense: every line occurs, so no keys are returned
+                assert np.array_equal(keys, np.arange(total))
+            else:
+                assert got_keys.dtype == np.int64
+                assert np.array_equal(got_keys, keys)
+        dense.add(got_keys is None)
+    # sets with and without points of lead 0, dense and sparse
+    assert {0} < leads and dense == {False, True}
 
 
 def _perturbed(witness, p0, seed):
@@ -540,8 +635,10 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
         projspace._scan_lines(space, dense_27)
     (_, dim, _, ranks_of, total), = seen
     ranks = ranks_of(0, len(dense_27))
-    # the lines' count array (4.4 MB) is under the byte rule: sort anyway
-    monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
+    # the lines' count array (4.4 MB) is under the byte rule, and their
+    # ranks would be counted in key windows: sort anyway
+    monkeypatch.setattr(projspace, "_grouping_regime",
+                        lambda *args: "sorted")
     # tail blocks of 2^15 incidences
     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
     summary, peak = _traced_peak(summarize, space, dim, dense_27,
@@ -555,6 +652,33 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
     # the new slots, would not fit
     bound = ranks.size * 4 + nslots * (8 + summary.sizes.itemsize) \
         + 8 * projspace._SCAN_BLOCK_BYTES
+    assert peak < bound, (peak, bound)
+
+
+def test_windowed_line_scan_memory_is_bounded(dense_27, monkeypatch):
+    # the whole line scan in its windowed regime: the ranks generated
+    # whole, then counted in key windows with no sort
+    space, m = dense_27.space, len(dense_27)
+    regimes = []
+    choose = projspace._grouping_regime
+    monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
+                        regimes.append(choose(*args)) or regimes[-1])
+    # the lines' int64 count array (4.4 MB) is under the byte rule: pass
+    # it, and blocks of 2^15 intp offsets, and windows of as many keys
+    monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
+    monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
+    summary, peak = _traced_peak(projspace._scan_lines, space, dense_27)
+    assert regimes == ["windowed"] and summary.x0 > 0
+    width = (space.q ** 3 - 1) // (space.q - 1)
+    ranks_bytes = 4 * m * width
+    count_bytes = summary.total * summary.sizes.itemsize
+    # the int32 ranks (the row source keeps them), the count array in the
+    # sizes' type, what the summary holds (its int64 keys and sizes) and
+    # two blocks, with a few coordinate rows per point for the scan; an
+    # int32 sorted copy of the ranks (6.1 MB) would not fit, nor an int64
+    # count over the key range
+    bound = ranks_bytes + count_bytes + sum(a.nbytes for a in _held(summary)) \
+        + 2 * projspace._SCAN_BLOCK_BYTES + 256 * m
     assert peak < bound, (peak, bound)
 
 

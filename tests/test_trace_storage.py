@@ -1,5 +1,5 @@
 """Trace summaries in CSR form against brute force, the grouping of every
-scan in both regimes against one np.unique, the closed-form line
+scan, counted or not, against one np.unique, the closed-form line
 and hyperplane scan kernels against the covector-building kernels they
 replaced, and the one-pass transversal-line search against a
 per-candidate reference loop."""
@@ -353,7 +353,7 @@ def test_dense_grouping_matches_the_table(monkeypatch):
             counts = summary.per_point_counts(**args)
             assert counts.dtype == np.int64 and not counts.flags.writeable
             assert np.array_equal(counts, want)
-    # the cases reach dense and sparse summaries in both regimes
+    # the cases reach dense and sparse summaries, counted and not
     assert paths == {(counted, dense) for counted in (False, True)
                      for dense in (False, True)}
 

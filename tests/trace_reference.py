@@ -1,5 +1,5 @@
 """References for the tests of trace summaries: the grouping of a scan's
-keys, which both regimes of `projspace._by_point_summary` must match, the
+keys, which every regime of `projspace._by_point_summary` must match, the
 point positions of chosen slots read off a summary's by-point grouping,
 and the chart positions of the points on chosen lines, decoded per
 incidence.  The package reads the points of lines only through
@@ -15,8 +15,9 @@ from blockingsets.projspace import ProjectiveSpace
 
 def reference_grouping(ranks):
     """(keys, sizes, slots) of a scan's keys from one np.unique: int64
-    keys and sizes, int32 slots.  Both regimes of `_by_point_summary`,
-    counting and sorting, must give these, whatever the key range."""
+    keys and sizes, int32 slots.  Every regime of `_by_point_summary`,
+    counting, counting in key windows and sorting, must give these,
+    whatever the key range."""
     keys, slots, sizes = np.unique(ranks.reshape(-1).astype(np.int64),
                                    return_inverse=True, return_counts=True)
     return keys, sizes, slots.astype(np.int32)
