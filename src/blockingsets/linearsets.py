@@ -460,7 +460,7 @@ def is_linear(pts: PointSet, p0: int, strategy: str = "reconstruct_first",
 
 
 def _preimage_ranks(ctx: SpreadContext, pts: PointSet) -> np.ndarray:
-    return np.sort(ctx.big_to_small[pts.ranks].reshape(-1))
+    return np.sort(ctx.blow_up_ranks(pts.ranks).reshape(-1))
 
 
 def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):

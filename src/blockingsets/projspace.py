@@ -1395,8 +1395,10 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
                         uz = add.take(uz[:, :, None] * q + mul.take(
                             digits * q + coef[:, i, None])[:, None, :]) \
                             .reshape(rows.size, -1)
+                    if z < n:
+                        uz = uz * q ** (n - z)
                     # a view: only the block's contiguous last axis is split
-                    np.add(uz[:, :, None] * q ** (n - z),
+                    np.add(uz[:, :, None],
                            base[block].reshape(-1, q ** (n - z)),
                            out=buf[:, block].reshape(rows.size, -1,
                                                      q ** (n - z)))
@@ -1508,12 +1510,16 @@ def _line_windows(space, pts, ranks, total, sizes_type) -> tuple:
       of the cell (l, j+1), R = q^(n-l-1), so a batch of columns is one
       bincount over its window, of at most `_SCAN_BLOCK_BYTES` / 8 keys
       (one column at least), a block of as many bytes of intp offsets
-      at a time (one row at least), added into the count."""
+      at a time (one row at least), written into one reused buffer and
+      added into the count."""
     n, q = space.n, space.q
     starts, _, _ = space._cell_table(1)
     cell = space._line_cell_at()
     lead = (pts.coords() != 0).argmax(axis=1)
     counts = np.zeros(total, dtype=sizes_type)
+    # every chunk's intp offsets go into this one buffer: a chunk of step
+    # rows of a batch has at most max(1, _SCAN_BLOCK_BYTES // 8) entries
+    offsets = np.empty(max(1, _SCAN_BLOCK_BYTES // 8), dtype=np.intp)
     for l in range(n + 1):
         # the ranks ascend, so the points of one lead are contiguous
         rows = np.flatnonzero(lead == l)
@@ -1537,9 +1543,11 @@ def _line_windows(space, pts, ranks, total, sizes_type) -> tuple:
                 window = counts[lo:lo + batch.shape[1] * span]
                 step = max(1, _SCAN_BLOCK_BYTES // (8 * batch.shape[1]))
                 for r0 in range(0, batch.shape[0], step):
-                    window += np.bincount(np.subtract(
-                        batch[r0:r0 + step], lo, dtype=np.intp).reshape(-1),
-                        minlength=window.size)
+                    chunk = batch[r0:r0 + step]
+                    out = offsets[:chunk.size]
+                    np.subtract(chunk, lo, out=out.reshape(chunk.shape),
+                                dtype=np.intp)
+                    window += np.bincount(out, minlength=window.size)
     return _counted_keys(counts, sizes_type)
 
 

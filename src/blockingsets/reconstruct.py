@@ -94,7 +94,7 @@ def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
     cut = np.searchsorted(owner, np.arange(positions.size + 1))
     through = np.diff(cut)
     # the ranks of an element ascend: column 0 is its lowest-rank point
-    xs = ctx.big_to_small[pts.ranks[positions], 0]
+    xs = ctx.blow_up_ranks(pts.ranks[positions])[:, 0]
     stack = np.zeros((positions.size, 1 + int(through.max()), small.n + 1),
                      dtype=np.min_scalar_type(small.q - 1))
     stack[:, 0] = small.coords_of_ranks(xs)
@@ -234,7 +234,8 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
                // (8 * (small.q ** 2 + small.q + 1) * (small.n + 1)))
     for start in range(0, first.size, step):
         # the linear sets of the planes of the transversals x y_i, x y_j
-        images = ctx.small_to_big[small.points_of(bases[start:start + step])]
+        images = ctx.blow_down_ranks(
+            small.points_of(bases[start:start + step]))
         for at in np.flatnonzero(~mask[images].all(axis=1)).tolist():
             image = images[at]
             failing.append((int(first[start + at]), int(second[start + at]),

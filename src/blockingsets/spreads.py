@@ -8,16 +8,15 @@ subspaces is a spread: it partitions the small-side points.  Going the other
 way, a small-side subspace pi picks out the big-side point set of all spread
 elements it touches.
 
-The spread is cached eagerly as two integer arrays (big rank -> sorted small
-ranks of its element, small rank -> big rank), since those lookups sit inside
-the reconstruction inner loop.  They are built in closed form: the element of
-a normalized big point v is {lambda*v}, lambda running over the codes whose
-first nonzero base-p digit is 1 (one per coset of GF(p)* in GF(p^h)*), and
-each such lambda*v blows up to an already normalized small row.  So each
-representative costs one flat table lookup per big column, in a table of
-the representatives' scaled digit numerals composed once, with no row
-normalization (Lavrauw-Van de Voorde, Field reduction and linear sets in
-finite geometry, 2015).  A point rank outside the space is a RangeError.
+Both directions of the spread are closed forms, evaluated on arrays of
+ranks with no table of the spread.  A small point maps to the big point
+whose coordinates are its blocks of h digits read as GF(p^h) codes.  The
+element of a normalized big point v is {lambda*v}, lambda running over
+the codes whose first nonzero base-p digit is 1 (one per coset of GF(p)*
+in GF(p^h)*), and each lambda*v blows up to a small row ranked from flat
+tables of the codes' digits, with no row reduction (Lavrauw-Van de Voorde,
+Field reduction and linear sets in finite geometry, 2015).  A point rank
+outside the space is a RangeError.
 """
 
 from __future__ import annotations
@@ -43,6 +42,9 @@ from .projspace import (
     sorted_unique,
 )
 
+# No table of the spread is kept, so the cap bounds none: it bounds the
+# (p^h - 1)/(p - 1) points of an element, and keeps every small rank
+# within the int32 that reconstruct stores the ys in.
 _SMALL_SIDE_CAP = 4_000_000
 
 
@@ -91,80 +93,50 @@ class SpreadContext:
             v = tuple(field.mul(xcode, c) for c in v)
         return rows
 
-    # -- cache ----------------------------------------------------------------
+    # -- the two maps ----------------------------------------------------------
 
     def _build_cache(self):
         # The element of a big point v holds the small points of lambda*v,
         # lambda in GF(q)*, and lambda matters only modulo GF(p0)*.  Scaling
         # by GF(p0)* scales every base-p0 digit alike, so the codes whose
         # first nonzero digit (least significant first) is 1 are one
-        # representative per coset.  With v normalized, lambda*v blows up to
-        # an already normalized small row: zero before small column
-        # h*lead(v), then the digits of lambda.  Its small lead is
-        # h*lead(v) + first_nonzero_digit(lambda), and its rank is
-        # weight[lambda*v] @ block + offs[lead] - powers[lead], where
-        # weight[c] reads c's digits as a base-p0 numeral in small-column
-        # order and block[j] = p0^(h(n-j)) is the place of big column j.
-        # Composed once, placed[j, i, c] = weight[reps[i] * c] * block[j]:
-        # each representative's rank is one flat take per big column.
-        # `_blown_ranks` is the same rank for any nonzero big vector.
-        big, small = self.big, self.small
-        p0, h, n = self.p0, self.h, big.n
-        nbig = big.num_points
-        per = self.points_per_element
-        _, mul, _, inv = big.field.tables()
-        codes = np.arange(big.q, dtype=np.int64)
-        digits = codes[:, None] // p0 ** np.arange(h) % p0
-        weight = digits @ p0 ** np.arange(h - 1, -1, -1)
+        # representative per coset.  The blow-up of a nonzero big vector w,
+        # scaled by the inverse in GF(p0) of the first nonzero digit of
+        # c = w[lead(w)], is a normalized small row: zero before small
+        # column h*lead(w) + first[c], then the digits.  Its rank is
+        # weight[w'] @ block + start[h*lead(w) + first[c]], where weight[c]
+        # reads c's digits as a base-p0 numeral in small-column order,
+        # block[j] = p0^(h(n-j)) is the place of big column j and start is
+        # the small side's offsets less its powers.  Only these O(q)
+        # tables are kept; the maps evaluate them per call.
+        small = self.small
+        p0, h, n = self.p0, self.h, self.big.n
+        inv = self.big.field.tables()[3]
+        codes = np.arange(self.big.q, dtype=np.int64)
+        self._place = p0 ** np.arange(h, dtype=np.int64)
+        digits = codes[:, None] // self._place % p0
+        weight = digits @ self._place[::-1]
         first = (digits != 0).argmax(axis=1)
         reps = np.flatnonzero(digits[codes, first] == 1)
-        if reps.size != per:
+        if reps.size != self.points_per_element:
             raise SpecMismatchError(
                 f"spread cache: {reps.size} coset representatives, "
-                f"expected {per}")
-        coords = big.coords_array()
-        big_lead = h * (coords != 0).argmax(axis=1)
+                f"expected {self.points_per_element}")
         block = p0 ** (h * (n - np.arange(n + 1, dtype=np.int64)))
-        offs = np.asarray(small._offsets, dtype=np.int64)
-        powers = np.asarray(small._powers, dtype=np.int64)
-        start = offs - powers
+        start = np.asarray(small._offsets, dtype=np.int64) \
+            - np.asarray(small._powers, dtype=np.int64)
         # the inverse in GF(p0) of each code's first nonzero digit
         unit = inv[digits[codes, first]]
         self._blow_tables = (weight, first, unit, block, start)
         self._reps = reps
-        placed = weight[mul[reps]] * block[:, None, None]
-        columns = np.ascontiguousarray(coords.T)
-        # small ranks are below _SMALL_SIDE_CAP: int32 holds them
-        ranks = np.empty((nbig, per), dtype=np.int32)
-        for i, lam in enumerate(reps):
-            acc = start[big_lead + first[lam]]
-            for j in range(n + 1):
-                acc += placed[j, i].take(columns[j])
-            ranks[:, i] = acc
-        del columns, acc
-        ranks.sort(axis=1)
-        if not (ranks[:, 1:] != ranks[:, :-1]).all():
-            raise SpecMismatchError("spread cache: an element repeats a point")
-        self.big_to_small = ranks
-        flat = ranks.reshape(-1)
-        if flat.size != small.num_points:
-            raise SpecMismatchError("spread does not cover the small side")
-        s2b = np.full(small.num_points, -1, dtype=np.int32)
-        s2b[flat] = np.repeat(np.arange(nbig, dtype=np.int32), per)
-        if (s2b < 0).any():
-            raise SpecMismatchError("spread does not partition the small side")
-        self.small_to_big = s2b
         # shared per space through spread_context: keep them read-only
-        for arr in (self.big_to_small, s2b, reps, *self._blow_tables):
+        for arr in (reps, self._place, *self._blow_tables):
             arr.flags.writeable = False
 
     def _blown_ranks(self, vecs) -> np.ndarray:
         """Small ranks of the blow-ups of an array of nonzero big vectors
-        (last axis n+1, not necessarily normalized).  The blow-up of w
-        leads at small column h*lead(w) + first[c], c = w[lead(w)], with
-        c's first nonzero digit there; w scaled by that digit's inverse in
-        GF(p0) blows up to the normalized row, ranked as in
-        _build_cache, every table read flat."""
+        (last axis n+1, not necessarily normalized), every table read
+        flat, as set out in _build_cache."""
         mul = self.big.field.tables()[1].ravel()
         weight, first, unit, block, start = self._blow_tables
         lead = (vecs != 0).argmax(axis=-1)
@@ -172,14 +144,40 @@ class SpreadContext:
         return weight.take(mul.take(vecs * self.big.q + unit.take(c))) \
             @ block + start.take(self.h * lead + first.take(c[..., 0]))
 
+    def _blown_down(self, small_rows) -> np.ndarray:
+        """The big vectors (GF(q) codes, not normalized) whose blow-ups
+        are an array of small rows: each block of h digits read as one
+        code."""
+        return small_rows.reshape(small_rows.shape[:-1]
+                                  + (self.big.n + 1, self.h)) @ self._place
+
+    def blow_up_ranks(self, big_ranks) -> np.ndarray:
+        """The ascending small ranks of the spread element of each big
+        rank, shape big_ranks.shape + (points_per_element,): the blow-ups
+        of lambda*v, v the normalized point and lambda the coset
+        representatives.  A fresh array per call."""
+        mul = self.big.field.tables()[1].ravel()
+        coords = self.big.coords_of_ranks(big_ranks)
+        ranks = self._blown_ranks(mul.take(
+            self.big.q * self._reps[:, None] + coords[..., None, :]))
+        ranks.sort(axis=-1)
+        if (ranks[..., 1:] == ranks[..., :-1]).any():
+            raise SpecMismatchError("spread map: an element repeats a point")
+        return ranks
+
+    def blow_down_ranks(self, small_ranks) -> np.ndarray:
+        """The big rank of the spread element holding each small rank, in
+        the shape of small_ranks.  A fresh array per call."""
+        return self.big.ranks_from_rows(
+            self._blown_down(self.small.coords_of_ranks(small_ranks)))
+
     # -- spread queries --------------------------------------------------------
 
     def element_ranks(self, big_rank: int) -> np.ndarray:
-        # numpy would wrap a negative rank round to the end of the cache
         r = int(big_rank)
         if not 0 <= r < self.big.num_points:
             raise RangeError(f"point rank {r} out of range for {self.big!r}")
-        return self.big_to_small[r]
+        return self.blow_up_ranks(r)
 
     def spread_element(self, point) -> Subspace:
         """S(P): the small-side (h-1)-space of a big-side point."""
@@ -193,14 +191,10 @@ class SpreadContext:
         """B(pi): big-side points whose spread elements meet pi."""
         if pi.space is not self.small:
             raise DimensionMismatchError("subspace not on the small side")
-        return PointSet(self.big, self.small_to_big[pi.point_ranks()])
+        return PointSet(self.big, self.blow_down_ranks(pi.point_ranks()))
 
     def linear_set_of_ranks(self, small_ranks) -> np.ndarray:
-        ranks = np.asarray(small_ranks, dtype=np.int64)
-        if ranks.size and (ranks.min() < 0
-                           or ranks.max() >= self.small.num_points):
-            raise RangeError(f"point rank out of range for {self.small!r}")
-        return sorted_unique(self.small_to_big[ranks])
+        return sorted_unique(self.blow_down_ranks(small_ranks))
 
     def blow_up_subspace(self, sub: Subspace) -> Subspace:
         """S(H): the span of the spread elements of the points of H,
@@ -258,8 +252,9 @@ class SpreadContext:
         if xrank.ndim and xrank.shape != rows.shape[:1]:
             raise BadParamsError("expected one x per subline")
         # a rank out of range is a RangeError here, before any lookup
-        xv = self.small.coords_of_ranks(xrank)
-        home = np.broadcast_to(self.small_to_big[xrank], rows.shape[:1])
+        codes = self._blown_down(self.small.coords_of_ranks(xrank))
+        home = np.broadcast_to(self.big.ranks_from_rows(codes),
+                               rows.shape[:1])
         at_home = rows == home[:, None]
         if not at_home.any(axis=1).all():
             raise XNotOnElementError(
@@ -270,11 +265,10 @@ class SpreadContext:
         # blows up from X, and the points of the companion element from
         # lambda*v, v the companion and lambda the coset representatives,
         # so x + mu*y blows up from X + mu*Y (X held times q, its row of
-        # the flat add table); each point still maps back through small_to_big
+        # the flat add table), whose big rank is its image
         add, mul, _, _ = self.big.field.tables()
         add, mul, q = add.ravel(), mul.ravel(), self.big.q
-        X = np.broadcast_to(xv, (len(rows), xv.shape[-1])).reshape(
-            len(rows), self.big.n + 1, self.h) @ (q * p0 ** np.arange(self.h))
+        X = q * np.broadcast_to(codes, (len(rows), self.big.n + 1))
         Y = mul.take(q * self._reps[:, None]
                      + self.big.coords_of_ranks(companion)[:, None, :])
         # a line xy matches only if the image of x + y lies on the row:
@@ -282,14 +276,13 @@ class SpreadContext:
         # the line of each survivor (row i, candidate j): x maps to home
         # and y to the companion, so the points x + lambda*y, lambda = 2
         # .. p0-1, are left
-        mid = self.small_to_big.take(self._blown_ranks(
-            add.take(X[:, None] + Y)))
+        mid = self.big.ranks_from_rows(add.take(X[:, None] + Y))
         i, j = np.nonzero((mid[:, :, None] == rows[:, None, :]).any(axis=2))
         lam = q * np.arange(2, p0, dtype=np.int64)[:, None]
         rest = add.take(X[i][:, None] + mul.take(lam + Y[i, j][:, None, :]))
         images = np.concatenate([
             np.stack([home[i], companion[i], mid[i, j]], axis=1),
-            self.small_to_big.take(self._blown_ranks(rest))], axis=1)
+            self.big.ranks_from_rows(rest)], axis=1)
         images.sort(axis=1)
         hit = (images == rows[i]).all(axis=1)
         if (np.bincount(i[hit], minlength=len(rows)) > 1).any():

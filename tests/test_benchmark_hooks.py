@@ -137,7 +137,7 @@ def test_read_pointset_ranks_a_file_in_one_call(monkeypatch, tmp_path):
 def test_spread_build_ranks_in_closed_form(monkeypatch):
     big = ProjectiveSpace(3, make_field(7, 2))
     calls = []
-    for attr in ("ranks_from_rows", "normalize_rows"):
+    for attr in ("ranks_from_rows", "normalize_rows", "coords_array"):
         orig = getattr(ProjectiveSpace, attr)
 
         def counted(self, *args, _orig=orig, _attr=attr, **kwargs):
@@ -146,7 +146,8 @@ def test_spread_build_ranks_in_closed_form(monkeypatch):
 
         monkeypatch.setattr(ProjectiveSpace, attr, counted)
     ctx = spreads.SpreadContext(big)      # not the cached spread_context
-    assert ctx.big_to_small.shape == (big.num_points, 8)
+    assert ctx._reps.size == ctx.points_per_element == 8
+    # the build keeps no table of the spread and reads no point list
     assert calls == []
 
 

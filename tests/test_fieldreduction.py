@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockingsets.errors import (DimensionMismatchError, NotASublineError,
-                                 RangeError, XNotOnElementError)
+                                 RangeError, SpecMismatchError,
+                                 XNotOnElementError)
 from blockingsets.fields import make_field
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace, span
 from blockingsets.spreads import SpreadContext, spread_context
@@ -28,10 +29,18 @@ def test_context_cached():
 
 
 def test_spread_cache_is_read_only(ctx9):
-    for arr in (ctx9.big_to_small, ctx9.small_to_big,
-                ctx9.element_ranks(0)):
+    for arr in (ctx9._reps, ctx9._place, *ctx9._blow_tables):
         with pytest.raises(ValueError):
             arr[0] = 0
+    # the maps hand out fresh arrays: a write into one is not seen again
+    for call in (lambda: ctx9.element_ranks(0),
+                 lambda: ctx9.blow_up_ranks([[0, 5], [17, 90]]),
+                 lambda: ctx9.blow_down_ranks([0, 7, 100, 363])):
+        before = call()
+        call()[...] = 0
+        got = call()
+        got += 1
+        assert np.array_equal(call(), before)
 
 
 def test_small_space_shape(ctx9):
@@ -187,7 +196,7 @@ def test_out_of_range_ranks_are_range_errors(ctx9, baer):
                                   bad)
 
 
-# -- the spread cache against the construction it replaced ---------------------
+# -- the spread maps against the generator-power construction ------------------
 
 def _blow_up_rows(arr, p0, h):
     out = np.empty((arr.shape[0], arr.shape[1] * h), dtype=np.int64)
@@ -200,10 +209,10 @@ def _blow_up_rows(arr, p0, h):
 
 
 def _reference_cache(ctx):
-    """The spread arrays by the generator-power construction: g^0 ..
-    g^(per-1) for a generator g of GF(q)* are coset representatives of
-    GF(q)*/GF(p0)*, and each scaled point is blown up, normalized and
-    ranked row by row."""
+    """Both spread maps as arrays, by the generator-power construction:
+    g^0 .. g^(per-1) for a generator g of GF(q)* are coset
+    representatives of GF(q)*/GF(p0)*, and each scaled point is blown up,
+    normalized and ranked row by row."""
     big, small = ctx.big, ctx.small
     per = ctx.points_per_element
     _, mul, _, _ = big.field.tables()
@@ -228,12 +237,22 @@ REFERENCE_SPACES = [(p, t, n, None) for p, t, n in SHIPPED] + [
     (3, 4, 2, None), (2, 6, 2, None)]
 
 
+def _blocks(total, size=1 << 14):
+    """The ranks 0 .. total-1 in blocks, so that no map call on the
+    largest space holds more than a few MB."""
+    return [np.arange(lo, min(lo + size, total))
+            for lo in range(0, total, size)]
+
+
 @pytest.mark.parametrize("p,t,n,modulus", REFERENCE_SPACES)
 def test_spread_cache_matches_reference_construction(p, t, n, modulus):
     ctx = SpreadContext(ProjectiveSpace(n, make_field(p, t, modulus)))
     big_to_small, small_to_big = _reference_cache(ctx)
-    assert np.array_equal(ctx.big_to_small, big_to_small)
-    assert np.array_equal(ctx.small_to_big, small_to_big)
+    for ranks in _blocks(ctx.big.num_points):
+        assert np.array_equal(ctx.blow_up_ranks(ranks), big_to_small[ranks])
+    for ranks in _blocks(ctx.small.num_points):
+        assert np.array_equal(ctx.blow_down_ranks(ranks),
+                              small_to_big[ranks])
 
 
 # -- the spread partitions the small side, checked apart from the build --------
@@ -241,12 +260,36 @@ def test_spread_cache_matches_reference_construction(p, t, n, modulus):
 @pytest.mark.parametrize("p,t,n", SHIPPED)
 def test_spread_partitions_small_side(p, t, n):
     ctx = spread_context(ProjectiveSpace(n, make_field(p, t)))
-    counts = np.bincount(ctx.small_to_big, minlength=ctx.big.num_points)
-    assert counts.size == ctx.big.num_points
-    assert (counts == ctx.points_per_element).all()
-    small = np.arange(ctx.small.num_points)
-    home = ctx.big_to_small[ctx.small_to_big]
-    assert (home == small[:, None]).any(axis=1).all()
+    per = ctx.points_per_element
+    seen = np.zeros(ctx.small.num_points, dtype=np.int64)
+    for ranks in _blocks(ctx.big.num_points):
+        elements = ctx.blow_up_ranks(ranks)
+        assert elements.shape == (ranks.size, per)
+        np.add.at(seen, elements.reshape(-1), 1)
+        # every point of an element maps back to it
+        assert (ctx.blow_down_ranks(elements) == ranks[:, None]).all()
+    # each small rank lies in exactly one element
+    assert (seen == 1).all()
+    # so the element map inverts the small -> big map on every small rank
+    counts = np.zeros(ctx.big.num_points, dtype=np.int64)
+    for ranks in _blocks(ctx.small.num_points):
+        down = ctx.blow_down_ranks(ranks)
+        counts += np.bincount(down, minlength=counts.size)
+    assert (counts == per).all()
+
+
+def test_a_repeated_element_point_is_refused_on_every_call():
+    # two representatives of one coset of GF(3)* in GF(9)*: every element
+    # then repeats a point, and each call of the element map says so
+    ctx = SpreadContext(ProjectiveSpace(2, make_field(3, 2)))
+    reps = ctx._reps.copy()
+    reps[1] = 2 * reps[0] % 3
+    ctx._reps = reps
+    for call in (lambda: ctx.blow_up_ranks([0, 1]),
+                 lambda: ctx.blow_up_ranks([0, 1]),
+                 lambda: ctx.element_ranks(5)):
+        with pytest.raises(SpecMismatchError, match="repeats a point"):
+            call()
 
 
 @pytest.mark.parametrize("p,t,n", SHIPPED)

@@ -15,6 +15,7 @@ from blockingsets.cli import main, version_string
 from blockingsets.errors import IoError, ParseError
 from blockingsets.fields import make_field
 from blockingsets.projspace import PointSet, ProjectiveSpace, Subspace
+from blockingsets.spreads import _SMALL_SIDE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -671,6 +672,15 @@ def test_cli_spread_dump_rank_out_of_range(capsys, point):
                              "--n", "2", "--point", point)
     assert code == 2 and out == ""
     assert f"RangeError: point rank {point} out of range" in err
+
+
+def test_cli_spread_dump_refuses_a_small_side_over_the_cap(capsys):
+    # PG(3, 64) blows up to PG(23, 2), with 2^24 - 1 points
+    code, out, err = run_cli(capsys, "spread-dump", "--p", "2", "--t", "6",
+                             "--n", "3")
+    assert code == 2 and out == ""
+    assert "TooLargeError: small side has 16777215 points" in err
+    assert f"cap is {_SMALL_SIDE_CAP}" in err
 
 
 def test_cli_version_flag(capsys):

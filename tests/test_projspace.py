@@ -663,8 +663,15 @@ def test_every_cached_public_result_is_closed(baer):
     space = pg(3, 3, 2)
     ctx = spread_context(space)
     results += [(f"spread_context.{name}", getattr(ctx, name)) for name in
-                ("big_to_small", "small_to_big", "_reps", "_blow_tables")]
-    results.append(("element_ranks", ctx.element_ranks(5)))
+                ("_reps", "_place", "_blow_tables")]
+    # the spread maps hand out fresh arrays: a write into one is not seen
+    # by the next call
+    for call in (lambda: ctx.element_ranks(5),
+                 lambda: ctx.blow_up_ranks([5, 30]),
+                 lambda: ctx.blow_down_ranks([0, 5, 400])):
+        before = call()
+        call()[...] = 0
+        assert np.array_equal(call(), before)
     pts = PointSet(space, [0, 5, 17, 30, 31, 400])
     middle = PointSet(pg(4, 2), [0, 5, 17, 30])
     results += [("ranks", pts.ranks), ("mask", pts.mask()),

@@ -1,6 +1,6 @@
 """Set-up: the `.pts` reader's one vectorised pass against the line parser
-that defines the format, and a process that reads, loads and runs without
-importing `numpy.ma`."""
+that defines the format, a process that reads, loads and runs without
+importing `numpy.ma`, and a catalogue load that builds no spread table."""
 
 import os
 import subprocess
@@ -200,3 +200,25 @@ def test_setup_and_runs_never_import_numpy_ma(tmp_path):
     if out.stdout.strip() == "preloaded":
         pytest.skip("a bare `import numpy` loads numpy.ma here")
     assert out.stdout.strip() == "False"
+
+
+# argv: none; prints the bytes `load_shipped()` leaves held and its peak
+_LOAD_MEMORY = textwrap.dedent("""
+    import tracemalloc
+    from blockingsets import catalogue
+    tracemalloc.start()
+    catalogue.load_shipped()
+    print(*tracemalloc.get_traced_memory())
+""")
+
+
+def test_loading_the_catalogue_builds_no_spread_table():
+    # the load builds the spread context of every witness, PG(3,49) ->
+    # PG(7,7) among them (960,800 small points); a context keeps only
+    # tables of O(q) entries, so the whole load stays under 2 MB
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "-c", _LOAD_MEMORY], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    held, peak = map(int, out.stdout.split())
+    assert held <= peak < 2 << 20

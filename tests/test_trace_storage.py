@@ -4,7 +4,6 @@ and hyperplane scan kernels against the covector-building kernels they
 replaced, and the one-pass transversal-line search against a
 per-candidate reference loop."""
 
-import copy
 import itertools
 
 import numpy as np
@@ -564,15 +563,15 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
 def _reference_transversal(ctx, trace, x):
     """The search as one candidate line per point y of a companion
     element: the lines whose images are exactly the trace."""
-    home = int(ctx.small_to_big[x])
+    home = int(ctx.blow_down_ranks(x))
     companion = next(int(r) for r in trace.ranks if r != home)
-    found = []
-    for y in ctx.element_ranks(companion):
-        line = span(ctx.small, x, int(y))
-        if np.array_equal(ctx.linear_set_of_ranks(line.point_ranks()),
-                          trace.ranks):
-            found.append(line)
-    return found
+    lines = [span(ctx.small, x, int(y)) for y in ctx.element_ranks(companion)]
+    # a line and the trace both have p0 + 1 points: the line's image is
+    # the trace exactly when its sorted images are the trace's ranks
+    images = np.sort(ctx.blow_down_ranks(
+        np.stack([line.point_ranks() for line in lines])), axis=1)
+    return [line for line, image in zip(lines, images)
+            if np.array_equal(image, trace.ranks)]
 
 
 @pytest.mark.parametrize("name", ["baer_pg2_9", "cone_pg3_9",
@@ -642,7 +641,7 @@ def test_transversal_line_errors():
             ctx.transversal_line([broken.ranks] * 2, np.asarray([x, bad]))
 
 
-def test_transversal_line_refuses_two_matches(baer):
+def test_transversal_line_refuses_two_matches(baer, monkeypatch):
     ctx = baer.ctx
     lines = traces_of(baer.points, 1)
     idx = int(np.flatnonzero(lines.sizes == 4)[0])
@@ -655,6 +654,9 @@ def test_transversal_line_refuses_two_matches(baer):
     element = ctx.element_ranks(trace.ranks[1])
     y = int(np.intersect1d(line.point_ranks(), element)[0])
     other = next(int(r) for r in element if r != y)
+    home = trace.ranks[0]
+    batches = ([trace.ranks], [_broken_row(ctx, trace.ranks, home),
+                               trace.ranks])
     # a corrupted spread that maps the line x other like the line x y
     lam = np.arange(3)[:, None]
 
@@ -663,17 +665,30 @@ def test_transversal_line_refuses_two_matches(baer):
         ev = np.asarray(ctx.small.coords_of(end))
         return ctx.small.ranks_from_rows(
             np.vstack([(xv + lam * ev) % 3, ev]))
-    bad = copy.copy(ctx)
-    bad.small_to_big = ctx.small_to_big.copy()
-    bad.small_to_big[line_ranks(other)] = ctx.small_to_big[line_ranks(y)]
+    swap = dict(zip(line_ranks(other).tolist(),
+                    ctx.blow_down_ranks(line_ranks(y)).tolist()))
+    honest = ctx.big.ranks_from_rows
+
+    def corrupted(arr, normalized=False):
+        # every small -> big image ends in the big side's ranking of the
+        # blown-down vector; the vector's own blow-up is its small point
+        got = np.array(honest(arr, normalized))
+        arr = np.asarray(arr, dtype=np.int64)
+        digits = arr[..., None] // 3 ** np.arange(2) % 3
+        small = ctx.small.ranks_from_rows(
+            digits.reshape(arr.shape[:-1] + (-1,)))
+        for a, b in swap.items():
+            got[small == a] = b
+        return got
+    monkeypatch.setattr(ctx.big, "ranks_from_rows", corrupted)
+    assert np.array_equal(ctx.blow_down_ranks(line_ranks(other)),
+                          ctx.blow_down_ranks(line_ranks(y)))
     with pytest.raises(SpecMismatchError):
-        bad.transversal_line(trace, x)
+        ctx.transversal_line(trace, x)
     # the batch form refuses it too, also beside a good row
-    home = trace.ranks[0]
-    for rows in ([trace.ranks], [_broken_row(ctx, trace.ranks, home),
-                                 trace.ranks]):
+    for rows in batches:
         with pytest.raises(SpecMismatchError):
-            bad.transversal_line(np.asarray(rows), x)
+            ctx.transversal_line(np.asarray(rows), x)
 
 
 def _broken_row(ctx, ranks, keep):
@@ -688,7 +703,7 @@ def _broken_row(ctx, ranks, keep):
 def _per_secant_transversal(ctx, trace, x):
     """The search as it ran before the batch form, one subline at a time:
     the small rank y with x y the transversal, or -1."""
-    home = int(ctx.small_to_big[x])
+    home = int(ctx.blow_down_ranks(x))
     companion = next(int(r) for r in trace if r != home)
     add, mul, _, _ = ctx.small_field.tables()
     xv = np.asarray(ctx.small.coords_of(x), dtype=np.int64)
@@ -698,7 +713,7 @@ def _per_secant_transversal(ctx, trace, x):
     on_line = np.concatenate(
         [add[xv, mul[lam[None, :, None], ys[:, None, :]]],
          ys[:, None, :]], axis=1)
-    images = ctx.small_to_big[ctx.small.ranks_from_rows(on_line)]
+    images = ctx.blow_down_ranks(ctx.small.ranks_from_rows(on_line))
     images.sort(axis=1)
     matches = np.flatnonzero((images == trace).all(axis=1))
     assert matches.size <= 1
