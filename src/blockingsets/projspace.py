@@ -862,49 +862,40 @@ class TraceSummary:
 
     Only subspaces that meet the set are held explicitly: slot i has a key
     and a size, everything else is the x_0 count.  A key is a dense index
-    in range(total), and the keys ascend.  One rule says which index, each
-    decoded in closed form: the hyperplanes of a space with n >= 3 are
-    keyed by the point rank of their covector in the dual space, and every
-    other dimension by the subspace's place in the `subspaces(dim)` order
-    (see `ProjectiveSpace._cells`), which `subspace_bases` decodes: the
-    line rank for lines, the single key 0 when dim = n.
+    in range(total), and the keys ascend: the dual point rank of the
+    covector for the hyperplanes of a space with n >= 3, and otherwise the
+    place in the `subspaces(dim)` order (see `ProjectiveSpace._cells`),
+    which `subspace_bases` decodes: the line rank for lines, 0 for dim = n.
 
     Every scan hands `_by_point_summary` a row generator of the keys of
     the dim-subspaces through each point, ascending (int32 whenever every
     key fits), and the tail counts them into keys and sizes.  When every
-    key occurs (a set that meets every dim-subspace, as a blocking set
-    meets the subspaces of its scan), the summary is dense: a slot is its
-    key and no keys are stored.  Otherwise the keys that occur are stored
-    (int64) and the slots are their places among them (int32).  The sizes
-    are held in the smallest signed integer type that holds the set's
-    size, so they never wrap on subtraction; compare them with exact
-    integers, not with products that could wrap.
+    key occurs (as a blocking set meets the subspaces of its scan), the
+    summary is dense: a slot is its key and no keys are stored.
+    Otherwise the keys that occur are stored (int64) and the slots are
+    their places among them (int32).  The sizes are held in the smallest
+    signed type that holds the largest trace, min(m, points of a
+    dim-subspace) (int8 for the lines of PG(n, q), q < 127), so the
+    difference of two never wraps; compare them with exact integers.
 
     Keys are read through `keys_of` alone: `bases` turns any selection of
     slots into canonical RREF basis rows, `first_uncovered` unranks the
     first missing key, and `witness_order` orders line slots by their
-    bases.  The incidences between slots and points (a point is its
-    position in the set's rank order) are held once, by point: every
-    scan gives each point the same number of slots, its width, so they
-    form one (m, width) int32 grid (`by_point`), row p holding the slots
-    through the point at position p, ascending, which is the scan order
-    (`indices_through_point`).  Every summary has one life cycle: it
-    holds its keys, sizes and a row source, rows(r0, r1), the keys
-    through the points at positions r0..r1, and builds the grid once, on
-    the first per-point read, after which the source is dropped.  The
-    source slices the scan's array where the tail kept it (a scan of one
-    block, or one not counted) and is the scan's row generator otherwise,
-    so a summary asked only for sizes builds no grid.  The sizes of its
-    slots, gathered once into a grid of the same shape (`point_sizes`),
-    serve every per-point count and the subline checks' search for the
-    secants through each point.  The points' coordinates are those the
-    set `pts` caches.
-
-    The point positions on the lines through a point are built per call
-    and never cached, by `secants_through` from the grids and `bases`.
-
-    All stored arrays are read-only: summaries are cached per point set
-    and shared.
+    bases.  Every scan gives each point the same number of slots, its
+    width, so the incidences (a point is its position in the set's rank
+    order) form one (m, width) int32 grid (`by_point`), row p holding the
+    slots through the point at position p, ascending.  A summary holds
+    its keys, sizes and a row source, rows(r0, r1), the keys through the
+    points at positions r0..r1, and builds the grid once, on the first
+    read of it, and then drops the source.  The source slices the scan's
+    array where the tail kept it and is the scan's row generator
+    otherwise, so a summary asked only for sizes builds no grid, and
+    `slot_rows`, the read of a few rows, builds none either.  The sizes
+    of the slots, gathered once into a grid of the same shape
+    (`point_sizes`), serve every per-point count and the subline checks.
+    The points' coordinates are those the set `pts` caches; the points on
+    the lines through a point are found per call (`secants_through`).
+    All stored arrays are read-only: summaries are cached and shared.
     """
 
     def __init__(self, pts, dim, keys, sizes, rows):
@@ -915,8 +906,7 @@ class TraceSummary:
         # None on a dense summary, whose slots are its keys
         self._keys = None if keys is None else _frozen(keys)
         self.sizes = _frozen(sizes)
-        # the scan's row source until the first per-point read builds the
-        # grid from it
+        # the scan's row source, until the grid is built from it
         self._rows, self._slots = rows, None
         self._counts = {}
         self._point_sizes = None
@@ -955,21 +945,40 @@ class TraceSummary:
             out[int(v)] = int(c)
         return out
 
+    def slot_rows(self, r0: int, r1: int) -> np.ndarray:
+        """The int32 slots through the points at positions r0..r1: a
+        read-only slice of the grid once built, and before that read off
+        the row source under the summary lock, building no grid."""
+        if not 0 <= r0 < r1 <= len(self.pts):
+            raise RangeError(f"point positions {r0}..{r1} out of range")
+        with _TRACE_LOCK:
+            if self._slots is None:
+                return self._read(r0, r1, None)
+        return self._slots[r0:r1]
+
+    def _read(self, r0, r1, table) -> np.ndarray:
+        """Rows r0..r1 of the row source as int32 slots: a dense summary's
+        keys, else each key's entry in table or its place among the keys."""
+        block = self._rows(r0, r1)
+        if self._keys is None:
+            return block.astype(np.int32, copy=False)
+        return np.searchsorted(self._keys, block).astype(np.int32) \
+            if table is None else table[block]
+
     def by_point(self) -> np.ndarray:
         """The (points, width) int32 grid of slots: row p holds the slots
         through the point at position p, ascending; read-only.  The first
-        read builds it from the row source, the one place a grid is built.
-        On a dense summary a key is its slot, so the rows are the grid
-        (int32 rows are not copied).  Otherwise each tail block of rows is
-        mapped to slots through a temporary int32 key -> slot table when
-        the key range passes the count rule's byte bound (8 * total <=
-        `_COUNT_BYTES`), and by a search of the stored keys when not."""
+        call builds it from the row source (`_read`), the one place a grid
+        is built: whole on a dense summary, and otherwise a tail block of
+        rows at a time, through a temporary int32 key -> slot table when
+        the key range passes the count rule's bound (8 * total <=
+        `_COUNT_BYTES`)."""
         if self._slots is None:
             with _TRACE_LOCK:
                 if self._slots is None:
-                    m, rows_of, keys = len(self.pts), self._rows, self._keys
+                    m, keys = len(self.pts), self._keys
                     if keys is None:
-                        grid = rows_of(0, m).astype(np.int32, copy=False)
+                        grid = self._read(0, m, None)
                     else:
                         table = None
                         if 8 * self.total <= _COUNT_BYTES:
@@ -980,9 +989,8 @@ class TraceSummary:
                         grid = np.empty((m, width), dtype=np.int32)
                         rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
                         for r0 in range(0, m, rows):
-                            block = rows_of(r0, min(r0 + rows, m))
-                            grid[r0:r0 + rows] = np.searchsorted(keys, block) \
-                                if table is None else table[block]
+                            grid[r0:r0 + rows] = self._read(
+                                r0, min(r0 + rows, m), table)
                     self._slots, self._rows = _frozen(grid), None
         return self._slots
 
@@ -998,11 +1006,11 @@ class TraceSummary:
         positions, (owner, slots, points), the rows grouped by owner (the
         int32 index into pos) ascending.  Line summaries only.
 
-        Only what the summary holds is read, a bounded block at a time:
-        one point's lines are decoded (`bases`) and their points ranked
-        (`points_of`); the array form reads the incidences of the chosen
-        lines, point ascending, off `point_sizes`, and one stable argsort
-        of their slots lists each line's points once."""
+        A bounded block at a time: one point reads its own row
+        (`slot_rows`, building no grid), decodes its lines (`bases`) and
+        ranks their points (`points_of`); the array form reads the chosen
+        lines' incidences off `point_sizes`, and one stable argsort of
+        their slots lists each line's points once."""
         if self.dim != 1:
             raise DimensionMismatchError(
                 f"secants through a point need a line summary, not dim "
@@ -1011,9 +1019,9 @@ class TraceSummary:
         space, m, width = self.space, len(self.pts), max(size, 0)
         if at.size and not 0 <= at.min() <= at.max() < m:
             raise RangeError(f"point position {pos} out of range")
-        grid, per = self.by_point(), max(width, 1)
         if np.ndim(pos) == 0:
-            slots = grid[pos][self.sizes[grid[pos]] == size]
+            row = self.slot_rows(int(pos), int(pos) + 1)[0]
+            slots = row[self.sizes[row] == size]
             points = np.empty((slots.size, width), dtype=np.int32)
             step = max(1, _SCAN_BLOCK_BYTES // (8 * (space.q + 1)
                                                 * (space.n + 1)))
@@ -1022,6 +1030,7 @@ class TraceSummary:
                 points[b:b + step] = np.searchsorted(
                     self.pts.ranks, on[self.pts.mask()[on]]).reshape(-1, width)
             return slots, points
+        grid, per = self.by_point(), max(width, 1)
         step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
         sizes, count, on = self.point_sizes(), np.empty(m, np.int64), []
         for r0 in range(0, m, step):
@@ -1068,11 +1077,8 @@ class TraceSummary:
         block of point rows at a time (64 bytes of temporaries per entry):
         a compare of the block's sizes finds the incidences of the
         selected lines, a hit's slot gives its row, and `np.add.at` sets
-        its bit; a point lies on a line once, so the add is an exact OR.
-        No position is decoded: in the column layout of `_scan_lines`,
-        column block j of P's row holds the lines P w with lead(w) = j,
-        and P's chart position on them is rank 0 when j < lead(P) and
-        1 + P_(j+1) otherwise."""
+        its bit (an exact OR: a point lies on a line once).  P's chart
+        position per column block is read off `_scan_lines`' layout."""
         space = self.space
         n, q = space.n, space.q
         grid = self.point_sizes()
@@ -1118,18 +1124,14 @@ class TraceSummary:
         return sel, words
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
-        if not 0 <= pt_pos < len(self.pts):
-            raise RangeError(f"point position {pt_pos} out of range")
-        return self.by_point()[pt_pos]
+        return self.slot_rows(pt_pos, pt_pos + 1)[0]
 
     def point_sizes(self) -> np.ndarray:
         """The (points, width) grid of the trace sizes of the by-point
-        slots: row p holds the sizes of the slots through the point at
-        position p, in `by_point` order, in the narrowest signed type that
-        holds the largest size.  Gathered once, in blocks of
-        `_SCAN_BLOCK_BYTES` / 8 entries from a copy of the sizes in that
-        type (a gather from the narrow copy stays closer to the cache); the
-        array is read-only."""
+        slots, in `by_point` order and the narrowest signed type that holds
+        the largest size; read-only.  Gathered once, in blocks of
+        `_SCAN_BLOCK_BYTES` / 8 entries, from a copy of the sizes in that
+        type, which stays closer to the cache."""
         if self._point_sizes is None:
             with _TRACE_LOCK:
                 if self._point_sizes is None:
@@ -1150,8 +1152,7 @@ class TraceSummary:
         """For each point of the set (in rank order): how many dim-subspaces
         through it have trace >= min_size (or == exact), counted along the
         rows of `point_sizes`, a block of `_SCAN_BLOCK_BYTES` / 8 entries
-        at a time.
-        Cached per arguments; the result is read-only."""
+        at a time.  Cached per arguments; the result is read-only."""
         got = self._counts.get((min_size, exact))
         if got is None:
             with _TRACE_LOCK:
@@ -1238,30 +1239,24 @@ class TraceSummary:
 
 def _scan_lines(space, pts: PointSet) -> TraceSummary:
     """Traces of all lines meeting the set, by enumerating per point the
-    lines through it (each meeting line is hit once per contained point).
-    The keys are line ranks, the lines' places in the `subspaces(1)` order
-    (see `ProjectiveSpace._cells`), as for every dimension but the
-    hyperplanes of a space with n >= 3.
-
-    The lines through P are P w for the points w of PG(n-1, q) placed in
-    the columns other than P's lead l, taken in rank order.  That order
-    lists each lead of w as a C-order grid of its free digits, and such a
-    block lies in one cell of `_cells(1)`: with lw the lead of w, the
+    lines through it (each meeting line is hit once per contained point),
+    keyed by line rank, the place in the `subspaces(1)` order.  The lines
+    through P are P w for the points w of PG(n-1, q) placed in the columns
+    other than P's lead l, in rank order, which lists each lead lw of w as
+    a C-order grid of its free digits, in one cell of `_cells(1)`: the
     basis is (w, P) in cell (lw, l) when lw < l, and (P - P_lw w, w) in
-    cell (l, lw) when lw > l, whose first row holds P_c - P_lw w_c in each
-    column c > lw.  So each block's ranks are the cell's first key plus
-    broadcast adds of per-point q-vectors.  The blocks come in cell order,
-    and w's digits are the most significant that vary within one, so each
-    point's ranks ascend.
+    cell (l, lw) when lw > l.  The blocks come in cell order, and w's
+    digits are the most significant that vary within one, so each point's
+    ranks ascend.
 
-    Layout contract, which `TraceSummary._chart_marks` and `_line_windows`
-    read: P's row lists the column blocks j = n-1, ..., 0 of q^(n-1-j)
-    entries each, block j holding the lines P w with lead(w) = j (in
-    PG(n-1, q)'s columns).  In the coefficient chart of such a line (P's
-    coordinates at its two pivot columns) P is the PG(1, q) point (0 : 1),
-    rank 0, when j < l, and (1 : P_(j+1)), rank 1 + P_(j+1), when j >= l.
-    The keys follow from the cell's odometer, whose first row's digits
-    are the least significant:
+    Layout contract, which `TraceSummary._chart_marks` and the tile count
+    `_line_tile_counts` read: P's row lists the column blocks j = n-1,
+    ..., 0 of q^(n-1-j) entries each, block j holding the lines P w with
+    lead(w) = j (in PG(n-1, q)'s columns).  In the coefficient chart of
+    such a line (P's coordinates at its two pivot columns) P is the
+    PG(1, q) point (0 : 1), rank 0, when j < l, and (1 : P_(j+1)), rank
+    1 + P_(j+1), when j >= l.  The keys follow from the cell's odometer,
+    whose first row's digits are the least significant:
 
     - (a) runs: for j < l, P is the line's second basis row, and block j
       holds one run of q^(n-1-j) consecutive keys, P's numeral in cell
@@ -1271,22 +1266,17 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
       starts that cell's first key and R = q^(n-l-1); every point of
       lead l on a line sees it in the same column, that of w's digits.
 
-    The scan is a row generator over the point positions r0..r1.  Within
-    a call the second kind of block is built a bounded block of rows at a
-    time, whose int64 temporaries take at most _SCAN_BLOCK_BYTES (one row
-    at least), and its last broadcast add writes into the ranks."""
-    add, mul, neg, _ = space.field.tables()
-    n, q = space.n, space.q
-    coords = pts.coords()
+    The scan is a row generator over the point positions r0..r1 on the
+    kernels the tile count shares, `_line_runs` and `_line_tiles`, whose
+    one tile is a whole block j >= l of a block of rows with at most
+    _SCAN_BLOCK_BYTES of temporaries (one row at least)."""
+    n, q, coords = space.n, space.q, pts.coords()
     lead = (coords != 0).argmax(axis=1)
-    npar = (q ** n - 1) // (q - 1)
-    starts, _, weights = space._cell_table(1)
-    cell = space._line_cell_at()
-    digits = np.arange(q, dtype=np.int64)
-    total = space.num_subspaces(1)
+    npar, total = (q ** n - 1) // (q - 1), space.num_subspaces(1)
+    dtype = _rank_dtype(total)
 
     def ranks_of(r0, r1):
-        ranks = np.empty((r1 - r0, npar), dtype=_rank_dtype(total))
+        ranks = np.empty((r1 - r0, npar), dtype=dtype)
         for l in range(n + 1):
             # the ranks ascend, so the points of one lead are contiguous
             rows = np.flatnonzero(lead[r0:r1] == l)
@@ -1300,41 +1290,63 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
                 out = ranks[grp, start:start + size]
                 start += size
                 if j < l:
-                    # rows (w, P): w's free digits sit in the first row
-                    weight = weights[cell[j, l]]
-                    grid = np.zeros(1, dtype=np.int64)
-                    for c in range(j + 1, n + 1):
-                        if c != l:
-                            grid = (grid[:, None]
-                                    + digits * weight[0, c]).reshape(-1)
-                    np.add((p @ weight[1] + starts[cell[j, l]])[:, None],
-                           grid, out=out)
+                    np.add(_line_runs(space, p, l, j).astype(dtype)[:, None],
+                           np.arange(size, dtype=dtype), out=out)
                     continue
-                # rows (P - P_lw w, w) with lw = j + 1
-                lw = j + 1
-                weight = weights[cell[l, lw]]
                 step = max(1, _SCAN_BLOCK_BYTES // (8 * size))
                 for b in range(0, p.shape[0], step):
-                    pb = p[b:b + step]
-                    dst = out[b:b + step]
-                    acc = (pb[:, :lw] @ weight[0, :lw]
-                           + starts[cell[l, lw]])[:, None]
-                    scale = mul[neg[pb[:, lw]][:, None], digits]
-                    terms = [add[pb[:, c, None], scale] * weight[0, c]
-                             + digits * weight[1, c]
-                             for c in range(lw + 1, n + 1)]
-                    if not terms:
-                        dst[...] = acc
-                        continue
-                    for term in terms[:-1]:
-                        acc = (acc[:, :, None] + term[:, None, :]) \
-                            .reshape(pb.shape[0], -1)
-                    # a view: only the contiguous last axis is split
-                    np.add(acc[:, :, None], terms[-1][:, None, :],
-                           out=dst.reshape(pb.shape[0], -1, q))
+                    next(_line_tiles(space, p[b:b + step], l, j, n - 1 - j,
+                                     out[b:b + step]))
         return ranks
 
     return _by_point_summary(space, 1, pts, ranks_of, total)
+
+
+def _line_runs(space, p, l, j) -> np.ndarray:
+    """The first keys (int64) of block j < l's runs (fact (a)), rows p."""
+    starts, _, weights = space._cell_table(1)
+    at = space._line_cell_at()[j, l]
+    return p @ weights[at, 1] + starts[at]
+
+
+def _line_tiles(space, p, l, j, t, out):
+    """Write the keys of block j >= l of the rows p, all of lead l, into
+    out, a (len(p), q^t) array in the rank dtype, a tile at a time, and
+    yield after each the first key of its window (fact (b)): tile b holds
+    the block's columns b q^t .. (b+1) q^t - 1.  The first basis row holds
+    P_c - P_lw w_c at each c > lw = j + 1, so a key is a per-row constant
+    plus a term per digit w_c: a tile gathers those of its fixed digits
+    and broadcasts the last t as per-row q-vectors, in out's dtype (the
+    partial sums of a key are at most the key); the tables are read flat,
+    as in `_combine`."""
+    add, mul, neg, _ = (a.ravel() for a in space.field.tables())
+    n, q, lw = space.n, space.q, j + 1
+    starts, _, weights = space._cell_table(1)
+    at = space._line_cell_at()[l, lw]
+    w0, w1 = weights[at]
+    digits = np.arange(q, dtype=np.int64)
+    scale = neg.take(p[:, lw]) * q      # -P_lw, a row of the flat tables
+    base = p[:, :lw] @ w0[:lw] + starts[at]
+    shift = mul.take(scale[:, None] + digits) if t else None
+    # a tile of one column (t = 0) adds no digit to its constants
+    lasts = [(add.take(p[:, c, None] * q + shift) * w0[c]
+              + digits * w1[c]).astype(out.dtype)
+             for c in range(n - t + 1, n + 1)] \
+        or [np.zeros((len(p), 1), out.dtype)]
+    for b in range(q ** (n - lw - t)):
+        acc = base.copy()
+        # b's digits, at columns lw+1..n-t, the first most significant
+        for c in range(lw + 1, n - t + 1):
+            d = b // q ** (n - t - c) % q
+            acc += add.take(p[:, c] * q + mul.take(scale + d)) * w0[c] \
+                + d * w1[c]
+        acc = acc.astype(out.dtype)[:, None]
+        for last in lasts[:-1]:
+            acc = (acc[:, :, None] + last[:, None, :]).reshape(len(p), -1)
+        # a view: only the contiguous last axis is split
+        np.add(acc[:, :, None], lasts[-1][:, None, :],
+               out=out.reshape(len(p), -1, lasts[-1].shape[1]))
+        yield int(starts[at]) + b * q ** (t + n - l - 1)
 
 
 def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
@@ -1418,7 +1430,7 @@ def _rank_dtype(total: int):
 
 def _size_dtype(m: int):
     """The smallest signed integer type that holds m, the largest trace
-    size of an m-point set; signed, so that a difference cannot wrap."""
+    size of a summary; signed, so that a difference cannot wrap."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64)
                 if m <= np.iinfo(t).max)
 
@@ -1428,45 +1440,44 @@ def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
     ranks_of(r0, r1), 0 <= r0 < r1 <= m, returns an (r1 - r0, width)
     array whose row p - r0 holds the dense keys in range(total) of the
     dim-subspaces through the point at position p, ascending.  A block is
-    `_SCAN_BLOCK_BYTES` / (8 * width) rows, one at least (a bincount's
-    intp copy takes 8 bytes per incidence).
-
-    The tail only counts: it finds the keys and their sizes and hands
-    the summary a row source, from which `TraceSummary.by_point` builds
-    the slot grid on the first per-point read.  Three regimes, named by
-    `_grouping_regime`:
+    `_SCAN_BLOCK_BYTES` / (8 * width) rows, one at least.  The sizes take
+    the smallest signed type that holds min(m, points of a dim-subspace).
+    The tail only counts, and hands the summary its keys (none when every
+    key occurs: a slot is then its key), sizes and a row source, from
+    which `TraceSummary.by_point` builds the grid.  Three regimes, named
+    by `_grouping_regime`:
 
     - "counted": a bincount of each block is summed into one int64
-      count, whose nonzero entries are the keys.  A scan of one block is
-      generated whole and kept in the row source; a longer one is
-      counted a generated block at a time and none of it is kept: the
-      row source is ranks_of itself;
-    - "windowed" (line scans only): the whole scan is generated and kept
-      in the row source, and `_line_windows` counts it into a count
-      array in the sizes' type, a key window at a time, with no sort;
+      count, whose nonzero entries are the keys; a scan of one block is
+      generated whole and kept in the row source, and a longer one
+      streams: it is counted a generated block at a time, none of it is
+      kept, and the row source is ranks_of itself;
+    - "windowed" (line scans) streams too, counted as it is generated by
+      `_line_tile_counts`, a key window at a time, with no sort;
     - "sorted": the whole scan is generated and kept in the row source,
-      and an int32 copy (int64 when the keys need it) of it is sorted and
-      its runs counted block by block straight into the sizes, with no
-      range-sized array.
-
-    When every key occurs (the set meets every dim-subspace), no keys are
-    stored: the slot of a key is the key itself."""
+      and an int32 copy (int64 when the keys need it) is sorted and its
+      runs counted block by block straight into the sizes."""
     m = len(pts)
     width = gaussian_binomial(space.n, dim, space.q)
-    sizes_type = _size_dtype(m)
+    sizes_type = _size_dtype(min(m, gaussian_binomial(dim + 1, 1, space.q)))
     rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
     regime = _grouping_regime(space, dim, m * width, total, sizes_type)
-    # a scan of one block, or one not counted, is generated whole and kept
-    kept = None if m > rows and regime == "counted" else ranks_of(0, m)
+    # a sorted scan, or a counted one of one block, is generated whole and
+    # kept, read-only, as rows handed out of it may become the grid
+    whole = regime == "sorted" or (regime == "counted" and m <= rows)
+    kept = _frozen(ranks_of(0, m)) if whole else None
     rows_of = ranks_of if kept is None else lambda r0, r1: kept[r0:r1]
     if regime == "counted":
         counts = np.zeros(total, dtype=np.int64)
+        # one intp buffer holds each block's bincount input in turn
+        flat = np.empty(min(m, rows) * width, dtype=np.intp)
         for r0 in range(0, m, rows):
-            counts += np.bincount(rows_of(r0, min(r0 + rows, m)).reshape(-1),
-                                  minlength=total)
+            block = flat[:(min(r0 + rows, m) - r0) * width]
+            np.copyto(block, rows_of(r0, min(r0 + rows, m)).reshape(-1))
+            counts += np.bincount(block, minlength=total)
         keys, sizes = _counted_keys(counts, sizes_type)
     elif regime == "windowed":
-        keys, sizes = _line_windows(space, pts, kept, total, sizes_type)
+        keys, sizes = _line_tile_counts(space, pts, total, sizes_type)
     else:
         keys, sizes = _sorted_runs(np.sort(kept.reshape(-1)), total,
                                    sizes_type)
@@ -1499,55 +1510,42 @@ def _counted_keys(counts, sizes_type) -> tuple:
     return keys, counts[keys].astype(sizes_type, copy=False)
 
 
-def _line_windows(space, pts, ranks, total, sizes_type) -> tuple:
-    """(keys, sizes) of the ranks of a line scan, counted into one array
-    of total entries in sizes_type, with no sort, by facts (a) and (b) of
-    `_scan_lines`' layout contract.  The points of one lead l are
-    contiguous rows; for each column block j of theirs:
-
-    - j < l: each row's keys are one run, which adds 1 to a slice;
-    - j >= l: column c holds keys in the window starts + [c R, (c+1) R)
-      of the cell (l, j+1), R = q^(n-l-1), so a batch of columns is one
-      bincount over its window, of at most `_SCAN_BLOCK_BYTES` / 8 keys
-      (one column at least), a block of as many bytes of intp offsets
-      at a time (one row at least), written into one reused buffer and
-      added into the count."""
-    n, q = space.n, space.q
-    starts, _, _ = space._cell_table(1)
-    cell = space._line_cell_at()
-    lead = (pts.coords() != 0).argmax(axis=1)
+def _line_tile_counts(space, pts, total, sizes_type) -> tuple:
+    """(keys, sizes) of the line scan of pts, counted into one count in
+    sizes_type as it is generated, with no sort and nothing of incidence
+    length kept, by facts (a) and (b) of `_scan_lines`: a run adds 1 to a
+    slice, and a tile (`_line_tiles`) of q^t whole trailing-digit columns
+    of lead l's rows, t the largest whose window of q^t q^(n-l-1) keys
+    holds at most `_SCAN_BLOCK_BYTES` / 8 (0 at least), goes into one
+    reused buffer and is counted at once, one bincount added into its
+    window; fewer rows make a tile only if its intp offsets need it."""
+    n, q, coords = space.n, space.q, pts.coords()
+    lead = (coords != 0).argmax(axis=1)
     counts = np.zeros(total, dtype=sizes_type)
-    # every chunk's intp offsets go into this one buffer: a chunk of step
-    # rows of a batch has at most max(1, _SCAN_BLOCK_BYTES // 8) entries
-    offsets = np.empty(max(1, _SCAN_BLOCK_BYTES // 8), dtype=np.intp)
+    keys_per = max(1, _SCAN_BLOCK_BYTES // 8)
     for l in range(n + 1):
-        # the ranks ascend, so the points of one lead are contiguous
-        rows = np.flatnonzero(lead == l)
-        if not rows.size:
+        p = coords[lead == l]
+        if not len(p):
             continue
-        group = ranks[rows[0]:rows[-1] + 1]
-        start = 0
         for j in range(n - 1, -1, -1):
             size = q ** (n - 1 - j)
-            block = group[:, start:start + size]
-            start += size
             if j < l:
-                for first in block[:, 0].tolist():
+                for first in _line_runs(space, p, l, j).tolist():
                     counts[first:first + size] += 1
                 continue
             span = q ** (n - l - 1)
-            cols = max(1, _SCAN_BLOCK_BYTES // (8 * span))
-            for c0 in range(0, size, cols):
-                batch = block[:, c0:c0 + cols]
-                lo = int(starts[cell[l, j + 1]]) + c0 * span
-                window = counts[lo:lo + batch.shape[1] * span]
-                step = max(1, _SCAN_BLOCK_BYTES // (8 * batch.shape[1]))
-                for r0 in range(0, batch.shape[0], step):
-                    chunk = batch[r0:r0 + step]
-                    out = offsets[:chunk.size]
-                    np.subtract(chunk, lo, out=out.reshape(chunk.shape),
-                                dtype=np.intp)
-                    window += np.bincount(out, minlength=window.size)
+            t = max([0] + [t for t in range(1, n - j)
+                           if q ** t * span <= keys_per])
+            cols, step = q ** t, max(1, keys_per // q ** t)
+            buf = np.empty((min(step, len(p)), cols), _rank_dtype(total))
+            offsets = np.empty(buf.shape, dtype=np.intp)
+            for r0 in range(0, len(p), step):
+                tile, out = buf[:len(p) - r0], offsets[:len(p) - r0]
+                for lo in _line_tiles(space, p[r0:r0 + step], l, j, t, tile):
+                    window = counts[lo:lo + cols * span]
+                    np.subtract(tile, lo, out=out, dtype=np.intp)
+                    window += np.bincount(out.reshape(-1),
+                                          minlength=window.size)
     return _counted_keys(counts, sizes_type)
 
 

@@ -20,7 +20,7 @@ from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
                      SpecMismatchError)
 from .projspace import (_SCAN_BLOCK_BYTES, PointSet, Subspace, _canonical,
-                        _frozen, sorted_unique)
+                        _frozen, gaussian_binomial, sorted_unique)
 from .spreads import SpreadContext, spread_context
 
 
@@ -162,7 +162,9 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     result per such point.  x is always the lowest-rank point of S(P).
     The secant traces and transversals of a result are read-only
     sequences that build each PointSet or Subspace on access.  "first"
-    reads by-point rows only up to the first block holding such a point.
+    reads blocks of by-point rows (`TraceSummary.slot_rows`) only up to
+    the first holding such a point, and then that point's row: it builds
+    no grid.
     """
     space = pts.space
     if p0 != space.field.p:
@@ -182,11 +184,12 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     if point_policy == "all":
         admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
     else:
-        grid = lines.by_point()
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
-        firsts = (r0 + np.flatnonzero((lines.sizes[grid[r0:r0 + step]]
-                                       == p0 + 1).any(axis=1))[:1]
-                  for r0 in range(0, len(grid), step))
+        m = len(pts)
+        step = max(1, _SCAN_BLOCK_BYTES
+                   // (8 * gaussian_binomial(space.n, 1, space.q)))
+        firsts = (r0 + np.flatnonzero((lines.sizes[lines.slot_rows(
+            r0, min(r0 + step, m))] == p0 + 1).any(axis=1))[:1]
+                  for r0 in range(0, m, step))
         admissible = next((f for f in firsts if f.size), np.empty(0, int))
     if admissible.size == 0:
         raise NoSublineSecantError(

@@ -105,18 +105,26 @@ def _recording(ranks_of):
     return generate, made
 
 
-def _check_grouping(summary, ranks, made):
+def _check_grouping(summary, ranks, generate, made, regime):
     """The summary groups ranks as the reference does, with the dtypes
-    the summaries promise; made lists the arrays its scan generated.
+    the summaries promise; generate is the row generator it was given,
+    and made lists the arrays generate returned.  A scan that streams
+    keeps none of its keys: its row source is generate itself, and a
+    windowed one, counted as it is generated, made nothing through it.
     Every summary builds its grid on the first read; a dense one whose
     scan was generated whole reads its grid off that array."""
     keys, sizes, slots = reference_grouping(ranks)
     m = ranks.shape[0]
+    space = summary.space
+    top = min(m, projspace.gaussian_binomial(summary.dim + 1, 1, space.q))
     got_keys = summary.keys_of(np.arange(summary.sizes.size))
     assert got_keys.dtype == np.int64 and np.array_equal(got_keys, keys)
-    assert summary.sizes.dtype == projspace._size_dtype(m)
+    assert summary.sizes.dtype == projspace._size_dtype(top)
     assert np.array_equal(summary.sizes, sizes)
-    streamed = len(made) > 1
+    streamed = summary._rows is generate
+    assert streamed == (regime == "windowed" or len(made) > 1)
+    if regime == "windowed":
+        assert not made
     assert summary._slots is None
     got = summary.by_point()
     assert got.dtype == np.int32 and got.shape == ranks.shape
@@ -133,14 +141,14 @@ def _check_grouping(summary, ranks, made):
 def test_grouping_regimes_match_the_reference(monkeypatch):
     seen, regimes, grouped = [], [], []
     summarize, choose = projspace._by_point_summary, projspace._grouping_regime
-    windows, runs = projspace._line_windows, projspace._sorted_runs
+    tiles, runs = projspace._line_tile_counts, projspace._sorted_runs
     monkeypatch.setattr(projspace, "_by_point_summary",
                         lambda *args: seen.append(args))
     # the regime each call chose, and which grouping helper then ran
     monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
                         regimes.append(choose(*args)) or regimes[-1])
-    monkeypatch.setattr(projspace, "_line_windows", lambda *args:
-                        grouped.append("windowed") or windows(*args))
+    monkeypatch.setattr(projspace, "_line_tile_counts", lambda *args:
+                        grouped.append("windowed") or tiles(*args))
     monkeypatch.setattr(projspace, "_sorted_runs", lambda *args:
                         grouped.append("sorted") or runs(*args))
 
@@ -160,8 +168,10 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
         size = ranks.size
         # past the count rule, a line scan is counted in key windows when
         # its count array in the sizes' type is no larger than a sorted
-        # copy of its ranks, and every other scan is sorted
-        itemsize = np.dtype(projspace._size_dtype(len(pts))).itemsize
+        # copy of its ranks, and every other scan is sorted; the sizes'
+        # type holds the largest trace, the set or one dim-subspace
+        top = min(len(pts), projspace.gaussian_binomial(dim + 1, 1, space.q))
+        itemsize = np.dtype(projspace._size_dtype(top)).itemsize
         uncounted = "windowed" if dim == 1 \
             and itemsize * total <= ranks.itemsize * size else "sorted"
         # the byte rule at its edge, with any key range counted: a count
@@ -184,8 +194,10 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
                     regime = regime_run()
                     assert regime == ("counted" if counted else uncounted)
                     # the grid is built, if at all, under the same budget
-                    streamed = _check_grouping(summary, ranks, made)
-                assert not streamed or counted
+                    streamed = _check_grouping(summary, ranks, generate,
+                                               made, regime)
+                # only a sorted scan is kept whole whatever its length
+                assert not streamed or regime != "sorted"
                 paths.add(("streamed", streamed, summary.x0 == 0))
             paths.add((regime, summary.x0 == 0))
             if dim == 1 and not counted:
@@ -252,21 +264,25 @@ def _window_cases():
 
 
 def test_line_windows_match_the_reference(monkeypatch):
+    # the tile count of the windowed regime, which generates the line
+    # scan itself, a tile at a time, against the grouping of the scan's
+    # whole array
     leads, dense = set(), set()
     for pts, small in _window_cases():
         ranks, total = _line_ranks(pts)
         keys, sizes, _ = reference_grouping(ranks)
-        sizes_type = projspace._size_dtype(len(pts))
+        top = min(len(pts), pts.space.q + 1)
+        sizes_type = projspace._size_dtype(top)
         leads.add(int((pts.coords() != 0).argmax(axis=1).min()))
-        # one column and one row per bincount (a budget of one byte), a
-        # window of seven keys and blocks of seven offsets, and the
+        # one column and one row per tile (a budget of one byte), a
+        # window of seven keys and tiles of seven offsets, and the
         # default budget
         for budget in (1, 56, None) if small else (None,):
             with monkeypatch.context() as patch:
                 if budget is not None:
                     patch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
-                got_keys, got_sizes = projspace._line_windows(
-                    pts.space, pts, ranks, total, sizes_type)
+                got_keys, got_sizes = projspace._line_tile_counts(
+                    pts.space, pts, total, sizes_type)
             assert got_sizes.dtype == sizes_type
             assert np.array_equal(got_sizes, sizes)
             if got_keys is None:
@@ -587,7 +603,9 @@ def test_size_counts_match_unique(monkeypatch, dense_27):
     cone, = catalogue.load_shipped(["cone_pg3_9"])
     lines = subspace_traces(dense_27, 1)
     small = subspace_traces(cone.points, 1)
-    for summary, sizes_type in ((small, np.int8), (lines, np.int16)):
+    # the sizes' type holds the largest trace, here q + 1 points of a
+    # line (10 and 28): int8, though the sets have 118 and 2,000 points
+    for summary, sizes_type in ((small, np.int8), (lines, np.int8)):
         assert summary.sizes.dtype == sizes_type
         vals, counts = np.unique(summary.sizes, return_counts=True)
         # blocks of one size (the small summary only: half a million
@@ -656,28 +674,25 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
 
 
 def test_windowed_line_scan_memory_is_bounded(dense_27, monkeypatch):
-    # the whole line scan in its windowed regime: the ranks generated
-    # whole, then counted in key windows with no sort
+    # the whole line scan in its windowed regime: counted in key windows
+    # as it is generated, a tile at a time, with no sort
     space, m = dense_27.space, len(dense_27)
     regimes = []
     choose = projspace._grouping_regime
     monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
                         regimes.append(choose(*args)) or regimes[-1])
     # the lines' int64 count array (4.4 MB) is under the byte rule: pass
-    # it, and blocks of 2^15 intp offsets, and windows of as many keys
+    # it, and windows of 2^15 keys and tiles of as many intp offsets
     monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
     summary, peak = _traced_peak(projspace._scan_lines, space, dense_27)
     assert regimes == ["windowed"] and summary.x0 > 0
-    width = (space.q ** 3 - 1) // (space.q - 1)
-    ranks_bytes = 4 * m * width
     count_bytes = summary.total * summary.sizes.itemsize
-    # the int32 ranks (the row source keeps them), the count array in the
-    # sizes' type, what the summary holds (its int64 keys and sizes) and
-    # two blocks, with a few coordinate rows per point for the scan; an
-    # int32 sorted copy of the ranks (6.1 MB) would not fit, nor an int64
-    # count over the key range
-    bound = ranks_bytes + count_bytes + sum(a.nbytes for a in _held(summary)) \
+    # the count array in the sizes' type, what the summary holds (its
+    # int64 keys and sizes) and two blocks, with a few coordinate rows
+    # per point for the scan; the int32 ranks of the whole scan (6.1 MB)
+    # would not fit, nor an int64 count over the key range
+    bound = count_bytes + sum(a.nbytes for a in _held(summary)) \
         + 2 * projspace._SCAN_BLOCK_BYTES + 256 * m
     assert peak < bound, (peak, bound)
 

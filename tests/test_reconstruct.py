@@ -72,6 +72,33 @@ def test_reconstruct_cone(cone_9):
     assert cone_9.ctx.linear_set_of(res.W) == cone_9.points
 
 
+def _result_fields(res):
+    return (res.P, res.x, res.W, res.dim_W, res.image_equal, res.status,
+            list(res.secants_used), list(res.transversals), res.diagnostics)
+
+
+def test_reconstruct_first_builds_no_grid(tmp_path):
+    # "first" on the PG(3,49) cone read back from a file, as a fresh
+    # process meets it: the line scan is counted in key windows as it is
+    # generated, and the search reads blocks of rows and then the base
+    # point's row, with no grid; the result is that of the same call
+    # once the grid is built
+    from blockingsets import catalogue
+    from blockingsets.formats import read_pointset
+    inst, = catalogue.load_shipped(["cone_pg3_49"])
+    path = str(tmp_path / "cone.pts")
+    write_pointset(path, inst.points)
+    pts = read_pointset(path)
+    traces_of.cache_clear()
+    res = reconstruct(pts, inst.k, inst.p0, point_policy="first")
+    lines = traces_of(pts, 1)
+    assert lines._slots is None
+    assert res.success and len(res.secants_used)
+    lines.by_point()
+    assert _result_fields(reconstruct(pts, inst.k, inst.p0)) \
+        == _result_fields(res)
+
+
 def test_reconstruct_all_points(baer):
     results = reconstruct(baer.points, 1, 3, point_policy="all")
     assert len(results) == 13

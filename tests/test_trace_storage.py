@@ -230,14 +230,15 @@ def _narrowest(top):
 
 
 def test_point_sizes_take_the_narrowest_type():
-    # the whole of PG(3,11): 1,464 points, so the sizes are int16, while
-    # the lines hold 12 points (an int8 grid) and the planes 133 (int16)
+    # the whole of PG(3,11): 1,464 points, but the lines hold 12 of them
+    # (int8 sizes and grid), the planes 133 (int16) and the space all
+    # 1,464 (int16)
     space = ProjectiveSpace(3, make_field(11, 1))
     pts = PointSet(space, np.arange(space.num_points))
     want = {1: (12, np.int8), 2: (133, np.int16), 3: (1464, np.int16)}
     for dim, (size, dtype) in want.items():
         summary = subspace_traces(pts, dim)
-        assert summary.sizes.dtype == np.int16
+        assert summary.sizes.dtype == dtype
         grid = summary.point_sizes()
         assert grid.dtype == dtype and (grid == size).all()
         assert grid.shape == summary.by_point().shape
@@ -288,11 +289,18 @@ def _recorded_scans(monkeypatch):
     return seen
 
 
-def _assert_narrowest_signed(sizes, m):
-    """sizes is of the smallest signed integer type that holds m."""
-    assert sizes.dtype.kind == "i" and np.iinfo(sizes.dtype).max >= m
+def _assert_narrowest_signed(sizes, top):
+    """sizes is of the smallest signed integer type that holds top."""
+    assert sizes.dtype.kind == "i" and np.iinfo(sizes.dtype).max >= top
     if sizes.itemsize > 1:
-        assert np.iinfo(f"int{4 * sizes.itemsize}").max < m
+        assert np.iinfo(f"int{4 * sizes.itemsize}").max < top
+
+
+def _largest_trace(pts, dim):
+    """The most points a dim-subspace can share with the set: all of
+    them, or all of its own."""
+    return min(len(pts), projspace.gaussian_binomial(dim + 1, 1,
+                                                     pts.space.q))
 
 
 def _counts(total, incidences):
@@ -305,8 +313,8 @@ def _counts(total, incidences):
 
 def test_dense_grouping_matches_the_table(monkeypatch):
     seen = _recorded_scans(monkeypatch)
-    paths = set()
-    # every case at the default rule, then with every scan sorting
+    paths, windowed = set(), set()
+    # every case at the default rule, then with no scan counted
     cases = [(case, budget) for budget in (projspace._COUNT_BYTES, 0)
              for case in _grouping_cases()]
     for (pts, dim, gone), budget in cases:
@@ -314,13 +322,23 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         seen.clear()
         summary = subspace_traces(pts, dim)
         (made, total), = seen
-        # every case fits in one block, or is sorted: its scan is
-        # generated once, whole
+        m = len(pts)
+        npar = projspace.gaussian_binomial(pts.space.n, dim, pts.space.q)
+        regime = projspace._grouping_regime(pts.space, dim, m * npar, total,
+                                            summary.sizes.dtype)
+        # every case fits in one block, or is not counted.  A sorted or
+        # counted scan is generated once, whole; a windowed one (a line
+        # scan past the count rule) streams: it is counted as it is
+        # generated, and nothing comes through its row source until the
+        # grid reads it, in one block
+        assert len(made) == (regime != "windowed")
+        if regime == "windowed":
+            assert dim == 1 and budget == 0
+            windowed.add(summary.x0 == 0)
+        got = summary.by_point()
         ranks, = made
         keys, sizes, slots = reference_grouping(ranks)
-        got = summary.by_point()
-        m, npar = ranks.shape
-        _assert_narrowest_signed(summary.sizes, m)
+        _assert_narrowest_signed(summary.sizes, _largest_trace(pts, dim))
         assert ranks.dtype == np.int32
         assert got.dtype == np.int32 and got.shape == (m, npar)
         got_keys = summary.keys_of(np.arange(keys.size))
@@ -352,9 +370,11 @@ def test_dense_grouping_matches_the_table(monkeypatch):
             counts = summary.per_point_counts(**args)
             assert counts.dtype == np.int64 and not counts.flags.writeable
             assert np.array_equal(counts, want)
-    # the cases reach dense and sparse summaries, counted and not
+    # the cases reach dense and sparse summaries, counted and not, and
+    # dense and sparse ones counted in key windows
     assert paths == {(counted, dense) for counted in (False, True)
                      for dense in (False, True)}
+    assert windowed == {False, True}
 
 
 def _secant_cases():
@@ -404,6 +424,37 @@ def test_secants_through_matches_reference():
     cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
     with pytest.raises(DimensionMismatchError):
         subspace_traces(cone, 2).secants_through(0, 2)
+
+
+def test_one_point_secants_read_only_their_row(monkeypatch):
+    # the one-point form reads its point's row from the row source while
+    # no grid is built, and the answer is the one the grid gives, at
+    # every position and every trace size through it.  The scans fit in
+    # one block and are kept whole, or, at a budget of one byte (a block
+    # of one row), stream, and each row read generates its row again
+    cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
+    space = _space(3, 3, 1)
+    sparse = PointSet(space, np.random.default_rng(35).choice(
+        space.num_points, 11, replace=False))
+    for pts, budget in itertools.product((cone, sparse), (None, 1)):
+        with monkeypatch.context() as patch:
+            if budget is not None:
+                patch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
+            lines = subspace_traces(pts, 1)
+        # sizes through each position, from a summary of its own
+        through = subspace_traces(pts, 1).point_sizes()
+        got = {}
+        for pos in range(len(pts)):
+            for size in np.unique(through[pos]).tolist():
+                got[pos, size] = lines.secants_through(pos, size)
+        assert lines._slots is None
+        lines.by_point()
+        for (pos, size), (slots, points) in got.items():
+            want_slots, want_points = lines.secants_through(pos, size)
+            assert slots.dtype == want_slots.dtype == np.int32
+            assert np.array_equal(slots, want_slots)
+            assert np.array_equal(points, want_points)
+        assert lines.x0 > 0 if pts is sparse else lines.x0 == 0
 
 
 def test_secants_through_positions_form_matches_one_point_calls(
@@ -550,7 +601,8 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
             assert {ranks.dtype for ranks in made} \
                 == {np.dtype(np.int64 if wide else np.int32)}
             assert summary.by_point().dtype == np.int32
-            _assert_narrowest_signed(summary.sizes, m)
+            _assert_narrowest_signed(summary.sizes,
+                                     _largest_trace(pts, summary.dim))
         widths.append(tuple(made[0].dtype for made, _ in seen))
     # the cases reach both groupings of both scans
     assert paths == {(scan, counted) for scan in ("lines", "planes")
