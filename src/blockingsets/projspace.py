@@ -49,7 +49,8 @@ _COUNT_RANGE = 8
 # entry (a bincount's intp copy of its incidences)
 _SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the by-point size
-# grid, the first uncovered key) are built once, whole
+# grid, the first uncovered key) are built once, whole, and a summary's
+# rows are generated under it
 _TRACE_LOCK = threading.RLock()
 
 
@@ -883,18 +884,19 @@ class TraceSummary:
     first missing key, and `witness_order` orders line slots by their
     bases.  Every scan gives each point the same number of slots, its
     width, so the incidences (a point is its position in the set's rank
-    order) form one (m, width) int32 grid (`by_point`), row p holding the
-    slots through the point at position p, ascending.  A summary holds
-    its keys, sizes and a row source, rows(r0, r1), the keys through the
-    points at positions r0..r1, and builds the grid once, on the first
-    read of it, and then drops the source.  The source slices the scan's
-    array where the tail kept it and is the scan's row generator
-    otherwise, so a summary asked only for sizes builds no grid, and
-    `slot_rows`, the read of a few rows, builds none either.  The sizes
-    of the slots, gathered once into a grid of the same shape
-    (`point_sizes`), serve every per-point count and the subline checks.
-    The points' coordinates are those the set `pts` caches; the points on
-    the lines through a point are found per call (`secants_through`).
+    order) form an (m, width) grid of int32 slots, row p holding the
+    slots through the point at position p, ascending; no summary keeps
+    it.  A summary holds its keys, sizes and a row source, rows(r0, r1),
+    the keys through the points at positions r0..r1: a slice of the
+    scan's array where the tail kept it, and the scan's row generator
+    otherwise.  `slot_rows` reads a few rows off it, and every reader of
+    all the rows (`point_sizes`, `_chart_marks`, the array form of
+    `secants_through`) reads them a block at a time (`_slot_blocks`), a
+    streamed scan generating them again on each pass.  The sizes of the
+    slots, gathered once into an (m, width) grid (`point_sizes`), serve
+    every per-point count and the subline checks.  The points'
+    coordinates are those the set `pts` caches; the points on the lines
+    through a point are found per call (`secants_through`).
     All stored arrays are read-only: summaries are cached and shared.
     """
 
@@ -903,11 +905,11 @@ class TraceSummary:
         self.space = pts.space
         self.dim = dim
         self.total = self.space.num_subspaces(dim)
+        self.width = gaussian_binomial(self.space.n, dim, self.space.q)
         # None on a dense summary, whose slots are its keys
         self._keys = None if keys is None else _frozen(keys)
         self.sizes = _frozen(sizes)
-        # the scan's row source, until the grid is built from it
-        self._rows, self._slots = rows, None
+        self._rows = rows
         self._counts = {}
         self._point_sizes = None
         self._size_counts = None
@@ -946,53 +948,41 @@ class TraceSummary:
         return out
 
     def slot_rows(self, r0: int, r1: int) -> np.ndarray:
-        """The int32 slots through the points at positions r0..r1: a
-        read-only slice of the grid once built, and before that read off
-        the row source under the summary lock, building no grid."""
+        """The int32 slots through the points at positions r0..r1, read
+        off the row source under the summary lock; read-only."""
         if not 0 <= r0 < r1 <= len(self.pts):
             raise RangeError(f"point positions {r0}..{r1} out of range")
         with _TRACE_LOCK:
-            if self._slots is None:
-                return self._read(r0, r1, None)
-        return self._slots[r0:r1]
+            keys = self._rows(r0, r1)
+        return _frozen(self._slots_of(keys, None))
 
-    def _read(self, r0, r1, table) -> np.ndarray:
-        """Rows r0..r1 of the row source as int32 slots: a dense summary's
-        keys, else each key's entry in table or its place among the keys."""
-        block = self._rows(r0, r1)
+    def _slots_of(self, keys, table) -> np.ndarray:
+        """The int32 slots of keys that occur: on a dense summary the
+        keys themselves, else each key's entry in table or, with none,
+        its place among the stored keys."""
         if self._keys is None:
-            return block.astype(np.int32, copy=False)
-        return np.searchsorted(self._keys, block).astype(np.int32) \
-            if table is None else table[block]
+            return keys.astype(np.int32, copy=False)
+        return np.searchsorted(self._keys, keys).astype(np.int32) \
+            if table is None else table[keys]
 
-    def by_point(self) -> np.ndarray:
-        """The (points, width) int32 grid of slots: row p holds the slots
-        through the point at position p, ascending; read-only.  The first
-        call builds it from the row source (`_read`), the one place a grid
-        is built: whole on a dense summary, and otherwise a tail block of
-        rows at a time, through a temporary int32 key -> slot table when
-        the key range passes the count rule's bound (8 * total <=
-        `_COUNT_BYTES`)."""
-        if self._slots is None:
+    def _slot_blocks(self):
+        """Yield (r0, keys, table) over the whole set: the keys through
+        the rows r0.. of each block of `_SCAN_BLOCK_BYTES` / (8 * width)
+        rows (one at least), read off the row source under the summary
+        lock, and the table that `_slots_of` maps them through, so that
+        a reader maps only the keys it reads: an int32 key -> slot
+        table, built once per pass, on a keyed summary whose key range
+        passes the count rule's bound (8 * total <= `_COUNT_BYTES`),
+        else None."""
+        m, keys, table = len(self.pts), self._keys, None
+        if keys is not None and 8 * self.total <= _COUNT_BYTES:
+            table = np.empty(self.total, dtype=np.int32)
+            table[keys] = np.arange(keys.size)
+        rows = max(1, _SCAN_BLOCK_BYTES // (8 * self.width))
+        for r0 in range(0, m, rows):
             with _TRACE_LOCK:
-                if self._slots is None:
-                    m, keys = len(self.pts), self._keys
-                    if keys is None:
-                        grid = self._read(0, m, None)
-                    else:
-                        table = None
-                        if 8 * self.total <= _COUNT_BYTES:
-                            table = np.empty(self.total, dtype=np.int32)
-                            table[keys] = np.arange(keys.size)
-                        width = gaussian_binomial(self.space.n, self.dim,
-                                                  self.space.q)
-                        grid = np.empty((m, width), dtype=np.int32)
-                        rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
-                        for r0 in range(0, m, rows):
-                            grid[r0:r0 + rows] = self._read(
-                                r0, min(r0 + rows, m), table)
-                    self._slots, self._rows = _frozen(grid), None
-        return self._slots
+                block = self._rows(r0, min(r0 + rows, m))
+            yield r0, block, table
 
     def _check_slots(self, sel: np.ndarray):
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
@@ -1007,10 +997,12 @@ class TraceSummary:
         int32 index into pos) ascending.  Line summaries only.
 
         A bounded block at a time: one point reads its own row
-        (`slot_rows`, building no grid), decodes its lines (`bases`) and
-        ranks their points (`points_of`); the array form reads the chosen
-        lines' incidences off `point_sizes`, and one stable argsort of
-        their slots lists each line's points once."""
+        (`slot_rows`), decodes its lines (`bases`) and ranks their points
+        (`points_of`); the array form finds the chosen lines' incidences
+        in `point_sizes`, reads their keys off the row source a block of
+        rows at a time (`_slot_blocks`) and maps only those to slots, and
+        one stable argsort of their slots lists each line's points
+        once."""
         if self.dim != 1:
             raise DimensionMismatchError(
                 f"secants through a point need a line summary, not dim "
@@ -1030,13 +1022,12 @@ class TraceSummary:
                 points[b:b + step] = np.searchsorted(
                     self.pts.ranks, on[self.pts.mask()[on]]).reshape(-1, width)
             return slots, points
-        grid, per = self.by_point(), max(width, 1)
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
+        per = max(width, 1)
         sizes, count, on = self.point_sizes(), np.empty(m, np.int64), []
-        for r0 in range(0, m, step):
-            hit = sizes[r0:r0 + step] == size
-            count[r0:r0 + step] = np.count_nonzero(hit, axis=1)
-            on.append(grid[r0:r0 + step][hit])
+        for r0, keys, table in self._slot_blocks():
+            hit = sizes[r0:r0 + len(keys)] == size
+            count[r0:r0 + len(keys)] = np.count_nonzero(hit, axis=1)
+            on.append(self._slots_of(keys[hit], table))
         on = np.concatenate(on)
         order = np.argsort(on, kind="stable")
         lines = on[order[::per]]
@@ -1073,16 +1064,17 @@ class TraceSummary:
         coordinates at the line's two pivot columns) of the set's points
         on line sel[i]: the layout of `linearsets._bitmasks`.
 
-        One pass over the by-point size grid (`point_sizes`), a bounded
-        block of point rows at a time (64 bytes of temporaries per entry):
-        a compare of the block's sizes finds the incidences of the
-        selected lines, a hit's slot gives its row, and `np.add.at` sets
-        its bit (an exact OR: a point lies on a line once).  P's chart
-        position per column block is read off `_scan_lines`' layout."""
+        One pass over the rows, read off the row source a block at a
+        time (`_slot_blocks`): a compare of the block's sizes
+        (`point_sizes`) finds the incidences of the selected lines, and,
+        a bounded run of them at a time (64 bytes of temporaries per
+        incidence, a row's worth at least), a hit's slot gives its row,
+        and `np.add.at` sets its bit (an exact OR: a point lies on a
+        line once).  P's chart position per column block is read off
+        `_scan_lines`' layout."""
         space = self.space
         n, q = space.n, space.q
-        grid = self.point_sizes()
-        m, width = grid.shape
+        grid, width = self.point_sizes(), self.width
         sel = self._sized_slots(lo, hi)
         # a selected slot's place in sel: the place of the first selected
         # slot of its 64-slot word, plus a masked popcount of the word
@@ -1106,46 +1098,47 @@ class TraceSummary:
         at_word = chart >> 6
         at_bit = np.left_shift(np.uint64(1), (chart & 63).astype(np.uint64))
         block = np.repeat(j[::-1], q ** j)
-        slots = self.by_point()
-        step = max(1, _SCAN_BLOCK_BYTES // (64 * width))
+        # a run of hits as long as a block of rows at 64 bytes per entry
+        step = width * max(1, _SCAN_BLOCK_BYTES // (64 * width))
         words = np.zeros((sel.size, nwords), dtype=np.uint64)
-        for r0 in range(0, m, step):
-            sizes = grid[r0:r0 + step]
-            hit = np.flatnonzero((sizes >= lo) & (sizes <= hi))
-            at = slots[r0:r0 + step].reshape(-1)[hit].astype(np.int64)
-            low = (np.uint64(1) << (at & 63).astype(np.uint64)) \
-                - np.uint64(1)
-            at >>= 6
-            li = below[at] + np.bitwise_count(taken[at] & low)
-            pt, col = np.divmod(hit, width)
-            cell = (pt + r0) * n + block[col]
-            np.add.at(words.reshape(-1), li * nwords + at_word[cell],
-                      at_bit[cell])
+        for r0, keys, table in self._slot_blocks():
+            sizes = grid[r0:r0 + len(keys)]
+            hits = np.flatnonzero((sizes >= lo) & (sizes <= hi))
+            for h0 in range(0, hits.size, step):
+                hit = hits[h0:h0 + step]
+                at = self._slots_of(keys.reshape(-1)[hit], table) \
+                    .astype(np.int64)
+                low = (np.uint64(1) << (at & 63).astype(np.uint64)) \
+                    - np.uint64(1)
+                at >>= 6
+                li = below[at] + np.bitwise_count(taken[at] & low)
+                pt, col = np.divmod(hit, width)
+                cell = (pt + r0) * n + block[col]
+                np.add.at(words.reshape(-1), li * nwords + at_word[cell],
+                          at_bit[cell])
         return sel, words
 
     def indices_through_point(self, pt_pos: int) -> np.ndarray:
         return self.slot_rows(pt_pos, pt_pos + 1)[0]
 
     def point_sizes(self) -> np.ndarray:
-        """The (points, width) grid of the trace sizes of the by-point
-        slots, in `by_point` order and the narrowest signed type that holds
-        the largest size; read-only.  Gathered once, in blocks of
-        `_SCAN_BLOCK_BYTES` / 8 entries, from a copy of the sizes in that
-        type, which stays closer to the cache."""
+        """The (points, width) grid of the trace sizes of the slots through
+        each point, row p those of `slot_rows(p, p + 1)`, in the narrowest
+        signed type that holds the largest size; read-only.  Gathered
+        once, a block of rows at a time (`_slot_blocks`), from a copy of
+        the sizes in that type, which stays closer to the cache."""
         if self._point_sizes is None:
             with _TRACE_LOCK:
                 if self._point_sizes is None:
-                    slots = self.by_point()
-                    flat = slots.reshape(-1)
                     narrow = self.sizes.astype(
                         _size_dtype(int(self.sizes.max())), copy=False)
-                    grid = np.empty(flat.size, dtype=narrow.dtype)
-                    step = max(1, _SCAN_BLOCK_BYTES // 8)
-                    for b in range(0, flat.size, step):
-                        np.take(narrow, flat[b:b + step],
-                                out=grid[b:b + step])
+                    grid = np.empty((len(self.pts), self.width),
+                                    dtype=narrow.dtype)
+                    for r0, keys, table in self._slot_blocks():
+                        np.take(narrow, self._slots_of(keys, table),
+                                out=grid[r0:r0 + len(keys)])
                     del narrow
-                    self._point_sizes = _frozen(grid.reshape(slots.shape))
+                    self._point_sizes = _frozen(grid)
         return self._point_sizes
 
     def per_point_counts(self, min_size=2, exact=None) -> np.ndarray:
@@ -1443,9 +1436,9 @@ def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
     `_SCAN_BLOCK_BYTES` / (8 * width) rows, one at least.  The sizes take
     the smallest signed type that holds min(m, points of a dim-subspace).
     The tail only counts, and hands the summary its keys (none when every
-    key occurs: a slot is then its key), sizes and a row source, from
-    which `TraceSummary.by_point` builds the grid.  Three regimes, named
-    by `_grouping_regime`:
+    key occurs: a slot is then its key), sizes and a row source, off
+    which the summary's readers read every row they need.  Three regimes,
+    named by `_grouping_regime`:
 
     - "counted": a bincount of each block is summed into one int64
       count, whose nonzero entries are the keys; a scan of one block is
@@ -1463,7 +1456,7 @@ def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
     rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
     regime = _grouping_regime(space, dim, m * width, total, sizes_type)
     # a sorted scan, or a counted one of one block, is generated whole and
-    # kept, read-only, as rows handed out of it may become the grid
+    # kept, read-only, as the rows read off it are slices of it
     whole = regime == "sorted" or (regime == "counted" and m <= rows)
     kept = _frozen(ranks_of(0, m)) if whole else None
     rows_of = ranks_of if kept is None else lambda r0, r1: kept[r0:r1]

@@ -163,8 +163,8 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     The secant traces and transversals of a result are read-only
     sequences that build each PointSet or Subspace on access.  "first"
     reads blocks of by-point rows (`TraceSummary.slot_rows`) only up to
-    the first holding such a point, and then that point's row: it builds
-    no grid.
+    the first holding such a point, and then that point's row: it
+    gathers no size grid.
     """
     space = pts.space
     if p0 != space.field.p:

@@ -20,7 +20,8 @@ from blockingsets.linearsets import (LinearSetWitness, build_family_witness,
 from blockingsets.projspace import PointSet, ProjectiveSpace, subspace_traces
 from blockingsets.spreads import spread_context
 
-from trace_reference import reference_chart_marks, reference_grouping
+from trace_reference import (reference_chart_marks, reference_grouping,
+                             stacked_slots)
 
 
 def _rows_budget(rows, bytes_per_entry, width):
@@ -65,7 +66,7 @@ def test_hyperplane_blocks_match_brute_force(monkeypatch, n, p, t):
             slots = np.arange(summary.sizes.size)
             assert np.array_equal(summary.keys_of(slots), keys)
             assert np.array_equal(summary.sizes, sizes)
-            through = summary.by_point()
+            through = stacked_slots(summary)
             assert through.shape == (size, npar)
             got = summary.keys_of(through).reshape(size, npar)
             for pos in range(size):
@@ -111,8 +112,9 @@ def _check_grouping(summary, ranks, generate, made, regime):
     and made lists the arrays generate returned.  A scan that streams
     keeps none of its keys: its row source is generate itself, and a
     windowed one, counted as it is generated, made nothing through it.
-    Every summary builds its grid on the first read; a dense one whose
-    scan was generated whole reads its grid off that array."""
+    No summary holds an (m, width) int32 grid, before its rows are read
+    or after; a dense one whose scan was generated whole reads its rows
+    off that array."""
     keys, sizes, slots = reference_grouping(ranks)
     m = ranks.shape[0]
     space = summary.space
@@ -125,14 +127,16 @@ def _check_grouping(summary, ranks, generate, made, regime):
     assert streamed == (regime == "windowed" or len(made) > 1)
     if regime == "windowed":
         assert not made
-    assert summary._slots is None
-    got = summary.by_point()
+    assert not _int32_grids(summary, ranks.shape)
+    got = stacked_slots(summary)
     assert got.dtype == np.int32 and got.shape == ranks.shape
     assert np.array_equal(got.reshape(-1), slots)
+    assert not _int32_grids(summary, ranks.shape)
     if summary.x0 == 0:
         assert summary._keys is None
-        # a scan generated whole is itself the grid
-        assert streamed or np.shares_memory(got, made[0])
+        # a scan generated whole is read in place
+        assert streamed or np.shares_memory(
+            summary.slot_rows(0, m), made[0])
     else:
         assert summary._keys.dtype == np.int64
     return streamed
@@ -443,6 +447,13 @@ def _held(summary):
     return [v for v in vars(summary).values() if isinstance(v, np.ndarray)]
 
 
+def _int32_grids(summary, shape):
+    """The int32 arrays of the given shape, (m, width), that a summary
+    holds as attributes."""
+    return [arr for arr in _held(summary)
+            if arr.dtype == np.int32 and arr.shape == shape]
+
+
 def test_hyperplane_scan_memory_is_bounded(dense_27):
     space = dense_27.space
     summary, peak = _traced_peak(projspace._scan_hyperplanes, space,
@@ -489,7 +500,7 @@ def test_streamed_grids_match_the_reference(monkeypatch, dense_27):
         ranks_of, total = seen.pop()[3:]
         keys, sizes, slots = reference_grouping(ranks_of(0, len(pts)))
         # one row, seven rows, and the default budget, for the count and
-        # for the grid built on the first read
+        # for the blocks the rows are read in
         for rows in (0, 7, None):
             with monkeypatch.context() as patch:
                 if rows is not None:
@@ -497,27 +508,90 @@ def test_streamed_grids_match_the_reference(monkeypatch, dense_27):
                                   _rows_budget(rows, 8, width))
                 summary = summarize(space, dim, pts, ranks_of, total)
                 # no array of incidence length until the first read
-                assert summary._slots is None
                 assert max(arr.size for arr in _held(summary)) < slots.size
                 assert np.array_equal(
                     summary.keys_of(np.arange(summary.sizes.size)), keys)
                 assert np.array_equal(summary.sizes, sizes)
-                grid = summary.by_point()
+                grid = stacked_slots(summary)
+                sized = summary.point_sizes()
             assert grid.dtype == np.int32 and grid.shape == (len(pts), width)
-            assert grid.flags.c_contiguous and not grid.flags.writeable
             assert np.array_equal(grid.reshape(-1), slots)
-            assert summary.by_point() is grid
+            # the size grid is gathered once and kept, read-only; no slot
+            # grid is kept beside it
+            assert sized.flags.c_contiguous and not sized.flags.writeable
+            assert summary.point_sizes() is sized
+            assert not _int32_grids(summary, grid.shape)
             pos = len(pts) // 2
             assert np.array_equal(summary.indices_through_point(pos),
                                   grid[pos])
-            assert np.array_equal(summary.point_sizes(),
-                                  summary.sizes[grid])
+            assert np.array_equal(sized, summary.sizes[grid])
         dense.add(summary.x0 == 0)
     assert dense == {False, True}
 
 
+def test_stacked_slots_match_the_reference(monkeypatch):
+    # the tests' whole grid, stacked from `slot_rows` blocks, against the
+    # reference grouping of the scan's whole array: scans kept whole (at
+    # the default budget every case is one block, and a sorted scan is
+    # kept at any budget) and streamed ones (a budget of one byte, a block
+    # of one row), dense and sparse
+    seen, summarize = [], projspace._by_point_summary
+    monkeypatch.setattr(projspace, "_by_point_summary",
+                        lambda *args: seen.append(args) or summarize(*args))
+    reached = set()
+    for pts, dim in _grouping_cases():
+        for budget in (None, 1):
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
+                summary = subspace_traces(pts, dim)
+                ranks_of = seen[-1][3]
+                got = stacked_slots(summary)
+            _, _, slots = reference_grouping(ranks_of(0, len(pts)))
+            assert got.dtype == np.int32
+            assert got.shape == (len(pts), summary.width)
+            assert np.array_equal(got.reshape(-1), slots)
+            reached.add((summary._rows is ranks_of, summary.x0 == 0))
+    assert reached == {(streamed, dense) for streamed in (False, True)
+                       for dense in (False, True)}
+
+
+def test_per_point_readers_memory_is_bounded():
+    # the cone's three readers of whole rows, in the order the pipeline
+    # meets them: the size grid, the chart marks of every secant, and the
+    # secants through every point.  Each reads its slots off the row
+    # source a block at a time, so above the size grid and what the
+    # calls return there are two blocks and the two arrays of secant
+    # incidences the search keeps beside its output, their slots and
+    # each line's points (4 bytes each per row it returns, as every
+    # position asks); an int32 slot grid, 4 bytes per incidence, does
+    # not fit
+    inst = catalogue.load_shipped(["cone_pg3_49"])[0]
+    pts, q = inst.points, inst.points.space.q
+    lines = projspace._scan_lines(pts.space, pts)
+    m, width = len(pts), lines.width
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sizes = lines.point_sizes()
+        marks = lines._chart_marks(2, q)
+        owner, slots, points = lines.secants_through(np.arange(m),
+                                                     inst.p0 + 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert sizes.dtype == np.int8 and sizes.shape == (m, width)
+    returned = sum(arr.nbytes for arr in (*marks, owner, slots, points))
+    bound = sizes.nbytes + returned + 8 * owner.size \
+        + 2 * projspace._SCAN_BLOCK_BYTES
+    assert peak < bound, (peak, bound)
+    assert bound < peak + 4 * m * width
+    assert not _int32_grids(lines, (m, width))
+
+
 def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
-    # the first read of a keyed streamed summary gathers each key's slot
+    # the size grid of a keyed streamed summary gathers each key's slot
     # from a key -> slot table: no search into the stored keys runs
     seen = []
     summarize, search = projspace._by_point_summary, np.searchsorted
@@ -527,7 +601,7 @@ def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
                       lambda *args: seen.append(args) or summarize(*args))
         summary = subspace_traces(rest, dim)
     ranks_of = seen[-1][3]
-    assert summary._slots is None and summary.x0 > 0
+    assert summary._point_sizes is None and summary.x0 > 0
     keys = summary._keys
 
     def refuse(a, v, *args, **kwargs):
@@ -536,16 +610,16 @@ def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
         return search(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", refuse)
-    grid = summary.by_point()
+    grid = summary.point_sizes()
     _, _, slots = reference_grouping(ranks_of(0, len(rest)))
-    assert np.array_equal(grid.reshape(-1), slots)
+    assert np.array_equal(grid.reshape(-1), summary.sizes[slots])
 
 
 def test_sorted_spectrum_searches_no_keys(monkeypatch):
     # a keyed summary in the sorted regime (a few points of PG(3,16), far
     # more lines than incidences) makes no search into its keys while the
-    # scan and its spectrum run; its grid, built on the first read, still
-    # matches the reference
+    # scan and its spectrum run; its rows, read afterwards, still match
+    # the reference
     seen, searched = [], []
     summarize, search = projspace._by_point_summary, np.searchsorted
     space = ProjectiveSpace(3, make_field(2, 4))
@@ -561,27 +635,27 @@ def test_sorted_spectrum_searches_no_keys(monkeypatch):
     width = projspace.gaussian_binomial(3, 1, space.q)
     assert total > projspace._COUNT_RANGE * len(pts) * width
     assert not any(np.shares_memory(a, summary._keys) for a in searched)
-    assert summary.x0 > 0 and summary._slots is None
+    assert summary.x0 > 0 and not _int32_grids(summary, (len(pts), width))
     keys, sizes, slots = reference_grouping(ranks_of(0, len(pts)))
     values, counts = np.unique(sizes, return_counts=True)
     assert spectrum == {0: total - keys.size,
                         **dict(zip(values.tolist(), counts.tolist()))}
     assert np.array_equal(summary.keys_of(np.arange(sizes.size)), keys)
-    assert np.array_equal(summary.by_point().reshape(-1), slots)
+    assert np.array_equal(stacked_slots(summary).reshape(-1), slots)
 
 
 def test_first_grid_read_is_shared_between_threads(dense_27):
     summary = projspace._scan_hyperplanes(dense_27.space, dense_27)
-    assert summary._slots is None
-    # more readers than cores, switching often: a grid built twice would
-    # reach some reader as a second object
+    assert summary._point_sizes is None
+    # more readers than cores, switching often: a size grid built twice
+    # would reach some reader as a second object
     nthreads = 4
     start = threading.Barrier(nthreads)
     got = [None] * nthreads
 
     def read(i):
         start.wait(timeout=30)
-        got[i] = summary.by_point()
+        got[i] = summary.point_sizes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

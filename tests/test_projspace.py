@@ -17,7 +17,7 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     SubspaceChart, gaussian_binomial, meet,
                                     project, span, subspace_traces)
 
-from trace_reference import grouped_points
+from trace_reference import grouped_points, stacked_slots
 
 
 def pg(n, p, t=1):
@@ -619,14 +619,20 @@ def test_cached_arrays_are_read_only():
                  subspace_traces(pts, 3)]
     arrays.append(middle.incidence(2))
     for summary in summaries:
-        # one int32 grid, a row of the subspaces through each point
-        grid = summary.by_point()
+        # the rows read, an int32 row of the subspaces through each point,
+        # and the size grid of the same shape, the one kept
+        m = len(summary.pts)
+        grid = stacked_slots(summary)
         space = summary.space
         assert grid.dtype == np.int32 and grid.flags.c_contiguous
-        assert grid.shape == (len(summary.pts), gaussian_binomial(
+        assert grid.shape == (m, gaussian_binomial(
             space.n, summary.dim, space.q))
-        arrays += [summary.sizes, grid, *summary.size_counts(),
+        assert summary.point_sizes().shape == grid.shape
+        arrays += [summary.sizes, summary.point_sizes(),
+                   *summary.size_counts(),
                    summary.per_point_counts(min_size=1)]
+        # a row read is read-only, as it may be a slice of a kept scan
+        assert not summary.slot_rows(0, m).flags.writeable
         # only a summary that misses some subspace stores its keys
         assert (summary._keys is None) == (summary.x0 == 0)
         if summary.x0:
@@ -683,7 +689,8 @@ def test_every_cached_public_result_is_closed(baer):
         label = f"traces_of(dim {summary.dim})"
         results += [(f"{label}.sizes", summary.sizes),
                     (f"{label}.size_counts()", summary.size_counts()),
-                    (f"{label}.by_point()", summary.by_point()),
+                    (f"{label}.slot_rows(0, m)",
+                     summary.slot_rows(0, len(summary.pts))),
                     (f"{label}.point_sizes()", summary.point_sizes()),
                     (f"{label}.per_point_counts()",
                      summary.per_point_counts(min_size=1)),

@@ -81,8 +81,8 @@ def test_reconstruct_first_builds_no_grid(tmp_path):
     # "first" on the PG(3,49) cone read back from a file, as a fresh
     # process meets it: the line scan is counted in key windows as it is
     # generated, and the search reads blocks of rows and then the base
-    # point's row, with no grid; the result is that of the same call
-    # once the grid is built
+    # point's row, with no size grid; the result is that of the same
+    # call once the size grid is built
     from blockingsets import catalogue
     from blockingsets.formats import read_pointset
     inst, = catalogue.load_shipped(["cone_pg3_49"])
@@ -92,9 +92,9 @@ def test_reconstruct_first_builds_no_grid(tmp_path):
     traces_of.cache_clear()
     res = reconstruct(pts, inst.k, inst.p0, point_policy="first")
     lines = traces_of(pts, 1)
-    assert lines._slots is None
+    assert lines._point_sizes is None
     assert res.success and len(res.secants_used)
-    lines.by_point()
+    lines.point_sizes()
     assert _result_fields(reconstruct(pts, inst.k, inst.p0)) \
         == _result_fields(res)
 
@@ -316,14 +316,14 @@ def _reference_reconstruction(pts, k, p0):
     `_reference_transversal`, W spanned by scalar reduction and its image
     compared with the set."""
     from test_trace_storage import _reference_transversal
-    from trace_reference import grouped_points
+    from trace_reference import grouped_points, stacked_slots
     space = pts.space
     ctx = spread_context(space)
     lines = traces_of(pts, 1)
     target = space.field.t * k
-    out = []
+    out, grid = [], stacked_slots(lines)
     for pos in range(len(pts)):
-        through = lines.by_point()[pos]
+        through = grid[pos]
         sel = through[lines.sizes[through] == p0 + 1]
         if not sel.size:
             continue

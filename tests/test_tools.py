@@ -21,12 +21,12 @@ def _tool(name):
 def test_mempeaks_rows(monkeypatch, capsys):
     mempeaks = _tool("mempeaks")
     # the tool wraps the checks, the scans, their grouping tail and the
-    # grid reads in place: restore them afterwards
+    # size grid reads in place: restore them afterwards
     monkeypatch.setattr(harness, "_CHECKS", dict(harness._CHECKS))
     for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
         monkeypatch.setattr(projspace, name, getattr(projspace, name))
-    monkeypatch.setattr(projspace.TraceSummary, "by_point",
-                        projspace.TraceSummary.by_point)
+    monkeypatch.setattr(projspace.TraceSummary, "point_sizes",
+                        projspace.TraceSummary.point_sizes)
     # cached summaries would hide the scans
     blocking.traces_of.cache_clear()
     assert mempeaks.main(["cone_pg3_9"]) == 0
@@ -39,7 +39,7 @@ def test_mempeaks_rows(monkeypatch, capsys):
     names = [name.strip() for name, _ in rows]
     checks = [name for name, d in zip(names, depths) if d == 0]
     grids = [i for i, name in enumerate(names)
-             if name.startswith("by_point dim ")]
+             if name.startswith("point_sizes dim ")]
     scans = {name for i, (name, d) in enumerate(zip(names, depths))
              if d == 1 and i not in grids}
     assert sorted(checks) == sorted(harness.CHECK_IDS)
@@ -49,10 +49,10 @@ def test_mempeaks_rows(monkeypatch, capsys):
     assert tails and {depths[i] for i in tails} == {2}
     assert all(names[i - 1] in scans for i in tails)
     assert len(tails) == sum(name in scans for name in names)
-    # each grid build is nested under the check that paid for it, and
-    # the line summary's grid, read by many checks, is built once
+    # each size grid is nested under the check that paid for it, and
+    # the line summary's, read by many checks, is gathered once
     assert grids and {depths[i] for i in grids} == {1}
-    assert [names[i] for i in grids].count("by_point dim 1") == 1
+    assert [names[i] for i in grids].count("point_sizes dim 1") == 1
 
 
 def test_mempeaks_rejects_unknown_names(capsys):

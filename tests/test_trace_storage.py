@@ -22,7 +22,8 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     span, subspace_traces)
 from blockingsets.spreads import spread_context
 
-from trace_reference import grouped_points, reference_grouping
+from trace_reference import grouped_points, reference_grouping, \
+    stacked_slots
 
 # (n, p, t); PG(4,2) reaches every (point lead, direction lead) pair of
 # the line kernel with up to three free digits, PG(2,8) is GF(2^3), and
@@ -116,7 +117,7 @@ def _reference_by_subspace(summary):
     from one sort of every incidence of the by-point grouping, keyed
     slot * m + point for the m points: the whole-table transpose that
     summaries once stored, kept as the reference for the gathers."""
-    grid = summary.by_point()
+    grid = stacked_slots(summary)
     owners, width = grid.shape
     keyed = grid.reshape(-1).astype(np.int64)
     keyed *= owners
@@ -207,7 +208,7 @@ def test_trace_summaries_match_brute_force(data):
         # the size grid: the sizes of the by-point slots, one row per
         # point, read-only, in the narrowest type that holds them
         grid = summary.point_sizes()
-        assert np.array_equal(grid, summary.sizes[summary.by_point()])
+        assert np.array_equal(grid, summary.sizes[stacked_slots(summary)])
         assert grid.dtype == _narrowest(int(summary.sizes.max()))
         assert not grid.flags.writeable and summary.point_sizes() is grid
         # the gathered groups against the whole-table transpose, for
@@ -241,7 +242,7 @@ def test_point_sizes_take_the_narrowest_type():
         assert summary.sizes.dtype == dtype
         grid = summary.point_sizes()
         assert grid.dtype == dtype and (grid == size).all()
-        assert grid.shape == summary.by_point().shape
+        assert grid.shape == stacked_slots(summary).shape
         assert np.array_equal(summary.per_point_counts(exact=size),
                               np.full(len(pts), grid.shape[1]))
         assert not summary.per_point_counts(min_size=size + 1).any()
@@ -329,13 +330,13 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         # every case fits in one block, or is not counted.  A sorted or
         # counted scan is generated once, whole; a windowed one (a line
         # scan past the count rule) streams: it is counted as it is
-        # generated, and nothing comes through its row source until the
-        # grid reads it, in one block
+        # generated, and nothing comes through its row source until its
+        # rows are read, in one block
         assert len(made) == (regime != "windowed")
         if regime == "windowed":
             assert dim == 1 and budget == 0
             windowed.add(summary.x0 == 0)
-        got = summary.by_point()
+        got = stacked_slots(summary)
         ranks, = made
         keys, sizes, slots = reference_grouping(ranks)
         _assert_narrowest_signed(summary.sizes, _largest_trace(pts, dim))
@@ -428,10 +429,11 @@ def test_secants_through_matches_reference():
 
 def test_one_point_secants_read_only_their_row(monkeypatch):
     # the one-point form reads its point's row from the row source while
-    # no grid is built, and the answer is the one the grid gives, at
-    # every position and every trace size through it.  The scans fit in
-    # one block and are kept whole, or, at a budget of one byte (a block
-    # of one row), stream, and each row read generates its row again
+    # no size grid is built, and the answer is the one it gives once the
+    # size grid is built, at every position and every trace size through
+    # it.  The scans fit in one block and are kept whole, or, at a budget
+    # of one byte (a block of one row), stream, and each row read
+    # generates its row again
     cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
     space = _space(3, 3, 1)
     sparse = PointSet(space, np.random.default_rng(35).choice(
@@ -447,8 +449,8 @@ def test_one_point_secants_read_only_their_row(monkeypatch):
         for pos in range(len(pts)):
             for size in np.unique(through[pos]).tolist():
                 got[pos, size] = lines.secants_through(pos, size)
-        assert lines._slots is None
-        lines.by_point()
+        assert lines._point_sizes is None
+        lines.point_sizes()
         for (pos, size), (slots, points) in got.items():
             want_slots, want_points = lines.secants_through(pos, size)
             assert slots.dtype == want_slots.dtype == np.int32
@@ -577,7 +579,7 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
         m = len(pts)
         seen.clear()
         lines = projspace._scan_lines(space, pts)
-        slots = lines.by_point()
+        slots = stacked_slots(lines)
         npar = slots.shape[1]
         assert slots.shape == (m, npar)
         # the same line for every incidence, in the same order, and the
@@ -587,7 +589,7 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
                               _reference_line_keys(space, pts))
         assert np.all(np.diff(lines.keys_of(slots).reshape(m, npar)) > 0)
         planes = projspace._scan_hyperplanes(space, pts)
-        slots = planes.by_point()
+        slots = stacked_slots(planes)
         assert slots.shape == (m, npar)
         # the same dual ranks through each point, listed ascending
         got = planes.keys_of(slots).reshape(m, npar)
@@ -600,7 +602,7 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
             wide = total >= 2 ** 31
             assert {ranks.dtype for ranks in made} \
                 == {np.dtype(np.int64 if wide else np.int32)}
-            assert summary.by_point().dtype == np.int32
+            assert stacked_slots(summary).dtype == np.int32
             _assert_narrowest_signed(summary.sizes,
                                      _largest_trace(pts, summary.dim))
         widths.append(tuple(made[0].dtype for made, _ in seen))

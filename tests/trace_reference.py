@@ -1,8 +1,9 @@
 """References for the tests of trace summaries: the grouping of a scan's
-keys, which every regime of `projspace._by_point_summary` must match, the
-point positions of chosen slots read off a summary's by-point grouping,
-and the chart positions of the points on chosen lines, decoded per
-incidence.  The package reads the points of lines only through
+keys, which every regime of `projspace._by_point_summary` must match, a
+summary's whole by-point grid of slots, stacked from its row reads, the
+point positions of chosen slots read off that grid, and the chart
+positions of the points on chosen lines, decoded per incidence.  The
+package reads the points of lines only through
 `TraceSummary.secants_through`, which decodes one point's lines or sorts
 the incidences of every line of one size; it never groups an arbitrary
 selection of slots, and tests use `grouped_points` to check whole
@@ -10,6 +11,7 @@ traces."""
 
 import numpy as np
 
+from blockingsets import projspace
 from blockingsets.projspace import ProjectiveSpace
 
 
@@ -21,6 +23,19 @@ def reference_grouping(ranks):
     keys, slots, sizes = np.unique(ranks.reshape(-1).astype(np.int64),
                                    return_inverse=True, return_counts=True)
     return keys, sizes, slots.astype(np.int32)
+
+
+def stacked_slots(summary):
+    """The (m, width) int32 grid of a summary's slots, row p holding the
+    slots through the point at position p: its `slot_rows`, read in the
+    package's blocks of `_SCAN_BLOCK_BYTES` / (8 * width) rows and
+    stacked (one block is returned as read).  The package keeps no such
+    grid; the tests read whole incidences through this."""
+    m = len(summary.pts)
+    rows = max(1, projspace._SCAN_BLOCK_BYTES // (8 * summary.width))
+    blocks = [summary.slot_rows(r0, min(r0 + rows, m))
+              for r0 in range(0, m, rows)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _offsets(counts):
@@ -36,14 +51,14 @@ def grouped_points(summary, sel):
     repeat slots.
 
     Only the incidences of the selected slots are grouped: a slot mask
-    picks them out of the by-point grid, where a flat position divided
-    by the row width is the point, and one sort of the keys slot * m +
-    point lays out the distinct slots ascending."""
+    picks them out of the by-point grid (`stacked_slots`), where a flat
+    position divided by the row width is the point, and one sort of the
+    keys slot * m + point lays out the distinct slots ascending."""
     sel = np.asarray(sel, dtype=np.int64).reshape(-1)
     counts = summary.sizes[sel]
     offsets = _offsets(counts)
     distinct, place = np.unique(sel, return_inverse=True)
-    grid = summary.by_point()
+    grid = stacked_slots(summary)
     m, width = grid.shape
     slots = grid.reshape(-1)
     chosen = np.zeros(summary.sizes.size, dtype=bool)
@@ -65,9 +80,10 @@ def reference_chart_marks(summary, sel):
     """(len(sel), q+1) bool: row i marks the chart positions (see
     `linearsets.line_param_positions`) of the set's points on line sel[i]
     of a line summary; sel ascends.  Decoded per incidence: a slot mask
-    picks the selected slots out of the by-point grid, a hit's place in
-    sel gives its line and so the line's pivot columns, and the point's
-    coordinates at those columns are ranked as a point of PG(1, q).
+    picks the selected slots out of the by-point grid (`stacked_slots`),
+    a hit's place in sel gives its line and so the line's pivot columns,
+    and the point's coordinates at those columns are ranked as a point
+    of PG(1, q).
     `linearsets._bitmasks` packs the rows into the words that
     `TraceSummary._chart_marks` returns."""
     space = summary.space
@@ -77,7 +93,7 @@ def reference_chart_marks(summary, sel):
     chosen = np.zeros(summary.sizes.size, dtype=bool)
     chosen[sel] = True
     place = np.cumsum(chosen) - 1
-    grid = summary.by_point()
+    grid = stacked_slots(summary)
     slots = grid.reshape(-1)
     hit = np.flatnonzero(chosen[slots])
     li = place[slots[hit]]

@@ -10,9 +10,11 @@ row is printed per check, in run order, one per line or hyperplane scan
 that ran it, and one per run of the scans' shared grouping tail
 (`projspace._by_point_summary`, which calls the scan's row generator, so
 most of a scan's time and memory shows in its row), indented under its
-scan.  One row, `by_point dim d`, is printed per `TraceSummary.by_point`
-call that builds a summary's slot grid, indented under the check that
-paid for it; a read of a grid already built adds no row.  A row gives
+scan.  One row, `point_sizes dim d`, is printed per
+`TraceSummary.point_sizes` call that gathers a summary's size grid (the
+one per-point array a summary keeps, read off its row source a block of
+rows at a time), indented under the check that paid for it; a read of
+a size grid already gathered adds no row.  A row gives
 the seconds, the traced MB live before, the traced peak MB, the
 traced MB live after, and the process's maxrss in MB when the row ends.
 Traced sizes count only what is allocated after set-up, when tracing
@@ -84,13 +86,14 @@ def main(argv) -> int:
         harness._CHECKS[check_id] = spans.wrap(check_id, run)
     for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
         setattr(projspace, name, spans.wrap(name, getattr(projspace, name)))
-    by_point = projspace.TraceSummary.by_point
+    point_sizes = projspace.TraceSummary.point_sizes
 
     def read_grid(summary):
-        if summary._slots is not None:
-            return by_point(summary)
-        return spans.wrap(f"by_point dim {summary.dim}", by_point)(summary)
-    projspace.TraceSummary.by_point = read_grid
+        if summary._point_sizes is not None:
+            return point_sizes(summary)
+        return spans.wrap(f"point_sizes dim {summary.dim}",
+                          point_sizes)(summary)
+    projspace.TraceSummary.point_sizes = read_grid
     print(f"{inst.name}: maxrss {maxrss_mb():.1f} MB after set-up")
     tracemalloc.start()
     try:
