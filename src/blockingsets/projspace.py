@@ -37,12 +37,11 @@ from .errors import (
 _COORDS_CAP = 60_000_000
 _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
-# per-point scans count their keys when the int64 count array, 8 bytes per
-# key, fits in this many bytes and the key range is at most _COUNT_RANGE
-# times the incidences, and count them in key windows (lines) or sort them
-# otherwise (see `_grouping_regime`)
+# bytes of one int64 array over a key range: a per-point scan without its
+# own tile counter counts a block's keys by a bincount over the range only
+# within it (see `_grouping_regime`), and a keyed summary maps its keys to
+# slots by a table over the range only within it (`_slot_blocks`)
 _COUNT_BYTES = 1 << 23
-_COUNT_RANGE = 8
 # bytes of one block of a blocked kernel's temporaries: each kernel takes
 # max(1, _SCAN_BLOCK_BYTES // (its bytes per item)) items per block, the
 # grouping tail and the passes over the by-point size grid 8 bytes per
@@ -886,17 +885,16 @@ class TraceSummary:
     width, so the incidences (a point is its position in the set's rank
     order) form an (m, width) grid of int32 slots, row p holding the
     slots through the point at position p, ascending; no summary keeps
-    it.  A summary holds its keys, sizes and a row source, rows(r0, r1),
-    the keys through the points at positions r0..r1: a slice of the
-    scan's array where the tail kept it, and the scan's row generator
-    otherwise.  `slot_rows` reads a few rows off it, and every reader of
-    all the rows (`point_sizes`, `_chart_marks`, the array form of
-    `secants_through`) reads them a block at a time (`_slot_blocks`), a
-    streamed scan generating them again on each pass.  The sizes of the
-    slots, gathered once into an (m, width) grid (`point_sizes`), serve
-    every per-point count and the subline checks.  The points'
-    coordinates are those the set `pts` caches; the points on the lines
-    through a point are found per call (`secants_through`).
+    it.  A summary holds its keys, sizes and one row source, the scan's
+    row generator itself: rows(r0, r1) generates the keys through the
+    points at positions r0..r1 afresh on each call.  `slot_rows` reads a
+    few rows off it, and every reader of all the rows (`point_sizes`,
+    `_chart_marks`, the array form of `secants_through`) reads them a
+    block at a time (`_slot_blocks`), generating the scan again on each
+    pass.  The sizes of the slots, gathered once into an (m, width) grid
+    (`point_sizes`), serve every per-point count and the subline checks.
+    The points' coordinates are those the set `pts` caches; the points on
+    the lines through a point are found per call (`secants_through`).
     All stored arrays are read-only: summaries are cached and shared.
     """
 
@@ -971,9 +969,8 @@ class TraceSummary:
         rows (one at least), read off the row source under the summary
         lock, and the table that `_slots_of` maps them through, so that
         a reader maps only the keys it reads: an int32 key -> slot
-        table, built once per pass, on a keyed summary whose key range
-        passes the count rule's bound (8 * total <= `_COUNT_BYTES`),
-        else None."""
+        table, built once per pass, on a keyed summary over whose key
+        range an int64 array fits in `_COUNT_BYTES`, else None."""
         m, keys, table = len(self.pts), self._keys, None
         if keys is not None and 8 * self.total <= _COUNT_BYTES:
             table = np.empty(self.total, dtype=np.int32)
@@ -1262,7 +1259,8 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
     The scan is a row generator over the point positions r0..r1 on the
     kernels the tile count shares, `_line_runs` and `_line_tiles`, whose
     one tile is a whole block j >= l of a block of rows with at most
-    _SCAN_BLOCK_BYTES of temporaries (one row at least)."""
+    _SCAN_BLOCK_BYTES of temporaries (one row at least).  The scan hands
+    the tail that tile count, `_line_tile_counts`, as its own counter."""
     n, q, coords = space.n, space.q, pts.coords()
     lead = (coords != 0).argmax(axis=1)
     npar, total = (q ** n - 1) // (q - 1), space.num_subspaces(1)
@@ -1292,7 +1290,8 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
                                      out[b:b + step]))
         return ranks
 
-    return _by_point_summary(space, 1, pts, ranks_of, total)
+    return _by_point_summary(space, 1, pts, ranks_of, total,
+                             _line_tile_counts)
 
 
 def _line_runs(space, p, l, j) -> np.ndarray:
@@ -1428,79 +1427,72 @@ def _size_dtype(m: int):
                 if m <= np.iinfo(t).max)
 
 
-def _by_point_summary(space, dim, pts, ranks_of, total) -> TraceSummary:
+def _by_point_summary(space, dim, pts, ranks_of, total,
+                      tiles=None) -> TraceSummary:
     """The summary of a per-point scan, given as its row generator:
-    ranks_of(r0, r1), 0 <= r0 < r1 <= m, returns an (r1 - r0, width)
-    array whose row p - r0 holds the dense keys in range(total) of the
-    dim-subspaces through the point at position p, ascending.  A block is
-    `_SCAN_BLOCK_BYTES` / (8 * width) rows, one at least.  The sizes take
-    the smallest signed type that holds min(m, points of a dim-subspace).
-    The tail only counts, and hands the summary its keys (none when every
-    key occurs: a slot is then its key), sizes and a row source, off
-    which the summary's readers read every row they need.  Three regimes,
-    named by `_grouping_regime`:
+    ranks_of(r0, r1), 0 <= r0 < r1 <= m, returns a fresh (r1 - r0, width)
+    array, the caller's to change, whose row p - r0 holds the dense keys
+    in range(total) of the dim-subspaces through the point at position
+    p, ascending.  A block is `_SCAN_BLOCK_BYTES` / (8 * width) rows, one
+    at least.  The sizes take the smallest signed type that holds
+    min(m, points of a dim-subspace).  The tail only counts, and hands
+    the summary its keys (none when every key occurs: a slot is then its
+    key), sizes and ranks_of, its one row source, off which the
+    summary's readers generate every row they need.  Two regimes, named
+    by `_grouping_regime`:
 
-    - "counted": a bincount of each block is summed into one int64
-      count, whose nonzero entries are the keys; a scan of one block is
-      generated whole and kept in the row source, and a longer one
-      streams: it is counted a generated block at a time, none of it is
-      kept, and the row source is ranks_of itself;
-    - "windowed" (line scans) streams too, counted as it is generated by
-      `_line_tile_counts`, a key window at a time, with no sort;
-    - "sorted": the whole scan is generated and kept in the row source,
-      and an int32 copy (int64 when the keys need it) is sorted and its
-      runs counted block by block straight into the sizes."""
+    - "counted": one count over the key range in the sizes' type, by the
+      scan's own tile counter, tiles(space, pts, total, sizes_type) ->
+      (keys, sizes), where it has one (`_line_tile_counts`), and
+      otherwise a bincount of each generated block added into it; its
+      nonzero entries are the keys;
+    - "sorted": the whole scan is generated once, sorted in place, its
+      runs counted block by block straight into the sizes, and dropped."""
     m = len(pts)
     width = gaussian_binomial(space.n, dim, space.q)
     sizes_type = _size_dtype(min(m, gaussian_binomial(dim + 1, 1, space.q)))
-    rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
-    regime = _grouping_regime(space, dim, m * width, total, sizes_type)
-    # a sorted scan, or a counted one of one block, is generated whole and
-    # kept, read-only, as the rows read off it are slices of it
-    whole = regime == "sorted" or (regime == "counted" and m <= rows)
-    kept = _frozen(ranks_of(0, m)) if whole else None
-    rows_of = ranks_of if kept is None else lambda r0, r1: kept[r0:r1]
-    if regime == "counted":
-        counts = np.zeros(total, dtype=np.int64)
+    if _grouping_regime(m * width, total, sizes_type, tiles) == "sorted":
+        srt = ranks_of(0, m).reshape(-1)
+        srt.sort()
+        keys, sizes = _sorted_runs(srt, total, sizes_type)
+    elif tiles is not None:
+        keys, sizes = tiles(space, pts, total, sizes_type)
+    else:
+        rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
+        counts = np.zeros(total, dtype=sizes_type)
         # one intp buffer holds each block's bincount input in turn
         flat = np.empty(min(m, rows) * width, dtype=np.intp)
         for r0 in range(0, m, rows):
             block = flat[:(min(r0 + rows, m) - r0) * width]
-            np.copyto(block, rows_of(r0, min(r0 + rows, m)).reshape(-1))
+            np.copyto(block, ranks_of(r0, min(r0 + rows, m)).reshape(-1))
             counts += np.bincount(block, minlength=total)
-        keys, sizes = _counted_keys(counts, sizes_type)
-    elif regime == "windowed":
-        keys, sizes = _line_tile_counts(space, pts, total, sizes_type)
-    else:
-        keys, sizes = _sorted_runs(np.sort(kept.reshape(-1)), total,
-                                   sizes_type)
-    return TraceSummary(pts, dim, keys, sizes, rows_of)
+        keys, sizes = _counted_keys(counts)
+    return TraceSummary(pts, dim, keys, sizes, ranks_of)
 
 
-def _grouping_regime(space, dim, incidences, total, sizes_type) -> str:
+def _grouping_regime(incidences, total, sizes_type, tiles) -> str:
     """How `_by_point_summary` groups a scan's incidences over total keys:
-    "counted" when the int64 count array, 8 * total bytes, is at most
-    `_COUNT_BYTES` and the key range at most `_COUNT_RANGE` times the
-    incidences; otherwise "windowed" for a line scan whose count array
-    in the sizes' type is no larger than the sorted copy of its keys it
-    replaces; "sorted" for the rest (a large key range, or a small set
-    whose incidences a pass over the range would dwarf)."""
-    if 8 * total <= _COUNT_BYTES and total <= _COUNT_RANGE * incidences:
+    "counted" when a count array over the key range in the sizes' type is
+    no larger than the sorted copy of the keys it replaces (int32, int64
+    when the keys need it) and, for a scan without its own tile counter,
+    the int64 bincount of a block, 8 * total bytes, is at most
+    `_COUNT_BYTES`; "sorted" otherwise (a key range too large to pass
+    over, or a small set whose incidences such a pass would dwarf)."""
+    if np.dtype(sizes_type).itemsize * total \
+            <= np.dtype(_rank_dtype(total)).itemsize * incidences \
+            and (tiles is not None or 8 * total <= _COUNT_BYTES):
         return "counted"
-    if dim == 1 < space.n and np.dtype(sizes_type).itemsize * total \
-            <= np.dtype(_rank_dtype(total)).itemsize * incidences:
-        return "windowed"
     return "sorted"
 
 
-def _counted_keys(counts, sizes_type) -> tuple:
+def _counted_keys(counts) -> tuple:
     """(keys, sizes) of a count over the whole key range: the keys of the
     nonzero counts (int64), None when every key occurs, and their counts
-    in sizes_type (counts itself when it is dense and of that type)."""
+    (counts itself when every key occurs)."""
     if np.count_nonzero(counts) == counts.size:
-        return None, counts.astype(sizes_type, copy=False)
+        return None, counts
     keys = np.flatnonzero(counts)
-    return keys, counts[keys].astype(sizes_type, copy=False)
+    return keys, counts[keys]
 
 
 def _line_tile_counts(space, pts, total, sizes_type) -> tuple:
@@ -1539,7 +1531,7 @@ def _line_tile_counts(space, pts, total, sizes_type) -> tuple:
                     np.subtract(tile, lo, out=out, dtype=np.intp)
                     window += np.bincount(out.reshape(-1),
                                           minlength=window.size)
-    return _counted_keys(counts, sizes_type)
+    return _counted_keys(counts)
 
 
 def _sorted_runs(srt, total, sizes_type) -> tuple:

@@ -1,9 +1,10 @@
-"""The bounded-block kernels: the hyperplane scan, the three regimes of
+"""The bounded-block kernels: the hyperplane scan, the two regimes of
 the scans' grouping tail, the chart marks of the subline checks, the lift of
 the large planes' lines, the batched row reduction and the whole-set
 reconstruction give the same results whatever their block size, and
 their traced memory stays within bounds set by the array shapes."""
 
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -106,40 +107,44 @@ def _recording(ranks_of):
     return generate, made
 
 
-def _check_grouping(summary, ranks, generate, made, regime):
+def _check_grouping(summary, ranks, generate, made, regime, tiles):
     """The summary groups ranks as the reference does, with the dtypes
     the summaries promise; generate is the row generator it was given,
-    and made lists the arrays generate returned.  A scan that streams
-    keeps none of its keys: its row source is generate itself, and a
-    windowed one, counted as it is generated, made nothing through it.
-    No summary holds an (m, width) int32 grid, before its rows are read
-    or after; a dense one whose scan was generated whole reads its rows
-    off that array."""
+    tiles the scan's own tile counter or None, and made lists the arrays
+    generate returned while the summary was built.  Every summary's row
+    source is generate itself, so no summary keeps its keys: a sorted
+    scan was generated once, whole, a scan counted by its own tile
+    counter made nothing through it, and one counted by bincounts was
+    generated a block at a time.  Rows read after the build, and after
+    the sort, still match the reference.  No summary holds an (m, width)
+    int32 grid, before its rows are read or after.  Returns how many
+    arrays the build generated."""
     keys, sizes, slots = reference_grouping(ranks)
-    m = ranks.shape[0]
+    m, width = ranks.shape
     space = summary.space
     top = min(m, projspace.gaussian_binomial(summary.dim + 1, 1, space.q))
     got_keys = summary.keys_of(np.arange(summary.sizes.size))
     assert got_keys.dtype == np.int64 and np.array_equal(got_keys, keys)
     assert summary.sizes.dtype == projspace._size_dtype(top)
     assert np.array_equal(summary.sizes, sizes)
-    streamed = summary._rows is generate
-    assert streamed == (regime == "windowed" or len(made) > 1)
-    if regime == "windowed":
-        assert not made
+    assert summary._rows is generate
+    built = len(made)
+    rows = max(1, projspace._SCAN_BLOCK_BYTES // (8 * width))
+    if regime == "sorted":
+        assert [arr.shape for arr in made] == [ranks.shape]
+    else:
+        assert built == (0 if tiles else -(-m // rows))
     assert not _int32_grids(summary, ranks.shape)
     got = stacked_slots(summary)
     assert got.dtype == np.int32 and got.shape == ranks.shape
     assert np.array_equal(got.reshape(-1), slots)
+    assert np.array_equal(generate(0, m), ranks)
     assert not _int32_grids(summary, ranks.shape)
     if summary.x0 == 0:
         assert summary._keys is None
-        # a scan generated whole is read in place
-        assert streamed or np.shares_memory(
-            summary.slot_rows(0, m), made[0])
     else:
         assert summary._keys.dtype == np.int64
-    return streamed
+    return built
 
 
 def test_grouping_regimes_match_the_reference(monkeypatch):
@@ -152,76 +157,85 @@ def test_grouping_regimes_match_the_reference(monkeypatch):
     monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
                         regimes.append(choose(*args)) or regimes[-1])
     monkeypatch.setattr(projspace, "_line_tile_counts", lambda *args:
-                        grouped.append("windowed") or tiles(*args))
+                        grouped.append("tiles") or tiles(*args))
     monkeypatch.setattr(projspace, "_sorted_runs", lambda *args:
                         grouped.append("sorted") or runs(*args))
 
-    def regime_run():
+    def regime_run(tiled):
         (regime,) = regimes
-        assert grouped == ([] if regime == "counted" else [regime])
+        assert grouped == ({"counted": ["tiles"] if tiled else [],
+                            "sorted": ["sorted"]}[regime])
         regimes.clear()
         grouped.clear()
         return regime
 
+    # the hyperplanes of PG(2,7) are its lines: a scan of dim 1 that is
+    # not the line scan, which must never be counted as lines
+    pg27 = ProjectiveSpace(2, make_field(7, 1))
+    planar = PointSet(pg27, np.random.default_rng(37).choice(
+        pg27.num_points, 30, replace=False))
+    cases = [(pts, dim, subspace_traces) for pts, dim in _grouping_cases()] \
+        + [(planar, 1, lambda pts, dim: projspace._scan_hyperplanes(
+            pts.space, pts))]
     paths = set()
-    for pts, dim in _grouping_cases():
+    for pts, dim, scan in cases:
         seen.clear()
-        subspace_traces(pts, dim)
-        (space, _, _, ranks_of, total), = seen
+        scan(pts, dim)
+        (space, _, _, ranks_of, total, *own), = seen
+        tiled = own[0] if own else None
+        assert (tiled is not None) == (scan is subspace_traces and dim == 1)
         ranks = ranks_of(0, len(pts))
         size = ranks.size
-        # past the count rule, a line scan is counted in key windows when
-        # its count array in the sizes' type is no larger than a sorted
-        # copy of its ranks, and every other scan is sorted; the sizes'
-        # type holds the largest trace, the set or one dim-subspace
+        # a scan is counted when its count array in the sizes' type is no
+        # larger than a sorted copy of its ranks, and, without a tile
+        # counter of its own, its int64 bincount fits the byte budget; the
+        # sizes' type holds the largest trace, the set or one
+        # dim-subspace
         top = min(len(pts), projspace.gaussian_binomial(dim + 1, 1, space.q))
         itemsize = np.dtype(projspace._size_dtype(top)).itemsize
-        uncounted = "windowed" if dim == 1 \
-            and itemsize * total <= ranks.itemsize * size else "sorted"
-        # the byte rule at its edge, with any key range counted: a count
-        # array of exactly _COUNT_BYTES is counted, one byte more is not
-        for counted in (True, False):
-            budget = 8 * total - (not counted)
+        fits = itemsize * total <= ranks.itemsize * size
+        # the byte rule at its edge: a bincount of exactly _COUNT_BYTES
+        # is counted, one byte more is not, and a scan with its own tile
+        # counter needs no budget
+        for under in (True, False):
+            budget = 8 * total - (not under)
             # blocks of one row (a budget of one incidence), of seven
             # incidences, a block boundary just before the last row, at
             # the end and past it, and the default
             for step in (1, 7, size - 1, size, size + 1, None):
                 with monkeypatch.context() as patch:
                     patch.setattr(projspace, "_COUNT_BYTES", budget)
-                    patch.setattr(projspace, "_COUNT_RANGE", total)
                     if step is not None:
                         # 8 bytes per incidence of a tail block
                         patch.setattr(projspace, "_SCAN_BLOCK_BYTES",
                                       8 * step)
                     generate, made = _recording(ranks_of)
-                    summary = summarize(space, dim, pts, generate, total)
-                    regime = regime_run()
-                    assert regime == ("counted" if counted else uncounted)
-                    # the grid is built, if at all, under the same budget
-                    streamed = _check_grouping(summary, ranks, generate,
-                                               made, regime)
-                # only a sorted scan is kept whole whatever its length
-                assert not streamed or regime != "sorted"
-                paths.add(("streamed", streamed, summary.x0 == 0))
-            paths.add((regime, summary.x0 == 0))
-            if dim == 1 and not counted:
-                paths.add(("lines", regime))
-        # at the default rules every case is under the byte budget, and
-        # a key range over 8 times the incidences is sorted, not passed
-        # over by a count nor by key windows
-        summarize(space, dim, pts, ranks_of, total)
-        wide = total > 8 * size
-        assert regime_run() == ("sorted" if wide else "counted")
-        paths.add(("wide", wide))
-    # the cases reach dense and sparse summaries in all three regimes,
-    # line scans both counted in windows and sorted, counted scans kept
-    # whole and streamed, and wide key ranges
-    assert paths == {(regime, dense)
-                     for regime in ("counted", "windowed", "sorted")
-                     for dense in (False, True)} \
-        | {("lines", "windowed"), ("lines", "sorted")} \
-        | {("streamed", streamed, dense) for streamed in (False, True)
-           for dense in (False, True)} \
+                    summary = summarize(space, dim, pts, generate, total,
+                                        *own)
+                    regime = regime_run(tiled)
+                    assert regime == ("counted" if fits and (
+                        under or tiled) else "sorted")
+                    generated = _check_grouping(summary, ranks, generate,
+                                                made, regime, tiled)
+                paths.add(("generated", min(generated, 2)))
+            paths.add((regime, tiled is not None, summary.x0 == 0))
+        # at the default budget every case is under it, and a count array
+        # larger than the sorted ranks is sorted, not passed over
+        summarize(space, dim, pts, ranks_of, total, *own)
+        assert regime_run(tiled) == ("counted" if fits else "sorted")
+        paths.add(("wide", not fits))
+    # the cases reach line scans counted by their tiles, dense and
+    # sparse, and sorted; other scans counted and sorted, dense and
+    # sparse; builds that generate nothing, the whole scan once, and
+    # many blocks; and count arrays both smaller and larger than the
+    # sorted ranks.  A dense scan has at least as many incidences as
+    # keys, so a dense line scan, which needs no budget, is never
+    # sorted.
+    assert paths == {(regime, tiled, dense)
+                     for regime in ("counted", "sorted")
+                     for tiled in (False, True) for dense in (False, True)
+                     if not (regime == "sorted" and tiled and dense)} \
+        | {("generated", made) for made in (0, 1, 2)} \
         | {("wide", False), ("wide", True)}
 
 
@@ -233,13 +247,14 @@ def _line_ranks(pts):
         patch.setattr(projspace, "_by_point_summary",
                       lambda *args: seen.append(args))
         projspace._scan_lines(pts.space, pts)
-    (_, _, _, ranks_of, total), = seen
+    (_, _, _, ranks_of, total, tiles), = seen
+    assert tiles is projspace._line_tile_counts
     return ranks_of(0, len(pts)), total
 
 
 def _window_cases():
-    """(points, small): sets of every lead pattern for the windowed line
-    count: the plane x_0 = 0 (no point leads at column 0) and a random
+    """(points, small): sets of every lead pattern for the line scan's
+    tile count: the plane x_0 = 0 (no point leads at column 0) and a random
     half of it, single points (leads 0 and n), whole spaces, sets of
     PG(n, 2), a random third of PG(2, 49), and the shipped cones; small
     is False for the one whose reference grouping takes seconds, which
@@ -268,7 +283,7 @@ def _window_cases():
 
 
 def test_line_windows_match_the_reference(monkeypatch):
-    # the tile count of the windowed regime, which generates the line
+    # the tile count of the counted line scan, which generates the line
     # scan itself, a tile at a time, against the grouping of the scan's
     # whole array
     leads, dense = set(), set()
@@ -531,29 +546,43 @@ def test_streamed_grids_match_the_reference(monkeypatch, dense_27):
 
 def test_stacked_slots_match_the_reference(monkeypatch):
     # the tests' whole grid, stacked from `slot_rows` blocks, against the
-    # reference grouping of the scan's whole array: scans kept whole (at
-    # the default budget every case is one block, and a sorted scan is
-    # kept at any budget) and streamed ones (a budget of one byte, a block
-    # of one row), dense and sparse
-    seen, summarize = [], projspace._by_point_summary
+    # reference grouping of the scan's whole array, on summaries of both
+    # regimes (with no byte budget, no scan but the lines' is counted),
+    # read in one block (at the default block budget every case is one)
+    # and in blocks of one row (a budget of one byte), dense and sparse;
+    # every summary reads its rows off the scan's generator
+    seen, regimes = [], []
+    summarize, choose = projspace._by_point_summary, projspace._grouping_regime
     monkeypatch.setattr(projspace, "_by_point_summary",
                         lambda *args: seen.append(args) or summarize(*args))
+    monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
+                        regimes.append(choose(*args)) or regimes[-1])
     reached = set()
     for pts, dim in _grouping_cases():
-        for budget in (None, 1):
+        for rows, count in itertools.product((None, 1), (None, 0)):
             with monkeypatch.context() as patch:
-                if budget is not None:
-                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
+                if rows is not None:
+                    patch.setattr(projspace, "_SCAN_BLOCK_BYTES", rows)
+                if count is not None:
+                    patch.setattr(projspace, "_COUNT_BYTES", count)
                 summary = subspace_traces(pts, dim)
-                ranks_of = seen[-1][3]
+                ranks_of, tiles = seen[-1][3], seen[-1][5:]
                 got = stacked_slots(summary)
             _, _, slots = reference_grouping(ranks_of(0, len(pts)))
+            assert summary._rows is ranks_of
             assert got.dtype == np.int32
             assert got.shape == (len(pts), summary.width)
             assert np.array_equal(got.reshape(-1), slots)
-            reached.add((summary._rows is ranks_of, summary.x0 == 0))
-    assert reached == {(streamed, dense) for streamed in (False, True)
-                       for dense in (False, True)}
+            reached.add((regimes[-1], bool(tiles), rows is None,
+                         summary.x0 == 0))
+    # line scans counted, dense and sparse; other scans counted and
+    # sorted, dense and sparse; the sorted line scan of the wide case
+    assert reached == {(regime, tiled, one_block, dense)
+                       for regime in ("counted", "sorted")
+                       for tiled in (False, True)
+                       for one_block in (False, True)
+                       for dense in (False, True)
+                       if not (regime == "sorted" and tiled and dense)}
 
 
 def test_per_point_readers_memory_is_bounded():
@@ -631,9 +660,11 @@ def test_sorted_spectrum_searches_no_keys(monkeypatch):
                         searched.append(a) or search(a, v, *args, **kwargs))
     summary = subspace_traces(pts, 1)
     spectrum = summary.spectrum()
-    ranks_of, total = seen[-1][3:]
+    ranks_of, total = seen[-1][3:5]
     width = projspace.gaussian_binomial(3, 1, space.q)
-    assert total > projspace._COUNT_RANGE * len(pts) * width
+    # sorted: a count array over the 70,161 lines, even in int8, would
+    # dwarf the sorted int32 copy of the 1,365 incidences
+    assert summary.sizes.itemsize * total > 4 * len(pts) * width
     assert not any(np.shares_memory(a, summary._keys) for a in searched)
     assert summary.x0 > 0 and not _int32_grids(summary, (len(pts), width))
     keys, sizes, slots = reference_grouping(ranks_of(0, len(pts)))
@@ -725,42 +756,74 @@ def test_line_scan_memory_is_bounded(dense_27, monkeypatch):
         patch.setattr(projspace, "_by_point_summary",
                       lambda *args: seen.append(args))
         projspace._scan_lines(space, dense_27)
-    (_, dim, _, ranks_of, total), = seen
+    (_, dim, _, ranks_of, total, tiles), = seen
     ranks = ranks_of(0, len(dense_27))
-    # the lines' count array (4.4 MB) is under the byte rule, and their
-    # ranks would be counted in key windows: sort anyway
+    # the lines' int8 count array (0.55 MB) is smaller than their sorted
+    # ranks, so they would be counted by their tiles: sort anyway
     monkeypatch.setattr(projspace, "_grouping_regime",
                         lambda *args: "sorted")
     # tail blocks of 2^15 incidences
     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
+    # the generator hands out a fresh array, the caller's to sort in
+    # place, as the scans do
     summary, peak = _traced_peak(summarize, space, dim, dense_27,
-                                 lambda r0, r1: ranks[r0:r1], total)
+                                 lambda r0, r1: ranks[r0:r1].copy(), total,
+                                 tiles)
     assert ranks.dtype == np.int32 and summary.x0 > 0
     nslots = summary.sizes.size
     assert nslots > 500_000
-    # one int32 sorted copy of the ranks, whose buffer becomes the slots,
-    # the int64 keys and the sizes, and a few arrays of one block; an
-    # intp copy of the ranks, or an int64 count over the key range beside
-    # the new slots, would not fit
+    # one int32 copy of the ranks, generated whole and sorted in place,
+    # the int64 keys and the sizes, and a few arrays of one block; a
+    # second copy of the ranks beside the first, an intp copy of them,
+    # or an int64 count over the key range, would not fit
     bound = ranks.size * 4 + nslots * (8 + summary.sizes.itemsize) \
         + 8 * projspace._SCAN_BLOCK_BYTES
     assert peak < bound, (peak, bound)
 
 
+def test_sorted_scan_is_dropped_once_counted():
+    # the 57 points of the subplane of PG(3,49) meet far fewer lines than
+    # the 5.9 M that a count array would pass over, so their line scan is
+    # sorted: generated once, whole (57 x 2,451 int32 keys, 0.53 MB),
+    # sorted in place, counted and dropped.  What stays live after the
+    # scan is what the summary holds, the set's coordinates (cached on the
+    # set) and a few small objects; the scan's array does not
+    inst, = catalogue.load_shipped(["subplane_pg3_49"])
+    pts = inst.points
+    regimes = []
+    choose = projspace._grouping_regime
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(projspace, "_grouping_regime", lambda *args:
+                      regimes.append(choose(*args)) or regimes[-1])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summary = projspace._scan_lines(pts.space, pts)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+    assert regimes == ["sorted"] and summary.x0 > 0
+    scan = len(pts) * summary.width * 4
+    bound = sum(arr.nbytes for arr in _held(summary)) \
+        + pts.coords().nbytes + (64 << 10)
+    assert held < bound < held + scan, (held, bound, scan)
+
+
 def test_windowed_line_scan_memory_is_bounded(dense_27, monkeypatch):
-    # the whole line scan in its windowed regime: counted in key windows
-    # as it is generated, a tile at a time, with no sort
+    # the whole line scan counted by its own tile counter: in key
+    # windows as it is generated, a tile at a time, with no sort
     space, m = dense_27.space, len(dense_27)
     regimes = []
     choose = projspace._grouping_regime
     monkeypatch.setattr(projspace, "_grouping_regime", lambda *args:
                         regimes.append(choose(*args)) or regimes[-1])
-    # the lines' int64 count array (4.4 MB) is under the byte rule: pass
-    # it, and windows of 2^15 keys and tiles of as many intp offsets
+    # a byte budget of none, which only a bincount over the key range
+    # needs (the lines' int64 one would take 4.4 MB), and windows of 2^15
+    # keys and tiles of as many intp offsets
     monkeypatch.setattr(projspace, "_COUNT_BYTES", 0)
     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", 8 << 15)
     summary, peak = _traced_peak(projspace._scan_lines, space, dense_27)
-    assert regimes == ["windowed"] and summary.x0 > 0
+    assert regimes == ["counted"] and summary.x0 > 0
     count_bytes = summary.total * summary.sizes.itemsize
     # the count array in the sizes' type, what the summary holds (its
     # int64 keys and sizes) and two blocks, with a few coordinate rows
@@ -777,7 +840,7 @@ def test_line_scan_generation_memory_is_bounded(dense_27, monkeypatch):
     space = dense_27.space
     m, npar = len(dense_27), (space.q ** 3 - 1) // (space.q - 1)
     monkeypatch.setattr(projspace, "_by_point_summary",
-                        lambda space, dim, pts, ranks_of, total:
+                        lambda space, dim, pts, ranks_of, total, tiles:
                         ranks_of(0, len(pts)))
     ranks, peak = _traced_peak(projspace._scan_lines, space, dense_27)
     assert ranks.shape == (m, npar) and ranks.dtype == np.int32

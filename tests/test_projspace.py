@@ -631,7 +631,7 @@ def test_cached_arrays_are_read_only():
         arrays += [summary.sizes, summary.point_sizes(),
                    *summary.size_counts(),
                    summary.per_point_counts(min_size=1)]
-        # a row read is read-only, as it may be a slice of a kept scan
+        # a row read is read-only, like every array a summary hands out
         assert not summary.slot_rows(0, m).flags.writeable
         # only a summary that misses some subspace stores its keys
         assert (summary._keys is None) == (summary.x0 == 0)

@@ -20,10 +20,12 @@ def _tool(name):
 
 def test_mempeaks_rows(monkeypatch, capsys):
     mempeaks = _tool("mempeaks")
-    # the tool wraps the checks, the scans, their grouping tail and the
-    # size grid reads in place: restore them afterwards
+    # the tool wraps the checks, the scans, their grouping tail and its
+    # regime choice, and the size grid reads in place: restore them
+    # afterwards
     monkeypatch.setattr(harness, "_CHECKS", dict(harness._CHECKS))
-    for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
+    for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary",
+                 "_grouping_regime"):
         monkeypatch.setattr(projspace, name, getattr(projspace, name))
     monkeypatch.setattr(projspace.TraceSummary, "point_sizes",
                         projspace.TraceSummary.point_sizes)
@@ -33,7 +35,7 @@ def test_mempeaks_rows(monkeypatch, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("cone_pg3_9: maxrss")
     assert out[1].split()[:2] == ["span", "s"]
-    rows = [(line[:28], line[28:].split()) for line in out[2:]]
+    rows = [(line[:38], line[38:].split()) for line in out[2:]]
     assert all(len(numbers) == 5 for _, numbers in rows)
     depths = [(len(name) - len(name.lstrip())) // 2 for name, _ in rows]
     names = [name.strip() for name, _ in rows]
@@ -44,11 +46,16 @@ def test_mempeaks_rows(monkeypatch, capsys):
              if d == 1 and i not in grids}
     assert sorted(checks) == sorted(harness.CHECK_IDS)
     assert scans == {"_scan_lines", "_scan_hyperplanes"}
-    # each scan ends in one run of the grouping tail, nested under it
-    tails = [i for i, name in enumerate(names) if name == "_by_point_summary"]
+    # each scan ends in one run of the grouping tail, nested under it and
+    # named by its dimension and regime: on the cone of PG(3,9) the lines
+    # and the planes are counted
+    tails = [i for i, name in enumerate(names)
+             if name.startswith("_by_point_summary ")]
     assert tails and {depths[i] for i in tails} == {2}
     assert all(names[i - 1] in scans for i in tails)
     assert len(tails) == sum(name in scans for name in names)
+    assert {names[i] for i in tails} == {"_by_point_summary dim 1 counted",
+                                         "_by_point_summary dim 2 counted"}
     # each size grid is nested under the check that paid for it, and
     # the line summary's, read by many checks, is gathered once
     assert grids and {depths[i] for i in grids} == {1}

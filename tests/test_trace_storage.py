@@ -271,20 +271,21 @@ def _grouping_cases():
 
 
 def _recorded_scans(monkeypatch):
-    """The (made, total) of every scan as it reaches the grouping, made
-    listing the arrays its row generator returns, listed as the scans
-    run."""
+    """The (made, total, tiled) of every scan as it reaches the grouping,
+    made listing the arrays its row generator returns and tiled whether
+    the scan hands the tail a tile counter of its own (passed on), listed
+    as the scans run."""
     seen = []
     summarize = projspace._by_point_summary
 
-    def recorded(space, dim, pts, ranks_of, total):
+    def recorded(space, dim, pts, ranks_of, total, *tiles):
         made = []
 
         def generate(r0, r1):
             made.append(ranks_of(r0, r1))
             return made[-1]
-        seen.append((made, total))
-        return summarize(space, dim, pts, generate, total)
+        seen.append((made, total, bool(tiles)))
+        return summarize(space, dim, pts, generate, total, *tiles)
 
     monkeypatch.setattr(projspace, "_by_point_summary", recorded)
     return seen
@@ -304,40 +305,47 @@ def _largest_trace(pts, dim):
                                                      pts.space.q))
 
 
-def _counts(total, incidences):
+def _counts(total, incidences, sizes_type, tiled):
     """Whether a scan over total keys groups them by counting (else by
-    sorting): the choice rests on the byte size of a count array and on
-    the key range against the incidences."""
-    return 8 * total <= projspace._COUNT_BYTES \
-        and total <= projspace._COUNT_RANGE * incidences
+    sorting): the choice rests on the byte size of a count array in the
+    sizes' type against the sorted int32 (int64 past 2^31 keys) copy of
+    the keys, and, for a scan without its own tile counter (tiled), on
+    the byte size of an int64 bincount over the key range."""
+    keys_bytes = 4 if total < 2 ** 31 else 8
+    return np.dtype(sizes_type).itemsize * total <= keys_bytes * incidences \
+        and (tiled or 8 * total <= projspace._COUNT_BYTES)
 
 
 def test_dense_grouping_matches_the_table(monkeypatch):
     seen = _recorded_scans(monkeypatch)
-    paths, windowed = set(), set()
-    # every case at the default rule, then with no scan counted
+    paths, tiled = set(), set()
+    # every case at the default budget, then with no budget for a
+    # bincount, so that only the line scan, with its own tile counter,
+    # is counted
     cases = [(case, budget) for budget in (projspace._COUNT_BYTES, 0)
              for case in _grouping_cases()]
     for (pts, dim, gone), budget in cases:
         monkeypatch.setattr(projspace, "_COUNT_BYTES", budget)
         seen.clear()
         summary = subspace_traces(pts, dim)
-        (made, total), = seen
+        (made, total, tiles), = seen
         m = len(pts)
         npar = projspace.gaussian_binomial(pts.space.n, dim, pts.space.q)
-        regime = projspace._grouping_regime(pts.space, dim, m * npar, total,
-                                            summary.sizes.dtype)
-        # every case fits in one block, or is not counted.  A sorted or
-        # counted scan is generated once, whole; a windowed one (a line
-        # scan past the count rule) streams: it is counted as it is
-        # generated, and nothing comes through its row source until its
-        # rows are read, in one block
-        assert len(made) == (regime != "windowed")
-        if regime == "windowed":
-            assert dim == 1 and budget == 0
-            windowed.add(summary.x0 == 0)
+        regime = projspace._grouping_regime(
+            m * npar, total, summary.sizes.dtype,
+            projspace._line_tile_counts if tiles else None)
+        # every case fits in one block.  A sorted scan, or one counted by
+        # bincounts, is generated once, whole; a line scan counted by its
+        # own tile counter is counted as it is generated, and nothing
+        # comes through its row source until its rows are read.  Every
+        # read generates them again, in one block
+        built = 0 if regime == "counted" and tiles else 1
+        assert len(made) == built
+        if built == 0:
+            tiled.add(summary.x0 == 0)
         got = stacked_slots(summary)
-        ranks, = made
+        assert len(made) == built + 1
+        ranks = made[-1]
         keys, sizes, slots = reference_grouping(ranks)
         _assert_narrowest_signed(summary.sizes, _largest_trace(pts, dim))
         assert ranks.dtype == np.int32
@@ -348,12 +356,13 @@ def test_dense_grouping_matches_the_table(monkeypatch):
         assert np.array_equal(summary.sizes, sizes)
         assert np.array_equal(got.reshape(-1), slots)
         if summary.x0 == 0:
-            # dense: no keys stored, and the scan's array is the slots
+            # dense: no keys stored, and the rows read are the slots
             assert summary._keys is None
             assert np.shares_memory(got, ranks)
         else:
             assert summary._keys.dtype == np.int64
-        paths.add((_counts(total, ranks.size), summary.x0 == 0))
+        paths.add((_counts(total, ranks.size, summary.sizes.dtype, tiles),
+                   summary.x0 == 0))
         if gone is None and ranks.size >= total:
             # each such case meets every subspace; the small set cannot
             assert summary.x0 == 0
@@ -372,10 +381,10 @@ def test_dense_grouping_matches_the_table(monkeypatch):
             assert counts.dtype == np.int64 and not counts.flags.writeable
             assert np.array_equal(counts, want)
     # the cases reach dense and sparse summaries, counted and not, and
-    # dense and sparse ones counted in key windows
+    # dense and sparse line scans counted by their tiles
     assert paths == {(counted, dense) for counted in (False, True)
                      for dense in (False, True)}
-    assert windowed == {False, True}
+    assert tiled == {False, True}
 
 
 def _secant_cases():
@@ -431,9 +440,8 @@ def test_one_point_secants_read_only_their_row(monkeypatch):
     # the one-point form reads its point's row from the row source while
     # no size grid is built, and the answer is the one it gives once the
     # size grid is built, at every position and every trace size through
-    # it.  The scans fit in one block and are kept whole, or, at a budget
-    # of one byte (a block of one row), stream, and each row read
-    # generates its row again
+    # it.  Each row read generates its row again, the scans read in one
+    # block or, at a budget of one byte, a block of one row at a time
     cone = catalogue.load_shipped(["cone_pg3_9"])[0].points
     space = _space(3, 3, 1)
     sparse = PointSet(space, np.random.default_rng(35).choice(
@@ -595,17 +603,21 @@ def test_scan_kernels_match_reference_kernels(monkeypatch):
         got = planes.keys_of(slots).reshape(m, npar)
         want = _reference_covector_ranks(space, pts)
         assert np.array_equal(got, np.sort(want, axis=1))
-        paths |= {(name, _counts(summary.total, int(summary.sizes.sum())))
-                  for name, summary in (("lines", lines), ("planes", planes))}
+        # the line scan alone hands the tail its own tile counter
+        assert [tiles for _, _, tiles in seen] == [True, False]
+        paths |= {(name, _counts(summary.total, int(summary.sizes.sum()),
+                                 summary.sizes.dtype, tiles))
+                  for name, summary, (_, _, tiles)
+                  in zip(("lines", "planes"), (lines, planes), seen)}
         # int32 ranks whenever every key fits, and int32 slots
-        for (made, total), summary in zip(seen, (lines, planes)):
+        for (made, total, _), summary in zip(seen, (lines, planes)):
             wide = total >= 2 ** 31
             assert {ranks.dtype for ranks in made} \
                 == {np.dtype(np.int64 if wide else np.int32)}
             assert stacked_slots(summary).dtype == np.int32
             _assert_narrowest_signed(summary.sizes,
                                      _largest_trace(pts, summary.dim))
-        widths.append(tuple(made[0].dtype for made, _ in seen))
+        widths.append(tuple(made[0].dtype for made, _, _ in seen))
     # the cases reach both groupings of both scans
     assert paths == {(scan, counted) for scan in ("lines", "planes")
                      for counted in (False, True)}

@@ -17,9 +17,9 @@ from blockingsets.projspace import ProjectiveSpace
 
 def reference_grouping(ranks):
     """(keys, sizes, slots) of a scan's keys from one np.unique: int64
-    keys and sizes, int32 slots.  Every regime of `_by_point_summary`,
-    counting, counting in key windows and sorting, must give these,
-    whatever the key range."""
+    keys and sizes, int32 slots.  Both regimes of `_by_point_summary`,
+    counting (by bincounts or by the line scan's tiles) and sorting, must
+    give these, whatever the key range."""
     keys, slots, sizes = np.unique(ranks.reshape(-1).astype(np.int64),
                                    return_inverse=True, return_counts=True)
     return keys, sizes, slots.astype(np.int32)

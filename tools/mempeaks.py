@@ -10,7 +10,9 @@ row is printed per check, in run order, one per line or hyperplane scan
 that ran it, and one per run of the scans' shared grouping tail
 (`projspace._by_point_summary`, which calls the scan's row generator, so
 most of a scan's time and memory shows in its row), indented under its
-scan.  One row, `point_sizes dim d`, is printed per
+scan and named by the dimension and the regime it took, as in
+`_by_point_summary dim 1 counted` (see `projspace._grouping_regime`).
+One row, `point_sizes dim d`, is printed per
 `TraceSummary.point_sizes` call that gathers a summary's size grid (the
 one per-point array a summary keeps, read off its row source a block of
 rows at a time), indented under the check that paid for it; a read of
@@ -48,6 +50,8 @@ class Spans:
         self.stack = []
 
     def wrap(self, name, fn):
+        """fn, its calls recorded in rows named name, or, where name is a
+        function, named by name(*args, **kwargs) as each call ends."""
         def run(*args, **kwargs):
             before, peak = tracemalloc.get_traced_memory()
             if self.stack:
@@ -65,6 +69,8 @@ class Spans:
                 peak = max(peak, self.stack.pop())
                 if self.stack:
                     self.stack[-1] = max(self.stack[-1], peak)
+                if callable(name):
+                    row[1] = name(*args, **kwargs)
                 row += [seconds, before, peak, after, maxrss_mb()]
         return run
 
@@ -84,8 +90,15 @@ def main(argv) -> int:
     spans = Spans()
     for check_id, run in list(harness._CHECKS.items()):
         harness._CHECKS[check_id] = spans.wrap(check_id, run)
-    for name in ("_scan_lines", "_scan_hyperplanes", "_by_point_summary"):
+    for name in ("_scan_lines", "_scan_hyperplanes"):
         setattr(projspace, name, spans.wrap(name, getattr(projspace, name)))
+    # each run of the tail chooses its regime once
+    chosen, choose = [], projspace._grouping_regime
+    projspace._grouping_regime = \
+        lambda *args: chosen.append(choose(*args)) or chosen[-1]
+    projspace._by_point_summary = spans.wrap(
+        lambda space, dim, *args: f"_by_point_summary dim {dim} "
+        f"{chosen.pop()}", projspace._by_point_summary)
     point_sizes = projspace.TraceSummary.point_sizes
 
     def read_grid(summary):
@@ -100,10 +113,10 @@ def main(argv) -> int:
         harness.run_instance(inst)
     finally:
         tracemalloc.stop()
-    print(f"{'span':<28}{'s':>8}{'live_before':>13}{'peak':>9}"
+    print(f"{'span':<38}{'s':>8}{'live_before':>13}{'peak':>9}"
           f"{'live_after':>12}{'maxrss':>9}")
     for depth, name, seconds, before, peak, after, rss in spans.rows:
-        print(f"{'  ' * depth + name:<28}{seconds:>8.3f}"
+        print(f"{'  ' * depth + name:<38}{seconds:>8.3f}"
               f"{before / MB:>13.1f}{peak / MB:>9.1f}{after / MB:>12.1f}"
               f"{rss:>9.1f}")
     return 0
