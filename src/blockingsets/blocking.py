@@ -29,10 +29,10 @@ from .errors import (
 )
 from .fields import exact_log
 from .projspace import (
-    _SCAN_BLOCK_BYTES,
     PointSet,
     Subspace,
     TraceSummary,
+    _block_items,
     _coerce_coords,
     gaussian_binomial,
     span,
@@ -390,7 +390,7 @@ def nonsecant_mask(pts: PointSet) -> np.ndarray:
     covered = pts.mask().copy()
     idx = np.nonzero(lines.sizes >= 2)[0]
     # a block's int64 lift takes 8 bytes per coordinate of its points
-    step = max(1, _SCAN_BLOCK_BYTES // (8 * (space.q + 1) * (space.n + 1)))
+    step = _block_items(8 * (space.q + 1) * (space.n + 1))
     for lo in range(0, idx.size, step):
         covered[space.points_of(lines.bases(idx[lo:lo + step]))] = True
     return ~covered

@@ -1,10 +1,16 @@
-"""Exact row reduction over a FieldSpec.
+"""Exact scalar row reduction over a FieldSpec, for `Subspace(rows)`.
 
-Matrices are sequences of rows; a row is a sequence of integer element codes.
-Everything here is scalar pure Python: matrices in this package stay tiny
-(at most a few dozen rows), the bulk work happens in the batched numpy scans
-of the projspace module.  Each scalar field operation is a lookup in the
-field's tables (every field has them: q <= 1024).
+Every other row operation of the package (`meet`, `Subspace.contains`,
+`ProjectiveSpace.rref_rows`) reduces batched on the flat field tables
+(`projspace._rref`).  `rref` alone stays scalar, and is what
+`Subspace(rows)` and `span` call: the benchmark's layer counters
+(`linalg.rref_calls`, `linalg.rref_s`) are read off this function, and
+perfbench's FIRES table requires both to fire on `cone49-full`.  Once
+perfbench reads the package's own counters (ROADMAP item 5b),
+`Subspace(rows)` can reduce with `_rref` too and this module can go.
+
+Matrices are sequences of rows; a row is a sequence of integer element
+codes.  Each scalar field operation is a lookup in the field's tables.
 """
 
 from __future__ import annotations
@@ -45,30 +51,3 @@ def rref(mat, field):
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
-
-
-def reduce_vector(vec, rows, pivots, field):
-    """Residual of vec after elimination against RREF rows."""
-    v = list(vec)
-    for row, piv in zip(rows, pivots):
-        c = v[piv]
-        if c:
-            for j in range(len(v)):
-                v[j] = field.sub(v[j], field.mul(c, row[j]))
-    return v
-
-
-def in_row_space(vec, rows, pivots, field) -> bool:
-    return not any(reduce_vector(vec, rows, pivots, field))
-
-
-def left_kernel(mat, field):
-    """Basis (RREF) of {c : c . mat = 0} via reduction of [mat | I]."""
-    k = len(mat)
-    m = len(mat[0]) if k else 0
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(k)]
-           for i in range(k)]
-    rows, _ = rref(aug, field)
-    out = [row[m:] for row in rows if not any(row[:m])]
-    return rref(out, field)[0]
-

@@ -29,10 +29,10 @@ from .errors import (
 )
 from .fields import FieldSpec, exact_log, make_field
 from .projspace import (
-    _SCAN_BLOCK_BYTES,
     PointSet,
     ProjectiveSpace,
     Subspace,
+    _block_items,
     _frozen,
     gaussian_binomial,
     sorted_unique,
@@ -223,22 +223,28 @@ def subline_patterns(field: FieldSpec, p0: int):
     e = field.subfield_degree(p0)
     embed, _ = field.embedding(e) if e < field.t else (
         np.arange(field.q, dtype=np.int64), None)
-    add, mul, _, _ = field.tables()
+    # the tables read flat, at a * q + b
+    add, mul, _, _ = (t.ravel() for t in field.tables())
+    q = field.q
     param_space = ProjectiveSpace(1, field)
     npts = param_space.num_points
     units = embed[embed != 0]
-    # the smallest code of each coset mu GF(p0)*
-    reps = sorted_unique(
-        mul[np.arange(1, field.q)[:, None], units].min(axis=1))
+    # the smallest code of each coset mu GF(p0)*, times q
+    reps = q * sorted_unique(
+        mul.take(q * np.arange(1, q)[:, None] + units).min(axis=1))
     # (t0, t1) over the points of PG(1, p0): (1, s) for s in GF(p0), (0, 1)
     t0 = np.append(np.ones(p0, dtype=np.int64), 0)
-    t1 = np.append(embed, 1)
+    t1 = q * np.append(embed, 1)[:, None]
     coords = param_space.coords_array()
-    t0_a = mul[t0[:, None], coords[:, None, :]]         # (q+1, p0+1, 2)
+    # (q+1, p0+1, 2), times q
+    t0_a = q * mul.take(q * t0[:, None] + coords[:, None, :])
     rows = []
     for a in range(npts - 1):
-        mu_b = mul[reps[:, None, None, None], coords[a + 1:, None, :]]
-        vecs = add[t0_a[a], mul[t1[:, None], mu_b]]
+        # t0 a + t1 mu b, the sums taken in place in the index array
+        idx = t1 + mul.take(reps[:, None, None, None]
+                            + coords[a + 1:, None, :])
+        np.add(t0_a[a], mul.take(idx), out=idx)
+        vecs = add.take(idx)
         ranks = np.sort(param_space.ranks_from_rows(vecs), axis=-1) \
             .reshape(-1, p0 + 1)
         rows.append(sorted_unique_rows(ranks[ranks[:, 0] == a]))
@@ -339,7 +345,7 @@ def subline_meet_check(witness: LinearSetWitness,
         distinct, which = sorted_unique_rows(line_bits, return_inverse=True)
         bad = np.empty(distinct.shape[0], dtype=bool)
         # the uint64 words of one chunk's line & pattern
-        chunk = max(1, _SCAN_BLOCK_BYTES // (8 * bank_bits.size))
+        chunk = _block_items(8 * bank_bits.size)
         for lo in range(0, distinct.shape[0], chunk):
             sizes = _meet_sizes(distinct[lo:lo + chunk], bank_bits)
             bad[lo:lo + chunk] = ~allowed_lut[sizes].all(axis=1)
@@ -488,8 +494,10 @@ def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):
     pre_mask = np.zeros(small.num_points, dtype=bool)
     pre_mask[pre] = True
     pre_coords = small.coords_of_ranks(pre)
-    add, mul, _, _ = small.field.tables()
-    scalars = np.arange(small.q, dtype=np.int64)[:, None, None]
+    # the tables read flat, at a * q + b
+    add, mul, _, _ = (t.ravel() for t in small.field.tables())
+    q = small.q
+    scalars = q * np.arange(q, dtype=np.int64)[:, None, None]
     tested = 0
 
     def extend(vectors, span_ranks, depth):
@@ -503,17 +511,18 @@ def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):
         span_mask[span_ranks] = True
         floor = chain[-1] if chain else -1
         cand = np.flatnonzero(~span_mask[pre] & (pre > floor))
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * vectors.size))
+        step = _block_items(8 * vectors.size)
         for start in range(0, cand.size, step):
             at = cand[start:start + step]
             off = small.ranks_from_rows(
-                add[pre_coords[at, None, :], vectors[None, :, :]])
+                add.take(q * pre_coords[at, None, :] + vectors[None, :, :]))
             ok = (off.min(axis=1) == pre[at]) & pre_mask[off].all(axis=1)
             for a in np.flatnonzero(ok).tolist():
                 tested += 1
                 chain.append(int(pre[at[a]]))
                 # the vectors c*y + w of span(W, y), c in GF(q)
-                grown = add[mul[scalars, pre_coords[at[a]]], vectors[None]]
+                grown = add.take(q * mul.take(scalars + pre_coords[at[a]])
+                                 + vectors[None])
                 got = extend(grown.reshape(-1, small.n + 1),
                              np.concatenate([span_ranks, off[a]]), depth + 1)
                 chain.pop()

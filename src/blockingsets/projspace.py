@@ -39,18 +39,23 @@ _INCIDENCE_CAP = 40_000_000
 _INCIDENCE_SUBSPACE_CAP = 400_000
 # bytes of one int64 array over a key range: a per-point scan without its
 # own tile counter counts a block's keys by a bincount over the range only
-# within it (see `_grouping_regime`), and a keyed summary maps its keys to
-# slots by a table over the range only within it (`_slot_blocks`)
+# within it, and sorts them otherwise (see `_grouping_regime`)
 _COUNT_BYTES = 1 << 23
-# bytes of one block of a blocked kernel's temporaries: each kernel takes
-# max(1, _SCAN_BLOCK_BYTES // (its bytes per item)) items per block, the
-# grouping tail and the passes over the by-point size grid 8 bytes per
-# entry (a bincount's intp copy of its incidences)
+# bytes of one block of a blocked kernel's temporaries: each kernel, in
+# this module or another, takes `_block_items(its bytes per item)` items
+# per block, the grouping tail and the passes over the by-point size grid
+# 8 bytes per entry (a bincount's intp copy of its incidences)
 _SCAN_BLOCK_BYTES = 1 << 21
 # lazy per-summary results (size and per-point counts, the by-point size
 # grid, the first uncovered key) are built once, whole, and a summary's
 # rows are generated under it
 _TRACE_LOCK = threading.RLock()
+
+
+def _block_items(item_bytes: int) -> int:
+    """Items per block of a kernel whose items take item_bytes bytes of
+    temporaries each, the budget read at call time: its one owner."""
+    return max(1, _SCAN_BLOCK_BYTES // item_bytes)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -352,8 +357,8 @@ class ProjectiveSpace:
         at = np.arange(u.shape[0])
         rows = np.repeat(np.eye(n + 1, dtype=np.int64)[None], u.shape[0],
                          axis=0)
-        rows[at[:, None], np.arange(n + 1), z[:, None]] = \
-            neg[mul[u, inv[u[at, z]][:, None]]]
+        ratio = mul.ravel().take(u * self.q + inv[u[at, z]][:, None])
+        rows[at[:, None], np.arange(n + 1), z[:, None]] = neg[ratio]
         return rows[np.arange(n + 1) != z[:, None]].reshape(-1, n, n + 1)
 
     # -- cached incidence (small spaces only) --------------------------------
@@ -387,7 +392,7 @@ class ProjectiveSpace:
             raise TooLargeError(
                 f"incidence table for dim {dim} of {self!r} is too large")
         q = self.q
-        add, mul, _, _ = self.field.tables()
+        add, mul, _, _ = (t.ravel() for t in self.field.tables())
         params = ProjectiveSpace(dim, self.field).coords_array() \
             if dim >= 1 else np.ones((1, 1), dtype=np.int64)
         npar = params.shape[0]
@@ -413,7 +418,8 @@ class ProjectiveSpace:
                 digit = np.zeros((npar,), dtype=np.int64)
                 shape = [1] * k + [npar]
                 for place, i in entries:
-                    digit = add[digit[..., None, :], mul[digits, params[:, i]]]
+                    digit = add.take(digit[..., None, :] * q
+                                     + mul.take(digits * q + params[:, i]))
                     shape[place] = q
                 ranks += (digit * powers[c]).astype(np.int32).reshape(shape)
             lo += q ** k
@@ -488,51 +494,15 @@ class ProjectiveSpace:
 
     def rref_rows(self, stack) -> tuple:
         """Batched row reduction of an (N, R, n+1) stack of row sets, any
-        integer dtype, zero rows allowed: (rows, ranks), rows of shape
-        (N, min(R, n+1), n+1) holding in rows[i, :ranks[i]] the canonical
-        RREF basis of set i, the rows `Subspace` would hold, and zeros
-        below it.  The sets are reduced through the field tables in blocks
-        whose int64 copy takes at most _SCAN_BLOCK_BYTES (one set at
-        least), column by column: each set whose unreduced rows have an
-        entry in the column takes the first such row as its next pivot.
-        The tables are read flat, at a * q + b, as in `_combine`."""
+        integer dtype, zero rows allowed: `_rref`'s (rows, ranks), where
+        rows[i, :ranks[i]] is the canonical RREF basis of set i, the rows
+        `Subspace` would hold."""
         stack = np.asarray(stack)
         if stack.ndim != 3 or stack.shape[2] != self.n + 1:
             raise DimensionMismatchError(
                 f"expected a stack of rows of length {self.n + 1}, got "
                 f"shape {stack.shape}")
-        num, height, width = stack.shape
-        add, mul, neg, inv = (t.ravel() for t in self.field.tables())
-        q = self.q
-        keep = min(height, width)
-        rows = np.zeros((num, keep, width), dtype=np.int64)
-        ranks = np.zeros(num, dtype=np.int64)
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * max(height, 1) * width))
-        for start in range(0, num, step):
-            block = stack[start:start + step].astype(np.int64)
-            rank = ranks[start:start + step]
-            for c in range(width):
-                cand = (block[:, :, c] != 0) \
-                    & (np.arange(height) >= rank[:, None])
-                sel = cand.argmax(axis=1)
-                live = np.flatnonzero(cand.any(axis=1))
-                if not live.size:
-                    continue
-                r, s = rank[live], sel[live]
-                pivot = block[live, s]
-                pivot = mul.take(pivot * q + inv.take(pivot[:, c])[:, None])
-                block[live, s] = block[live, r]
-                block[live, r] = pivot
-                # clear column c off the pivot row; the columns before c
-                # are zero on the pivot row, so only c onwards change
-                coeff = block[live, :, c]
-                coeff[np.arange(live.size), r] = 0
-                block[live, :, c:] = add.take(
-                    block[live, :, c:] * q + mul.take(
-                        coeff[:, :, None] * q + neg.take(pivot[:, None, c:])))
-                rank[live] += 1
-            rows[start:start + step] = block[:, :keep]
-        return rows, ranks
+        return _rref(self.field, stack)
 
     def line_keys(self, stack) -> np.ndarray:
         """Line ranks, the keys of `_cells(1)`, of the lines spanned by the
@@ -581,7 +551,7 @@ class ProjectiveSpace:
         small = ProjectiveSpace(height - 1, self.field)
         coeff = small.subspace_bases(1, np.arange(small.num_subspaces(1)))
         out = np.empty((num, coeff.shape[0]), dtype=np.int64)
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * coeff.shape[0] * 2 * width))
+        step = _block_items(8 * coeff.shape[0] * 2 * width)
         for start in range(0, num, step):
             # one expression, so no block's lift outlives its ranking
             out[start:start + step] = self._rank_line_rows(_combine(
@@ -602,6 +572,51 @@ def _canonical(space, stack) -> list:
     pivots = (stack != 0).argmax(axis=2).tolist()
     return [Subspace(space, rows, piv, canonical=True)
             for rows, piv in zip(stack.tolist(), pivots)]
+
+
+def _rref(field, stack) -> tuple:
+    """Batched row reduction over the field of an (N, R, m) stack of row
+    sets, any row width m, any integer dtype, zero rows allowed: (rows,
+    ranks), rows of shape (N, min(R, m), m) holding in rows[i, :ranks[i]]
+    the RREF of set i (pivot entries 1, zeros above and below each
+    pivot) and zeros below it.  The sets are reduced in blocks whose
+    int64 copy takes at most _SCAN_BLOCK_BYTES (one set at least),
+    column by column: each set whose unreduced rows have an entry in the
+    column takes the first such row as its next pivot.  The tables are
+    read flat, at a * q + b, as in `_combine`."""
+    stack = np.asarray(stack)
+    num, height, width = stack.shape
+    add, mul, neg, inv = (t.ravel() for t in field.tables())
+    q = field.q
+    keep = min(height, width)
+    rows = np.zeros((num, keep, width), dtype=np.int64)
+    ranks = np.zeros(num, dtype=np.int64)
+    step = _block_items(8 * max(height, 1) * width)
+    for start in range(0, num, step):
+        block = stack[start:start + step].astype(np.int64)
+        rank = ranks[start:start + step]
+        for c in range(width):
+            cand = (block[:, :, c] != 0) \
+                & (np.arange(height) >= rank[:, None])
+            sel = cand.argmax(axis=1)
+            live = np.flatnonzero(cand.any(axis=1))
+            if not live.size:
+                continue
+            r, s = rank[live], sel[live]
+            pivot = block[live, s]
+            pivot = mul.take(pivot * q + inv.take(pivot[:, c])[:, None])
+            block[live, s] = block[live, r]
+            block[live, r] = pivot
+            # clear column c off the pivot row; the columns before c are
+            # zero on the pivot row, so only c onwards change
+            coeff = block[live, :, c]
+            coeff[np.arange(live.size), r] = 0
+            block[live, :, c:] = add.take(
+                block[live, :, c:] * q + mul.take(
+                    coeff[:, :, None] * q + neg.take(pivot[:, None, c:])))
+            rank[live] += 1
+        rows[start:start + step] = block[:, :keep]
+    return rows, ranks
 
 
 def _combine(field, coeff, basis) -> np.ndarray:
@@ -659,9 +674,10 @@ class Subspace:
         return len(self.rows) - 1
 
     def contains(self, item) -> bool:
+        """Whether the point's coordinates add no rank to the basis."""
         v = _coerce_coords(self.space, item)
-        return linalg.in_row_space(v, self.rows, self.pivots,
-                                   self.space.field)
+        _, rank = _rref(self.space.field, [self.rows + (v,)])
+        return int(rank[0]) == len(self.rows)
 
     __contains__ = contains
 
@@ -701,18 +717,19 @@ def span(space, *items) -> Subspace:
 
 
 def meet(a: Subspace, b: Subspace):
-    """Intersection of two subspaces, or None when it is empty."""
+    """Intersection of two subspaces, or None when it is empty.  The left
+    kernel of M = [a.rows; b.rows] is the rows of the RREF of [M | I] that
+    vanish on M; their first len(a.rows) entries combine a's rows into
+    independent points of the meet, as both bases are independent."""
     if a.space is not b.space:
         raise DimensionMismatchError("subspaces from different spaces")
-    field = a.space.field
-    stacked = [list(r) for r in a.rows] + [list(r) for r in b.rows]
-    ker = linalg.left_kernel(stacked, field)
-    if not ker:
+    field, m, k = a.space.field, a.space.n + 1, len(a.rows) + len(b.rows)
+    aug = np.hstack([a.rows + b.rows, np.eye(k, dtype=np.int64)])
+    rows = _rref(field, [aug])[0][0]
+    ker = rows[~rows[:, :m].any(axis=1), m:m + len(a.rows)]
+    if not ker.size:
         return None
-    # a kernel vector's first len(a.rows) entries combine a's rows into a
-    # point of the meet
-    coeff = np.asarray(ker, dtype=np.int64)[:, :len(a.rows)]
-    return Subspace(a.space, _combine(field, coeff, a.rows).tolist())
+    return Subspace(a.space, _combine(field, ker, a.rows).tolist())
 
 
 class PointSet:
@@ -851,9 +868,10 @@ def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
     # the dot products u.centre and u.R, as combinations of u's entries
     uc = int(_combine(field, c, u)[0])
     ur = _combine(field, coords, u)[:, 0]
-    add, mul, neg, _ = field.tables()
-    cv = np.asarray(c, dtype=np.int64)
-    img = add[mul[coords, uc], mul[neg[ur][:, None], cv[None, :]]]
+    # the image uc R + (-ur) centre, one combination per point
+    coeff = np.stack([np.full_like(ur, uc), field.tables()[2][ur]], axis=1)
+    basis = np.stack([coords, np.broadcast_to(c, coords.shape)], axis=1)
+    img = _combine(field, coeff, basis)
     return PointSet(space, space.ranks_from_rows(img))
 
 
@@ -926,7 +944,7 @@ class TraceSummary:
         if self._size_counts is None:
             with _TRACE_LOCK:
                 if self._size_counts is None:
-                    sizes, step = self.sizes, max(1, _SCAN_BLOCK_BYTES // 8)
+                    sizes, step = self.sizes, _block_items(8)
                     cnts = np.zeros(int(sizes.max()) + 1, dtype=np.intp)
                     for b in range(0, sizes.size, step):
                         cnts += np.bincount(sizes[b:b + step],
@@ -952,34 +970,28 @@ class TraceSummary:
             raise RangeError(f"point positions {r0}..{r1} out of range")
         with _TRACE_LOCK:
             keys = self._rows(r0, r1)
-        return _frozen(self._slots_of(keys, None))
+        return _frozen(self._slots_of(keys))
 
-    def _slots_of(self, keys, table) -> np.ndarray:
+    def _slots_of(self, keys) -> np.ndarray:
         """The int32 slots of keys that occur: on a dense summary the
-        keys themselves, else each key's entry in table or, with none,
-        its place among the stored keys."""
+        keys themselves, else their places among the stored keys, one
+        search."""
         if self._keys is None:
             return keys.astype(np.int32, copy=False)
-        return np.searchsorted(self._keys, keys).astype(np.int32) \
-            if table is None else table[keys]
+        return np.searchsorted(self._keys, keys).astype(np.int32)
 
     def _slot_blocks(self):
-        """Yield (r0, keys, table) over the whole set: the keys through
-        the rows r0.. of each block of `_SCAN_BLOCK_BYTES` / (8 * width)
-        rows (one at least), read off the row source under the summary
-        lock, and the table that `_slots_of` maps them through, so that
-        a reader maps only the keys it reads: an int32 key -> slot
-        table, built once per pass, on a keyed summary over whose key
-        range an int64 array fits in `_COUNT_BYTES`, else None."""
-        m, keys, table = len(self.pts), self._keys, None
-        if keys is not None and 8 * self.total <= _COUNT_BYTES:
-            table = np.empty(self.total, dtype=np.int32)
-            table[keys] = np.arange(keys.size)
-        rows = max(1, _SCAN_BLOCK_BYTES // (8 * self.width))
+        """Yield (r0, keys) over the whole set: the keys through the rows
+        r0.. of each block of `_SCAN_BLOCK_BYTES` / (8 * width) rows (one
+        at least), read off the row source under the summary lock, so
+        that a reader maps only the keys it reads to slots
+        (`_slots_of`)."""
+        m = len(self.pts)
+        rows = _block_items(8 * self.width)
         for r0 in range(0, m, rows):
             with _TRACE_LOCK:
                 block = self._rows(r0, min(r0 + rows, m))
-            yield r0, block, table
+            yield r0, block
 
     def _check_slots(self, sel: np.ndarray):
         if sel.size and not 0 <= sel.min() <= sel.max() < self.sizes.size:
@@ -1012,8 +1024,7 @@ class TraceSummary:
             row = self.slot_rows(int(pos), int(pos) + 1)[0]
             slots = row[self.sizes[row] == size]
             points = np.empty((slots.size, width), dtype=np.int32)
-            step = max(1, _SCAN_BLOCK_BYTES // (8 * (space.q + 1)
-                                                * (space.n + 1)))
+            step = _block_items(8 * (space.q + 1) * (space.n + 1))
             for b in range(0, slots.size, step):
                 on = np.sort(space.points_of(self.bases(slots[b:b + step])))
                 points[b:b + step] = np.searchsorted(
@@ -1021,10 +1032,10 @@ class TraceSummary:
             return slots, points
         per = max(width, 1)
         sizes, count, on = self.point_sizes(), np.empty(m, np.int64), []
-        for r0, keys, table in self._slot_blocks():
+        for r0, keys in self._slot_blocks():
             hit = sizes[r0:r0 + len(keys)] == size
             count[r0:r0 + len(keys)] = np.count_nonzero(hit, axis=1)
-            on.append(self._slots_of(keys[hit], table))
+            on.append(self._slots_of(keys[hit]))
         on = np.concatenate(on)
         order = np.argsort(on, kind="stable")
         lines = on[order[::per]]
@@ -1037,7 +1048,7 @@ class TraceSummary:
         skip = (np.cumsum(count) - count)[at] - (np.cumsum(want) - want)
         slots = np.empty(owner.size, dtype=np.int32)
         points = np.empty((owner.size, width), dtype=np.int32)
-        step = max(1, _SCAN_BLOCK_BYTES // (8 * (width + 3)))
+        step = _block_items(8 * (width + 3))
         for b in range(0, owner.size, step):
             got = slots[b:b + step] = on[skip[owner[b:b + step]] + np.arange(
                 b, min(b + step, owner.size))]
@@ -1047,7 +1058,7 @@ class TraceSummary:
     def _sized_slots(self, lo: int, hi: int) -> np.ndarray:
         """The slots whose traces have lo..hi points, ascending (int64),
         found a block of `_SCAN_BLOCK_BYTES` / 8 slots at a time."""
-        sizes, step = self.sizes, max(1, _SCAN_BLOCK_BYTES // 8)
+        sizes, step = self.sizes, _block_items(8)
         found = [np.flatnonzero((sizes[b:b + step] >= lo)
                                 & (sizes[b:b + step] <= hi)) + b
                  for b in range(0, sizes.size, step)]
@@ -1096,15 +1107,14 @@ class TraceSummary:
         at_bit = np.left_shift(np.uint64(1), (chart & 63).astype(np.uint64))
         block = np.repeat(j[::-1], q ** j)
         # a run of hits as long as a block of rows at 64 bytes per entry
-        step = width * max(1, _SCAN_BLOCK_BYTES // (64 * width))
+        step = width * _block_items(64 * width)
         words = np.zeros((sel.size, nwords), dtype=np.uint64)
-        for r0, keys, table in self._slot_blocks():
+        for r0, keys in self._slot_blocks():
             sizes = grid[r0:r0 + len(keys)]
             hits = np.flatnonzero((sizes >= lo) & (sizes <= hi))
             for h0 in range(0, hits.size, step):
                 hit = hits[h0:h0 + step]
-                at = self._slots_of(keys.reshape(-1)[hit], table) \
-                    .astype(np.int64)
+                at = self._slots_of(keys.reshape(-1)[hit]).astype(np.int64)
                 low = (np.uint64(1) << (at & 63).astype(np.uint64)) \
                     - np.uint64(1)
                 at >>= 6
@@ -1131,8 +1141,8 @@ class TraceSummary:
                         _size_dtype(int(self.sizes.max())), copy=False)
                     grid = np.empty((len(self.pts), self.width),
                                     dtype=narrow.dtype)
-                    for r0, keys, table in self._slot_blocks():
-                        np.take(narrow, self._slots_of(keys, table),
+                    for r0, keys in self._slot_blocks():
+                        np.take(narrow, self._slots_of(keys),
                                 out=grid[r0:r0 + len(keys)])
                     del narrow
                     self._point_sizes = _frozen(grid)
@@ -1150,7 +1160,7 @@ class TraceSummary:
                 if got is None:
                     grid = self.point_sizes()
                     got = np.empty(grid.shape[0], dtype=np.int64)
-                    step = max(1, _SCAN_BLOCK_BYTES // (8 * grid.shape[1]))
+                    step = _block_items(8 * grid.shape[1])
                     for r in range(0, grid.shape[0], step):
                         block = grid[r:r + step]
                         keep = block == exact if exact is not None \
@@ -1284,7 +1294,7 @@ def _scan_lines(space, pts: PointSet) -> TraceSummary:
                     np.add(_line_runs(space, p, l, j).astype(dtype)[:, None],
                            np.arange(size, dtype=dtype), out=out)
                     continue
-                step = max(1, _SCAN_BLOCK_BYTES // (8 * size))
+                step = _block_items(8 * size)
                 for b in range(0, p.shape[0], step):
                     next(_line_tiles(space, p[b:b + step], l, j, n - 1 - j,
                                      out[b:b + step]))
@@ -1371,7 +1381,7 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
              for z in sorted_unique(last).tolist()}
     # a u_z lookup's flat int64 index and its int64 result are live at
     # once, 16 bytes per entry of a block
-    step = max(1, _SCAN_BLOCK_BYTES // (16 * npar))
+    step = _block_items(16 * npar)
 
     def ranks_of(r0, r1):
         ranks = np.empty((r1 - r0, npar), dtype=dtype)
@@ -1458,7 +1468,7 @@ def _by_point_summary(space, dim, pts, ranks_of, total,
     elif tiles is not None:
         keys, sizes = tiles(space, pts, total, sizes_type)
     else:
-        rows = max(1, _SCAN_BLOCK_BYTES // (8 * width))
+        rows = _block_items(8 * width)
         counts = np.zeros(total, dtype=sizes_type)
         # one intp buffer holds each block's bincount input in turn
         flat = np.empty(min(m, rows) * width, dtype=np.intp)
@@ -1507,7 +1517,7 @@ def _line_tile_counts(space, pts, total, sizes_type) -> tuple:
     n, q, coords = space.n, space.q, pts.coords()
     lead = (coords != 0).argmax(axis=1)
     counts = np.zeros(total, dtype=sizes_type)
-    keys_per = max(1, _SCAN_BLOCK_BYTES // 8)
+    keys_per = _block_items(8)
     for l in range(n + 1):
         p = coords[lead == l]
         if not len(p):
@@ -1539,7 +1549,7 @@ def _sorted_runs(srt, total, sizes_type) -> tuple:
     (int64), None when they are the whole of range(total), and the length
     of each run in sizes_type.  Two passes of `_SCAN_BLOCK_BYTES` / 8
     entries each: one counts the runs, one fills the arrays."""
-    step = max(1, _SCAN_BLOCK_BYTES // 8)
+    step = _block_items(8)
 
     def boundaries(b):
         # the positions i > 0 in the block at b where a new run starts

@@ -19,7 +19,7 @@ import numpy as np
 from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
                      SpecMismatchError)
-from .projspace import (_SCAN_BLOCK_BYTES, PointSet, Subspace, _canonical,
+from .projspace import (PointSet, Subspace, _block_items, _canonical,
                         _frozen, gaussian_binomial, sorted_unique)
 from .spreads import SpreadContext, spread_context
 
@@ -99,8 +99,7 @@ def _reconstruct_points(ctx: SpreadContext, pts: PointSet, k: int, p0: int,
                      dtype=np.min_scalar_type(small.q - 1))
     stack[:, 0] = small.coords_of_ranks(xs)
     ys = np.empty(owner.size, dtype=np.int32)   # small ranks fit int32
-    step = max(1, _SCAN_BLOCK_BYTES
-               // (64 * ctx.points_per_element * (space.n + 1)))
+    step = _block_items(64 * ctx.points_per_element * (space.n + 1))
     for b in range(0, owner.size, step):
         got = ys[b:b + step] = ctx.transversal_line(
             pts.ranks[traces[b:b + step]], xs[owner[b:b + step]])
@@ -185,8 +184,7 @@ def reconstruct(pts: PointSet, k: int, p0: int,
         admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
     else:
         m = len(pts)
-        step = max(1, _SCAN_BLOCK_BYTES
-                   // (8 * gaussian_binomial(space.n, 1, space.q)))
+        step = _block_items(8 * gaussian_binomial(space.n, 1, space.q))
         firsts = (r0 + np.flatnonzero((lines.sizes[lines.slot_rows(
             r0, min(r0 + step, m))] == p0 + 1).any(axis=1))[:1]
                   for r0 in range(0, m, step))
@@ -233,8 +231,7 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
     mask = pts.mask()
     failing = []
     # a block's int64 lift takes 8 bytes per coordinate of a plane's points
-    step = max(1, _SCAN_BLOCK_BYTES
-               // (8 * (small.q ** 2 + small.q + 1) * (small.n + 1)))
+    step = _block_items(8 * (small.q ** 2 + small.q + 1) * (small.n + 1))
     for start in range(0, first.size, step):
         # the linear sets of the planes of the transversals x y_i, x y_j
         images = ctx.blow_down_ranks(

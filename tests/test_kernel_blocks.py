@@ -348,9 +348,8 @@ def test_chart_mark_blocks_give_equal_reports(monkeypatch):
         for rows in (0, 7):
             # the marking pass in blocks of rows points, and the meet
             # sizes in chunks of as many bytes
-            for mod in (projspace, linearsets):
-                monkeypatch.setattr(mod, "_SCAN_BLOCK_BYTES",
-                                    _rows_budget(rows, 64, width))
+            monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES",
+                                _rows_budget(rows, 64, width))
             assert _reports(witness, k, p0) == reports[-1]
             monkeypatch.undo()
     # the reports are not vacuous: the cone passes both checks, and the
@@ -438,7 +437,6 @@ def test_whole_set_reconstruction_memory_is_bounded(monkeypatch):
     rc.reconstruct(pts, k, p0, point_policy="all")
     budget = 1 << 14
     monkeypatch.setattr(projspace, "_SCAN_BLOCK_BYTES", budget)
-    monkeypatch.setattr(rc, "_SCAN_BLOCK_BYTES", budget)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -620,9 +618,11 @@ def test_per_point_readers_memory_is_bounded():
 
 
 def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
-    # the size grid of a keyed streamed summary gathers each key's slot
-    # from a key -> slot table: no search into the stored keys runs
-    seen = []
+    # the size grid of a keyed streamed summary searches the stored keys
+    # for no key it does not read: each block of keys read off the row
+    # source is mapped to slots by one search into them, that block
+    # itself, and nothing else searches them
+    seen, blocks, searched = [], [], []
     summarize, search = projspace._by_point_summary, np.searchsorted
     _, (rest, dim), _ = _streamed_cases(dense_27)
     with monkeypatch.context() as patch:
@@ -632,16 +632,26 @@ def test_keyed_streamed_grid_searches_no_keys(monkeypatch, dense_27):
     ranks_of = seen[-1][3]
     assert summary._point_sizes is None and summary.x0 > 0
     keys = summary._keys
+    slot_blocks = projspace.TraceSummary._slot_blocks
 
-    def refuse(a, v, *args, **kwargs):
+    def record(a, v, *args, **kwargs):
         if a is keys:
-            raise AssertionError("a search into the stored keys")
+            searched.append(v)
         return search(a, v, *args, **kwargs)
 
-    monkeypatch.setattr(np, "searchsorted", refuse)
+    monkeypatch.setattr(np, "searchsorted", record)
+    monkeypatch.setattr(projspace.TraceSummary, "_slot_blocks", lambda s: (
+        block for block in slot_blocks(s) if not blocks.append(block)))
     grid = summary.point_sizes()
     _, _, slots = reference_grouping(ranks_of(0, len(rest)))
     assert np.array_equal(grid.reshape(-1), summary.sizes[slots])
+    # more than one block, covering the rows in order
+    assert len(blocks) > 1
+    assert [r0 for r0, _ in blocks] \
+        == list(np.cumsum([0] + [len(k) for _, k in blocks[:-1]]))
+    assert sum(len(k) for _, k in blocks) == len(rest)
+    assert len(searched) == len(blocks)
+    assert all(v is k for v, (_, k) in zip(searched, blocks))
 
 
 def test_sorted_spectrum_searches_no_keys(monkeypatch):
@@ -867,8 +877,7 @@ def test_subline_marks_memory_is_bounded(dense_27):
     # meet sizes of one chunk of lines, and two blocks of the marking pass;
     # a grouping of the lines' points would not fit
     bound = nsel * (space.q + 1 + 6 * 8) + 2 * lines.sizes.size \
-        + 2 * linearsets._SCAN_BLOCK_BYTES \
-        + 2 * projspace._SCAN_BLOCK_BYTES
+        + 4 * projspace._SCAN_BLOCK_BYTES
     assert peak < bound, (peak, bound)
 
 

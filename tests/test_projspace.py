@@ -17,6 +17,7 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     SubspaceChart, gaussian_binomial, meet,
                                     project, span, subspace_traces)
 
+from linalg_reference import left_kernel, residual
 from trace_reference import grouped_points, stacked_slots
 
 
@@ -190,11 +191,10 @@ def test_hyperplane_and_covector_match_the_kernel_reference(n, p, t,
     space = ProjectiveSpace(n, make_field(p, t, modulus))
     field = space.field
     for u in space.coords_array().tolist():
-        want = Subspace(space, linalg.left_kernel([[c] for c in u], field))
+        want = Subspace(space, left_kernel([[c] for c in u], field))
         got = space.hyperplane(u)
         assert got.rows == want.rows and got.pivots == want.pivots
-        ker = linalg.left_kernel([list(col) for col in zip(*got.rows)],
-                                 field)
+        ker = left_kernel([list(col) for col in zip(*got.rows)], field)
         assert space.covector_of(got) == tuple(u) == space.normalize(ker[0])
         # any multiple of u names the same hyperplane
         scaled = [field.mul(field.q - 1, c) for c in u]
@@ -1042,7 +1042,7 @@ def _ref_combine(field, coeff, rows):
 def _ref_meet(a, b):
     field = a.space.field
     stacked = [list(r) for r in a.rows] + [list(r) for r in b.rows]
-    ker = linalg.left_kernel(stacked, field)
+    ker = left_kernel(stacked, field)
     if not ker:
         return None
     return Subspace(a.space, [_ref_combine(field, combo[:len(a.rows)], a.rows)
@@ -1112,6 +1112,17 @@ def test_combination_kernels_match_scalar_references(data):
     centre = space.coords_of(int(off[data.draw(
         st.integers(0, off.size - 1))]))
     assert project(pts, centre, hyper) == _ref_project(pts, centre, hyper)
+    # a point on and a point off each drawn subspace: membership against
+    # the scalar residual
+    for sub in (a, b, hyper):
+        on = sub.point_ranks()
+        off = np.setdiff1d(np.arange(space.num_points), on)
+        for pool, want in ((on, True), (off, False)):
+            v = space.coords_of(int(pool[data.draw(
+                st.integers(0, pool.size - 1))]))
+            assert (not any(residual(v, sub.rows, sub.pivots, field))) \
+                == want
+            assert sub.contains(v) == want
 
 
 @pytest.mark.parametrize("fixture", ["baer", "cone_9"])

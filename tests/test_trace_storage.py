@@ -22,6 +22,7 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     span, subspace_traces)
 from blockingsets.spreads import spread_context
 
+from linalg_reference import left_kernel
 from trace_reference import grouped_points, reference_grouping, \
     stacked_slots
 
@@ -75,8 +76,7 @@ def _decoded_rows(summary, idx):
         rows = _unrank_line(space, int(key))
     elif summary.dim == n - 1:
         # the hyperplane u . x = 0 of the covector of rank key
-        rows = linalg.left_kernel([[c] for c in space.coords_of(int(key))],
-                                  field)
+        rows = left_kernel([[c] for c in space.coords_of(int(key))], field)
     else:
         rows = next(itertools.islice(space.subspaces(summary.dim), int(key),
                                      None)).rows
@@ -108,7 +108,7 @@ def _scan_order(summary, pos):
                 dot = field.add(dot, field.mul(a, b))
             if dot == 0:
                 out.append(linalg.rref(
-                    linalg.left_kernel([[c] for c in u], field), field)[0])
+                    left_kernel([[c] for c in u], field), field)[0])
     return out
 
 
