@@ -214,7 +214,6 @@ class FieldSpec:
         self.q = q
         self.modulus = modulus
         self._tables = None
-        self._lut = None
         self._embeddings = {}
 
     # --- code <-> coefficient vector ---
@@ -236,21 +235,23 @@ class FieldSpec:
 
     # --- scalar arithmetic on codes ---
     #
-    # The scalar ops answer from nested lists of Python ints made once from
-    # tables(); the _*_poly helpers compute on base-p digits to build them.
+    # The scalar ops read the read-only tables() that the batched kernels
+    # read, one entry at a time: `.item` of a 2-D table refuses a code out
+    # of range with IndexError and returns a Python int.  The _*_poly
+    # helpers compute on base-p digits to build the tables.
 
     def add(self, a: int, b: int) -> int:
-        return (self._lut or self._scalar_tables())[0][a][b]
+        return (self._tables or self.tables())[0].item(a, b)
 
     def neg(self, a: int) -> int:
-        return (self._lut or self._scalar_tables())[2][a]
+        return (self._tables or self.tables())[2].item(a)
 
     def sub(self, a: int, b: int) -> int:
-        lut = self._lut or self._scalar_tables()
-        return lut[0][a][lut[2][b]]
+        add, _, neg, _ = self._tables or self.tables()
+        return add.item(a, neg.item(b))
 
     def mul(self, a: int, b: int) -> int:
-        return (self._lut or self._scalar_tables())[1][a][b]
+        return (self._tables or self.tables())[1].item(a, b)
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -267,7 +268,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
-        return (self._lut or self._scalar_tables())[3][a]
+        return (self._tables or self.tables())[3].item(a)
 
     def frobenius(self, a: int, e: int = 1) -> int:
         return self.pow(a, self.p ** e)
@@ -283,19 +284,6 @@ class FieldSpec:
                          for r in factors):
                 return g
         raise BlockingSetsError(f"no primitive element in {self!r}")
-
-    def _scalar_tables(self):
-        """tables() as lists of Python ints for the scalar ops."""
-        if self._lut is None:
-            with _BUILD_LOCK:
-                if self._lut is None:
-                    add, mul, neg, inv = self.tables()
-                    codes = list(range(self.q))   # one int object per code
-                    self._lut = (
-                        [[codes[c] for c in row.tolist()] for row in add],
-                        [[codes[c] for c in row.tolist()] for row in mul],
-                        neg.tolist(), inv.tolist())
-        return self._lut
 
     def _mul_poly(self, a: int, b: int) -> int:
         return self.encode(_poly_mul_mod(

@@ -336,8 +336,8 @@ def subline_meet_check(witness: LinearSetWitness,
     nlines = int(counts[vals >= 2].sum())
     checked = int(counts[vals == space.q + 1].sum()) * len(tuples)
     violations = []
-    allowed_lut = np.zeros(space.q + 2, dtype=bool)
-    allowed_lut[list(allowed)] = True
+    is_allowed = np.zeros(space.q + 2, dtype=bool)
+    is_allowed[list(allowed)] = True
     if sel.size:
         bank_bits = _bitmasks(mat)
         # lines with the same chart positions meet the sublines alike, so
@@ -348,14 +348,14 @@ def subline_meet_check(witness: LinearSetWitness,
         chunk = _block_items(8 * bank_bits.size)
         for lo in range(0, distinct.shape[0], chunk):
             sizes = _meet_sizes(distinct[lo:lo + chunk], bank_bits)
-            bad[lo:lo + chunk] = ~allowed_lut[sizes].all(axis=1)
+            bad[lo:lo + chunk] = ~is_allowed[sizes].all(axis=1)
         checked += sel.size * len(tuples)
         # the failing lines in witness order
         for li in np.searchsorted(sel, lines.witness_order(sel[bad[which]])):
             if len(violations) >= 10:
                 break
             sizes = _meet_sizes(line_bits[li:li + 1], bank_bits)[0]
-            for bi in np.flatnonzero(~allowed_lut[sizes]):
+            for bi in np.flatnonzero(~is_allowed[sizes]):
                 if len(violations) >= 10:
                     break
                 _meet_violation(space, lines.subspace_at(int(sel[li])),

@@ -10,8 +10,9 @@ last rank is (1, q-1, ..., q-1).
 Subspaces are kept as reduced row echelon bases, which makes the basis a
 canonical key for the subspace.  The heavy counting work (traces of a
 point set against all dim-subspaces) runs on the field's lookup tables as
-numpy arrays, and the scalar field operations behind RREF, normalization
-and charts read them too.
+numpy arrays.  The scalar point coders (`normalize`, `rank_of`,
+`coords_of`) are one-row calls of the batched ones, and only `Subspace`'s
+scalar RREF (`linalg.rref`) still does one field operation at a time.
 """
 
 from __future__ import annotations
@@ -147,32 +148,18 @@ class ProjectiveSpace:
                 f"expected {self.n + 1} coordinates, got {len(v)}")
         if min(v) < 0 or max(v) >= self.q:
             raise RangeError(f"element code outside 0..{self.q - 1} in {v}")
-        lead = next((i for i, c in enumerate(v) if c), None)
-        if lead is None:
+        if not any(v):
             raise EmptyInputError("the zero vector is not a projective point")
-        if v[lead] == 1:
-            return v
-        inv = self.field.inv(v[lead])
-        return tuple(self.field.mul(inv, c) for c in v)
+        return tuple(self.normalize_rows(v).tolist())
 
     def rank_of(self, coords) -> int:
-        v = self.normalize(coords)
-        lead = next(i for i, c in enumerate(v) if c)
-        tail = 0
-        for j in range(lead + 1, self.n + 1):
-            tail = tail * self.q + v[j]
-        return self._offsets[lead] + tail
+        return int(self.ranks_from_rows(self.normalize(coords),
+                                        normalized=True))
 
     def coords_of(self, rank: int) -> tuple:
         if not 0 <= rank < self.num_points:
             raise RangeError(f"point rank {rank} out of range for {self!r}")
-        lead = next(i for i in range(self.n + 1) if self._offsets[i] <= rank)
-        tail = rank - self._offsets[lead]
-        v = [0] * (self.n + 1)
-        v[lead] = 1
-        for j in range(self.n, lead, -1):
-            tail, v[j] = divmod(tail, self.q)
-        return tuple(v)
+        return tuple(self.coords_of_ranks(rank).tolist())
 
     # -- batched point coding -----------------------------------------------
 
@@ -249,7 +236,9 @@ class ProjectiveSpace:
         Without `through`, the order is that of the keys (see `_cells`):
         the subspace at place i has key i, so points come in rank order and
         lines in line-rank order.  With it, the order is that of the
-        quotient space's subspaces.
+        quotient space's subspaces: a block of their bases at a time is
+        placed in the columns off `through`'s pivots and reduced together
+        with its rows in one `rref_rows` call.
         """
         if not 0 <= dim <= self.n:
             raise RangeError(f"subspace dimension {dim} out of range")
@@ -269,15 +258,16 @@ class ProjectiveSpace:
         comp = [c for c in range(self.n + 1) if c not in base.pivots]
         # s <= dim < n, so the quotient is a space PG(n-s, q) with n-s >= 1
         quot = ProjectiveSpace(self.n - s, self.field)
-        r_extra = dim + 1 - s
-        for small in quot._subspaces_all(r_extra - 1):
-            lifted = []
-            for row in small.rows:
-                amb = [0] * (self.n + 1)
-                for c, val in zip(comp, row):
-                    amb[c] = val
-                lifted.append(tuple(amb))
-            yield Subspace(self, base.rows + tuple(lifted))
+        total = quot.num_subspaces(dim - s)
+        step = _block_items(8 * (dim + 1) * (self.n + 1))
+        for start in range(0, total, step):
+            small = quot.subspace_bases(
+                dim - s, np.arange(start, min(start + step, total)))
+            stack = np.zeros((len(small), dim + 1, self.n + 1),
+                             dtype=np.int64)
+            stack[:, :s] = base.rows
+            stack[:, s:, comp] = small
+            yield from _canonical(self, self.rref_rows(stack)[0])
 
     def _cells(self, dim: int):
         """The RREF cells of the dim-subspaces, lazily, in the order of

@@ -72,26 +72,20 @@ class SpreadContext:
     # -- coordinate maps ------------------------------------------------------
 
     def blow_up_vector(self, big_coords) -> tuple:
-        """Expand each GF(p^h) coordinate into its h base-p digits."""
-        p0, h = self.p0, self.h
-        out = []
-        for c in big_coords:
-            c = int(c)
-            for _ in range(h):
-                c, d = divmod(c, p0)
-                out.append(d)
-        return tuple(out)
+        """Expand each GF(p^h) coordinate into its h base-p digits: the
+        inverse of `_blown_down`."""
+        return tuple((np.asarray(big_coords, dtype=np.int64)[:, None]
+                      // self._place % self.p0).ravel().tolist())
 
     def _element_rows(self, v) -> list:
         """The blow-ups of v, x v, ..., x^(h-1) v: h small-side rows that
         span the spread element of the big vector v."""
         field = self.big.field
-        xcode = field.x if self.h > 1 else 1
-        rows = []
-        for _ in range(self.h):
-            rows.append(self.blow_up_vector(v))
-            v = tuple(field.mul(xcode, c) for c in v)
-        return rows
+        mul = field.tables()[1].ravel()
+        rows = [np.asarray(v, dtype=np.int64)]
+        for _ in range(self.h - 1):
+            rows.append(mul.take(field.q * field.x + rows[-1]))
+        return [self.blow_up_vector(row) for row in rows]
 
     # -- the two maps ----------------------------------------------------------
 

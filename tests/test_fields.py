@@ -314,6 +314,11 @@ def test_scalar_tables_match_polynomials_exhaustive(p, t):
         if a:
             assert f.inv(a) == f._pow_poly(a, f.q - 2)
             assert f.pow(a, -3) == f._pow_poly(f.inv(a), 3)
+    # a code equal to q is refused, not read from another row
+    for op in (f.add, f.sub, f.mul):
+        for a, b in ((f.q, 0), (0, f.q)):
+            with pytest.raises(IndexError):
+                op(a, b)
 
 
 @pytest.mark.parametrize("p,t", [(2, 10), (3, 6), (31, 2)])
@@ -384,11 +389,10 @@ def test_lazy_tables_built_once_under_threads():
     sys.setswitchinterval(1e-6)
     try:
         with concurrent.futures.ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(lambda: (f.mul(5, 7), f.tables(),
-                                            f._scalar_tables()))
+            futures = [pool.submit(lambda: (f.mul(5, 7), f.tables()))
                        for _ in range(8)]
             results = [fut.result(timeout=60) for fut in futures]
     finally:
         sys.setswitchinterval(old)
     assert all(r[0] == f._mul_poly(5, 7) for r in results)
-    assert all(r[1] is f._tables and r[2] is f._lut for r in results)
+    assert all(r[1] is f._tables for r in results)

@@ -18,6 +18,7 @@ from blockingsets.projspace import (PointSet, ProjectiveSpace, Subspace,
                                     project, span, subspace_traces)
 
 from linalg_reference import left_kernel, residual
+import projspace_reference
 from trace_reference import grouped_points, stacked_slots
 
 
@@ -51,9 +52,11 @@ def test_point_enumeration_and_rank_roundtrip():
     seen = set()
     for rank in range(space.num_points):
         coords = space.coords_of(rank)
+        assert coords == projspace_reference.coords_of(space, rank)
         nz = next(c for c in coords if c)
         assert nz == 1, "representatives are left-normalized"
         assert space.rank_of(coords) == rank
+        assert projspace_reference.rank_of(space, coords) == rank
         seen.add(coords)
     assert len(seen) == 91
     assert space.coords_of(0) == (0, 0, 1)
@@ -81,8 +84,11 @@ def test_ranks_from_rows_matches_scalar_path():
     rows[rows.sum(axis=1) == 0, 0] = 1
     bulk = space.ranks_from_rows(rows)
     for row, rank in zip(rows, bulk):
-        assert space.rank_of(space.normalize(tuple(int(x) for x in row))) \
-            == int(rank)
+        row = tuple(int(x) for x in row)
+        want = projspace_reference.normalize(space, row)
+        assert space.normalize(row) == want
+        assert projspace_reference.rank_of(space, want) == int(rank)
+        assert space.rank_of(row) == int(rank)
     with pytest.raises(EmptyInputError):
         space.ranks_from_rows(np.zeros((2, 3), dtype=np.int64))
 
@@ -666,6 +672,11 @@ def test_every_cached_public_result_is_closed(baer):
                     (f"{field!r}.embedding({sub})", field.embedding(sub)),
                     (f"subline_patterns({field!r}, {p ** sub})",
                      subline_patterns(field, p ** sub))]
+        # after a scalar op, whatever it may have cached on the spec
+        field.mul(1, 1)
+        results += [(f"{field!r}.{name}", value)
+                     for name, value in vars(field).items()
+                     if name != "_embeddings"]
     space = pg(3, 3, 2)
     ctx = spread_context(space)
     results += [(f"spread_context.{name}", getattr(ctx, name)) for name in
@@ -836,6 +847,31 @@ def test_subspaces_through_matches_brute_force():
             assert sorted(got) == sorted(want)
         assert [s.rows for s in space.subspaces(3, through=through)] == [
             whole]
+
+
+@pytest.mark.parametrize("n,p,t", [(3, 3, 1), (3, 2, 2), (4, 2, 1)])
+def test_subspaces_through_match_the_scalar_lift(n, p, t):
+    # a point, a line and (in PG(4,2)) a plane pivoting off column 0, so
+    # the quotient's columns are neither the first nor the last ones
+    space = pg(n, p, t)
+    pad = (0,) * (n - 3)
+    point = space.rank_of((0, 1, 1, 1) + pad)
+    bases = [span(space, point),
+             span(space, (0, 1, 1, 0) + pad, (0, 0, 0, 1) + (1,) * (n - 3))]
+    if n == 4:
+        bases.append(span(space, (0, 1, 0, 0, 1), (0, 0, 1, 0, 1),
+                          (0, 0, 0, 1, 1)))
+    assert [b.pivots for b in bases] == [(1,), (1, 3), (1, 2, 3)][:len(bases)]
+    for base in bases:
+        through = point if base.dim == 0 else base
+        inside = set(base.point_ranks().tolist())
+        for dim in range(base.dim + 1, n + 1):
+            got = list(space.subspaces(dim, through=through))
+            assert got == list(
+                projspace_reference.subspaces_through(space, dim, base))
+            assert set(got) == {
+                sub for sub in space.subspaces(dim)
+                if inside <= set(sub.point_ranks().tolist())}
 
 
 def test_subspace_space_mismatch():

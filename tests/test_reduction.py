@@ -16,7 +16,8 @@ import pytest
 from blockingsets import catalogue
 from blockingsets.blocking import blocking_report
 from blockingsets.cli import _auto_centre, _auto_hyperplane
-from blockingsets.linearsets import is_linear, subgeometry_witness
+from blockingsets.linearsets import (is_linear, random_rank_r_witness,
+                                     subgeometry_witness)
 from blockingsets.projspace import PointSet, project
 from blockingsets.reconstruct import reconstruct
 
@@ -75,9 +76,18 @@ def _pg2_3_in_pg5_9():
     return subgeometry_witness(9, 3, 5, m=2).points, 1, 3
 
 
+def _random_rank_3_pg3_49(seed):
+    # a seeded rank-3 linear set of PG(3,49): k = 1, one step
+    return lambda: (random_rank_r_witness(49, 3, 3, seed).points, 1, 7)
+
+
 @pytest.mark.parametrize("start,steps", [(_subplane_pg3_49, 1),
-                                         (_pg2_3_in_pg5_9, 3)],
-                         ids=["subplane_pg3_49", "pg2_3_in_pg5_9"])
+                                         (_pg2_3_in_pg5_9, 3),
+                                         (_random_rank_3_pg3_49(1), 1),
+                                         (_random_rank_3_pg3_49(2), 1)],
+                         ids=["subplane_pg3_49", "pg2_3_in_pg5_9",
+                              "random_rank_r_pg3_49_seed1",
+                              "random_rank_r_pg3_49_seed2"])
 @pytest.mark.parametrize("seed", [None, 36], ids=["shipped", "moved"])
 def test_down_chain_keeps_every_verdict(start, steps, seed):
     pts, k, p0 = start()
