@@ -221,13 +221,9 @@ def _auto_centre(pts) -> int:
 
 
 def _auto_hyperplane(space, centre_rank):
+    # the unit covector at a normalized point's lead (its first 1) misses it
     c = space.coords_of(centre_rank)
-    for j in range(space.n + 1):
-        if c[j] != 0:
-            cov = [0] * (space.n + 1)
-            cov[j] = 1
-            return space.hyperplane(cov)
-    raise SpecMismatchError("zero vector for a point rank")
+    return space.hyperplane([int(j == c.index(1)) for j in range(len(c))])
 
 
 def cmd_project(args) -> int:

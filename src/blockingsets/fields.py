@@ -24,6 +24,7 @@ from .errors import (
     BadDivisorError,
     BadParamsError,
     BlockingSetsError,
+    DimensionMismatchError,
     NoTableEntryError,
     NotPrimeError,
     RangeError,
@@ -70,6 +71,31 @@ def exact_log(value: int, base: int) -> int | None:
         v *= base
         e += 1
     return e if v == value else None
+
+
+def _integers_below(values, bound: int, message: str):
+    """An integer as it is, or an array-like of them as an integer array
+    (int64 when empty): the mechanics of each input guard.  An entry
+    outside 0..bound-1 is a RangeError, `message` formatted with the first
+    such entry and bound - 1, a non-integer a TypeError (numpy would
+    truncate a float, and read an index of -1 as the last entry) and
+    ragged rows a DimensionMismatchError."""
+    if isinstance(values, (int, np.integer)):
+        if 0 <= values < bound:
+            return values
+        raise RangeError(message.format(values, bound - 1))
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise DimensionMismatchError("rows of unequal lengths") from None
+    if not arr.size:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise TypeError(f"expected integers, got an array of {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= bound:
+        bad = arr[(arr < 0) | (arr >= bound)][0]
+        raise RangeError(message.format(bad, bound - 1))
+    return arr
 
 
 # --- dense polynomial helpers over GF(p), coefficient lists constant-first ---
@@ -218,13 +244,14 @@ class FieldSpec:
 
     # --- code <-> coefficient vector ---
 
+    def check_codes(self, values):
+        """Every public entry's guard on element codes, each in 0..q-1."""
+        return _integers_below(values, self.q,
+                               "element code outside 0..{1}: {0}")
+
     def decode(self, code: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.t):
-            code, r = divmod(code, p)
-            out.append(r)
-        return tuple(out)
+        code, p = self.check_codes(code), self.p
+        return tuple(code // p ** i % p for i in range(self.t))
 
     def encode(self, coeffs) -> int:
         p = self.p
@@ -236,24 +263,27 @@ class FieldSpec:
     # --- scalar arithmetic on codes ---
     #
     # The scalar ops read the read-only tables() that the batched kernels
-    # read, one entry at a time: `.item` of a 2-D table refuses a code out
-    # of range with IndexError and returns a Python int.  The _*_poly
-    # helpers compute on base-p digits to build the tables.
+    # read, one entry at a time (`.item` returns a Python int), each code
+    # through `check_codes`.  The _*_poly helpers compute on base-p digits
+    # to build the tables.
 
     def add(self, a: int, b: int) -> int:
-        return (self._tables or self.tables())[0].item(a, b)
+        return (self._tables or self.tables())[0].item(
+            self.check_codes(a), self.check_codes(b))
 
     def neg(self, a: int) -> int:
-        return (self._tables or self.tables())[2].item(a)
+        return (self._tables or self.tables())[2].item(self.check_codes(a))
 
     def sub(self, a: int, b: int) -> int:
         add, _, neg, _ = self._tables or self.tables()
-        return add.item(a, neg.item(b))
+        return add.item(self.check_codes(a), neg.item(self.check_codes(b)))
 
     def mul(self, a: int, b: int) -> int:
-        return (self._tables or self.tables())[1].item(a, b)
+        return (self._tables or self.tables())[1].item(
+            self.check_codes(a), self.check_codes(b))
 
     def pow(self, a: int, n: int) -> int:
+        a = self.check_codes(a)
         if n < 0:
             a, n = self.inv(a), -n
         r = 1
@@ -266,7 +296,7 @@ class FieldSpec:
         return r
 
     def inv(self, a: int) -> int:
-        if a == 0:
+        if self.check_codes(a) == 0:
             raise ZeroInverseError("0 has no multiplicative inverse")
         return (self._tables or self.tables())[3].item(a)
 
@@ -274,16 +304,15 @@ class FieldSpec:
         return self.pow(a, self.p ** e)
 
     def primitive_element(self) -> int:
-        """Code of a generator of GF(q)*: x itself for the Conway moduli,
-        else the smallest code that generates.  Found with polynomial
-        powers, so the tables can be built from it."""
+        """Code of a generator of GF(q)*, which every finite field has: x
+        itself for the Conway moduli, else the smallest code that
+        generates.  Found with polynomial powers, so the tables can be
+        built from it."""
         order = self.q - 1
         factors = _prime_factors(order)
-        for g in (self.x, *range(1, self.q)):
-            if g and all(self._pow_poly(g, order // r) != 1
-                         for r in factors):
-                return g
-        raise BlockingSetsError(f"no primitive element in {self!r}")
+        return next(g for g in (self.x, *range(1, self.q))
+                    if g and all(self._pow_poly(g, order // r) != 1
+                                 for r in factors))
 
     def _mul_poly(self, a: int, b: int) -> int:
         return self.encode(_poly_mul_mod(

@@ -91,17 +91,15 @@ def read_pointset(path: str, with_meta: bool = False):
             # the reshape keeps a header-only file 2-d
             arr = np.array([row for _, row in rows],
                            dtype=np.int64).reshape(len(rows), n + 1)
-        except OverflowError:
-            arr = None
-    # check the whole file at once; a code past int64 or a flagged row
-    # sends the rows, parsed by the line parser if need be, through the
-    # per-row checks, which name the first bad line in file order
-    if arr is None or not (((arr >= 0) & (arr < q)).all()
-                           and (arr != 0).any(axis=1).all()):
-        if rows is None:
-            rows = _parse_lines(path, raw)[1]
-        _raise_first_bad_row(path, rows, q)
-    pts = PointSet(space, space.ranks_from_rows(arr))
+        except OverflowError:           # a code past int64
+            _raise_first_bad_row(path, rows, q)
+    # rank the whole file at once; a code out of range or a zero row sends
+    # the rows, parsed by the line parser if need be, through the per-row
+    # checks, which name the first bad line in file order
+    try:
+        pts = PointSet(space, space.ranks_from_rows(arr))
+    except (RangeError, EmptyInputError):
+        _raise_first_bad_row(path, rows or _parse_lines(path, raw)[1], q)
     if not with_meta:
         return pts
     side = meta_path(path)
@@ -251,8 +249,6 @@ def witness_from_dict(data: dict):
            for row in raw for c in row):
         raise ParseError("witness basis codes must be integers")
     rows = tuple(tuple(row) for row in raw)
-    if any(not 0 <= c < ctx.small.q for row in rows for c in row):
-        raise ParseError(f"witness basis code outside 0..{ctx.small.q - 1}")
     rank = required(data, "rank", int, "witness") if "rank" in data \
         else len(rows)
     if len(rows) != rank:

@@ -98,8 +98,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return _jnum(obj)
 
 
@@ -351,8 +349,7 @@ class InstanceAnalysis:
             raise SpecMismatchError(
                 "a tangent and a secant through one point do not span a "
                 "hyperplane")
-        return space.ranks_from_rows(space._covector_rows(rows[:, :n]),
-                                     normalized=True)
+        return space._ranks(space._covector_rows(rows[:, :n]))
 
 
 def _key_multiplicities(keys) -> tuple:

@@ -245,7 +245,7 @@ def subline_patterns(field: FieldSpec, p0: int):
                             + coords[a + 1:, None, :])
         np.add(t0_a[a], mul.take(idx), out=idx)
         vecs = add.take(idx)
-        ranks = np.sort(param_space.ranks_from_rows(vecs), axis=-1) \
+        ranks = np.sort(param_space._ranks(vecs), axis=-1) \
             .reshape(-1, p0 + 1)
         rows.append(sorted_unique_rows(ranks[ranks[:, 0] == a]))
     rows = np.concatenate(rows)
@@ -263,7 +263,7 @@ def line_param_positions(line: Subspace, ranks) -> np.ndarray:
     j0, j1 = line.pivots
     coords = space.coords_of_ranks(ranks)
     param = np.stack([coords[:, j0], coords[:, j1]], axis=-1)
-    return ProjectiveSpace(1, space.field).ranks_from_rows(param)
+    return ProjectiveSpace(1, space.field)._ranks(param)
 
 
 def _chart_points(line: Subspace) -> np.ndarray:
@@ -514,7 +514,7 @@ def _exhaustive_search(ctx: SpreadContext, pts: PointSet, cap: int):
         step = _block_items(8 * vectors.size)
         for start in range(0, cand.size, step):
             at = cand[start:start + step]
-            off = small.ranks_from_rows(
+            off = small._ranks(
                 add.take(q * pre_coords[at, None, :] + vectors[None, :, :]))
             ok = (off.min(axis=1) == pre[at]) & pre_mask[off].all(axis=1)
             for a in np.flatnonzero(ok).tolist():

@@ -23,6 +23,7 @@ import threading
 import numpy as np
 
 from . import linalg
+from .fields import _integers_below
 from .errors import (
     BadParamsError,
     CentreInHyperplaneError,
@@ -141,31 +142,29 @@ class ProjectiveSpace:
 
     # -- scalar point coding ------------------------------------------------
 
+    def check_ranks(self, values):
+        """Every public entry's guard on point ranks, each below num_points."""
+        return _integers_below(values, self.num_points,
+                               f"point rank {{0}} out of range for {self!r}")
+
     def normalize(self, coords):
-        v = tuple(int(c) for c in coords)
-        if len(v) != self.n + 1:
+        v = self.field.check_codes(coords)
+        if np.shape(v) != (self.n + 1,):
             raise DimensionMismatchError(
-                f"expected {self.n + 1} coordinates, got {len(v)}")
-        if min(v) < 0 or max(v) >= self.q:
-            raise RangeError(f"element code outside 0..{self.q - 1} in {v}")
-        if not any(v):
-            raise EmptyInputError("the zero vector is not a projective point")
-        return tuple(self.normalize_rows(v).tolist())
+                f"expected {self.n + 1} coordinates, got shape {np.shape(v)}")
+        return tuple(self._normalized(v)[0].tolist())
 
     def rank_of(self, coords) -> int:
-        return int(self.ranks_from_rows(self.normalize(coords),
-                                        normalized=True))
+        return int(self._ranks(self.normalize(coords)))
 
     def coords_of(self, rank: int) -> tuple:
-        if not 0 <= rank < self.num_points:
-            raise RangeError(f"point rank {rank} out of range for {self!r}")
         return tuple(self.coords_of_ranks(rank).tolist())
 
     # -- batched point coding -----------------------------------------------
 
     def normalize_rows(self, arr: np.ndarray) -> np.ndarray:
         """Normalize each row of an (m, n+1) array of element codes."""
-        return self._normalized(arr)[0]
+        return self._normalized(self.field.check_codes(arr))[0]
 
     def _normalized(self, arr) -> tuple:
         """(rows, leads): the normalized rows of an array of element codes
@@ -175,27 +174,26 @@ class ProjectiveSpace:
         lead = (arr != 0).argmax(axis=-1)
         lv = np.take_along_axis(arr, lead[..., None], axis=-1)
         if not lv.all():
-            raise EmptyInputError("zero vector in point batch")
+            raise EmptyInputError("the zero vector is not a projective point")
         return mul.ravel().take(arr * self.q + inv.take(lv)), lead
 
-    def ranks_from_rows(self, arr: np.ndarray, normalized=False) -> np.ndarray:
-        if normalized:
-            arr = np.asarray(arr, dtype=np.int64)
-            lead = (arr != 0).argmax(axis=-1)
-        else:
-            arr, lead = self._normalized(arr)
+    def ranks_from_rows(self, arr: np.ndarray) -> np.ndarray:
+        """Point ranks of an array of element codes (last axis n+1), each
+        row normalized first."""
+        return self._ranks(self.field.check_codes(arr))
+
+    def _ranks(self, arr) -> np.ndarray:
+        """`ranks_from_rows` unchecked, for rows the package built."""
+        arr, lead = self._normalized(arr)
         offs = np.asarray(self._offsets, dtype=np.int64)
         powers = np.asarray(self._powers, dtype=np.int64)
-        full = arr @ powers
-        return offs[lead] + full - powers[lead]
+        return offs[lead] + arr @ powers - powers[lead]
 
     def coords_of_ranks(self, ranks) -> np.ndarray:
         """Normalized coordinates of an array of point ranks, shape
         ranks.shape + (n+1,): `coords_of` in bulk."""
-        ranks = np.asarray(ranks, dtype=np.int64)
+        ranks = np.asarray(self.check_ranks(ranks), dtype=np.int64)
         offs = np.asarray(self._offsets, dtype=np.int64)
-        if ranks.size and (ranks.min() < 0 or ranks.max() >= self.num_points):
-            raise RangeError(f"point rank out of range for {self!r}")
         # the offsets descend, so the lead is the number of them above rank
         lead = offs.size - np.searchsorted(offs[::-1], ranks, side="right")
         tail = ranks - offs[lead]
@@ -334,7 +332,7 @@ class ProjectiveSpace:
         u = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
         u[at[:, 0], z] = 1
         u[at, pivots] = neg[rows[at, np.arange(n), z[:, None]]]
-        return self.normalize_rows(u)
+        return self._normalized(u)[0]
 
     def _hyperplane_rows(self, u: np.ndarray) -> np.ndarray:
         """Canonical bases, shape (N, n, n+1), of the hyperplanes u . x = 0
@@ -487,7 +485,7 @@ class ProjectiveSpace:
         integer dtype, zero rows allowed: `_rref`'s (rows, ranks), where
         rows[i, :ranks[i]] is the canonical RREF basis of set i, the rows
         `Subspace` would hold."""
-        stack = np.asarray(stack)
+        stack = self.field.check_codes(stack)
         if stack.ndim != 3 or stack.shape[2] != self.n + 1:
             raise DimensionMismatchError(
                 f"expected a stack of rows of length {self.n + 1}, got "
@@ -514,14 +512,13 @@ class ProjectiveSpace:
     def points_of(self, bases) -> np.ndarray:
         """Point ranks, shape (..., theta), of a stack of canonical RREF
         bases of d-subspaces, shape (..., d+1, n+1), column j by point j
-        of PG(d, q): normalized coefficients give a normalized combination
-        of a canonical basis, which is ranked as it is."""
-        bases = np.asarray(bases, dtype=np.int64)
+        of PG(d, q)."""
+        bases = np.asarray(self.field.check_codes(bases), dtype=np.int64)
         d = bases.shape[-2] - 1
         params = ProjectiveSpace(d, self.field).coords_array() if d \
             else np.ones((1, 1), dtype=np.int64)
-        return self.ranks_from_rows(_combine(
-            self.field, params, bases[..., None, :, :]), normalized=True)
+        return self._ranks(_combine(
+            self.field, params, bases[..., None, :, :]))
 
     def lines_inside(self, bases) -> np.ndarray:
         """Line ranks, shape (N, L), of the lines inside each of N
@@ -536,7 +533,7 @@ class ProjectiveSpace:
         where the other lifted row is zero (the subspace's basis is a unit
         vector at its pivot columns, the line's zero at the other row's
         pivot), so the lift is itself canonical and is ranked unreduced."""
-        bases = np.asarray(bases, dtype=np.int64)
+        bases = np.asarray(self.field.check_codes(bases), dtype=np.int64)
         num, height, width = bases.shape
         small = ProjectiveSpace(height - 1, self.field)
         coeff = small.subspace_bases(1, np.arange(small.num_subspaces(1)))
@@ -552,7 +549,7 @@ class ProjectiveSpace:
 
 def _coerce_coords(space, item) -> tuple:
     if isinstance(item, (int, np.integer)):
-        return space.coords_of(int(item))
+        return space.coords_of(item)
     return space.normalize(item)
 
 
@@ -649,14 +646,13 @@ class Subspace:
             self.rows = tuple(tuple(r) for r in rows)
             self.pivots = tuple(pivots)
         else:
-            red, piv = linalg.rref(rows, space.field)
-            if not red:
-                raise EmptyInputError("subspace needs at least one point")
-            if len(red[0]) != space.n + 1:
+            arr = space.field.check_codes(rows)
+            if arr.size and (arr.ndim != 2 or arr.shape[1] != space.n + 1):
                 raise DimensionMismatchError(
-                    f"rows of length {len(red[0])} in {space!r}")
-            self.rows = red
-            self.pivots = piv
+                    f"rows of shape {arr.shape} in {space!r}")
+            self.rows, self.pivots = linalg.rref(arr.tolist(), space.field)
+            if not self.rows:
+                raise EmptyInputError("subspace needs at least one point")
         self._ranks = None
 
     @property
@@ -729,11 +725,9 @@ class PointSet:
 
     def __init__(self, space, ranks):
         self.space = space
-        arr = sorted_unique(np.asarray(list(ranks) if not isinstance(
-            ranks, np.ndarray) else ranks, dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= space.num_points):
-            raise RangeError("point rank out of range")
-        self.ranks = _frozen(arr)
+        self.ranks = _frozen(sorted_unique(np.asarray(space.check_ranks(
+            ranks if isinstance(ranks, np.ndarray) else list(ranks)),
+            dtype=np.int64)))
         self._mask = None
         self._coords = None
 
@@ -822,13 +816,15 @@ class SubspaceChart:
                 "the chart subspace")
         coords = self.ambient.coords_of_ranks(inside)
         coeff = coords[:, list(self.subspace.pivots)]
-        return PointSet(self.small, self.small.ranks_from_rows(coeff))
+        return PointSet(self.small, self.small._ranks(coeff))
 
     def lift_rows(self, coeff: np.ndarray) -> np.ndarray:
         """Ambient vectors of an array of small-space coordinate rows (last
         axis dim+1, any leading shape): the same linear map as
         `to_ambient`, applied with the field tables."""
-        return _combine(self.ambient.field, coeff, self.subspace.rows)
+        return _combine(self.ambient.field,
+                        self.ambient.field.check_codes(coeff),
+                        self.subspace.rows)
 
 
 def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
@@ -862,7 +858,7 @@ def project(pts: PointSet, centre, hyperplane: Subspace) -> PointSet:
     coeff = np.stack([np.full_like(ur, uc), field.tables()[2][ur]], axis=1)
     basis = np.stack([coords, np.broadcast_to(c, coords.shape)], axis=1)
     img = _combine(field, coeff, basis)
-    return PointSet(space, space.ranks_from_rows(img))
+    return PointSet(space, space._ranks(img))
 
 
 class TraceSummary:
@@ -1366,8 +1362,7 @@ def _scan_hyperplanes(space, pts: PointSet) -> TraceSummary:
     digits = np.arange(q, dtype=np.int64)
     dtype = _rank_dtype(dual.num_points)
     # per last column z of the set, the dual ranks of a placed around z
-    bases = {z: dual.ranks_from_rows(np.insert(params, z, 0, axis=1),
-                                     normalized=True).astype(dtype)
+    bases = {z: dual._ranks(np.insert(params, z, 0, axis=1)).astype(dtype)
              for z in sorted_unique(last).tolist()}
     # a u_z lookup's flat int64 index and its int64 result are live at
     # once, 16 bytes per entry of a block

@@ -20,7 +20,7 @@ from .blocking import _below, is_k_blocking, secant_analysis, traces_of
 from .errors import (BadParamsError, NoSublineSecantError, NotBlockingError,
                      SpecMismatchError)
 from .projspace import (PointSet, Subspace, _block_items, _canonical,
-                        _frozen, gaussian_binomial, sorted_unique)
+                        _coerce_coords, _frozen, sorted_unique)
 from .spreads import SpreadContext, spread_context
 
 
@@ -161,8 +161,8 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     result per such point.  x is always the lowest-rank point of S(P).
     The secant traces and transversals of a result are read-only
     sequences that build each PointSet or Subspace on access.  "first"
-    reads blocks of by-point rows (`TraceSummary.slot_rows`) only up to
-    the first holding such a point, and then that point's row: it
+    reads blocks of by-point rows (`TraceSummary._slot_blocks`) only up
+    to the first holding such a point, and then that point's row: it
     gathers no size grid.
     """
     space = pts.space
@@ -183,11 +183,9 @@ def reconstruct(pts: PointSet, k: int, p0: int,
     if point_policy == "all":
         admissible = np.flatnonzero(lines.per_point_counts(exact=p0 + 1))
     else:
-        m = len(pts)
-        step = _block_items(8 * gaussian_binomial(space.n, 1, space.q))
-        firsts = (r0 + np.flatnonzero((lines.sizes[lines.slot_rows(
-            r0, min(r0 + step, m))] == p0 + 1).any(axis=1))[:1]
-                  for r0 in range(0, m, step))
+        firsts = (r0 + np.flatnonzero((lines.sizes[lines._slots_of(keys)]
+                                       == p0 + 1).any(axis=1))[:1]
+                  for r0, keys in lines._slot_blocks())
         admissible = next((f for f in firsts if f.size), np.empty(0, int))
     if admissible.size == 0:
         raise NoSublineSecantError(
@@ -207,16 +205,12 @@ def check_span_lemma(pts: PointSet, k: int, p0: int, P, x) -> SpanPairReport:
     their span stays inside B.  Failing pairs are witnesses, not errors."""
     space = pts.space
     ctx = spread_context(space)
-    if isinstance(P, (int, np.integer)):
-        p_rank = int(P)
-    else:
-        p_rank = space.rank_of(space.normalize(P))
+    p_rank = space.rank_of(_coerce_coords(space, P))
     lines = traces_of(pts, 1)
     pos = int(np.searchsorted(pts.ranks, p_rank))
     if pos >= pts.ranks.size or pts.ranks[pos] != p_rank:
         raise BadParamsError("P must be a point of the set")
-    xrank = int(x) if isinstance(x, (int, np.integer)) \
-        else ctx.small.rank_of(ctx.small.normalize(x))
+    xrank = ctx.small.rank_of(_coerce_coords(ctx.small, x))
     _, traces = lines.secants_through(pos, p0 + 1)
     ys = ctx.transversal_line(pts.ranks[traces], xrank)
     ys = ys[ys >= 0]

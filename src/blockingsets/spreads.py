@@ -28,7 +28,6 @@ from .errors import (
     BadParamsError,
     DimensionMismatchError,
     NotASublineError,
-    RangeError,
     SpecMismatchError,
     TooLargeError,
     XNotOnElementError,
@@ -74,7 +73,7 @@ class SpreadContext:
     def blow_up_vector(self, big_coords) -> tuple:
         """Expand each GF(p^h) coordinate into its h base-p digits: the
         inverse of `_blown_down`."""
-        return tuple((np.asarray(big_coords, dtype=np.int64)[:, None]
+        return tuple((self.big.field.check_codes(big_coords)[:, None]
                       // self._place % self.p0).ravel().tolist())
 
     def _element_rows(self, v) -> list:
@@ -162,16 +161,13 @@ class SpreadContext:
     def blow_down_ranks(self, small_ranks) -> np.ndarray:
         """The big rank of the spread element holding each small rank, in
         the shape of small_ranks.  A fresh array per call."""
-        return self.big.ranks_from_rows(
+        return self.big._ranks(
             self._blown_down(self.small.coords_of_ranks(small_ranks)))
 
     # -- spread queries --------------------------------------------------------
 
     def element_ranks(self, big_rank: int) -> np.ndarray:
-        r = int(big_rank)
-        if not 0 <= r < self.big.num_points:
-            raise RangeError(f"point rank {r} out of range for {self.big!r}")
-        return self.blow_up_ranks(r)
+        return self.blow_up_ranks(big_rank)
 
     def spread_element(self, point) -> Subspace:
         """S(P): the small-side (h-1)-space of a big-side point."""
@@ -221,14 +217,14 @@ class SpreadContext:
         are the row.  A subline has exactly one transversal through each
         point of its elements, so two matches on a row are inconsistent.
         """
-        p0, nbig = self.p0, self.big.num_points
+        p0 = self.p0
         single = isinstance(sublines, PointSet)
         if single:
             if sublines.space is not self.big:
                 raise DimensionMismatchError("subline not on the big side")
             rows = sublines.ranks[None, :]
         else:
-            rows = np.asarray(sublines, dtype=np.int64)
+            rows = np.asarray(self.big.check_ranks(sublines), dtype=np.int64)
             if rows.ndim != 2:
                 raise BadParamsError("expected one subline per row")
             rows = np.sort(rows, axis=1)
@@ -237,18 +233,14 @@ class SpreadContext:
                 f"expected {p0 + 1} points, got {rows.shape[1]}")
         if (rows[:, 1:] == rows[:, :-1]).any():
             raise BadParamsError("a subline repeats a point")
-        if rows.size and not 0 <= rows.min() <= rows.max() < nbig:
-            raise RangeError(f"point rank out of range for {self.big!r}")
         if not isinstance(x, (int, np.integer)) \
                 and (single or not isinstance(x, np.ndarray)):
-            x = self.small.rank_of(_coerce_coords(self.small, x))
-        xrank = np.asarray(x, dtype=np.int64)
+            x = self.small.rank_of(x)
+        xrank = np.asarray(self.small.check_ranks(x), dtype=np.int64)
         if xrank.ndim and xrank.shape != rows.shape[:1]:
             raise BadParamsError("expected one x per subline")
-        # a rank out of range is a RangeError here, before any lookup
         codes = self._blown_down(self.small.coords_of_ranks(xrank))
-        home = np.broadcast_to(self.big.ranks_from_rows(codes),
-                               rows.shape[:1])
+        home = np.broadcast_to(self.big._ranks(codes), rows.shape[:1])
         at_home = rows == home[:, None]
         if not at_home.any(axis=1).all():
             raise XNotOnElementError(
@@ -270,13 +262,13 @@ class SpreadContext:
         # the line of each survivor (row i, candidate j): x maps to home
         # and y to the companion, so the points x + lambda*y, lambda = 2
         # .. p0-1, are left
-        mid = self.big.ranks_from_rows(add.take(X[:, None] + Y))
+        mid = self.big._ranks(add.take(X[:, None] + Y))
         i, j = np.nonzero((mid[:, :, None] == rows[:, None, :]).any(axis=2))
         lam = q * np.arange(2, p0, dtype=np.int64)[:, None]
         rest = add.take(X[i][:, None] + mul.take(lam + Y[i, j][:, None, :]))
         images = np.concatenate([
             np.stack([home[i], companion[i], mid[i, j]], axis=1),
-            self.big.ranks_from_rows(rest)], axis=1)
+            self.big._ranks(rest)], axis=1)
         images.sort(axis=1)
         hit = (images == rows[i]).all(axis=1)
         if (np.bincount(i[hit], minlength=len(rows)) > 1).any():

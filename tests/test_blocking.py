@@ -380,6 +380,9 @@ def test_tangent_extension_dead_end_and_ranges():
     tangent_line = Subspace(space, [(1, 0, 0, 0), (0, 1, 1, 0)])
     with pytest.raises(RangeError):
         tangent_extension(pts, 1, tangent_line, 2)
+    other = ProjectiveSpace(3, make_field(2, 1))
+    with pytest.raises(RangeError):
+        tangent_extension(pts, 1, Subspace(other, line.rows), 2)
 
 
 # -- secants -------------------------------------------------------------------

@@ -44,6 +44,7 @@ def test_spread_cache_is_read_only(ctx9):
 
 
 def test_small_space_shape(ctx9):
+    assert repr(ctx9) == "SpreadContext(PG(2, 9) -> PG(5, 3))"
     assert ctx9.p0 == 3 and ctx9.h == 2
     assert ctx9.small.n == 5 and ctx9.small.q == 3
 
@@ -129,8 +130,11 @@ def test_transversal_line_rebuilds_subline(ctx9, baer):
         ell = ctx9.transversal_line(trace, int(x))
         assert ell.dim == 1
         assert ctx9.linear_set_of(ell) == trace
-        # the canonical basis of the line x y, y the batch form's match
+        # the canonical basis of the line x y, y the batch form's match,
+        # with x given by its rank or by its coordinates
         y = int(ctx9.transversal_line(trace.ranks[None], int(x))[0])
+        assert ctx9.transversal_line(
+            trace.ranks[None], ctx9.small.coords_of(int(x))).tolist() == [y]
         want = Subspace(ctx9.small, [ctx9.small.coords_of(int(x)),
                                      ctx9.small.coords_of(y)])
         assert ell.rows == want.rows and ell.pivots == want.pivots

@@ -14,9 +14,10 @@ import sys
 import numpy as np
 import pytest
 
-from blockingsets.errors import (BadParamsError, NoTableEntryError,
-                                 NotPrimeError, RangeError,
-                                 ReduciblePolynomialError, ZeroInverseError)
+from blockingsets.errors import (BadDivisorError, BadParamsError,
+                                 NoTableEntryError, NotPrimeError, RangeError,
+                                 ReduciblePolynomialError, SpecMismatchError,
+                                 ZeroInverseError)
 from blockingsets.fields import (SIZE_LIMIT, FieldSpec, conway_polynomial,
                                  conway_table_version, exact_log, make_field)
 
@@ -219,10 +220,16 @@ def test_generator_order():
 
 def test_make_field_cached_and_validated():
     assert make_field(3, 2) is make_field(3, 2)
-    with pytest.raises(NotPrimeError):
-        make_field(6, 1)
-    with pytest.raises(ReduciblePolynomialError):
-        make_field(2, 2, modulus=(1, 0, 1))    # x^2+1 = (x+1)^2 over GF(2)
+    for p in (6, 1):
+        with pytest.raises(NotPrimeError):
+            make_field(p, 1)
+    with pytest.raises(RangeError):
+        make_field(2, 0)
+    # x^2+1 = (x+1)^2 over GF(2); x^2+x passes Rabin's first test
+    # (x^4 = x), not his second; x+1 has the wrong degree
+    for modulus in ((1, 0, 1), (0, 1, 1), (1, 1)):
+        with pytest.raises(ReduciblePolynomialError):
+            make_field(2, 2, modulus=modulus)
     custom = make_field(2, 2, modulus=(1, 1, 1))
     assert custom.q == 4 and custom is make_field(2, 2, modulus=(1, 1, 1))
 
@@ -241,6 +248,9 @@ def test_subfield_membership_and_embedding():
     f = make_field(3, 4)
     sub = f.subfield(2)
     assert sub.q == 9
+    for bad in (f.subfield, f.embedding):
+        with pytest.raises(BadDivisorError):
+            bad(3)
     embed, project_back = f.embedding(2)
     img = [int(embed[c]) for c in range(9)]
     assert len(set(img)) == 9 and img[0] == 0 and img[1] == 1
@@ -317,7 +327,7 @@ def test_scalar_tables_match_polynomials_exhaustive(p, t):
     # a code equal to q is refused, not read from another row
     for op in (f.add, f.sub, f.mul):
         for a, b in ((f.q, 0), (0, f.q)):
-            with pytest.raises(IndexError):
+            with pytest.raises(RangeError):
                 op(a, b)
 
 
@@ -335,6 +345,9 @@ def test_scalar_tables_non_primitive_modulus():
     f = make_field(3, 2, modulus=(1, 0, 1))     # x^2 + 1: x has order 4
     x = f.x
     assert len({f._pow_poly(x, k) for k in range(8)}) == 4
+    # x^4 = 1 is no root of GF(3)'s table modulus x + 1
+    with pytest.raises(SpecMismatchError):
+        f.embedding(1)
     for a in range(9):
         for b in range(9):
             assert_binary_ops_match(f, a, b)

@@ -178,6 +178,8 @@ def test_json_canonical(tmp_path):
         fh.write("{nope")
     with pytest.raises(ParseError):
         formats.read_json(path)
+    with pytest.raises(IoError):
+        formats.read_json(str(tmp_path / "missing.json"))
 
 
 def test_witness_dict_roundtrip(baer, cone_9):
@@ -198,8 +200,17 @@ def test_witness_dict_roundtrip(baer, cone_9):
     for code in (3, -1):                  # codes of GF(3) are 0..2
         bad = formats.witness_to_dict(baer)
         bad["rows"][0][-1] = code
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="element code outside 0..2"):
             formats.witness_from_dict(bad)
+    # an all-zero basis spans nothing
+    zero = formats.witness_to_dict(baer)
+    zero["rows"], zero["rank"] = [[0] * 6], 1
+    with pytest.raises(ParseError, match="at least one point"):
+        formats.witness_from_dict(zero)
+    # without a rank, the rank is the number of basis rows
+    bare = formats.witness_to_dict(baer)
+    del bare["rank"]
+    assert formats.witness_from_dict(bare).points == baer.points
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -254,6 +265,9 @@ def test_cli_gen_reproduces_a_shipped_instance(tmp_path, capsys, argv,
         assert got.read() == want.read()
     _, meta = formats.read_pointset(path, with_meta=True)
     assert meta["params"] == catalogue.entry(shipped)["params"]
+    # the shipped meta is the catalogue's, witness built on demand
+    assert formats.read_pointset(want.name, with_meta=True)[1] == \
+        catalogue.metadata(shipped)
     assert data["witness_rank"] == catalogue.build_witness(shipped).rank
 
 
@@ -654,6 +668,16 @@ def test_cli_project_rejects_centre_in_set(tmp_path, capsys):
                            "--centre", str(int(sub.ranks[0])),
                            "--cov", "0,0,1")
     assert code == 2 and "CentreInSetError" in err
+
+
+def test_cli_project_needs_a_point_off_the_secants(tmp_path, capsys):
+    # every point of PG(2, 2) lies in the set
+    space = ProjectiveSpace(2, make_field(2, 1))
+    src = str(tmp_path / "plane.pts")
+    formats.write_pointset(src, PointSet(space, range(space.num_points)))
+    code, out, err = run_cli(capsys, "project", src)
+    assert code == 2 and out == ""
+    assert "NotFoundError: no point off the set and off all secants" in err
 
 
 def test_cli_spread_dump(capsys):

@@ -101,6 +101,7 @@ def test_build_family_returns_points(baer):
     ("random_rank_r", dict(q=27, n=2, r=99, seed=1)),
     ("subgeometry", dict(q=9, p0=6, n=2)),
     ("random_rank_r", dict(q=12, n=2, r=3, seed=1)),
+    ("subgeometry", dict(q=9, p0=1, n=2)),
 ])
 def test_family_parameter_errors(name, params):
     with pytest.raises(BadParamsError):
@@ -128,6 +129,7 @@ def test_build_linear_set_roundtrip(baer):
     (7, 2, 7, 350),
     (2, 4, 4, 68),
     (2, 4, 2, 680),
+    (3, 1, 3, 1),           # over the whole field: the line itself
 ])
 def test_subline_pattern_counts(p, t, p0, count):
     field = make_field(p, t)
@@ -494,6 +496,26 @@ def test_batched_search_matches_reference_on_witnesses(baer, rank4_27,
     for inst in (baer, rank4_27):
         got, want = _decisions(inst.points, monkeypatch)
         assert got == want and want[0] is not None
+
+
+def test_batched_search_stops_at_the_rank_cap(baer, monkeypatch):
+    space = baer.points.space
+    line = space.line_through(0, 1).point_ranks()
+    off = [r for r in range(space.num_points)
+           if r not in line and r not in baer.points][:2]
+    # a line and two points off it: the rank-3 subspaces through a spread
+    # element of the line blow down onto the whole line, inside the set
+    # but not all of it, so the search turns back at the rank cap
+    got, want = _decisions(PointSet(space, [*line, *off]), monkeypatch)
+    assert got == want and want[0] is None
+    assert want[1]["ranks_searched"] == [3]
+    assert want[1]["subspaces_tested"] > 0
+    # one point more than PG(2, 3) has: no rank up to the cap holds it
+    got, want = _decisions(PointSet(space, [*baer.points, off[0]]),
+                           monkeypatch)
+    assert got == want and want[0] is None
+    assert want[1]["ranks_searched"] == []
+    assert want[1]["subspaces_tested"] == 0
 
 
 @pytest.mark.slow

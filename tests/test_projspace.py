@@ -44,6 +44,9 @@ def test_gaussian_binomial_symmetry():
     for m in range(1, 6):
         for r in range(m + 1):
             assert gaussian_binomial(m, r, 3) == gaussian_binomial(m, m - r, 3)
+    for m, q in ((-1, 3), (3, 1)):
+        with pytest.raises(RangeError):
+            gaussian_binomial(m, 1, q)
 
 
 def test_point_enumeration_and_rank_roundtrip():
@@ -274,6 +277,16 @@ def test_mismatched_inputs_are_refused():
         space.rref_rows(np.zeros((2, 2, 3), dtype=np.int64))
     with pytest.raises(RangeError):
         SubspaceChart(Subspace(space, [(1, 0, 0, 0)]))
+    # rows of another length, of unequal lengths, no rows, and only zero
+    # rows
+    for rows in ([(1, 0, 0)], [(1, 0, 0, 0), (0, 1, 0)]):
+        with pytest.raises(DimensionMismatchError):
+            Subspace(space, rows)
+    with pytest.raises(DimensionMismatchError):
+        space.normalize([(1, 0), (1,)])
+    for rows in ([], [(0, 0, 0, 0)] * 2):
+        with pytest.raises(EmptyInputError):
+            Subspace(space, rows)
     with pytest.raises(BadParamsError):
         SubspaceChart(plane).to_small((0, 0, 0, 1))
 
@@ -816,6 +829,8 @@ def test_incidence_dimension_out_of_range():
             space.incidence(dim)
         with pytest.raises(RangeError):
             space.subspace_by_index(dim, 0)
+        with pytest.raises(RangeError):
+            next(space.subspaces(dim))
 
 
 def test_subspace_index_out_of_range():
@@ -830,6 +845,8 @@ def test_subspace_index_out_of_range():
     assert huge.num_subspaces(3) >= 2 ** 63
     with pytest.raises(TooLargeError):
         huge.subspace_by_index(3, 0)
+    with pytest.raises(TooLargeError):
+        huge.coords_array()
 
 
 def test_subspaces_through_matches_brute_force():
@@ -895,6 +912,9 @@ def test_normalize_rejects_codes_outside_field():
     for bad in ((0, 1, 9), (0, -1, 2)):
         with pytest.raises(RangeError):
             space.normalize(bad)
+    for short in ((0, 1), 1):
+        with pytest.raises(DimensionMismatchError):
+            space.normalize(short)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -917,7 +937,7 @@ def test_rank_coords_round_trip(data):
         scaled = [field.mul(s, c) for c in row]
         assert space.normalize(scaled) == tuple(row)
         assert space.rank_of(scaled) == r
-    assert space.ranks_from_rows(bulk, normalized=True).tolist() == ranks
+    assert space.ranks_from_rows(bulk).tolist() == ranks
     _, mul, _, _ = field.tables()
     scaled = mul[bulk, np.asarray(scales)[:, None]]
     assert np.array_equal(space.normalize_rows(scaled), bulk)

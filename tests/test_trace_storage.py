@@ -733,12 +733,12 @@ def test_transversal_line_refuses_two_matches(baer, monkeypatch):
             np.vstack([(xv + lam * ev) % 3, ev]))
     swap = dict(zip(line_ranks(other).tolist(),
                     ctx.blow_down_ranks(line_ranks(y)).tolist()))
-    honest = ctx.big.ranks_from_rows
+    honest = ctx.big._ranks
 
-    def corrupted(arr, normalized=False):
+    def corrupted(arr):
         # every small -> big image ends in the big side's ranking of the
         # blown-down vector; the vector's own blow-up is its small point
-        got = np.array(honest(arr, normalized))
+        got = np.array(honest(arr))
         arr = np.asarray(arr, dtype=np.int64)
         digits = arr[..., None] // 3 ** np.arange(2) % 3
         small = ctx.small.ranks_from_rows(
@@ -746,7 +746,7 @@ def test_transversal_line_refuses_two_matches(baer, monkeypatch):
         for a, b in swap.items():
             got[small == a] = b
         return got
-    monkeypatch.setattr(ctx.big, "ranks_from_rows", corrupted)
+    monkeypatch.setattr(ctx.big, "_ranks", corrupted)
     assert np.array_equal(ctx.blow_down_ranks(line_ranks(other)),
                           ctx.blow_down_ranks(line_ranks(y)))
     with pytest.raises(SpecMismatchError):
